@@ -65,6 +65,7 @@ from repro.expr import (
     Not,
     Or,
     TriState,
+    coerce_where,
     evaluate as evaluate_expr,
     evaluate_interval,
     interval_from_stats,
@@ -786,6 +787,7 @@ class ResolvedReader:
                 "legacy predicate= is not supported on evolved snapshots; "
                 "pass where= instead"
             )
+        where = coerce_where(where)
         res = self._res
         # resolve the projection in current coordinates (KeyError fast)
         specs = [(name, res.stored_column(name)) for name in columns]

@@ -38,7 +38,7 @@ from repro.catalog.transaction import Transaction
 from repro.core.compact import CompactionReport
 from repro.core.dataset import LoaderOptions, TrainingDataLoader, rebatch
 from repro.core.reader import BullionReader, Predicate
-from repro.expr import Expr
+from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
 from repro.core.table import Table, concat_tables
 from repro.core.writer import WriterOptions
@@ -183,17 +183,19 @@ class PinnedSnapshot:
     def scan(self, columns: list[str], **scan_kwargs):
         """Chained lazy scan over the pinned file set (one stream).
 
-        With ``where=`` the full pushdown applies: files are pruned
-        from manifest stats before any open, then each surviving
+        With ``where=`` (an :class:`~repro.expr.Expr` or its text
+        form) the full pushdown applies: files are pruned from
+        manifest stats before any open, then each surviving
         file's scan prunes row groups via zone maps and row-filters
         decoded batches. Pass ``scan_stats=`` a shared
         :class:`~repro.core.reader.ScanStats` to collect per-layer
         skip counts across the whole read.
         """
         batch_size = scan_kwargs.pop("batch_size", None)
-        where = scan_kwargs.get("where")
+        where = coerce_where(scan_kwargs.get("where"))
         files = list(self.snapshot.files)
         if where is not None:
+            scan_kwargs["where"] = where
             files, pruned = self.prune_files(where)
             stats = scan_kwargs.get("scan_stats")
             if stats is not None:
@@ -273,7 +275,7 @@ class PinnedSnapshot:
         self,
         aggregates,
         *,
-        where: Expr | None = None,
+        where: Expr | str | None = None,
         group_by=None,
         use_metadata: bool = True,
         max_workers: int = 4,
@@ -296,7 +298,7 @@ class PinnedSnapshot:
         return aggregate_snapshot(
             self,
             aggregates,
-            where=where,
+            where=coerce_where(where),
             group_by=group_by,
             use_metadata=use_metadata,
             max_workers=max_workers,

@@ -30,6 +30,7 @@ from repro.core.reader import BullionReader
 from repro.core.table import Table, concat_tables
 from repro.core.writer import BullionWriter, WriterOptions
 from repro.core.schema import Schema
+from repro.expr import Expr, coerce_where
 from repro.iosim import SimulatedStorage, Storage
 
 
@@ -44,11 +45,15 @@ class LoaderOptions:
     prefetch_batches: int = 0
     #: concurrent chunk fetches within each shard's scan
     scan_workers: int = 4
-    #: optional row filter (:class:`repro.expr.Expr`) applied with the
-    #: full pushdown: zone-map group pruning + exact decode-time
-    #: filtering, so a curriculum/quality filter skips I/O, not just
-    #: rows (batches still come out exactly ``batch_size`` long)
-    where: "object | None" = None
+    #: optional row filter (:class:`repro.expr.Expr` or its text form,
+    #: parsed on construction) applied with the full pushdown: zone-map
+    #: group pruning + exact decode-time filtering, so a
+    #: curriculum/quality filter skips I/O, not just rows (batches
+    #: still come out exactly ``batch_size`` long)
+    where: "Expr | str | None" = None
+
+    def __post_init__(self) -> None:
+        self.where = coerce_where(self.where)
 
 
 class ShardedDataset:

@@ -55,6 +55,7 @@ from repro.expr import (
     Expr,
     TriState,
     as_expr,
+    coerce_where,
     evaluate as evaluate_expr,
     evaluate_interval,
     interval_from_stats,
@@ -719,7 +720,7 @@ class BullionReader:
         columns: list[str],
         *,
         predicate: Predicate | None = None,
-        where: Expr | None = None,
+        where: Expr | str | None = None,
         row_groups: list[int] | None = None,
         batch_size: int | None = None,
         drop_deleted: bool = True,
@@ -734,10 +735,11 @@ class BullionReader:
         batches of exactly ``batch_size`` rows (last one may be short).
         ``max_workers <= 1`` forces serial chunk fetches.
 
-        ``where`` takes a :class:`repro.expr.Expr` (or a legacy
-        :class:`Predicate` via ``predicate=``, prune-only semantics)
-        and applies the full pushdown: zone-map row-group pruning plus
-        exact vectorized row filtering with late materialization.
+        ``where`` takes a :class:`repro.expr.Expr` or its text form
+        (or a legacy :class:`Predicate` via ``predicate=``, prune-only
+        semantics) and applies the full pushdown: zone-map row-group
+        pruning plus exact vectorized row filtering with late
+        materialization.
         Pass a shared :class:`ScanStats` as ``scan_stats`` to
         aggregate skip counters across several scans.
         """
@@ -745,7 +747,7 @@ class BullionReader:
             self,
             columns,
             predicate=predicate,
-            where=where,
+            where=coerce_where(where),
             row_groups=row_groups,
             batch_size=batch_size,
             drop_deleted=drop_deleted,
@@ -1107,6 +1109,8 @@ def _concat(parts: list[list], ptype) -> object:
         return np.zeros(0, dtype=STORAGE_DTYPES[ptype.primitive])
     if isinstance(flat[0], np.ndarray) and ptype.list_depth == 0:
         return np.concatenate(flat)
+    if len(flat) == 1 and isinstance(flat[0], list):
+        return flat[0]  # one page: the decoder's row list passes through
     out: list = []
     for v in flat:
         out.extend(v)
@@ -1134,9 +1138,16 @@ def _cast_to_storage(values, ptype):
     if ptype.list_depth > 0:
         if prim in (Primitive.STRING, Primitive.BINARY):
             return values
-        dtype = STORAGE_DTYPES.get(prim, np.int64)
+        dtype = np.dtype(STORAGE_DTYPES.get(prim, np.int64))
         if ptype.list_depth == 1 and isinstance(values, list):
-            return [np.asarray(v).astype(dtype, copy=False) for v in values]
+            # decoders hand back rows already in the storage dtype
+            # (views of one flat buffer); only foreign rows are cast
+            return [
+                v
+                if type(v) is np.ndarray and v.dtype == dtype
+                else np.asarray(v).astype(dtype, copy=False)
+                for v in values
+            ]
         return values
     if prim in (Primitive.STRING, Primitive.BINARY):
         return values

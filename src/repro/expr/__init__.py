@@ -49,7 +49,7 @@ from repro.expr.interval import (
     interval_from_stats,
     might_match,
 )
-from repro.expr.parse import ParseError, parse
+from repro.expr.parse import ParseError, coerce_where, parse
 from repro.expr.vector import VectorEvalError, evaluate
 
 __all__ = [
@@ -75,4 +75,5 @@ __all__ = [
     "might_match",
     "parse",
     "ParseError",
+    "coerce_where",
 ]

@@ -192,3 +192,20 @@ def parse(text: str) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression")
     return _Parser(text).parse()
+
+
+def coerce_where(where) -> Expr | None:
+    """Normalise a public ``where=`` argument at the API boundary.
+
+    ``None`` and :class:`Expr` pass through, a string is parsed, and
+    anything else is a ``TypeError`` here instead of an
+    ``AttributeError`` deep inside the scan.
+    """
+    if where is None or isinstance(where, Expr):
+        return where
+    if isinstance(where, str):
+        return parse(where)
+    raise TypeError(
+        "where must be an Expr, an expression string or None, not "
+        f"{type(where).__name__}"
+    )

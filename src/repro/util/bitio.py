@@ -130,6 +130,10 @@ def min_bit_width(values: np.ndarray) -> int:
     return int(max_value).bit_length()
 
 
+#: widths whose packed layout is a plain little-endian unsigned array
+_ALIGNED_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+
+
 def pack_bits(values: np.ndarray, width: int) -> bytes:
     """Pack non-negative integers into ``width`` bits each (LSB-first).
 
@@ -145,6 +149,9 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
         raise ValueError(f"bit width {width} exceeds 64")
     if len(values) == 0:
         return b""
+    if width in _ALIGNED_DTYPES:
+        # whole-byte slots: the LSB-first stream is a little-endian array
+        return values.astype(_ALIGNED_DTYPES[width]).tobytes()
     shifts = np.arange(width, dtype=np.uint64)
     bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
@@ -153,7 +160,8 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; returns uint64 array of ``count``.
 
-    For widths up to 57 this runs phase-strided: the bit layout repeats
+    Widths 8/16/32/64 are one ``frombuffer`` (the stream is a
+    little-endian array). Other widths up to 57 run phase-strided: the bit layout repeats
     every 8 values (one ``width``-byte period), so phase ``r`` of every
     period shares one byte offset and one sub-byte shift. Each phase is
     then a handful of strided slices composed into a word — no fancy
@@ -170,6 +178,10 @@ def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
             f"bit buffer too small: have {len(raw) * 8} bits, "
             f"need {needed_bits}"
         )
+    if width in _ALIGNED_DTYPES:
+        return np.frombuffer(
+            data, dtype=_ALIGNED_DTYPES[width], count=count
+        ).astype(np.uint64)
     if width <= 57:
         groups = (count + 7) // 8
         pad = np.zeros(groups * width + 8, dtype=np.uint8)

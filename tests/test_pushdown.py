@@ -521,3 +521,97 @@ class TestCatalogPushdown:
         assert not [j for j in service.plan() if j.kind == "retention"]
         report = service.run_once()
         assert report.rows_deleted == 0
+
+
+# ---------------------------------------------------------------------------
+# where= at the public boundary: text is parsed, anything else is typed
+# ---------------------------------------------------------------------------
+
+# one reader per entry point: (catalog, where) -> matching row count
+def _pinned(read):
+    def entry(cat, where):
+        with cat.pin() as snap:
+            return read(snap, where)
+
+    return entry
+
+
+def _count(result):
+    return result.rows[0]["count(*)"]
+
+
+def _rows(batches):
+    return sum(b.num_rows for b in batches)
+
+
+WHERE_ENTRIES = {
+    "PinnedSnapshot.scan": _pinned(
+        lambda snap, where: _rows(snap.scan(["i64"], where=where))
+    ),
+    "PinnedSnapshot.read": _pinned(
+        lambda snap, where: snap.read(["i64"], where=where).num_rows
+    ),
+    "PinnedSnapshot.query": _pinned(
+        lambda snap, where: _count(snap.query("count", where=where))
+    ),
+    "CatalogTable.scan": lambda cat, where: _rows(
+        cat.scan(["i64"], where=where)
+    ),
+    "CatalogTable.read": lambda cat, where: cat.read(
+        ["i64"], where=where
+    ).num_rows,
+    "CatalogTable.query": lambda cat, where: _count(
+        cat.query("count", where=where)
+    ),
+    "BullionReader.scan": _pinned(
+        lambda snap, where: sum(
+            _rows(reader.scan(["i64"], where=where))
+            for reader in snap.readers()
+        )
+    ),
+    "LoaderOptions.where": _pinned(
+        lambda snap, where: _rows(
+            snap.loader(["i64"], LoaderOptions(batch_size=64, where=where))
+        )
+    ),
+}
+
+
+class TestWhereBoundary:
+    """Every public read entry takes ``where`` as an ``Expr`` or its
+    text form, and rejects other types with ``TypeError`` on the spot
+    (it used to die frames later: ``'str' object has no attribute
+    'columns'``)."""
+
+    TEXT = "i64 >= 100 and i64 < 450"
+    EXPR = (col("i64") >= 100) & (col("i64") < 450)
+    ROWS = 350
+
+    @pytest.fixture(scope="class")
+    def cat(self):
+        cat, _tables = _build_catalog(np.random.default_rng(41), n_files=2)
+        return cat
+
+    @pytest.mark.parametrize("entry", sorted(WHERE_ENTRIES))
+    def test_text_is_parsed(self, cat, entry):
+        read = WHERE_ENTRIES[entry]
+        assert read(cat, self.TEXT) == read(cat, self.EXPR) == self.ROWS
+
+    @pytest.mark.parametrize("entry", sorted(WHERE_ENTRIES))
+    @pytest.mark.parametrize(
+        "bad", [3, b"i64 > 3", Predicate("i64", 0, 9), ["i64 > 3"]],
+        ids=["int", "bytes", "legacy-predicate", "list"],
+    )
+    def test_other_types_raise_type_error(self, cat, entry, bad):
+        with pytest.raises(TypeError, match="where must be"):
+            WHERE_ENTRIES[entry](cat, bad)
+
+    @pytest.mark.parametrize("entry", sorted(WHERE_ENTRIES))
+    def test_unparsable_text_raises_parse_error(self, cat, entry):
+        from repro.expr import ParseError
+
+        with pytest.raises(ParseError):
+            WHERE_ENTRIES[entry](cat, "i64 >>> 3")
+
+    def test_loader_options_store_the_parsed_expression(self):
+        assert LoaderOptions(where=self.TEXT).where == self.EXPR

@@ -114,6 +114,69 @@ class TestBitPacking:
         assert np.array_equal(unpack_bits(packed, width, len(arr)), arr)
 
 
+def _pack_bits_generic(values: np.ndarray, width: int) -> bytes:
+    """The bit-at-a-time layout definition, with no aligned fast path."""
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+
+
+def _unpack_bits_generic(data: bytes, width: int, count: int) -> np.ndarray:
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
+    return (
+        bits[: width * count].reshape(count, width).astype(np.uint64) * weights
+    ).sum(axis=1, dtype=np.uint64)
+
+
+class TestByteAlignedWidths:
+    """Widths 8/16/32/64 take a ``frombuffer`` shortcut; bytes and values
+    must match the generic LSB-first layout exactly."""
+
+    WIDTHS = [8, 16, 32, 64]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 1024])
+    def test_matches_generic_layout(self, width, count):
+        rng = np.random.default_rng([width, count])
+        values = rng.integers(0, 1 << width, count, dtype=np.uint64, endpoint=False)
+        values[0] = (1 << width) - 1
+        packed = pack_bits(values, width)
+        assert packed == _pack_bits_generic(values, width)
+        out = unpack_bits(packed, width, count)
+        assert out.dtype == np.uint64 and out.flags.writeable
+        assert np.array_equal(out, values)
+        assert np.array_equal(out, _unpack_bits_generic(packed, width, count))
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_pack_keeps_only_the_low_bits(self, width):
+        values = np.array([(1 << width) + 5, 2**64 - 1], dtype=np.uint64)
+        assert pack_bits(values, width) == _pack_bits_generic(values, width)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_short_buffer_raises(self, width):
+        packed = pack_bits(np.arange(10, dtype=np.uint64), width)
+        with pytest.raises(ValueError, match="too small"):
+            unpack_bits(packed[:-1], width, 10)
+        with pytest.raises(ValueError, match="too small"):
+            unpack_bits(b"", width, 1)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_surplus_buffer_and_views_are_accepted(self, width):
+        values = np.arange(10, dtype=np.uint64)
+        packed = pack_bits(values, width) + b"\xff" * 3
+        for data in (packed, bytearray(packed), memoryview(packed)):
+            assert np.array_equal(unpack_bits(data, width, 10), values)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_slot_access_agrees(self, width):
+        values = np.arange(1, 6, dtype=np.uint64)
+        buf = bytearray(pack_bits(values, width))
+        set_packed_value(buf, 3, width, 0)
+        assert get_packed_value(buf, 2, width) == 3
+        assert np.array_equal(unpack_bits(bytes(buf), width, 5), [1, 2, 3, 0, 5])
+
+
 class TestInPlaceSlotAccess:
     """set/get_packed_value back the §2.1 bit-packed deletion masker."""
 
