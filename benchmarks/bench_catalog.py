@@ -22,7 +22,8 @@ from repro.catalog import (
     MaintenanceService,
     MemoryCatalogStore,
 )
-from repro.core import Predicate, Table, WriterOptions
+from repro.core import Table, WriterOptions
+from repro.expr import col
 
 OPTS = WriterOptions(rows_per_page=256, rows_per_group=1024)
 
@@ -82,7 +83,7 @@ def test_bench_maintenance_rollup_reclaims_bytes():
     for i in range(n_files):
         table.append(_batch(i * rows, rows), options=OPTS)
     # GDPR-ish deletes scatter dead rows across every file
-    table.delete(Predicate("id", min_value=200, max_value=3_199))
+    table.delete(col("id").between(200, 3_199))
     head = table.current_snapshot()
     bytes_before = head.total_bytes
     files_before = len(head.files)

@@ -117,7 +117,6 @@ def test_bench_object_store_scan(tmp_path):
         disk_bytes=16 << 20,  # ...into the bounded disk tier
         disk_dir=str(tmp_path / "spill"),
         name="bench",
-        mirror=False,
     )
     configs = [
         ("naive", None, {"chunk_cache_size": 0, "coalesce_gap": -1}),

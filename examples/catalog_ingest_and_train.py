@@ -13,7 +13,7 @@ import threading
 
 import numpy as np
 
-from repro import Predicate, Table, WriterOptions
+from repro import Table, WriterOptions
 from repro.catalog import (
     CatalogTable,
     MaintenancePolicy,
@@ -21,6 +21,7 @@ from repro.catalog import (
     MemoryCatalogStore,
 )
 from repro.core import LoaderOptions
+from repro.expr import col
 
 ROWS_PER_COMMIT = 1_000
 N_COMMITS = 8
@@ -83,7 +84,7 @@ def main() -> None:
 
     # 4. GDPR-style delete runs as a transaction: copy-on-write + the
     # paper's in-place page scrub on the copy; old snapshots unaffected
-    snap = table.delete(Predicate("event_id", max_value=499))
+    snap = table.delete(col("event_id") <= 499)
     print(
         f"deleted {snap.summary['rows_deleted']} rows -> snapshot "
         f"{snap.snapshot_id}; time travel to snapshot 1 still sees "

@@ -48,14 +48,12 @@ def main() -> None:
     print(f"projected 2 columns: {batch.num_rows:,} rows, "
           f"mean ctr {np.mean(batch.column('ctr_score')):.4f}")
 
-    # 3b. the same read as a lazy scan: batches stream out while chunk
-    # fetches run on a thread pool, and the footer's min/max stats
-    # prune row groups the predicate cannot match
-    from repro import Predicate
-
+    # 3b. the same read as a lazy scan: batches stream out group by
+    # group, the footer's min/max stats prune row groups the filter
+    # cannot match, and surviving groups are filtered row by row
     scan = reader.scan(
         ["user_id", "ctr_score"],
-        predicate=Predicate("user_id", min_value=1_000),
+        where="user_id >= 1000",
         batch_size=2048,
     )
     n_batches = sum(1 for _ in scan)

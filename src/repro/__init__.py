@@ -46,7 +46,6 @@ from repro.core import (
     BullionWriter,
     Field,
     LogicalType,
-    Predicate,
     Scan,
     ScanStats,
     Schema,
@@ -75,7 +74,6 @@ __all__ = [
     "LogicalType",
     "Scan",
     "ScanStats",
-    "Predicate",
     "Expr",
     "col",
     "parse",

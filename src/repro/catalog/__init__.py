@@ -2,13 +2,13 @@
 
 The control plane over Bullion data files. A **table** is a log of
 immutable **snapshots** held in a :class:`CatalogStore`; every
-mutation — ``append``, ``add_shards``, ``delete(predicate)``,
+mutation — ``append``, ``add_shards``, ``delete(where)``,
 ``compact`` — is a :class:`Transaction` that writes new files through
 the streaming writer and publishes the next snapshot with an atomic
 put-if-absent commit, retrying optimistically when another committer
 moved HEAD. Reads pin a snapshot (``pin()`` / ``scan(snapshot_id=…)``
 / ``as_of(ts)``), which fixes an immutable file set — the existing
-``Scan``/``ChunkCache``/``TrainingDataLoader`` machinery is safe by
+``Scan``/chunk-cache/``TrainingDataLoader`` machinery is safe by
 construction on top. :class:`MaintenanceService` rolls small ingests
 into training-sized files, compacts deletion-scrubbed files, and
 expires unreferenced snapshots without ever touching pinned files.

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.reader import ScanStats
+from repro.core.table import rebatch
 from repro.core.schema import (
     PhysicalColumn,
     PhysicalType,
@@ -721,6 +722,10 @@ class ResolvedReader:
     def chunk_cache(self):
         return self._reader.chunk_cache
 
+    @property
+    def waits_per_request(self) -> bool:
+        return self._reader.waits_per_request
+
     def schema_fingerprint(self) -> int:
         return self._res.current.fingerprint()
 
@@ -780,13 +785,7 @@ class ResolvedReader:
         max_workers: int = 4,
         prefetch_groups: int = 2,
         scan_stats=None,
-        predicate=None,
     ) -> _ResolvedScan:
-        if predicate is not None:
-            raise ValueError(
-                "legacy predicate= is not supported on evolved snapshots; "
-                "pass where= instead"
-            )
         where = coerce_where(where)
         res = self._res
         # resolve the projection in current coordinates (KeyError fast)
@@ -822,8 +821,6 @@ class ResolvedReader:
             scan_stats,
         )
         if batch_size is not None:
-            from repro.core.dataset import rebatch
-
             batches = rebatch(batches, batch_size)
         return _ResolvedScan(batches, empty_table)
 

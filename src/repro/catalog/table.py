@@ -8,7 +8,7 @@ CAS (see :mod:`repro.catalog.transaction`).
 Reads never touch HEAD directly — they **pin** a snapshot:
 ``pin()``/``scan()``/``as_of()`` resolve to one immutable file set and
 hold a refcount the garbage collector respects, which is what makes
-the existing :class:`~repro.core.reader.Scan` and ``ChunkCache`` safe
+the existing :class:`~repro.core.reader.Scan` and chunk cache safe
 by construction (a pinned file is never mutated, and never deleted
 while pinned). :meth:`PinnedSnapshot.loader` hands the pinned reader
 set straight to :class:`~repro.core.dataset.TrainingDataLoader`, so
@@ -36,11 +36,11 @@ from repro.catalog.snapshot import (
 from repro.catalog.store import CatalogStore
 from repro.catalog.transaction import Transaction
 from repro.core.compact import CompactionReport
-from repro.core.dataset import LoaderOptions, TrainingDataLoader, rebatch
-from repro.core.reader import BullionReader, Predicate
+from repro.core.dataset import LoaderOptions, TrainingDataLoader
+from repro.core.reader import BullionReader
 from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
-from repro.core.table import Table, concat_tables
+from repro.core.table import Table, concat_tables, rebatch
 from repro.core.writer import WriterOptions
 from repro.obs import trace as obs_trace
 
@@ -224,12 +224,9 @@ class PinnedSnapshot:
             for f in files
             for batch in self._scan_file_traced(f, columns, scan_kwargs)
         )
-        if batch_size is None:
-            yield from chunks
-            return
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        yield from rebatch(chunks, batch_size)
+        if batch_size is not None:
+            chunks = rebatch(chunks, batch_size)
+        yield from chunks
 
     def _scan_file_traced(self, f, columns, scan_kwargs):
         """One file's batches under a ``scan.file`` span.
@@ -528,16 +525,16 @@ class CatalogTable:
         snap = self.current_snapshot()
         return SchemaLog.from_snapshot(snap).current()
 
-    def delete(self, predicate: "Expr | Predicate") -> Snapshot:
-        """Delete rows matching an expression (or legacy range).
+    def delete(self, where: "Expr | str") -> Snapshot:
+        """Delete rows matching an expression (or its text form).
 
         Shares the scan path's evaluator and pushdown layers: the rows
-        removed are exactly the rows ``scan(where=predicate)`` would
-        have returned.
+        removed are exactly the rows ``scan(where=where)`` would have
+        returned.
         """
         txn = self.transaction()
         try:
-            deleted = txn.delete(predicate)
+            deleted = txn.delete(where)
         except BaseException:
             txn.abort()  # e.g. a typo'd filter column raised KeyError
             raise

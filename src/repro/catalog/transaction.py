@@ -43,11 +43,11 @@ from repro.catalog.snapshot import ColumnStats, DataFile, Snapshot, snapshot_nam
 from repro.core.compact import CompactionReport, compact as compact_file
 from repro.core.dataset import ShardedDataset
 from repro.core.deletion import delete_rows
-from repro.core.reader import BullionReader, Predicate
+from repro.core.reader import BullionReader
 from repro.core.schema import Schema, stats_kind
 from repro.core.table import Table
 from repro.core.writer import BullionWriter, WriterOptions
-from repro.expr import Expr, as_expr, col, evaluate as evaluate_expr
+from repro.expr import Expr, coerce_where, col, evaluate as evaluate_expr
 from repro.iosim import Storage
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
@@ -348,13 +348,13 @@ class Transaction:
         self._bump("shards_added", len(entries))
         return entries
 
-    def delete(self, predicate: "Expr | Predicate") -> int:
+    def delete(self, where: "Expr | str") -> int:
         """Delete matching rows via copy-on-write + in-place scrub.
 
-        ``predicate`` is an expression (:mod:`repro.expr`) or a legacy
-        :class:`Predicate` range — both run through the same unified
-        evaluator the scan path uses, so ``delete(e)`` removes exactly
-        the rows ``scan(where=e)`` would return. The same pushdown
+        ``where`` is an expression (:mod:`repro.expr`) or its text
+        form, run through the same unified evaluator the scan path
+        uses, so ``delete(e)`` removes exactly the rows
+        ``scan(where=e)`` would return. The same pushdown
         layers apply: files whose manifest stats can't match are
         skipped unopened, row groups are pruned via footer zone maps,
         and only surviving groups decode their filter columns.
@@ -366,7 +366,9 @@ class Transaction:
         don't match are carried over untouched. Returns rows deleted.
         """
         self._require_open()
-        where = as_expr(predicate)
+        where = coerce_where(where)
+        if where is None:
+            raise TypeError("delete() needs a where expression")
         filter_columns = sorted(where.columns())
         log = self.schema_log()
         total = 0

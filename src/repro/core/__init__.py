@@ -29,8 +29,6 @@ from repro.core.footer import FooterBuilder, FooterView
 from repro.core.reader import (
     BullionFormatError,
     BullionReader,
-    ChunkCache,
-    Predicate,
     Scan,
     ScanStats,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "BullionReader",
     "Scan",
     "ScanStats",
-    "Predicate",
-    "ChunkCache",
     "Field",
     "LogicalType",
     "PhysicalColumn",

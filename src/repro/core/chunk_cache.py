@@ -1,9 +1,11 @@
-"""Process-wide tiered chunk cache with single-flight dedup.
+"""The chunk cache: tiered, shareable, with single-flight dedup.
 
-On local devices the per-reader :class:`~repro.core.reader.ChunkCache`
-was enough: misses cost one cheap ``pread``. On an object store every
-miss is a paid round trip, so the cache becomes load-bearing
-infrastructure and grows three properties the per-reader LRU lacked:
+Every :class:`~repro.core.reader.BullionReader` caches raw chunk bytes
+in a :class:`TieredChunkCache` — a small private one by default, or
+one shared across readers (typically process-wide). On local devices
+a miss costs one cheap ``pread``; on an object store every miss is a
+paid round trip, so the cache is load-bearing infrastructure with
+three properties:
 
 **Byte budgets and tiers.**  A memory tier holds raw chunk bytes under
 an LRU byte budget; evictions optionally *spill* to a bounded
@@ -29,10 +31,6 @@ backend while the rest block on its event (counted as
 ``cache_singleflight_waits_total``).  If the leader fails, a waiter
 retries the claim and becomes the new leader — a thundering herd on a
 hot chunk resolves to exactly one upstream fetch, never zero.
-
-The legacy per-reader ``ChunkCache`` in :mod:`repro.core.reader` is now
-a shim over this class (memory tier only, entry cap preserved for
-compatibility, plus the byte budget it always should have had).
 """
 
 from __future__ import annotations
@@ -101,13 +99,12 @@ class TieredChunkCache:
     ``(storage identity, file fingerprint, col_idx, row_group)``.
     ``memory_bytes`` bounds the memory tier; ``disk_bytes > 0`` (with a
     ``disk_dir``) enables the spill tier.  ``max_entries`` additionally
-    caps the memory tier by entry count — the legacy ``ChunkCache``
-    contract, kept so the shim evicts exactly as before.
+    caps the memory tier by entry count — how a reader sizes its
+    private cache; ``max_entries=0`` admits nothing (an uncached
+    reader: every lookup is a miss, single-flight still dedups).
 
-    Thread-safe.  ``mirror=False`` keeps a cache's counters out of the
-    process-wide ``cache_tier_*`` metric families (used by the
-    per-reader shim, which publishes the legacy ``scan_cache_*``
-    families instead).
+    Thread-safe.  Counters publish to the process-wide
+    ``cache_tier_*`` metric families.
     """
 
     def __init__(
@@ -118,7 +115,6 @@ class TieredChunkCache:
         disk_dir: str | None = None,
         max_entries: int | None = None,
         name: str = "chunks",
-        mirror: bool = True,
     ) -> None:
         if disk_bytes > 0 and disk_dir is None:
             raise ValueError("disk_bytes > 0 requires disk_dir")
@@ -128,7 +124,6 @@ class TieredChunkCache:
         self.disk_dir = disk_dir
         self.max_entries = max_entries
         self.stats = TierStats()
-        self._mirror = mirror
         self._mem: OrderedDict[tuple, bytes] = OrderedDict()
         self._mem_bytes = 0
         #: key -> spill-file payload size (LRU order, oldest first)
@@ -169,7 +164,7 @@ class TieredChunkCache:
 
     def _publish_gauges(self) -> None:
         # called under self._lock
-        if not (self._mirror and obs_metrics.enabled()):
+        if not obs_metrics.enabled():
             return
         from repro.obs import families as _fam
 
@@ -214,6 +209,8 @@ class TieredChunkCache:
             self._put_memory_locked(key, raw)
 
     def _put_memory_locked(self, key: tuple, raw: bytes) -> None:
+        if self.max_entries == 0:
+            return  # uncached: never admitted, so nothing to evict
         old = self._mem.pop(key, None)
         if old is not None:
             self._mem_bytes -= len(old)
@@ -401,7 +398,7 @@ class TieredChunkCache:
         self, what: str, tier: str = "", nbytes: int = 0
     ) -> None:
         # called under self._lock
-        if not (self._mirror and obs_metrics.enabled()):
+        if not obs_metrics.enabled():
             return
         from repro.obs import families as _fam
 

@@ -13,9 +13,9 @@ complex indexing or filtering" — as a data-loader:
 
 Datasets larger than one file live in a :class:`ShardedDataset` — N
 Bullion shard files behind one scan/loader surface. The loader walks
-shards in sequence (each shard's chunks fetched in parallel by the
-scan layer) and can prefetch decoded batches on a background thread so
-the trainer never waits on I/O.
+shards in sequence (each shard's chunks fetched ahead by the scan
+layer when the device waits per request) and can prefetch decoded
+batches on a background thread so the trainer never waits on I/O.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.reader import BullionReader
-from repro.core.table import Table, concat_tables
+from repro.core.table import Table, rebatch
 from repro.core.writer import BullionWriter, WriterOptions
 from repro.core.schema import Schema
 from repro.expr import Expr, coerce_where
@@ -43,7 +43,7 @@ class LoaderOptions:
     seed: int = 0
     #: batches decoded ahead by a background thread (0 = synchronous)
     prefetch_batches: int = 0
-    #: concurrent chunk fetches within each shard's scan
+    #: bound on each shard scan's fetch look-ahead (``max_workers``)
     scan_workers: int = 4
     #: optional row filter (:class:`repro.expr.Expr` or its text form,
     #: parsed on construction) applied with the full pushdown: zone-map
@@ -61,9 +61,9 @@ class ShardedDataset:
 
     One table too big for a single file is written as consecutive row
     slices, one Bullion file per shard. Reads present the shard set as
-    a single stream: :meth:`scan` chains per-shard scans (each with
-    parallel chunk fetch), and :class:`TrainingDataLoader` accepts the
-    dataset wherever a single storage is accepted.
+    a single stream: :meth:`scan` chains per-shard scans, and
+    :class:`TrainingDataLoader` accepts the dataset wherever a single
+    storage is accepted.
     """
 
     def __init__(self, shards: list[Storage]) -> None:
@@ -149,12 +149,9 @@ class ShardedDataset:
             for reader in self.readers()
             for batch in reader.scan(columns, **scan_kwargs)
         )
-        if batch_size is None:
-            yield from chunks
-            return
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        yield from rebatch(chunks, batch_size)
+        if batch_size is not None:
+            chunks = rebatch(chunks, batch_size)
+        yield from chunks
 
 
 class TrainingDataLoader:
@@ -232,28 +229,6 @@ class TrainingDataLoader:
         yield from rebatch(
             chunks(), opts.batch_size, drop_last=opts.drop_last
         )
-
-
-def rebatch(chunks, batch_size: int, drop_last: bool = False):
-    """Re-slice a stream of tables into exact ``batch_size`` batches.
-
-    The carry flows across whatever boundaries the input stream has
-    (row groups, shards); only the final batch may be short, and
-    ``drop_last`` discards it.
-    """
-    carry: Table | None = None
-    for chunk in chunks:
-        if carry is not None:
-            chunk = concat_tables([carry, chunk])
-            carry = None
-        pos = 0
-        while pos + batch_size <= chunk.num_rows:
-            yield chunk.slice(pos, pos + batch_size)
-            pos += batch_size
-        if pos < chunk.num_rows:
-            carry = chunk.slice(pos, chunk.num_rows)
-    if carry is not None and carry.num_rows and not drop_last:
-        yield carry
 
 
 _SENTINEL = object()

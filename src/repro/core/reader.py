@@ -29,19 +29,24 @@ Reads are built around :class:`Scan` — a lazy batch iterator that fuses
 * deletion-vector filtering,
 * §2.4 quantization widening,
 
-and fetches chunks concurrently through a ``ThreadPoolExecutor`` with a
-small per-reader LRU chunk cache. ``project()`` is the eager one-shot
-wrapper over a serial scan. :class:`ScanStats` counts what each layer
-skipped (groups, rows, chunks).
+in one loop over row groups. Chunks are cached in a
+:class:`~repro.core.chunk_cache.TieredChunkCache` — the shared one a
+caller passes, else a small private one — and the loop fetches ahead
+on threads only when the device under the reader really waits per
+request (:func:`repro.iosim.waits_per_request`). ``project()`` is the
+eager one-shot wrapper over a serial scan. :class:`ScanStats` counts
+what each layer skipped (groups, rows, chunks).
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -49,23 +54,19 @@ from repro.core.chunk_cache import TieredChunkCache, storage_identity
 from repro.core.footer import MAGIC, FooterView
 from repro.core.page import PAGE_HEADER_SIZE, PageHeader
 from repro.core.schema import Primitive, Schema, STORAGE_DTYPES, stats_kind
-from repro.core.table import Table, concat_tables
+from repro.core.table import Table, concat_tables, rebatch
 from repro.encodings import decode_blob
 from repro.expr import (
     Expr,
     TriState,
-    as_expr,
     coerce_where,
     evaluate as evaluate_expr,
     evaluate_interval,
     interval_from_stats,
 )
-from repro.iosim import Storage
+from repro.iosim import Storage, waits_per_request
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
-    CACHE_EVICTIONS,
-    CACHE_HITS,
-    CACHE_MISSES,
     CHUNK_FETCH_SECONDS,
     READER_OPENS,
     SCAN_COALESCE_WASTE_BYTES,
@@ -91,29 +92,6 @@ _MAX_RUN_BYTES = 8 << 20
 
 class BullionFormatError(ValueError):
     """Malformed file, bad magic, or checksum mismatch."""
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """Legacy single-column range — a thin constructor shim over the
-    expression AST (:mod:`repro.expr`).
-
-    Kept for the original ``scan(predicate=...)`` surface, whose
-    semantics are *pruning only* and group-granular: kept groups may
-    still contain rows outside the range (exactly the semantics of
-    ``prune_row_groups``), but groups whose footer min/max statistics
-    cannot satisfy the range are skipped with zero data I/O. For exact
-    row filtering pass ``where=`` instead — ``Predicate(c, lo, hi)``
-    is ``(col(c) >= lo) & (col(c) <= hi)`` with full row semantics.
-    """
-
-    column: str
-    min_value: float | None = None
-    max_value: float | None = None
-
-    def to_expr(self) -> Expr:
-        """The equivalent AST expression (inclusive range)."""
-        return as_expr(self)
 
 
 @dataclass
@@ -169,127 +147,26 @@ class ScanStats:
         return stats
 
 
-class ChunkCache:
-    """Per-reader LRU over raw (column, row-group) chunk bytes.
-
-    Now a shim over :class:`~repro.core.chunk_cache.TieredChunkCache`
-    (memory tier only). The historical entry cap is preserved — the
-    eviction sequence is bit-compatible with the old entry-counted LRU
-    — and joined by the byte budget it always should have had, so
-    memory use no longer scales with chunk size. ``capacity=0``
-    disables caching entirely.
-
-    Counters publish to the legacy ``scan_cache_*`` metric families;
-    the inner tier is unmirrored so nothing double-counts into the
-    shared ``cache_tier_*`` families.
-    """
-
-    def __init__(
-        self, capacity: int = 32, capacity_bytes: int = 64 << 20
-    ) -> None:
-        self.capacity = capacity
-        self.capacity_bytes = capacity_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._tier = (
-            TieredChunkCache(
-                capacity_bytes,
-                max_entries=capacity,
-                name="reader",
-                mirror=False,
-            )
-            if capacity > 0
-            else None
-        )
-
-    def _hit(self) -> None:
-        self.hits += 1
-        if obs_metrics.enabled():
-            CACHE_HITS.inc()
-
-    def _miss(self) -> None:
-        self.misses += 1
-        if obs_metrics.enabled():
-            CACHE_MISSES.inc()
-
-    def _count_evictions(self, before: int) -> None:
-        evicted = self._tier.stats.memory_evictions - before
-        if evicted:
-            self.evictions += evicted
-            if obs_metrics.enabled():
-                CACHE_EVICTIONS.inc(evicted)
-
-    def get(self, key: tuple) -> bytes | None:
-        if self._tier is None:
-            self._miss()
-            return None
-        raw = self._tier.get(key)
-        if raw is None:
-            self._miss()
-        else:
-            self._hit()
-        return raw
-
-    def put(self, key: tuple, raw: bytes) -> None:
-        if self._tier is None:
-            return
-        before = self._tier.stats.memory_evictions
-        self._tier.put(key, raw)
-        self._count_evictions(before)
-
-    # -- single-flight surface (used by the batch fetch planner) --------
-    def claim(self, key: tuple) -> tuple[str, object]:
-        if self._tier is None:
-            self._miss()
-            return ("mine", None)  # uncached: every claimer fetches
-        kind, val = self._tier.claim(key)
-        if kind == "hit":
-            self._hit()
-        elif kind == "mine":
-            self._miss()
-        return kind, val
-
-    def fulfill(self, key: tuple, raw: bytes) -> None:
-        if self._tier is None:
-            return
-        before = self._tier.stats.memory_evictions
-        self._tier.fulfill(key, raw)
-        self._count_evictions(before)
-
-    def abandon(self, key: tuple, error: BaseException | None = None) -> None:
-        if self._tier is not None:
-            self._tier.abandon(key, error)
-
-    def invalidate_prefix(self, prefix: tuple) -> int:
-        if self._tier is None:
-            return 0
-        return self._tier.invalidate_prefix(prefix)
-
-    def clear(self) -> None:
-        if self._tier is not None:
-            self._tier.clear()
-
-    def __len__(self) -> int:
-        return 0 if self._tier is None else len(self._tier)
-
-
 class Scan:
-    """Lazy, optionally parallel batch iterator over a Bullion file.
+    """Lazy batch iterator over a Bullion file.
 
     Created via :meth:`BullionReader.scan`. Iterating yields
     :class:`Table` batches; ``to_table()`` materializes the whole
-    result. With ``max_workers > 1``, the chunks of up to
-    ``prefetch_groups`` row groups ahead of the consumer are fetched
-    concurrently by a thread pool (positional reads are independent),
-    while decode and assembly stay on the consuming thread.
+    result. Row groups whose zone maps prove no row can match
+    ``where`` are dropped at construction (zero data I/O,
+    :attr:`stats` counts them). Every kept group is then read in two
+    phases: its *first* chunks — the filter columns under ``where=``,
+    the whole projection otherwise — are fetched and decoded and the
+    row mask (exact filter, deletion vector) evaluated; only a group
+    with surviving rows fetches its *residual* projection (late
+    materialization).
 
-    With a ``where=`` expression the scan is a two-layer skip machine:
-    row groups whose zone maps prove no row can match are dropped at
-    construction (zero data I/O, :attr:`stats` counts them), and kept
-    groups decode their *filter* columns first — the remaining
-    projected chunks are only fetched once at least one row survives
-    the exact vectorized mask (late materialization).
+    On a device that waits per request the first chunks of
+    ``prefetch_groups + 1`` groups are in flight on a thread pool
+    while one group decodes (positional reads are independent);
+    decode and assembly stay on the consuming thread. On a
+    memory-speed device, or with ``max_workers <= 1``, every fetch is
+    inline and no thread is started.
     """
 
     def __init__(
@@ -297,7 +174,6 @@ class Scan:
         reader: "BullionReader",
         columns: list[str],
         *,
-        predicate: Predicate | None = None,
         where: Expr | None = None,
         row_groups: list[int] | None = None,
         batch_size: int | None = None,
@@ -320,26 +196,26 @@ class Scan:
             if row_groups is None
             else list(row_groups)
         )
-        if predicate is not None:
-            # legacy prune-only semantics: groups drop, rows never do
-            kept = set(
-                reader.prune_row_groups(
-                    predicate.column, predicate.min_value, predicate.max_value
-                )
-            )
-            groups = [g for g in groups if g in kept]
         self._where = where
-        self._filter_cols: list[tuple[str, int, object]] = []
+        #: phase one: the columns every kept group fetches and decodes
+        self._first = self._cols
+        #: phase two: the columns only a group with survivors fetches
+        self._residual: list[tuple[str, int, object]] = []
         self.stats.bump(files_scanned=1, groups_total=len(groups))
         if where is not None:
-            for name in sorted(where.columns()):
+            filter_names = where.columns()
+            self._first = []
+            for name in sorted(filter_names):
                 col_idx = footer.find_column(name)
                 ptype = footer.column_type(col_idx)
                 if ptype.list_depth > 0:
                     raise ValueError(
                         f"cannot filter on list column {name!r}"
                     )
-                self._filter_cols.append((name, col_idx, ptype))
+                self._first.append((name, col_idx, ptype))
+            self._residual = [
+                spec for spec in self._cols if spec[0] not in filter_names
+            ]
             kept = set(reader.prune_row_groups_expr(where))
             pruned = [g for g in groups if g not in kept]
             groups = [g for g in groups if g in kept]
@@ -350,7 +226,10 @@ class Scan:
         self._groups = groups
         self._batch_size = batch_size
         self._widen = widen_quantized
-        self._max_workers = max_workers
+        #: look-ahead pool width; 0 when every fetch is inline
+        self._fetch_threads = (
+            max_workers if max_workers > 1 and reader.waits_per_request else 0
+        )
         self._prefetch_groups = max(1, prefetch_groups)
         self._deleted = None
         if drop_deleted and footer.deleted_count():
@@ -364,24 +243,8 @@ class Scan:
     # -- iteration ------------------------------------------------------
     def __iter__(self):
         if self._batch_size is None:
-            yield from self._group_tables()
-            return
-        size = self._batch_size
-        if size <= 0:
-            raise ValueError("batch_size must be positive")
-        carry: Table | None = None
-        for group_table in self._group_tables():
-            if carry is not None:
-                group_table = concat_tables([carry, group_table])
-                carry = None
-            pos = 0
-            while pos + size <= group_table.num_rows:
-                yield group_table.slice(pos, pos + size)
-                pos += size
-            if pos < group_table.num_rows:
-                carry = group_table.slice(pos, group_table.num_rows)
-        if carry is not None and carry.num_rows:
-            yield carry
+            return self._group_tables()
+        return rebatch(self._group_tables(), self._batch_size)
 
     def to_table(self) -> Table:
         """Materialize the scan into one table."""
@@ -402,211 +265,102 @@ class Scan:
 
     # -- internals ------------------------------------------------------
     def _group_tables(self):
-        if self._where is not None:
-            yield from self._group_tables_filtered()
-            return
-        groups = self._groups
-        n_fetches = len(groups) * len(self._cols)
-        if self._max_workers > 1 and n_fetches > 1:
-            yield from self._group_tables_parallel()
-            return
-        for g in groups:
-            fetched = self._reader._fetch_chunks(
-                [(col_idx, g) for _name, col_idx, _pt in self._cols]
-            )
-            raws = [
-                fetched[(col_idx, g)] for _name, col_idx, _pt in self._cols
-            ]
-            table = self._assemble(g, raws)
-            self.stats.bump(
-                chunks_fetched=len(raws),
-                groups_scanned=1,
-                rows_scanned=self._group_rows(g),
-                rows_matched=table.num_rows,
-            )
-            yield table
+        """The scan loop: one table per kept group, in group order.
 
-    def _group_tables_parallel(self):
-        groups = self._groups
-        reader = self._reader
-        window = self._prefetch_groups
-        with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-            futures: dict[int, object] = {}
-            submitted = 0
-
-            def submit_through(limit: int) -> None:
-                nonlocal submitted
-                while submitted < min(limit, len(groups)):
-                    g = groups[submitted]
-                    # one future per group: its chunks fetch together
-                    # through the coalescing planner (duplicate
-                    # projection columns dedup inside _fetch_chunks)
-                    futures[submitted] = pool.submit(
-                        reader._fetch_chunks,
-                        [(col_idx, g) for _name, col_idx, _pt in self._cols],
-                    )
-                    submitted += 1
-
-            submit_through(1 + window)
-            for i, g in enumerate(groups):
-                fetched = futures.pop(i).result()
-                raws = [
-                    fetched[(col_idx, g)]
-                    for _name, col_idx, _pt in self._cols
-                ]
-                submit_through(i + 2 + window)
-                table = self._assemble(g, raws)
-                self.stats.bump(
-                    chunks_fetched=len(raws),
-                    groups_scanned=1,
-                    rows_scanned=self._group_rows(g),
-                    rows_matched=table.num_rows,
-                )
-                yield table
-
-    # -- filtered iteration (where=...) ---------------------------------
-    def _group_tables_filtered(self):
-        """Late-materializing iteration: filter columns first.
-
-        Filter chunks of up to ``prefetch_groups`` groups ahead are
-        fetched through the pool; the remaining projected ("residual")
-        chunks of a group are only requested once its mask has
-        survivors, so a group filtered to nothing costs exactly its
-        filter chunks.
+        An unfiltered scan yields every group (an all-deleted one as
+        an empty table); a filtered scan skips groups without
+        survivors. The group being consumed first is fetched inline,
+        so a one-group scan never needs the pool.
         """
         groups = self._groups
-        reader = self._reader
-        filter_cols = self._filter_cols
-        filter_names = {name for name, _idx, _pt in filter_cols}
-        residual = [
-            (pos, spec)
-            for pos, spec in enumerate(self._cols)
-            if spec[0] not in filter_names
-        ]
-        n_filter_fetches = len(groups) * len(filter_cols)
-        pool = (
-            ThreadPoolExecutor(max_workers=self._max_workers)
-            if self._max_workers > 1 and n_filter_fetches + len(residual) > 1
-            else None
-        )
-        try:
-            if pool is None:
-                for g in groups:
-                    fetched = reader._fetch_chunks(
-                        [(col_idx, g) for _name, col_idx, _pt in filter_cols]
-                    )
-                    raws = {
-                        name: fetched[(col_idx, g)]
-                        for name, col_idx, _pt in filter_cols
-                    }
-                    table = self._filtered_group(g, raws, None)
-                    if table is not None:
-                        yield table
-                return
-            window = self._prefetch_groups
-            futures: dict[int, object] = {}
-            submitted = 0
+        fetch = self._reader._fetch_chunks
+        threaded = self._fetch_threads > 0 and len(groups) > 1
 
-            def submit_through(limit: int) -> None:
-                nonlocal submitted
-                while submitted < min(limit, len(groups)):
-                    g = groups[submitted]
-                    futures[submitted] = pool.submit(
-                        reader._fetch_chunks,
-                        [(col_idx, g) for _name, col_idx, _pt in filter_cols],
-                    )
-                    submitted += 1
+        def first_keys(g: int) -> list[tuple[int, int]]:
+            return [(col_idx, g) for _name, col_idx, _pt in self._first]
 
-            submit_through(1 + window)
+        with (
+            ThreadPoolExecutor(max_workers=self._fetch_threads)
+            if threaded
+            else nullcontext()
+        ) as pool:
+            # groups not yet handed to the pool (none without one) ...
+            waiting = iter(groups[1:] if threaded else ())
+            # ... and the first-phase fetches in flight, in group order
+            ahead: deque = deque()
+
+            def fetch_ahead(depth: int) -> None:
+                for g in islice(waiting, depth - len(ahead)):
+                    ahead.append(pool.submit(fetch, first_keys(g)))
+
+            fetch_ahead(self._prefetch_groups)
             for i, g in enumerate(groups):
-                fetched = futures.pop(i).result()
-                raws = {
-                    name: fetched[(col_idx, g)]
-                    for name, col_idx, _pt in filter_cols
-                }
-                submit_through(i + 2 + window)
-                table = self._filtered_group(g, raws, pool)
+                if threaded and i:
+                    fetched = ahead.popleft().result()
+                else:
+                    fetched = fetch(first_keys(g))
+                fetch_ahead(self._prefetch_groups + 1)
+                table = self._read_group(g, fetched)
                 if table is not None:
                     yield table
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
 
-    def _filtered_group(self, g: int, filter_raws: dict, pool) -> Table | None:
-        """Evaluate one group's mask; assemble only if rows survive."""
-        reader = self._reader
-        stats = self.stats
-        n_rows = self._group_rows(g)
+    def _read_group(self, g: int, fetched: dict) -> Table | None:
+        """Decode, mask and assemble one group from its first chunks.
+
+        ``None`` is a filtered group with no surviving rows: it cost
+        exactly its filter chunks, the residual is never fetched.
+        """
+        reader, stats = self._reader, self.stats
+        rg = reader.footer.row_group(g)
         stats.bump(
-            chunks_fetched=len(filter_raws),
+            chunks_fetched=len(self._first),
             groups_scanned=1,
-            rows_scanned=n_rows,
+            rows_scanned=rg.n_rows,
         )
-        # decode filter columns once, in storage representation
-        decoded: dict[str, object] = {}
-        for name, col_idx, ptype in self._filter_cols:
-            parts = reader._decode_chunk(filter_raws[name], col_idx, g)
-            decoded[name] = _cast_to_storage(_concat([parts], ptype), ptype)
-        # evaluate in the widened domain so quantized columns compare
-        # as floats, matching their (widened-domain) zone maps
-        eval_values = {
-            name: _widen_quantized(decoded[name], ptype)
-            for name, _idx, ptype in self._filter_cols
-        }
-        mask = evaluate_expr(self._where, eval_values)
-        if self._deleted is not None:
-            rg = reader.footer.row_group(g)
-            mask = mask & ~self._deleted[rg.row_start : rg.row_start + rg.n_rows]
-        if not mask.any():
-            residual = sum(
-                1 for name, _i, _p in self._cols if name not in decoded
+        # each column decodes once, in storage representation
+        decoded = {
+            name: reader._decode_column(
+                fetched[(col_idx, g)], col_idx, g, ptype
             )
-            stats.bump(chunks_skipped=residual, groups_empty=1)
+            for name, col_idx, ptype in self._first
+        }
+        mask = None
+        if self._where is not None:
+            # evaluate in the widened domain so quantized columns
+            # compare as floats, matching their (widened-domain) zone maps
+            mask = evaluate_expr(
+                self._where,
+                {
+                    name: _widen_quantized(decoded[name], ptype)
+                    for name, _idx, ptype in self._first
+                },
+            )
+        if self._deleted is not None:
+            live = ~self._deleted[rg.row_start : rg.row_start + rg.n_rows]
+            mask = live if mask is None else mask & live
+        if self._where is not None and not mask.any():
+            stats.bump(chunks_skipped=len(self._residual), groups_empty=1)
             return None
-        # fetch the residual projected chunks (only now — the point of
-        # late materialization); one planner call coalesces the lot
-        to_fetch = [
-            (name, col_idx)
-            for name, col_idx, _pt in self._cols
-            if name not in decoded
-        ]
-        fetched = reader._fetch_chunks(
-            [(col_idx, g) for _name, col_idx in to_fetch]
-        )
-        raws = {name: fetched[(col_idx, g)] for name, col_idx in to_fetch}
-        stats.bump(chunks_fetched=len(raws))
-        out: dict[str, object] = {}
-        for name, col_idx, ptype in self._cols:
-            if name in decoded:
-                values = decoded[name]
-            else:
-                parts = reader._decode_chunk(raws[name], col_idx, g)
-                values = _cast_to_storage(_concat([parts], ptype), ptype)
-            if self._widen:
-                values = _widen_quantized(values, ptype)
-            out[name] = values
-        table = Table(out).take_mask(mask) if out else Table({})
+        if self._residual:
+            # only now — the point of late materialization; one planner
+            # call coalesces the lot
+            fetched = reader._fetch_chunks(
+                [(col_idx, g) for _name, col_idx, _pt in self._residual]
+            )
+            stats.bump(chunks_fetched=len(fetched))
+            for name, col_idx, ptype in self._residual:
+                decoded[name] = reader._decode_column(
+                    fetched[(col_idx, g)], col_idx, g, ptype
+                )
+        table = Table({
+            name: _widen_quantized(decoded[name], ptype)
+            if self._widen
+            else decoded[name]
+            for name, _idx, ptype in self._cols
+        })
+        if mask is not None and table.num_columns:
+            table = table.take_mask(mask)
         stats.bump(rows_matched=table.num_rows)
-        return table
-
-    def _group_rows(self, g: int) -> int:
-        return self._reader.footer.row_group(g).n_rows
-
-    def _assemble(self, g: int, raws: list[bytes]) -> Table:
-        reader = self._reader
-        out: dict[str, object] = {}
-        for (name, col_idx, ptype), raw in zip(self._cols, raws):
-            parts = reader._decode_chunk(raw, col_idx, g)
-            values = _concat([parts], ptype)
-            values = _cast_to_storage(values, ptype)
-            if self._widen:
-                values = _widen_quantized(values, ptype)
-            out[name] = values
-        table = Table(out)
-        if self._deleted is not None and table.num_columns:
-            rg = reader.footer.row_group(g)
-            keep = ~self._deleted[rg.row_start : rg.row_start + rg.n_rows]
-            table = table.take_mask(keep)
         return table
 
 
@@ -668,12 +422,18 @@ class BullionReader:
                 self.fingerprint,
             )
         else:
-            #: raw chunk LRU shared by every scan from this reader;
-            #: assumes the file is immutable for the reader's lifetime
-            #: — reopen (or ``invalidate_cache()``) after in-place
-            #: deletions
-            self.chunk_cache = ChunkCache(chunk_cache_size)
+            #: private raw chunk LRU shared by every scan from this
+            #: reader (``chunk_cache_size=0``: uncached); assumes the
+            #: file is immutable for the reader's lifetime — reopen (or
+            #: ``invalidate_cache()``) after in-place deletions
+            self.chunk_cache = TieredChunkCache(
+                max_entries=chunk_cache_size, name="reader"
+            )
             self._cache_prefix = ()
+        #: whether reads from this device overlap on threads — decided
+        #: once, here, from the device (see ``waits_per_request``);
+        #: scans and the query fan-out both ask this and nothing else
+        self.waits_per_request = waits_per_request(storage)
         # resolved once: per-fetch latency histogram child for this
         # storage backend (class-derived label, never the file name)
         self._fetch_hist = CHUNK_FETCH_SECONDS.labels(
@@ -707,19 +467,15 @@ class BullionReader:
         return [c.name for c in self.footer.physical_columns()]
 
     def invalidate_cache(self) -> None:
-        if self._cache_prefix:
-            # shared cache: drop every entry for this device (any
-            # fingerprint), not other readers' files
-            self.chunk_cache.invalidate_prefix((self._cache_prefix[0],))
-        else:
-            self.chunk_cache.clear()
+        # shared cache: every entry for this device (any fingerprint),
+        # not other readers' files; private cache: everything
+        self.chunk_cache.invalidate_prefix(self._cache_prefix[:1])
 
     # -- data -----------------------------------------------------------
     def scan(
         self,
         columns: list[str],
         *,
-        predicate: Predicate | None = None,
         where: Expr | str | None = None,
         row_groups: list[int] | None = None,
         batch_size: int | None = None,
@@ -733,20 +489,19 @@ class BullionReader:
 
         ``batch_size=None`` yields one batch per row group; otherwise
         batches of exactly ``batch_size`` rows (last one may be short).
-        ``max_workers <= 1`` forces serial chunk fetches.
+        ``max_workers`` bounds the fetch look-ahead on a device that
+        waits per request (a memory-speed device never uses threads);
+        ``max_workers <= 1`` forces serial chunk fetches everywhere.
 
         ``where`` takes a :class:`repro.expr.Expr` or its text form
-        (or a legacy :class:`Predicate` via ``predicate=``, prune-only
-        semantics) and applies the full pushdown: zone-map row-group
-        pruning plus exact vectorized row filtering with late
-        materialization.
+        and applies the full pushdown: zone-map row-group pruning plus
+        exact vectorized row filtering with late materialization.
         Pass a shared :class:`ScanStats` as ``scan_stats`` to
         aggregate skip counters across several scans.
         """
         return Scan(
             self,
             columns,
-            predicate=predicate,
             where=coerce_where(where),
             row_groups=row_groups,
             batch_size=batch_size,
@@ -785,29 +540,6 @@ class BullionReader:
 
     def read_column(self, name: str, drop_deleted: bool = True):
         return self.project([name], drop_deleted=drop_deleted).column(name)
-
-    def prune_row_groups(
-        self,
-        column: str,
-        min_value: float | None = None,
-        max_value: float | None = None,
-    ) -> list[int]:
-        """Row groups whose [min, max] stats may satisfy the range.
-
-        The legacy single-column surface — now a shim over
-        :meth:`prune_row_groups_expr`, so range pruning and expression
-        pruning share one conservative interval evaluator. Zero data
-        I/O: answered entirely from the footer's stats section. Groups
-        without statistics are conservatively kept. With quality-
-        presorted files (§2.5) this is what turns a quality-threshold
-        scan into a prefix read.
-        """
-        if min_value is None and max_value is None:
-            self.footer.find_column(column)  # keep the KeyError contract
-            return list(range(self.footer.num_row_groups))
-        return self.prune_row_groups_expr(
-            Predicate(column, min_value, max_value).to_expr()
-        )
 
     def prune_row_groups_expr(self, where: Expr) -> list[int]:
         """Row groups the interval evaluator cannot rule out.
@@ -898,27 +630,6 @@ class BullionReader:
             raw = self._storage.pread(chunk.offset, chunk.size)
         return raw
 
-    def _fetch_chunk(self, col_idx: int, rg: int) -> bytes:
-        """Fetch one chunk through the cache with single-flight dedup."""
-        cache = self.chunk_cache
-        ckey = self._cache_key(col_idx, rg)
-        while True:
-            kind, val = cache.claim(ckey)
-            if kind == "hit":
-                return val
-            if kind == "mine":
-                try:
-                    raw = self._pread_chunk(col_idx, rg)
-                except BaseException as exc:
-                    cache.abandon(ckey, exc)
-                    raise
-                cache.fulfill(ckey, raw)
-                return raw
-            val.event.wait()
-            if val.error is None:
-                return val.value
-            # the leader's fetch failed: re-claim (possibly as leader)
-
     def _fetch_chunks(
         self, keys: list[tuple[int, int]]
     ) -> dict[tuple[int, int], bytes]:
@@ -934,31 +645,34 @@ class BullionReader:
         """
         cache = self.chunk_cache
         results: dict[tuple[int, int], bytes] = {}
-        mine: list[tuple[int, int]] = []
-        waits: list[tuple[tuple[int, int], object]] = []
-        for key in dict.fromkeys(keys):
-            kind, val = cache.claim(self._cache_key(*key))
-            if kind == "hit":
-                results[key] = val
-            elif kind == "mine":
-                mine.append(key)
-            else:
-                waits.append((key, val))
-        if mine:
-            try:
-                self._fetch_claimed(mine, results)
-            except BaseException as exc:
-                for key in mine:
-                    if key not in results:
-                        cache.abandon(self._cache_key(*key), exc)
-                raise
-        for key, flight in waits:
-            flight.event.wait()
-            if flight.error is None:
-                results[key] = flight.value
-            else:
-                # the leader failed; retry this key (possibly as leader)
-                results[key] = self._fetch_chunk(*key)
+        todo = list(dict.fromkeys(keys))
+        while todo:
+            mine: list[tuple[int, int]] = []
+            waits: list[tuple[tuple[int, int], object]] = []
+            for key in todo:
+                kind, val = cache.claim(self._cache_key(*key))
+                if kind == "hit":
+                    results[key] = val
+                elif kind == "mine":
+                    mine.append(key)
+                else:
+                    waits.append((key, val))
+            if mine:
+                try:
+                    self._fetch_claimed(mine, results)
+                except BaseException as exc:
+                    for key in mine:
+                        if key not in results:
+                            cache.abandon(self._cache_key(*key), exc)
+                    raise
+            todo = []
+            for key, flight in waits:
+                flight.event.wait()
+                if flight.error is None:
+                    results[key] = flight.value
+                else:
+                    # the leader failed: claim again, possibly as leader
+                    todo.append(key)
         return results
 
     def _fetch_claimed(
@@ -1042,8 +756,10 @@ class BullionReader:
             page_row += meta.n_values
         return values_parts
 
-    def _read_chunk(self, col_idx: int, rg: int):
-        return self._decode_chunk(self._fetch_chunk(col_idx, rg), col_idx, rg)
+    def _decode_column(self, raw: bytes, col_idx: int, rg: int, ptype):
+        """One chunk's values as a column in storage representation."""
+        parts = self._decode_chunk(raw, col_idx, rg)
+        return _cast_to_storage(_concat([parts], ptype), ptype)
 
     def _re_expand(self, stored, pid: int, page_row: int, original: int):
         """Re-align a compacted page using the deletion vector.

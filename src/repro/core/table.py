@@ -105,6 +105,30 @@ def concat_tables(tables: list["Table"]) -> "Table":
     return Table(out)
 
 
+def rebatch(chunks, batch_size: int, drop_last: bool = False):
+    """Re-slice a stream of tables into exact ``batch_size`` batches.
+
+    The carry flows across whatever boundaries the input stream has
+    (row groups, files, shards); only the final batch may be short,
+    and ``drop_last`` discards it.
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    carry: Table | None = None
+    for chunk in chunks:
+        if carry is not None:
+            chunk = concat_tables([carry, chunk])
+            carry = None
+        pos = 0
+        while pos + batch_size <= chunk.num_rows:
+            yield chunk.slice(pos, pos + batch_size)
+            pos += batch_size
+        if pos < chunk.num_rows:
+            carry = chunk.slice(pos, chunk.num_rows)
+    if carry is not None and carry.num_rows and not drop_last:
+        yield carry
+
+
 def infer_physical_type(values) -> PhysicalType:
     """Best-effort physical type for schema-less writes."""
     if isinstance(values, np.ndarray):

@@ -38,7 +38,6 @@ from repro.expr.ast import (
     Or,
     all_of,
     any_of,
-    as_expr,
     col,
 )
 from repro.expr.interval import (
@@ -64,7 +63,6 @@ __all__ = [
     "col",
     "all_of",
     "any_of",
-    "as_expr",
     "evaluate",
     "VectorEvalError",
     "TriState",

@@ -269,7 +269,7 @@ class ColumnRef:
         return In(self.name, tuple(values))
 
     def between(self, lo, hi) -> Expr:
-        """Inclusive range — the legacy ``Predicate`` shape."""
+        """Inclusive range: ``lo <= col <= hi``."""
         return And((Comparison(">=", self.name, lo),
                     Comparison("<=", self.name, hi)))
 
@@ -296,34 +296,6 @@ def any_of(*exprs: Expr) -> Expr:
     if not flat:
         raise ExprError("any_of() requires at least one expression")
     return flat[0] if len(flat) == 1 else Or(tuple(flat))
-
-
-def as_expr(obj) -> Expr:
-    """Normalize anything predicate-shaped into an :class:`Expr`.
-
-    Accepts an :class:`Expr` (returned unchanged) or the legacy
-    :class:`~repro.core.reader.Predicate` single-column range (duck-
-    typed on ``column``/``min_value``/``max_value`` so this module
-    never imports the reader).
-    """
-    if isinstance(obj, Expr):
-        return obj
-    if (
-        hasattr(obj, "column")
-        and hasattr(obj, "min_value")
-        and hasattr(obj, "max_value")
-    ):
-        parts: list[Expr] = []
-        if obj.min_value is not None:
-            parts.append(Comparison(">=", obj.column, obj.min_value))
-        if obj.max_value is not None:
-            parts.append(Comparison("<=", obj.column, obj.max_value))
-        if not parts:
-            raise ExprError(
-                f"predicate on {obj.column!r} has neither bound"
-            )
-        return all_of(*parts)
-    raise ExprError(f"cannot interpret {obj!r} as an expression")
 
 
 def _require_expr(obj) -> Expr:

@@ -28,10 +28,14 @@ from repro.iosim.storage import (
     ObjectStorage,
     ObjectStorageError,
     Storage,
+    StorageWrapper,
+    waits_per_request,
 )
 
 __all__ = [
     "Storage",
+    "StorageWrapper",
+    "waits_per_request",
     "SimulatedStorage",
     "FileStorage",
     "InstrumentedStorage",

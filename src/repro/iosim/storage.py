@@ -187,29 +187,22 @@ class FileStorage:
         self._size = max(self._size, offset + len(data))
 
 
-class LatencyModelledStorage:
-    """Wrap any backend and charge per-op time under a :class:`SeekModel`.
+class StorageWrapper:
+    """Forwarding base for wrappers over another :class:`Storage`.
 
-    Each operation costs ``seek_latency`` when non-contiguous plus
-    ``bytes / bandwidth``. The cost accumulates in :attr:`elapsed_s`;
-    with ``sleep=True`` it is also slept out, so concurrent readers
-    genuinely overlap their modelled device time — the property the
-    parallel-scan benchmark measures.
+    Identity, geometry, lifecycle and the test escape hatches read
+    through to :attr:`inner`; a subclass adds the ``pread``/``pwrite``/
+    ``append`` it times, charges or counts. ``close``/``sync`` reach
+    the inner backend whenever it has them, so a wrapped
+    ``FileStorage`` still fsyncs before a commit and gives its fd back.
     """
 
-    def __init__(
-        self,
-        inner: Storage,
-        model: SeekModel | None = None,
-        sleep: bool = False,
-    ) -> None:
+    #: ``True`` on a layer that sleeps out a modelled cost per request
+    #: — what :func:`waits_per_request` looks for
+    sleep = False
+
+    def __init__(self, inner: Storage) -> None:
         self.inner = inner
-        self.model = model or SeekModel()
-        self.sleep = sleep
-        self.elapsed_s = 0.0
-        self._read_cursor: int | None = None
-        self._write_cursor: int | None = None
-        self._lock = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -225,6 +218,74 @@ class LatencyModelledStorage:
 
     def __len__(self) -> int:
         return self.inner.size
+
+    def truncate(self, size: int) -> None:
+        self.inner.truncate(size)
+
+    # -- lifecycle (simulated backends hold nothing and expose neither)
+    def close(self) -> None:
+        inner_close = getattr(self.inner, "close", None)
+        if inner_close is not None:
+            inner_close()
+
+    def sync(self) -> None:
+        inner_sync = getattr(self.inner, "sync", None)
+        if inner_sync is not None:
+            inner_sync()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- test escape hatches, when the backend has them
+    def raw_bytes(self) -> bytes:
+        return self.inner.raw_bytes()
+
+    def corrupt(self, offset: int, data: bytes) -> None:
+        self.inner.corrupt(offset, data)
+
+
+def waits_per_request(storage) -> bool:
+    """Whether a read from this wrapper stack really blocks per request.
+
+    True when any layer (walking ``.inner``, like
+    :func:`~repro.core.chunk_cache.storage_identity`) sleeps out its
+    modelled cost. It is the one question the read path asks before
+    overlapping I/O on threads: a device that waits leaves the GIL
+    free for other fetches, a memory-speed one only adds hand-offs.
+    """
+    while storage is not None:
+        if getattr(storage, "sleep", False):
+            return True
+        storage = getattr(storage, "inner", None)
+    return False
+
+
+class LatencyModelledStorage(StorageWrapper):
+    """Wrap any backend and charge per-op time under a :class:`SeekModel`.
+
+    Each operation costs ``seek_latency`` when non-contiguous plus
+    ``bytes / bandwidth``. The cost accumulates in :attr:`elapsed_s`;
+    with ``sleep=True`` it is also slept out, so concurrent readers
+    genuinely overlap their modelled device time — the property the
+    parallel-scan benchmark measures.
+    """
+
+    def __init__(
+        self,
+        inner: Storage,
+        model: SeekModel | None = None,
+        sleep: bool = False,
+    ) -> None:
+        super().__init__(inner)
+        self.model = model or SeekModel()
+        self.sleep = sleep
+        self.elapsed_s = 0.0
+        self._read_cursor: int | None = None
+        self._write_cursor: int | None = None
+        self._lock = threading.Lock()
 
     def _charge(self, cursor_attr: str, offset: int, nbytes: int) -> None:
         with self._lock:
@@ -249,16 +310,6 @@ class LatencyModelledStorage:
         offset = self.inner.append(data)
         self._charge("_write_cursor", offset, len(data))
         return offset
-
-    def truncate(self, size: int) -> None:
-        self.inner.truncate(size)
-
-    # pass through the test escape hatches when the backend has them
-    def raw_bytes(self) -> bytes:
-        return self.inner.raw_bytes()
-
-    def corrupt(self, offset: int, data: bytes) -> None:
-        self.inner.corrupt(offset, data)
 
 
 #: S3-in-the-same-region-ish defaults: ~25 ms to first byte per
@@ -288,7 +339,7 @@ class ObjectStorageError(OSError):
     """An injected per-request fault from :class:`ObjectStorage`."""
 
 
-class ObjectStorage:
+class ObjectStorage(StorageWrapper):
     """An S3-like object store modelled in process over any backend.
 
     The cost model is :class:`SeekModel.request_cost` with a dominant
@@ -327,7 +378,7 @@ class ObjectStorage:
 
         if max_request_bytes <= 0:
             raise ValueError("max_request_bytes must be positive")
-        self.inner = inner
+        super().__init__(inner)
         self.model = model or OBJECT_STORE_MODEL
         self.max_request_bytes = max_request_bytes
         self.jitter_fn = jitter_fn
@@ -342,25 +393,6 @@ class ObjectStorage:
         self._put_bytes = _fam.OBJECT_REQUEST_BYTES.labels(op="put")
         self._get_secs = _fam.OBJECT_REQUEST_SECONDS.labels(op="get")
         self._put_secs = _fam.OBJECT_REQUEST_SECONDS.labels(op="put")
-
-    # -- passthrough geometry -----------------------------------------
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def stats(self) -> IOStats:
-        return self.inner.stats
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    def __len__(self) -> int:
-        return self.inner.size
-
-    def truncate(self, size: int) -> None:
-        self.inner.truncate(size)
 
     # -- accounting -----------------------------------------------------
     @property
@@ -430,32 +462,8 @@ class ObjectStorage:
         self._request("PUT", self.inner.size, len(data))
         return self.inner.append(data)
 
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        inner_close = getattr(self.inner, "close", None)
-        if inner_close is not None:
-            inner_close()
 
-    def sync(self) -> None:
-        inner_sync = getattr(self.inner, "sync", None)
-        if inner_sync is not None:
-            inner_sync()
-
-    def __enter__(self) -> "ObjectStorage":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # pass through the test escape hatches when the backend has them
-    def raw_bytes(self) -> bytes:
-        return self.inner.raw_bytes()
-
-    def corrupt(self, offset: int, data: bytes) -> None:
-        self.inner.corrupt(offset, data)
-
-
-class InstrumentedStorage:
+class InstrumentedStorage(StorageWrapper):
     """Wrap any backend; publish its I/O into the metrics registry.
 
     Counts preads/pwrites/appends/syncs, bytes moved, request-size
@@ -470,7 +478,7 @@ class InstrumentedStorage:
     def __init__(self, inner: Storage, backend: str | None = None) -> None:
         from repro.obs import families as _fam  # circular-free, heavy names
 
-        self.inner = inner
+        super().__init__(inner)
         self.backend = backend or _fam.backend_label(inner)
         lbl = {"backend": self.backend}
         self._read_ops = _fam.STORAGE_READ_OPS.labels(**lbl)
@@ -487,21 +495,6 @@ class InstrumentedStorage:
         self._write_size = _fam.STORAGE_IO_SIZE_BYTES.labels(
             backend=self.backend, op="write"
         )
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def stats(self) -> IOStats:
-        return self.inner.stats
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    def __len__(self) -> int:
-        return self.inner.size
 
     def pread(self, offset: int, length: int) -> bytes:
         if not obs_metrics.enabled():
@@ -536,9 +529,6 @@ class InstrumentedStorage:
         self._count_write(len(data), t0)
         return offset
 
-    def truncate(self, size: int) -> None:
-        self.inner.truncate(size)
-
     def sync(self) -> None:
         inner_sync = getattr(self.inner, "sync", None)
         if inner_sync is None:
@@ -550,21 +540,3 @@ class InstrumentedStorage:
         inner_sync()
         self._sync_secs.observe(time.perf_counter() - t0)
         self._sync_ops.inc()
-
-    def close(self) -> None:
-        inner_close = getattr(self.inner, "close", None)
-        if inner_close is not None:
-            inner_close()
-
-    def __enter__(self) -> "InstrumentedStorage":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # pass through the test escape hatches when the backend has them
-    def raw_bytes(self) -> bytes:
-        return self.inner.raw_bytes()
-
-    def corrupt(self, offset: int, data: bytes) -> None:
-        self.inner.corrupt(offset, data)

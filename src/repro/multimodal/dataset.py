@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.reader import BullionReader
 from repro.core.table import Table
 from repro.core.writer import BullionWriter, WriterOptions
+from repro.expr import col
 from repro.iosim import IOStats, SeekModel, SimulatedStorage
 from repro.multimodal.media import MediaReader, MediaRef, MediaWriter
 from repro.multimodal.quality import contiguous_run_stats, sort_rows_by_quality
@@ -156,8 +157,8 @@ class MultimodalDataset:
         # footer-stats row-group pruning: with the quality presort the
         # qualifying groups are a prefix of the file, and this costs
         # zero data I/O (§2.5 + the stats section of the footer)
-        candidates = reader.prune_row_groups(
-            "quality", min_value=quality_threshold
+        candidates = reader.prune_row_groups_expr(
+            col("quality") >= float(quality_threshold)
         )
         touched_groups = []
         selected_local: list[np.ndarray] = []

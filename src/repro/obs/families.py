@@ -97,15 +97,6 @@ WRITER_MIRROR = StatsMirror(
 )
 
 # --- Cache / reader -----------------------------------------------------
-CACHE_HITS = _REG.counter(
-    "scan_cache_hits_total", "ChunkCache lookups served from memory"
-)
-CACHE_MISSES = _REG.counter(
-    "scan_cache_misses_total", "ChunkCache lookups that fell through to storage"
-)
-CACHE_EVICTIONS = _REG.counter(
-    "scan_cache_evictions_total", "ChunkCache LRU evictions"
-)
 READER_OPENS = _REG.counter(
     "scan_files_opened_total", "BullionReader constructions (footer reads)"
 )

@@ -12,8 +12,8 @@ machinery, answering whatever it can from statistics alone:
   the interval evaluator proves ``ALWAYS`` count from metadata,
   ``NEVER`` extents vanish, only ``MAYBE`` extents decode;
 * everything else — a streaming numpy hash group-by over scan
-  batches, fanned out per file on a thread pool and merged in a
-  deterministic order (parallelism never changes the answer, bit for
+  batches, one task per file (on a thread pool when the device
+  waits per request) merged in a deterministic order (parallelism never changes the answer, bit for
   bit).
 
 Quickstart::

@@ -721,8 +721,9 @@ def aggregate_snapshot(
 
     Files are classified from manifest statistics first: proven-empty
     files are pruned unopened, fully-proven files are answered from
-    the manifest alone, and the rest fan out one partial-aggregation
-    task per file on a thread pool. Partials merge on the calling
+    the manifest alone, and the rest run one partial-aggregation
+    task per file — on a thread pool when the files' device waits per
+    request, inline otherwise. Partials merge on the calling
     thread in file order, so the result — including float sums — is
     bit-identical for any ``max_workers``.
     """
@@ -781,11 +782,17 @@ def _aggregate_snapshot_impl(
             # reader cache is never touched from worker threads;
             # old-schema files get their resolver facade here
             dispositions.append(("task", pinned._resolved_reader_for(f)))
-    tasks = [d for d in dispositions if d[0] == "task"]
-    # parallelism budget: across files when several decode, inside the
-    # scan when only one does (scan yields groups in order either way,
-    # so the deterministic merge is unaffected)
-    inner_workers = max_workers if len(tasks) == 1 else 0
+    tasks = [reader for kind, reader in dispositions if kind == "task"]
+    # threads only where the device waits per request (the same rule
+    # the scan applies below): across files when several decode,
+    # inside the scan when only one does (scan yields groups in order
+    # either way, so the deterministic merge is unaffected)
+    fan_out = (
+        max_workers > 1
+        and len(tasks) > 1
+        and any(reader.waits_per_request for reader in tasks)
+    )
+    inner_workers = 0 if fan_out else max_workers
 
     def run_file(reader):
         file_stats = QueryStats()
@@ -799,7 +806,7 @@ def _aggregate_snapshot_impl(
         return part, file_stats
 
     results: dict[int, tuple] = {}
-    if max_workers > 1 and len(tasks) > 1:
+    if fan_out:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             futures = {
                 i: pool.submit(run_file, reader)

@@ -14,10 +14,10 @@ from repro.catalog import (
 from repro.core import (
     BullionReader,
     LoaderOptions,
-    Predicate,
     Table,
     WriterOptions,
 )
+from repro.expr import col
 
 
 def _table(start, n, seed=None):
@@ -77,7 +77,7 @@ def test_open_empty_store_rejected():
 
 def test_manifest_carries_footer_stats(table):
     table.append(_table(0, 300), options=_opts())
-    table.delete(Predicate("id", max_value=49))
+    table.delete(col("id") <= 49)
     entry = table.current_snapshot().files[0]
     storage = table.store.open_data(entry.file_id)
     reader = BullionReader(storage)
@@ -103,7 +103,7 @@ def test_empty_transaction_rejected(table):
 def test_no_match_delete_and_compact_stage_nothing(table):
     table.append(_table(0, 100), options=_opts())
     txn = table.transaction()
-    assert txn.delete(Predicate("id", min_value=10**9)) == 0
+    assert txn.delete(col("id") >= 10**9) == 0
     assert txn.compact(min_deleted_fraction=0.9).bytes_in == 0
     with pytest.raises(ValueError, match="empty transaction"):
         txn.commit()  # nothing staged: no no-op snapshot in the log
@@ -111,7 +111,7 @@ def test_no_match_delete_and_compact_stage_nothing(table):
     # in a multi-op transaction the empty mutations leave no trace
     txn = table.transaction()
     txn.append(_table(100, 100), options=_opts())
-    assert txn.delete(Predicate("id", min_value=10**9)) == 0
+    assert txn.delete(col("id") >= 10**9) == 0
     snap = txn.commit()
     assert snap.operation == "append"
     assert "rows_deleted" not in snap.summary
@@ -182,7 +182,7 @@ def test_threaded_appends_no_lost_updates(table):
 def test_delete_aborts_when_files_appended_concurrently(table):
     table.append(_table(0, 200), options=_opts())
     txn = table.transaction()
-    assert txn.delete(Predicate("id", max_value=99)) == 100
+    assert txn.delete(col("id") <= 99) == 100
     # a racing append commits rows the delete's predicate never saw;
     # replaying would leave them live, so the delete must abort
     table.append(_table(0, 50), options=_opts())
@@ -193,7 +193,7 @@ def test_delete_aborts_when_files_appended_concurrently(table):
 
 def test_conflicting_replace_aborts_and_cleans_up(table):
     table.append(_table(0, 500), options=_opts())
-    table.delete(Predicate("id", max_value=99))
+    table.delete(col("id") <= 99)
     t1 = table.transaction()
     t2 = table.transaction()
     t1.compact()
@@ -222,7 +222,7 @@ def test_abort_deletes_staged_files(table):
 def test_compacting_fully_deleted_file_drops_it(table):
     table.append(_table(0, 200), options=_opts())
     table.append(_table(200, 200), options=_opts())
-    table.delete(Predicate("id", max_value=199))  # first file 100% dead
+    table.delete(col("id") <= 199)  # first file 100% dead
     snap, report = table.compact()
     assert len(snap.files) == 1  # no empty rewrite committed
     assert report.rows_in == 200 and report.rows_out == 0
@@ -242,7 +242,7 @@ def test_scan_pinned_snapshot_is_immutable_across_delete_and_compact(table):
     }
     before = table.read(["id", "score"], snapshot_id=pinned_id)
 
-    table.delete(Predicate("id", min_value=100, max_value=299))
+    table.delete(col("id").between(100, 299))
     table.compact()
 
     # the pinned snapshot's files were never touched: byte-identical
@@ -294,7 +294,7 @@ def test_loader_reproducible_at_pinned_snapshot_while_ingest_continues(table):
         )
         # ingest keeps committing between epochs
         table.append(_table(600, 300), options=_opts())
-        table.delete(Predicate("id", max_value=99))
+        table.delete(col("id") <= 99)
         epoch2 = np.concatenate(
             [np.asarray(b.column("id")) for b in loader]
         )
@@ -329,7 +329,7 @@ def test_directory_store_roundtrip(tmp_path):
     root = str(tmp_path / "tbl")
     table = CatalogTable.create(DirectoryCatalogStore(root))
     table.append(_table(0, 500), options=_opts())
-    table.delete(Predicate("id", max_value=99))
+    table.delete(col("id") <= 99)
     table.compact()
     got = np.asarray(table.read(["id"]).column("id"))
     assert np.array_equal(got, np.arange(100, 500))
@@ -380,7 +380,7 @@ def test_inspect_catalog_cli(tmp_path, capsys):
     root = str(tmp_path / "tbl")
     table = CatalogTable.create(DirectoryCatalogStore(root))
     table.append(_table(0, 300), options=_opts())
-    table.delete(Predicate("id", max_value=49))
+    table.delete(col("id") <= 49)
 
     assert main(["catalog", "log", root]) == 0
     out = capsys.readouterr().out

@@ -10,7 +10,8 @@ from repro.catalog import (
     MaintenanceService,
     MemoryCatalogStore,
 )
-from repro.core import Predicate, Table, WriterOptions
+from repro.core import Table, WriterOptions
+from repro.expr import col
 
 
 def _table(start, n):
@@ -56,7 +57,7 @@ def test_plan_flags_small_files_for_rollup(table):
 
 def test_plan_flags_high_deleted_fraction_for_compaction(table):
     table.append(_table(0, 1000), options=_opts())
-    table.delete(Predicate("id", max_value=399))  # 40% deleted
+    table.delete(col("id") <= 399)  # 40% deleted
     jobs = _service(table).plan()
     kinds = {j.kind for j in jobs}
     assert "compact" in kinds
@@ -75,7 +76,7 @@ def test_keep_snapshots_zero_expires_all_but_head(table):
 
 def test_plan_respects_compaction_threshold(table):
     table.append(_table(0, 1000), options=_opts())
-    table.delete(Predicate("id", max_value=99))  # only 10% deleted
+    table.delete(col("id") <= 99)  # only 10% deleted
     jobs = _service(table).plan()
     assert not [j for j in jobs if j.kind == "compact"]
 
@@ -98,7 +99,7 @@ def test_rollup_merges_small_files_and_preserves_rows(table):
 def test_compaction_reclaims_bytes_after_deletes(table):
     table.append(_table(0, 2000), options=_opts())
     bytes_before = table.current_snapshot().total_bytes
-    table.delete(Predicate("id", max_value=999))
+    table.delete(col("id") <= 999)
     report = _service(table).run_once()
     assert report.files_compacted == 1
     assert report.bytes_reclaimed > 0
@@ -112,7 +113,7 @@ def test_compaction_reclaims_bytes_after_deletes(table):
 def test_expire_drops_old_snapshots_and_orphan_files(table):
     for i in range(5):
         table.append(_table(i * 100, 100), options=_opts())
-    table.delete(Predicate("id", max_value=49))
+    table.delete(col("id") <= 49)
     svc = _service(table)
     report = svc.run_once()
     assert report.snapshots_expired > 0
@@ -129,7 +130,7 @@ def test_gc_refuses_files_held_by_pinned_reader(table):
     table.append(_table(0, 500), options=_opts())
     pinned = table.pin()  # pin the pre-maintenance snapshot
     pinned_files = pinned.snapshot.file_ids()
-    table.delete(Predicate("id", max_value=249))
+    table.delete(col("id") <= 249)
     table.compact()
     for i in range(3):
         table.append(_table(1000 + i * 10, 10), options=_opts())
@@ -181,7 +182,7 @@ def test_maintenance_runs_on_directory_store(tmp_path):
     )
     for i in range(4):
         table.append(_table(i * 250, 250), options=_opts())
-    table.delete(Predicate("id", min_value=500, max_value=999))
+    table.delete(col("id").between(500, 999))
     report = _service(table).run_once()
     assert report.jobs_run > 0
     assert report.bytes_reclaimed > 0

@@ -22,7 +22,6 @@ from repro.core import (
     storage_identity,
 )
 from repro.core.chunk_cache import configure_process_cache
-from repro.core.reader import ChunkCache
 from repro.iosim import FileStorage, SimulatedStorage
 
 
@@ -31,7 +30,6 @@ def _cache(tmp_path=None, memory_bytes=1 << 20, disk_bytes=0, **kw):
         memory_bytes,
         disk_bytes=disk_bytes,
         disk_dir=str(tmp_path / "spill") if tmp_path else None,
-        mirror=False,
         **kw,
     )
 
@@ -73,21 +71,34 @@ class TestMemoryTier:
 
 
 class TestLegacyShim:
+    """What the retired per-reader ``ChunkCache`` shim promised, now
+    held by the private ``TieredChunkCache`` a reader builds itself."""
+
+    @staticmethod
+    def _dev():
+        dev = SimulatedStorage()
+        BullionWriter(
+            dev, options=WriterOptions(rows_per_page=100, rows_per_group=200)
+        ).write(Table({"x": np.arange(1000, dtype=np.int64)}))
+        return dev
+
     def test_byte_budget_on_the_legacy_cache(self):
-        # the satellite fix: ChunkCache now budgets bytes, not entries
-        cache = ChunkCache(capacity=32, capacity_bytes=100)
-        cache.put((0, 0), b"x" * 60)
-        cache.put((0, 1), b"y" * 60)  # 120 bytes: evicts (0, 0)
-        assert cache.get((0, 0)) is None
-        assert cache.get((0, 1)) == b"y" * 60
-        assert cache.evictions == 1
+        # a private cache is bounded by entries *and* by bytes
+        cache = BullionReader(self._dev(), chunk_cache_size=3).chunk_cache
+        assert isinstance(cache, TieredChunkCache)
+        assert (cache.max_entries, cache.memory_bytes) == (3, 64 << 20)
+        assert cache.disk_bytes == 0
 
     def test_capacity_zero_disables(self):
-        cache = ChunkCache(capacity=0)
-        cache.put((0, 0), b"x")
-        assert cache.get((0, 0)) is None
-        assert len(cache) == 0
-        assert cache.misses == 1  # the put was a no-op
+        dev = self._dev()
+        reader = BullionReader(dev, chunk_cache_size=0)
+        reader.scan(["x"], max_workers=0).to_table()
+        first = dev.stats.bytes_read
+        reader.scan(["x"], max_workers=0).to_table()
+        assert dev.stats.bytes_read > first  # nothing was kept
+        stats = reader.chunk_cache.stats
+        assert len(reader.chunk_cache) == 0
+        assert (stats.misses, stats.hits, stats.memory_evictions) == (10, 0, 0)
 
 
 class TestDiskSpill:
@@ -164,7 +175,6 @@ class TestDiskCrashConsistency:
             1,  # every entry immediately spills
             disk_bytes=1 << 20,
             disk_dir=str(tmp_path / "spill"),
-            mirror=False,
         )
         reader = BullionReader(dev, chunk_cache=cache)
         assert np.array_equal(

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.reader import Predicate
 from repro.expr import (
     And,
     Comparison,
@@ -18,7 +17,6 @@ from repro.expr import (
     Or,
     ParseError,
     TriState,
-    as_expr,
     col,
     evaluate,
     evaluate_interval,
@@ -57,22 +55,6 @@ class TestAst:
             Comparison("==", "a", [1, 2])
         with pytest.raises(ExprError):
             In("a", ())
-
-    def test_as_expr_accepts_legacy_predicate(self):
-        e = as_expr(Predicate("q", 0.5, None))
-        assert e == Comparison(">=", "q", 0.5)
-        e = as_expr(Predicate("q", 1, 9))
-        assert e == col("q").between(1, 9)
-        assert as_expr(e) is e
-        with pytest.raises(ExprError):
-            as_expr(Predicate("q"))
-        with pytest.raises(ExprError):
-            as_expr("q > 3")
-
-    def test_predicate_to_expr_shim(self):
-        assert Predicate("x", max_value=4).to_expr() == Comparison(
-            "<=", "x", 4
-        )
 
 
 class TestJsonSerde:

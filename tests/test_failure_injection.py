@@ -25,6 +25,7 @@ from repro.encodings import (
     encoding_by_id,
     encoding_by_name,
 )
+from repro.expr import col
 from repro.iosim import SimulatedStorage
 
 
@@ -125,7 +126,7 @@ class TestMisuse:
         dev = SimulatedStorage()
         BullionWriter(dev).write(Table({"x": np.zeros(4, dtype=np.int64)}))
         with pytest.raises(KeyError):
-            BullionReader(dev).prune_row_groups("nope", min_value=0)
+            BullionReader(dev).prune_row_groups_expr(col("nope") >= 0)
 
 
 class TestDeletionPropertyStyle:

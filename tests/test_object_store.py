@@ -244,7 +244,7 @@ class TestThunderingHerd:
         dev = _bullion_device(n_rows=1000, n_cols=2, rows_per_group=200)
         expected = BullionReader(dev).scan(["c0", "c1"]).to_table()
         obj = _object_copy(dev)
-        cache = TieredChunkCache(64 << 20, name="herd-test", mirror=False)
+        cache = TieredChunkCache(64 << 20, name="herd-test")
         # per-chunk requests (coalescing off) so the request log counts
         # backend fetches chunk-for-chunk
         readers = [

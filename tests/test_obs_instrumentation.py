@@ -129,8 +129,8 @@ class TestReaderInstrumentation:
         reader.project(["x"])  # 2 groups -> 2 cold fetches
         reader.project(["x"])  # same chunks -> 2 cache hits
         d = REG.delta(before)
-        assert d.value("scan_cache_misses_total") == 2
-        assert d.value("scan_cache_hits_total") == 2
+        assert d.value("cache_tier_misses_total") == 2
+        assert d.value("cache_tier_hits_total", tier="memory") == 2
         assert d.value("scan_chunk_fetch_seconds", backend="memory") == 2
 
     def test_cache_evictions_counted(self):
@@ -140,8 +140,8 @@ class TestReaderInstrumentation:
         before = REG.snapshot()
         reader.project(["x", "y"])  # 8 chunks through a 2-slot LRU
         d = REG.delta(before)
-        assert d.value("scan_cache_evictions_total") == 6
-        assert reader.chunk_cache.evictions == 6
+        assert d.value("cache_tier_evictions_total", tier="memory") == 6
+        assert reader.chunk_cache.stats.memory_evictions == 6
 
     def test_reader_open_counted(self):
         storage = SimulatedStorage("obs-open")

@@ -9,6 +9,8 @@ vectors, multi-shard catalogs) and randomized expressions at that
 contract.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from repro.core import (
     BullionReader,
     BullionWriter,
     LoaderOptions,
-    Predicate,
     ScanStats,
     Table,
     TrainingDataLoader,
@@ -312,16 +313,6 @@ class TestPushdownLayersActuallySkip:
         out = reader.scan(["x"], where=col("x") > 2**53).to_table()
         assert out.num_rows == 100
 
-    def test_legacy_predicate_unchanged_group_granular(self):
-        dev, _table = self._sorted_file()
-        reader = BullionReader(dev)
-        out = reader.scan(
-            ["ts"], predicate=Predicate("ts", 600, 610)
-        ).to_table()
-        # prune-only semantics: whole surviving group comes back
-        assert out.num_rows == 500
-        assert reader.prune_row_groups("ts", 600, 610) == [1]
-
     def test_filter_on_list_column_rejected(self):
         dev = SimulatedStorage()
         BullionWriter(dev).write(
@@ -424,10 +415,10 @@ class TestCatalogPushdown:
         with cat.pin() as snap:
             assert snap.read(names, where=expr).num_rows == 0
 
-    def test_legacy_predicate_delete_still_works(self):
+    def test_delete_takes_the_text_form(self):
         rng = np.random.default_rng(13)
         cat, _tables = _build_catalog(rng, n_files=2)
-        head = cat.delete(Predicate("i64", 100, 199))
+        head = cat.delete("i64 >= 100 and i64 <= 199")
         assert head.summary["rows_deleted"] == 100
         with cat.pin() as snap:
             out = snap.read(["i64"])
@@ -599,7 +590,14 @@ class TestWhereBoundary:
 
     @pytest.mark.parametrize("entry", sorted(WHERE_ENTRIES))
     @pytest.mark.parametrize(
-        "bad", [3, b"i64 > 3", Predicate("i64", 0, 9), ["i64 > 3"]],
+        "bad",
+        [
+            3,
+            b"i64 > 3",
+            # the retired ``Predicate`` range shape: no longer duck-typed
+            SimpleNamespace(column="i64", min_value=0, max_value=9),
+            ["i64 > 3"],
+        ],
         ids=["int", "bytes", "legacy-predicate", "list"],
     )
     def test_other_types_raise_type_error(self, cat, entry, bad):
@@ -612,6 +610,13 @@ class TestWhereBoundary:
 
         with pytest.raises(ParseError):
             WHERE_ENTRIES[entry](cat, "i64 >>> 3")
+
+    @pytest.mark.parametrize(
+        "bad", [None, 3, b"i64 > 3"], ids=["none", "int", "bytes"]
+    )
+    def test_delete_rejects_other_types(self, cat, bad):
+        with pytest.raises(TypeError):
+            cat.delete(bad)
 
     def test_loader_options_store_the_parsed_expression(self):
         assert LoaderOptions(where=self.TEXT).where == self.EXPR

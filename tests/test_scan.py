@@ -6,11 +6,12 @@ import pytest
 from repro.core import (
     BullionReader,
     BullionWriter,
-    Predicate,
     Table,
+    TieredChunkCache,
     WriterOptions,
     delete_rows,
 )
+from repro.expr import col
 from repro.iosim import SimulatedStorage
 from repro.quantization import FloatFormat, QuantizationPolicy
 
@@ -137,29 +138,24 @@ class TestPredicatePruning:
     def test_pruned_scan_matches_pruned_project(self):
         dev, _table = self._file()
         reader = BullionReader(dev)
-        pred = Predicate("x", min_value=250, max_value=449)
-        scan = reader.scan(["x"], predicate=pred)
+        scan = reader.scan(["x"], where=col("x").between(250, 449))
         assert scan.row_groups == [2, 3, 4]
-        expected = reader.project(["x"], row_groups=scan.row_groups)
-        assert scan.to_table().equals(expected)
+        kept = reader.project(["x"], row_groups=scan.row_groups)
+        assert scan.to_table().equals(kept.slice(50, 250))
 
     def test_pruning_skips_data_io(self):
         dev, _table = self._file()
         reader = BullionReader(dev)
         dev.stats.reset()
         before = dev.stats.bytes_read
-        out = reader.scan(
-            ["x"], predicate=Predicate("x", min_value=900)
-        ).to_table()
+        out = reader.scan(["x"], where=col("x") >= 900).to_table()
         assert np.array_equal(out.column("x"), np.arange(900, 1000))
         assert dev.stats.bytes_read - before < dev.size / 5
 
     def test_all_groups_pruned_yields_typed_empty(self):
         dev, _table = self._file()
         reader = BullionReader(dev)
-        out = reader.scan(
-            ["x"], predicate=Predicate("x", min_value=10**9)
-        ).to_table()
+        out = reader.scan(["x"], where=col("x") >= 10**9).to_table()
         assert out.num_rows == 0
         assert out.column("x").dtype == np.int64
 
@@ -168,7 +164,7 @@ class TestPredicatePruning:
         reader = BullionReader(dev)
         scan = reader.scan(
             ["x"],
-            predicate=Predicate("x", min_value=250, max_value=449),
+            where=col("x").between(250, 449),
             row_groups=[0, 3, 9],
         )
         assert scan.row_groups == [3]
@@ -213,18 +209,19 @@ class TestChunkCache:
         before = dev.stats.bytes_read
         reader.scan(["x"], max_workers=0).to_table()
         assert dev.stats.bytes_read == before  # served from cache
-        assert reader.chunk_cache.hits >= 5
+        assert reader.chunk_cache.stats.memory_hits >= 5
 
     def test_cache_capacity_evicts(self):
-        from repro.core import ChunkCache
-
-        cache = ChunkCache(capacity=2)
+        # the entry cap a reader's private cache is sized by
+        cache = TieredChunkCache(max_entries=2)
         cache.put((0, 0), b"a")
         cache.put((0, 1), b"b")
         cache.put((0, 2), b"c")
         assert cache.get((0, 0)) is None
         assert cache.get((0, 2)) == b"c"
         assert len(cache) == 2
+        assert cache.stats.memory_evictions == 1
+        assert (cache.stats.misses, cache.stats.memory_hits) == (1, 1)
 
     def test_invalidate_cache_forces_reread(self):
         table = Table({"x": np.arange(200, dtype=np.int64)})

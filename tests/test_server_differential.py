@@ -1,8 +1,9 @@
 """Concurrency differential harness (the PR's core guarantee).
 
 N client threads fire randomized scan and query plans at a live server
-while a writer thread keeps committing appends, keyed upserts, deletes
-and compactions.  Every response is recorded as raw frame bytes along
+while a writer thread commits a seeded, finite schedule of appends,
+keyed upserts, deletes and compactions, paced against the clients'
+progress.  Every response is recorded as raw frame bytes along
 with the snapshot id the server chose.  Afterwards, each recorded
 ``(snapshot_id, canonical plan)`` pair is replayed single-threaded on
 a fresh :class:`PinnedSnapshot` through the same payload builders —
@@ -31,6 +32,11 @@ from repro.server import BullionServer, ServerClient, TableService
 from repro.server import protocol
 
 ROWS_PER_FILE = 60
+REQUESTS_PER_CLIENT = 8
+#: mutations the writer attempts per run, however long the clients
+#: take; each adds at most one file, so no machine ever serves more
+#: than ``2 + MUTATIONS`` live files
+MUTATIONS = 24
 
 WHERE_POOL = (
     None,
@@ -66,11 +72,20 @@ def _build():
 
 
 class _Writer(threading.Thread):
-    """Keeps committing randomized mutations until stopped."""
+    """Commits ``MUTATIONS`` seeded mutations, paced by the clients.
 
-    def __init__(self, table: CatalogTable):
+    Mutation ``k`` is due once the clients have finished ``k /
+    MUTATIONS`` of their requests (``progress()`` of
+    ``total_requests``), so commits land all through the run on a
+    fast machine and a slow one alike — and a slow one does not get a
+    bigger table and a harder test for being slow.
+    """
+
+    def __init__(self, table: CatalogTable, progress, total_requests: int):
         super().__init__(name="differential-writer", daemon=True)
         self.table = table
+        self.progress = progress
+        self.total_requests = total_requests
         self.stop = threading.Event()
         self.commits = 0
         self.error = None
@@ -80,7 +95,10 @@ class _Writer(threading.Thread):
         pyrng = random.Random(23)
         next_lo = 2 * ROWS_PER_FILE
         try:
-            while not self.stop.is_set():
+            for k in range(MUTATIONS):
+                while self.progress() * MUTATIONS < k * self.total_requests:
+                    if self.stop.wait(0.002):
+                        return
                 op = pyrng.choice(("append", "upsert", "delete", "compact"))
                 try:
                     if op == "append":
@@ -184,16 +202,25 @@ def test_concurrent_serving_is_byte_identical_to_replay(n_clients):
     service = TableService(
         {"events": table},
         workers=4,
-        max_queue=64,
+        # closed-loop clients: at most n_clients requests exist at
+        # once, so admission can never reject one that merely waits
+        max_queue=n_clients,
         queue_timeout_s=60.0,
         default_deadline_s=60.0,
     )
     server = BullionServer(service)
-    writer = _Writer(table)
     clients = [
-        _Client(server.host, server.port, seed=100 + i, requests=8)
+        _Client(
+            server.host, server.port, seed=100 + i,
+            requests=REQUESTS_PER_CLIENT,
+        )
         for i in range(n_clients)
     ]
+    writer = _Writer(
+        table,
+        progress=lambda: sum(len(c.records) for c in clients),
+        total_requests=REQUESTS_PER_CLIENT * n_clients,
+    )
     try:
         writer.start()
         for c in clients:
@@ -212,7 +239,7 @@ def test_concurrent_serving_is_byte_identical_to_replay(n_clients):
     # single-threaded replay of every (snapshot_id, plan) pair; the
     # server stack is closed, so this is the plain library path
     records = [r for c in clients for r in c.records]
-    assert len(records) == 8 * n_clients
+    assert len(records) == REQUESTS_PER_CLIENT * n_clients
     sids = {sid for _k, sid, _p, _f in records}
     for kind, sid, plan, frames in records:
         pin = table.pin(snapshot_id=sid)

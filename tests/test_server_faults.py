@@ -264,7 +264,10 @@ def _fd_count() -> int:
 )
 def test_no_leaked_fds_or_threads_and_counters_reconcile(tmp_path):
     store = DirectoryCatalogStore(str(tmp_path / "tbl"))
-    table = _build(store, n_files=2, rows=500)
+    # enough rows that the rude client's reply cannot fit in socket
+    # buffers: "cancelled" is only observable while the server is
+    # still streaming when the RST lands
+    table = _build(store, n_files=2, rows=20_000)
     threads_before = threading.active_count()
     fds_before = _fd_count()
     reg = default_registry()

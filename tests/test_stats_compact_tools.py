@@ -11,6 +11,7 @@ from repro.core import (
     delete_rows,
 )
 from repro.core.compact import compact, merge
+from repro.expr import col
 from repro.iosim import SimulatedStorage
 from repro.tools import describe, inspect_file
 
@@ -61,21 +62,21 @@ class TestChunkStats:
     def test_prune_on_presorted_selects_prefix(self):
         dev, table = _file(presorted=True)
         reader = BullionReader(dev)
-        kept = reader.prune_row_groups("score", min_value=0.9)
+        kept = reader.prune_row_groups_expr(col("score") >= 0.9)
         assert kept == list(range(len(kept)))  # a prefix of the groups
         assert len(kept) < reader.footer.num_row_groups / 2
 
     def test_prune_on_unsorted_keeps_most(self):
         dev, _t = _file(presorted=False)
         reader = BullionReader(dev)
-        kept = reader.prune_row_groups("score", min_value=0.9)
+        kept = reader.prune_row_groups_expr(col("score") >= 0.9)
         assert len(kept) == reader.footer.num_row_groups
 
     def test_prune_correctness(self):
         """Pruning must never lose qualifying rows."""
         dev, table = _file(presorted=True)
         reader = BullionReader(dev)
-        kept = reader.prune_row_groups("score", min_value=0.7)
+        kept = reader.prune_row_groups_expr(col("score") >= 0.7)
         got = reader.project(["score"], row_groups=kept)
         got_scores = np.asarray(got.column("score"))
         expected = np.asarray(table.column("score"))
@@ -84,7 +85,7 @@ class TestChunkStats:
     def test_prune_max_value(self):
         dev, _t = _file(presorted=True)
         reader = BullionReader(dev)
-        kept = reader.prune_row_groups("score", max_value=0.1)
+        kept = reader.prune_row_groups_expr(col("score") <= 0.1)
         assert kept  # the tail groups
         assert kept[-1] == reader.footer.num_row_groups - 1
 

@@ -6,10 +6,13 @@ import pytest
 from repro.core import BullionReader, BullionWriter, Table, WriterOptions
 from repro.iosim import (
     FileStorage,
+    InstrumentedStorage,
     LatencyModelledStorage,
+    ObjectStorage,
     SeekModel,
     SimulatedStorage,
     Storage,
+    waits_per_request,
 )
 
 
@@ -129,6 +132,66 @@ class TestLatencyModelledStorage:
             ).write(table)
             assert BullionReader(dev).project(["x"]).column("x")[99] == 99
             assert dev.elapsed_s > 0
+
+
+WRAPPERS = [LatencyModelledStorage, ObjectStorage, InstrumentedStorage]
+
+
+class TestStorageWrappers:
+    """The three wrappers share one forwarding base: lifecycle calls
+    reach the backend through any of them (a latency-wrapped
+    ``FileStorage`` used to skip the pre-commit fsync and leak its fd)."""
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_sync_and_close_reach_the_file(self, tmp_path, monkeypatch, wrapper):
+        import os
+
+        inner = FileStorage(tmp_path / "dev.bin")
+        dev = wrapper(inner)
+        dev.append(b"durable")
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
+        )
+        dev.sync()
+        assert synced == [inner._fd]
+        dev.close()
+        with pytest.raises(OSError):
+            os.fstat(inner._fd)  # the fd really went back
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_context_manager_closes(self, tmp_path, wrapper):
+        with wrapper(FileStorage(tmp_path / "dev.bin")) as dev:
+            dev.append(b"abc")
+            assert (dev.name, dev.size, len(dev)) == ("dev.bin", 3, 3)
+            assert dev.raw_bytes() == b"abc"
+        assert dev.inner._closed
+
+    @pytest.mark.parametrize("wrapper", WRAPPERS)
+    def test_lifecycle_is_a_noop_over_a_simulator(self, wrapper):
+        dev = wrapper(SimulatedStorage())
+        dev.sync()
+        dev.close()
+
+    def test_waits_per_request_finds_a_sleeper_anywhere_in_the_stack(self):
+        sim = SimulatedStorage()
+        assert not waits_per_request(sim)
+        assert not waits_per_request(ObjectStorage(sim))  # modelled only
+        assert not waits_per_request(
+            InstrumentedStorage(LatencyModelledStorage(sim))
+        )
+        assert waits_per_request(LatencyModelledStorage(sim, sleep=True))
+        assert waits_per_request(
+            InstrumentedStorage(ObjectStorage(sim, sleep=True))
+        )
+
+        class Foreign:  # a wrapper outside this package: only ``.inner``
+            def __init__(self, inner):
+                self.inner = inner
+
+        assert waits_per_request(Foreign(ObjectStorage(sim, sleep=True)))
+        assert not waits_per_request(Foreign(sim))
 
 
 class TestReadOnlyFileStorage:
