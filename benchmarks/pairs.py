@@ -1,0 +1,116 @@
+"""Paired parent/change runs of one e2e workload, and the verdict::
+
+    python3 benchmarks/pairs.py --parent REV --workload W --pairs N \\
+        [--seconds S] [--out runs.jsonl]
+
+``--parent`` is a revision (checked out with ``git worktree add`` under
+a temp dir, removed at exit) or a directory that already holds one.
+Seeds 1..N run ``benchmarks/e2e/run.py --trace 0`` on both sides, order
+alternating per seed; each run is appended to ``--out`` as it finishes,
+so an interrupted series resumes instead of restarting. Verdicts:
+``gain`` only when the change wins >= 9/10 of the pairs (ties count for
+neither) and the medians differ by more than the parent's inter-quartile
+range; ``worse`` beyond the ``BENCHMARK.json`` bound; ``unresolved``
+when a side's spread exceeds that bound and the sides' runs interleave.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from statistics import median, quantiles
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_once(root, workload, seed, seconds) -> dict:
+    cmd = [sys.executable, os.path.join(root, "benchmarks", "e2e", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=False)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def verdict(a, b, won, bound) -> str:
+    """``a``/``b``: parent/change runs as costs (smaller is better)."""
+    q1, _, q3 = quantiles(a, n=4)
+    spread = max((max(x) - min(x)) / abs(median(x) or 1.0) for x in (a, b))
+    if spread > bound and not (max(b) < min(a) or min(b) > max(a)):
+        return "unresolved"
+    if median(b) - median(a) > bound * abs(median(a)):
+        return "worse"
+    if won >= 0.9 * len(a) and median(a) - median(b) > q3 - q1:
+        return "gain"
+    return "within"
+
+
+def report(rows, spec) -> None:
+    by = {(r["side"], r["seed"]): r["result"] for r in rows}
+    seeds = sorted(s for side, s in by if side == "change" and ("parent", s) in by)
+    if len(seeds) < 2:
+        return
+    for side in ("parent", "change"):
+        print(side, len(seeds), "runs, operations failed/attempted:",
+              sum(by[side, s]["failed"] for s in seeds), "/",
+              sum(by[side, s]["attempted"] for s in seeds))
+    for m in spec["end_to_end"]:
+        raw = [[by[side, s]["metrics"][m["name"]]["value"] for s in seeds]
+               for side in ("parent", "change")]
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        a, b = ([sign * x for x in xs] for xs in raw)
+        won = sum(y < x for x, y in zip(a, b))
+        cells = "  ".join(
+            "{1:.5g} [{0[0]:.5g}, {0[2]:.5g}]".format(quantiles(xs, n=4), median(xs))
+            for xs in raw)
+        print(f"{m['name']:<12} parent | change median [q1, q3]: {cells}  "
+              f"won {won}/{len(seeds)}  {verdict(a, b, won, m['bound'])}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float)
+    p.add_argument("--out", default="pairs.jsonl")
+    args = p.parse_args(argv)
+    with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as f:
+        spec = json.load(f)
+    key = {"workload": args.workload,
+           "seconds": args.seconds or float(spec["run_seconds"])}
+    rows = []
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as f:
+            rows = [r for r in map(json.loads, f) if key.items() <= r.items()]
+    done = {(r["side"], r["seed"]) for r in rows}
+    roots = {"change": REPO, "parent": args.parent}
+    tmp = None if os.path.isdir(args.parent) else tempfile.mkdtemp(prefix="pairs-")
+    if tmp:
+        roots["parent"] = os.path.join(tmp, "parent")
+        subprocess.run(["git", "-C", REPO, "worktree", "add", "--detach",
+                        roots["parent"], args.parent], check=True)
+    try:
+        for seed in range(1, args.pairs + 1):
+            for side in ("parent", "change")[:: 1 if seed % 2 else -1]:
+                if (side, seed) in done:
+                    continue
+                row = dict(key, side=side, seed=seed,
+                           result=run_once(roots[side], **key, seed=seed))
+                rows.append(row)
+                with open(args.out, "a", encoding="utf-8") as f:
+                    f.write(json.dumps(row) + "\n")
+                print(seed, side, {k: round(v["value"], 4) for k, v in
+                                   row["result"]["metrics"].items()}, flush=True)
+    finally:
+        if tmp:
+            subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force",
+                            roots["parent"]], check=False)
+            os.rmdir(tmp)
+    report(rows, spec)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,7 +55,8 @@ from repro.core.footer import MAGIC, FooterView
 from repro.core.page import PAGE_HEADER_SIZE, PageHeader
 from repro.core.schema import Primitive, Schema, STORAGE_DTYPES, stats_kind
 from repro.core.table import Table, concat_tables, rebatch
-from repro.encodings import decode_blob
+from repro.encodings import decode_blob, decode_blobs
+from repro.encodings.base import join_values
 from repro.expr import (
     Expr,
     TriState,
@@ -256,7 +257,7 @@ class Scan:
             # exactly like a non-empty result — including widening
             out = {}
             for name, _idx, ptype in self._cols:
-                values = _cast_to_storage(_concat([], ptype), ptype)
+                values = _empty_column(ptype)
                 if self._widen:
                     values = _widen_quantized(values, ptype)
                 out[name] = values
@@ -734,32 +735,65 @@ class BullionReader:
                 results[key] = raw
                 cache.fulfill(self._cache_key(*key), raw)
 
-    def _decode_chunk(self, raw: bytes, col_idx: int, rg: int):
-        """Split a chunk's raw bytes into decoded per-page value runs."""
+    def _decode_column(self, raw: bytes, col_idx: int, rg: int, ptype):
+        """One chunk's values as a column in storage representation.
+
+        One validated walk over the chunk's page headers; the pages go
+        to the codecs in as few calls as the chunk allows
+        (:func:`~repro.encodings.decode_blobs` runs a codec once per
+        run of same-codec pages). Only a page a deletion compacted —
+        its header holds fewer values than the footer recorded — is
+        decoded on its own, because it must be re-aligned through the
+        deletion vector before it can be joined.
+        """
         footer = self.footer
         chunk = footer.chunk(col_idx, rg)
-        values_parts = []
+        view = memoryview(raw)
+        parts = []  # decoded runs and re-expanded pages, in page order
+        run = []  # payloads waiting for one decode call
         pos = 0
-        rg_meta = footer.row_group(rg)
-        page_row = rg_meta.row_start
+        row_start = page_row = footer.row_group(rg).row_start
         for pid in range(chunk.first_page, chunk.first_page + chunk.n_pages):
-            header = PageHeader.unpack(raw, pos)
-            payload = raw[
-                pos + PAGE_HEADER_SIZE : pos + PAGE_HEADER_SIZE + header.payload_len
-            ]
-            values = decode_blob(payload)
-            meta = footer.page(pid)
-            if header.n_values != meta.n_values:
-                values = self._re_expand(values, pid, page_row, meta.n_values)
-            values_parts.append(values)
-            pos += PAGE_HEADER_SIZE + header.alloc_len
-            page_row += meta.n_values
-        return values_parts
-
-    def _decode_column(self, raw: bytes, col_idx: int, rg: int, ptype):
-        """One chunk's values as a column in storage representation."""
-        parts = self._decode_chunk(raw, col_idx, rg)
-        return _cast_to_storage(_concat([parts], ptype), ptype)
+            body = pos + PAGE_HEADER_SIZE
+            # a header cut short by the end of the chunk reads as empty
+            header = (
+                PageHeader.unpack(raw, pos)
+                if body <= len(raw)
+                else PageHeader(0, 0, 0)
+            )
+            if not (
+                0 < header.payload_len <= header.alloc_len <= len(raw) - body
+            ):
+                raise BullionFormatError(
+                    f"column {col_idx} row group {rg} page {pid}: corrupt "
+                    f"page header at byte {pos} of a {len(raw)}-byte chunk "
+                    f"(alloc_len {header.alloc_len}, payload_len "
+                    f"{header.payload_len})"
+                )
+            payload = view[body : body + header.payload_len]
+            original = footer.page(pid).n_values
+            if header.n_values == original:
+                run.append(payload)
+            else:
+                if run:
+                    parts.append(decode_blobs(run))
+                    run = []
+                parts.append(
+                    self._re_expand(decode_blob(payload), pid, page_row, original)
+                )
+            pos = body + header.alloc_len
+            page_row += original
+        if run:
+            parts.append(decode_blobs(run))
+        if not parts:
+            return _empty_column(ptype)
+        values = join_values(parts)
+        if len(values) != page_row - row_start:
+            raise BullionFormatError(
+                f"column {col_idx} row group {rg}: pages hold {len(values)} "
+                f"values, the footer records {page_row - row_start}"
+            )
+        return _cast_to_storage(values, ptype)
 
     def _re_expand(self, stored, pid: int, page_row: int, original: int):
         """Re-align a compacted page using the deletion vector.
@@ -771,6 +805,12 @@ class BullionReader:
         """
         bitmap = self.footer.deletion_bitmap()
         local_deleted = bitmap[page_row : page_row + original]
+        live = original - int(local_deleted.sum())
+        if len(stored) != live:
+            raise BullionFormatError(
+                f"page {pid} holds {len(stored)} values, the deletion "
+                f"vector leaves {live}"
+            )
         if isinstance(stored, np.ndarray):
             full = np.zeros(original, dtype=stored.dtype)
             full[~local_deleted] = stored
@@ -811,26 +851,16 @@ class BullionReader:
         )
 
 
-def _concat(parts: list[list], ptype) -> object:
-    flat = [v for part in parts for v in part]
-    if not flat:
-        # empty projection: the container/dtype must still match the
-        # column's physical type (an empty float or string column
-        # round-trips as such, not as int64 zeros)
-        if ptype.list_depth > 0 or ptype.primitive in (
-            Primitive.STRING,
-            Primitive.BINARY,
-        ):
-            return []
-        return np.zeros(0, dtype=STORAGE_DTYPES[ptype.primitive])
-    if isinstance(flat[0], np.ndarray) and ptype.list_depth == 0:
-        return np.concatenate(flat)
-    if len(flat) == 1 and isinstance(flat[0], list):
-        return flat[0]  # one page: the decoder's row list passes through
-    out: list = []
-    for v in flat:
-        out.extend(v)
-    return out
+def _empty_column(ptype):
+    """A zero-row column: the container/dtype must still match the
+    column's physical type (an empty float or string column round-trips
+    as such, not as int64 zeros)."""
+    if ptype.list_depth > 0 or ptype.primitive in (
+        Primitive.STRING,
+        Primitive.BINARY,
+    ):
+        return []
+    return np.zeros(0, dtype=STORAGE_DTYPES[ptype.primitive])
 
 
 def _widen_quantized(values, ptype):
@@ -850,28 +880,25 @@ def _widen_quantized(values, ptype):
 
 
 def _cast_to_storage(values, ptype):
+    """Decoded values in the column's storage dtype (usually a no-op)."""
     prim = ptype.primitive
-    if ptype.list_depth > 0:
-        if prim in (Primitive.STRING, Primitive.BINARY):
+    if prim in (Primitive.STRING, Primitive.BINARY) or ptype.list_depth > 1:
+        return values
+    dtype = np.dtype(STORAGE_DTYPES[prim])
+    if ptype.list_depth == 1:
+        # LIST_INT codecs return int64 ndarray rows (a tested contract
+        # of ``Encoding``): only other storage dtypes convert row by row
+        if dtype == np.int64 or not isinstance(values, list):
             return values
-        dtype = np.dtype(STORAGE_DTYPES.get(prim, np.int64))
-        if ptype.list_depth == 1 and isinstance(values, list):
-            # decoders hand back rows already in the storage dtype
-            # (views of one flat buffer); only foreign rows are cast
-            return [
-                v
-                if type(v) is np.ndarray and v.dtype == dtype
-                else np.asarray(v).astype(dtype, copy=False)
-                for v in values
-            ]
-        return values
-    if prim in (Primitive.STRING, Primitive.BINARY):
-        return values
-    dtype = STORAGE_DTYPES[prim]
+        return [
+            v
+            if type(v) is np.ndarray and v.dtype == dtype
+            else np.asarray(v).astype(dtype, copy=False)
+            for v in values
+        ]
     arr = np.asarray(values)
     if arr.dtype != dtype:
-        if dtype in (np.uint16, np.uint8):  # bf16 / fp8 payloads
-            arr = arr.astype(np.int64).astype(dtype)
-        else:
-            arr = arr.astype(dtype)
+        if dtype in (np.uint16, np.uint8) and arr.dtype.kind not in "iu":
+            arr = arr.astype(np.int64)  # bf16 / fp8 payloads are codes
+        arr = arr.astype(dtype)
     return arr

@@ -19,6 +19,7 @@ from repro.encodings.base import (
     Kind,
     catalog,
     decode_blob,
+    decode_blobs,
     encode_blob,
     encoding_by_id,
     encoding_by_name,
@@ -51,6 +52,7 @@ __all__ = [
     "catalog",
     "encode_blob",
     "decode_blob",
+    "decode_blobs",
     "encoding_by_id",
     "encoding_by_name",
     "infer_kind",

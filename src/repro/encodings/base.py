@@ -13,8 +13,8 @@ one interface:
   as a **nested blob**, so cascading composition falls out naturally:
   ``RLE(values=Dictionary(codes=FixedBitWidth()), counts=Varint())`` is
   just a tree of constructor arguments;
-* :func:`encode_blob` / :func:`decode_blob` are the only entry points
-  the file format needs.
+* :func:`encode_blob` / :func:`decode_blobs` are the only entry points
+  the file format needs (:func:`decode_blob` is the batch of one).
 
 Value kinds
 -----------
@@ -36,6 +36,7 @@ import enum
 import struct
 import zlib
 from abc import ABC, abstractmethod
+from itertools import groupby
 
 import numpy as np
 
@@ -124,7 +125,12 @@ class Encoding(ABC):
     Subclasses define a class-level ``id`` (stable on-disk byte), a
     ``name`` and the set of ``kinds`` they accept. ``encode`` emits the
     payload *without* the id byte; ``decode`` parses it back. Blob-level
-    framing lives in :func:`encode_blob`/:func:`decode_blob`.
+    framing lives in :func:`encode_blob`/:func:`decode_blobs`.
+
+    Decoders return the containers of the "Value kinds" table exactly;
+    in particular every row a ``Kind.LIST_INT`` scheme decodes is an
+    ``np.ndarray`` of dtype ``int64`` — the reader relies on that
+    instead of re-checking each row (``tests/test_chunk_decode.py``).
     """
 
     id: int = -1
@@ -139,6 +145,18 @@ class Encoding(ABC):
     @abstractmethod
     def decode(cls, reader: ByteReader):
         """Decode a payload (positioned after the id byte) to values."""
+
+    @classmethod
+    def decode_pages(cls, readers: "list[ByteReader]"):
+        """Decode several payloads of this scheme — the pages of one
+        chunk, in order — into one joined column.
+
+        The default decodes each and joins once. A scheme whose fixed
+        per-payload cost dominates (``FixedBitWidth``,
+        ``SparseListDelta``) overrides this to run its kernel once over
+        all of them; its ``decode`` is then the batch of one.
+        """
+        return join_values([cls.decode(reader) for reader in readers])
 
     def can_encode(self, values) -> bool:
         """Cheap check: is this scheme applicable to these values?"""
@@ -192,8 +210,31 @@ def encode_blob(values, encoding: Encoding) -> bytes:
     return bytes([encoding.id]) + payload
 
 
-def decode_blob(data: bytes):
-    """Decode a self-describing blob produced by :func:`encode_blob`.
+def join_values(parts: list):
+    """Concatenate decoded value containers of one column, in order."""
+    if len(parts) == 1:
+        return parts[0]  # one part: the decoder's container passes through
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    out: list = []
+    for part in parts:
+        out.extend(part)
+    return out
+
+
+def _blob_id(blob) -> int:
+    if len(blob) == 0:
+        raise EncodingError("empty blob")
+    return blob[0]
+
+
+def decode_blobs(blobs):
+    """Decode self-describing blobs (bytes-like, at least one) that hold
+    consecutive pieces of one column into one joined value container.
+
+    Every maximal run of blobs with the same encoding id goes to that
+    scheme's :meth:`Encoding.decode_pages` in **one** call, so a chunk
+    of same-codec pages pays a codec's fixed costs once.
 
     Decoders promise ``EncodingError`` (a ``ValueError``) on corrupt
     input; the except clause converts the incidental exception types a
@@ -201,24 +242,34 @@ def decode_blob(data: bytes):
     bogus struct field, absurd allocation size) so callers only ever
     handle one failure type and never see a decoder crash class leak.
     """
-    if len(data) == 0:
-        raise EncodingError("empty blob")
-    cls = encoding_by_id(data[0])
-    try:
-        return cls.decode(ByteReader(data, offset=1))
-    except EncodingError:
-        raise
-    except (
-        IndexError,
-        KeyError,
-        OverflowError,
-        struct.error,
-        zlib.error,
-        MemoryError,
-    ) as exc:
-        raise EncodingError(
-            f"corrupt {cls.name} blob: {type(exc).__name__}: {exc}"
-        ) from exc
+    parts = []
+    for enc_id, run in groupby(blobs, _blob_id):
+        cls = encoding_by_id(enc_id)
+        try:
+            parts.append(
+                cls.decode_pages([ByteReader(blob, offset=1) for blob in run])
+            )
+        except EncodingError:
+            raise
+        except (
+            IndexError,
+            KeyError,
+            OverflowError,
+            struct.error,
+            zlib.error,
+            MemoryError,
+        ) as exc:
+            raise EncodingError(
+                f"corrupt {cls.name} blob: {type(exc).__name__}: {exc}"
+            ) from exc
+    if not parts:
+        raise EncodingError("no blob to decode")
+    return join_values(parts)
+
+
+def decode_blob(data: bytes):
+    """Decode one blob produced by :func:`encode_blob`: the batch of one."""
+    return decode_blobs((data,))
 
 
 def encode_child(writer: ByteWriter, values, encoding: Encoding) -> None:

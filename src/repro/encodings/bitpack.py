@@ -18,7 +18,7 @@ from repro.util.bitio import (
     ByteWriter,
     min_bit_width,
     pack_bits,
-    unpack_bits,
+    unpack_bits_rows,
 )
 
 
@@ -64,11 +64,30 @@ class FixedBitWidth(Encoding):
 
     @classmethod
     def decode(cls, reader: ByteReader) -> np.ndarray:
-        base = reader.read_i64()
-        width = reader.read_u8()
-        count = reader.read_u64()
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        n_bytes = (width * count + 7) // 8
-        offsets = unpack_bits(reader.read(n_bytes), width, count)
-        return (offsets.astype(np.int64)) + base
+        return cls.decode_pages([reader])
+
+    @classmethod
+    def decode_pages(cls, readers: list[ByteReader]) -> np.ndarray:
+        """Pages that agree on ``(width, count)`` — all of a typical
+        chunk — are unpacked by one kernel run over the stacked
+        payloads; the per-page bases are added by broadcast, in place.
+        """
+        batches = {}  # (width, count) -> [(page index, base, packed bits)]
+        for i, reader in enumerate(readers):
+            base, width, count = (
+                reader.read_i64(), reader.read_u8(), reader.read_u64()
+            )
+            # the read bounds ``count`` by the payload before it sizes
+            # anything
+            packed = reader.read((width * count + 7) // 8)
+            batches.setdefault((width, count), []).append((i, base, packed))
+        parts: list = [None] * len(readers)
+        for (width, count), pages in batches.items():
+            index, bases, packed = zip(*pages)
+            block = unpack_bits_rows(packed, width, count).view(np.int64)
+            block += np.array(bases, dtype=np.int64)[:, None]
+            if len(batches) == 1:
+                return block.reshape(-1)
+            for i, row in zip(index, block):
+                parts[i] = row
+        return np.concatenate(parts)

@@ -114,6 +114,9 @@ class ListEncoding(Encoding):
             float_dtype_from_code(reader.read_u8())  # dtype carried by child
         offsets = decode_child(reader)
         flat = decode_child(reader)
+        if tag == _TAG_INT:
+            # LIST_INT rows are int64 whatever the child blob holds
+            flat = np.asarray(flat).astype(np.int64, copy=False)
         return [
             flat[int(offsets[i]) : int(offsets[i + 1])]
             for i in range(len(offsets) - 1)

@@ -23,11 +23,15 @@ adversarial data).
 
 Decode
 ------
-The size columns are validated as whole arrays first; assembly then does
-no per-row allocation. Rows come back as read-only ``int64`` views that
-may overlap each other in memory. A page splits into *segments*, a base
-row and the delta rows up to the next base, and each segment takes one
-of three paths, chosen from the size columns alone:
+``decode_pages`` takes all pages of a chunk at once. Every page starts
+with a base row, so their sub-columns concatenate into one valid
+stream; the size columns are validated first, page by page (a page is
+checked against its own bulk, never a neighbour's), and assembly then
+runs once, with no per-row allocation. Rows come back as read-only
+``int64`` views that may overlap each other in memory. The stream
+splits into *segments*, a base row and the delta rows up to the next
+base, and each segment takes one of three paths, chosen from the size
+columns alone:
 
 * **Append run** (Fig 4 row 4): every delta row has no head and keeps
   its predecessor through to the end (``range_end == len(prev)``). The
@@ -49,8 +53,11 @@ of three paths, chosen from the size columns alone:
 Per 1,024-row page, decode of the old per-row ``np.concatenate`` loop
 against this one: append run 1.85 -> 0.34 ms at W=32 and 2.71 -> 0.38 ms
 at W=256; prepend run 1.86 -> 0.55 ms at W=32; generic 1.89 -> 0.93 ms
-at W=32 and 2.20 -> 1.10 ms at W=256. What is left is the varint size
-columns, zlib on the bulk and about 0.2 us per row to create its view.
+at W=32 and 2.20 -> 1.10 ms at W=256. Per chunk of 8 such pages (append
+run, W=32), page by page against one ``decode_pages`` call: 4.11 ->
+3.41 ms. What is left is per page or per row, not per chunk: 32 varint
+size columns (1.3 ms), zlib on the bulk (0.4 ms) and about 0.15 us per
+row to create its view (1.1 ms).
 
 Resolving every output element by pointer doubling (each element points
 at the element of the previous row it copies; ``ptr = ptr[ptr]`` until
@@ -73,6 +80,7 @@ from repro.encodings.base import (
     Kind,
     decode_child,
     encode_child,
+    join_values,
     register,
 )
 from repro.encodings.chunked import Chunked
@@ -192,6 +200,70 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack((a, b), axis=1).ravel()
 
 
+def _assemble(
+    delta_flags, starts, ends, heads, mids, tails, prev_len, bulk
+) -> list[np.ndarray]:
+    """Rows from validated size columns and their bulk ids: see "Decode"
+    in the module docstring. One or many pages, it is the same stream."""
+    n = len(delta_flags)
+    lens = heads + mids + tails
+    bulk_counts = heads + tails
+    bulk.flags.writeable = False
+    bulk_ends = np.cumsum(bulk_counts)
+    bases = np.flatnonzero(~delta_flags)
+    seg_sizes = np.diff(np.append(bases, n))
+
+    def whole_segments(delta_row_ok: np.ndarray) -> np.ndarray:
+        """Per row: does every delta row of its segment qualify?"""
+        row_ok = delta_row_ok | ~delta_flags
+        return np.repeat(
+            np.logical_and.reduceat(row_ok, bases), seg_sizes
+        )
+
+    appended = whole_segments((heads == 0) & (ends == prev_len))
+    if appended.all():
+        return [
+            bulk[a:b]
+            for a, b in zip((bulk_ends - lens).tolist(), bulk_ends.tolist())
+        ]
+    prepended = whole_segments((tails == 0) & (starts == 0)) & ~appended
+    out_lens = np.where(appended, 0, np.where(prepended, heads, lens))
+    out_ends = np.cumsum(out_lens)
+    out_starts = out_ends - out_lens
+    # a prepend run is laid out back to front: last head first, base
+    # row last, so each row starts at its own head
+    seg_span = out_starts[bases] + out_ends[bases + seg_sizes - 1]
+    out_starts = np.where(
+        prepended, np.repeat(seg_span, seg_sizes) - out_ends, out_starts
+    )
+    out = np.empty(int(out_ends[-1]), dtype=np.int64)
+    # every head and tail out of bulk in one scatter: two pieces per
+    # row, none for rows that are views of bulk already
+    piece_counts = _interleave(
+        np.where(appended, 0, heads), np.where(appended, 0, tails)
+    )
+    bulk_starts = bulk_ends - bulk_counts
+    dst = _interleave(out_starts, out_starts + heads + mids)
+    src = _interleave(bulk_starts, bulk_starts + heads)
+    out[_ranges(dst, piece_counts)] = bulk[_ranges(src, piece_counts)]
+    # generic rows: the overlap comes out of the row just written
+    copies = np.flatnonzero(~appended & ~prepended & (mids > 0))
+    for d, s, k in zip(
+        (out_starts[copies] + heads[copies]).tolist(),
+        (out_starts[copies - 1] + starts[copies]).tolist(),
+        mids[copies].tolist(),
+    ):
+        out[d : d + k] = out[s : s + k]
+    out.flags.writeable = False
+    lo = np.where(appended, bulk_ends - lens, out_starts)
+    return [
+        (bulk if from_bulk else out)[a:b]
+        for from_bulk, a, b in zip(
+            appended.tolist(), lo.tolist(), (lo + lens).tolist()
+        )
+    ]
+
+
 @register
 class SparseListDelta(Encoding):
     """Fig 4 encoding for ``list<int64>`` sparse feature columns."""
@@ -256,36 +328,54 @@ class SparseListDelta(Encoding):
 
     @classmethod
     def decode(cls, reader: ByteReader) -> list[np.ndarray]:
-        n = reader.read_u64()
-        flags_packed = reader.read_blob()
-        delta_flags = (
-            np.unpackbits(
-                np.frombuffer(flags_packed, dtype=np.uint8), bitorder="little"
-            )[:n].astype(np.bool_)
-            if n
-            else np.zeros(0, dtype=np.bool_)
-        )
-        range_starts = decode_child(reader)
-        range_ends = decode_child(reader)
-        head_sizes = decode_child(reader)
-        tail_sizes = decode_child(reader)
-        bulk = np.asarray(decode_child(reader), dtype=np.int64)
-        if n == 0:
+        return cls.decode_pages([reader])
+
+    @classmethod
+    def decode_pages(cls, readers: list[ByteReader]) -> list[np.ndarray]:
+        """Validate page by page, assemble once.
+
+        Every page starts with a base row, so the sub-columns of a
+        chunk's pages concatenate into one valid multi-segment stream.
+        Each check below is against the page's *own* sizes, so a page
+        that overruns its bulk can never borrow a neighbour's ids.
+        """
+        pages = []  # (flags, starts, ends, heads, tails, bulk) per non-empty page
+        for reader in readers:
+            n = reader.read_u64()
+            flags = np.unpackbits(
+                np.frombuffer(reader.read_blob(), dtype=np.uint8),
+                bitorder="little",
+            )[:n]
+            columns = [
+                np.asarray(decode_child(reader), dtype=np.int64)
+                for _ in range(5)
+            ]
+            if n == 0:
+                continue
+            if len(flags) != n or any(c.shape != (n,) for c in columns[:4]):
+                raise EncodingError("sparse_list_delta: corrupt size columns")
+            if columns[4].ndim != 1:
+                raise EncodingError("sparse_list_delta: truncated bulk data")
+            pages.append((flags, *columns))
+        if not pages:
             return []
-        if bool(delta_flags[0]):
+        page_flags, *size_columns, bulks = zip(*pages)
+        page_rows = np.array([len(flags) for flags in page_flags])
+        page_starts = np.cumsum(page_rows) - page_rows
+        delta_flags = join_values(page_flags).astype(np.bool_)
+        starts, ends, heads, tail_sizes = map(join_values, size_columns)
+        n = len(delta_flags)
+        if delta_flags[page_starts].any():
             raise EncodingError("delta row without a base vector")
-        heads = np.asarray(head_sizes, dtype=np.int64)
-        if len(heads) != n or len(tail_sizes) != n:
-            raise EncodingError("sparse_list_delta: corrupt size columns")
         # base rows carry their whole payload as "head"; their range and
         # tail columns are padding and must not contribute
-        tails = np.where(delta_flags, np.asarray(tail_sizes, np.int64), 0)
-        starts = np.asarray(range_starts, dtype=np.int64)
-        ends = np.asarray(range_ends, dtype=np.int64)
-        if int(heads.min(initial=0)) < 0 or int(tails.min(initial=0)) < 0:
+        tails = np.where(delta_flags, tail_sizes, 0)
+        if int(heads.min()) < 0 or int(tails.min()) < 0:
             raise EncodingError("sparse_list_delta: negative segment size")
         mids = np.where(delta_flags, ends - starts, 0)
         lens = heads + mids + tails
+        # a page's first row is a base (checked above), so no delta row
+        # ever looks across a page boundary
         prev_len = np.zeros(n, dtype=np.int64)
         prev_len[1:] = lens[:-1]
         bad_range = delta_flags & (
@@ -294,68 +384,22 @@ class SparseListDelta(Encoding):
         if bad_range.any():
             raise EncodingError("sparse_list_delta: corrupt overlap range")
         bulk_counts = heads + tails
-        # each size is bounded first so the sums below cannot wrap int64
+        bulk_lens = np.array([len(bulk) for bulk in bulks])
+        bulk_used = np.add.reduceat(bulk_counts, page_starts)
+        # each size is bounded first so the sums cannot wrap int64
         if (
-            bulk.ndim != 1
-            or int(max(heads.max(), tails.max())) > len(bulk)
-            or int(bulk_counts.sum()) > len(bulk)
-        ):
+            np.maximum.reduceat(np.maximum(heads, tails), page_starts)
+            > bulk_lens
+        ).any() or (bulk_used > bulk_lens).any():
             raise EncodingError("sparse_list_delta: truncated bulk data")
-        # assembly: see "Decode" in the module docstring
-        bulk.flags.writeable = False
-        bulk_ends = np.cumsum(bulk_counts)
-        bases = np.flatnonzero(~delta_flags)
-        seg_sizes = np.diff(np.append(bases, n))
-
-        def whole_segments(delta_row_ok: np.ndarray) -> np.ndarray:
-            """Per row: does every delta row of its segment qualify?"""
-            row_ok = delta_row_ok | ~delta_flags
-            return np.repeat(
-                np.logical_and.reduceat(row_ok, bases), seg_sizes
-            )
-
-        appended = whole_segments((heads == 0) & (ends == prev_len))
-        if appended.all():
-            return [
-                bulk[a:b]
-                for a, b in zip((bulk_ends - lens).tolist(), bulk_ends.tolist())
-            ]
-        prepended = whole_segments((tails == 0) & (starts == 0)) & ~appended
-        out_lens = np.where(appended, 0, np.where(prepended, heads, lens))
-        out_ends = np.cumsum(out_lens)
-        out_starts = out_ends - out_lens
-        # a prepend run is laid out back to front: last head first, base
-        # row last, so each row starts at its own head
-        seg_span = out_starts[bases] + out_ends[bases + seg_sizes - 1]
-        out_starts = np.where(
-            prepended, np.repeat(seg_span, seg_sizes) - out_ends, out_starts
+        # surplus ids at the end of a page's bulk are dropped here, so
+        # the running bulk offsets of the assembly need no per-page rebasing
+        bulk = join_values(
+            [bulk[:used] for bulk, used in zip(bulks, bulk_used.tolist())]
         )
-        out = np.empty(int(out_ends[-1]), dtype=np.int64)
-        # every head and tail out of bulk in one scatter: two pieces per
-        # row, none for rows that are views of bulk already
-        piece_counts = _interleave(
-            np.where(appended, 0, heads), np.where(appended, 0, tails)
+        return _assemble(
+            delta_flags, starts, ends, heads, mids, tails, prev_len, bulk
         )
-        bulk_starts = bulk_ends - bulk_counts
-        dst = _interleave(out_starts, out_starts + heads + mids)
-        src = _interleave(bulk_starts, bulk_starts + heads)
-        out[_ranges(dst, piece_counts)] = bulk[_ranges(src, piece_counts)]
-        # generic rows: the overlap comes out of the row just written
-        copies = np.flatnonzero(~appended & ~prepended & (mids > 0))
-        for d, s, k in zip(
-            (out_starts[copies] + heads[copies]).tolist(),
-            (out_starts[copies - 1] + starts[copies]).tolist(),
-            mids[copies].tolist(),
-        ):
-            out[d : d + k] = out[s : s + k]
-        out.flags.writeable = False
-        lo = np.where(appended, bulk_ends - lens, out_starts)
-        return [
-            (bulk if from_bulk else out)[a:b]
-            for from_bulk, a, b in zip(
-                appended.tolist(), lo.tolist(), (lo + lens).tolist()
-            )
-        ]
 
     @staticmethod
     def plain_size(values) -> int:

@@ -4,8 +4,10 @@
 encoding payload: fixed-width scalars, length-prefixed blobs and numpy
 arrays. ``pack_bits``/``unpack_bits`` implement fixed-bit-width packing
 (the workhorse behind FixedBitWidth, FOR, dictionary codes and the
-FastPFOR/FastBP128 kernels) using numpy's ``packbits``/``unpackbits`` so
-the inner loop stays in C.
+FastPFOR/FastBP128 kernels): byte-aligned widths are a dtype view, the
+rest unpack through the phase-strided kernel of
+:func:`unpack_bits_rows`, which takes the same-width pages of a whole
+chunk in one run. The inner loops stay in C.
 """
 
 from __future__ import annotations
@@ -160,62 +162,76 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; returns uint64 array of ``count``.
 
-    Widths 8/16/32/64 are one ``frombuffer`` (the stream is a
-    little-endian array). Other widths up to 57 run phase-strided: the bit layout repeats
-    every 8 values (one ``width``-byte period), so phase ``r`` of every
-    period shares one byte offset and one sub-byte shift. Each phase is
-    then a handful of strided slices composed into a word — no fancy
-    indexing, no per-value work, ~32 small vector ops total.
+    The one-row case of :func:`unpack_bits_rows`.
     """
-    if width == 0:
-        return np.zeros(count, dtype=np.uint64)
-    if count == 0:
-        return np.zeros(0, dtype=np.uint64)
-    needed_bits = width * count
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if len(raw) * 8 < needed_bits:
-        raise ValueError(
-            f"bit buffer too small: have {len(raw) * 8} bits, "
-            f"need {needed_bits}"
-        )
+    return unpack_bits_rows([data], width, count)[0]
+
+
+def unpack_bits_rows(rows, width: int, count: int) -> np.ndarray:
+    """Unpack ``k`` independent LSB-first streams of ``count`` values
+    of ``width`` bits each into one ``(k, count)`` uint64 array.
+
+    ``rows`` is a sequence of bytes-like buffers; each must hold its
+    whole stream (surplus bytes are ignored). The rows are stacked into
+    one 2-D byte buffer so every step below is a single vector op over
+    all of them — a chunk's same-width pages cost one kernel run.
+
+    Widths 8/16/32/64 are a dtype view (the stream is a little-endian
+    array). Other widths up to 57 run phase-strided: the bit layout
+    repeats every 8 values (one ``width``-byte period), so phase ``r``
+    of every period shares one byte offset and one sub-byte shift, and
+    the up to 64 bits from that byte on hold the whole value. Each
+    phase is one strided slice of an (unaligned) uint64 window over the
+    bytes, shifted straight into its output slots — no fancy indexing,
+    no per-value work, 9 vector ops in all.
+    """
+    k = len(rows)
+    if width == 0 or count == 0 or k == 0:
+        return np.zeros((k, count), dtype=np.uint64)
+    if width > 64:
+        raise ValueError(f"bit width {width} exceeds 64")
+    n_bytes = (width * count + 7) // 8
+    periods = (count + 7) // 8
+    phased = width <= 57 and width not in _ALIGNED_DTYPES
+    # a window reaches 7 bytes past the byte it starts on
+    row_bytes = periods * width + 8 if phased else n_bytes
+    stacked = np.zeros((k, row_bytes), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        if len(row) < n_bytes:
+            raise ValueError(
+                f"bit buffer too small: have {len(row) * 8} bits, "
+                f"need {width * count}"
+            )
+        stacked[i, :n_bytes] = np.frombuffer(row, dtype=np.uint8, count=n_bytes)
     if width in _ALIGNED_DTYPES:
-        return np.frombuffer(
-            data, dtype=_ALIGNED_DTYPES[width], count=count
-        ).astype(np.uint64)
-    if width <= 57:
-        groups = (count + 7) // 8
-        pad = np.zeros(groups * width + 8, dtype=np.uint8)
-        usable = min(len(raw), len(pad))
-        pad[:usable] = raw[:usable]
-        dtype = np.uint32 if width <= 25 else np.uint64
-        mask = dtype((1 << width) - 1)
-        out = np.empty(groups * 8, dtype=np.uint64)
-        span = groups * width
+        return stacked.view(_ALIGNED_DTYPES[width]).astype(np.uint64)
+    if phased:
+        # windows[i, j]: bytes j..j+7 of row i as one little-endian word
+        windows = np.ndarray(
+            (k, row_bytes - 7), "<u8", stacked, strides=(row_bytes, 1)
+        )
+        out = np.empty((k, periods * 8), dtype=np.uint64)
+        span = periods * width
         for r in range(8):
-            first_bit = r * width
-            byte0 = first_bit >> 3
-            shift = first_bit & 7
-            n_bytes = (shift + width + 7) >> 3
-            word = pad[byte0 : byte0 + span : width].astype(dtype)
-            for k in range(1, n_bytes):
-                word |= (
-                    pad[byte0 + k : byte0 + k + span : width].astype(dtype)
-                    << dtype(8 * k)
-                )
-            word >>= dtype(shift)
-            word &= mask
-            out[r::8] = word
-        return out[:count]
-    # widths 58..64: pad each value's bits to 64 and view the bytes as
-    # uint64 — one C pass instead of a multiply-accumulate per bit.
-    bits = np.unpackbits(raw, bitorder="little")
-    padded = np.zeros((count, 64), dtype=np.uint8)
-    padded[:, :width] = bits[:needed_bits].reshape(count, width)
-    return (
-        np.packbits(padded.reshape(-1), bitorder="little")
-        .view("<u8")
-        .copy()
-    )
+            byte0, shift = divmod(r * width, 8)
+            np.right_shift(
+                windows[:, byte0 : byte0 + span : width],
+                np.uint64(shift),
+                out=out[:, r::8],
+            )
+        out &= np.uint64((1 << width) - 1)
+        return out[:, :count]
+    # widths 58..63: pad each value's bits to 64 and view the bytes as
+    # uint64 — one C pass instead of a multiply-accumulate per bit. Row
+    # by row: the 64-bytes-per-value scratch only pays while it fits in
+    # cache.
+    out = np.empty((k, count), dtype=np.uint64)
+    for i in range(k):
+        bits = np.unpackbits(stacked[i], bitorder="little")
+        padded = np.zeros((count, 64), dtype=np.uint8)
+        padded[:, :width] = bits[: width * count].reshape(count, width)
+        out[i] = np.packbits(padded.reshape(-1), bitorder="little").view("<u8")
+    return out
 
 
 def bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -434,22 +450,6 @@ def pack_bits_rows(matrix: np.ndarray, width: int) -> np.ndarray:
         (matrix[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
     ).astype(np.uint8)
     return np.packbits(bits.reshape(k, n * width), axis=1, bitorder="little")
-
-
-def unpack_bits_rows(rows: np.ndarray, width: int, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits_rows`: (k, nbytes) -> (k, n) uint64."""
-    k = rows.shape[0]
-    if width == 0 or n == 0 or k == 0:
-        return np.zeros((k, n), dtype=np.uint64)
-    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, : n * width]
-    padded = np.zeros((k, n, 64), dtype=np.uint8)
-    padded[:, :, :width] = bits.reshape(k, n, width)
-    return (
-        np.packbits(padded.reshape(k, n * 64), axis=1, bitorder="little")
-        .reshape(k, n, 8)
-        .view("<u8")
-        .reshape(k, n)
-    )
 
 
 def get_packed_value(buf: bytes, index: int, width: int) -> int:

@@ -120,6 +120,24 @@ class TestEnvironmentErrorsExitOne:
         assert code == 1
         assert err.startswith("repro-inspect:")
 
+    def test_scan_corrupt_page_header(self, bullion_file, capsys):
+        # a page header whose alloc_len runs past its chunk used to
+        # escape as a struct.error traceback
+        from repro.core import BullionReader
+
+        with FileStorage(bullion_file) as dev:
+            footer = BullionReader(dev).footer
+            chunk = footer.chunk(footer.find_column("ts"), 2)
+            dev.pwrite(chunk.offset, (0xFFFFFF00).to_bytes(4, "little"))
+        code, _out, err = _run(
+            ["scan", bullion_file, "--columns", "ts", "--where", "ts >= 0"],
+            capsys,
+        )
+        assert code == 1
+        lines = [line for line in err.splitlines() if line]
+        assert len(lines) == 1, f"expected a one-line message, got {err!r}"
+        assert lines[0].startswith("repro-inspect: column 0 row group 2 page 8:")
+
     def test_query_missing_table(self, tmp_path, capsys):
         missing = tmp_path / "nope"
         code, _out, err = _run(
