@@ -101,7 +101,11 @@ def test_bench_inplace_clustered_delete(benchmark):
         f"(paper: 'up to a factor of 50')",
         f"total-I/O reduction (clustered):   {io_factor:5.1f}x",
     ]
-    report("deletion_compliance", lines)
+    report(
+        "deletion_compliance",
+        lines,
+        data={"write_factor": write_factor, "io_factor": io_factor},
+    )
     assert write_factor > 10  # order-of-magnitude class win
     assert rep.pages_rewritten < 4 * (n_delete // ROWS_PER_PAGE + 2)
 

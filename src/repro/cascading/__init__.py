@@ -2,7 +2,8 @@
 
 Sampling-based stats + heuristic candidate pruning + a Nimble-style
 linear objective over measured (size, read time, write time), with
-bounded recursion over sub-column encodings.
+bounded recursion over sub-column encodings. The writer selects once
+per column per file (see :mod:`repro.cascading.selector`).
 
 >>> import numpy as np
 >>> from repro.cascading import choose_encoding
@@ -23,6 +24,7 @@ from repro.cascading.selector import (
     DEFAULT_MAX_DEPTH,
     SelectionResult,
     candidate_encodings,
+    candidate_fingerprint,
     choose_encoding,
     select_encoding,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "SelectionResult",
     "DEFAULT_MAX_DEPTH",
     "candidate_encodings",
+    "candidate_fingerprint",
     "choose_encoding",
     "select_encoding",
     "ColumnStats",

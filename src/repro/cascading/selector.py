@@ -12,6 +12,13 @@ Combines the ingredients the paper names:
   BtrBlocks, pragmatically limit recursion to one or two levels".
   ``max_depth=0`` disables composition entirely (the static
   single-encoding baseline the depth-ablation benchmark compares).
+
+A selection trial-encodes and trial-decodes every candidate, so the
+writer makes it once per column per file, on a sample of the first row
+group, and reuses the winner. :func:`candidate_fingerprint` is its
+guard: while a later row group's statistics admit the same candidates,
+no threshold the heuristics branch on was crossed and the decision
+stands; when they differ, the writer selects again.
 """
 
 from __future__ import annotations
@@ -219,6 +226,24 @@ def candidate_encodings(
     return _list_candidates(stats, sample, depth, weights)
 
 
+def candidate_fingerprint(
+    stats: ColumnStats, max_depth: int = DEFAULT_MAX_DEPTH
+) -> tuple[str, ...]:
+    """The candidates ``stats`` admit, by description.
+
+    Each ``if`` in the ``_*_candidates`` heuristics adds, drops or
+    renames a candidate, so two fingerprints are equal exactly when no
+    threshold was crossed between them. The empty sample keeps the list
+    branch from running its inner selection: nothing is encoded.
+    """
+    return tuple(
+        description
+        for _, description in candidate_encodings(
+            (), stats, max_depth, TRAINING_READS
+        )
+    )
+
+
 def select_encoding(
     values,
     weights: CostWeights | None = None,
@@ -251,5 +276,5 @@ def choose_encoding(
     weights: CostWeights | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SelectionResult:
-    """Alias of :func:`select_encoding` (kept for writer integration)."""
+    """Alias of :func:`select_encoding` (the name the writer calls)."""
     return select_encoding(values, weights=weights, max_depth=max_depth)

@@ -5,9 +5,15 @@ significantly as the catalog expands, requiring systems like Procella
 and BtrBlocks to employ sampling-based distribution analysis and
 heuristic approaches for encoding selection."
 
-``collect_stats`` inspects a bounded sample (contiguous head + strided
-tail, so both local runs and global cardinality are represented) and
-produces the signals the selector's heuristics key on.
+``take_sample`` is the one sampler: at most ``SAMPLE_SIZE`` values as
+``SAMPLE_RUNS`` contiguous runs spread evenly from the first row to the
+last (BtrBlocks' shape). Runs keep what the heuristics key on —
+sortedness, run length, the overlap of consecutive list rows — which a
+strided sample destroys, while spreading them lets a column that
+changes half way through show it. ``collect_stats`` turns a sample into
+the signals the selector's heuristics branch on; it encodes nothing, so
+the writer also uses it alone, once per row group, to ask whether a
+decision made earlier in the file still stands.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from repro.encodings.base import Kind, infer_kind
 
 SAMPLE_SIZE = 4096
+SAMPLE_RUNS = 8
 
 
 @dataclass
@@ -43,15 +50,26 @@ class ColumnStats:
 
 
 def take_sample(values, limit: int = SAMPLE_SIZE):
-    """Head block + strided remainder, preserving local structure."""
+    """At most ``limit`` values: contiguous runs, first row to last.
+
+    A column that fits is returned whole. Otherwise the runs are equal,
+    disjoint and in row order; the first starts at row 0 and the last
+    ends at the last row.
+    """
     n = len(values)
     if n <= limit:
         return values
-    head = limit // 2
-    stride = max(1, (n - head) // (limit - head))
+    run = max(1, limit // SAMPLE_RUNS)
+    n_runs = min(SAMPLE_RUNS, limit)
+    parts = [
+        values[start : start + run]
+        for start in (
+            (n - run) * i // max(1, n_runs - 1) for i in range(n_runs)
+        )
+    ]
     if isinstance(values, np.ndarray):
-        return np.concatenate((values[:head], values[head::stride][: limit - head]))
-    return list(values[:head]) + list(values[head::stride][: limit - head])
+        return np.concatenate(parts)
+    return [item for part in parts for item in part]
 
 
 def collect_stats(values) -> ColumnStats:

@@ -6,9 +6,13 @@ file plus the footer-derived stats the control plane plans with), a
 parent pointer, a timestamp for ``as_of`` time travel, and an
 operation label plus summary counters for the log.
 
-Snapshots serialize to JSON — small, debuggable, and diffable; the
-heavy metadata (page/chunk indexes, Merkle trees, deletion vectors)
-stays in each file's binary footer where the paper puts it. The
+Snapshots serialize to compact, key-sorted JSON. A manifest is written
+on every commit, and ``indent=`` would take ``json.dumps`` off its C
+encoder, so there is no indentation: ``repro-inspect catalog snapshot``
+formats the parsed object for people, and ``from_json`` reads indented
+manifests written by older versions as well. The heavy metadata
+(page/chunk indexes, Merkle trees, deletion vectors) stays in each
+file's binary footer where the paper puts it. The
 manifest only ever *names* files and caches their headline stats —
 including, since the expression engine, per-column [min, max] so a
 ``scan(where=...)`` can prune whole files without opening them.
@@ -221,7 +225,9 @@ class Snapshot:
             doc["schemas"] = [s.to_dict() for s in self.schemas]
         if self.current_schema_id is not None:
             doc["current_schema_id"] = self.current_schema_id
-        return json.dumps(doc, indent=1, sort_keys=True).encode()
+        return json.dumps(
+            doc, sort_keys=True, separators=(",", ":")
+        ).encode()
 
     @staticmethod
     def from_json(data: bytes) -> "Snapshot":

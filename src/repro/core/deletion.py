@@ -84,30 +84,19 @@ class MaskError(Exception):
 def _mask_trivial(payload: bytes, positions: np.ndarray, _prev) -> MaskResult:
     buf = bytearray(payload)
     tag = buf[1]
-    if tag == _TRIVIAL_TAG_INT:
-        base = 1 + 1 + 8
-        (count,) = struct.unpack_from("<Q", buf, 2)
-        for idx in positions:
-            buf[base + idx * 8 : base + (idx + 1) * 8] = b"\x00" * 8
-    elif tag == _TRIVIAL_TAG_FLOAT:
-        dtype_code = buf[2]
-        itemsize = {0: 8, 1: 4, 2: 2}[dtype_code]
-        base = 1 + 1 + 1 + 8
-        (count,) = struct.unpack_from("<Q", buf, 3)
-        for idx in positions:
-            start = base + idx * itemsize
-            buf[start : start + itemsize] = b"\x00" * itemsize
-    elif tag == _TRIVIAL_TAG_BOOL:
-        base = 1 + 1 + 8
-        for idx in positions:
-            buf[base + idx] = 0
-    elif tag == _TRIVIAL_TAG_BYTES:
-        (count,) = struct.unpack_from("<Q", buf, 2)
-        lengths_base = 1 + 1 + 8
+    # layout: id u8 | tag u8 | [float dtype u8] | count u64 | slots
+    if tag == _TRIVIAL_TAG_FLOAT:
+        base, itemsize = 3 + 8, {0: 8, 1: 4, 2: 2}[buf[2]]
+    elif tag in (_TRIVIAL_TAG_INT, _TRIVIAL_TAG_BOOL, _TRIVIAL_TAG_BYTES):
+        base, itemsize = 2 + 8, 8 if tag == _TRIVIAL_TAG_INT else 1
+    else:
+        raise MaskError(f"unknown trivial tag {tag}")
+    (count,) = struct.unpack_from("<Q", buf, base - 8)
+    if tag == _TRIVIAL_TAG_BYTES:
         lengths = np.frombuffer(
-            bytes(buf[lengths_base : lengths_base + 4 * count]), dtype=np.uint32
+            bytes(buf[base : base + 4 * count]), dtype=np.uint32
         )
-        data_base = lengths_base + 4 * count
+        data_base = base + 4 * count
         starts = data_base + np.concatenate(
             ([0], np.cumsum(lengths.astype(np.int64))[:-1])
         )
@@ -115,10 +104,9 @@ def _mask_trivial(payload: bytes, positions: np.ndarray, _prev) -> MaskResult:
             s = int(starts[idx])
             buf[s : s + int(lengths[idx])] = b"\x00" * int(lengths[idx])
     else:
-        raise MaskError(f"unknown trivial tag {tag}")
-    count_off = 3 if tag == _TRIVIAL_TAG_FLOAT else 2
-    hdr_count = struct.unpack_from("<Q", buf, count_off)[0]
-    return MaskResult(bytes(buf), hdr_count)
+        slots = np.frombuffer(buf, np.uint8, count * itemsize, base)
+        slots.reshape(count, itemsize)[positions] = 0
+    return MaskResult(bytes(buf), count)
 
 
 def _mask_fixed_bit_width(payload: bytes, positions: np.ndarray, _prev) -> MaskResult:
@@ -213,21 +201,16 @@ def _mask_generic(payload: bytes, positions: np.ndarray, _prev) -> MaskResult:
         return MaskResult(new_payload, len(out_rows))
     if not isinstance(values, np.ndarray):
         raise MaskError("generic masking requires array or list values")
-    out = values.copy()
-    pos_set = set(int(p) for p in positions)
-    n = len(out)
-    for p in sorted(pos_set):
-        donor = None
-        for q in range(p - 1, -1, -1):
-            if q not in pos_set:
-                donor = out[q]
-                break
-        if donor is None:
-            for q in range(p + 1, n):
-                if q not in pos_set:
-                    donor = values[q]
-                    break
-        out[p] = donor if donor is not None else 0
+    # one forward fill: each slot takes the index of the last survivor
+    # at or before it; a deleted prefix takes the first survivor
+    keep = np.ones(len(values), dtype=np.bool_)
+    keep[positions] = False
+    donor = np.maximum.accumulate(np.where(keep, np.arange(len(values)), -1))
+    if keep.any():
+        donor[donor < 0] = np.argmax(keep)
+        out = values[donor]
+    else:
+        out = np.zeros_like(values)
     new_payload = _reencode_same(payload, out)
     if len(new_payload) > len(payload):
         raise MaskError("generic re-encode grew the page")

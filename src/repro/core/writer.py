@@ -32,6 +32,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from repro.cascading import (
+    candidate_fingerprint,
+    choose_encoding,
+    collect_stats,
+    take_sample,
+)
 from repro.core.chunk_cache import notify_mutation
 from repro.core.footer import (
     MAGIC,
@@ -57,6 +63,7 @@ from repro.core.table import (
 )
 from repro.encodings import (
     Encoding,
+    EncodingError,
     ListEncoding,
     SparseBool,
     Trivial,
@@ -88,7 +95,11 @@ class WriterOptions:
     #: per-column encoding overrides (physical column name -> Encoding)
     encodings: dict[str, Encoding] = dc_field(default_factory=dict)
     #: fallback policy: "auto" (type-driven defaults), "trivial", or
-    #: "cascade" (run the §2.6 selector per column chunk)
+    #: "cascade": run the §2.6 selector once per column per file, on a
+    #: sample of runs from the first row group, and reuse the winner for
+    #: every page; select again only at a later row group whose sample
+    #: statistics cross a selector threshold, or on a page the winner
+    #: cannot encode
     encoding_policy: str = "auto"
     #: slack appended to each page so in-place updates have headroom
     page_padding: int = 0
@@ -194,6 +205,9 @@ class BullionWriter:
         #: per-column value kind from the first batch (np dtype or None
         #: for list-kind columns) — later batches must match exactly
         self._batch_kinds: dict[str, object] = {}
+        #: "cascade" decisions, for the life of the file: physical column
+        #: name -> (winner, the candidate fingerprint it was chosen under)
+        self._cascade: dict[str, tuple[Encoding, tuple]] = {}
 
     # -- incremental API -----------------------------------------------
     def open(self) -> "BullionWriter":
@@ -404,15 +418,22 @@ class BullionWriter:
                     (pos, min(pos + opts.rows_per_page, n_rows))
                     for pos in range(0, n_rows, opts.rows_per_page)
                 ]
+            encoding = self._chunk_encoding(column, col_values)
             for lo, hi in page_slices:
                 page_values = _to_encodable(col_values[lo:hi], column)
-                encoding = self._resolve_encoding(column, page_values)
+                t0 = time.perf_counter() if obs_on else 0.0
+                try:
+                    payload = encode_blob(page_values, encoding)
+                except EncodingError:
+                    # a reused cascade winner met a page it cannot hold
+                    # (``Constant`` on a second value, ``Varint`` on a
+                    # negative): decide again, on this page
+                    if column.name not in self._cascade:
+                        raise
+                    encoding = self._select(column, page_values)
+                    payload = encode_blob(page_values, encoding)
                 if obs_on:
-                    t0 = time.perf_counter()
-                    payload = encode_blob(page_values, encoding)
                     WRITER_ENCODE_SECONDS.observe(time.perf_counter() - t0)
-                else:
-                    payload = encode_blob(page_values, encoding)
                 stats.encoded_pages_held += 1
                 stats.encoded_payload_bytes_held += len(payload)
                 stats.peak_encoded_pages_held = max(
@@ -458,7 +479,8 @@ class BullionWriter:
         if obs_on:
             WRITER_MIRROR.bump({"groups_flushed": 1})
 
-    def _resolve_encoding(self, column: PhysicalColumn, values) -> Encoding:
+    def _chunk_encoding(self, column: PhysicalColumn, col_values) -> Encoding:
+        """The scheme for one column chunk, decided before its pages."""
         opts = self._options
         if column.name in opts.encodings:
             return opts.encodings[column.name]
@@ -466,11 +488,24 @@ class BullionWriter:
             if column.type.list_depth > 0:
                 return ListEncoding()
             return Trivial()
-        if opts.encoding_policy == "cascade":
-            from repro.cascading import choose_encoding
+        if opts.encoding_policy != "cascade" or len(col_values) == 0:
+            return default_encoding(column)
+        sample = _to_encodable(take_sample(col_values), column)
+        decided = self._cascade.get(column.name)
+        if decided is not None and decided[1] == candidate_fingerprint(
+            collect_stats(sample)
+        ):
+            return decided[0]
+        return self._select(column, sample)
 
-            return choose_encoding(values).encoding
-        return default_encoding(column)
+    def _select(self, column: PhysicalColumn, values) -> Encoding:
+        """Run the cascade selector; its winner is the column's decision."""
+        result = choose_encoding(values)
+        self._cascade[column.name] = (
+            result.encoding,
+            candidate_fingerprint(result.stats),
+        )
+        return result.encoding
 
 
 def _value_kind(values):

@@ -13,6 +13,7 @@ from repro.cascading import (
     select_encoding,
     take_sample,
 )
+from repro.cascading.stats import SAMPLE_RUNS
 from repro.encodings import Kind, Trivial, decode_blob, encode_blob
 
 RNG = np.random.default_rng(11)
@@ -61,10 +62,21 @@ class TestStats:
         assert s.window_overlap > 0.8
 
     def test_sample_preserves_head_structure(self):
+        """What runs promise: each contiguous, the first starting at
+        row 0, the last ending at the last row, at most ``limit``."""
         data = np.arange(100000, dtype=np.int64)
         sample = take_sample(data, limit=1000)
         assert len(sample) <= 1000
-        assert np.array_equal(sample[:500], np.arange(500))
+        runs = np.split(sample, np.flatnonzero(np.diff(sample) != 1) + 1)
+        assert len(runs) == SAMPLE_RUNS
+        assert all(len(run) == 1000 // SAMPLE_RUNS for run in runs)
+        assert runs[0][0] == 0 and runs[-1][-1] == len(data) - 1
+        gaps = [b[0] - a[-1] for a, b in zip(runs, runs[1:])]
+        assert max(gaps) - min(gaps) <= 1  # spread evenly
+        # lists take the same rows; a column that fits is returned whole
+        assert take_sample(data.tolist(), limit=1000) == sample.tolist()
+        fits = data[:1000]
+        assert take_sample(fits, limit=1000) is fits
 
 
 class TestSelector:

@@ -1,5 +1,7 @@
 """Transactional catalog: commits, races, time travel, pinned reads."""
 
+import json
+import os
 import threading
 
 import numpy as np
@@ -10,6 +12,7 @@ from repro.catalog import (
     CommitConflict,
     DirectoryCatalogStore,
     MemoryCatalogStore,
+    Snapshot,
 )
 from repro.core import (
     BullionReader,
@@ -339,6 +342,76 @@ def test_directory_store_roundtrip(tmp_path):
     assert np.array_equal(
         np.asarray(reopened.read(["id"]).column("id")), got
     )
+
+
+#: a manifest exactly as the writer before compact manifests emitted it
+#: (``json.dumps(doc, indent=1, sort_keys=True)``)
+INDENTED_MANIFEST = b"""{
+ "files": [
+  {
+   "byte_size": 551,
+   "column_stats": {
+    "id": {
+     "kind": "int",
+     "max": 4.0,
+     "min": 0.0
+    },
+    "score": {
+     "kind": "float",
+     "max": 1.0,
+     "min": 0.0
+    }
+   },
+   "deleted_count": 0,
+   "file_id": "f-00000000",
+   "row_count": 5,
+   "schema_fingerprint": 17188738825430989916
+  }
+ ],
+ "operation": "append",
+ "parent_id": 0,
+ "snapshot_id": 1,
+ "summary": {
+  "rows_added": 5
+ },
+ "timestamp_ms": 1002
+}"""
+
+
+def test_indented_manifest_still_loads():
+    snap = Snapshot.from_json(INDENTED_MANIFEST)
+    assert (snap.snapshot_id, snap.parent_id, snap.operation) == (1, 0, "append")
+    (entry,) = snap.files
+    assert entry.file_id == "f-00000000" and entry.row_count == 5
+    assert entry.schema_fingerprint == 17188738825430989916
+    assert entry.column_stats["score"].max_value == 1.0
+    # today's form is the same document without the whitespace
+    compact = snap.to_json()
+    assert b"\n" not in compact and b": " not in compact
+    assert len(compact) < len(INDENTED_MANIFEST)
+    assert json.loads(compact) == json.loads(INDENTED_MANIFEST)
+    assert Snapshot.from_json(compact) == snap
+
+
+def test_table_with_indented_manifests_reads_and_commits(tmp_path):
+    """A directory whose whole log is in the old form opens, reads and
+    takes new commits."""
+    root = str(tmp_path / "tbl")
+    table = CatalogTable.create(DirectoryCatalogStore(root))
+    table.append(_table(0, 500), options=_opts())
+    table.delete(col("id") <= 99)
+    snapshots = os.path.join(root, "snapshots")
+    for name in os.listdir(snapshots):
+        path = os.path.join(snapshots, name)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=1, sort_keys=True))
+    reopened = CatalogTable(DirectoryCatalogStore(root))
+    assert [s.snapshot_id for s in reopened.history()] == [0, 1, 2]
+    reopened.append(_table(500, 10), options=_opts())
+    got = np.asarray(reopened.read(["id"]).column("id"))
+    assert np.array_equal(got, np.arange(100, 510))
 
 
 def test_directory_store_reopen_can_append(tmp_path):
