@@ -1,13 +1,14 @@
-"""Paired parent/change runs of one e2e workload, and the verdict::
+"""Paired parent/change runs of e2e workloads, and the verdicts::
 
-    python3 benchmarks/pairs.py --parent REV --workload W --pairs N \\
-        [--seconds S] [--out runs.jsonl]
+    python3 benchmarks/pairs.py --parent REV --workload W[,W...]|all \\
+        --pairs N [--seconds S] [--out runs.jsonl]
 
 ``--parent`` is a revision (checked out with ``git worktree add`` under
 a temp dir, removed at exit) or a directory that already holds one.
-Seeds 1..N run ``benchmarks/e2e/run.py --trace 0`` on both sides, order
-alternating per seed; each run is appended to ``--out`` as it finishes,
-so an interrupted series resumes instead of restarting. Verdicts:
+Per workload, seeds 1..N run ``benchmarks/e2e/run.py --trace 0`` on both
+sides, order alternating per seed; each run is appended to ``--out`` as
+it finishes, so an interrupted series resumes instead of restarting, and
+one report per workload follows the last run. Verdicts:
 ``gain`` only when the change wins >= 9/10 of the pairs (ties count for
 neither) and the medians differ by more than the parent's inter-quartile
 range; ``worse`` beyond the ``BENCHMARK.json`` bound; ``unresolved``
@@ -71,20 +72,26 @@ def report(rows, spec) -> None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   help="a BENCHMARK.json workload, several joined by "
+                        "commas, or 'all'")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float)
     p.add_argument("--out", default="pairs.jsonl")
     args = p.parse_args(argv)
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    key = {"workload": args.workload,
-           "seconds": args.seconds or float(spec["run_seconds"])}
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workload == "all" else args.workload.split(",")
+    if set(workloads) - set(known):
+        p.error(f"--workload: choose from {', '.join(known)}")
+    seconds = args.seconds or float(spec["run_seconds"])
     rows = []
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as f:
-            rows = [r for r in map(json.loads, f) if key.items() <= r.items()]
-    done = {(r["side"], r["seed"]) for r in rows}
+            rows = [r for r in map(json.loads, f)
+                    if r["seconds"] == seconds and r["workload"] in workloads]
+    done = {(r["workload"], r["side"], r["seed"]) for r in rows}
     roots = {"change": REPO, "parent": args.parent}
     tmp = None if os.path.isdir(args.parent) else tempfile.mkdtemp(prefix="pairs-")
     if tmp:
@@ -92,23 +99,28 @@ def main(argv=None) -> int:
         subprocess.run(["git", "-C", REPO, "worktree", "add", "--detach",
                         roots["parent"], args.parent], check=True)
     try:
-        for seed in range(1, args.pairs + 1):
-            for side in ("parent", "change")[:: 1 if seed % 2 else -1]:
-                if (side, seed) in done:
-                    continue
-                row = dict(key, side=side, seed=seed,
-                           result=run_once(roots[side], **key, seed=seed))
-                rows.append(row)
-                with open(args.out, "a", encoding="utf-8") as f:
-                    f.write(json.dumps(row) + "\n")
-                print(seed, side, {k: round(v["value"], 4) for k, v in
-                                   row["result"]["metrics"].items()}, flush=True)
+        for workload in workloads:
+            key = {"workload": workload, "seconds": seconds}
+            for seed in range(1, args.pairs + 1):
+                for side in ("parent", "change")[:: 1 if seed % 2 else -1]:
+                    if (workload, side, seed) in done:
+                        continue
+                    row = dict(key, side=side, seed=seed,
+                               result=run_once(roots[side], **key, seed=seed))
+                    rows.append(row)
+                    with open(args.out, "a", encoding="utf-8") as f:
+                        f.write(json.dumps(row) + "\n")
+                    print(workload, seed, side,
+                          {k: round(v["value"], 4) for k, v in
+                           row["result"]["metrics"].items()}, flush=True)
     finally:
         if tmp:
             subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force",
                             roots["parent"]], check=False)
             os.rmdir(tmp)
-    report(rows, spec)
+    for workload in workloads:
+        print(f"== {workload}")
+        report([r for r in rows if r["workload"] == workload], spec)
     return 0
 
 

@@ -203,22 +203,6 @@ class PinnedSnapshot:
                     files_pruned=len(pruned),
                     rows_pruned=sum(f.row_count for f in pruned),
                 )
-        yield from self.scan_files(
-            files, columns, batch_size=batch_size, **scan_kwargs
-        )
-
-    def scan_files(
-        self, files, columns: list[str], batch_size=None, **scan_kwargs
-    ):
-        """Lazy batch stream over an explicit subset of the pin's files.
-
-        ``files`` must be :class:`DataFile` members of this snapshot in
-        snapshot order; batching and filtering are identical to
-        :meth:`scan`, which delegates here after manifest pruning. The
-        serving layer uses this to scan a cached pruned file set
-        without re-deriving it — byte-identical to the unpruned path
-        because the kept files and their order are the same.
-        """
         chunks = (
             batch
             for f in files

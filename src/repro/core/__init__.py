@@ -10,9 +10,7 @@ from repro.core.chunk_cache import (
     TieredChunkCache,
     TierStats,
     add_mutation_listener,
-    configure_process_cache,
     notify_mutation,
-    process_cache,
     remove_mutation_listener,
     storage_identity,
 )
@@ -63,11 +61,9 @@ __all__ = [
     "full_file_checksum",
     "TieredChunkCache",
     "TierStats",
-    "configure_process_cache",
     "notify_mutation",
     "add_mutation_listener",
     "remove_mutation_listener",
-    "process_cache",
     "storage_identity",
     "CompactionReport",
     "compact",

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.core.reader.BullionReader` caches raw chunk bytes
 in a :class:`TieredChunkCache` — a small private one by default, or
-one shared across readers (typically process-wide). On local devices
+one the caller creates and shares across readers. On local devices
 a miss costs one cheap ``pread``; on an object store every miss is a
 paid round trip, so the cache is load-bearing infrastructure with
 three properties:
@@ -10,6 +10,9 @@ three properties:
 **Byte budgets and tiers.**  A memory tier holds raw chunk bytes under
 an LRU byte budget; evictions optionally *spill* to a bounded
 local-disk tier (cheap capacity between RAM and the remote store).
+A key names immutable bytes, so a victim whose spill file is still in
+the disk tier is not written again: a disk hit is promoted to memory
+and later evicted without costing a second write.
 Disk entries carry a content checksum and the serialized key, so a
 truncated or corrupted spill file — crash, concurrent trim, cosmic ray
 — is detected on read, deleted, and reported as a miss: the caller
@@ -22,8 +25,9 @@ in-memory devices); the fingerprint is a hash of the file's footer
 bytes, which covers the Merkle root, stats and deletion state — any
 in-place scrub or rewrite produces a new fingerprint, so one shared
 cache is safe across readers, snapshots and epochs without explicit
-invalidation.  Writers still call :func:`notify_mutation` to promptly
-drop orphaned entries for a mutated device.
+invalidation; orphaned entries age out of the LRU.  Writers call
+:func:`notify_mutation` so the caches *above* this one (the serving
+layer's readers, pins and results) drop what a mutated device backs.
 
 **Single-flight.**  Concurrent requests for one in-flight chunk
 coalesce onto a shared flight: exactly one caller fetches from the
@@ -48,8 +52,6 @@ __all__ = [
     "TieredChunkCache",
     "TierStats",
     "storage_identity",
-    "process_cache",
-    "configure_process_cache",
     "notify_mutation",
     "add_mutation_listener",
     "remove_mutation_listener",
@@ -147,21 +149,6 @@ class TieredChunkCache:
     def disk_used(self) -> int:
         return self._disk_bytes
 
-    def tier_sizes(self) -> dict[str, dict[str, int]]:
-        with self._lock:
-            return {
-                "memory": {
-                    "entries": len(self._mem),
-                    "bytes": self._mem_bytes,
-                    "budget_bytes": self.memory_bytes,
-                },
-                "disk": {
-                    "entries": len(self._disk),
-                    "bytes": self._disk_bytes,
-                    "budget_bytes": self.disk_bytes,
-                },
-            }
-
     def _publish_gauges(self) -> None:
         # called under self._lock
         if not obs_metrics.enabled():
@@ -227,7 +214,11 @@ class TieredChunkCache:
             self._mem_bytes -= len(victim)
             self.stats.memory_evictions += 1
             self._count("eviction", tier="memory")
-            if self.disk_bytes > 0 and len(victim) <= self.disk_bytes:
+            if (
+                self.disk_bytes > 0
+                and len(victim) <= self.disk_bytes
+                and victim_key not in self._disk
+            ):
                 self._spill_locked(victim_key, victim)
         self._publish_gauges()
 
@@ -248,9 +239,6 @@ class TieredChunkCache:
                 f.write(header + key_bytes + raw)
         except OSError:
             return  # disk tier is best-effort; a failed spill is a miss
-        old = self._disk.pop(key, None)
-        if old is not None:
-            self._disk_bytes -= old
         self._disk[key] = len(raw)
         self._disk_bytes += len(raw)
         self.stats.spills += 1
@@ -344,25 +332,6 @@ class TieredChunkCache:
             flight.error = error or RuntimeError("fetch abandoned")
             flight.event.set()
 
-    def get_or_fetch(self, key: tuple, fetch) -> bytes:
-        """Single-flight convenience wrapper: at most one live fetch."""
-        while True:
-            kind, val = self.claim(key)
-            if kind == "hit":
-                return val  # type: ignore[return-value]
-            if kind == "mine":
-                try:
-                    raw = fetch()
-                except BaseException as exc:
-                    self.abandon(key, exc)
-                    raise
-                self.fulfill(key, raw)
-                return raw
-            val.event.wait()  # type: ignore[union-attr]
-            if val.error is None:  # type: ignore[union-attr]
-                return val.value  # type: ignore[union-attr]
-            # leader failed: loop, re-claim, possibly become the leader
-
     # -- invalidation ----------------------------------------------------
     def invalidate_prefix(self, prefix: tuple) -> int:
         """Drop every entry whose key starts with ``prefix``.
@@ -440,46 +409,14 @@ def storage_identity(storage) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the process-wide singleton (opt-in: nothing is created until asked for)
+# in-place mutation notifications
 # ---------------------------------------------------------------------------
 
-_process_cache: TieredChunkCache | None = None
-_process_lock = threading.Lock()
-
-
-def process_cache() -> TieredChunkCache:
-    """The lazily-created process-wide shared cache."""
-    global _process_cache
-    with _process_lock:
-        if _process_cache is None:
-            _process_cache = TieredChunkCache(name="process")
-        return _process_cache
-
-
-def configure_process_cache(
-    memory_bytes: int = _DEFAULT_MEMORY_BYTES,
-    *,
-    disk_bytes: int = 0,
-    disk_dir: str | None = None,
-) -> TieredChunkCache:
-    """(Re)build the process-wide cache with explicit budgets."""
-    global _process_cache
-    with _process_lock:
-        if _process_cache is not None:
-            _process_cache.clear()
-        _process_cache = TieredChunkCache(
-            memory_bytes,
-            disk_bytes=disk_bytes,
-            disk_dir=disk_dir,
-            name="process",
-        )
-        return _process_cache
-
-
-#: External caches (e.g. the serving layer's reader pool and result
-#: caches) that want to hear about in-place mutations alongside the
-#: process chunk cache.  Listeners receive the mutated storage object.
+#: Caches above this one (the serving layer's reader pool, pin and
+#: result caches) that want to hear about in-place mutations.
+#: Listeners receive the mutated storage object.
 _mutation_listeners: list = []
+_listeners_lock = threading.Lock()
 
 
 def add_mutation_listener(fn) -> None:
@@ -488,13 +425,13 @@ def add_mutation_listener(fn) -> None:
     Listeners must be fast and must not raise; they run inline on the
     mutating thread (writer finish, deletion scrub).
     """
-    with _process_lock:
+    with _listeners_lock:
         if fn not in _mutation_listeners:
             _mutation_listeners.append(fn)
 
 
 def remove_mutation_listener(fn) -> None:
-    with _process_lock:
+    with _listeners_lock:
         try:
             _mutation_listeners.remove(fn)
         except ValueError:
@@ -502,20 +439,16 @@ def remove_mutation_listener(fn) -> None:
 
 
 def notify_mutation(storage) -> None:
-    """Drop process-cache entries for a device that just changed.
+    """Tell the registered listeners that a device just changed.
 
-    Called by the writer and the deletion path.  Cheap no-op unless a
-    process cache exists; fingerprinted keys already guarantee stale
-    entries can never be *served*, this merely frees their budget.
-    Registered mutation listeners (see :func:`add_mutation_listener`)
-    are invoked afterwards so higher-level caches — pooled readers,
-    plan/result caches in the serving layer — can drop exactly the
-    entries the mutated device backs.
+    Called by the writer and the deletion path.  Fingerprinted keys
+    already guarantee a stale chunk can never be *served* from any
+    :class:`TieredChunkCache`; the listeners (see
+    :func:`add_mutation_listener`) are higher-level caches — pooled
+    readers, pins and results in the serving layer — that drop exactly
+    the entries the mutated device backs.
     """
-    with _process_lock:
-        cache = _process_cache
+    with _listeners_lock:
         listeners = list(_mutation_listeners)
-    if cache is not None:
-        cache.invalidate_prefix((storage_identity(storage),))
     for fn in listeners:
         fn(storage)

@@ -414,9 +414,9 @@ class BullionReader:
         #: request, the historical per-chunk access pattern)
         self.coalesce_gap = coalesce_gap
         if chunk_cache is not None:
-            #: a shared (typically process-wide) tiered cache: keys are
-            #: prefixed with (storage identity, file fingerprint) so
-            #: entries are correct across readers, snapshots and epochs
+            #: a shared tiered cache: keys are prefixed with (storage
+            #: identity, file fingerprint) so entries are correct
+            #: across readers, snapshots and epochs
             self.chunk_cache = chunk_cache
             self._cache_prefix: tuple = (
                 storage_identity(storage),

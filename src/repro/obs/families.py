@@ -346,14 +346,6 @@ SERVER_RESULT_CACHE_MISSES = _REG.counter(
     "server_result_cache_misses_total",
     "Query results computed because the result cache missed",
 )
-SERVER_PLAN_CACHE_HITS = _REG.counter(
-    "server_plan_cache_hits_total",
-    "Scan plans (pruned file sets) served from the plan cache",
-)
-SERVER_PLAN_CACHE_MISSES = _REG.counter(
-    "server_plan_cache_misses_total",
-    "Scan plans pruned afresh because the plan cache missed",
-)
 SERVER_PIN_CACHE_HITS = _REG.counter(
     "server_pin_cache_hits_total",
     "Requests that reused a cached pinned snapshot",

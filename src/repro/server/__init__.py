@@ -7,9 +7,9 @@ committing (§1, §2.4).  This package is that tier for the repro:
 * :mod:`repro.server.protocol` — length-prefixed canonical-JSON wire
   protocol, bit-exact column codecs, plan canonicalization, and the
   single-threaded replay oracle the differential tests diff against;
-* :mod:`repro.server.cache` — pooled readers (one footer parse per
-  file), refcounted pin cache, and keyed plan/result caches with
-  exact per-file invalidation;
+* :mod:`repro.server.cache` — one lease cache behind the pooled
+  readers (one footer parse per file) and the pinned snapshots, and
+  a keyed result cache, all with exact per-file invalidation;
 * :mod:`repro.server.service` — request execution: admission control,
   cooperative deadlines, cache orchestration, mutation-driven
   invalidation;

@@ -1,25 +1,30 @@
-"""Server-side caches: pooled readers, pinned snapshots, plans, results.
+"""Server-side caches: two mechanisms, three instances.
 
 The serving layer's performance model is "parse metadata once, then
 never again until it actually changes":
 
-* :class:`ReaderPool` — one open :class:`BullionReader` per *file*,
-  shared across every pin and request.  A catalog data file is
-  immutable once committed, so the pool keys on ``file_id`` alone;
-  footers are read exactly once per file for the life of the server.
-  In-place mutations (compliance scrubs) are handled by the
-  :func:`repro.core.chunk_cache.notify_mutation` listener in
-  :mod:`repro.server.service`, which maps the mutated device back to
-  its pooled file and evicts precisely that entry.
-* :class:`PinCache` — one :class:`PinnedSnapshot` per snapshot id,
-  refcounted across concurrent requests, LRU-evicted (and only then
-  released) once idle.  A cached pin means repeat requests re-read
-  **zero** manifests.
-* :class:`KeyedCache` — a generic locked LRU used for the scan *plan*
-  cache (``(snapshot_id, plan) → pruned file ids``) and the query
-  *result* cache (``(snapshot_id, plan) → wire rows``).  Entries
-  remember the snapshot's file ids, so invalidation by mutated file is
-  exact: only entries whose snapshot contains the file are dropped.
+* :class:`LeaseCache` — a refcounted ``key → resource`` cache for
+  things that must be *closed*: shared by every concurrent holder,
+  LRU-evicted only while idle, and closed exactly once.  Two
+  instances:
+
+  - :class:`ReaderPool` — one open :class:`BullionReader` per *file*,
+    shared across every pin and request.  A catalog data file is
+    immutable once committed, so the pool keys on ``file_id`` alone;
+    footers are read exactly once per file for the life of the server.
+  - :class:`PinCache` — one :class:`PinnedSnapshot` per snapshot id.
+    A cached pin means repeat requests re-read **zero** manifests.
+
+* :class:`KeyedCache` — a locked LRU of plain values, used for the
+  query *result* cache (``(snapshot_id, plan) → wire rows``).
+
+Every entry of either mechanism is tagged with file ids (a reader with
+its own, a pin or a result with its snapshot's), so ``invalidate`` by
+mutated file is exact: only entries that touch the file are dropped.
+In-place mutations (compliance scrubs) arrive through the
+:func:`repro.core.chunk_cache.notify_mutation` listener in
+:mod:`repro.server.service`, which maps the mutated device back to its
+pooled file.  Sizes are constants: one value each was ever in use.
 
 Every structure is thread-safe and publishes hit/miss/invalidation
 counters to the ``server_*`` families in :mod:`repro.obs.families`.
@@ -29,14 +34,17 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 from repro.core.chunk_cache import storage_identity
 from repro.core.reader import BullionReader
 from repro.obs import metrics as obs_metrics
 from repro.obs import families as fam
 
-__all__ = ["ReaderPool", "PinCache", "KeyedCache"]
+__all__ = ["LeaseCache", "ReaderPool", "PinCache", "KeyedCache"]
+
+READER_POOL_CAPACITY = 128
+PIN_CACHE_ENTRIES = 4
+RESULT_CACHE_ENTRIES = 256
 
 
 def _count(family, n: float = 1.0, **labels) -> None:
@@ -49,69 +57,169 @@ def _count(family, n: float = 1.0, **labels) -> None:
 
 
 # ---------------------------------------------------------------------------
-# reader pool (the footer / metadata cache)
+# lease cache (resources held open: readers, pins)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PoolEntry:
-    reader: BullionReader
-    storage: object
-    identity: str
-    refs: int = 0
-    seq: int = 0
+class _Entry:
+    __slots__ = ("resource", "close", "tags", "refs")
+
+    def __init__(self, resource, close, tags) -> None:
+        self.resource = resource
+        self.close = close
+        self.tags = tags
+        self.refs = 0
 
 
-class ReaderPool:
+class LeaseCache:
+    """Refcounted ``key → resource`` cache, LRU over idle entries only.
+
+    ``acquire(key)`` returns the shared resource — opened through
+    :meth:`_open` on a miss — and must be paired with one
+    ``release(key, resource)``.  A resource is never closed under a
+    holder: an entry that is invalidated, evicted or outlived by
+    :meth:`close` while held *drains*, and closes on its last release.
+    Idle entries past ``capacity`` are closed least recently used
+    first; when every entry is busy the cache overflows instead.
+    Every opened resource is closed exactly once.
+    """
+
+    def __init__(self, capacity: int, hits, misses, label: str, gauge=None):
+        self._capacity = capacity
+        self._hits = hits
+        self._misses = misses
+        self._gauge = gauge
+        self.label = label
+        self._lock = threading.Lock()
+        #: key → entry, least recently acquired first
+        self._live: OrderedDict[object, _Entry] = OrderedDict()
+        #: entries dropped from ``_live`` that some holder still uses
+        self._draining: list[_Entry] = []
+        self._closed = False
+
+    def _open(self, key):
+        """``(resource, close, tags)`` for a missed key: the resource,
+        the zero-argument callable that closes it, its file-id tags."""
+        raise NotImplementedError
+
+    def acquire(self, key):
+        with self._lock:
+            entry = self._hold_locked(key)
+        if entry is not None:
+            _count(self._hits)
+            return entry.resource
+        _count(self._misses)
+        # open outside the lock: a footer or manifest read can be slow
+        # (object store) and must not serialize unrelated acquires
+        fresh = _Entry(*self._open(key))
+        closable = [fresh]
+        try:
+            with self._lock:
+                entry = self._hold_locked(key)
+                if entry is None:  # else another thread opened it first
+                    entry = self._live[key] = fresh
+                    fresh.refs = 1
+                    closable = self._settle_locked()
+        finally:
+            _close_all(closable)
+        return entry.resource
+
+    def release(self, key, resource) -> None:
+        with self._lock:
+            entry = self._live.get(key)
+            if entry is None or entry.resource is not resource:
+                entry = next(
+                    (e for e in self._draining if e.resource is resource),
+                    None,
+                )
+            if entry is not None:
+                entry.refs = max(0, entry.refs - 1)
+            closable = self._settle_locked()
+        _close_all(closable)
+
+    def invalidate(self, file_ids) -> int:
+        """Drop the entries tagged with any of ``file_ids`` (closed
+        now if idle, else on their last release); the count dropped."""
+        file_ids = set(file_ids)
+        with self._lock:
+            stale = [k for k, e in self._live.items() if e.tags & file_ids]
+            self._draining.extend(self._live.pop(k) for k in stale)
+            closable = self._settle_locked()
+        _close_all(closable)
+        if stale:
+            _count(
+                fam.SERVER_CACHE_INVALIDATIONS, len(stale), cache=self.label
+            )
+        return len(stale)
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._draining.extend(self._live.values())
+            self._live.clear()
+            closable = self._settle_locked()
+        _close_all(closable)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._live)
+
+    def _hold_locked(self, key) -> _Entry | None:
+        if self._closed:
+            raise RuntimeError(f"{self.label} cache is closed")
+        entry = self._live.get(key)
+        if entry is not None:
+            entry.refs += 1
+            self._live.move_to_end(key)
+        return entry
+
+    def _settle_locked(self) -> list[_Entry]:
+        """The entries to close now: drained ones, then idle LRU
+        victims while the cache is over capacity."""
+        closable = [e for e in self._draining if e.refs <= 0]
+        self._draining = [e for e in self._draining if e.refs > 0]
+        excess = len(self._live) - self._capacity
+        if excess > 0:
+            idle = [k for k, e in self._live.items() if e.refs <= 0]
+            closable.extend(self._live.pop(k) for k in idle[:excess])
+        if self._gauge is not None and obs_metrics.enabled():
+            self._gauge.set(len(self._live) + len(self._draining))
+        return closable
+
+
+def _close_all(entries) -> None:
+    for entry in entries:
+        entry.close()
+
+
+class ReaderPool(LeaseCache):
     """Shared ``file_id → BullionReader`` pool over one catalog store.
 
     Implements the ``reader_provider`` protocol consumed by
-    :class:`~repro.catalog.table.PinnedSnapshot`: ``acquire(file_id)``
-    returns a reader (opening storage + parsing the footer only on the
-    first acquire), ``release(file_id, reader)`` returns it.  Entries
-    are closed when evicted (LRU over idle entries past ``capacity``),
-    invalidated, or the pool closes — never while a pin still holds
-    them: an invalidated-but-busy entry drains and closes on its last
-    release.
+    :class:`~repro.catalog.table.PinnedSnapshot` (``acquire(file_id)``,
+    ``release(file_id, reader)``): storage is opened and the footer
+    parsed only on a miss, and closing an entry closes that storage.
     """
 
     def __init__(
-        self,
-        store,
-        *,
-        capacity: int = 128,
-        chunk_cache=None,
-        reader_options: dict | None = None,
+        self, store, *, chunk_cache=None, reader_options: dict | None = None
     ) -> None:
+        super().__init__(
+            READER_POOL_CAPACITY,
+            fam.SERVER_FOOTER_CACHE_HITS,
+            fam.SERVER_FOOTER_CACHE_MISSES,
+            "readers",
+            gauge=fam.SERVER_POOLED_READERS,
+        )
         self._store = store
-        self._capacity = max(1, capacity)
         self._chunk_cache = chunk_cache
         self._reader_options = dict(reader_options or {})
-        self._lock = threading.Lock()
-        self._live: OrderedDict[str, _PoolEntry] = OrderedDict()
-        #: invalidated/evicted entries still referenced by some pin
-        self._draining: list[_PoolEntry] = []
         #: every device identity this pool ever opened → file id; kept
         #: past eviction so mutation notifications stay resolvable
         self._identity_to_file: dict[str, str] = {}
-        self._seq = 0
-        self._closed = False
 
-    # -- provider protocol ----------------------------------------------
-    def acquire(self, file_id: str) -> BullionReader:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("reader pool is closed")
-            entry = self._live.get(file_id)
-            if entry is not None:
-                entry.refs += 1
-                self._seq += 1
-                entry.seq = self._seq
-                self._live.move_to_end(file_id)
-                _count(fam.SERVER_FOOTER_CACHE_HITS)
-                return entry.reader
-        # open outside the lock: footer reads can be slow (object
-        # store) and must not serialize unrelated acquires
+    def _open(self, file_id: str):
         storage = self._store.open_data(file_id)
+        close = getattr(storage, "close", None) or (lambda: None)
         try:
             reader = BullionReader(
                 storage,
@@ -119,303 +227,46 @@ class ReaderPool:
                 **self._reader_options,
             )
         except BaseException:
-            close = getattr(storage, "close", None)
-            if close is not None:
-                close()
+            close()
             raise
-        identity = storage_identity(storage)
-        _count(fam.SERVER_FOOTER_CACHE_MISSES)
-        with self._lock:
-            racer = self._live.get(file_id)
-            if racer is not None:
-                # another thread opened it first; ours drains when the
-                # pin that triggered this call releases it
-                racer.refs += 1
-                entry = _PoolEntry(reader, storage, identity, refs=1)
-                self._draining.append(entry)
-                self._publish()
-                return racer.reader
-            self._seq += 1
-            entry = _PoolEntry(
-                reader, storage, identity, refs=1, seq=self._seq
-            )
-            self._live[file_id] = entry
-            self._identity_to_file[identity] = file_id
-            closable = self._evict_over_capacity()
-            self._publish()
-        self._close_all(closable)
-        return entry.reader
+        self._identity_to_file[storage_identity(storage)] = file_id
+        return reader, close, frozenset((file_id,))
 
-    def release(self, file_id: str, reader) -> None:
-        closable = []
-        with self._lock:
-            entry = self._live.get(file_id)
-            if entry is not None and (
-                reader is None or entry.reader is reader
-            ):
-                entry.refs = max(0, entry.refs - 1)
-            else:
-                for entry in self._draining:
-                    if entry.reader is reader or (
-                        reader is None and entry.refs > 0
-                    ):
-                        entry.refs = max(0, entry.refs - 1)
-                        break
-                self._draining, done = (
-                    [e for e in self._draining if e.refs > 0],
-                    [e for e in self._draining if e.refs <= 0],
-                )
-                closable.extend(done)
-            closable.extend(self._evict_over_capacity())
-            self._publish()
-        self._close_all(closable)
-
-    # -- maintenance ----------------------------------------------------
     def file_for_identity(self, identity: str) -> str | None:
-        with self._lock:
-            return self._identity_to_file.get(identity)
-
-    def invalidate_file(self, file_id: str) -> bool:
-        """Drop one entry (closing now if idle, else when drained)."""
-        closable = []
-        with self._lock:
-            entry = self._live.pop(file_id, None)
-            if entry is None:
-                return False
-            if entry.refs > 0:
-                self._draining.append(entry)
-            else:
-                closable.append(entry)
-            self._publish()
-        self._close_all(closable)
-        return True
-
-    def invalidate_identity(self, identity: str) -> str | None:
-        """Drop the entry whose device matches; returns its file id."""
-        file_id = self.file_for_identity(identity)
-        if file_id is None:
-            return None
-        self.invalidate_file(file_id)
-        return file_id
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            closable = [e for e in self._live.values() if e.refs <= 0]
-            draining = [e for e in self._live.values() if e.refs > 0]
-            self._live.clear()
-            self._draining.extend(draining)
-            self._publish()
-        self._close_all(closable)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._live)
-
-    # -- internals ------------------------------------------------------
-    def _evict_over_capacity(self) -> list[_PoolEntry]:
-        # caller holds the lock
-        closable = []
-        while len(self._live) > self._capacity:
-            victim_id = next(
-                (fid for fid, e in self._live.items() if e.refs <= 0),
-                None,
-            )
-            if victim_id is None:
-                break  # everything busy: allow temporary overflow
-            closable.append(self._live.pop(victim_id))
-        return closable
-
-    def _publish(self) -> None:
-        if obs_metrics.enabled():
-            fam.SERVER_POOLED_READERS.set(
-                len(self._live) + len(self._draining)
-            )
-
-    @staticmethod
-    def _close_all(entries) -> None:
-        for entry in entries:
-            close = getattr(entry.storage, "close", None)
-            if close is not None:
-                close()
+        return self._identity_to_file.get(identity)
 
 
-# ---------------------------------------------------------------------------
-# pin cache (snapshots held open)
-# ---------------------------------------------------------------------------
+class PinCache(LeaseCache):
+    """Shared ``snapshot_id → PinnedSnapshot`` cache for one table."""
 
-@dataclass
-class _PinEntry:
-    pin: object
-    refs: int = 0
-    seq: int = 0
-    file_ids: frozenset = field(default_factory=frozenset)
-
-
-class PinCache:
-    """Refcounted ``snapshot_id → PinnedSnapshot`` LRU for one table."""
-
-    def __init__(self, table, capacity: int = 4) -> None:
+    def __init__(self, table) -> None:
+        super().__init__(
+            PIN_CACHE_ENTRIES,
+            fam.SERVER_PIN_CACHE_HITS,
+            fam.SERVER_PIN_CACHE_MISSES,
+            "pins",
+        )
         self._table = table
-        self._capacity = max(1, capacity)
-        self._lock = threading.Lock()
-        self._live: dict[int, _PinEntry] = {}
-        self._draining: list[_PinEntry] = []
-        self._seq = 0
-        self._closed = False
 
-    def acquire(self, snapshot_id: int):
-        """The cached pin for a snapshot (pinning afresh on miss)."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pin cache is closed")
-            entry = self._live.get(snapshot_id)
-            if entry is not None:
-                entry.refs += 1
-                self._seq += 1
-                entry.seq = self._seq
-                _count(fam.SERVER_PIN_CACHE_HITS)
-                return entry.pin
-        _count(fam.SERVER_PIN_CACHE_MISSES)
+    def _open(self, snapshot_id: int):
         pin = self._table.pin(snapshot_id=snapshot_id)
-        releasable = []
-        with self._lock:
-            racer = self._live.get(snapshot_id)
-            if racer is not None:
-                racer.refs += 1
-                entry = _PinEntry(pin, refs=0)  # ours is redundant
-                releasable.append(entry)
-                keep = racer.pin
-            else:
-                self._seq += 1
-                entry = _PinEntry(
-                    pin,
-                    refs=1,
-                    seq=self._seq,
-                    file_ids=frozenset(pin.snapshot.file_ids()),
-                )
-                self._live[snapshot_id] = entry
-                keep = pin
-                releasable.extend(self._evict_over_capacity())
-        for e in releasable:
-            e.pin.release()
-        return keep
-
-    def release(self, snapshot_id: int, pin) -> None:
-        releasable = []
-        with self._lock:
-            entry = self._live.get(snapshot_id)
-            if entry is not None and entry.pin is pin:
-                entry.refs = max(0, entry.refs - 1)
-            else:
-                for entry in self._draining:
-                    if entry.pin is pin:
-                        entry.refs = max(0, entry.refs - 1)
-                        break
-                self._draining, done = (
-                    [e for e in self._draining if e.refs > 0],
-                    [e for e in self._draining if e.refs <= 0],
-                )
-                releasable.extend(done)
-            releasable.extend(self._evict_over_capacity())
-        for e in releasable:
-            e.pin.release()
-
-    def lease(self, snapshot_id: int):
-        """Context manager: acquire on enter, release on exit."""
-        return _PinLease(self, snapshot_id)
-
-    def invalidate_files(self, file_ids) -> int:
-        """Drop cached pins whose snapshot references any of
-        ``file_ids`` (released once idle); the count dropped."""
-        file_ids = set(file_ids)
-        releasable = []
-        dropped = 0
-        with self._lock:
-            for sid in [
-                sid
-                for sid, e in self._live.items()
-                if e.file_ids & file_ids
-            ]:
-                entry = self._live.pop(sid)
-                dropped += 1
-                if entry.refs > 0:
-                    self._draining.append(entry)
-                else:
-                    releasable.append(entry)
-        for e in releasable:
-            e.pin.release()
-        return dropped
-
-    def cached_snapshot_ids(self) -> list[int]:
-        with self._lock:
-            return sorted(self._live)
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            releasable = [
-                e for e in self._live.values() if e.refs <= 0
-            ]
-            self._draining.extend(
-                e for e in self._live.values() if e.refs > 0
-            )
-            self._live.clear()
-        for e in releasable:
-            e.pin.release()
-
-    def _evict_over_capacity(self) -> list[_PinEntry]:
-        # caller holds the lock
-        releasable = []
-        while len(self._live) > self._capacity:
-            idle = [
-                (e.seq, sid)
-                for sid, e in self._live.items()
-                if e.refs <= 0
-            ]
-            if not idle:
-                break
-            _seq, victim = min(idle)
-            releasable.append(self._live.pop(victim))
-        return releasable
-
-
-class _PinLease:
-    __slots__ = ("_cache", "_sid", "pin")
-
-    def __init__(self, cache: PinCache, snapshot_id: int):
-        self._cache = cache
-        self._sid = snapshot_id
-        # acquire eagerly: a lease exists iff it holds its pin, so a
-        # caller may use ``.pin`` before/without entering the context
-        self.pin = cache.acquire(snapshot_id)
-
-    def __enter__(self):
-        return self.pin
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def release(self) -> None:
-        if self.pin is not None:
-            pin, self.pin = self.pin, None
-            self._cache.release(self._sid, pin)
+        return pin, pin.release, frozenset(pin.snapshot.file_ids())
 
 
 # ---------------------------------------------------------------------------
-# keyed LRU (plan + result caches)
+# keyed LRU (the result cache)
 # ---------------------------------------------------------------------------
 
 class KeyedCache:
     """Locked LRU of ``key → value`` with per-entry file-id tags.
 
     ``hits``/``misses`` name the ``server_*`` counter families to feed;
-    ``invalidate_files`` drops exactly the entries tagged with an
-    affected file (the snapshot's file set at insert time).
+    ``invalidate`` drops exactly the entries tagged with an affected
+    file (the snapshot's file set at insert time).
     """
 
     def __init__(self, capacity: int, hits, misses, label: str):
-        self._capacity = max(0, capacity)
+        self._capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict[bytes, tuple[object, frozenset]] = (
             OrderedDict()
@@ -435,15 +286,13 @@ class KeyedCache:
         return hit[0]
 
     def put(self, key: bytes, value, file_ids=()) -> None:
-        if self._capacity == 0:
-            return
         with self._lock:
             self._entries[key] = (value, frozenset(file_ids))
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
 
-    def invalidate_files(self, file_ids) -> int:
+    def invalidate(self, file_ids) -> int:
         file_ids = set(file_ids)
         with self._lock:
             stale = [
@@ -455,9 +304,7 @@ class KeyedCache:
                 del self._entries[key]
         if stale:
             _count(
-                fam.SERVER_CACHE_INVALIDATIONS,
-                len(stale),
-                cache=self.label,
+                fam.SERVER_CACHE_INVALIDATIONS, len(stale), cache=self.label
             )
         return len(stale)
 

@@ -18,7 +18,7 @@ of ``server_responses_total{ok|error|rejected|cancelled}``; latency
 lands in ``server_request_seconds{op}``; frame bytes feed the
 ``server_bytes_*_total`` counters.  Client disconnects are detected
 *between* scan frames (``select`` + ``MSG_PEEK``), so an abandoned
-stream stops promptly, releases its pin lease and worker slot, and
+stream stops promptly, releases its pin and worker slot, and
 counts as ``cancelled`` — never as a leak.
 """
 

@@ -477,14 +477,8 @@ def query_payload(snapshot_id: int, wire_rows: list[dict]) -> dict:
     }
 
 
-def scan_payload_iter(pin, snapshot_id: int, plan: dict, files=None):
-    """The scan response frames for one canonical plan over one pin.
-
-    ``files`` (optional) is the cached pruned file set — the serving
-    layer's plan cache; ``None`` derives it from the plan's filter
-    exactly as :meth:`PinnedSnapshot.scan` would, so both paths emit
-    identical frames.
-    """
+def scan_payload_iter(pin, snapshot_id: int, plan: dict):
+    """The scan response frames for one canonical plan over one pin."""
     columns = plan["columns"]
     where = expr_from_doc(plan["where"])
     scan_kwargs: dict = {}
@@ -492,10 +486,6 @@ def scan_payload_iter(pin, snapshot_id: int, plan: dict, files=None):
         scan_kwargs["where"] = where
     if plan.get("widen"):
         scan_kwargs["widen_quantized"] = True
-    if files is None:
-        files = list(pin.snapshot.files)
-        if where is not None:
-            files, _pruned = pin.prune_files(where)
     yield {
         "ok": True,
         "op": "scan",
@@ -504,8 +494,8 @@ def scan_payload_iter(pin, snapshot_id: int, plan: dict, files=None):
     }
     batches = 0
     rows = 0
-    for batch in pin.scan_files(
-        files, columns, batch_size=plan.get("batch_size"), **scan_kwargs
+    for batch in pin.scan(
+        columns, batch_size=plan.get("batch_size"), **scan_kwargs
     ):
         batches += 1
         rows += batch.num_rows

@@ -24,10 +24,10 @@ Concurrency model
 
 Cache invalidation is event-driven, not polled: the service registers
 a :func:`repro.core.chunk_cache.add_mutation_listener` hook, so the
-writer-finish and deletion-scrub call sites that already invalidate the
-process chunk cache also invalidate exactly the affected pooled
-readers, cached pins, plans and results — fingerprint keys make a
-stale read structurally impossible, this layer makes it *cheap*.
+writer-finish and deletion-scrub call sites that announce an in-place
+mutation also invalidate exactly the affected pooled readers, cached
+pins and results — fingerprint keys make a stale read structurally
+impossible, this layer makes it *cheap*.
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ from repro.expr import VectorEvalError
 from repro.query.plan import PlanError
 
 from repro.server import protocol
-from repro.server.cache import KeyedCache, PinCache, ReaderPool
+from repro.server.cache import (
+    RESULT_CACHE_ENTRIES,
+    KeyedCache,
+    PinCache,
+    ReaderPool,
+)
 from repro.server.protocol import (
     BadPlan,
     BadRequest,
@@ -160,35 +165,19 @@ class AdmissionController:
 class _TableState:
     """Everything the service holds open for one served table."""
 
-    def __init__(
-        self,
-        name: str,
-        table,
-        *,
-        pin_cache_entries: int,
-        plan_cache_entries: int,
-        result_cache_entries: int,
-        reader_pool_capacity: int,
-    ) -> None:
+    def __init__(self, name: str, table) -> None:
         self.name = name
         self.table = table
         self.prior_provider = table.reader_provider
         self.pool = ReaderPool(
             table.store,
-            capacity=reader_pool_capacity,
             chunk_cache=table.chunk_cache,
             reader_options=table.reader_options,
         )
         table.reader_provider = self.pool
-        self.pins = PinCache(table, capacity=pin_cache_entries)
-        self.plans = KeyedCache(
-            plan_cache_entries,
-            fam.SERVER_PLAN_CACHE_HITS,
-            fam.SERVER_PLAN_CACHE_MISSES,
-            "plans",
-        )
+        self.pins = PinCache(table)
         self.results = KeyedCache(
-            result_cache_entries,
+            RESULT_CACHE_ENTRIES,
             fam.SERVER_RESULT_CACHE_HITS,
             fam.SERVER_RESULT_CACHE_MISSES,
             "results",
@@ -196,7 +185,6 @@ class _TableState:
 
     def close(self) -> None:
         self.results.clear()
-        self.plans.clear()
         self.pins.close()
         self.table.reader_provider = self.prior_provider
         self.pool.close()
@@ -219,10 +207,6 @@ class TableService:
         max_queue: int = 8,
         queue_timeout_s: float = 5.0,
         default_deadline_s: float | None = 30.0,
-        pin_cache_entries: int = 4,
-        plan_cache_entries: int = 64,
-        result_cache_entries: int = 256,
-        reader_pool_capacity: int = 128,
     ) -> None:
         if not tables:
             raise ValueError("serve at least one table")
@@ -230,16 +214,9 @@ class TableService:
             workers, max_queue, queue_timeout_s
         )
         self.default_deadline_s = default_deadline_s
-        self._tables: dict[str, _TableState] = {}
-        for name, table in tables.items():
-            self._tables[name] = _TableState(
-                name,
-                table,
-                pin_cache_entries=pin_cache_entries,
-                plan_cache_entries=plan_cache_entries,
-                result_cache_entries=result_cache_entries,
-                reader_pool_capacity=reader_pool_capacity,
-            )
+        self._tables = {
+            name: _TableState(name, table) for name, table in tables.items()
+        }
         self._started_at = time.monotonic()
         self._closed = False
         core_chunk_cache.add_mutation_listener(self._on_mutation)
@@ -262,21 +239,13 @@ class TableService:
     # -- invalidation ---------------------------------------------------
     def _on_mutation(self, storage) -> None:
         """An in-place mutation (scrub) hit ``storage``: evict exactly
-        the pooled reader, pins, plans and results that touch it."""
+        the pooled reader, pins and results that touch it."""
         identity = storage_identity(storage)
         for state in self._tables.values():
-            file_id = state.pool.invalidate_identity(identity)
-            if file_id is None:
-                continue
-            if obs_metrics.enabled():
-                fam.SERVER_CACHE_INVALIDATIONS.labels(cache="readers").inc()
-            dropped_pins = state.pins.invalidate_files([file_id])
-            if dropped_pins and obs_metrics.enabled():
-                fam.SERVER_CACHE_INVALIDATIONS.labels(cache="pins").inc(
-                    dropped_pins
-                )
-            state.plans.invalidate_files([file_id])
-            state.results.invalidate_files([file_id])
+            file_id = state.pool.file_for_identity(identity)
+            if file_id is not None:
+                for cache in (state.pool, state.pins, state.results):
+                    cache.invalidate([file_id])
 
     # -- request plumbing ----------------------------------------------
     def deadline_for(self, doc: dict) -> Deadline:
@@ -314,9 +283,9 @@ class TableService:
         except (FileNotFoundError, LookupError) as exc:
             raise UnknownSnapshot(str(exc)) from None
 
-    def _lease(self, state: _TableState, snapshot_id: int):
+    def _acquire_pin(self, state: _TableState, snapshot_id: int):
         try:
-            return state.pins.lease(snapshot_id)
+            return state.pins.acquire(snapshot_id)
         except (FileNotFoundError, LookupError) as exc:
             raise UnknownSnapshot(str(exc)) from None
 
@@ -391,21 +360,20 @@ class TableService:
         key = protocol.plan_key("query", sid, plan)
         wire_rows = state.results.get(key)
         if wire_rows is None:
-            lease = self._lease(state, sid)
-            with lease as pin:
-                try:
-                    result = pin.query(
-                        plan["aggregates"],
-                        where=protocol.expr_from_doc(plan["where"]),
-                        group_by=plan["group_by"] or None,
-                    )
-                except (PlanError, VectorEvalError) as exc:
-                    raise BadPlan(str(exc)) from None
+            pin = self._acquire_pin(state, sid)
+            try:
+                result = pin.query(
+                    plan["aggregates"],
+                    where=protocol.expr_from_doc(plan["where"]),
+                    group_by=plan["group_by"] or None,
+                )
                 deadline.check()
                 wire_rows = protocol.encode_query_rows(result.rows)
-                state.results.put(
-                    key, wire_rows, pin.snapshot.file_ids()
-                )
+                state.results.put(key, wire_rows, pin.snapshot.file_ids())
+            except (PlanError, VectorEvalError) as exc:
+                raise BadPlan(str(exc)) from None
+            finally:
+                state.pins.release(sid, pin)
         deadline.check()
         return protocol.query_payload(sid, wire_rows)
 
@@ -417,44 +385,21 @@ class TableService:
         and the end payload — lazily, so a slow client never buffers
         the whole result.  ``checkpoint()`` (optional) runs between
         payloads; the transport uses it to detect a gone client.  The
-        pin lease is released when the iterator is exhausted *or*
-        closed early (disconnect, deadline, error).
+        snapshot is pinned from the iterator's first step until it is
+        exhausted *or* closed early (disconnect, deadline, error).
         """
         state = self._state(doc)
         plan = protocol.canonical_scan_plan(doc)
         sid = self._resolve_snapshot_id(state, doc)
         deadline.check()
-
-        files = None
-        if plan["where"] is not None:
-            pkey = protocol.plan_key("scan_files", sid, plan["where"])
-            kept_ids = state.plans.get(pkey)
-            if kept_ids is not None:
-                files = _files_by_id(state, sid, kept_ids)
-        lease = self._lease(state, sid)
-        try:
-            if files is None and plan["where"] is not None:
-                kept, _pruned = lease.pin.prune_files(
-                    protocol.expr_from_doc(plan["where"])
-                )
-                files = kept
-                state.plans.put(
-                    pkey,
-                    tuple(f.file_id for f in kept),
-                    lease.pin.snapshot.file_ids(),
-                )
-        except BaseException:
-            lease.release()
-            raise
         return sid, self._scan_payloads(
-            lease, sid, plan, files, deadline, checkpoint
+            state, sid, plan, deadline, checkpoint
         )
 
-    def _scan_payloads(
-        self, lease, sid, plan, files, deadline, checkpoint
-    ):
+    def _scan_payloads(self, state, sid, plan, deadline, checkpoint):
+        pin = self._acquire_pin(state, sid)
         try:
-            it = protocol.scan_payload_iter(lease.pin, sid, plan, files)
+            it = protocol.scan_payload_iter(pin, sid, plan)
             try:
                 for payload in it:
                     deadline.check()
@@ -471,7 +416,7 @@ class TableService:
             finally:
                 it.close()
         finally:
-            lease.release()
+            state.pins.release(sid, pin)
 
     # -- introspection (tests + tools) -----------------------------------
     def table_state(self, name: str) -> _TableState:
@@ -479,11 +424,3 @@ class TableService:
         if state is None:
             raise UnknownTable(f"no table named {name!r} is served")
         return state
-
-
-def _files_by_id(state: _TableState, sid: int, kept_ids) -> list:
-    """The snapshot's :class:`DataFile` objects for cached kept ids,
-    in snapshot order — identical to a fresh ``prune_files`` result."""
-    wanted = set(kept_ids)
-    snap = state.table.snapshot(sid)
-    return [f for f in snap.files if f.file_id in wanted]

@@ -13,7 +13,6 @@ via ``pyproject.toml``, or run as ``python -m repro.tools.inspect``)::
     repro-inspect scan FILE --where EXPR [--columns A,B,...]
     repro-inspect scan FILE --backend object [--gap BYTES]
                  [--no-coalesce] [--where EXPR] [--columns A,B,...]
-    repro-inspect cache
     repro-inspect query DIR --agg SPECS [--where EXPR]
                  [--group-by A,B,...] [--snapshot ID] [--no-metadata]
     repro-inspect catalog log DIR
@@ -53,11 +52,6 @@ so the effect of the coalescing planner is directly visible.
 ``--gap BYTES`` sets the coalescing gap threshold; ``--no-coalesce``
 disables merging entirely (one GET per chunk) for comparison.
 
-``cache`` prints the process-wide tiered chunk cache
-(:func:`repro.core.chunk_cache.process_cache`): per-tier occupancy
-against budget, hit/miss/spill counters, single-flight waits and disk
-checksum failures.
-
 ``query`` runs an aggregation (``repro.query``) over a catalog table
 directory: ``--agg "count, sum(clicks), min(price)"`` with optional
 ``--where`` / ``--group-by``, reporting the result rows plus which
@@ -71,10 +65,9 @@ snapshot's manifest (files, stats, summary), and ``files`` lists the
 data files a snapshot references — plus any orphans awaiting GC when
 run against HEAD, and with ``--where`` a kept/pruned verdict per file
 from the manifest column statistics alone (no file opens). (The
-literal subcommand words like ``catalog``/``scan``/``cache`` select
-subcommand mode;
-a Bullion file with one of those names is still inspectable as
-``./scan``.)
+literal subcommand words like ``catalog``/``scan`` select
+subcommand mode; a Bullion file with one of those names is still
+inspectable as ``./scan``.)
 
 Exit status: 0 on success, 2 for a malformed or inapplicable
 expression/aggregate (one-line message, never a traceback), 1 for
@@ -414,57 +407,6 @@ def _scan_main(parser: argparse.ArgumentParser, argv: list[str]) -> int:
                 )
             else:
                 print(describe_scan(storage, where, columns))
-
-    return _run_guarded(parser, run)
-
-
-# ---------------------------------------------------------------------------
-# cache subcommand (the process-wide tiered chunk cache)
-# ---------------------------------------------------------------------------
-
-def describe_cache(cache) -> str:
-    """Tier occupancy and counters of a ``TieredChunkCache``."""
-    sizes = cache.tier_sizes()
-    s = cache.stats
-    lookups = s.hits + s.misses
-    rate = f"{100.0 * s.hits / lookups:.1f}%" if lookups else "n/a"
-    lines = [
-        f"tiered chunk cache {cache.name!r}:",
-        f"{'tier':8s} {'entries':>8} {'bytes':>14} {'budget':>14}",
-    ]
-    for tier in ("memory", "disk"):
-        t = sizes[tier]
-        budget = (
-            f"{t['budget_bytes']:,}" if t["budget_bytes"] else "disabled"
-        )
-        lines.append(
-            f"{tier:8s} {t['entries']:>8,} {t['bytes']:>14,} {budget:>14}"
-        )
-    lines += [
-        "",
-        f"lookups: {lookups:,} — {s.memory_hits:,} memory hits, "
-        f"{s.disk_hits:,} disk hits, {s.misses:,} misses "
-        f"(hit rate {rate})",
-        f"spills: {s.spills:,} ({s.spill_bytes:,} bytes); evictions: "
-        f"{s.memory_evictions:,} memory, {s.disk_evictions:,} disk",
-        f"single-flight waits: {s.singleflight_waits:,}; "
-        f"disk checksum failures: {s.checksum_failures:,}",
-    ]
-    return "\n".join(lines)
-
-
-def _cache_main(parser: argparse.ArgumentParser, argv: list[str]) -> int:
-    from repro.core.chunk_cache import process_cache
-
-    sub = argparse.ArgumentParser(
-        prog="repro-inspect cache",
-        description="Show the process-wide tiered chunk cache: tier "
-        "occupancy, hit/miss/spill counters, single-flight waits.",
-    )
-    sub.parse_args(argv)
-
-    def run() -> None:
-        print(describe_cache(process_cache()))
 
     return _run_guarded(parser, run)
 
@@ -1035,8 +977,6 @@ def main(argv: list[str] | None = None) -> int:
         status = _metrics_main(parser, raw[1:])
     elif raw[:1] == ["trace"]:
         status = _trace_main(parser, raw[1:])
-    elif raw[:1] == ["cache"]:
-        status = _cache_main(parser, raw[1:])
     elif raw[:1] == ["server"]:
         status = _server_main(parser, raw[1:])
     if status is not None:

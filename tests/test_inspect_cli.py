@@ -351,10 +351,3 @@ class TestObjectReplayAndCache:
         code, _out, err = _run(["scan", bullion_file], capsys)
         assert code == 2
         assert "--where is required" in err
-
-    def test_cache_subcommand_renders_tiers(self, capsys):
-        code, out, _err = _run(["cache"], capsys)
-        assert code == 0
-        assert "tiered chunk cache 'process'" in out
-        assert "memory" in out and "disk" in out
-        assert "single-flight waits" in out

@@ -21,17 +21,23 @@ costs one footer parse).  The serving layer's contract:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
+import pytest
 
 from repro.catalog import CatalogTable, MemoryCatalogStore
 from repro.core.chunk_cache import storage_identity
 from repro.core.deletion import delete_rows
 from repro.obs import families as fam
 from repro.core.table import Table
+from repro.iosim import StorageWrapper
 from repro.obs.metrics import default_registry
 from repro.server import BullionServer, ServerClient, TableService
+from repro.server import cache as cache_mod
 from repro.server import protocol
-from repro.server.cache import KeyedCache, ReaderPool
+from repro.server.cache import KeyedCache, PinCache, ReaderPool
 
 
 class CountingCatalogStore(MemoryCatalogStore):
@@ -93,7 +99,6 @@ def test_warm_repeat_requests_read_no_metadata():
         assert store.data_opens == 0, "warm queries re-read a footer"
         delta = reg.delta(base)
         assert delta.value("server_result_cache_hits_total") == 5
-        assert delta.value("server_plan_cache_hits_total") == 5
         assert delta.value("server_footer_cache_misses_total") == 0
     finally:
         client.close()
@@ -227,13 +232,13 @@ def test_reader_pool_shares_footers_and_drains_busy_entries():
     snap = table.append(_batch(0, 50, seed=0))
     (fid,) = snap.file_ids()
     store.begin_phase()
-    pool = ReaderPool(store, capacity=4)
+    pool = ReaderPool(store)
     r1 = pool.acquire(fid)
     r2 = pool.acquire(fid)
     assert r1 is r2 and store.data_opens == 1
     # invalidate while busy: the entry drains instead of vanishing
     # under its holders, and the next acquire opens afresh
-    assert pool.invalidate_file(fid)
+    assert pool.invalidate([fid]) == 1
     r3 = pool.acquire(fid)
     assert r3 is not r1 and store.data_opens == 2
     pool.release(fid, r3)
@@ -243,6 +248,256 @@ def test_reader_pool_shares_footers_and_drains_busy_entries():
     identity = storage_identity(store.open_data(fid))
     assert pool.file_for_identity(identity) == fid
     pool.close()
+
+
+class _Ledger:
+    """Counts opens and closes of the resources behind a LeaseCache;
+    closing one resource twice fails at the second close."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.opened = 0
+        self.closed = 0
+        #: set to a ``threading.Barrier`` to hold every open until
+        #: that many threads are inside one
+        self.gate = None
+
+    def open(self) -> None:
+        with self._lock:
+            self.opened += 1
+        if self.gate is not None:
+            self.gate.wait(timeout=10)
+
+    def close(self, resource) -> None:
+        with self._lock:
+            assert not resource.closed, "closed twice"
+            resource.closed = True
+            self.closed += 1
+
+
+class _LedgerStorage(StorageWrapper):
+    closed = False
+
+    def __init__(self, inner, ledger) -> None:
+        super().__init__(inner)
+        self._ledger = ledger
+
+    def pread(self, offset: int, size: int) -> bytes:
+        if self.closed:
+            raise ValueError("read of a closed storage")
+        return self.inner.pread(offset, size)
+
+    def close(self) -> None:
+        self._ledger.close(self)
+
+
+class _LedgerStore(MemoryCatalogStore):
+    ledger = None  # set once the table is built
+
+    def open_data(self, file_id: str):
+        storage = super().open_data(file_id)
+        if self.ledger is None:
+            return storage
+        self.ledger.open()
+        return _LedgerStorage(storage, self.ledger)
+
+
+class _LedgerPin:
+    closed = False
+
+    def __init__(self, pin, ledger) -> None:
+        self._pin = pin
+        self._ledger = ledger
+        self.snapshot = pin.snapshot
+
+    def release(self) -> None:
+        self._ledger.close(self)
+        self._pin.release()
+
+
+class _LedgerTable:
+    def __init__(self, table, ledger) -> None:
+        self._table = table
+        self._ledger = ledger
+
+    def pin(self, snapshot_id: int):
+        self._ledger.open()
+        pin = self._table.pin(snapshot_id=snapshot_id)
+        return _LedgerPin(pin, self._ledger)
+
+
+class _Harness:
+    """One LeaseCache instance of capacity 2 over four keys, oldest
+    first; ``newest_file`` tags the last key and no other."""
+
+    def __init__(self, kind: str, monkeypatch) -> None:
+        monkeypatch.setattr(cache_mod, "READER_POOL_CAPACITY", 2)
+        monkeypatch.setattr(cache_mod, "PIN_CACHE_ENTRIES", 2)
+        self.kind = kind
+        self.ledger = _Ledger()
+        store = _LedgerStore("lease")
+        table = CatalogTable.create(store)
+        files, seen = [], set()
+        snaps = [table.append(_batch(k * 10, 10, seed=k)) for k in range(4)]
+        for snap in snaps:
+            (new,) = snap.file_ids() - seen
+            files.append(new)
+            seen.add(new)
+        self.newest_file = files[-1]
+        if kind == "readers":
+            store.ledger = self.ledger
+            # uncached readers: every use reaches the storage
+            self.cache = ReaderPool(
+                store, reader_options={"chunk_cache_size": 0}
+            )
+            self.keys = files
+        else:
+            self.cache = PinCache(_LedgerTable(table, self.ledger))
+            self.keys = [s.snapshot_id for s in snaps]
+
+    def usable(self, resource) -> bool:
+        """Can a holder still use ``resource``, i.e. is it not closed?"""
+        if self.kind == "pins":
+            return not resource.closed
+        try:
+            resource.project(["ts"])
+        except ValueError:
+            return False
+        return True
+
+
+@pytest.fixture(params=["readers", "pins"])
+def lease(request, monkeypatch):
+    """A harness whose cache is closed — and whose every opened
+    resource is checked to be closed exactly once — after the test."""
+    harness = _Harness(request.param, monkeypatch)
+    yield harness
+    harness.cache.close()
+    assert harness.ledger.opened == harness.ledger.closed
+
+
+def test_lease_hit_shares_the_resource(lease):
+    cache, ledger, key = lease.cache, lease.ledger, lease.keys[0]
+    first = cache.acquire(key)
+    assert cache.acquire(key) is first
+    assert ledger.opened == 1
+    cache.release(key, first)
+    cache.release(key, first)
+    assert ledger.closed == 0 and len(cache) == 1  # idle, still cached
+    assert cache.acquire(key) is first and ledger.opened == 1
+    cache.release(key, first)
+
+
+def test_lease_racing_misses_leave_one_survivor(lease):
+    cache, ledger, key = lease.cache, lease.ledger, lease.keys[0]
+    ledger.gate = threading.Barrier(2)  # both threads are mid-open
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(cache.acquire(key)))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    ledger.gate = None
+    assert len(got) == 2 and got[0] is got[1]
+    # the loser's redundant resource was closed, once; the survivor lives
+    assert (ledger.opened, ledger.closed) == (2, 1)
+    assert lease.usable(got[0])
+    for resource in got:
+        cache.release(key, resource)
+    assert ledger.closed == 1 and len(cache) == 1
+
+
+def test_lease_invalidate_while_held_drains(lease):
+    cache, ledger, key = lease.cache, lease.ledger, lease.keys[-1]
+    held = cache.acquire(key)
+    assert cache.invalidate([lease.newest_file]) == 1
+    assert ledger.closed == 0 and lease.usable(held)
+    fresh = cache.acquire(key)  # the next acquire opens afresh
+    assert fresh is not held and ledger.opened == 2
+    cache.release(key, held)  # last release of the drained entry
+    assert ledger.closed == 1 and not lease.usable(held)
+    cache.release(key, fresh)
+    assert ledger.closed == 1 and lease.usable(fresh)
+    # an idle entry is closed by the invalidation itself
+    assert cache.invalidate([lease.newest_file]) == 1
+    assert ledger.closed == 2 and len(cache) == 0
+    assert cache.invalidate([lease.newest_file]) == 0
+
+
+def test_lease_lru_evicts_idle_entries_only(lease):
+    cache, ledger = lease.cache, lease.ledger
+    k0, k1, k2, k3 = lease.keys
+    held = {k: cache.acquire(k) for k in (k0, k1, k2)}
+    # capacity is 2 and all three are busy: overflow, nothing closed
+    assert len(cache) == 3 and ledger.closed == 0
+    assert all(lease.usable(r) for r in held.values())
+    cache.release(k0, held[k0])  # the only idle entry goes at once
+    assert len(cache) == 2 and ledger.closed == 1
+    cache.release(k1, held[k1])
+    cache.release(k2, held[k2])
+    assert len(cache) == 2 and ledger.closed == 1
+    cache.release(k3, cache.acquire(k3))  # evicts k1, the LRU idle one
+    assert len(cache) == 2 and ledger.closed == 2
+    opened = ledger.opened
+    cache.release(k2, cache.acquire(k2))
+    assert ledger.opened == opened, "k2 was more recent than k1"
+    cache.release(k1, cache.acquire(k1))
+    assert ledger.opened == opened + 1
+
+
+def test_lease_close_with_holders_closes_on_last_release(lease):
+    cache, ledger = lease.cache, lease.ledger
+    k0, k1 = lease.keys[:2]
+    held = cache.acquire(k0)
+    cache.release(k1, cache.acquire(k1))
+    cache.close()
+    assert ledger.closed == 1 and lease.usable(held)  # only the idle one
+    with pytest.raises(RuntimeError, match="closed"):
+        cache.acquire(k0)
+    cache.release(k0, held)
+    assert ledger.closed == 2 and not lease.usable(held)
+
+
+def test_lease_stress_never_closes_under_a_holder(lease):
+    """More threads than cores, a short switch interval: a resource is
+    usable for as long as it is held, whatever the others invalidate."""
+    cache, keys = lease.cache, lease.keys
+    errors = []
+
+    def worker(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(150):
+                key = keys[int(rng.integers(len(keys)))]
+                resource = cache.acquire(key)
+                try:
+                    if rng.integers(8) == 0:
+                        cache.invalidate([lease.newest_file])
+                    assert lease.usable(resource)
+                finally:
+                    cache.release(key, resource)
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(seed,)) for seed in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert len(cache) <= 2  # everything is idle, so capacity holds
 
 
 def test_keyed_cache_invalidates_by_file_tag():
@@ -255,7 +510,7 @@ def test_keyed_cache_invalidates_by_file_tag():
     cache.put(b"a", 1, file_ids={"f1"})
     cache.put(b"b", 2, file_ids={"f1", "f2"})
     cache.put(b"c", 3, file_ids={"f3"})
-    assert cache.invalidate_files({"f1"}) == 2
+    assert cache.invalidate({"f1"}) == 2
     assert cache.get(b"a") is None and cache.get(b"b") is None
     assert cache.get(b"c") == 3
     cache.clear()
@@ -265,9 +520,9 @@ def test_keyed_cache_invalidates_by_file_tag():
 def test_keyed_cache_lru_eviction():
     cache = KeyedCache(
         2,
-        fam.SERVER_PLAN_CACHE_HITS,
-        fam.SERVER_PLAN_CACHE_MISSES,
-        "plans",
+        fam.SERVER_RESULT_CACHE_HITS,
+        fam.SERVER_RESULT_CACHE_MISSES,
+        "results",
     )
     cache.put(b"a", 1)
     cache.put(b"b", 2)
