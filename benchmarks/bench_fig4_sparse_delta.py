@@ -53,7 +53,16 @@ def test_bench_sparse_delta_encode(benchmark):
     # the paper's shape: sparse delta must beat both plain and zlib
     assert len(blob) < len(plain) / 5
     assert len(blob) < len(plain_zlib)
-    report("fig4_sparse_delta", lines)
+    report(
+        "fig4_sparse_delta",
+        lines,
+        data={
+            "raw_bytes": raw,
+            "plain_bytes": len(plain),
+            "plain_zlib_bytes": len(plain_zlib),
+            "sparse_delta_bytes": len(blob),
+        },
+    )
 
 
 def test_bench_sparse_delta_decode(benchmark):

@@ -27,6 +27,7 @@ from repro.core.page import PAGE_HEADER_SIZE, PageHeader, frame_page
 from repro.core.table import Table, physical_schema_for_table
 from repro.core.writer import _to_encodable, default_encoding
 from repro.encodings import decode_blob, encode_blob
+from repro.encodings.base import join_values
 from repro.iosim import SimulatedStorage
 
 PARQUET_MAGIC = b"PAR1"
@@ -148,12 +149,5 @@ class ParquetLikeReader:
                     header.payload_len,
                 )
                 parts.append(decode_blob(payload))
-            first = parts[0]
-            if isinstance(first, np.ndarray):
-                out[name] = np.concatenate(parts)
-            else:
-                merged: list = []
-                for p in parts:
-                    merged.extend(p)
-                out[name] = merged
+            out[name] = join_values(parts)
         return Table(out)

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cascading.objective import (
     CandidateScore,
     CostWeights,
@@ -62,6 +60,7 @@ from repro.encodings import (
     Varint,
     ZigZag,
 )
+from repro.encodings.lists import normalize_list_column
 
 DEFAULT_MAX_DEPTH = 2
 
@@ -190,10 +189,7 @@ def _list_candidates(
     out: list[tuple[Encoding, str]] = [(ListEncoding(), "list(trivial)")]
     if stats.kind == Kind.LIST_INT:
         if depth >= 1 and len(sample):
-            flat = np.concatenate(
-                [np.asarray(r, dtype=np.int64) for r in sample if len(r)]
-                or [np.zeros(0, dtype=np.int64)]
-            )
+            flat = normalize_list_column(sample, Kind.LIST_INT).values
             inner = choose_encoding(
                 flat, weights=weights, max_depth=depth - 1
             )

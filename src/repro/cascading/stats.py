@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encodings.base import Kind, infer_kind
+from repro.encodings.base import Kind, infer_kind, join_values
 
 SAMPLE_SIZE = 4096
 SAMPLE_RUNS = 8
@@ -67,9 +67,7 @@ def take_sample(values, limit: int = SAMPLE_SIZE):
             (n - run) * i // max(1, n_runs - 1) for i in range(n_runs)
         )
     ]
-    if isinstance(values, np.ndarray):
-        return np.concatenate(parts)
-    return [item for part in parts for item in part]
+    return join_values(parts)
 
 
 def collect_stats(values) -> ColumnStats:

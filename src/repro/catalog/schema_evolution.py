@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.core.reader import ScanStats
 from repro.core.table import rebatch
+from repro.encodings.base import RaggedColumn
 from repro.core.schema import (
     PhysicalColumn,
     PhysicalType,
@@ -516,8 +517,11 @@ def fill_values(ptype: PhysicalType, n: int, widen_quantized: bool):
     if ptype.list_depth > 0:
         if prim in (Primitive.STRING, Primitive.BINARY):
             return [[] for _ in range(n)]
-        inner = STORAGE_DTYPES.get(prim, np.int64)
-        return [np.zeros(0, dtype=inner) for _ in range(n)]
+        inner = np.zeros(0, dtype=STORAGE_DTYPES.get(prim, np.int64))
+        if ptype.list_depth == 1:
+            empty = np.zeros(n, dtype=np.int64)
+            return RaggedColumn(inner, empty, empty)
+        return [inner for _ in range(n)]
     if prim in (Primitive.STRING, Primitive.BINARY):
         return [b""] * n
     if prim is Primitive.BOOL:
@@ -552,6 +556,8 @@ def widen_values(values, stored: PhysicalType, target: PhysicalType):
         return values
     if stored.list_depth > 0:
         dtype = STORAGE_DTYPES[target.primitive]
+        if isinstance(values, RaggedColumn):
+            return values.astype(dtype)
         return [np.asarray(v).astype(dtype) for v in values]
     if stored.primitive in _QUANTIZED_PRIMS:
         from repro.core.reader import _widen_quantized

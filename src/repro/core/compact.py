@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.reader import BullionReader
 from repro.core.schema import Field, LogicalType, Schema
-from repro.core.table import Table
+from repro.core.table import concat_tables
 from repro.core.writer import BullionWriter, WriterOptions
 from repro.iosim import Storage
 
@@ -107,17 +105,7 @@ def merge(
         tables.append(reader.project(names, drop_deleted=True))
         rows_in += reader.num_rows
         bytes_in += src.size
-    merged: dict[str, object] = {}
-    for name in names or []:
-        parts = [t.columns[name] for t in tables]
-        if isinstance(parts[0], np.ndarray):
-            merged[name] = np.concatenate(parts)
-        else:
-            out: list = []
-            for p in parts:
-                out.extend(p)
-            merged[name] = out
-    table = Table(merged)
+    table = concat_tables(tables)
     BullionWriter(
         target, schema=schema, options=options or WriterOptions()
     ).write(table)

@@ -45,7 +45,7 @@ from repro.core.page import FLAG_COMPACTED, PAGE_HEADER_SIZE, PageHeader
 from repro.core.reader import BullionReader
 from repro.core.writer import LEVEL_DELETION_VECTOR, LEVEL_IN_PLACE, LEVEL_PLAIN
 from repro.encodings import decode_blob, encoding_by_id
-from repro.encodings.base import ByteReader
+from repro.encodings.base import ByteReader, RaggedColumn
 from repro.encodings.bitpack import FixedBitWidth
 from repro.encodings.dictionary import MASK_CODE, Dictionary
 from repro.encodings.nullable import SparseBool
@@ -184,17 +184,19 @@ def _mask_generic(payload: bytes, positions: np.ndarray, _prev) -> MaskResult:
     for the delta-family encodings.
     """
     values = decode_blob(payload)
-    if isinstance(values, list):
+    if isinstance(values, (list, RaggedColumn)):
         # list column page: scrub by replacing deleted rows with empties
-        out_rows = list(values)
-        for p in positions:
-            item = out_rows[int(p)]
-            if isinstance(item, (bytes, bytearray)):
-                out_rows[int(p)] = b""
-            elif isinstance(item, np.ndarray):
-                out_rows[int(p)] = item[:0]
-            else:
-                out_rows[int(p)] = []
+        if isinstance(values, RaggedColumn):
+            lens = values.lens.copy()
+            lens[positions] = 0
+            out_rows = RaggedColumn(values.values, values.starts, lens)
+        else:  # bytes, list<bytes>, list<list<int>>
+            out_rows = list(values)
+            for p in positions:
+                item = out_rows[int(p)]
+                out_rows[int(p)] = (
+                    b"" if isinstance(item, (bytes, bytearray)) else []
+                )
         new_payload = _reencode_same(payload, out_rows)
         if len(new_payload) > len(payload):
             raise MaskError("list page re-encode grew the page")

@@ -54,9 +54,9 @@ from repro.core.chunk_cache import TieredChunkCache, storage_identity
 from repro.core.footer import MAGIC, FooterView
 from repro.core.page import PAGE_HEADER_SIZE, PageHeader
 from repro.core.schema import Primitive, Schema, STORAGE_DTYPES, stats_kind
-from repro.core.table import Table, concat_tables, rebatch
+from repro.core.table import Table, concat_tables, empty_column, rebatch
 from repro.encodings import decode_blob, decode_blobs
-from repro.encodings.base import join_values
+from repro.encodings.base import RaggedColumn, join_values
 from repro.expr import (
     Expr,
     TriState,
@@ -257,7 +257,7 @@ class Scan:
             # exactly like a non-empty result — including widening
             out = {}
             for name, _idx, ptype in self._cols:
-                values = _empty_column(ptype)
+                values = empty_column(ptype)
                 if self._widen:
                     values = _widen_quantized(values, ptype)
                 out[name] = values
@@ -786,7 +786,7 @@ class BullionReader:
         if run:
             parts.append(decode_blobs(run))
         if not parts:
-            return _empty_column(ptype)
+            return empty_column(ptype)
         values = join_values(parts)
         if len(values) != page_row - row_start:
             raise BullionFormatError(
@@ -811,16 +811,15 @@ class BullionReader:
                 f"page {pid} holds {len(stored)} values, the deletion "
                 f"vector leaves {live}"
             )
-        if isinstance(stored, np.ndarray):
-            full = np.zeros(original, dtype=stored.dtype)
-            full[~local_deleted] = stored
-            return full
-        full_list: list = [b"" if not stored or isinstance(stored[0], bytes) else
-                           np.zeros(0, dtype=np.int64)] * original
-        it = iter(stored)
-        for i in np.flatnonzero(~local_deleted):
-            full_list[int(i)] = next(it)
-        return full_list
+        if not isinstance(stored, np.ndarray):
+            # only the RLE masker compacts, and RLE holds ints and bools
+            raise BullionFormatError(
+                f"page {pid} is compacted but holds "
+                f"{type(stored).__name__} values, not an array"
+            )
+        full = np.zeros(original, dtype=stored.dtype)
+        full[~local_deleted] = stored
+        return full
 
     # -- integrity (Fig 2) ------------------------------------------------
     def verify(self, page_ids: list[int] | None = None) -> bool:
@@ -851,18 +850,6 @@ class BullionReader:
         )
 
 
-def _empty_column(ptype):
-    """A zero-row column: the container/dtype must still match the
-    column's physical type (an empty float or string column round-trips
-    as such, not as int64 zeros)."""
-    if ptype.list_depth > 0 or ptype.primitive in (
-        Primitive.STRING,
-        Primitive.BINARY,
-    ):
-        return []
-    return np.zeros(0, dtype=STORAGE_DTYPES[ptype.primitive])
-
-
 def _widen_quantized(values, ptype):
     """Dequantize FP16/BF16/FP8 storage to float32 (§2.4 read path)."""
     from repro.quantization import FloatFormat, dequantize
@@ -883,19 +870,16 @@ def _cast_to_storage(values, ptype):
     """Decoded values in the column's storage dtype (usually a no-op)."""
     prim = ptype.primitive
     if prim in (Primitive.STRING, Primitive.BINARY) or ptype.list_depth > 1:
-        return values
+        # pages of nothing but empty rows are written, and decode, as a
+        # depth-1 int list whatever the column's kind
+        return list(values) if isinstance(values, RaggedColumn) else values
     dtype = np.dtype(STORAGE_DTYPES[prim])
     if ptype.list_depth == 1:
-        # LIST_INT codecs return int64 ndarray rows (a tested contract
-        # of ``Encoding``): only other storage dtypes convert row by row
-        if dtype == np.int64 or not isinstance(values, list):
-            return values
-        return [
-            v
-            if type(v) is np.ndarray and v.dtype == dtype
-            else np.asarray(v).astype(dtype, copy=False)
-            for v in values
-        ]
+        if not isinstance(values, RaggedColumn):
+            raise BullionFormatError(
+                f"list column pages decode to {type(values).__name__}"
+            )
+        return values.astype(dtype)  # one cast, of the buffer
     arr = np.asarray(values)
     if arr.dtype != dtype:
         if dtype in (np.uint16, np.uint8) and arr.dtype.kind not in "iu":

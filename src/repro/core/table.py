@@ -3,8 +3,11 @@ by the reader.
 
 A :class:`Table` is an ordered mapping of *physical* column name to
 values. Values follow the encoding kinds of :mod:`repro.encodings`:
-numpy arrays for primitives, ``list[bytes]`` for string/binary,
-``list[np.ndarray]`` for ``list<T>`` and so on.
+numpy arrays for primitives, ``list[bytes]`` for string/binary, one
+:class:`~repro.encodings.RaggedColumn` (a values buffer plus row starts
+and lengths) for ``list<int>`` / ``list<float>``, nested Python lists
+for ``list<bytes>`` / ``list<list<int>>``. The writer also takes a plain
+``list`` of row arrays for a numeric list column and normalises it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.schema import PhysicalColumn, PhysicalType, Primitive, Schema
+from repro.core.schema import (
+    STORAGE_DTYPES,
+    PhysicalColumn,
+    PhysicalType,
+    Primitive,
+    Schema,
+)
+from repro.encodings.base import RaggedColumn, join_values
 
 
 def column_length(values) -> int:
@@ -56,36 +66,46 @@ class Table:
         """Rows where ``keep`` is True (used to drop deleted rows)."""
         out = {}
         for name, values in self.columns.items():
-            if isinstance(values, np.ndarray):
+            if isinstance(values, (np.ndarray, RaggedColumn)):
                 out[name] = values[keep]
             else:
                 out[name] = [v for v, k in zip(values, keep) if k]
         return Table(out)
 
     def equals(self, other: "Table") -> bool:
-        if set(self.columns) != set(other.columns):
-            return False
-        for name, mine in self.columns.items():
-            theirs = other.columns[name]
-            if isinstance(mine, np.ndarray):
-                if not np.array_equal(np.asarray(theirs), mine):
-                    return False
-            elif len(mine) != len(theirs):
-                return False
-            else:
-                for a, b in zip(mine, theirs):
-                    if isinstance(a, np.ndarray):
-                        if not np.array_equal(a, np.asarray(b)):
-                            return False
-                    elif isinstance(a, list) and a and isinstance(a[0], np.ndarray):
-                        if len(a) != len(b) or any(
-                            not np.array_equal(x, np.asarray(y))
-                            for x, y in zip(a, b)
-                        ):
-                            return False
-                    elif a != b:
-                        return False
-        return True
+        return set(self.columns) == set(other.columns) and all(
+            _values_equal(mine, other.columns[name])
+            for name, mine in self.columns.items()
+        )
+
+
+def _values_equal(a, b) -> bool:
+    """Columns, rows of a nested list column, or single values."""
+    if isinstance(b, RaggedColumn):
+        a, b = b, a
+    if isinstance(a, RaggedColumn):
+        return a.equals(b)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, np.asarray(b))
+    if isinstance(a, list):
+        return (
+            isinstance(b, (list, tuple, np.ndarray))
+            and len(a) == len(b)
+            and all(map(_values_equal, a, b))
+        )
+    return bool(a == b)
+
+
+def empty_column(ptype: PhysicalType):
+    """A zero-row column in the container and dtype of its physical type
+    (an empty float or string column round-trips as such)."""
+    if ptype.list_depth > 1 or ptype.primitive in (
+        Primitive.STRING,
+        Primitive.BINARY,
+    ):
+        return []
+    values = np.zeros(0, dtype=STORAGE_DTYPES[ptype.primitive])
+    return RaggedColumn(values, [], []) if ptype.list_depth else values
 
 
 def concat_tables(tables: list["Table"]) -> "Table":
@@ -94,14 +114,7 @@ def concat_tables(tables: list["Table"]) -> "Table":
         return Table({})
     out: dict[str, object] = {}
     for name in tables[0].columns:
-        parts = [t.columns[name] for t in tables]
-        if isinstance(parts[0], np.ndarray):
-            out[name] = np.concatenate(parts)
-        else:
-            merged: list = []
-            for p in parts:
-                merged.extend(p)
-            out[name] = merged
+        out[name] = join_values([t.columns[name] for t in tables])
     return Table(out)
 
 
@@ -146,6 +159,8 @@ def infer_physical_type(values) -> PhysicalType:
         if np.issubdtype(dtype, np.floating):
             return PhysicalType(Primitive.FLOAT64, 0)
         raise ValueError(f"cannot infer physical type for dtype {dtype}")
+    if isinstance(values, RaggedColumn):
+        return PhysicalType(infer_physical_type(values.values).primitive, 1)
     if isinstance(values, list):
         probe = next((v for v in values if v is not None and len(v)), None)
         if probe is None or isinstance(probe, (bytes, bytearray)):

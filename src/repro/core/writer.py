@@ -53,11 +53,11 @@ from repro.core.schema import (
     PhysicalColumn,
     PhysicalType,
     Primitive,
-    STORAGE_DTYPES,
     Schema,
 )
 from repro.core.table import (
     Table,
+    empty_column,
     physical_schema_for_table,
     validate_against_schema,
 )
@@ -69,6 +69,7 @@ from repro.encodings import (
     Trivial,
     encode_blob,
 )
+from repro.encodings.base import RaggedColumn, join_values
 from repro.encodings.bitpack import FixedBitWidth
 from repro.iosim import Storage
 from repro.obs import metrics as obs_metrics, trace as obs_trace
@@ -372,16 +373,9 @@ class BullionWriter:
                     fragments[0] = frag[need:]
                     need = 0
             if not taken:
-                out[col.name] = _empty_values(col)
-            elif len(taken) == 1:
-                out[col.name] = taken[0]
-            elif isinstance(taken[0], np.ndarray):
-                out[col.name] = np.concatenate(taken)
+                out[col.name] = empty_column(col.type)
             else:
-                merged: list = []
-                for part in taken:
-                    merged.extend(part)
-                out[col.name] = merged
+                out[col.name] = join_values(taken)
         self._buffered_rows -= n
         return out
 
@@ -526,7 +520,7 @@ def _infer_from_fragments(fragments: list) -> PhysicalType:
 
     guess: PhysicalType | None = None
     for frag in fragments:
-        if isinstance(frag, np.ndarray):
+        if isinstance(frag, (np.ndarray, RaggedColumn)):
             return infer_physical_type(frag)
         if len(frag) == 0:
             continue
@@ -577,16 +571,6 @@ def _is_plain_float(column: PhysicalColumn) -> bool:
         Primitive.FLOAT32,
         Primitive.FLOAT64,
     )
-
-
-def _empty_values(column: PhysicalColumn):
-    """A zero-row container of the column's storage kind."""
-    if column.type.list_depth > 0 or column.type.primitive in (
-        Primitive.STRING,
-        Primitive.BINARY,
-    ):
-        return []
-    return np.zeros(0, dtype=STORAGE_DTYPES[column.type.primitive])
 
 
 def _numeric_chunk_stats(values) -> ChunkStats | None:

@@ -17,6 +17,7 @@ from repro.encodings.base import (
     Encoding,
     EncodingError,
     Kind,
+    RaggedColumn,
     catalog,
     decode_blob,
     decode_blobs,
@@ -49,6 +50,7 @@ __all__ = [
     "Encoding",
     "EncodingError",
     "Kind",
+    "RaggedColumn",
     "catalog",
     "encode_blob",
     "decode_blob",

@@ -18,16 +18,21 @@ one interface:
 
 Value kinds
 -----------
-Encodings operate on one of six value kinds:
+Encodings operate on these value kinds:
 
-========== ==========================================================
-INT        ``np.ndarray`` of int64
-FLOAT      ``np.ndarray`` of float64/float32/float16 (dtype preserved)
-BYTES      ``list[bytes]``
-BOOL       ``np.ndarray`` of bool
-LIST_INT   ``list[np.ndarray(int64)]`` (e.g. ``list<int64>`` features)
-LIST_FLOAT ``list[np.ndarray(float32/float64)]``
-========== ==========================================================
+============= =======================================================
+INT           ``np.ndarray`` of int64
+FLOAT         ``np.ndarray`` of float64/float32/float16 (dtype kept)
+BYTES         ``list[bytes]``
+BOOL          ``np.ndarray`` of bool
+LIST_INT      :class:`RaggedColumn` of int64 (``list<int64>`` features)
+LIST_FLOAT    :class:`RaggedColumn` of float32/float64
+LIST_BYTES    ``list[list[bytes]]``
+LIST_LIST_INT ``list[list[np.ndarray(int64)]]``
+============= =======================================================
+
+Encoders of LIST_INT / LIST_FLOAT also take a plain ``list`` of 1-D rows
+and normalise it once; decoders return the containers above.
 """
 
 from __future__ import annotations
@@ -83,8 +88,152 @@ def float_dtype_from_code(code: int):
         raise EncodingError(f"unknown float dtype code {code}") from None
 
 
+def index_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for every ``(s, c)`` pair, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(
+        total, dtype=np.int64
+    )
+
+
+class RaggedColumn:
+    """A depth-1 numeric list column as one buffer: row ``i`` is
+    ``values[starts[i] : starts[i] + lens[i]]``.
+
+    Arrow's *ListView* layout: rows may overlap and need not be in
+    buffer order, which is what a sliding-window feature decodes to.
+    ``len``, ``[i]`` (a read-only view), ``[a:b]`` (zero-copy), truth
+    and iteration behave like the ``list`` of row arrays it stands for;
+    only iteration loops over rows in Python.
+    """
+
+    __slots__ = ("values", "starts", "lens")
+
+    def __init__(self, values, starts, lens) -> None:
+        values = np.asarray(values).view()
+        values.flags.writeable = False
+        starts = np.asarray(starts, dtype=np.int64)
+        lens = np.asarray(lens, dtype=np.int64)
+        if (
+            values.ndim != 1
+            or starts.ndim != 1
+            or starts.shape != lens.shape
+            or (starts < 0).any()
+            or (lens < 0).any()
+            or (starts > len(values) - lens).any()
+        ):
+            raise EncodingError("ragged column: rows outside a 1-D buffer")
+        self.values, self.starts, self.lens = values, starts, lens
+
+    @classmethod
+    def from_offsets(cls, values, offsets) -> "RaggedColumn":
+        """Rows back to back: row ``i`` is ``values[offsets[i]:offsets[i+1]]``."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.ndim != 1 or len(offsets) == 0:
+            raise EncodingError("ragged column: offsets need one entry at least")
+        return cls(values, offsets[:-1], np.diff(offsets))
+
+    @classmethod
+    def from_rows(cls, rows) -> "RaggedColumn":
+        """From a plain sequence of 1-D rows. Non-empty rows decide the
+        dtype: a Python ``[]`` is float64 to numpy, ids are not."""
+        arrays = [np.asarray(row) for row in rows]
+        if any(a.ndim != 1 for a in arrays):
+            raise EncodingError("list columns must contain 1-D sequences")
+        lens = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+        values = np.concatenate(
+            [a for a in arrays if len(a)]
+            or arrays[:1]
+            or [np.zeros(0, dtype=np.int64)]
+        )
+        return cls(values, np.cumsum(lens) - lens, lens)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, key):
+        """``[i]`` is row ``i``, a read-only view; a slice, a boolean
+        mask or an index array selects rows into a ``RaggedColumn`` over
+        the same buffer, which needs no second validation."""
+        if isinstance(key, (int, np.integer)):
+            start = int(self.starts[key])
+            return self.values[start : start + int(self.lens[key])]
+        out = object.__new__(RaggedColumn)
+        out.values = self.values
+        out.starts, out.lens = self.starts[key], self.lens[key]
+        return out
+
+    def __iter__(self):
+        values = self.values
+        for a, b in zip(self.starts.tolist(), (self.starts + self.lens).tolist()):
+            yield values[a:b]
+
+    def astype(self, dtype) -> "RaggedColumn":
+        if self.values.dtype == dtype:
+            return self
+        return RaggedColumn(self.values.astype(dtype), self.starts, self.lens)
+
+    def offsets(self) -> np.ndarray:
+        """Row bounds in the values of :meth:`compact`: ``n + 1`` sums."""
+        return np.concatenate(([0], np.cumsum(self.lens)))
+
+    def compact(self) -> "RaggedColumn":
+        """The same rows gathered into buffer order, back to back, so
+        that ``values`` holds them and nothing else."""
+        offsets = self.offsets()
+        if len(self.values) == offsets[-1] and np.array_equal(
+            self.starts, offsets[:-1]
+        ):
+            return self
+        return RaggedColumn(
+            self.values[index_ranges(self.starts, self.lens)],
+            offsets[:-1],
+            self.lens,
+        )
+
+    def _span(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, starts)`` cut down to the stretch the rows use: a
+        short slice must not carry its whole buffer into a join."""
+        if len(self.starts) == 0:
+            return self.values[:0], self.starts
+        lo = int(self.starts.min())
+        hi = int((self.starts + self.lens).max())
+        return self.values[lo:hi], self.starts - lo
+
+    @classmethod
+    def concat(cls, parts) -> "RaggedColumn":
+        """Row-wise join: one concatenate and an offset shift per part."""
+        spans = [part._span() for part in parts]
+        buffers = [values for values, _ in spans]
+        shifts = np.cumsum([0] + [len(values) for values in buffers])
+        return cls(
+            # an empty part has no say in the dtype
+            np.concatenate([b for b in buffers if len(b)] or buffers[:1]),
+            np.concatenate(
+                [starts + shift for (_, starts), shift in zip(spans, shifts)]
+            ),
+            np.concatenate([part.lens for part in parts]),
+        )
+
+    def equals(self, other) -> bool:
+        """Same rows, element for element; ``other`` may be a plain list."""
+        if not isinstance(other, RaggedColumn):
+            try:
+                other = RaggedColumn.from_rows(other)
+            except ValueError:
+                return False
+        return np.array_equal(self.lens, other.lens) and np.array_equal(
+            self.compact().values, other.compact().values
+        )
+
+
 def infer_kind(values) -> Kind:
     """Classify a Python value container into a :class:`Kind`."""
+    if isinstance(values, RaggedColumn):
+        if np.issubdtype(values.values.dtype, np.floating):
+            return Kind.LIST_FLOAT
+        return Kind.LIST_INT
     if isinstance(values, np.ndarray):
         if values.dtype == np.bool_:
             return Kind.BOOL
@@ -128,9 +277,10 @@ class Encoding(ABC):
     framing lives in :func:`encode_blob`/:func:`decode_blobs`.
 
     Decoders return the containers of the "Value kinds" table exactly;
-    in particular every row a ``Kind.LIST_INT`` scheme decodes is an
-    ``np.ndarray`` of dtype ``int64`` — the reader relies on that
-    instead of re-checking each row (``tests/test_chunk_decode.py``).
+    in particular a ``Kind.LIST_INT`` scheme decodes to a
+    :class:`RaggedColumn` whose ``values`` are ``int64`` — the reader
+    relies on that and casts the one buffer, never a row
+    (``tests/test_chunk_decode.py``).
     """
 
     id: int = -1
@@ -157,13 +307,6 @@ class Encoding(ABC):
         all of them; its ``decode`` is then the batch of one.
         """
         return join_values([cls.decode(reader) for reader in readers])
-
-    def can_encode(self, values) -> bool:
-        """Cheap check: is this scheme applicable to these values?"""
-        try:
-            return infer_kind(values) in self.kinds
-        except EncodingError:
-            return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -216,6 +359,8 @@ def join_values(parts: list):
         return parts[0]  # one part: the decoder's container passes through
     if isinstance(parts[0], np.ndarray):
         return np.concatenate(parts)
+    if all(isinstance(part, RaggedColumn) for part in parts):
+        return RaggedColumn.concat(parts)
     out: list = []
     for part in parts:
         out.extend(part)

@@ -14,6 +14,7 @@ from repro.encodings.base import (
     Encoding,
     EncodingError,
     Kind,
+    RaggedColumn,
     decode_child,
     encode_child,
     float_dtype_code,
@@ -31,20 +32,21 @@ _TAG_BYTES = 2
 _TAG_NESTED_INT = 3
 
 
-def normalize_list_column(values, kind: Kind) -> list[np.ndarray]:
-    """Coerce a LIST_* column into a list of 1-D numpy arrays."""
-    dtype = np.int64 if kind == Kind.LIST_INT else np.float64
-    out = []
-    for item in values:
-        arr = np.asarray(item)
-        if arr.ndim != 1:
-            raise EncodingError("list columns must contain 1-D sequences")
-        if kind == Kind.LIST_INT:
-            arr = arr.astype(np.int64, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(dtype)
-        out.append(arr)
-    return out
+def normalize_list_column(values, kind: Kind) -> RaggedColumn:
+    """Coerce a LIST_INT / LIST_FLOAT column — a plain sequence of rows
+    or a :class:`RaggedColumn` — into a compact ``RaggedColumn`` of the
+    kind's dtype (int64; float32 only if every row is)."""
+    if isinstance(values, RaggedColumn):
+        dtypes = {values.values.dtype}
+    else:
+        values = [np.asarray(item) for item in values]
+        dtypes = {row.dtype for row in values}
+        values = RaggedColumn.from_rows(values)
+    if kind == Kind.LIST_INT:
+        dtype = np.int64
+    else:
+        dtype = np.float32 if dtypes == {np.dtype(np.float32)} else np.float64
+    return values.compact().astype(dtype)
 
 
 @register
@@ -70,36 +72,28 @@ class ListEncoding(Encoding):
         if kind not in self.kinds:
             raise EncodingError(f"list encoding cannot handle {kind}")
         writer = ByteWriter()
-        if kind == Kind.LIST_BYTES:
-            rows = [[bytes(b) for b in row] for row in values]
-            writer.write_u8(_TAG_BYTES)
-            flat: object = [b for row in rows for b in row]
-        elif kind == Kind.LIST_LIST_INT:
-            rows = [
-                [np.asarray(inner, dtype=np.int64) for inner in row]
-                for row in values
-            ]
-            writer.write_u8(_TAG_NESTED_INT)
-            flat = [inner for row in rows for inner in row]
-        elif kind == Kind.LIST_INT:
-            rows = normalize_list_column(values, kind)
-            writer.write_u8(_TAG_INT)
-            flat = (
-                np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-            ).astype(np.int64)
+        if kind in (Kind.LIST_INT, Kind.LIST_FLOAT):
+            column = normalize_list_column(values, kind)
+            flat: object = column.values
+            offsets = column.offsets()
+            if kind == Kind.LIST_INT:
+                writer.write_u8(_TAG_INT)
+            else:
+                writer.write_u8(_TAG_FLOAT)
+                writer.write_u8(float_dtype_code(flat.dtype))
         else:
-            rows = normalize_list_column(values, kind)
-            writer.write_u8(_TAG_FLOAT)
-            flat = (
-                np.concatenate(rows) if rows else np.zeros(0, dtype=np.float64)
-            )
-            if flat.dtype not in (np.float32, np.float64):
-                flat = flat.astype(np.float64)
-            writer.write_u8(float_dtype_code(flat.dtype))
-        lengths = np.fromiter(
-            (len(r) for r in rows), dtype=np.int64, count=len(rows)
-        )
-        offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+            if kind == Kind.LIST_BYTES:
+                rows = [[bytes(b) for b in row] for row in values]
+                writer.write_u8(_TAG_BYTES)
+            else:
+                rows = [
+                    [np.asarray(inner, dtype=np.int64) for inner in row]
+                    for row in values
+                ]
+                writer.write_u8(_TAG_NESTED_INT)
+            flat = [item for row in rows for item in row]
+            lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
         encode_child(writer, offsets, self._offsets_child)
         if kind == Kind.LIST_LIST_INT:
             encode_child(writer, flat, ListEncoding(self._values_child))
@@ -114,10 +108,25 @@ class ListEncoding(Encoding):
             float_dtype_from_code(reader.read_u8())  # dtype carried by child
         offsets = decode_child(reader)
         flat = decode_child(reader)
+        # Python slices would hide a backward or overrunning offset
+        if (
+            not isinstance(offsets, np.ndarray)
+            or offsets.dtype != np.int64
+            or offsets.ndim != 1
+            or len(offsets) == 0
+            or offsets[0] != 0
+            or (np.diff(offsets) < 0).any()
+            or offsets[-1] > len(flat)
+        ):
+            raise EncodingError("list: corrupt offsets")
         if tag == _TAG_INT:
-            # LIST_INT rows are int64 whatever the child blob holds
+            # LIST_INT values are int64 whatever the child blob holds
             flat = np.asarray(flat).astype(np.int64, copy=False)
-        return [
-            flat[int(offsets[i]) : int(offsets[i + 1])]
-            for i in range(len(offsets) - 1)
-        ]
+        if tag in (_TAG_INT, _TAG_FLOAT):
+            if not isinstance(flat, np.ndarray):
+                raise EncodingError("list: values child is not an array")
+            return RaggedColumn.from_offsets(flat, offsets)
+        if isinstance(flat, RaggedColumn):
+            flat = list(flat)  # list<list<int>> rows stay lists of arrays
+        bounds = offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]

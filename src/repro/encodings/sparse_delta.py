@@ -25,13 +25,15 @@ Decode
 ------
 ``decode_pages`` takes all pages of a chunk at once. Every page starts
 with a base row, so their sub-columns concatenate into one valid
-stream; the size columns are validated first, page by page (a page is
-checked against its own bulk, never a neighbour's), and assembly then
-runs once, with no per-row allocation. Rows come back as read-only
-``int64`` views that may overlap each other in memory. The stream
-splits into *segments*, a base row and the delta rows up to the next
-base, and each segment takes one of three paths, chosen from the size
-columns alone:
+stream: the four size columns of all pages are decoded in one codec call
+(``Varint.decode_pages`` holds every page to its own count and bytes),
+validated page by page (a page is checked against its own bulk, never a
+neighbour's), and assembly then runs once into one
+:class:`~repro.encodings.base.RaggedColumn`: one ``int64`` buffer plus
+row starts and lengths, rows free to overlap, no per-row object. The
+stream splits into *segments*, a base row and the delta rows up to the
+next base, and each segment takes one of three paths, chosen from the
+size columns alone:
 
 * **Append run** (Fig 4 row 4): every delta row has no head and keeps
   its predecessor through to the end (``range_end == len(prev)``). The
@@ -42,30 +44,24 @@ columns alone:
 * **Prepend run** (Fig 4 row 2): every delta row has no tail and keeps
   its predecessor from the start (``range_start == 0``). The segment's
   bulk pieces are written once, back to front (last head first, base row
-  last); each row is then a window starting at its own head. Only bulk
-  elements move, in one vectorised scatter.
-* **Generic**: one flat ``int64`` buffer for all such rows. Heads and
-  tails land in the same scatter (``np.repeat`` + ``arange`` index
-  ranges, no per-row call). The copy of ``prev[a:b]`` depends on the row
-  before it, so it stays a loop, reduced to ``out[d:d+k] = out[s:s+k]``
-  over plain ints.
+  last); each row is then a window starting at its own head.
+* **Generic**: the row is written out whole. Its overlap ``prev[a:b]``
+  depends on the row before it, so that copy stays a loop, reduced to
+  ``out[d:d+k] = out[s:s+k]`` over plain ints.
 
-Per 1,024-row page, decode of the old per-row ``np.concatenate`` loop
-against this one: append run 1.85 -> 0.34 ms at W=32 and 2.71 -> 0.38 ms
-at W=256; prepend run 1.86 -> 0.55 ms at W=32; generic 1.89 -> 0.93 ms
-at W=32 and 2.20 -> 1.10 ms at W=256. Per chunk of 8 such pages (append
-run, W=32), page by page against one ``decode_pages`` call: 4.11 ->
-3.41 ms. What is left is per page or per row, not per chunk: 32 varint
-size columns (1.3 ms), zlib on the bulk (0.4 ms) and about 0.15 us per
-row to create its view (1.1 ms).
+The pages' bulks are joined at the front of the buffer, where append
+runs are windows of them; the heads and tails of all other rows move
+behind that in one vectorised scatter (``np.repeat`` + ``arange`` index
+ranges, no per-row call). A chunk of nothing but append runs is the
+joined bulk and nothing else, and a chunk of nothing but prepend runs is
+one gather of the bulk pieces in reverse order.
 
 Resolving every output element by pointer doubling (each element points
 at the element of the previous row it copies; ``ptr = ptr[ptr]`` until
-fixed) was tried and is not used. It gathers over all *output* elements
-once per doubling, and chains are as long as an id stays in the window:
-the gathers alone take 6.9 ms per page at W=256, 13.6 ms with the
-pointer array built. The paths above touch each output element at most
-once.
+fixed) was tried and is not used: it gathers over all *output* elements
+once per doubling, and chains are as long as an id stays in the window
+(13.6 ms per 1,024-row page at W=256). The paths above touch each
+output element at most once.
 """
 
 from __future__ import annotations
@@ -78,8 +74,11 @@ from repro.encodings.base import (
     Encoding,
     EncodingError,
     Kind,
-    decode_child,
+    RaggedColumn,
+    decode_blob,
+    decode_blobs,
     encode_child,
+    index_ranges,
     join_values,
     register,
 )
@@ -187,48 +186,40 @@ def find_overlap(prev: np.ndarray, cur: np.ndarray) -> Overlap:
     return best
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``arange(s, s + c)`` for every ``(s, c)`` pair, concatenated."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(
-        int(ends[-1]), dtype=np.int64
-    )
-
-
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[0], b[0], a[1], b[1], ...``"""
-    return np.stack((a, b), axis=1).ravel()
-
-
 def _assemble(
-    delta_flags, starts, ends, heads, mids, tails, prev_len, bulk
-) -> list[np.ndarray]:
-    """Rows from validated size columns and their bulk ids: see "Decode"
-    in the module docstring. One or many pages, it is the same stream."""
+    delta_flags, starts, ends, heads, mids, tails, prev_len, bulks
+) -> RaggedColumn:
+    """Rows from validated size columns and the pages' bulk ids ("Decode"
+    in the module docstring); one or many pages, it is the same stream."""
     n = len(delta_flags)
     lens = heads + mids + tails
     bulk_counts = heads + tails
-    bulk.flags.writeable = False
     bulk_ends = np.cumsum(bulk_counts)
-    bases = np.flatnonzero(~delta_flags)
+    is_base = ~delta_flags
+    append_row = is_base | ((heads == 0) & (ends == prev_len))
+    if append_row.all():
+        return RaggedColumn(join_values(bulks), bulk_ends - lens, lens)
+    prepend_row = is_base | ((tails == 0) & (starts == 0))
+    if prepend_row.all():
+        # the bulk pieces, last first: a row starts at its own head and
+        # runs on through the heads before it into its base row
+        order = index_ranges((bulk_ends - heads)[::-1], heads[::-1])
+        bulk = join_values(bulks)[order]
+        return RaggedColumn(bulk, len(bulk) - bulk_ends, lens)
+    bases = np.flatnonzero(is_base)
     seg_sizes = np.diff(np.append(bases, n))
 
-    def whole_segments(delta_row_ok: np.ndarray) -> np.ndarray:
-        """Per row: does every delta row of its segment qualify?"""
-        row_ok = delta_row_ok | ~delta_flags
-        return np.repeat(
-            np.logical_and.reduceat(row_ok, bases), seg_sizes
-        )
+    def whole_segments(row_ok: np.ndarray) -> np.ndarray:
+        """Per row: does every row of its segment qualify?"""
+        return np.repeat(np.logical_and.reduceat(row_ok, bases), seg_sizes)
 
-    appended = whole_segments((heads == 0) & (ends == prev_len))
-    if appended.all():
-        return [
-            bulk[a:b]
-            for a, b in zip((bulk_ends - lens).tolist(), bulk_ends.tolist())
-        ]
-    prepended = whole_segments((tails == 0) & (starts == 0)) & ~appended
+    appended = whole_segments(append_row)
+    prepended = whole_segments(prepend_row) & ~appended
+    # the bulk goes first, joined in place: append runs are windows of
+    # it, every other row is written behind it
+    kept = int(bulk_ends[-1])
     out_lens = np.where(appended, 0, np.where(prepended, heads, lens))
-    out_ends = np.cumsum(out_lens)
+    out_ends = kept + np.cumsum(out_lens)
     out_starts = out_ends - out_lens
     # a prepend run is laid out back to front: last head first, base
     # row last, so each row starts at its own head
@@ -237,15 +228,13 @@ def _assemble(
         prepended, np.repeat(seg_span, seg_sizes) - out_ends, out_starts
     )
     out = np.empty(int(out_ends[-1]), dtype=np.int64)
-    # every head and tail out of bulk in one scatter: two pieces per
-    # row, none for rows that are views of bulk already
-    piece_counts = _interleave(
-        np.where(appended, 0, heads), np.where(appended, 0, tails)
-    )
+    bulk = np.concatenate(bulks, out=out[:kept])
+    # heads and tails of those other rows in one scatter, two pieces a row
+    counts = np.where(appended, 0, np.stack((heads, tails))).T.ravel()
     bulk_starts = bulk_ends - bulk_counts
-    dst = _interleave(out_starts, out_starts + heads + mids)
-    src = _interleave(bulk_starts, bulk_starts + heads)
-    out[_ranges(dst, piece_counts)] = bulk[_ranges(src, piece_counts)]
+    dst = np.stack((out_starts, out_starts + heads + mids), axis=1).ravel()
+    src = np.stack((bulk_starts, bulk_starts + heads), axis=1).ravel()
+    out[index_ranges(dst, counts)] = bulk[index_ranges(src, counts)]
     # generic rows: the overlap comes out of the row just written
     copies = np.flatnonzero(~appended & ~prepended & (mids > 0))
     for d, s, k in zip(
@@ -254,14 +243,7 @@ def _assemble(
         mids[copies].tolist(),
     ):
         out[d : d + k] = out[s : s + k]
-    out.flags.writeable = False
-    lo = np.where(appended, bulk_ends - lens, out_starts)
-    return [
-        (bulk if from_bulk else out)[a:b]
-        for from_bulk, a, b in zip(
-            appended.tolist(), lo.tolist(), (lo + lens).tolist()
-        )
-    ]
+    return RaggedColumn(out, np.where(appended, bulk_ends - lens, out_starts), lens)
 
 
 @register
@@ -327,65 +309,61 @@ class SparseListDelta(Encoding):
         return writer.getvalue()
 
     @classmethod
-    def decode(cls, reader: ByteReader) -> list[np.ndarray]:
+    def decode(cls, reader: ByteReader) -> RaggedColumn:
         return cls.decode_pages([reader])
 
     @classmethod
-    def decode_pages(cls, readers: list[ByteReader]) -> list[np.ndarray]:
-        """Validate page by page, assemble once.
+    def decode_pages(cls, readers: list[ByteReader]) -> RaggedColumn:
+        """Validate page by page, decode each sub-column and assemble
+        once.
 
         Every page starts with a base row, so the sub-columns of a
         chunk's pages concatenate into one valid multi-segment stream.
         Each check below is against the page's *own* sizes, so a page
         that overruns its bulk can never borrow a neighbour's ids.
         """
-        pages = []  # (flags, starts, ends, heads, tails, bulk) per non-empty page
+        page_flags, page_sizes, bulks = [], [], []  # of the non-empty pages
         for reader in readers:
             n = reader.read_u64()
             flags = np.unpackbits(
                 np.frombuffer(reader.read_blob(), dtype=np.uint8),
                 bitorder="little",
             )[:n]
-            columns = [
-                np.asarray(decode_child(reader), dtype=np.int64)
-                for _ in range(5)
-            ]
+            size_blobs = [reader.read_blob() for _ in range(4)]
+            bulk = np.asarray(decode_blob(reader.read_blob()), dtype=np.int64)
             if n == 0:
+                for blob in size_blobs:
+                    decode_blob(blob)  # corrupt is corrupt, rows or none
                 continue
-            if len(flags) != n or any(c.shape != (n,) for c in columns[:4]):
+            if len(flags) != n:
                 raise EncodingError("sparse_list_delta: corrupt size columns")
-            if columns[4].ndim != 1:
+            if bulk.ndim != 1:
                 raise EncodingError("sparse_list_delta: truncated bulk data")
-            pages.append((flags, *columns))
-        if not pages:
-            return []
-        page_flags, *size_columns, bulks = zip(*pages)
-        page_rows = np.array([len(flags) for flags in page_flags])
-        page_starts = np.cumsum(page_rows) - page_rows
+            page_flags.append(flags)
+            page_sizes.append(size_blobs)
+            bulks.append(bulk)
+        if not page_flags:
+            return RaggedColumn(np.zeros(0, dtype=np.int64), [], [])
+        rows = [len(flags) for flags in page_flags]
+        page_starts = np.cumsum(rows) - rows
         delta_flags = join_values(page_flags).astype(np.bool_)
-        starts, ends, heads, tail_sizes = map(join_values, size_columns)
-        n = len(delta_flags)
         if delta_flags[page_starts].any():
             raise EncodingError("delta row without a base vector")
+        starts, ends, heads, tails = cls._size_columns(page_sizes, rows)
         # base rows carry their whole payload as "head"; their range and
         # tail columns are padding and must not contribute
-        tails = np.where(delta_flags, tail_sizes, 0)
+        starts, ends, tails = np.where(delta_flags, (starts, ends, tails), 0)
         if int(heads.min()) < 0 or int(tails.min()) < 0:
             raise EncodingError("sparse_list_delta: negative segment size")
-        mids = np.where(delta_flags, ends - starts, 0)
+        mids = ends - starts
         lens = heads + mids + tails
         # a page's first row is a base (checked above), so no delta row
         # ever looks across a page boundary
-        prev_len = np.zeros(n, dtype=np.int64)
-        prev_len[1:] = lens[:-1]
-        bad_range = delta_flags & (
-            (starts < 0) | (ends < starts) | (ends > prev_len)
-        )
-        if bad_range.any():
+        prev_len = np.concatenate(([0], lens[:-1]))
+        if min(int(starts.min()), int(mids.min())) < 0 or (ends > prev_len).any():
             raise EncodingError("sparse_list_delta: corrupt overlap range")
-        bulk_counts = heads + tails
         bulk_lens = np.array([len(bulk) for bulk in bulks])
-        bulk_used = np.add.reduceat(bulk_counts, page_starts)
+        bulk_used = np.add.reduceat(heads + tails, page_starts)
         # each size is bounded first so the sums cannot wrap int64
         if (
             np.maximum.reduceat(np.maximum(heads, tails), page_starts)
@@ -394,15 +372,31 @@ class SparseListDelta(Encoding):
             raise EncodingError("sparse_list_delta: truncated bulk data")
         # surplus ids at the end of a page's bulk are dropped here, so
         # the running bulk offsets of the assembly need no per-page rebasing
-        bulk = join_values(
-            [bulk[:used] for bulk, used in zip(bulks, bulk_used.tolist())]
-        )
+        bulks = [bulk[:used] for bulk, used in zip(bulks, bulk_used.tolist())]
         return _assemble(
-            delta_flags, starts, ends, heads, mids, tails, prev_len, bulk
+            delta_flags, starts, ends, heads, mids, tails, prev_len, bulks
         )
+
+    @staticmethod
+    def _size_columns(page_blobs: list, rows: list[int]) -> np.ndarray:
+        """The four size sub-columns over all pages, one per row of the
+        result, each page holding exactly its own row count: blobs that
+        open the way the encoder's do (varint id, then the count) in one
+        codec call for all four, others one by one."""
+        blobs = [blobs[k] for k in range(4) for blobs in page_blobs]
+        counts = rows * 4
+        if all(
+            blob[:9] == bytes([Varint.id]) + n.to_bytes(8, "little")
+            for blob, n in zip(blobs, counts)
+        ):
+            return decode_blobs(blobs).reshape(4, -1)
+        parts = [np.asarray(decode_blob(b), dtype=np.int64) for b in blobs]
+        if any(part.shape != (n,) for part, n in zip(parts, counts)):
+            raise EncodingError("sparse_list_delta: corrupt size columns")
+        return np.concatenate(parts).reshape(4, -1)
 
     @staticmethod
     def plain_size(values) -> int:
         """Bytes of the trivially-encoded column (for savings reports)."""
-        rows = normalize_list_column(values, Kind.LIST_INT)
-        return sum(8 * len(r) + 4 for r in rows)
+        lens = normalize_list_column(values, Kind.LIST_INT).lens
+        return int(8 * lens.sum() + 4 * len(lens))

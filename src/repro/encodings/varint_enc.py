@@ -59,6 +59,25 @@ class Varint(Encoding):
         reader._pos -= len(data) - used
         return values.astype(np.int64)
 
+    @classmethod
+    def decode_pages(cls, readers: list[ByteReader]) -> np.ndarray:
+        """Several payloads, each yielding the count it declares out of
+        its own bytes: joined, they take one kernel call if every stream
+        holds exactly its integers; if not, each takes the kernel alone."""
+        if len(readers) == 1:
+            return cls.decode(readers[0])
+        counts = [reader.read_u64() for reader in readers]
+        streams = [reader.read(reader.remaining()) for reader in readers]
+        sizes = [len(stream) for stream in streams]
+        if all(sizes):
+            raw = np.frombuffer(b"".join(streams), dtype=np.uint8)
+            ends = np.cumsum(sizes)
+            held = np.add.reduceat(raw < 0x80, ends - sizes, dtype=np.int64)
+            if held.tolist() == counts and (raw[ends - 1] < 0x80).all():
+                streams, counts = [raw], [sum(counts)]
+        parts = [decode_varint_array(s, c)[0] for s, c in zip(streams, counts)]
+        return np.concatenate(parts).astype(np.int64)
+
 
 @register
 class ZigZag(Encoding):

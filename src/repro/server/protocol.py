@@ -40,6 +40,7 @@ import struct
 import numpy as np
 
 from repro.core.table import Table
+from repro.encodings.base import EncodingError, RaggedColumn
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -277,12 +278,17 @@ def _encode_column(values) -> dict:
         if values.ndim != 1:
             doc["shape"] = list(values.shape)
         return doc
+    if isinstance(values, list) and values and isinstance(values[0], np.ndarray):
+        values = RaggedColumn.from_rows(values)
+    if isinstance(values, RaggedColumn):
+        values = values.compact()  # rows back to back: offsets say it all
+        return {
+            "k": "rag",
+            "dt": values.values.dtype.str,
+            "b": _b64e(values.values.tobytes()),
+            "o": _b64e(values.offsets().astype("<i8").tobytes()),
+        }
     if isinstance(values, list):
-        if values and isinstance(values[0], np.ndarray):
-            return {
-                "k": "ndl",
-                "v": [[v.dtype.str, _b64e(v.tobytes())] for v in values],
-            }
         if all(isinstance(v, (bytes, bytearray)) for v in values):
             return {"k": "by", "v": [_b64e(bytes(v)) for v in values]}
     raise ProtocolError(
@@ -299,11 +305,14 @@ def _decode_column(doc: dict):
         if shape is not None:
             arr = arr.reshape(shape)
         return arr
-    if kind == "ndl":
-        return [
-            np.frombuffer(_b64d(b), dtype=np.dtype(dt)).copy()
-            for dt, b in doc["v"]
-        ]
+    if kind == "rag":
+        try:
+            return RaggedColumn.from_offsets(
+                np.frombuffer(_b64d(doc["b"]), dtype=np.dtype(doc["dt"])),
+                np.frombuffer(_b64d(doc["o"]), dtype="<i8"),
+            )
+        except EncodingError as exc:
+            raise ProtocolError(f"bad list column: {exc}") from None
     if kind == "by":
         return [_b64d(v) for v in doc["v"]]
     raise ProtocolError(f"unknown column kind {kind!r}")

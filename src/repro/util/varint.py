@@ -91,8 +91,9 @@ def decode_varint_array(data: bytes, count: int) -> tuple[np.ndarray, int]:
     if count == 0:
         return np.zeros(0, dtype=np.uint64), 0
     raw = np.frombuffer(data, dtype=np.uint8)
-    is_terminator = (raw & 0x80) == 0
-    term_positions = np.flatnonzero(is_terminator)
+    if len(raw) >= count and raw[:count].max() < 0x80:
+        return raw[:count].astype(np.uint64), count  # one byte each
+    term_positions = np.flatnonzero(raw < 0x80)
     if len(term_positions) < count:
         raise ValueError(
             f"truncated varint stream: {len(term_positions)} terminators, "
@@ -104,8 +105,8 @@ def decode_varint_array(data: bytes, count: int) -> tuple[np.ndarray, int]:
     max_len = int(lengths.max())
     if max_len > 10:
         raise ValueError("varint longer than 64 bits")
-    values = np.zeros(count, dtype=np.uint64)
-    for k in range(max_len):
+    values = raw[starts].astype(np.uint64) & _MASK7
+    for k in range(1, max_len):
         active = lengths > k
         chunk = raw[starts[active] + k].astype(np.uint64) & _MASK7
         values[active] |= chunk << np.uint64(7 * k)

@@ -101,7 +101,7 @@ class TestSelector:
             else:
                 assert list(out) == list(data)
 
-    def test_sliding_windows_pick_sparse_delta(self):
+    def test_sliding_windows_pick_sparse_delta(self, size_only_objective):
         from repro.workloads.sparse import (
             SlidingWindowConfig,
             generate_click_sequences,

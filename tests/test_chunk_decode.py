@@ -6,7 +6,10 @@ hands every run of same-codec pages to the codec in one call
 replaced — ``_decode_chunk`` + ``_concat`` + ``_cast_to_storage`` as
 they stood before — is kept here as the reference oracle: every column
 shape the writer accepts must come back with the same values, dtype and
-container type, before and after in-place deletions.
+container type, before and after in-place deletions. The oracle builds a
+depth-1 numeric list column the way the old reader did, row by row into
+a ``list`` of arrays; the reader's ``RaggedColumn`` must hold exactly
+those rows.
 
 The second half is the corruption contract at chunk granularity: a
 damaged chunk raises ``BullionFormatError``/``EncodingError`` (both
@@ -39,6 +42,8 @@ from repro.encodings import (
     EncodingError,
     FixedBitWidth,
     Kind,
+    ListEncoding,
+    RaggedColumn,
     SparseListDelta,
     Trivial,
     Varint,
@@ -143,6 +148,11 @@ def _ref_decode_column(reader, raw, col_idx, rg, ptype):
 # -- comparison: values, dtype and container type ----------------------------
 
 def _assert_same(got, want):
+    if isinstance(got, RaggedColumn):
+        # the oracle's rows, one array each, are what the buffer stands for
+        assert isinstance(want, list)
+        assert all(type(row) is np.ndarray for row in want)
+        got = list(got)
     assert type(got) is type(want)
     if isinstance(want, np.ndarray):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -166,13 +176,22 @@ def _chunks(reader):
             yield name, col_idx, g, ptype, raw
 
 
+def _is_ragged(ptype) -> bool:
+    """Depth-1 numeric lists are one buffer; nothing else is."""
+    return ptype.list_depth == 1 and ptype.primitive not in (
+        Primitive.STRING, Primitive.BINARY,
+    )
+
+
 def _check_file(dev) -> BullionReader:
     """Every chunk, and every whole column with widening on and off."""
     reader = BullionReader(dev)
     want: dict = {}
     for name, col_idx, g, ptype, raw in _chunks(reader):
         ref = _ref_decode_column(reader, raw, col_idx, g, ptype)
-        _assert_same(reader._decode_column(raw, col_idx, g, ptype), ref)
+        got = reader._decode_column(raw, col_idx, g, ptype)
+        assert isinstance(got, RaggedColumn) == _is_ragged(ptype)
+        _assert_same(got, ref)
         want.setdefault(name, (ptype, []))[1].append(ref)
     for widen in (False, True):
         table = reader.project(
@@ -182,6 +201,7 @@ def _check_file(dev) -> BullionReader:
             ref = _ref_cast_to_storage(_ref_concat([parts], ptype), ptype)
             if widen:
                 ref = _widen_quantized(ref, ptype)
+            assert isinstance(table.column(name), RaggedColumn) == _is_ragged(ptype)
             _assert_same(table.column(name), ref)
     return reader
 
@@ -426,6 +446,46 @@ def test_sparse_list_delta_pure_append_chunk_is_views_of_one_buffer():
     )
     got = _check_file(dev).read_column("seq")
     assert len({id(r.base) for r in got}) == 1
+    # windows of the id stream, not copies: fewer ids held than rows show
+    assert isinstance(got, RaggedColumn) and len(got.values) < got.lens.sum()
+
+
+def _bulk_ids(reader) -> int:
+    """Ids held by the bulk sub-columns of the file's one chunk."""
+    (_name, _col_idx, _g, _ptype, raw), = _chunks(reader)
+    total = 0
+    for payload in _page_payloads(raw):
+        blob_reader = ByteReader(payload, 1)
+        blob_reader.read_u64()
+        for _ in range(5):
+            blob_reader.read_blob()
+        total += len(decode_blob(blob_reader.read_blob()))
+    return total
+
+
+@pytest.mark.parametrize("flavour,extra", [("prepend", 0), ("mixed", 1)])
+def test_sparse_list_delta_chunk_buffer_holds_the_bulk_once(flavour, extra):
+    """A chunk of prepend runs is its bulk ids, reordered; a mixed chunk
+    is its bulk ids plus the rows no run covers, written once each."""
+    rng = np.random.default_rng(2)
+    if flavour == "mixed":
+        rows = _mixed_sparse_rows(rng, 8 * 32)
+    else:
+        rows = _windows(rng, 8 * 32, 16, flavour)
+    dev = _write(
+        {"seq": rows},
+        rows_per_page=32,
+        rows_per_group=8 * 32,
+        encodings={"seq": SparseListDelta()},
+    )
+    reader = _check_file(dev)
+    got = reader.read_column("seq")
+    bulk = _bulk_ids(reader)
+    assert bulk < got.lens.sum()
+    if extra:
+        assert bulk < len(got.values) <= bulk + got.lens.sum()
+    else:
+        assert len(got.values) == bulk
 
 
 # -- mixed codecs in one chunk ------------------------------------------------
@@ -600,8 +660,9 @@ LIST_INT_CODECS = sorted(
 @pytest.mark.parametrize("n", [0, 1, 97])
 @pytest.mark.parametrize("name", LIST_INT_CODECS)
 def test_list_int_codecs_return_int64_ndarray_rows(name, n):
-    """``_cast_to_storage`` no longer re-checks ``list<int64>`` rows:
-    every LIST_INT codec must hand back ``int64`` ``ndarray`` rows."""
+    """``_cast_to_storage`` casts the buffer, never a row: every
+    LIST_INT codec must hand back a ``RaggedColumn`` of ``int64`` whose
+    rows are ``ndarray`` views."""
     assert {"list", "sparse_list_delta"} <= set(LIST_INT_CODECS)
     cls = catalog()[name]
     rng = np.random.default_rng(n)
@@ -617,7 +678,8 @@ def test_list_int_codecs_return_int64_ndarray_rows(name, n):
         cls.decode_pages([ByteReader(payload)]),
         cls.decode_pages([ByteReader(payload), ByteReader(payload)])[n:],
     ):
-        assert isinstance(decoded, list) and len(decoded) == n
+        assert isinstance(decoded, RaggedColumn) and len(decoded) == n
+        assert decoded.values.dtype == np.int64
         for got, want in zip(decoded, rows):
             assert type(got) is np.ndarray and got.dtype == np.int64
             assert np.array_equal(got, want)
@@ -819,3 +881,33 @@ def test_short_bulk_is_not_covered_by_the_next_pages_surplus():
     pages[4] = frame_page(_sparse_payload(*surplus), 3)
     with pytest.raises(EncodingError, match="truncated bulk"):
         reader._decode_column(_with_page(pages, 3, short), col_idx, 0, ptype)
+
+
+# -- a compacted page that is not an array ------------------------------------
+
+@pytest.mark.parametrize("column", ["ids", "tag"])
+def test_compacted_page_of_a_list_or_bytes_column_is_a_format_error(column):
+    """Only the RLE masker compacts a page, and RLE holds ints and bools:
+    a list or bytes page whose header counts fewer values than the footer
+    is damage, not something to re-align through the deletion vector."""
+    rng = np.random.default_rng(8)
+    dev = _write(
+        {
+            "ids": [rng.integers(0, 99, 3) for _ in range(6)],
+            "tag": [b"t%d" % i for i in range(6)],
+        },
+        rows_per_page=3, rows_per_group=6, compliance_level=1,
+    )
+    delete_rows(dev, [4])  # level 1: the vector says so, the page is whole
+    reader = BullionReader(dev)
+    col_idx, g, ptype, raw = {n: rest for n, *rest in _chunks(reader)}[column]
+    first, second = _page_payloads(raw)
+    # page two re-encoded without its deleted row, header count 2 of 3
+    if column == "ids":
+        short = encode_blob(decode_blob(second)[[0, 2]], ListEncoding())
+    else:
+        short = encode_blob([b"t3", b"t5"], Trivial())
+    damaged = frame_page(first, 3) + frame_page(short, 2)
+    with pytest.raises(BullionFormatError, match="compacted"):
+        reader._decode_column(damaged, col_idx, g, ptype)
+    assert len(reader._decode_column(raw, col_idx, g, ptype)) == 6

@@ -26,6 +26,7 @@ from repro.encodings import (
     Chunked,
     Delta,
     Dictionary,
+    EncodingError,
     FastBP128,
     FastPFOR,
     FixedBitWidth,
@@ -165,3 +166,66 @@ def test_header_garbage():
 def test_unknown_id_byte():
     with pytest.raises(ValueError):
         decode_blob(b"\xf7" + b"\x00" * 32)
+
+
+# -- list offsets: Python slices must not hide a corrupt offsets child --------
+
+def _list_blob(tag: int, offsets, n_values: int = 8) -> bytes:
+    """A hand-built ``list`` blob: tag, offsets child, values child."""
+    from repro.encodings.base import encode_child
+    from repro.util.bitio import ByteWriter
+
+    writer = ByteWriter()
+    writer.write_u8(tag)
+    if tag == 1:  # float: the dtype code byte
+        writer.write_u8(0)
+    encode_child(writer, np.asarray(offsets, dtype=np.int64), Trivial())
+    ints = np.arange(n_values, dtype=np.int64)
+    if tag == 0:
+        encode_child(writer, ints, Trivial())
+    elif tag == 1:
+        encode_child(writer, ints.astype(np.float64), Trivial())
+    elif tag == 2:
+        encode_child(writer, [b"v%d" % i for i in range(n_values)], Trivial())
+    else:  # list<list<int>>: the values are themselves a list column
+        encode_child(writer, [ints[i : i + 1] for i in range(n_values)], ListEncoding())
+    return bytes([ListEncoding.id]) + writer.getvalue()
+
+
+LIST_TAGS = {"int": 0, "float": 1, "bytes": 2, "nested": 3}
+
+
+@pytest.mark.parametrize("tag", sorted(LIST_TAGS))
+def test_list_offsets_well_formed_control(tag):
+    rows = decode_blob(_list_blob(LIST_TAGS[tag], [0, 5, 5, 8]))
+    assert [len(r) for r in rows] == [5, 0, 3]
+    # surplus values behind the last offset are left alone, as before
+    assert [len(r) for r in decode_blob(_list_blob(LIST_TAGS[tag], [0, 2]))] == [2]
+    assert len(decode_blob(_list_blob(LIST_TAGS[tag], [0]))) == 0
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [[0, 5, 3, 12], [0, 5, 3, 8], [0, 9], [0, -1, 3], [-2, 3], [1, 3], []],
+    ids=["backward-and-overrun", "backward", "overrun", "negative",
+         "negative-first", "first-not-zero", "empty"],
+)
+@pytest.mark.parametrize("tag", sorted(LIST_TAGS))
+def test_list_offsets_corrupt_raise(tag, offsets):
+    """``[0, 5, 3, 12]`` over 8 values used to decode, silently, to
+    ``[[0..4], [], [3..7]]``."""
+    with pytest.raises(EncodingError, match="corrupt offsets"):
+        decode_blob(_list_blob(LIST_TAGS[tag], offsets))
+
+
+def test_list_offsets_must_be_an_int_array():
+    from repro.encodings.base import encode_child
+    from repro.util.bitio import ByteWriter
+
+    for offsets in (np.array([0.0, 2.0]), [b"\x00", b"\x02"]):
+        writer = ByteWriter()
+        writer.write_u8(0)
+        encode_child(writer, offsets, Trivial())
+        encode_child(writer, np.arange(8, dtype=np.int64), Trivial())
+        with pytest.raises(EncodingError, match="corrupt offsets"):
+            decode_blob(bytes([ListEncoding.id]) + writer.getvalue())
