@@ -60,12 +60,7 @@ from repro.core.schema import (
     stats_kind,
 )
 from repro.expr import (
-    And,
-    Comparison,
     Expr,
-    In,
-    Not,
-    Or,
     TriState,
     coerce_where,
     evaluate as evaluate_expr,
@@ -501,7 +496,7 @@ class FileResolution:
 
 
 # ---------------------------------------------------------------------------
-# value-level machinery: typed nulls, widening, expression renaming
+# value-level machinery: typed nulls, widening
 # ---------------------------------------------------------------------------
 
 def fill_values(ptype: PhysicalType, n: int, widen_quantized: bool):
@@ -589,23 +584,6 @@ def eval_repr(values, ptype: PhysicalType):
     from repro.core.reader import _widen_quantized
 
     return _widen_quantized(values, ptype)
-
-
-def rename_expr(expr: Expr, mapping: dict[str, str]) -> Expr:
-    """Rewrite an expression's column references through ``mapping``."""
-    if isinstance(expr, Comparison):
-        return Comparison(
-            expr.op, mapping.get(expr.column, expr.column), expr.value
-        )
-    if isinstance(expr, In):
-        return In(mapping.get(expr.column, expr.column), expr.values)
-    if isinstance(expr, And):
-        return And(tuple(rename_expr(a, mapping) for a in expr.args))
-    if isinstance(expr, Or):
-        return Or(tuple(rename_expr(a, mapping) for a in expr.args))
-    if isinstance(expr, Not):
-        return Not(rename_expr(expr.arg, mapping))
-    raise SchemaLogError(f"cannot rename columns of {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +748,6 @@ class ResolvedReader:
                     )
             verdicts.append(evaluate_interval(where, intervals))
         return verdicts
-
-    def prune_row_groups_expr(self, where: Expr) -> list[int]:
-        return [
-            g
-            for g, verdict in enumerate(self.classify_row_groups_expr(where))
-            if verdict is not TriState.NEVER
-        ]
 
     # -- scanning -------------------------------------------------------
     def scan(

@@ -112,7 +112,8 @@ class DataFile:
 
         ``NEVER`` — provably no matching row (the file is prunable);
         ``ALWAYS`` — provably every row matches, which lets the query
-        engine answer counts and extrema from the manifest alone;
+        engine answer counts and extrema from the manifest alone and a
+        delete drop the file unopened;
         ``MAYBE`` — open the file and let finer layers decide. Files
         without statistics are always ``MAYBE``.
 

@@ -4,7 +4,9 @@ Every mutation follows the same two-phase shape:
 
 1. **stage** — write new *immutable* data files through the existing
    streaming writer (``append``), copy-on-write + in-place scrub
-   (``delete``), or rewrite (``compact``). Nothing is visible yet: a
+   (``delete``, for files only partly matched: a file every row of
+   which matches is just left out of the next snapshot), or rewrite
+   (``compact``). Nothing is visible yet: a
    data file only becomes part of the table when a committed snapshot
    names it, so no committed snapshot can ever reference a
    half-written file.
@@ -47,7 +49,13 @@ from repro.core.reader import BullionReader
 from repro.core.schema import Schema, stats_kind
 from repro.core.table import Table
 from repro.core.writer import BullionWriter, WriterOptions
-from repro.expr import Expr, coerce_where, col, evaluate as evaluate_expr
+from repro.expr import (
+    Expr,
+    TriState,
+    coerce_where,
+    col,
+    evaluate as evaluate_expr,
+)
 from repro.iosim import Storage
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
@@ -121,6 +129,25 @@ def _adopt_legacy_files(
                 f = _replace(f, schema_id=sid)
         out.append(f)
     return out
+
+
+def _delete_verdict(entry: DataFile, where: Expr, resolution) -> TriState:
+    """The manifest verdict :meth:`Transaction.delete` acts on.
+
+    :meth:`DataFile.classify`, except that ``ALWAYS`` — which drops the
+    file unopened — also requires every referenced column to be one the
+    file is known to have. An OR can be proven by one arm alone, and a
+    typo'd name in the other must still raise when the file is opened,
+    as it does for ``scan(where=...)``, not delete quietly.
+    """
+    verdict = entry.classify(where, resolution)
+    if verdict is TriState.ALWAYS:
+        if resolution is not None:
+            for name in where.columns():
+                resolution.current_column(name)  # KeyError on a typo
+        elif not where.columns() <= set(entry.column_stats or ()):
+            return TriState.MAYBE
+    return verdict
 
 
 class Transaction:
@@ -283,6 +310,20 @@ class Transaction:
         self._bump("schema_evolutions", 1)
         return new_schema
 
+    def _supersede(
+        self, entry: DataFile, replacement: DataFile | None
+    ) -> None:
+        """Take ``entry`` out of the staged file list, putting
+        ``replacement`` (its rewrite; None drops it) in its stead."""
+        if entry.file_id in {f.file_id for f in self._added}:
+            self._added = [
+                f for f in self._added if f.file_id != entry.file_id
+            ]
+        else:
+            self._removed.add(entry.file_id)
+        if replacement is not None:
+            self._added.append(replacement)
+
     def _bump(self, key: str, amount: int) -> None:
         self._summary[key] = self._summary.get(key, 0) + amount
 
@@ -349,49 +390,111 @@ class Transaction:
         return entries
 
     def delete(self, where: "Expr | str") -> int:
-        """Delete matching rows via copy-on-write + in-place scrub.
+        """Delete matching rows; the zone-map verdict picks the work.
 
         ``where`` is an expression (:mod:`repro.expr`) or its text
         form, run through the same unified evaluator the scan path
         uses, so ``delete(e)`` removes exactly the rows
-        ``scan(where=e)`` would return. The same pushdown
-        layers apply: files whose manifest stats can't match are
-        skipped unopened, row groups are pruned via footer zone maps,
-        and only surviving groups decode their filter columns.
+        ``scan(where=e)`` would return. Per file, from manifest
+        statistics alone (:meth:`DataFile.classify`):
 
-        Each affected file is copied byte-for-byte to a new file and
-        the §2.1 page-granular scrub (:func:`delete_rows`) runs on the
-        copy — the original stays immutable, so readers pinned to
-        earlier snapshots are safe by construction. Files whose rows
-        don't match are carried over untouched. Returns rows deleted.
+        ``NEVER``   no row can match: the file is carried over unopened.
+        ``ALWAYS``  every row matches: the file is *dropped* from the
+                    next snapshot — not opened, copied or scrubbed.
+                    Pinned readers of earlier snapshots keep it; its
+                    bytes leave the disk when the last snapshot naming
+                    it expires, like the original of a scrubbed copy.
+        ``MAYBE``   the file is opened and each row group's footer
+                    verdict decides again: ``ALWAYS`` groups give up
+                    their live rows undecoded, ``NEVER`` groups are
+                    skipped, ``MAYBE`` groups decode their filter
+                    columns for the exact mask. A file with victims is
+                    then copied byte-for-byte and the §2.1
+                    page-granular scrub (:func:`delete_rows`) runs on
+                    the copy — the original stays immutable.
+
+        Both evaluators compare a stored value with a literal as real
+        numbers (:mod:`repro.expr.literals`), so an ``ALWAYS`` file
+        holds no row the exact mask would have kept. A literal of the
+        wrong type for its column (a number against a string column)
+        raises :class:`~repro.expr.VectorEvalError` where rows are
+        evaluated, that is in a ``MAYBE`` group: an extent the
+        statistics decide alone evaluates none, as a pruned one never
+        did. A column name the file does not have raises before any
+        file is dropped. Returns rows deleted.
         """
         self._require_open()
         where = coerce_where(where)
         if where is None:
             raise TypeError("delete() needs a where expression")
-        filter_columns = sorted(where.columns())
         log = self.schema_log()
-        total = 0
-        for entry in self.staged_files():
-            resolution = log.resolution(entry)
-            if not entry.might_match(where, resolution):
-                continue  # manifest-level prune: file never opened
-            source = self._store.open_data(entry.file_id)
-            try:
-                reader = BullionReader(source)
-                if resolution is not None:
-                    # old-schema file: filter in current coordinates —
-                    # renames resolve, narrow values widen, absent
-                    # columns fill (so e.g. a predicate on an added
-                    # column simply matches its typed-null fill)
-                    reader = ResolvedReader(reader, resolution)
-                # a missing filter column raises, exactly like
-                # scan(where=...) — a typo'd name must not silently
-                # delete nothing
-                groups = reader.prune_row_groups_expr(where)
-                deleted_bitmap = None
-                rows_parts: list[np.ndarray] = []
-                for g in groups:
+        files = self.staged_files()
+        resolutions = [log.resolution(f) for f in files]
+        verdicts = [
+            _delete_verdict(f, where, res)
+            for f, res in zip(files, resolutions)
+        ]
+        if (
+            self._current_schema_id is None
+            and files
+            and all(
+                v is TriState.ALWAYS and f.live_rows
+                for f, v in zip(files, verdicts)
+            )
+        ):
+            # dropping every file of a table with no schema log would
+            # leave nothing to take the schema from (evolve() reads a
+            # live footer, append checks the fingerprint against one):
+            # the last file goes the copy + scrub way and stays, fully
+            # deleted, exactly as before
+            verdicts[-1] = TriState.MAYBE
+        total = dropped = 0
+        for entry, res, verdict in zip(files, resolutions, verdicts):
+            if verdict is TriState.NEVER or entry.live_rows == 0:
+                continue  # file never opened
+            if verdict is TriState.ALWAYS:
+                scrubbed, n_rows = None, entry.live_rows
+                dropped += 1
+            else:
+                scrubbed, n_rows = self._scrubbed_copy(entry, where, res)
+                if scrubbed is None:
+                    continue  # stats said maybe, the rows said no
+            self._supersede(entry, scrubbed)
+            total += n_rows
+        if total:  # zero matches stage nothing: no no-op snapshot
+            self._ops.append("delete")
+            self._bump("rows_deleted", total)
+            if dropped:
+                self._bump("files_dropped", dropped)
+        return total
+
+    def _scrubbed_copy(
+        self, entry: DataFile, where: Expr, resolution
+    ) -> tuple[DataFile | None, int]:
+        """Find ``where``'s live rows in one file and stage a scrubbed
+        copy without them: (its manifest entry, rows deleted), or
+        ``(None, 0)`` — nothing staged — when no live row matches."""
+        filter_columns = sorted(where.columns())
+        source = self._store.open_data(entry.file_id)
+        try:
+            reader = BullionReader(source)
+            if resolution is not None:
+                # old-schema file: filter in current coordinates —
+                # renames resolve, narrow values widen, absent
+                # columns fill (so e.g. a predicate on an added
+                # column simply matches its typed-null fill)
+                reader = ResolvedReader(reader, resolution)
+            # a missing filter column raises, exactly like
+            # scan(where=...) — a typo'd name must not silently
+            # delete nothing
+            verdicts = reader.classify_row_groups_expr(where)
+            deleted_bitmap = None
+            rows_parts: list[np.ndarray] = []
+            for g, verdict in enumerate(verdicts):
+                if verdict is TriState.NEVER:
+                    continue
+                mask = None  # ALWAYS: every row, nothing to decode
+                if verdict is TriState.MAYBE:
                     batch = reader.project(
                         filter_columns,
                         drop_deleted=False,
@@ -401,45 +504,34 @@ class Transaction:
                     mask = evaluate_expr(where, batch.columns)
                     if not mask.any():
                         continue
-                    if deleted_bitmap is None:
-                        deleted_bitmap = reader.footer.deletion_bitmap()
-                    rg = reader.footer.row_group(g)
-                    live = ~deleted_bitmap[
-                        rg.row_start : rg.row_start + rg.n_rows
-                    ]
-                    rows_parts.append(
-                        rg.row_start + np.flatnonzero(mask & live)
-                    )
-                rows = (
-                    np.concatenate(rows_parts)
-                    if rows_parts
-                    else np.zeros(0, dtype=np.int64)
-                )
-                if len(rows) == 0:
-                    continue
-                new_id, copy = self.new_data_file()
-                copy.append(source.pread(0, source.size))
-                delete_rows(copy, rows)
-            finally:
-                close_storage(source)
-            if entry.file_id in {f.file_id for f in self._added}:
-                self._added = [
-                    f for f in self._added if f.file_id != entry.file_id
+                if deleted_bitmap is None:
+                    deleted_bitmap = reader.footer.deletion_bitmap()
+                rg = reader.footer.row_group(g)
+                live = ~deleted_bitmap[
+                    rg.row_start : rg.row_start + rg.n_rows
                 ]
-            else:
-                self._removed.add(entry.file_id)
-            # the copy is byte-identical modulo scrubbed pages: it
-            # keeps the source's schema version
-            self._added.append(
-                _replace(
-                    data_file_entry(copy, new_id), schema_id=entry.schema_id
+                rows_parts.append(
+                    rg.row_start
+                    + np.flatnonzero(live if mask is None else mask & live)
                 )
+            rows = (
+                np.concatenate(rows_parts)
+                if rows_parts
+                else np.zeros(0, dtype=np.int64)
             )
-            total += len(rows)
-        if total:  # zero matches stage nothing: no no-op snapshot
-            self._ops.append("delete")
-            self._bump("rows_deleted", total)
-        return total
+            if len(rows) == 0:
+                return None, 0
+            new_id, copy = self.new_data_file()
+            copy.append(source.pread(0, source.size))
+            delete_rows(copy, rows)
+        finally:
+            close_storage(source)
+        # the copy is byte-identical modulo scrubbed pages: it keeps
+        # the source's schema version
+        scrubbed = _replace(
+            data_file_entry(copy, new_id), schema_id=entry.schema_id
+        )
+        return scrubbed, len(rows)
 
     def upsert(
         self,
@@ -451,10 +543,11 @@ class Transaction:
         """Keyed upsert: replace rows matching ``table``'s keys, insert
         the rest — one atomic snapshot.
 
-        Composes the existing machinery: manifest + zone-map pushdown
-        finds the victim files for ``key IN (batch keys)``, the §2.1
-        copy-on-write scrub deletes the old versions, and the batch is
-        appended as one new file. Keys must be exact-match types (int,
+        Composes the existing machinery: :meth:`delete` with
+        ``key IN (batch keys)`` removes the old versions (files and row
+        groups whose key range holds no batch key are never opened or
+        decoded), and the batch is appended as one new file. Keys must
+        be exact-match types (int,
         bool, string, bytes — float keys are rejected: NaN and rounding
         make float equality a correctness trap) and unique within the
         batch (duplicate keys would make the surviving row ambiguous).
@@ -536,22 +629,18 @@ class Transaction:
             finally:
                 close_storage(source)
             rewrote = True
-            if entry.file_id in {f.file_id for f in self._added}:
-                self._added = [
-                    f for f in self._added if f.file_id != entry.file_id
-                ]
-            else:
-                self._removed.add(entry.file_id)
-            if report.rows_out > 0:
-                # compaction preserves layout: keep the source version
-                self._added.append(
-                    _replace(
-                        data_file_entry(target, new_id),
-                        schema_id=entry.schema_id,
-                    )
+            # compaction preserves layout: keep the source version.
+            # Every row deleted: drop the file from the table; the
+            # staged empty rewrite is swept at commit
+            self._supersede(
+                entry,
+                _replace(
+                    data_file_entry(target, new_id),
+                    schema_id=entry.schema_id,
                 )
-            # else: every row was deleted — drop the file from the
-            # table; the staged empty rewrite is swept at commit
+                if report.rows_out > 0
+                else None,
+            )
             rows_in += report.rows_in
             rows_out += report.rows_out
             bytes_in += report.bytes_in
@@ -608,7 +697,9 @@ class Transaction:
             sync = getattr(storage, "sync", None)
             if sync is not None:  # FileStorage; simulators need none
                 sync()
-        self._store.sync_data()
+        if self._staged_ids:  # a manifest-only commit (a delete that
+            # only dropped files) put nothing in the data directory
+            self._store.sync_data()
         table = self._table
         head = self._base
         for _attempt in range(max_retries + 1):

@@ -160,7 +160,9 @@ class Scan:
     the whole projection otherwise — are fetched and decoded and the
     row mask (exact filter, deletion vector) evaluated; only a group
     with surviving rows fetches its *residual* projection (late
-    materialization).
+    materialization). A group whose zone maps prove *every* row
+    matches is read as if there were no filter: its whole projection
+    in one coalesced fetch, no filter column decoded for the mask.
 
     On a device that waits per request the first chunks of
     ``prefetch_groups + 1`` groups are in flight on a thread pool
@@ -202,6 +204,9 @@ class Scan:
         self._first = self._cols
         #: phase two: the columns only a group with survivors fetches
         self._residual: list[tuple[str, int, object]] = []
+        #: groups the zone maps prove ``where`` holds for on every row:
+        #: read unfiltered (whole projection first, no residual)
+        self._always: set[int] = set()
         self.stats.bump(files_scanned=1, groups_total=len(groups))
         if where is not None:
             filter_names = where.columns()
@@ -217,9 +222,12 @@ class Scan:
             self._residual = [
                 spec for spec in self._cols if spec[0] not in filter_names
             ]
-            kept = set(reader.prune_row_groups_expr(where))
-            pruned = [g for g in groups if g not in kept]
-            groups = [g for g in groups if g in kept]
+            verdicts = reader.classify_row_groups_expr(where)
+            pruned = [g for g in groups if verdicts[g] is TriState.NEVER]
+            groups = [g for g in groups if verdicts[g] is not TriState.NEVER]
+            self._always = {
+                g for g in groups if verdicts[g] is TriState.ALWAYS
+            }
             self.stats.bump(
                 groups_pruned=len(pruned),
                 rows_pruned=sum(footer.row_group(g).n_rows for g in pruned),
@@ -278,7 +286,8 @@ class Scan:
         threaded = self._fetch_threads > 0 and len(groups) > 1
 
         def first_keys(g: int) -> list[tuple[int, int]]:
-            return [(col_idx, g) for _name, col_idx, _pt in self._first]
+            first = self._cols if g in self._always else self._first
+            return [(col_idx, g) for _name, col_idx, _pt in first]
 
         with (
             ThreadPoolExecutor(max_workers=self._fetch_threads)
@@ -313,8 +322,12 @@ class Scan:
         """
         reader, stats = self._reader, self.stats
         rg = reader.footer.row_group(g)
+        if g in self._always:
+            first, where, residual = self._cols, None, ()
+        else:
+            first, where, residual = self._first, self._where, self._residual
         stats.bump(
-            chunks_fetched=len(self._first),
+            chunks_fetched=len(first),
             groups_scanned=1,
             rows_scanned=rg.n_rows,
         )
@@ -323,33 +336,33 @@ class Scan:
             name: reader._decode_column(
                 fetched[(col_idx, g)], col_idx, g, ptype
             )
-            for name, col_idx, ptype in self._first
+            for name, col_idx, ptype in first
         }
         mask = None
-        if self._where is not None:
+        if where is not None:
             # evaluate in the widened domain so quantized columns
             # compare as floats, matching their (widened-domain) zone maps
             mask = evaluate_expr(
-                self._where,
+                where,
                 {
                     name: _widen_quantized(decoded[name], ptype)
-                    for name, _idx, ptype in self._first
+                    for name, _idx, ptype in first
                 },
             )
         if self._deleted is not None:
             live = ~self._deleted[rg.row_start : rg.row_start + rg.n_rows]
             mask = live if mask is None else mask & live
-        if self._where is not None and not mask.any():
-            stats.bump(chunks_skipped=len(self._residual), groups_empty=1)
+        if self._where is not None and mask is not None and not mask.any():
+            stats.bump(chunks_skipped=len(residual), groups_empty=1)
             return None
-        if self._residual:
+        if residual:
             # only now — the point of late materialization; one planner
             # call coalesces the lot
             fetched = reader._fetch_chunks(
-                [(col_idx, g) for _name, col_idx, _pt in self._residual]
+                [(col_idx, g) for _name, col_idx, _pt in residual]
             )
             stats.bump(chunks_fetched=len(fetched))
-            for name, col_idx, ptype in self._residual:
+            for name, col_idx, ptype in residual:
                 decoded[name] = reader._decode_column(
                     fetched[(col_idx, g)], col_idx, g, ptype
                 )

@@ -33,6 +33,9 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from functools import cached_property
+
+from repro.expr.literals import InLiterals
 
 #: comparison operators, in serialization form
 COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -155,6 +158,11 @@ class In(Expr):
             raise ExprError("IN requires at least one value")
         for v in self.values:
             _check_literal(v)
+
+    @cached_property
+    def literals(self) -> InLiterals:
+        """``values`` prepared for evaluation, built on first use."""
+        return InLiterals(self.values)
 
     def columns(self) -> set[str]:
         return {self.column}

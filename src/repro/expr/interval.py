@@ -6,12 +6,19 @@ one row group. :func:`evaluate_interval` answers with a tri-state
 :class:`TriState`:
 
 ``NEVER``   no row of the extent can satisfy the expression — the
-            extent is skipped with **zero** data I/O. This is the only
-            answer that prunes, so it must never be wrong.
-``ALWAYS``  every row satisfies it (useful to short-circuit ORs).
+            extent is skipped with **zero** data I/O.
+``ALWAYS``  every row satisfies it: a scan reads the extent
+            unfiltered, a count is answered from metadata, a delete
+            drops the file unopened.
 ``MAYBE``   cannot tell; decode and let the vector evaluator decide.
 
-Every source of imprecision degrades toward ``MAYBE``:
+Both definite answers are acted on without reading a row, so neither
+may ever be wrong. That needs the vector evaluator to mean the same
+thing by ``column <op> literal``: the comparison of the stored value
+and the literal as real numbers, which is what comparing exact
+float64 statistics with an unrounded Python literal does here
+(:mod:`repro.expr.literals` holds the vector side to it). Every
+source of imprecision degrades toward ``MAYBE``:
 
 * **Missing stats** (string columns, empty or statistics-free files,
   pre-stats writers) → ``MAYBE``. Extents without stats are always
@@ -37,12 +44,11 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.expr.ast import And, Comparison, Expr, In, Not, Or
-
-#: integers with |v| <= 2**53 are exactly representable as float64
-_EXACT_INT_BOUND = 2**53
+from repro.expr.literals import EXACT_INT_BOUND
 
 
 class TriState(enum.Enum):
@@ -97,7 +103,7 @@ def _widen_int_bound(value: float, direction: int) -> tuple[float, bool]:
     a stored 2**53 may itself be the round-to-even image of 2**53 + 1.
     Returns (bound, was_exact).
     """
-    if abs(value) < _EXACT_INT_BOUND:
+    if abs(value) < EXACT_INT_BOUND:
         return value, True
     if math.isinf(value) or math.isnan(value):
         return value, True
@@ -114,7 +120,7 @@ def int_bound_is_exact(value: float) -> bool:
     for; the pruning path instead widens them outward
     (:func:`interval_from_stats`) and keeps going.
     """
-    return abs(value) < _EXACT_INT_BOUND
+    return abs(value) < EXACT_INT_BOUND
 
 
 def interval_from_stats(
@@ -146,13 +152,7 @@ def evaluate_interval(expr: Expr, stats) -> TriState:
     if isinstance(expr, Comparison):
         return _leaf(stats.get(expr.column), expr.op, expr.value)
     if isinstance(expr, In):
-        out = TriState.NEVER
-        iv = stats.get(expr.column)
-        for v in expr.values:
-            out = out | _leaf(iv, "==", v)
-            if out is TriState.ALWAYS:
-                break
-        return out
+        return _membership(stats.get(expr.column), expr.literals)
     if isinstance(expr, And):
         out = TriState.ALWAYS
         for a in expr.args:
@@ -175,6 +175,23 @@ def evaluate_interval(expr: Expr, stats) -> TriState:
 def might_match(expr: Expr, stats) -> bool:
     """True unless the interval evaluator proves no row can match."""
     return evaluate_interval(expr, stats) is not TriState.NEVER
+
+
+def _membership(iv: Interval | None, literals) -> TriState:
+    """``In`` over one interval: the OR of an ``==`` leaf per literal,
+    answered from the sorted literals with one bisect."""
+    if iv is None or math.isnan(iv.lo) or math.isnan(iv.hi):
+        return TriState.MAYBE
+    numbers = literals.numbers
+    i = bisect_left(numbers, iv.lo)
+    if i < len(numbers) and numbers[i] <= iv.hi:
+        # a literal inside [lo, hi]; on a one-point extent it *is* the
+        # point, which is the == leaf's only ALWAYS
+        if iv.lo == iv.hi and iv.eq_exact and not iv.maybe_nan:
+            return TriState.ALWAYS
+        return TriState.MAYBE
+    # a string literal against numeric stats decides nothing
+    return TriState.MAYBE if literals.texts else TriState.NEVER
 
 
 def _leaf(iv: Interval | None, op: str, value) -> TriState:

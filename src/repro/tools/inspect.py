@@ -63,7 +63,7 @@ directory (see :class:`~repro.catalog.DirectoryCatalogStore`):
 ``log`` prints the retained snapshot history, ``snapshot`` dumps one
 snapshot's manifest (files, stats, summary), and ``files`` lists the
 data files a snapshot references — plus any orphans awaiting GC when
-run against HEAD, and with ``--where`` a kept/pruned verdict per file
+run against HEAD, and with ``--where`` a PRUNED/scan/ALWAYS verdict per file
 from the manifest column statistics alone (no file opens). (The
 literal subcommand words like ``catalog``/``scan`` select
 subcommand mode; a Bullion file with one of those names is still
@@ -771,13 +771,17 @@ def describe_catalog_files(
 ) -> str:
     """Data files referenced by a snapshot; orphans flagged at HEAD.
 
-    With ``where``, each file gets a kept/pruned verdict from its
+    With ``where``, each file gets the tri-state verdict of its
     manifest column statistics — the catalog pushdown layer, decided
-    without opening a single file. On evolved snapshots the verdicts
-    go through each file's schema resolution, so stats recorded under
-    old column names or narrower types still prune correctly.
+    without opening a single file: ``PRUNED`` (no row can match; scans
+    and deletes skip it), ``scan`` (open it and look), ``ALWAYS``
+    (every row matches; a delete drops the file whole). On evolved
+    snapshots the verdicts go through each file's schema resolution,
+    so stats recorded under old column names or narrower types still
+    prune correctly.
     """
     from repro.catalog import SchemaLog
+    from repro.expr import TriState
 
     snap = (
         table.current_snapshot()
@@ -787,22 +791,30 @@ def describe_catalog_files(
     log = SchemaLog.from_snapshot(snap)
     lines = [f"data files of snapshot {snap.snapshot_id}:"]
     if where is not None:
-        kept = {
-            f.file_id: f.might_match(where, log.resolution(f))
-            for f in snap.files
-        }
-        pruned = [f for f in snap.files if not kept[f.file_id]]
+        verdicts = [f.classify(where, log.resolution(f)) for f in snap.files]
+        pruned = [
+            f for f, v in zip(snap.files, verdicts) if v is TriState.NEVER
+        ]
+        always = [
+            f for f, v in zip(snap.files, verdicts) if v is TriState.ALWAYS
+        ]
         lines[0] += (
             f" (filter prunes {len(pruned)} of {len(snap.files)} files, "
             f"{sum(f.row_count for f in pruned):,} rows, "
-            f"{sum(f.byte_size for f in pruned):,} bytes — "
+            f"{sum(f.byte_size for f in pruned):,} bytes; "
+            f"matches every row of {len(always)} files, "
+            f"{sum(f.live_rows for f in always):,} live rows — "
             f"manifest stats only, zero file opens)"
         )
         body = _file_table(snap.files, log)
         lines.append(body[0] + "  verdict")
-        for f, row in zip(snap.files, body[1:]):
-            verdict = "scan" if kept[f.file_id] else "PRUNED"
-            lines.append(f"{row}  {verdict}")
+        labels = {
+            TriState.NEVER: "PRUNED",
+            TriState.MAYBE: "scan",
+            TriState.ALWAYS: "ALWAYS",
+        }
+        for row, verdict in zip(body[1:], verdicts):
+            lines.append(f"{row}  {labels[verdict]}")
     else:
         lines.extend(_file_table(snap.files, log))
     lines.extend(_schema_legend(log))

@@ -305,6 +305,39 @@ class TestCatalogSchemaRendering:
         assert verdicts == {"s0": "PRUNED", "s1": "scan"}
 
 
+class TestCatalogFilesTriState:
+    def test_where_shows_what_a_delete_would_drop(self, catalog_dir, capsys):
+        # files hold ts 0..99 and 100..199: the filter covers the first
+        # whole and cuts the second, a third is out of its reach
+        cat = CatalogTable(DirectoryCatalogStore(catalog_dir))
+        cat.append(Table({
+            "ts": np.arange(500, 600, dtype=np.int64),
+            "v": np.linspace(0, 1, 100),
+            "region": np.arange(100, dtype=np.int64) % 3,
+            "tag": [b"x"] * 100,
+        }))
+        argv = ["catalog", "files", catalog_dir, "--where", "ts < 150"]
+        code, out, _err = _run(argv, capsys)
+        assert code == 0
+        assert "prunes 1 of 3 files" in out
+        assert "matches every row of 1 files, 100 live rows" in out
+        rows = [line for line in out.splitlines() if line.startswith("f-")]
+        assert [line.split()[-1] for line in rows] == [
+            "ALWAYS", "scan", "PRUNED",
+        ]
+        always_id = rows[0].split()[0]
+
+        snap = cat.delete("ts < 150")
+        assert snap.summary == {"rows_deleted": 150, "files_dropped": 1}
+        assert always_id not in snap.file_ids()
+        code, out, _err = _run(
+            ["catalog", "snapshot", catalog_dir, str(snap.snapshot_id)],
+            capsys,
+        )
+        assert code == 0
+        assert "files_dropped=1" in out
+
+
 class TestObjectReplayAndCache:
     def _request_count(self, out):
         (line,) = [

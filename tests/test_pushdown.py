@@ -249,6 +249,56 @@ class TestPushdownLayersActuallySkip:
         assert stats.groups_empty == stats.groups_scanned == 1
         assert stats.chunks_skipped == 1  # the v chunk, never fetched
 
+    def test_always_groups_read_like_an_unfiltered_scan(self):
+        # ts < 1200 takes groups 0-1 whole (ALWAYS) and cuts group 2
+        # (MAYBE). An ALWAYS group fetches its projection in the one
+        # request an unfiltered scan would issue, and decodes no filter
+        # column the projection does not hold; the MAYBE group still
+        # goes filter-first.
+        dev, table = self._sorted_file()
+        reader = BullionReader(dev, chunk_cache_size=0)
+        dev.stats.reset()
+        reader.scan(["v", "blob"], row_groups=[0, 1]).to_table()
+        unfiltered_reads = dev.stats.reads
+
+        reader = BullionReader(dev, chunk_cache_size=0)
+        dev.stats.reset()
+        stats = ScanStats()
+        out = reader.scan(
+            ["v", "blob"], where=col("ts") < 1000, scan_stats=stats
+        ).to_table()
+        assert dev.stats.reads == unfiltered_reads
+        assert stats.chunks_fetched == 4  # v + blob per group, never ts
+        assert stats.rows_matched == out.num_rows == 1000
+        np.testing.assert_array_equal(
+            out.column("v"), np.asarray(table.column("v"))[:1000]
+        )
+
+        stats = ScanStats()
+        out = reader.scan(
+            ["ts", "v"], where=col("ts") < 1200, scan_stats=stats
+        ).to_table()
+        assert (stats.groups_scanned, stats.groups_pruned) == (3, 5)
+        np.testing.assert_array_equal(out.column("ts"), np.arange(1200))
+
+    def test_always_groups_still_apply_the_deletion_vector(self):
+        from repro.core import delete_rows
+
+        dev, _table = self._sorted_file()
+        delete_rows(dev, [3, 499, 500, 777])
+        reader = BullionReader(dev)
+        out = reader.scan(["ts"], where=col("ts") < 1000).to_table()
+        want = np.setdiff1d(np.arange(1000), [3, 499, 500, 777])
+        np.testing.assert_array_equal(out.column("ts"), want)
+        # a fully deleted ALWAYS group yields no batch, like any
+        # filtered group without survivors
+        delete_rows(dev, np.arange(500, 1000))
+        stats = ScanStats()
+        batches = list(BullionReader(dev).scan(
+            ["ts"], where=col("ts") < 1000, scan_stats=stats
+        ))
+        assert len(batches) == 1 and stats.groups_empty == 1
+
     def test_missing_stats_conservatively_scan(self):
         dev = SimulatedStorage()
         n = 300
