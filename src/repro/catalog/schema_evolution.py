@@ -762,6 +762,7 @@ class ResolvedReader:
         max_workers: int = 4,
         prefetch_groups: int = 2,
         scan_stats=None,
+        _verdicts: list[TriState] | None = None,
     ) -> _ResolvedScan:
         where = coerce_where(where)
         res = self._res
@@ -796,6 +797,7 @@ class ResolvedReader:
             max_workers,
             prefetch_groups,
             scan_stats,
+            _verdicts,
         )
         if batch_size is not None:
             batches = rebatch(batches, batch_size)
@@ -812,6 +814,7 @@ class ResolvedReader:
         max_workers,
         prefetch_groups,
         scan_stats,
+        verdicts,
     ):
         from repro.core.table import Table
 
@@ -827,7 +830,8 @@ class ResolvedReader:
             # conservative zone-map pruning in current coordinates; the
             # exact filter below always evaluates in the current
             # (widened) domain, never the narrower stored one
-            verdicts = self.classify_row_groups_expr(where)
+            if verdicts is None:
+                verdicts = self.classify_row_groups_expr(where)
             kept = [g for g in groups if verdicts[g] is not TriState.NEVER]
             if scan_stats is not None:
                 pruned = [g for g in groups if g not in set(kept)]

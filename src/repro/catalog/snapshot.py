@@ -132,8 +132,9 @@ class DataFile:
         if self.column_stats is None:
             return TriState.MAYBE
         intervals = {
-            name: stats.interval()
-            for name, stats in self.column_stats.items()
+            name: self.column_stats[name].interval()
+            for name in where.columns()
+            if name in self.column_stats
         }
         return evaluate_interval(where, intervals)
 

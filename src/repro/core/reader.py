@@ -90,6 +90,13 @@ _TAIL_SPECULATION = 4096
 #: storage's own ``max_request_bytes`` when it advertises one).
 _MAX_RUN_BYTES = 8 << 20
 
+_QUANTIZED_PRIMS = frozenset({
+    Primitive.FLOAT16,
+    Primitive.BFLOAT16,
+    Primitive.FLOAT8_E4M3,
+    Primitive.FLOAT8_E5M2,
+})
+
 
 class BullionFormatError(ValueError):
     """Malformed file, bad magic, or checksum mismatch."""
@@ -185,6 +192,7 @@ class Scan:
         max_workers: int = 4,
         prefetch_groups: int = 2,
         scan_stats: ScanStats | None = None,
+        _verdicts: "list[TriState] | None" = None,
     ) -> None:
         self._reader = reader
         footer = reader.footer
@@ -207,7 +215,7 @@ class Scan:
         #: groups the zone maps prove ``where`` holds for on every row:
         #: read unfiltered (whole projection first, no residual)
         self._always: set[int] = set()
-        self.stats.bump(files_scanned=1, groups_total=len(groups))
+        counts = {"files_scanned": 1, "groups_total": len(groups)}
         if where is not None:
             filter_names = where.columns()
             self._first = []
@@ -222,16 +230,21 @@ class Scan:
             self._residual = [
                 spec for spec in self._cols if spec[0] not in filter_names
             ]
-            verdicts = reader.classify_row_groups_expr(where)
+            verdicts = (
+                reader.classify_row_groups_expr(where)
+                if _verdicts is None
+                else _verdicts
+            )
             pruned = [g for g in groups if verdicts[g] is TriState.NEVER]
             groups = [g for g in groups if verdicts[g] is not TriState.NEVER]
             self._always = {
                 g for g in groups if verdicts[g] is TriState.ALWAYS
             }
-            self.stats.bump(
-                groups_pruned=len(pruned),
-                rows_pruned=sum(footer.row_group(g).n_rows for g in pruned),
+            counts["groups_pruned"] = len(pruned)
+            counts["rows_pruned"] = sum(
+                footer.row_group(g).n_rows for g in pruned
             )
+        self.stats.bump(**counts)
         self._groups = groups
         self._batch_size = batch_size
         self._widen = widen_quantized
@@ -326,11 +339,11 @@ class Scan:
             first, where, residual = self._cols, None, ()
         else:
             first, where, residual = self._first, self._where, self._residual
-        stats.bump(
-            chunks_fetched=len(first),
-            groups_scanned=1,
-            rows_scanned=rg.n_rows,
-        )
+        counts = {
+            "chunks_fetched": len(first),
+            "groups_scanned": 1,
+            "rows_scanned": rg.n_rows,
+        }
         # each column decodes once, in storage representation
         decoded = {
             name: reader._decode_column(
@@ -353,7 +366,7 @@ class Scan:
             live = ~self._deleted[rg.row_start : rg.row_start + rg.n_rows]
             mask = live if mask is None else mask & live
         if self._where is not None and mask is not None and not mask.any():
-            stats.bump(chunks_skipped=len(residual), groups_empty=1)
+            stats.bump(**counts, chunks_skipped=len(residual), groups_empty=1)
             return None
         if residual:
             # only now — the point of late materialization; one planner
@@ -361,7 +374,7 @@ class Scan:
             fetched = reader._fetch_chunks(
                 [(col_idx, g) for _name, col_idx, _pt in residual]
             )
-            stats.bump(chunks_fetched=len(fetched))
+            counts["chunks_fetched"] += len(fetched)
             for name, col_idx, ptype in residual:
                 decoded[name] = reader._decode_column(
                     fetched[(col_idx, g)], col_idx, g, ptype
@@ -374,7 +387,7 @@ class Scan:
         })
         if mask is not None and table.num_columns:
             table = table.take_mask(mask)
-        stats.bump(rows_matched=table.num_rows)
+        stats.bump(**counts, rows_matched=table.num_rows)
         return table
 
 
@@ -498,6 +511,7 @@ class BullionReader:
         max_workers: int = 4,
         prefetch_groups: int = 2,
         scan_stats: ScanStats | None = None,
+        _verdicts: "list[TriState] | None" = None,
     ) -> Scan:
         """Lazy batch iterator over a feature projection.
 
@@ -511,7 +525,10 @@ class BullionReader:
         and applies the full pushdown: zone-map row-group pruning plus
         exact vectorized row filtering with late materialization.
         Pass a shared :class:`ScanStats` as ``scan_stats`` to
-        aggregate skip counters across several scans.
+        aggregate skip counters across several scans. (``_verdicts`` is
+        the query engine's hand-off: this file's
+        :meth:`classify_row_groups_expr` of ``where``, already computed,
+        so the file is classified once per query.)
         """
         return Scan(
             self,
@@ -524,6 +541,7 @@ class BullionReader:
             max_workers=max_workers,
             prefetch_groups=prefetch_groups,
             scan_stats=scan_stats,
+            _verdicts=_verdicts,
         )
 
     def project(
@@ -865,17 +883,16 @@ class BullionReader:
 
 def _widen_quantized(values, ptype):
     """Dequantize FP16/BF16/FP8 storage to float32 (§2.4 read path)."""
+    if ptype.primitive not in _QUANTIZED_PRIMS or ptype.list_depth != 0:
+        return values
     from repro.quantization import FloatFormat, dequantize
 
-    fmt_by_primitive = {
+    fmt = {
         Primitive.FLOAT16: FloatFormat.FP16,
         Primitive.BFLOAT16: FloatFormat.BF16,
         Primitive.FLOAT8_E4M3: FloatFormat.FP8_E4M3,
         Primitive.FLOAT8_E5M2: FloatFormat.FP8_E5M2,
-    }
-    fmt = fmt_by_primitive.get(ptype.primitive)
-    if fmt is None or ptype.list_depth != 0:
-        return values
+    }[ptype.primitive]
     return dequantize(np.asarray(values), fmt)
 
 

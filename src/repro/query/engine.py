@@ -1,14 +1,20 @@
 """Execution: compile a :class:`QueryPlan` against the scan path.
 
-The engine is a partial-aggregation machine. Every *unit* of the table
-— a whole file at the catalog level, a row group inside one file —
-produces a partial state (group key -> per-column counters), and
-partials merge in a fixed order (file order, then row-group order,
-then batch order) on the coordinating thread regardless of how many
-executor workers computed them. Counts, minima, maxima and exact
-integer sums are associative, and float sums only ever accumulate in
-that fixed order — so the answer is bit-identical for any
-``max_workers``.
+The engine is a partial-aggregation machine over arrays. Every *unit*
+of the table — a whole file at the catalog level, a row group inside
+one file, a decoded batch — produces a partial: the sorted unique group
+keys it saw, as one array per ``group_by`` column, and one array per
+state the plan needs (matched ``rows``; per aggregated column ``count``,
+``sum``, ``min`` or ``max`` only if some aggregate asks for it). A group
+is a slot in those arrays, never a Python object. Partials merge in a
+fixed order (file order, then row-group order, then batch order) on the
+coordinating thread regardless of how many executor workers computed
+them: a merge aligns the two key sets (identical ones, the common case,
+align for free) and combines slot by slot, only where the incoming
+partial has the key. Counts, minima, maxima and exact integer sums
+(int64 sums of each value's 32-bit halves, recombined as Python ints at
+finalize) are associative, and float sums only ever accumulate in that
+fixed order — so the answer is bit-identical for any ``max_workers``.
 
 Each unit is answered by the cheapest path that can prove the right
 answer:
@@ -28,10 +34,18 @@ answer:
   groups fall through.
 * **decode** — the remaining row groups run the existing
   ``scan(where=...)`` machinery (zone-map pruning, late
-  materialization, deletion filtering, quantization widening) and
-  accumulate vectorized per-batch partials: one ``np.unique``
-  factorization per batch, then ``bincount``/``add.at``/
-  ``minimum.at`` per aggregate — the streaming hash group-by.
+  materialization, deletion filtering, quantization widening) and each
+  decoded batch becomes a partial. Its keys are factorized once: a
+  small-range int/bool key (the range observed in the batch, at most a
+  few slots per row) is offset-indexed straight into ``bincount``,
+  anything wider takes one ``np.unique``, and multi-key codes are
+  re-compacted after each key so they never outgrow the batch. Each
+  state is then one ``bincount`` (or ``ufunc.at``) over the codes.
+
+Per-file bookkeeping happens once per query: each opened file's row
+groups are classified once and those verdicts are the ones its scan
+uses; the plan is validated, and column kinds and the decode
+projection resolved, once per distinct stored schema.
 
 ``sum``/``mean`` and grouped queries can never be metadata-answered
 (statistics carry no sums and no group structure); a live deletion
@@ -43,7 +57,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,326 +78,308 @@ _I64_HALF = 2**63
 
 _BYTES_PRIMS = (Primitive.STRING, Primitive.BINARY)
 
+#: a batch key spanning at most this many slots per row is
+#: offset-indexed; a wider one is sorted
+_SLOTS_PER_ROW = 4
+
+#: the states each aggregate needs, per column kind; a column that is
+#: not float is never NaN, so its ``count`` is the group's ``rows``
+_STATES = {
+    "float": {
+        "count": ("count",), "sum": ("sum",), "mean": ("sum", "count"),
+        "min": ("min",), "max": ("max",),
+    },
+    "int": {
+        "count": (), "sum": ("hi", "lo"), "mean": ("hi", "lo"),
+        "min": ("min",), "max": ("max",),
+    },
+}
+
+#: how two slots of a state combine; every other state adds
+_COMBINE = {"min": np.fmin, "max": np.fmax}
+
 
 # ---------------------------------------------------------------------------
-# partial-aggregation state
+# partial-aggregation state: one array slot per group
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ColState:
-    """NaN-skipping counters for one aggregated column in one group.
+def _fill(state: str, dtype: np.dtype):
+    """What a slot of ``state`` holds before any value reached it (NaN
+    marks a float extremum with no value; an int one has ``rows == 0``)."""
+    if state not in _COMBINE:
+        return 0
+    if dtype.kind == "f":
+        return np.nan
+    info = np.iinfo(dtype)
+    return info.max if state == "min" else info.min
 
-    ``kind`` is ``"int"`` (integers and bools: exact Python-int sums,
-    no NaN), ``"float"`` (float64 accumulation, NaN rows excluded) or
-    ``"bytes"`` (only ``count`` is defined). ``total`` stays exact for
-    ints — int64 wraparound is applied once, at finalize — so ``mean``
-    never sees a wrapped sum.
+
+class _Partial:
+    """One unit's group-by state as arrays.
+
+    ``keys`` holds one array per ``group_by`` column (none when the
+    query is ungrouped: one slot), unique and ascending
+    lexicographically; ``rows`` counts matched rows per slot; ``states``
+    maps ``(column, state)`` to one array per state the plan needs —
+    ``count`` (non-NaN values of a float column), ``sum`` (float64),
+    ``hi``/``lo`` (an int column's exact sum as int64 sums of its high
+    and low 32-bit halves), ``min``/``max``.
     """
 
-    kind: str | None = None
-    count: int = 0
-    total: object = 0
-    vmin: object = None
-    vmax: object = None
+    __slots__ = ("keys", "rows", "states")
 
-    def fold(self, kind, count, total, vmin, vmax) -> None:
-        if self.kind is None:
-            self.kind = kind
-            if kind == "float":
-                self.total = 0.0
-        elif kind != self.kind:
-            raise PlanError(
-                f"inconsistent column kinds {self.kind!r} vs {kind!r}"
+    def __init__(self, keys: list, rows: np.ndarray, states: dict) -> None:
+        self.keys = keys
+        self.rows = rows
+        self.states = states
+
+    def merge(self, other: "_Partial") -> None:
+        """Fold ``other`` in after ``self`` — the fixed merge order.
+
+        Slots combine only where ``other`` has the key: ``-0.0 + 0.0``
+        is ``0.0``, so adding a zero elsewhere would not be a no-op.
+        """
+        at = slice(None)
+        if not all(map(np.array_equal, self.keys, other.keys)):
+            self.keys, codes, _rows = _factorize(
+                [np.concatenate(pair) for pair in zip(self.keys, other.keys)]
             )
-        self.count += count
-        self.total += total
-        if vmin is not None:
-            self.vmin = vmin if self.vmin is None else min(self.vmin, vmin)
-        if vmax is not None:
-            self.vmax = vmax if self.vmax is None else max(self.vmax, vmax)
-
-    def merge(self, other: "_ColState") -> None:
-        if other.kind is None:
-            return
-        self.fold(
-            other.kind, other.count, other.total, other.vmin, other.vmax
-        )
-
-
-@dataclass
-class _GroupAcc:
-    """One group's partial state: matched rows + per-column counters."""
-
-    rows: int = 0
-    cols: dict = field(default_factory=dict)
-
-    def col(self, name: str) -> _ColState:
-        state = self.cols.get(name)
-        if state is None:
-            state = self.cols[name] = _ColState()
-        return state
-
-    def merge(self, other: "_GroupAcc") -> None:
-        self.rows += other.rows
-        for name, state in other.cols.items():
-            self.col(name).merge(state)
+            n_slots, n_mine = len(self.keys[0]), len(self.rows)
+            mine, at = codes[:n_mine], codes[n_mine:]
+            self.rows = _spread(self.rows, mine, n_slots, 0)
+            for name, values in self.states.items():
+                self.states[name] = _spread(
+                    values, mine, n_slots, _fill(name[1], values.dtype)
+                )
+        self.rows[at] += other.rows
+        for name, values in self.states.items():
+            combine = _COMBINE.get(name[1], np.add)
+            with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
+                values[at] = combine(values[at], other.states[name])
+        for (column, state), low in self.states.items():
+            if state == "lo":
+                # carry so neither half of an exact sum can overflow
+                # int64 however many rows a group collects
+                self.states[(column, "hi")] += low >> 32
+                low &= _U32_MASK
 
 
-def _merge_partials(into: dict, other: dict) -> None:
-    """Fold ``other`` into ``into`` in ``other``'s insertion order."""
-    for key, acc in other.items():
-        mine = into.get(key)
-        if mine is None:
-            into[key] = acc
-        else:
-            mine.merge(acc)
+def _spread(values: np.ndarray, at, n_slots: int, fill) -> np.ndarray:
+    out = np.full(n_slots, fill, dtype=values.dtype)
+    out[at] = values
+    return out
+
+
+def _fold(acc: "_Partial | None", part: "_Partial | None"):
+    """``acc`` with ``part`` merged in after it; either may be None."""
+    if acc is None:
+        return part
+    if part is not None:
+        acc.merge(part)
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # vectorized batch accumulation (the decode path)
 # ---------------------------------------------------------------------------
 
-def _pyval(v):
-    """Numpy scalar -> plain Python value (group keys, extrema)."""
-    if isinstance(v, (bytes, bytearray)):
-        return bytes(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
+def _compact(codes: np.ndarray, n_slots: int):
+    """Dense renumbering of ``codes`` in ``[0, n_slots)``: the occupied
+    slots ascending, each row's index among them, rows per slot."""
+    if n_slots > _SLOTS_PER_ROW * len(codes):
+        return np.unique(codes, return_inverse=True, return_counts=True)
+    counts = np.bincount(codes, minlength=n_slots)
+    if counts.all():
+        return np.arange(n_slots), codes, counts
+    seen = counts > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes], counts[seen]
 
 
-def _column_kind(values) -> str:
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1:
-            raise PlanError("cannot aggregate a nested column")
-        if values.dtype == np.bool_ or np.issubdtype(
-            values.dtype, np.integer
-        ):
-            return "int"
-        if np.issubdtype(values.dtype, np.floating):
-            return "float"
-        raise PlanError(f"cannot aggregate dtype {values.dtype}")
-    return "bytes"
+def _key_codes(values):
+    """One key column as ``_compact`` returns it, with the slots
+    translated to the key values they stand for."""
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        keys = np.empty(len(values), dtype=object)
+        keys[:] = values  # bytes keys
+        return np.unique(keys, return_inverse=True, return_counts=True)
+    ints = values.view(np.uint8) if values.dtype == np.bool_ else values
+    lo, hi = int(ints.min()), int(ints.max())
+    if hi - lo >= _SLOTS_PER_ROW * len(ints):
+        return np.unique(values, return_inverse=True, return_counts=True)
+    slots, codes, counts = _compact(ints.astype(np.intp) - lo, hi - lo + 1)
+    return (slots + lo).astype(values.dtype), codes, counts
 
 
-def _exact_int_sum(v: np.ndarray) -> int:
-    """Exact (arbitrary-precision) sum of an integer array.
-
-    Splits each value into high/low 32-bit halves so both partial sums
-    stay far from int64 overflow for any realistic row count, then
-    recombines in Python ints. Order-independent, so parallelism can
-    never change the answer.
-    """
-    v = v.astype(np.int64, copy=False)
-    high = int(np.sum(v >> 32, dtype=np.int64))
-    low = int(np.sum(v & _U32_MASK, dtype=np.int64))
-    return high * (2**32) + low
-
-
-def _factorize_keys(key_values: list):
-    """Per-batch group codes: (inverse codes, ordered key tuples).
-
-    Key tuples come back in ascending combined-code order, which is
-    ascending lexicographic key order — deterministic however the
-    batch arrived.
-    """
-    codes = None
-    arrays = []
-    for values in key_values:
-        if isinstance(values, np.ndarray):
-            arr = values
-        else:  # list[bytes]
-            arr = np.empty(len(values), dtype=object)
-            arr[:] = values
-        arrays.append(arr)
-        uniq, inv = np.unique(arr, return_inverse=True)
-        codes = inv if codes is None else codes * len(uniq) + inv
-    _ucodes, first_idx, inv = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    keys = [tuple(_pyval(arr[i]) for arr in arrays) for i in first_idx]
-    return inv, keys
+def _factorize(columns: list):
+    """Group a batch by its key columns: ``(keys, codes, rows)`` where
+    ``keys`` holds one array per key column, lexicographically
+    ascending, ``codes[i]`` indexes row ``i``'s key and ``rows`` counts
+    the rows of each. Combined codes are re-compacted after each key,
+    so they stay below the row count and cannot overflow."""
+    first, codes, rows = _key_codes(columns[0])
+    keys = [first]
+    for values in columns[1:]:
+        uniq, more, _rows = _key_codes(values)
+        width = len(uniq)
+        slots, codes, rows = _compact(
+            codes * width + more, len(keys[0]) * width
+        )
+        keys = [k[slots // width] for k in keys] + [uniq[slots % width]]
+    return keys, codes, rows
 
 
-def _accumulate_batch(partial: dict, batch, plan: QueryPlan) -> None:
-    """Fold one decoded batch into the running hash group-by."""
+def _reduce(state: str, values: np.ndarray, at, n_slots: int) -> np.ndarray:
+    """One state over every slot; ``at is None`` is the ungrouped slot."""
+    if state == "count":
+        if at is None:
+            return np.array([len(values)])
+        return np.bincount(at, minlength=n_slots)
+    if state == "sum":
+        with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
+            if at is None:
+                # one whole-batch (pairwise) sum per batch, as ever
+                return np.array([np.sum(values)])
+            # (bincount of no rows at all answers in ints, weights or not)
+            return np.bincount(at, weights=values, minlength=n_slots).astype(
+                np.float64, copy=False
+            )
+    if state in ("hi", "lo"):
+        half = values >> 32 if state == "hi" else values & _U32_MASK
+        if at is None:
+            return np.array([half.sum()])
+        out = np.zeros(n_slots, dtype=np.int64)
+        np.add.at(out, at, half)
+        return out
+    if at is None:
+        if not len(values):
+            return np.array([_fill(state, values.dtype)])
+        return np.array([np.min(values) if state == "min" else np.max(values)])
+    out = np.full(n_slots, _fill(state, values.dtype), dtype=values.dtype)
+    _COMBINE[state].at(out, at, values)
+    return out
+
+
+def _batch_partial(batch, group_by: tuple, needs: list) -> "_Partial | None":
+    """One decoded batch as a partial (None when it holds no rows)."""
     n = batch.num_rows
     if n == 0:
-        return
-    agg_cols = plan.agg_columns()
-    if not plan.group_by:
-        acc = partial.get(())
-        if acc is None:
-            acc = partial[()] = _GroupAcc()
-        acc.rows += n
-        for name in agg_cols:
-            _fold_global(acc.col(name), batch.column(name))
-        return
-    inv, keys = _factorize_keys([batch.column(k) for k in plan.group_by])
-    ngroups = len(keys)
-    accs = []
-    for key in keys:
-        acc = partial.get(key)
-        if acc is None:
-            acc = partial[key] = _GroupAcc()
-        accs.append(acc)
-    group_rows = np.bincount(inv, minlength=ngroups)
-    for g, acc in enumerate(accs):
-        acc.rows += int(group_rows[g])
-    for name in agg_cols:
-        _fold_grouped(accs, name, inv, ngroups, batch.column(name))
-
-
-def _fold_global(state: _ColState, values) -> None:
-    kind = _column_kind(values)
-    if kind == "bytes":
-        state.fold("bytes", len(values), 0, None, None)
-        return
-    if kind == "float":
-        v = np.asarray(values, dtype=np.float64)
-        v = v[~np.isnan(v)]
-        if len(v) == 0:
-            state.fold("float", 0, 0.0, None, None)
-        else:
-            with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
-                total = float(np.sum(v))
-            state.fold(
-                "float", len(v), total,
-                float(np.min(v)), float(np.max(v)),
-            )
-        return
-    v = values
-    if v.dtype == np.bool_:
-        v = v.astype(np.int64)
-    if len(v) == 0:
-        state.fold("int", 0, 0, None, None)
+        return None
+    if group_by:
+        keys, codes, rows = _factorize([batch.column(k) for k in group_by])
+        n_slots = len(rows)
     else:
-        state.fold(
-            "int", len(v), _exact_int_sum(v),
-            int(np.min(v)), int(np.max(v)),
-        )
+        codes, keys, n_slots = None, [], 1
+        rows = np.array([n])
+    states = {}
+    for name, kind, wanted in needs:
+        values, at = batch.column(name), codes
+        if kind == "float":
+            values = np.asarray(values, dtype=np.float64)
+            valid = ~np.isnan(values)
+            if not valid.all():
+                values = values[valid]
+                at = None if codes is None else codes[valid]
+        else:
+            values = values.astype(np.int64, copy=False)
+        for state in wanted:
+            states[(name, state)] = _reduce(state, values, at, n_slots)
+    return _Partial(keys, rows, states)
 
 
-def _fold_grouped(accs, name: str, inv, ngroups: int, values) -> None:
-    kind = _column_kind(values)
-    if kind == "bytes":
-        counts = np.bincount(inv, minlength=ngroups)
-        for g, acc in enumerate(accs):
-            acc.col(name).fold("bytes", int(counts[g]), 0, None, None)
-        return
-    if kind == "float":
-        v = np.asarray(values, dtype=np.float64)
-        valid = ~np.isnan(v)
-        iv, vv = inv[valid], v[valid]
-        counts = np.bincount(iv, minlength=ngroups)
-        # bincount accumulates weights in one fixed left-to-right C
-        # loop: deterministic for a given batch
-        with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
-            sums = np.bincount(iv, weights=vv, minlength=ngroups)
-        mins = np.full(ngroups, np.inf)
-        maxs = np.full(ngroups, -np.inf)
-        np.minimum.at(mins, iv, vv)
-        np.maximum.at(maxs, iv, vv)
-        for g, acc in enumerate(accs):
-            c = int(counts[g])
-            acc.col(name).fold(
-                "float", c, float(sums[g]),
-                float(mins[g]) if c else None,
-                float(maxs[g]) if c else None,
+def _needs(plan: QueryPlan, kinds: dict) -> list:
+    """Per aggregated column: ``(name, kind, states the plan needs)``."""
+    wanted: dict[str, list] = {}
+    for spec in plan.aggregates:
+        table = _STATES.get(kinds.get(spec.column))
+        if table is None:
+            continue  # count(*), or a column with no numeric states
+        states = wanted.setdefault(spec.column, [])
+        states += [s for s in table[spec.fn] if s not in states]
+    return [
+        (name, kinds[name], tuple(states))
+        for name, states in wanted.items()
+        if states
+    ]
+
+
+def _empty(needs: list) -> _Partial:
+    """The ungrouped partial of no rows at all."""
+    states = {}
+    for name, kind, wanted in needs:
+        for state in wanted:
+            dtype = np.dtype(
+                np.float64 if kind == "float" and state != "count" else np.int64
             )
-        return
-    v = values
-    if v.dtype == np.bool_:
-        v = v.astype(np.int64)
-    v = v.astype(np.int64, copy=False)
-    counts = np.bincount(inv, minlength=ngroups)
-    # exact sums: 32-bit split accumulators can't overflow int64
-    high = np.zeros(ngroups, dtype=np.int64)
-    low = np.zeros(ngroups, dtype=np.int64)
-    np.add.at(high, inv, v >> 32)
-    np.add.at(low, inv, v & _U32_MASK)
-    info = np.iinfo(np.int64)
-    mins = np.full(ngroups, info.max, dtype=np.int64)
-    maxs = np.full(ngroups, info.min, dtype=np.int64)
-    np.minimum.at(mins, inv, v)
-    np.maximum.at(maxs, inv, v)
-    for g, acc in enumerate(accs):
-        c = int(counts[g])
-        total = int(high[g]) * (2**32) + int(low[g])
-        acc.col(name).fold(
-            "int", c, total,
-            int(mins[g]) if c else None,
-            int(maxs[g]) if c else None,
-        )
+            states[(name, state)] = np.full(1, _fill(state, dtype), dtype)
+    return _Partial([], np.zeros(1, dtype=np.int64), states)
 
 
 # ---------------------------------------------------------------------------
 # metadata answers
 # ---------------------------------------------------------------------------
 
-def _meta_partial(plan: QueryPlan, n_rows: int, stats_of) -> dict | None:
+def _meta_partial(plan: QueryPlan, n_rows: int, stats_of) -> "_Partial | None":
     """Answer one extent (file or row group) purely from statistics.
 
     The extent is already proven ``ALWAYS``-matching and free of
     deletion vectors, so every one of its ``n_rows`` rows matches the
     filter. ``stats_of(column)`` returns ``(min, max, kind)`` or
-    ``None``. Returns the partial (a ``{(): _GroupAcc}`` mapping), or
-    ``None`` when any aggregate cannot be proven from statistics alone
-    — the caller falls back to decode.
+    ``None``. Returns the ungrouped partial, or ``None`` when any
+    aggregate cannot be proven from statistics alone — the caller falls
+    back to decode.
     """
-    needs: dict[str, set[str]] = {}
+    states = {}
     for spec in plan.aggregates:
         if spec.column is None:
             continue  # count(*) == n_rows
         if spec.fn in ("sum", "mean"):
             return None  # statistics carry no sums
-        needs.setdefault(spec.column, set()).add(spec.fn)
-    acc = _GroupAcc(rows=n_rows)
-    for name, fns in needs.items():
-        stats = stats_of(name)
+        stats = stats_of(spec.column)
         if stats is None:
             return None
         lo, hi, kind = stats
-        count = 0
-        if "count" in fns:
+        if spec.fn == "count":
             # int/bool/string values are never NaN, so every row
             # counts; a float column may hide NaN rows outside stats
             if kind == "float":
                 return None
-            count = n_rows
-        vmin = vmax = None
-        if "min" in fns or "max" in fns:
-            if kind == "int":
-                if not (int_bound_is_exact(lo) and int_bound_is_exact(hi)):
-                    return None  # float64-rounded beyond 2**53
-                vmin, vmax = int(lo), int(hi)
-            elif kind == "float":
-                # float stats exclude NaN — exactly the NaN-skipping
-                # aggregate semantics; an all-NaN extent carries no
-                # stats at all, so stats present ⇒ ≥ 1 real value
-                vmin, vmax = float(lo), float(hi)
-            else:
-                return None
-            count = max(count, 1)
-        acc.col(name).fold(kind, count, 0, vmin, vmax)
-    return {(): acc}
+            continue
+        bound = lo if spec.fn == "min" else hi
+        if kind == "int":
+            if not (int_bound_is_exact(lo) and int_bound_is_exact(hi)):
+                return None  # float64-rounded beyond 2**53
+            value = np.array([int(bound)], dtype=np.int64)
+        elif kind == "float":
+            # float stats exclude NaN — exactly the NaN-skipping
+            # aggregate semantics; an all-NaN extent carries no stats
+            # at all, so stats present ⇒ ≥ 1 real value
+            value = np.array([float(bound)])
+        else:
+            return None
+        states[(spec.column, spec.fn)] = value
+    return _Partial([], np.array([n_rows], dtype=np.int64), states)
 
 
 # ---------------------------------------------------------------------------
 # single-reader execution
 # ---------------------------------------------------------------------------
 
-def _validate_plan(plan: QueryPlan, footer) -> None:
-    """Fail fast on columns the plan cannot aggregate or group by."""
+def _kind(ptype) -> str | None:
+    if ptype.primitive in _BYTES_PRIMS and ptype.list_depth == 0:
+        return "bytes"
+    return stats_kind(ptype)
+
+
+def _resolve(plan: QueryPlan, footer) -> tuple[dict, list[str]]:
+    """Check ``plan`` against one file schema: its aggregate columns'
+    kinds and the columns the decode path projects (never empty for a
+    counting scan, whose batches must carry a row count). Fails fast on
+    columns the plan cannot aggregate or group by."""
+    kinds = {}
     for spec in plan.aggregates:
         if spec.column is None:
             continue
-        col_idx = footer.find_column(spec.column)
-        ptype = footer.column_type(col_idx)
+        ptype = footer.column_type(footer.find_column(spec.column))
         if ptype.list_depth > 0:
             raise PlanError(
                 f"cannot aggregate list column {spec.column!r}"
@@ -394,9 +389,9 @@ def _validate_plan(plan: QueryPlan, footer) -> None:
                 f"{spec.fn}({spec.column}) is not defined for "
                 f"string/binary columns"
             )
+        kinds[spec.column] = _kind(ptype)
     for name in plan.group_by:
-        col_idx = footer.find_column(name)
-        ptype = footer.column_type(col_idx)
+        ptype = footer.column_type(footer.find_column(name))
         if ptype.list_depth > 0:
             raise PlanError(f"cannot group by list column {name!r}")
         if stats_kind(ptype) == "float":
@@ -404,18 +399,10 @@ def _validate_plan(plan: QueryPlan, footer) -> None:
                 f"cannot group by float column {name!r} (NaN keys are "
                 f"not well-defined); cast or bucket it first"
             )
-
-
-def _scan_projection(plan: QueryPlan, footer) -> list[str]:
-    """Columns the decode path projects; never empty for a counting
-    scan (batches must carry a row count)."""
-    columns = plan.scan_columns()
-    if columns:
-        return columns
-    physical = footer.physical_columns()
-    if not physical:
-        raise PlanError("cannot aggregate a file with no columns")
-    return [physical[0].name]
+    projection = plan.scan_columns() or [
+        c.name for c in footer.physical_columns()[:1]
+    ]
+    return kinds, projection
 
 
 def _classify_groups(reader, where) -> list[TriState]:
@@ -448,49 +435,37 @@ def _group_stats_of(footer, g: int):
     return stats_of
 
 
-def _aggregate_one_reader(
-    reader,
-    plan: QueryPlan,
-    *,
-    use_metadata: bool,
-    stats: QueryStats,
-    max_workers: int = 0,
-) -> dict:
+def _aggregate_one_reader(reader, plan, needs, projection, **kwargs):
     """Partial for one open file: footer stats where provable, decode
     for the rest. Merges metadata partials first (row-group order),
     then the single ordered decode scan — deterministic regardless of
     executor width above or scan parallelism below."""
     if not obs_trace.enabled():
         return _aggregate_one_reader_impl(
-            reader, plan, use_metadata=use_metadata, stats=stats,
-            max_workers=max_workers,
+            reader, plan, needs, projection, **kwargs
         )
     storage = getattr(reader, "_storage", None)
     with obs_trace.span("query.file", file=getattr(storage, "name", "?")):
         return _aggregate_one_reader_impl(
-            reader, plan, use_metadata=use_metadata, stats=stats,
-            max_workers=max_workers,
+            reader, plan, needs, projection, **kwargs
         )
 
 
 def _aggregate_one_reader_impl(
     reader,
     plan: QueryPlan,
+    needs: list,
+    projection: list[str],
     *,
     use_metadata: bool,
     stats: QueryStats,
     max_workers: int = 0,
-) -> dict:
+) -> "_Partial | None":
     footer = reader.footer
-    _validate_plan(plan, footer)
-    partial: dict = {}
-    n_groups = footer.num_row_groups
-    file_clean = footer.deleted_count() == 0
-    decode_groups = list(range(n_groups))
-    meta_eligible = (
-        use_metadata and not plan.group_by and file_clean
-    )
-    if meta_eligible:
+    partial = None
+    verdicts = None
+    decode_groups = list(range(footer.num_row_groups))
+    if use_metadata and not plan.group_by and footer.deleted_count() == 0:
         verdicts = _classify_groups(reader, plan.where)
         decode_groups = []
         for g, verdict in enumerate(verdicts):
@@ -511,31 +486,34 @@ def _aggregate_one_reader_impl(
             if meta is None:
                 decode_groups.append(g)
             else:
-                _merge_partials(partial, meta)
+                partial = _fold(partial, meta)
                 # counted into groups_total so the invariant
                 # scan.groups_total == scan.groups_pruned
                 #   + groups_meta_answered + scan.groups_scanned
                 # holds across answer paths
                 stats.scan.bump(groups_total=1)
                 stats.bump(groups_meta_answered=1, rows_from_metadata=n_rows)
-    if decode_groups:
-        scanned_before = stats.scan.groups_scanned
-        scan = reader.scan(
-            _scan_projection(plan, footer),
-            where=plan.where,
-            row_groups=decode_groups,
-            widen_quantized=True,
-            max_workers=max_workers,
-            scan_stats=stats.scan,
-        )
-        for batch in scan:
-            _accumulate_batch(partial, batch, plan)
-        stats.bump(
-            groups_decoded=stats.scan.groups_scanned - scanned_before,
-            files_decoded=1,
-        )
-    else:
+    if not decode_groups:
         stats.bump(files_footer_answered=1)
+        return partial
+    if not projection:
+        raise PlanError("cannot aggregate a file with no columns")
+    scanned_before = stats.scan.groups_scanned
+    scan = reader.scan(
+        projection,
+        where=plan.where,
+        row_groups=decode_groups,
+        widen_quantized=True,
+        max_workers=max_workers,
+        scan_stats=stats.scan,
+        _verdicts=verdicts,
+    )
+    for batch in scan:
+        partial = _fold(partial, _batch_partial(batch, plan.group_by, needs))
+    stats.bump(
+        groups_decoded=stats.scan.groups_scanned - scanned_before,
+        files_decoded=1,
+    )
     return partial
 
 
@@ -543,45 +521,58 @@ def _aggregate_one_reader_impl(
 # finalize
 # ---------------------------------------------------------------------------
 
-def _finalize_agg(spec: AggregateSpec, acc: _GroupAcc, kinds: dict):
+def _finalize_agg(spec: AggregateSpec, partial: _Partial, rows: list) -> list:
+    """One aggregate's output value for every slot."""
     if spec.column is None:
-        return acc.rows
-    state = acc.cols.get(spec.column) or _ColState()
-    kind = state.kind or kinds.get(spec.column)
-    if spec.fn == "count":
-        return state.count
+        return rows
+    states = partial.states
+    if spec.fn in ("count", "min", "max"):
+        values = states.get((spec.column, spec.fn))
+        if values is None:  # count of a never-NaN column, or no kind
+            return rows if spec.fn == "count" else [None] * len(rows)
+        if spec.fn == "count":
+            return values.tolist()
+        if values.dtype.kind == "f":
+            return [None if v != v else v for v in values.tolist()]
+        return [v if r else None for v, r in zip(values.tolist(), rows)]
+    totals = states.get((spec.column, "sum"))
+    if totals is not None:  # float
+        if spec.fn == "sum":
+            return totals.tolist()
+        counts = states[(spec.column, "count")].tolist()
+        return [t / c if c else None for t, c in zip(totals.tolist(), counts)]
+    high = states.get((spec.column, "hi"))
+    if high is None:
+        exact = [0] * len(rows)
+    else:
+        low = states[(spec.column, "lo")].tolist()
+        exact = [h * 2**32 + lo for h, lo in zip(high.tolist(), low)]
     if spec.fn == "sum":
-        if kind == "float":
-            return float(state.total)
-        total = int(state.total)
         # int64 wraparound semantics, applied exactly once
-        return ((total + _I64_HALF) % _I64_WRAP) - _I64_HALF
-    if spec.fn == "mean":
-        if state.count == 0:
-            return None
-        return state.total / state.count
-    if spec.fn == "min":
-        return state.vmin
-    return state.vmax
+        return [((t + _I64_HALF) % _I64_WRAP) - _I64_HALF for t in exact]
+    return [t / r if r else None for t, r in zip(exact, rows)]
 
 
 def _finalize(
-    plan: QueryPlan, partial: dict, stats: QueryStats, kinds: dict
+    plan: QueryPlan, partial: "_Partial | None", needs: list, stats: QueryStats
 ) -> QueryResult:
-    """``kinds`` hints each aggregate column's kind for groups no
-    extent touched — so ``sum`` over a float column stays ``0.0``
-    (not ``0``) even when every file was pruned."""
-    if plan.group_by:
-        items = sorted(partial.items())
-    else:
-        items = [((), partial.get(()) or _GroupAcc())]
-    rows = []
-    for key, acc in items:
-        row = dict(zip(plan.group_by, key))
-        for spec in plan.aggregates:
-            row[spec.name] = _finalize_agg(spec, acc, kinds)
-        rows.append(row)
-    return QueryResult(plan=plan, rows=rows, stats=stats)
+    """``needs`` types an ungrouped query no extent touched — so
+    ``sum`` over a float column stays ``0.0`` (not ``0``) even when
+    every file was pruned."""
+    if partial is None:
+        if plan.group_by:
+            return QueryResult(plan=plan, rows=[], stats=stats)
+        partial = _empty(needs)
+    rows = partial.rows.tolist()
+    names = list(plan.group_by) + [spec.name for spec in plan.aggregates]
+    columns = [keys.tolist() for keys in partial.keys] + [
+        _finalize_agg(spec, partial, rows) for spec in plan.aggregates
+    ]
+    return QueryResult(
+        plan=plan,
+        rows=[dict(zip(names, values)) for values in zip(*columns)],
+        stats=stats,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +587,6 @@ def _build_plan(aggregates, where, group_by) -> QueryPlan:
             )
         return aggregates
     return QueryPlan.build(aggregates, where=where, group_by=group_by)
-
-
-def _kinds_from_footer(plan: QueryPlan, footer) -> dict:
-    kinds: dict = {}
-    for name in plan.agg_columns():
-        try:
-            ptype = footer.column_type(footer.find_column(name))
-        except KeyError:
-            continue
-        kinds[name] = (
-            "bytes"
-            if ptype.primitive in _BYTES_PRIMS and ptype.list_depth == 0
-            else stats_kind(ptype)
-        )
-    return kinds
 
 
 def _kinds_from_manifest(plan: QueryPlan, files) -> dict:
@@ -653,18 +629,20 @@ def aggregate_reader(
     obs_on = obs_metrics.enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with obs_trace.span("query.reader", aggregates=len(plan.aggregates)):
+        kinds, projection = _resolve(plan, reader.footer)
+        needs = _needs(plan, kinds)
         partial = _aggregate_one_reader(
             reader,
             plan,
+            needs,
+            projection,
             use_metadata=use_metadata,
             stats=stats,
             max_workers=max_workers,
         )
     if obs_on:
         QUERY_SECONDS.observe(time.perf_counter() - t0)
-    return _finalize(
-        plan, partial, stats, _kinds_from_footer(plan, reader.footer)
-    )
+    return _finalize(plan, partial, needs, stats)
 
 
 def _file_stats_of(data_file, resolution=None):
@@ -697,14 +675,8 @@ def _kinds_from_schema(plan: QueryPlan, schema) -> dict:
     kinds: dict = {}
     for name in plan.agg_columns():
         column = schema.maybe_column(name)
-        if column is None:
-            continue
-        ptype = column.type
-        kinds[name] = (
-            "bytes"
-            if ptype.primitive in _BYTES_PRIMS and ptype.list_depth == 0
-            else stats_kind(ptype)
-        )
+        if column is not None:
+            kinds[name] = _kind(column.type)
     return kinds
 
 
@@ -747,9 +719,16 @@ def _aggregate_snapshot_impl(
 ) -> QueryResult:
     log = pinned.schema_log()
     current_schema = log.current()
-
-    #: per file: ("meta", partial) | ("skip",) | ("task", reader)
-    dispositions = []
+    kinds = (
+        _kinds_from_schema(plan, current_schema)
+        if current_schema is not None
+        else _kinds_from_manifest(plan, files)
+    )
+    #: stored schema -> decode projection, resolved on its first file;
+    #: old-schema files all read as the current schema (key None)
+    projections: dict = {}
+    #: in file order: a manifest-answered partial, or (reader, projection)
+    units: list = []
     for f in files:
         resolution = log.resolution(f)
         verdict = (
@@ -762,9 +741,7 @@ def _aggregate_snapshot_impl(
             # mirror the catalog-layer prune into the scan-layer skip
             # counters, matching what PinnedSnapshot.scan reports
             stats.scan.bump(files_pruned=1, rows_pruned=f.row_count)
-            dispositions.append(("skip", None))
             continue
-        meta = None
         if (
             use_metadata
             and not plan.group_by
@@ -774,15 +751,23 @@ def _aggregate_snapshot_impl(
             meta = _meta_partial(
                 plan, f.row_count, _file_stats_of(f, resolution)
             )
-        if meta is not None:
-            stats.bump(files_meta_answered=1, rows_from_metadata=f.row_count)
-            dispositions.append(("meta", meta))
-        else:
-            # open (footer pread) on the coordinator so the pin's
-            # reader cache is never touched from worker threads;
-            # old-schema files get their resolver facade here
-            dispositions.append(("task", pinned._resolved_reader_for(f)))
-    tasks = [reader for kind, reader in dispositions if kind == "task"]
+            if meta is not None:
+                stats.bump(
+                    files_meta_answered=1, rows_from_metadata=f.row_count
+                )
+                units.append(meta)
+                continue
+        # open (footer pread) on the coordinator so the pin's reader
+        # cache is never touched from worker threads; old-schema files
+        # get their resolver facade here
+        reader = pinned._resolved_reader_for(f)
+        key = f.schema_fingerprint if resolution is None else None
+        if key not in projections:
+            file_kinds, projections[key] = _resolve(plan, reader.footer)
+            kinds.update(file_kinds)
+        units.append((reader, projections[key]))
+    needs = _needs(plan, kinds)
+    tasks = [unit for unit in units if not isinstance(unit, _Partial)]
     # threads only where the device waits per request (the same rule
     # the scan applies below): across files when several decode,
     # inside the scan when only one does (scan yields groups in order
@@ -790,49 +775,42 @@ def _aggregate_snapshot_impl(
     fan_out = (
         max_workers > 1
         and len(tasks) > 1
-        and any(reader.waits_per_request for reader in tasks)
+        and any(reader.waits_per_request for reader, _cols in tasks)
     )
-    inner_workers = 0 if fan_out else max_workers
 
-    def run_file(reader):
-        file_stats = QueryStats()
-        part = _aggregate_one_reader(
+    def run_file(task, file_stats):
+        reader, projection = task
+        return _aggregate_one_reader(
             reader,
             plan,
+            needs,
+            projection,
             use_metadata=use_metadata,
             stats=file_stats,
-            max_workers=inner_workers,
+            max_workers=0 if fan_out else max_workers,
         )
-        return part, file_stats
 
-    results: dict[int, tuple] = {}
-    if fan_out:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                i: pool.submit(run_file, reader)
-                for i, (kind, reader) in enumerate(dispositions)
-                if kind == "task"
-            }
-            for i, fut in futures.items():
-                results[i] = fut.result()
-    else:
-        for i, (kind, reader) in enumerate(dispositions):
-            if kind == "task":
-                results[i] = run_file(reader)
+    partial = None
+    if not fan_out:
+        for unit in units:
+            if not isinstance(unit, _Partial):
+                unit = run_file(unit, stats)
+            partial = _fold(partial, unit)
+        return _finalize(plan, partial, needs, stats)
 
-    partial: dict = {}
-    kinds = (
-        _kinds_from_schema(plan, current_schema)
-        if current_schema is not None
-        else _kinds_from_manifest(plan, files)
-    )
-    for i, (kind, payload) in enumerate(dispositions):
-        if kind == "meta":
-            _merge_partials(partial, payload)
-        elif kind == "task":
-            part, file_stats = results[i]
-            _merge_partials(partial, part)
-            file_stats.files_total = 0  # already counted up front
-            stats.merge(file_stats)
-            kinds.update(_kinds_from_footer(plan, payload.footer))
-    return _finalize(plan, partial, stats, kinds)
+    def run_apart(task):
+        # a worker's counters stay its own until merged in file order
+        file_stats = QueryStats()
+        return run_file(task, file_stats), file_stats
+
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        pending = [
+            unit if isinstance(unit, _Partial) else pool.submit(run_apart, unit)
+            for unit in units
+        ]
+        for unit in pending:
+            if not isinstance(unit, _Partial):
+                unit, file_stats = unit.result()
+                stats.merge(file_stats)
+            partial = _fold(partial, unit)
+    return _finalize(plan, partial, needs, stats)

@@ -47,6 +47,8 @@ from repro.obs.families import QUERY_MIRROR
 #: supported aggregate functions
 AGG_FUNCTIONS = ("count", "sum", "min", "max", "mean")
 
+_SCAN_FIELDS = tuple(f.name for f in fields(ScanStats))
+
 _SPEC_RE = re.compile(
     r"^\s*(?P<fn>[a-zA-Z]+)\s*(?:\(\s*(?P<col>\*|[A-Za-z_][A-Za-z0-9_.]*)?\s*\))?\s*$"
 )
@@ -208,11 +210,11 @@ class QueryStats:
         self.groups_meta_answered += other.groups_meta_answered
         self.groups_decoded += other.groups_decoded
         self.rows_from_metadata += other.rows_from_metadata
-        for f in fields(ScanStats):
+        for name in _SCAN_FIELDS:
             setattr(
                 self.scan,
-                f.name,
-                getattr(self.scan, f.name) + getattr(other.scan, f.name),
+                name,
+                getattr(self.scan, name) + getattr(other.scan, name),
             )
 
     def describe(self) -> str:

@@ -474,3 +474,258 @@ class TestDirectedEdges:
             res = snap.query(plan)
             assert [r["g"] for r in res.rows] == [0, 1, 2]
             assert sum(r["count(*)"] for r in res.rows) == total
+
+
+# ---------------------------------------------------------------------------
+# array partials: the merge and factorization edges
+# ---------------------------------------------------------------------------
+
+def _catalog(parts, store=None):
+    """One file per ``parts`` entry (a dict of columns), 20-row groups."""
+    cat = CatalogTable.create(store or MemoryCatalogStore())
+    for columns in parts:
+        cat.append(
+            Table(columns),
+            options=WriterOptions(rows_per_page=10, rows_per_group=20),
+        )
+    return cat
+
+
+def _check_catalog(cat, plan):
+    """Brute force vs every path and width; returns the default rows."""
+    with cat.pin() as snap:
+        names = snap.readers()[0].column_names()
+        _check_snapshot(snap, names, plan, str(plan))
+        return snap.query(plan).rows
+
+
+class TestArrayPartials:
+    def test_keys_present_in_only_some_files(self):
+        """Each file holds a different subset of the keys: the merge
+        aligns them and a key absent from a file gets nothing added."""
+        parts = []
+        for k, keys in enumerate(([0, 1], [2, 3], [1, 3], [5])):
+            n = 40
+            parts.append({
+                "g": np.array(keys * (n // len(keys)), dtype=np.int64),
+                "v": np.arange(n, dtype=np.float64) * (k + 1) + 0.1,
+                "c": np.arange(n, dtype=np.int64) - 7,
+            })
+        cat = _catalog(parts)
+        plan = QueryPlan.build(
+            ["count", "sum(v)", "mean(v)", "min(c)", "max(v)", "sum(c)"],
+            group_by=["g"],
+        )
+        rows = _check_catalog(cat, plan)
+        assert [r["g"] for r in rows] == [0, 1, 2, 3, 5]
+        assert [r["count(*)"] for r in rows] == [20, 40, 20, 40, 40]
+
+    def test_all_nan_group(self):
+        """A group whose float values are all NaN — in the first batch
+        of the first file, too — counts 0, sums 0.0, has no extrema."""
+        n = 40
+        g = np.repeat(np.arange(2, dtype=np.int32), n // 2)
+        first = np.full(n, np.nan)
+        later = np.where(g == 0, np.nan, np.arange(n) * 0.5)
+        cat = _catalog([{"g": g, "f": first}, {"g": g, "f": later}])
+        plan = QueryPlan.build(
+            ["count", "count(f)", "sum(f)", "mean(f)", "min(f)", "max(f)"],
+            group_by=["g"],
+        )
+        rows = _check_catalog(cat, plan)
+        nan_group = rows[0]
+        assert nan_group["count(*)"] == 2 * (n // 2)
+        assert nan_group["count(f)"] == 0
+        assert nan_group["sum(f)"] == 0.0
+        assert isinstance(nan_group["sum(f)"], float)
+        assert nan_group["mean(f)"] is None
+        assert nan_group["min(f)"] is None and nan_group["max(f)"] is None
+        assert rows[1]["count(f)"] == n // 2
+
+    def test_negative_zero_total_is_positive_zero(self):
+        """A running float total starts at 0.0, so values that are all
+        -0.0 sum to +0.0 — grouped and ungrouped, across merges."""
+        n = 40
+        cols = {
+            "g": np.tile(np.arange(2, dtype=np.int32), n // 2),
+            "z": np.full(n, -0.0),
+        }
+        cat = _catalog([cols, cols])
+        for group_by in (None, ["g"]):
+            plan = QueryPlan.build(["sum(z)", "mean(z)"], group_by=group_by)
+            for row in _check_catalog(cat, plan):
+                assert row["sum(z)"].hex() == "0x0.0p+0"
+                assert row["mean(z)"].hex() == "0x0.0p+0"
+
+    def test_bool_bytes_and_negative_keys_order_lexicographically(self):
+        n = 60
+        i = np.arange(n)
+        parts = [
+            {
+                "flag": i % 2 == 0,
+                "tag": [b"b" if j % 3 else b"a\x00" for j in i + k],
+                "neg": (-(i % 4) - 2**40 * k).astype(np.int64),
+                "v": i * 1.5 - k,
+            }
+            for k in range(2)
+        ]
+        cat = _catalog(parts)
+        plan = QueryPlan.build(
+            ["count", "sum(v)", "mean(v)"], group_by=["flag", "tag", "neg"]
+        )
+        rows = _check_catalog(cat, plan)
+        keys = [(r["flag"], r["tag"], r["neg"]) for r in rows]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert {type(r["flag"]) for r in rows} == {bool}
+        assert {type(r["tag"]) for r in rows} == {bytes}
+
+    @pytest.mark.parametrize("spread", [1, 10**15], ids=["small", "wide"])
+    def test_int64_keys_of_either_range(self, spread):
+        """A key whose batch range is a few slots per row is
+        offset-indexed; a wide one is sorted — same answer either way."""
+        n = 80
+        i = np.arange(n)
+        parts = [
+            {
+                "k": ((i % 7) * spread - 3 * spread + k).astype(np.int64),
+                "v": np.cos(i + k) * 100,
+            }
+            for k in range(3)
+        ]
+        cat = _catalog(parts)
+        plan = QueryPlan.build(["count", "sum(v)", "max(v)"], group_by=["k"])
+        rows = _check_catalog(cat, plan)
+        assert len(rows) == (9 if spread == 1 else 21)
+
+    def test_factorize_branches(self, monkeypatch):
+        from repro.query import engine
+
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k)
+        )
+        small = np.array([5, -2, 5, 0, -2], dtype=np.int64)
+        keys, codes, rows = engine._factorize([small])
+        assert calls == []
+        assert keys[0].tolist() == [-2, 0, 5]
+        assert codes.tolist() == [2, 0, 2, 1, 0]
+        assert rows.tolist() == [2, 1, 2]
+        wide = np.array([2**62, -(2**62), 2**62, 0], dtype=np.int64)
+        keys, codes, rows = engine._factorize([wide])
+        assert calls == [1]
+        assert keys[0].tolist() == [-(2**62), 0, 2**62]
+        assert codes.tolist() == [2, 0, 2, 1]
+        assert rows.tolist() == [1, 1, 2]
+
+    def test_exact_integer_sums_beyond_2_53_and_int64(self):
+        """Sums stay exact past 2**53 and past int64, then wrap once."""
+        n = 40
+        cols = {
+            "g": np.tile(np.arange(2, dtype=np.int32), n // 2),
+            "big": np.full(n, 2**62, dtype=np.int64),
+            "odd": np.full(n, 2**53 + 1, dtype=np.int64),
+            "low": np.full(n, -(2**63), dtype=np.int64),
+        }
+        cat = _catalog([cols, cols, cols])
+        for group_by, per_group in ((None, 3 * n), (["g"], 3 * n // 2)):
+            plan = QueryPlan.build(
+                ["sum(big)", "mean(big)", "sum(odd)", "mean(odd)",
+                 "sum(low)", "mean(low)"],
+                group_by=group_by,
+            )
+            for row in _check_catalog(cat, plan):
+                assert row["sum(big)"] == _wrap_i64(per_group * 2**62)
+                assert row["mean(big)"] == float(2**62)
+                assert row["sum(odd)"] == per_group * (2**53 + 1)
+                assert row["mean(odd)"] == (per_group * (2**53 + 1)) / per_group
+                assert row["sum(low)"] == _wrap_i64(per_group * -(2**63))
+                assert row["mean(low)"] == float(-(2**63))
+
+    def test_fan_out_over_a_sleeping_device_is_bit_identical(self):
+        """max_workers=4 over a device that waits per request runs one
+        task per file on threads; the merge order keeps every float."""
+        from repro.iosim import LatencyModelledStorage, SeekModel
+
+        class SleepingStore(MemoryCatalogStore):
+            def open_data(self, file_id):
+                return LatencyModelledStorage(
+                    super().open_data(file_id),
+                    SeekModel(seek_latency_s=2e-4),
+                    sleep=True,
+                )
+
+        rng = np.random.default_rng(7)
+        parts = []
+        for _ in range(5):
+            n = 90
+            f = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, n)
+            f[rng.random(n) < 0.1] = np.nan
+            parts.append({
+                "g": rng.integers(0, 6, n).astype(np.int32),
+                "f": f,
+                "i": rng.integers(-(2**40), 2**40, n),
+            })
+        cat = _catalog(parts, store=SleepingStore())
+        plan = QueryPlan.build(
+            ["count", "sum(f)", "mean(f)", "min(f)", "sum(i)", "max(i)"],
+            where=col("f") > -1.0,
+            group_by=["g"],
+        )
+        with cat.pin() as snap:
+            assert snap.readers()[0].waits_per_request
+            serial = snap.query(plan, max_workers=1)
+            fanned = snap.query(plan, max_workers=4)
+        assert serial.stats.files_decoded == fanned.stats.files_decoded == 5
+        assert len(serial.rows) == len(fanned.rows) == 6
+        for a, b in zip(serial.rows, fanned.rows):
+            assert a.keys() == b.keys()
+            for name in a:
+                x, y = a[name], b[name]
+                assert (x.hex() == y.hex()) if isinstance(x, float) else x == y
+
+    def test_float_sums_match_parent_golden_hex(self):
+        """Float sums/means recorded (``float.hex``) before partials
+        became arrays: the fixed merge order is part of the contract."""
+        cat = CatalogTable.create(MemoryCatalogStore())
+        for k in range(3):
+            i = np.arange(120)
+            x = np.sin(i * 0.913 + k) * 10.0 ** ((i % 9) * 2 - 8)
+            x[i % 11 == 5] = np.nan
+            cat.append(
+                Table({"g": (i % 4).astype(np.int32), "x": x}),
+                options=WriterOptions(rows_per_page=20, rows_per_group=40),
+            )
+        golden = {
+            None: (
+                [("-0x1.bc0f109216cf0p+24", "-0x1.5ba4744fec474p+16")],
+                [
+                    ("-0x1.fea7ca6d6586fp+25", "-0x1.937b180a95bffp+19"),
+                    ("-0x1.7876e2b031fa2p+27", "-0x1.29740ec41ad89p+21"),
+                    ("0x1.afdb03513d121p+27", "0x1.4908640d2256ep+21"),
+                    ("0x1.0c3efe80b6ff6p+23", "0x1.a7e5206643f26p+16"),
+                ],
+            ),
+            -1e-3: (
+                [("0x1.1201dd15201ffp+30", "0x1.3a8e31753cfc8p+22")],
+                [
+                    ("0x1.4c0e71a9052fbp+28", "0x1.90f94a752812fp+22"),
+                    ("0x1.67906573a6e04p+27", "0x1.793f5dd9dd3f3p+21"),
+                    ("0x1.7e78661e865c2p+28", "0x1.ad70ba85149d5p+22"),
+                    ("0x1.9370d3a64307ap+27", "0x1.f08add1b6630cp+21"),
+                ],
+            ),
+        }
+        for cut, (ungrouped, grouped) in golden.items():
+            where = None if cut is None else col("x") > cut
+            for group_by, expected in ((None, ungrouped), (["g"], grouped)):
+                for workers in (1, 4):
+                    res = cat.query(
+                        ["sum(x)", "mean(x)"], where=where,
+                        group_by=group_by, max_workers=workers,
+                    )
+                    got = [
+                        (r["sum(x)"].hex(), r["mean(x)"].hex())
+                        for r in res.rows
+                    ]
+                    assert got == expected, (cut, group_by, workers)

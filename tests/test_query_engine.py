@@ -6,10 +6,13 @@ plan validation errors, output ordering, result helpers, and the
 time-travel / plan-object entry points.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.catalog import CatalogTable, MemoryCatalogStore
+from repro.catalog import AddColumn, CatalogTable, MemoryCatalogStore
+from repro.catalog.schema_evolution import ResolvedReader
 from repro.core import BullionReader, BullionWriter, Table, WriterOptions
 from repro.expr import col
 from repro.iosim import SimulatedStorage
@@ -165,6 +168,25 @@ class TestGroupBy:
             assert r["min(g)"] == r["max(g)"] == r["g"]
             assert r["count(*)"] == 10
 
+    def test_multi_key_codes_never_overflow(self):
+        """Six int64 keys with 4,096 distinct values in five of them:
+        multiplying per-key codes would pass 2**63 and fold rows whose
+        first key differs by 16 into one group. 8,192 distinct tuples
+        are 8,192 groups."""
+        n = 8192
+        i = np.arange(n)
+        j, half = i % 4096, i // 4096
+        cols = {"k0": (j % 16 + 16 * half).astype(np.int64)}
+        for m in range(1, 6):
+            cols[f"k{m}"] = (j * (m + 1) * 1_000_003 - m).astype(np.int64)
+        cat = CatalogTable.create(MemoryCatalogStore())
+        cat.append(Table(cols))
+        res = cat.query(["count"], group_by=[f"k{m}" for m in range(6)])
+        assert len(res.rows) == n
+        assert {r["count(*)"] for r in res.rows} == {1}
+        keys = [tuple(r[f"k{m}"] for m in range(6)) for r in res.rows]
+        assert keys == sorted(keys)
+
     def test_groups_absent_after_filter_vanish(self):
         t = Table({
             "g": np.repeat(np.arange(4, dtype=np.int64), 10),
@@ -255,3 +277,52 @@ class TestCatalogEntryPoints:
             == 3
         )
         assert res.scalar("count") == 60
+
+
+class TestPerQueryBookkeeping:
+    """Per-file work a query does once, however many files it opens."""
+
+    def _catalog(self):
+        """Three files at schema 0 and one at schema 1 (old files read
+        through a ``ResolvedReader``), three row groups each: ``u > 0.5``
+        is NEVER, MAYBE and ALWAYS on them, MAYBE on every file."""
+        cat = CatalogTable.create(MemoryCatalogStore())
+        opts = WriterOptions(rows_per_page=20, rows_per_group=40)
+        for k in range(4):
+            if k == 3:
+                cat.evolve(AddColumn("extra", "int64"))
+            cols = {
+                "g": np.arange(120, dtype=np.int32) % 3,
+                "u": np.linspace(0.0, 1.0, 120),
+                "v": np.arange(120, dtype=np.float64) + k,
+            }
+            if k == 3:
+                cols["extra"] = np.zeros(120, dtype=np.int64)
+            cat.append(Table(cols), options=opts)
+        return cat
+
+    @pytest.mark.parametrize("group_by", [None, ["g"]])
+    def test_each_opened_file_is_classified_once(self, monkeypatch, group_by):
+        from repro.query import engine
+
+        classified = Counter()
+        for cls in (BullionReader, ResolvedReader):
+            def counting(self, where, _original=cls.classify_row_groups_expr):
+                classified[id(self)] += 1
+                return _original(self, where)
+
+            monkeypatch.setattr(cls, "classify_row_groups_expr", counting)
+        resolved = []
+        resolve = engine._resolve
+        monkeypatch.setattr(
+            engine, "_resolve",
+            lambda plan, footer: resolved.append(footer) or resolve(plan, footer),
+        )
+        res = self._catalog().query(
+            ["count", "sum(v)"], where=col("u") > 0.5, group_by=group_by
+        )
+        assert res.stats.files_decoded == 4
+        assert sorted(classified.values()) == [1, 1, 1, 1]
+        # one stored schema per schema version: old files share one
+        assert len(resolved) == 2
+        assert sum(r["count(*)"] for r in res.rows) == 4 * 60
