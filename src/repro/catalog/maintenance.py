@@ -49,12 +49,10 @@ from repro.obs.families import (
     MAINT_BYTES_RECLAIMED,
     MAINT_CYCLE_SECONDS,
     MAINT_CYCLES,
-    MAINT_FILES_DELETED,
     MAINT_GC_REFUSALS,
     MAINT_JOBS_RUN,
     MAINT_JOBS_SKIPPED,
-    MAINT_ROWS_DELETED,
-    MAINT_SNAPSHOTS_EXPIRED,
+    Counters,
 )
 
 
@@ -101,8 +99,9 @@ class MaintenanceJob:
 
 
 @dataclass
-class MaintenanceReport:
-    """What one maintenance cycle actually did."""
+class MaintenanceReport(Counters):
+    """What one maintenance cycle actually did. ``bytes_reclaimed``
+    publishes by hand: the registry takes only a clamped delta."""
 
     jobs_planned: int = 0
     jobs_run: int = 0
@@ -113,6 +112,12 @@ class MaintenanceReport:
     data_files_deleted: int = 0
     rows_deleted: int = 0
     skipped: list[str] = field(default_factory=list)
+
+    families = {
+        "rows_deleted": "maintenance_rows_deleted_total",
+        "snapshots_expired": "maintenance_snapshots_expired_total",
+        "data_files_deleted": "maintenance_files_deleted_total",
+    }
 
 
 class MaintenanceService:
@@ -306,9 +311,7 @@ class MaintenanceService:
         except BaseException:
             txn.abort()  # no-op after commit()'s own conflict abort
             raise
-        report.rows_deleted += deleted
-        if obs_metrics.enabled():
-            MAINT_ROWS_DELETED.inc(deleted)
+        report.bump(rows_deleted=deleted)
 
     def _run_compact(
         self, job: MaintenanceJob, report: MaintenanceReport
@@ -396,9 +399,7 @@ class MaintenanceService:
             # expire_snapshot re-checks pins under the table lock, so
             # a pin registered since the plan wins the race
             if table.expire_snapshot(sid):
-                report.snapshots_expired += 1
-                if obs_on:
-                    MAINT_SNAPSHOTS_EXPIRED.inc()
+                report.bump(snapshots_expired=1)
             else:
                 report.skipped.append(f"expire: snapshot {sid} is pinned")
                 if obs_on:
@@ -426,11 +427,9 @@ class MaintenanceService:
             except (FileNotFoundError, OSError):
                 continue  # already gone (aborted transaction cleanup)
             store.delete_data(file_id)
-            report.bytes_reclaimed += reclaimed
-            report.data_files_deleted += 1
+            report.bump(bytes_reclaimed=reclaimed, data_files_deleted=1)
             if obs_on:
                 MAINT_BYTES_RECLAIMED.inc(reclaimed)
-                MAINT_FILES_DELETED.inc(1)
 
     # -- background loop ------------------------------------------------
     def start(self, interval_s: float = 1.0) -> None:

@@ -834,7 +834,7 @@ class ResolvedReader:
                 verdicts = self.classify_row_groups_expr(where)
             kept = [g for g in groups if verdicts[g] is not TriState.NEVER]
             if scan_stats is not None:
-                pruned = [g for g in groups if g not in set(kept)]
+                pruned = [g for g in groups if verdicts[g] is TriState.NEVER]
                 scan_stats.bump(
                     groups_pruned=len(pruned),
                     rows_pruned=sum(
@@ -859,13 +859,12 @@ class ResolvedReader:
 
         for g in groups:
             rg = footer.row_group(g)
+            # this layer counts groups and rows itself and folds in the
+            # inner scan's chunk counts, which publish only from here
+            inner = ScanStats.unmirrored()
             if inner_names:
                 # widen_quantized=False: widening to the *current* type
-                # happens below, per column (the inner scan gets an
-                # unmirrored throwaway ScanStats — this layer reports
-                # files and groups itself, so letting the inner scan
-                # publish too would double-count both per-call and in
-                # the registry)
+                # happens below, per column
                 raw = reader.scan(
                     inner_names,
                     row_groups=[g],
@@ -873,14 +872,19 @@ class ResolvedReader:
                     widen_quantized=False,
                     max_workers=max_workers,
                     prefetch_groups=prefetch_groups,
-                    scan_stats=ScanStats.unmirrored(),
+                    scan_stats=inner,
                 ).to_table()
                 n = raw.num_rows
             else:
                 raw = None
                 n = rg.n_rows
             if scan_stats is not None:
-                scan_stats.bump(groups_scanned=1, rows_scanned=n)
+                scan_stats.bump(
+                    groups_scanned=1,
+                    rows_scanned=n,
+                    chunks_fetched=inner.chunks_fetched,
+                    chunks_skipped=inner.chunks_skipped,
+                )
 
             def current_values(name, stored, widen):
                 if stored is None:

@@ -43,6 +43,7 @@ from repro.core.schema import Schema
 from repro.core.table import Table, concat_tables, rebatch
 from repro.core.writer import WriterOptions
 from repro.obs import trace as obs_trace
+from repro.obs.families import Counters
 
 #: parsed-snapshot cache bound (oldest ids evicted first; pinned
 #: snapshots are unaffected — each PinnedSnapshot holds its own copy)
@@ -50,8 +51,9 @@ _SNAP_CACHE_MAX = 128
 
 
 @dataclass
-class CatalogStats:
-    """Control-plane counters for one table handle."""
+class CatalogStats(Counters):
+    """Control-plane counters for one table handle (no registry
+    families: the transaction publishes ``catalog_commit*`` itself)."""
 
     commits: int = 0
     conflicts: int = 0
@@ -661,8 +663,8 @@ class CatalogTable:
     def _note_commit(self, snap: Snapshot) -> None:
         with self._lock:
             self._cache_snapshot(snap)
-            self.stats.commits += 1
+            self.stats.bump(commits=1)
 
-    def _count(self, attr: str) -> None:
+    def _bump(self, **deltas: int) -> None:
         with self._lock:
-            setattr(self.stats, attr, getattr(self.stats, attr) + 1)
+            self.stats.bump(**deltas)

@@ -793,7 +793,7 @@ class Transaction:
                     if file_id not in referenced:
                         self._store.delete_data(file_id)
                 return snap
-            table._count("conflicts")
+            table._bump(conflicts=1)
             if obs_on:
                 COMMIT_CONFLICTS.inc()
             head = table.current_snapshot()
@@ -809,6 +809,6 @@ class Transaction:
         for file_id in self._staged_ids:
             self._store.delete_data(file_id)
         self._table._unregister_inflight(self._staged_ids)
-        self._table._count("aborts")
+        self._table._bump(aborts=1)
         if obs_metrics.enabled():
             COMMIT_ABORTS.inc()

@@ -45,6 +45,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.obs import families as _fam
 from repro.obs import metrics as obs_metrics
 from repro.util.hashing import hash_bytes
 
@@ -65,7 +66,7 @@ _DEFAULT_MEMORY_BYTES = 64 << 20
 
 
 @dataclass
-class TierStats:
+class TierStats(_fam.Counters):
     """Counters for one :class:`TieredChunkCache`."""
 
     memory_hits: int = 0
@@ -77,6 +78,18 @@ class TierStats:
     spill_bytes: int = 0
     singleflight_waits: int = 0
     checksum_failures: int = 0
+
+    families = {
+        "memory_hits": ("cache_tier_hits_total", {"tier": "memory"}),
+        "disk_hits": ("cache_tier_hits_total", {"tier": "disk"}),
+        "misses": "cache_tier_misses_total",
+        "memory_evictions": ("cache_tier_evictions_total", {"tier": "memory"}),
+        "disk_evictions": ("cache_tier_evictions_total", {"tier": "disk"}),
+        "spills": "cache_spills_total",
+        "spill_bytes": "cache_spill_bytes_total",
+        "singleflight_waits": "cache_singleflight_waits_total",
+        "checksum_failures": "cache_checksum_failures_total",
+    }
 
     @property
     def hits(self) -> int:
@@ -153,8 +166,6 @@ class TieredChunkCache:
         # called under self._lock
         if not obs_metrics.enabled():
             return
-        from repro.obs import families as _fam
-
         _fam.CACHE_TIER_BYTES.labels(cache=self.name, tier="memory").set(
             self._mem_bytes
         )
@@ -169,23 +180,20 @@ class TieredChunkCache:
         with self._lock:
             raw = self._lookup_locked(key)
             if raw is None:
-                self.stats.misses += 1
-                self._count("miss")
+                self.stats.bump(misses=1)
             return raw
 
     def _lookup_locked(self, key: tuple) -> bytes | None:
         raw = self._mem.get(key)
         if raw is not None:
             self._mem.move_to_end(key)
-            self.stats.memory_hits += 1
-            self._count("hit", tier="memory")
+            self.stats.bump(memory_hits=1)
             return raw
         if key in self._disk:
             raw = self._disk_read_locked(key)
             if raw is not None:
                 # promote back into memory (it is hot again)
-                self.stats.disk_hits += 1
-                self._count("hit", tier="disk")
+                self.stats.bump(disk_hits=1)
                 self._put_memory_locked(key, raw)
                 return raw
         return None
@@ -212,8 +220,7 @@ class TieredChunkCache:
         ):
             victim_key, victim = self._mem.popitem(last=False)
             self._mem_bytes -= len(victim)
-            self.stats.memory_evictions += 1
-            self._count("eviction", tier="memory")
+            self.stats.bump(memory_evictions=1)
             if (
                 self.disk_bytes > 0
                 and len(victim) <= self.disk_bytes
@@ -241,14 +248,11 @@ class TieredChunkCache:
             return  # disk tier is best-effort; a failed spill is a miss
         self._disk[key] = len(raw)
         self._disk_bytes += len(raw)
-        self.stats.spills += 1
-        self.stats.spill_bytes += len(raw)
-        self._count("spill", nbytes=len(raw))
+        self.stats.bump(spills=1, spill_bytes=len(raw))
         while self._disk and self._disk_bytes > self.disk_bytes:
             victim_key, nbytes = self._disk.popitem(last=False)
             self._disk_bytes -= nbytes
-            self.stats.disk_evictions += 1
-            self._count("eviction", tier="disk")
+            self.stats.bump(disk_evictions=1)
             self._unlink_quiet(victim_key)
 
     def _disk_read_locked(self, key: tuple) -> bytes | None:
@@ -277,8 +281,7 @@ class TieredChunkCache:
             if expected is not None:
                 self._disk_bytes -= expected
             self._unlink_quiet(key)
-            self.stats.checksum_failures += 1
-            self._count("checksum_failure")
+            self.stats.bump(checksum_failures=1)
             return None
         self._disk.move_to_end(key)
         return raw
@@ -307,11 +310,9 @@ class TieredChunkCache:
                 return ("hit", raw)
             flight = self._flights.get(key)
             if flight is not None:
-                self.stats.singleflight_waits += 1
-                self._count("singleflight_wait")
+                self.stats.bump(singleflight_waits=1)
                 return ("wait", flight)
-            self.stats.misses += 1
-            self._count("miss")
+            self.stats.bump(misses=1)
             self._flights[key] = _Flight()
             return ("mine", None)
 
@@ -361,29 +362,6 @@ class TieredChunkCache:
             self._disk.clear()
             self._disk_bytes = 0
             self._publish_gauges()
-
-    # -- metrics ---------------------------------------------------------
-    def _count(
-        self, what: str, tier: str = "", nbytes: int = 0
-    ) -> None:
-        # called under self._lock
-        if not obs_metrics.enabled():
-            return
-        from repro.obs import families as _fam
-
-        if what == "hit":
-            _fam.CACHE_TIER_HITS.labels(tier=tier).inc()
-        elif what == "miss":
-            _fam.CACHE_TIER_MISSES.inc()
-        elif what == "eviction":
-            _fam.CACHE_TIER_EVICTIONS.labels(tier=tier).inc()
-        elif what == "spill":
-            _fam.CACHE_SPILLS.inc()
-            _fam.CACHE_SPILL_BYTES.inc(nbytes)
-        elif what == "singleflight_wait":
-            _fam.CACHE_SINGLEFLIGHT_WAITS.inc()
-        elif what == "checksum_failure":
-            _fam.CACHE_CHECKSUM_FAILURES.inc()
 
 
 # ---------------------------------------------------------------------------

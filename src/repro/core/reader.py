@@ -73,7 +73,7 @@ from repro.obs.families import (
     SCAN_COALESCE_WASTE_BYTES,
     SCAN_COALESCED_CHUNKS,
     SCAN_COALESCED_REQUESTS,
-    SCAN_MIRROR,
+    Counters,
     backend_label,
 )
 from repro.util.hashing import hash_bytes
@@ -103,7 +103,7 @@ class BullionFormatError(ValueError):
 
 
 @dataclass
-class ScanStats:
+class ScanStats(Counters):
     """What each pushdown layer skipped, for one scan (or, when one
     instance is shared across scans, a whole multi-file read).
 
@@ -124,35 +124,19 @@ class ScanStats:
     chunks_fetched: int = 0
     chunks_skipped: int = 0  # residual chunks never fetched
 
-    # class attribute, not a dataclass field: instances flip it via
-    # ``unmirrored()`` when their counts must stay out of the registry
-    _mirror = True
-
-    def bump(self, **deltas: int) -> None:
-        """Increment per-call counters *and* the process-wide registry.
-
-        Every organic increment site goes through here, so the global
-        ``scan_*`` counter families reconcile exactly with the summed
-        per-call stats. Bulk copies between stats objects (e.g.
-        ``QueryStats.merge``) stay raw attribute writes — a delta is
-        published to the registry exactly once, at its origin.
-        """
-        for name, n in deltas.items():
-            setattr(self, name, getattr(self, name) + n)
-        if self._mirror:
-            SCAN_MIRROR.bump(deltas)
-
-    @staticmethod
-    def unmirrored() -> "ScanStats":
-        """Stats that never publish to the registry.
-
-        For *inner* scans whose counts a wrapping layer re-reports
-        under its own accounting (e.g. ``ResolvedReader`` counts files
-        and groups itself) — mirroring both would double-publish.
-        """
-        stats = ScanStats()
-        stats._mirror = False
-        return stats
+    families = {
+        "files_scanned": "scan_files_scanned_total",
+        "files_pruned": "scan_files_pruned_total",
+        "groups_total": "scan_groups_considered_total",
+        "groups_pruned": "scan_groups_pruned_total",
+        "groups_scanned": "scan_groups_scanned_total",
+        "groups_empty": "scan_groups_empty_total",
+        "rows_pruned": "scan_rows_pruned_total",
+        "rows_scanned": "scan_rows_scanned_total",
+        "rows_matched": "scan_rows_matched_total",
+        "chunks_fetched": "scan_chunks_fetched_total",
+        "chunks_skipped": "scan_chunks_skipped_total",
+    }
 
 
 class Scan:

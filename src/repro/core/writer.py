@@ -76,7 +76,7 @@ from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
     WRITER_ENCODE_SECONDS,
     WRITER_FLUSH_SECONDS,
-    WRITER_MIRROR,
+    Counters,
 )
 from repro.util.hashing import hash_bytes
 
@@ -121,7 +121,7 @@ class WriterOptions:
 
 
 @dataclass
-class WriterStats:
+class WriterStats(Counters):
     """Streaming-writer instrumentation (the bounded-memory evidence).
 
     ``peak_encoded_pages_held`` / ``peak_encoded_payload_bytes`` track
@@ -138,6 +138,11 @@ class WriterStats:
     encoded_payload_bytes_held: int = 0
     peak_encoded_pages_held: int = 0
     peak_encoded_payload_bytes: int = 0
+
+    families = {
+        "groups_flushed": "writer_groups_flushed_total",
+        "pages_written": "writer_pages_written_total",
+    }
 
 
 _INT_PRIMS = {
@@ -447,9 +452,7 @@ class BullionWriter:
                     ),
                     hash_bytes(payload),
                 )
-                stats.pages_written += 1
-                if obs_on:
-                    WRITER_MIRROR.bump({"pages_written": 1})
+                stats.bump(pages_written=1)
                 stats.encoded_pages_held -= 1
                 stats.encoded_payload_bytes_held -= len(payload)
                 del payload, framed  # nothing encoded survives the page
@@ -469,9 +472,7 @@ class BullionWriter:
                 chunk_stats,
             )
         builder.end_row_group(n_rows)
-        stats.groups_flushed += 1
-        if obs_on:
-            WRITER_MIRROR.bump({"groups_flushed": 1})
+        stats.bump(groups_flushed=1)
 
     def _chunk_encoding(self, column: PhysicalColumn, col_values) -> Encoding:
         """The scheme for one column chunk, decided before its pages."""

@@ -21,6 +21,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.obs.families import Counters
+
 
 @dataclass
 class SeekModel:
@@ -53,8 +55,9 @@ class SeekModel:
 
 
 @dataclass
-class IOStats:
-    """Mutable counters for one device."""
+class IOStats(Counters):
+    """Mutable counters for one device (no registry families: the
+    ``InstrumentedStorage`` wrapper publishes ``storage_*`` itself)."""
 
     reads: int = 0
     writes: int = 0
@@ -62,14 +65,6 @@ class IOStats:
     bytes_written: int = 0
     read_seeks: int = 0
     write_seeks: int = 0
-
-    def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.read_seeks = 0
-        self.write_seeks = 0
 
     @property
     def seeks(self) -> int:
@@ -133,10 +128,8 @@ class SimulatedStorage:
                     f"pread [{offset}, {offset + length}) beyond device "
                     f"size {len(self._buf)}"
                 )
-            self.stats.reads += 1
-            self.stats.bytes_read += length
-            if self._read_cursor != offset:
-                self.stats.read_seeks += 1
+            seek = self._read_cursor != offset
+            self.stats.bump(reads=1, bytes_read=length, read_seeks=seek)
             self._read_cursor = offset + length
             return bytes(self._buf[offset : offset + length])
 
@@ -148,10 +141,8 @@ class SimulatedStorage:
             end = offset + len(data)
             if end > len(self._buf):
                 self._buf.extend(b"\x00" * (end - len(self._buf)))
-            self.stats.writes += 1
-            self.stats.bytes_written += len(data)
-            if self._write_cursor != offset:
-                self.stats.write_seeks += 1
+            seek = self._write_cursor != offset
+            self.stats.bump(writes=1, bytes_written=len(data), write_seeks=seek)
             self._write_cursor = end
             self._buf[offset:end] = data
 

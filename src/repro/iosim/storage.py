@@ -145,10 +145,8 @@ class FileStorage:
             )
         data = os.pread(self._fd, length, offset)
         with self._lock:
-            self.stats.reads += 1
-            self.stats.bytes_read += len(data)
-            if self._read_cursor != offset:
-                self.stats.read_seeks += 1
+            seek = self._read_cursor != offset
+            self.stats.bump(reads=1, bytes_read=len(data), read_seeks=seek)
             self._read_cursor = offset + len(data)
         return data
 
@@ -161,10 +159,8 @@ class FileStorage:
         with self._lock:
             end = offset + len(data)
             self._size = max(self._size, end)
-            self.stats.writes += 1
-            self.stats.bytes_written += len(data)
-            if self._write_cursor != offset:
-                self.stats.write_seeks += 1
+            seek = self._write_cursor != offset
+            self.stats.bump(writes=1, bytes_written=len(data), write_seeks=seek)
             self._write_cursor = end
         # os.pwrite past EOF leaves a hole, not zeros we must fake:
         # POSIX defines holes to read back as zeros, matching the
@@ -507,7 +503,7 @@ class InstrumentedStorage(StorageWrapper):
         self._read_size.observe(len(data))
         return data
 
-    def _count_write(self, nbytes: int, t0: float) -> None:
+    def _observe_write(self, nbytes: int, t0: float) -> None:
         self._write_secs.observe(time.perf_counter() - t0)
         self._write_ops.inc()
         self._write_bytes.inc(nbytes)
@@ -519,14 +515,14 @@ class InstrumentedStorage(StorageWrapper):
             return
         t0 = time.perf_counter()
         self.inner.pwrite(offset, data)
-        self._count_write(len(data), t0)
+        self._observe_write(len(data), t0)
 
     def append(self, data: bytes) -> int:
         if not obs_metrics.enabled():
             return self.inner.append(data)
         t0 = time.perf_counter()
         offset = self.inner.append(data)
-        self._count_write(len(data), t0)
+        self._observe_write(len(data), t0)
         return offset
 
     def sync(self) -> None:

@@ -19,7 +19,7 @@ the media table per sample (the pre-Bullion layout the paper calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,8 +209,8 @@ class MultimodalDataset:
                 media.read_record(MediaRef(int(b), int(i), 0))
         return BatchReadReport(
             samples_read=int(len(selected)),
-            meta=_copy_stats(self.meta_storage.stats),
-            media=_copy_stats(self.media_storage.stats),
+            meta=replace(self.meta_storage.stats),
+            media=replace(self.media_storage.stats),
             selected_runs=runs,
             mean_run_length=mean_run,
         )
@@ -225,14 +225,3 @@ class MultimodalDataset:
             0,
         )
         return MediaReader(self.media_storage).read_record(ref)["video"]
-
-
-def _copy_stats(stats: IOStats) -> IOStats:
-    return IOStats(
-        reads=stats.reads,
-        writes=stats.writes,
-        bytes_read=stats.bytes_read,
-        bytes_written=stats.bytes_written,
-        read_seeks=stats.read_seeks,
-        write_seeks=stats.write_seeks,
-    )

@@ -1,8 +1,9 @@
 """Unified observability layer: metrics registry + span tracer.
 
-Every subsystem in the repo keeps per-call stats objects (``ScanStats``,
-``QueryStats``, ``WriterStats``, ``IOStats``) that are born and die with
-a single call.  This package adds the process-wide view on top:
+Every subsystem keeps per-call stats objects (``ScanStats``,
+``QueryStats``, ``WriterStats``, ``TierStats``, ``IOStats``,
+``CatalogStats``, ``MaintenanceReport``) that are born and die with a
+single call or handle.  This package adds the process-wide view on top:
 
 ``repro.obs.metrics``
     A thread-safe :class:`Registry` of counters, gauges and fixed-bucket
@@ -17,8 +18,9 @@ a single call.  This package adds the process-wide view on top:
 
 ``repro.obs.families``
     The canonical metric families (named ``<subsystem>_<noun>_<unit>``)
-    and the :class:`StatsMirror` bridge that folds per-call stats
-    counters into registry families at the original increment sites.
+    and :class:`~repro.obs.families.Counters`, the base every per-call
+    stats class derives from: one ``bump(**deltas)`` counts an event
+    for the caller and publishes it to the families the class declares.
 
 Instrumentation in the core/catalog/query layers honours a single
 process-wide switch: :func:`set_enabled` / :func:`enabled`.  Metrics

@@ -1,100 +1,123 @@
-"""Canonical metric families and the per-call-stats → registry bridge.
+"""Canonical metric families and :class:`Counters`, the per-call stats base.
 
 Every metric the built-in instrumentation emits is declared here, in
 one place, so the naming-convention lint test and the ARCHITECTURE.md
 inventory have a single source of truth.  Names follow
 ``<subsystem>_<noun>_<unit>`` (see :func:`repro.obs.metrics.validate_metric_name`).
 
-:class:`StatsMirror` folds the existing per-call stats dataclasses
-(``ScanStats``, ``QueryStats``) into registry counter families *at the
-original increment sites*: the stats objects grow a ``bump(**deltas)``
-method that updates the per-call fields exactly as ``+=`` did and, when
-instrumentation is enabled, adds the same deltas to the process-wide
-counters.  ``merge()``-style bulk copies between stats objects stay raw
-attribute writes, so a value is published to the registry exactly once
-— this is what makes the global counters reconcile exactly with the
-summed per-call stats.
+:class:`Counters` is the one way a per-call stats dataclass counts an
+event: ``bump(**deltas)`` adds to its fields and, when instrumentation
+is enabled, to the registry families its class declares.  ``merge()``
+and ``reset()`` never publish, so each event reaches the registry
+exactly once, at its origin, and registry totals reconcile exactly
+with the summed per-call stats.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+from typing import ClassVar
+
 from repro.obs import metrics as _m
 
-__all__ = [
-    "StatsMirror",
-    "SCAN_MIRROR",
-    "QUERY_MIRROR",
-    "WRITER_MIRROR",
-    "STANDARD_FAMILIES",
-    "backend_label",
-]
+__all__ = ["Counters", "STANDARD_FAMILIES", "backend_label"]
 
 _REG = _m.default_registry()
 
 
-class StatsMirror:
-    """Maps per-call stats field names onto registry counter families."""
+@dataclass
+class Counters:
+    """Base for the per-call stats dataclasses.
 
-    def __init__(self, field_to_metric: dict[str, str], help_prefix: str):
-        self._handles = {
-            fld: _REG.counter(name, f"{help_prefix}: {fld} (process-wide)")
-            for fld, name in field_to_metric.items()
+    ``families`` maps a field to the name of a family declared in this
+    module, or to ``(name, {label: value})`` for a labelled one; fields
+    it does not name (peaks, held bytes) stay plain attributes.  The
+    base normalizes it to ``{field: (family, labels)}`` and resolves
+    each child counter once, when the subclass is defined.
+    """
+
+    families: ClassVar[dict] = {}
+    _children: ClassVar[dict] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.families = {
+            fld: (_REG.get(spec[0]), spec[1])
+            if isinstance(spec, tuple)
+            else (_REG.get(spec), {})
+            for fld, spec in cls.families.items()
         }
-        self.field_to_metric = dict(field_to_metric)
+        cls._children = {
+            fld: fam.labels(**labels)
+            for fld, (fam, labels) in cls.families.items()
+        }
 
-    def bump(self, deltas: dict[str, int]) -> None:
-        if not _m.enabled():
-            return
-        handles = self._handles
-        for fld, n in deltas.items():
-            if n:
-                handles[fld].inc(n)
+    def bump(self, **deltas: int) -> None:
+        """Add ``deltas`` to the fields and publish the declared ones."""
+        for name, n in deltas.items():
+            setattr(self, name, getattr(self, name) + n)
+        children = self._children
+        if children and _m.enabled():
+            for name, n in deltas.items():
+                if n and name in children:
+                    children[name].inc(n)
+
+    def merge(self, other: "Counters") -> None:
+        """Add ``other`` field by field, nested ``Counters`` included.
+        Publishes nothing: ``other`` published at its own origin."""
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if isinstance(mine, Counters):
+                mine.merge(getattr(other, f.name))
+            else:
+                setattr(self, f.name, mine + getattr(other, f.name))
+
+    def reset(self) -> None:
+        """Zero every field, nested ``Counters`` in place."""
+        fresh = type(self)()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Counters):
+                value.reset()
+            else:
+                setattr(self, f.name, getattr(fresh, f.name))
+
+    @classmethod
+    def unmirrored(cls):
+        """An instance that never publishes: for an inner call whose
+        counts the wrapping layer folds into its own stats."""
+        stats = cls()
+        stats._children = {}
+        return stats
 
 
-#: ScanStats fields → registry counters (decode-path pushdown layers).
-SCAN_MIRROR = StatsMirror(
-    {
-        "files_scanned": "scan_files_scanned_total",
-        "files_pruned": "scan_files_pruned_total",
-        # ``groups_total`` would render as ``scan_groups_total_total``;
-        # the registry name says what the field means instead.
-        "groups_total": "scan_groups_considered_total",
-        "groups_pruned": "scan_groups_pruned_total",
-        "groups_scanned": "scan_groups_scanned_total",
-        "groups_empty": "scan_groups_empty_total",
-        "rows_pruned": "scan_rows_pruned_total",
-        "rows_scanned": "scan_rows_scanned_total",
-        "rows_matched": "scan_rows_matched_total",
-        "chunks_fetched": "scan_chunks_fetched_total",
-        "chunks_skipped": "scan_chunks_skipped_total",
-    },
-    "Scan pushdown",
-)
-
-#: QueryStats fields → registry counters (answer-path split).
-QUERY_MIRROR = StatsMirror(
-    {
-        "files_total": "query_files_considered_total",
-        "files_pruned": "query_files_pruned_total",
-        "files_meta_answered": "query_files_meta_answered_total",
-        "files_footer_answered": "query_files_footer_answered_total",
-        "files_decoded": "query_files_decoded_total",
-        "groups_meta_answered": "query_groups_meta_answered_total",
-        "groups_decoded": "query_groups_decoded_total",
-        "rows_from_metadata": "query_rows_from_metadata_total",
-    },
-    "Query answer paths",
-)
-
-#: WriterStats counter fields → registry counters (gauge-like peaks are
-#: per-call evidence and stay per-call).
-WRITER_MIRROR = StatsMirror(
-    {
-        "groups_flushed": "writer_groups_flushed_total",
-        "pages_written": "writer_pages_written_total",
-    },
-    "Streaming writer",
-)
+# --- Per-call stats counters (fed by Counters.bump) ---------------------
+# ``ScanStats.groups_total`` publishes as ``scan_groups_considered_total``
+# (not ``scan_groups_total_total``); ``QueryStats.files_total`` likewise.
+for _name, _help in (
+    ("scan_files_scanned_total", "Files scanned"),
+    ("scan_files_pruned_total", "Files pruned from manifest stats"),
+    ("scan_groups_considered_total", "Candidate row groups before pruning"),
+    ("scan_groups_pruned_total", "Row groups pruned by zone maps"),
+    ("scan_groups_scanned_total", "Row groups whose filter columns decoded"),
+    ("scan_groups_empty_total", "Scanned row groups with no match"),
+    ("scan_rows_pruned_total", "Rows in pruned files and row groups"),
+    ("scan_rows_scanned_total", "Rows whose filter columns decoded"),
+    ("scan_rows_matched_total", "Rows surviving the exact filter"),
+    ("scan_chunks_fetched_total", "Data chunks fetched"),
+    ("scan_chunks_skipped_total", "Residual chunks never fetched"),
+    ("query_files_considered_total", "Files a query considered"),
+    ("query_files_pruned_total", "Files proven empty of matches"),
+    ("query_files_meta_answered_total", "Files answered from the manifest"),
+    ("query_files_footer_answered_total", "Files answered from zone maps"),
+    ("query_files_decoded_total", "Files that fetched a data chunk"),
+    ("query_groups_meta_answered_total", "Row groups answered from stats"),
+    ("query_groups_decoded_total", "Row groups decoded"),
+    ("query_rows_from_metadata_total", "Rows answered without decoding"),
+    ("writer_groups_flushed_total", "Row groups flushed"),
+    ("writer_pages_written_total", "Pages written"),
+):
+    _REG.counter(_name, _help)
 
 # --- Cache / reader -----------------------------------------------------
 READER_OPENS = _REG.counter(

@@ -38,16 +38,14 @@ what makes the metadata min/max answer exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.core.reader import ScanStats
 from repro.expr import Expr
-from repro.obs.families import QUERY_MIRROR
+from repro.obs.families import Counters
 
 #: supported aggregate functions
 AGG_FUNCTIONS = ("count", "sum", "min", "max", "mean")
-
-_SCAN_FIELDS = tuple(f.name for f in fields(ScanStats))
 
 _SPEC_RE = re.compile(
     r"^\s*(?P<fn>[a-zA-Z]+)\s*(?:\(\s*(?P<col>\*|[A-Za-z_][A-Za-z0-9_.]*)?\s*\))?\s*$"
@@ -160,7 +158,7 @@ class QueryPlan:
 
 
 @dataclass
-class QueryStats:
+class QueryStats(Counters):
     """Which answer path handled how much of one query.
 
     ``files_*`` partition the snapshot's files (single-file queries
@@ -185,50 +183,20 @@ class QueryStats:
     rows_from_metadata: int = 0
     scan: ScanStats = field(default_factory=ScanStats)
 
+    families = {
+        "files_total": "query_files_considered_total",
+        "files_pruned": "query_files_pruned_total",
+        "files_meta_answered": "query_files_meta_answered_total",
+        "files_footer_answered": "query_files_footer_answered_total",
+        "files_decoded": "query_files_decoded_total",
+        "groups_meta_answered": "query_groups_meta_answered_total",
+        "groups_decoded": "query_groups_decoded_total",
+        "rows_from_metadata": "query_rows_from_metadata_total",
+    }
+
     @property
     def data_chunks_fetched(self) -> int:
         return self.scan.chunks_fetched
-
-    def bump(self, **deltas: int) -> None:
-        """Increment per-call counters *and* the process-wide registry.
-
-        Same contract as :meth:`ScanStats.bump`: organic increments go
-        through here so the global ``query_*`` families reconcile with
-        summed per-call stats; :meth:`merge` stays raw attribute math
-        so nothing is double-published.
-        """
-        for name, n in deltas.items():
-            setattr(self, name, getattr(self, name) + n)
-        QUERY_MIRROR.bump(deltas)
-
-    def merge(self, other: "QueryStats") -> None:
-        self.files_total += other.files_total
-        self.files_pruned += other.files_pruned
-        self.files_meta_answered += other.files_meta_answered
-        self.files_footer_answered += other.files_footer_answered
-        self.files_decoded += other.files_decoded
-        self.groups_meta_answered += other.groups_meta_answered
-        self.groups_decoded += other.groups_decoded
-        self.rows_from_metadata += other.rows_from_metadata
-        for name in _SCAN_FIELDS:
-            setattr(
-                self.scan,
-                name,
-                getattr(self.scan, name) + getattr(other.scan, name),
-            )
-
-    def describe(self) -> str:
-        return (
-            f"files: {self.files_total} total, "
-            f"{self.files_pruned} pruned, "
-            f"{self.files_meta_answered} manifest-only, "
-            f"{self.files_footer_answered} footer-only, "
-            f"{self.files_decoded} decoded; "
-            f"groups: {self.groups_meta_answered} metadata-answered, "
-            f"{self.groups_decoded} decoded; "
-            f"rows from metadata: {self.rows_from_metadata:,}; "
-            f"data chunks fetched: {self.data_chunks_fetched:,}"
-        )
 
 
 @dataclass

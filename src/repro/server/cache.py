@@ -47,7 +47,7 @@ PIN_CACHE_ENTRIES = 4
 RESULT_CACHE_ENTRIES = 256
 
 
-def _count(family, n: float = 1.0, **labels) -> None:
+def _inc(family, n: float = 1.0, **labels) -> None:
     if not obs_metrics.enabled():
         return
     if labels:
@@ -105,9 +105,9 @@ class LeaseCache:
         with self._lock:
             entry = self._hold_locked(key)
         if entry is not None:
-            _count(self._hits)
+            _inc(self._hits)
             return entry.resource
-        _count(self._misses)
+        _inc(self._misses)
         # open outside the lock: a footer or manifest read can be slow
         # (object store) and must not serialize unrelated acquires
         fresh = _Entry(*self._open(key))
@@ -146,7 +146,7 @@ class LeaseCache:
             closable = self._settle_locked()
         _close_all(closable)
         if stale:
-            _count(
+            _inc(
                 fam.SERVER_CACHE_INVALIDATIONS, len(stale), cache=self.label
             )
         return len(stale)
@@ -279,10 +279,10 @@ class KeyedCache:
         with self._lock:
             hit = self._entries.get(key)
             if hit is None:
-                _count(self._misses)
+                _inc(self._misses)
                 return None
             self._entries.move_to_end(key)
-        _count(self._hits)
+        _inc(self._hits)
         return hit[0]
 
     def put(self, key: bytes, value, file_ids=()) -> None:
@@ -303,7 +303,7 @@ class KeyedCache:
             for key in stale:
                 del self._entries[key]
         if stale:
-            _count(
+            _inc(
                 fam.SERVER_CACHE_INVALIDATIONS, len(stale), cache=self.label
             )
         return len(stale)

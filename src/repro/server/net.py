@@ -49,7 +49,7 @@ class ClientGone(Exception):
     """The peer vanished mid-request (reset, shutdown, EOF)."""
 
 
-def _count_bytes(family):
+def _byte_counter(family):
     if not obs_metrics.enabled():
         return None
     return family.inc
@@ -169,7 +169,7 @@ class BullionServer:
             while not self._closed.is_set():
                 try:
                     payload = protocol.read_frame(
-                        conn, _count_bytes(fam.SERVER_BYTES_RECEIVED)
+                        conn, _byte_counter(fam.SERVER_BYTES_RECEIVED)
                     )
                 except (ConnectionError, OSError):
                     break
@@ -254,7 +254,7 @@ class BullionServer:
             protocol.send_frame(
                 conn,
                 protocol.dumps_canonical(doc),
-                _count_bytes(fam.SERVER_BYTES_SENT),
+                _byte_counter(fam.SERVER_BYTES_SENT),
             )
         except (ConnectionError, BrokenPipeError, OSError) as exc:
             raise ClientGone(str(exc)) from None

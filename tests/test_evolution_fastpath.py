@@ -11,12 +11,20 @@ column stay on their metadata paths.
 
 import numpy as np
 
-from repro.catalog import AddColumn, CatalogTable, RenameColumn
+from repro.catalog import (
+    AddColumn,
+    CatalogTable,
+    MemoryCatalogStore,
+    RenameColumn,
+)
 from repro.core import Table, WriterOptions
+from repro.core.reader import ScanStats
 from repro.expr import col
+from repro.obs import metrics as obs_metrics
 from test_query_fastpath import CountingCatalogStore
 
 OPTS = WriterOptions(rows_per_page=25, rows_per_group=50)
+REG = obs_metrics.default_registry()
 
 
 def _evolved_catalog():
@@ -176,3 +184,50 @@ class TestHeterogeneousGracefulFallback:
             forced = snap.query(["count(tag)"], use_metadata=False)
         assert res.rows[0]["count(tag)"] == 100
         assert forced.rows[0]["count(tag)"] == 100
+
+
+class TestOldSchemaChunkCounts:
+    """An old-schema file is read through ``ResolvedReader``, whose
+    inner scan fetches the chunks. Those fetches must reach the
+    caller's ``ScanStats`` (and the registry, once) exactly as a plain
+    file's do — otherwise ``data_chunks_fetched == 0`` would claim
+    zero data I/O for a query that decoded every row."""
+
+    def _table(self, evolved):
+        cat = CatalogTable.create(MemoryCatalogStore())
+        cat.append(
+            Table({
+                "ts": np.arange(300, dtype=np.int64),
+                "v": np.linspace(0.0, 1.0, 300),
+            }),
+            options=WriterOptions(rows_per_page=50, rows_per_group=100),
+        )
+        if evolved:
+            cat.evolve(AddColumn("extra", "int64"))
+        return cat
+
+    def _counts(self, evolved):
+        cat = self._table(evolved)
+        where = col("ts") >= 150
+        before = REG.snapshot()
+        scan_stats = ScanStats()
+        rows = sum(
+            b.num_rows
+            for b in cat.scan(["ts", "v"], where=where, scan_stats=scan_stats)
+        )
+        res = cat.query(["count", "sum(v)"], where=where, max_workers=1)
+        fetched = REG.delta(before).value("scan_chunks_fetched_total")
+        assert rows == res.scalar("count") == 150
+        return scan_stats, res.stats, fetched
+
+    def test_evolved_counts_equal_plain(self):
+        plain_scan, plain_query, plain_fetched = self._counts(False)
+        old_scan, old_query, old_fetched = self._counts(True)
+        assert plain_scan.chunks_fetched == 4
+        assert old_scan.chunks_fetched == plain_scan.chunks_fetched
+        assert old_scan.chunks_skipped == plain_scan.chunks_skipped
+        assert old_scan.groups_scanned == plain_scan.groups_scanned
+        assert plain_query.data_chunks_fetched == 4
+        assert old_query.data_chunks_fetched == plain_query.data_chunks_fetched
+        # published once: registry delta == scan + query per-call counts
+        assert old_fetched == plain_fetched == 8

@@ -23,14 +23,42 @@ from repro.core import (
     Table,
     WriterOptions,
 )
+from repro.catalog import CatalogStats
+from repro.core.chunk_cache import TieredChunkCache, TierStats
 from repro.core.reader import ScanStats
+from repro.core.writer import WriterStats
 from repro.expr import col
-from repro.iosim import InstrumentedStorage, SimulatedStorage
+from repro.iosim import InstrumentedStorage, IOStats, SimulatedStorage
 from repro.obs import metrics as obs_metrics, trace as obs_trace
-from repro.obs.families import QUERY_MIRROR, SCAN_MIRROR
-from repro.query import aggregate_reader
+from repro.obs.families import STANDARD_FAMILIES
+from repro.query import QueryStats, aggregate_reader
 
 REG = obs_metrics.default_registry()
+
+#: every per-call stats class; each derives from ``Counters``
+STATS_CLASSES = (
+    ScanStats,
+    QueryStats,
+    WriterStats,
+    TierStats,
+    IOStats,
+    CatalogStats,
+    MaintenanceReport,
+)
+
+
+def _assert_reconciles(delta, stats_objects):
+    """Registry delta == summed per-call value, for every declared
+    family child of ``type(stats_objects[0])``."""
+    cls = type(stats_objects[0])
+    assert cls.families, f"{cls.__name__} declares no families"
+    for fld, (fam, labels) in cls.families.items():
+        expected = sum(getattr(s, fld) for s in stats_objects)
+        got = delta.value(fam.name, **labels)
+        assert got == expected, (
+            f"{cls.__name__}.{fld} -> {fam.name}{labels}: "
+            f"registry {got} != per-call {expected}"
+        )
 
 
 @pytest.fixture(autouse=True)
@@ -160,6 +188,7 @@ class TestWriterInstrumentation:
         )
         d = REG.delta(before)
         assert d.value("writer_groups_flushed_total") == 3
+        _assert_reconciles(d, [writer.stats])
         assert (
             d.value("writer_pages_written_total") == writer.stats.pages_written
         )
@@ -169,7 +198,7 @@ class TestWriterInstrumentation:
 
 
 # ---------------------------------------------------------------------------
-# per-call stats mirrors
+# per-call stats publish through their declared families
 # ---------------------------------------------------------------------------
 
 class TestStatsMirrors:
@@ -200,6 +229,72 @@ class TestStatsMirrors:
         obs_metrics.set_enabled(True)
         assert stats.rows_scanned == 7
         assert REG.delta(before).value("scan_rows_scanned_total") == 0
+
+    def test_every_declared_family_is_standard(self):
+        for cls in STATS_CLASSES:
+            for fld, (fam, labels) in cls.families.items():
+                assert fam.name in STANDARD_FAMILIES, (cls, fld)
+                assert fam.kind == "counter", (cls, fld)
+                assert tuple(labels) == fam.label_names, (cls, fld)
+        # both layers that publish their own series declare none
+        assert IOStats.families == {} and CatalogStats.families == {}
+
+    def test_merge_publishes_nothing(self):
+        a, b = QueryStats(), QueryStats()
+        b.bump(files_total=2, groups_decoded=3)
+        b.scan.bump(chunks_fetched=5, rows_scanned=7)
+        before = REG.snapshot()
+        a.merge(b)
+        a.merge(b)
+        d = REG.delta(before)
+        assert (a.files_total, a.groups_decoded) == (4, 6)
+        assert (a.scan.chunks_fetched, a.scan.rows_scanned) == (10, 14)
+        for cls in (QueryStats, ScanStats):
+            for fam, labels in cls.families.values():
+                assert d.value(fam.name, **labels) == 0, fam.name
+
+    def test_reset_zeroes_nested_fields_in_place(self):
+        q = QueryStats()
+        nested = q.scan
+        q.bump(files_total=1)
+        nested.bump(rows_scanned=3)
+        q.reset()
+        assert q == QueryStats() and q.scan is nested
+        io = IOStats(reads=2, bytes_read=9, write_seeks=1)
+        io.reset()
+        assert io == IOStats()
+        report = MaintenanceReport(rows_deleted=3, skipped=["x"])
+        report.reset()
+        assert report == MaintenanceReport()
+
+    def test_tier_stats_reconcile_per_tier(self, tmp_path):
+        """Every TieredChunkCache event — per-tier hits and evictions,
+        misses, spills, single-flight waits, rejected spill files —
+        lands in the registry exactly as in ``cache.stats``."""
+        cache = TieredChunkCache(
+            200, disk_bytes=250, disk_dir=str(tmp_path), name="obs-tier"
+        )
+        before = REG.snapshot()
+        for k in range(4):  # 4 x 100 B through a 200 B memory tier
+            assert cache.claim(("k", k)) == ("mine", None)
+            cache.fulfill(("k", k), bytes([k]) * 100)
+        assert cache.claim(("k", 9)) == ("mine", None)
+        assert cache.claim(("k", 9))[0] == "wait"  # single-flight
+        cache.abandon(("k", 9))
+        assert cache.get(("k", 3)) is not None  # memory hit
+        assert cache.get(("k", 1)) is not None  # disk hit, promoted
+        assert cache.get(("nope",)) is None  # miss
+        # corrupt a spill file: the next lookup rejects it
+        (victim,) = [k for k in cache._disk if k != ("k", 1)]
+        with open(cache._spill_path(victim), "r+b") as f:
+            f.write(b"XXXX")
+        assert cache.get(victim) is None
+        s = cache.stats
+        d = REG.delta(before)
+        assert s.memory_hits and s.disk_hits and s.misses
+        assert s.memory_evictions and s.disk_evictions and s.spills
+        assert s.singleflight_waits == 1 and s.checksum_failures == 1
+        _assert_reconciles(d, [s])
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +426,7 @@ class TestMaintenanceInstrumentation:
             >= report.bytes_reclaimed
         )
         assert d.value("catalog_commits_total", operation="rollup") == 1
+        _assert_reconciles(d, [report])
         # the merged-away originals stay referenced by the pre-rollup
         # HEAD for one cycle (the expire job was planned before the
         # rollup committed); the NEXT cycle expires it and GC deletes
@@ -341,6 +437,7 @@ class TestMaintenanceInstrumentation:
             d2.value("maintenance_files_deleted_total")
             == report2.data_files_deleted
         )
+        _assert_reconciles(d2, [report, report2])
 
     def test_pinned_snapshot_refusal_counted(self):
         """The plan() pass already sidesteps snapshots pinned at plan
@@ -381,7 +478,7 @@ class TestMaintenanceInstrumentation:
 class TestEndToEndReconciliation:
     def test_flow_counters_reconcile_exactly(self, tmp_path):
         """Ingest -> commit -> pruned scan -> aggregate query ->
-        maintenance cycle. The registry delta for every mirrored
+        maintenance cycle. The registry delta for every declared
         ``scan_*`` / ``query_*`` family must equal the summed per-call
         ScanStats/QueryStats — no silent counts, no double counts —
         and the traced flow exports a correctly nested Chrome trace."""
@@ -426,20 +523,10 @@ class TestEndToEndReconciliation:
 
         obs_trace.disable()
 
-        # exact reconciliation, field by field, for both mirrors
+        # exact reconciliation, field by field, for both classes
         q = res.stats
-        for fld, metric in SCAN_MIRROR.field_to_metric.items():
-            expected = getattr(scan_stats, fld) + getattr(q.scan, fld)
-            assert delta.value(metric) == expected, (
-                f"{metric}: registry {delta.value(metric)} != "
-                f"per-call {expected}"
-            )
-        for fld, metric in QUERY_MIRROR.field_to_metric.items():
-            expected = getattr(q, fld)
-            assert delta.value(metric) == expected, (
-                f"{metric}: registry {delta.value(metric)} != "
-                f"per-call {expected}"
-            )
+        _assert_reconciles(delta, [scan_stats, q.scan])
+        _assert_reconciles(delta, [q])
 
         # the registry export speaks both formats
         text = REG.export_text()
