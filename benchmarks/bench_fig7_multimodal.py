@@ -74,7 +74,19 @@ def test_bench_fig7_comparison(benchmark, sorted_ds, unsorted_ds):
         " with external, fragmented I/O'; presorting 'improves contiguous"
         " access to high-quality video frames'",
     ]
-    report("fig7_multimodal", lines)
+    report("fig7_multimodal", lines, data={
+        name: {
+            "meta_bytes": rep.meta.bytes_read,
+            "media_bytes": rep.media.bytes_read,
+            "runs": rep.selected_runs,
+            "modelled_ms": rep.modelled_time() * 1e3,
+        }
+        for name, rep in (
+            ("inline_presorted", inline_sorted),
+            ("inline_unsorted", inline_unsorted),
+            ("bounce_presorted", bounce_sorted),
+        )
+    })
 
     # shape checks: both Bullion techniques must win on their axis
     assert inline_sorted.media.bytes_read == 0

@@ -23,6 +23,7 @@ requests over the many-small-files serving shape on real files.
 """
 
 import statistics
+import threading
 import time
 
 import numpy as np
@@ -217,6 +218,23 @@ def _scan(snap, i):
     return table.num_rows, stats.files_scanned, stats
 
 
+def _requests_per_s(snap, send, threads: int) -> float:
+    """Aggregate requests/s of ``threads`` threads, each sending the
+    same ``PROBE_REQUESTS`` requests on one pin."""
+
+    def client():
+        for i in range(PROBE_REQUESTS):
+            send(snap, i)
+
+    workers = [threading.Thread(target=client) for _ in range(threads)]
+    t0 = time.perf_counter()
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    return threads * PROBE_REQUESTS / (time.perf_counter() - t0)
+
+
 def test_bench_per_request_fixed_work(tmp_path):
     """Per-request cost of the serving path, on a fixed amount of work.
 
@@ -227,7 +245,11 @@ def test_bench_per_request_fixed_work(tmp_path):
     every run — a count of work, not a time box — and reports the
     median wall and thread-CPU milliseconds of one request in
     ``BENCH_query_aggregate_throughput.json`` only; the tracked
-    results file holds the deterministic counts.
+    results file holds the deterministic counts. The cold and grouped
+    classes then send the same requests from one thread and from two
+    at once: their requests/s and its two-thread/one-thread ratio (how
+    much of a second core a server's two workers get) go to the JSON
+    file too.
     """
     cat = _probe_table(str(tmp_path))
     classes = {
@@ -272,5 +294,15 @@ def test_bench_per_request_fixed_work(tmp_path):
             print(
                 f"{name}: {data[name]['wall_ms_p50']:.2f} ms wall, "
                 f"{data[name]['cpu_ms_p50']:.2f} ms CPU per request (median)"
+            )
+        for name in ("cold", "grouped"):
+            send = classes[name][1]
+            one, two = (_requests_per_s(snap, send, n) for n in (1, 2))
+            data[name].update(
+                rps_1_thread=one, rps_2_threads=two, thread_scaling=two / one
+            )
+            print(
+                f"{name}: {one:.1f} requests/s on 1 thread, {two:.1f} on 2 "
+                f"({two / one:.2f}x)"
             )
     report("query_aggregate_throughput", lines, data=data)

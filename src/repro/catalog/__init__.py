@@ -29,6 +29,7 @@ from repro.catalog.maintenance import (
     MaintenanceReport,
     MaintenanceService,
 )
+from repro.catalog.readers import LeaseCache, ReaderPool
 from repro.catalog.schema_evolution import (
     AddColumn,
     CatalogMetadataError,
@@ -65,6 +66,8 @@ __all__ = [
     "CatalogTable",
     "CatalogStats",
     "PinnedSnapshot",
+    "LeaseCache",
+    "ReaderPool",
     "Transaction",
     "CommitConflict",
     "data_file_entry",

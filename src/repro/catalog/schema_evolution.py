@@ -716,6 +716,24 @@ class ResolvedReader:
     def column_names(self) -> list[str]:
         return self._res.current.names()
 
+    def locate_columns(self, names: list[str]):
+        """:meth:`BullionReader.locate_columns` in current coordinates:
+        the stored column behind each current name, its stored and its
+        current type (``col_idx`` and stored type ``None`` for a column
+        the file never stored)."""
+        inner = self._reader.footer
+        located = []
+        for name in names:
+            ptype = self._res.current_column(name).type  # KeyError contract
+            stored = self._res.stored_column(name)
+            if stored is None:
+                located.append((None, None, ptype))
+            else:
+                located.append(
+                    (inner.find_column(stored.name), stored.type, ptype)
+                )
+        return self._reader, located
+
     # -- pushdown (current coordinates, conservative) -------------------
     def classify_row_groups_expr(self, where: Expr) -> list[TriState]:
         """Zone-map verdicts with absent columns forced to MAYBE."""
@@ -762,7 +780,6 @@ class ResolvedReader:
         max_workers: int = 4,
         prefetch_groups: int = 2,
         scan_stats=None,
-        _verdicts: list[TriState] | None = None,
     ) -> _ResolvedScan:
         where = coerce_where(where)
         res = self._res
@@ -797,7 +814,6 @@ class ResolvedReader:
             max_workers,
             prefetch_groups,
             scan_stats,
-            _verdicts,
         )
         if batch_size is not None:
             batches = rebatch(batches, batch_size)
@@ -814,7 +830,6 @@ class ResolvedReader:
         max_workers,
         prefetch_groups,
         scan_stats,
-        verdicts,
     ):
         from repro.core.table import Table
 
@@ -830,8 +845,7 @@ class ResolvedReader:
             # conservative zone-map pruning in current coordinates; the
             # exact filter below always evaluates in the current
             # (widened) domain, never the narrower stored one
-            if verdicts is None:
-                verdicts = self.classify_row_groups_expr(where)
+            verdicts = self.classify_row_groups_expr(where)
             kept = [g for g in groups if verdicts[g] is not TriState.NEVER]
             if scan_stats is not None:
                 pruned = [g for g in groups if verdicts[g] is TriState.NEVER]

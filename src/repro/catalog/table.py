@@ -21,6 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.catalog.readers import ReaderPool
 from repro.catalog.schema_evolution import (
     EvolutionOp,
     ResolvedReader,
@@ -65,8 +66,10 @@ class PinnedSnapshot:
 
     Refcounts on the owning table keep the snapshot's metadata and
     data files out of GC's reach until :meth:`release` (or context
-    exit). Readers are opened lazily and cached, so repeat scans share
-    each file's chunk cache across epochs.
+    exit). Readers are borrowed lazily from the table's
+    ``reader_provider`` and held until release, so repeat scans share
+    each file's chunk cache across epochs, and pins that overlap in time
+    share each file's reader.
     """
 
     def __init__(self, table: "CatalogTable", snapshot: Snapshot) -> None:
@@ -78,9 +81,8 @@ class PinnedSnapshot:
         #: file_id -> ResolvedReader facade for old-schema files
         self._resolved_cache: dict[str, ResolvedReader] = {}
         self._log: SchemaLog | None = None
-        self._storages: list = []
-        #: readers borrowed from ``table.reader_provider`` rather than
-        #: opened by this pin — returned, not closed, on release
+        #: the files whose readers this pin borrowed from
+        #: ``table.reader_provider``; returned on release
         self._pooled: list[str] = []
         self._provider = table.reader_provider
         #: concurrent requests (the serving layer) may race to open a
@@ -101,13 +103,8 @@ class PinnedSnapshot:
                 self._pooled = []
                 self._reader_cache = {}
                 self._resolved_cache = {}
-                storages, self._storages = self._storages, []
             for fid, reader in pooled:
                 self._provider.release(fid, reader)
-            for storage in storages:
-                close = getattr(storage, "close", None)
-                if close is not None:  # FileStorage holds an fd
-                    close()
             self._table._unpin(self.snapshot.snapshot_id)
 
     def __enter__(self) -> "PinnedSnapshot":
@@ -123,19 +120,10 @@ class PinnedSnapshot:
         with self._reader_lock:
             reader = self._reader_cache.get(file_id)
             if reader is None:
-                if self._provider is not None:
-                    # borrow from the shared pool: footers are parsed
-                    # once per *file*, not once per pin
-                    reader = self._provider.acquire(file_id)
-                    self._pooled.append(file_id)
-                else:
-                    storage = self._table.store.open_data(file_id)
-                    self._storages.append(storage)
-                    reader = BullionReader(
-                        storage,
-                        chunk_cache=self._table.chunk_cache,
-                        **self._table.reader_options,
-                    )
+                # borrowed from the table's pool: every live pin reads
+                # a file through one reader
+                reader = self._provider.acquire(file_id)
+                self._pooled.append(file_id)
                 self._reader_cache[file_id] = reader
         return reader
 
@@ -270,9 +258,9 @@ class PinnedSnapshot:
         (the default) the engine answers whatever it can from manifest
         and footer statistics — metadata-answerable queries on a
         clean snapshot fetch **zero** data chunks, and files the
-        manifest fully proves are never even opened. Decode work fans
-        out one partial-aggregation task per file and merges in file
-        order, so results are bit-identical for any ``max_workers``.
+        manifest fully proves are never even opened. The rest decode in
+        batches of row groups across files, merged in file order, so
+        results are bit-identical for any ``max_workers``.
         Returns a :class:`repro.query.QueryResult`; its ``stats``
         reports which answer path handled what.
         """
@@ -342,12 +330,14 @@ class CatalogTable:
         #: extra BullionReader kwargs (e.g. ``coalesce_gap``) applied
         #: to every reader opened through a pin
         self.reader_options = dict(reader_options or {})
-        #: optional shared reader source (``acquire(file_id)`` /
-        #: ``release(file_id, reader)``): when set, pins borrow readers
-        #: from it instead of opening storage themselves, so footers
-        #: are parsed once per file across every pin and epoch — the
-        #: serving layer's metadata cache (see repro.server.cache)
-        self.reader_provider = None
+        #: where pins borrow readers (``acquire(file_id)`` /
+        #: ``release(file_id, reader)``): by default a pool that keeps
+        #: no idle reader, so live pins share each file's reader and a
+        #: released one closes; the serving layer installs a pool that
+        #: keeps readers (see repro.server.cache)
+        self.reader_provider = ReaderPool(
+            store, chunk_cache=chunk_cache, reader_options=self.reader_options
+        )
         self._clock = clock or (lambda: time.time_ns() // 1_000_000)
         self._lock = threading.Lock()
         self._snap_cache: dict[int, Snapshot] = {}

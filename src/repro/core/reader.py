@@ -176,7 +176,6 @@ class Scan:
         max_workers: int = 4,
         prefetch_groups: int = 2,
         scan_stats: ScanStats | None = None,
-        _verdicts: "list[TriState] | None" = None,
     ) -> None:
         self._reader = reader
         footer = reader.footer
@@ -214,11 +213,7 @@ class Scan:
             self._residual = [
                 spec for spec in self._cols if spec[0] not in filter_names
             ]
-            verdicts = (
-                reader.classify_row_groups_expr(where)
-                if _verdicts is None
-                else _verdicts
-            )
+            verdicts = reader.classify_row_groups_expr(where)
             pruned = [g for g in groups if verdicts[g] is TriState.NEVER]
             groups = [g for g in groups if verdicts[g] is not TriState.NEVER]
             self._always = {
@@ -443,8 +438,10 @@ class BullionReader:
             self._cache_prefix = ()
         #: whether reads from this device overlap on threads — decided
         #: once, here, from the device (see ``waits_per_request``);
-        #: scans and the query fan-out both ask this and nothing else
+        #: scans and the query's fetches both ask this and nothing else
         self.waits_per_request = waits_per_request(storage)
+        #: names -> locate_columns answer
+        self._located: dict = {}
         # resolved once: per-fetch latency histogram child for this
         # storage backend (class-derived label, never the file name)
         self._fetch_hist = CHUNK_FETCH_SECONDS.labels(
@@ -477,6 +474,23 @@ class BullionReader:
     def column_names(self) -> list[str]:
         return [c.name for c in self.footer.physical_columns()]
 
+    def locate_columns(self, names: list[str]):
+        """Where the named columns' chunks live, for a caller that
+        decodes them itself: ``(reader, [(col_idx, stored type, type)])``
+        — here the reader is this one and the two types are the same.
+        Remembered per list of names: a reader outlives many queries."""
+        key = tuple(names)
+        located = self._located.get(key)
+        if located is None:
+            footer = self.footer
+            located = []
+            for name in names:
+                col_idx = footer.find_column(name)
+                ptype = footer.column_type(col_idx)
+                located.append((col_idx, ptype, ptype))
+            self._located[key] = located
+        return self, located
+
     def invalidate_cache(self) -> None:
         # shared cache: every entry for this device (any fingerprint),
         # not other readers' files; private cache: everything
@@ -495,7 +509,6 @@ class BullionReader:
         max_workers: int = 4,
         prefetch_groups: int = 2,
         scan_stats: ScanStats | None = None,
-        _verdicts: "list[TriState] | None" = None,
     ) -> Scan:
         """Lazy batch iterator over a feature projection.
 
@@ -509,10 +522,7 @@ class BullionReader:
         and applies the full pushdown: zone-map row-group pruning plus
         exact vectorized row filtering with late materialization.
         Pass a shared :class:`ScanStats` as ``scan_stats`` to
-        aggregate skip counters across several scans. (``_verdicts`` is
-        the query engine's hand-off: this file's
-        :meth:`classify_row_groups_expr` of ``where``, already computed,
-        so the file is classified once per query.)
+        aggregate skip counters across several scans.
         """
         return Scan(
             self,
@@ -525,7 +535,6 @@ class BullionReader:
             max_workers=max_workers,
             prefetch_groups=prefetch_groups,
             scan_stats=scan_stats,
-            _verdicts=_verdicts,
         )
 
     def project(
@@ -582,11 +591,13 @@ class BullionReader:
         conservative evaluator, so the two can never disagree.
         """
         footer = self.footer
-        specs = []
-        for name in sorted(where.columns()):
-            col_idx = footer.find_column(name)
-            ptype = footer.column_type(col_idx)
-            specs.append((name, col_idx, stats_kind(ptype)))
+        names = sorted(where.columns())
+        specs = [
+            (name, col_idx, stats_kind(ptype))
+            for name, (col_idx, ptype, _type) in zip(
+                names, self.locate_columns(names)[1]
+            )
+        ]
         verdicts = []
         for g in range(footer.num_row_groups):
             intervals = {}
@@ -751,21 +762,23 @@ class BullionReader:
                 cache.fulfill(self._cache_key(*key), raw)
 
     def _decode_column(self, raw: bytes, col_idx: int, rg: int, ptype):
-        """One chunk's values as a column in storage representation.
+        """One chunk's values as a column in storage representation
+        (:func:`decode_chunks` of one chunk)."""
+        return decode_chunks([(self, raw, col_idx, rg)], ptype)
 
-        One validated walk over the chunk's page headers; the pages go
-        to the codecs in as few calls as the chunk allows
-        (:func:`~repro.encodings.decode_blobs` runs a codec once per
-        run of same-codec pages). Only a page a deletion compacted —
-        its header holds fewer values than the footer recorded — is
-        decoded on its own, because it must be re-aligned through the
-        deletion vector before it can be joined.
+    def _walk_pages(self, raw, col_idx: int, rg: int, parts, run) -> int:
+        """One validated walk over a chunk's page headers.
+
+        Each page's payload joins ``run``, the payloads waiting for one
+        decode call; only a page a deletion compacted — its header
+        holds fewer values than the footer recorded — is decoded on its
+        own (``run`` flushed to ``parts`` first), because it must be
+        re-aligned through the deletion vector before it can be joined.
+        Returns how many values the footer records for the chunk.
         """
         footer = self.footer
         chunk = footer.chunk(col_idx, rg)
         view = memoryview(raw)
-        parts = []  # decoded runs and re-expanded pages, in page order
-        run = []  # payloads waiting for one decode call
         pos = 0
         row_start = page_row = footer.row_group(rg).row_start
         for pid in range(chunk.first_page, chunk.first_page + chunk.n_pages):
@@ -792,23 +805,13 @@ class BullionReader:
             else:
                 if run:
                     parts.append(decode_blobs(run))
-                    run = []
+                    run.clear()
                 parts.append(
                     self._re_expand(decode_blob(payload), pid, page_row, original)
                 )
             pos = body + header.alloc_len
             page_row += original
-        if run:
-            parts.append(decode_blobs(run))
-        if not parts:
-            return empty_column(ptype)
-        values = join_values(parts)
-        if len(values) != page_row - row_start:
-            raise BullionFormatError(
-                f"column {col_idx} row group {rg}: pages hold {len(values)} "
-                f"values, the footer records {page_row - row_start}"
-            )
-        return _cast_to_storage(values, ptype)
+        return page_row - row_start
 
     def _re_expand(self, stored, pid: int, page_row: int, original: int):
         """Re-align a compacted page using the deletion vector.
@@ -863,6 +866,36 @@ class BullionReader:
             == [footer.group_hash(g) for g in range(footer.num_row_groups)]
             and tree.root == footer.root_hash()
         )
+
+
+def decode_chunks(chunks, ptype):
+    """Chunks of one column — ``(reader, raw bytes, col_idx, rg)`` each,
+    from one file or many — as one column in storage representation.
+
+    Every chunk gets its validated page walk; the pages then go to the
+    codecs in as few calls as the chunks allow
+    (:func:`~repro.encodings.decode_blobs` runs a codec once per run of
+    same-codec pages, across chunk and file boundaries).
+    """
+    parts = []  # decoded runs and re-expanded pages, in page order
+    run = []  # payloads waiting for one decode call
+    expected = sum(
+        reader._walk_pages(raw, col_idx, rg, parts, run)
+        for reader, raw, col_idx, rg in chunks
+    )
+    if run:
+        parts.append(decode_blobs(run))
+    if not parts:
+        return empty_column(ptype)
+    values = join_values(parts)
+    if len(values) != expected:
+        _reader, _raw, col_idx, rg = chunks[0]
+        more = f" (+{len(chunks) - 1} chunks)" if len(chunks) > 1 else ""
+        raise BullionFormatError(
+            f"column {col_idx} row group {rg}{more}: pages hold "
+            f"{len(values)} values, the footer records {expected}"
+        )
+    return _cast_to_storage(values, ptype)
 
 
 def _widen_quantized(values, ptype):

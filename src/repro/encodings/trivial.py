@@ -16,6 +16,7 @@ from repro.encodings.base import (
     as_bytes_list,
     float_dtype_code,
     float_dtype_from_code,
+    join_values,
     register,
 )
 from repro.util.bitio import ByteReader, ByteWriter
@@ -66,17 +67,31 @@ class Trivial(Encoding):
 
     @classmethod
     def decode(cls, reader: ByteReader):
+        return cls.decode_pages([reader])
+
+    @classmethod
+    def decode_pages(cls, readers: list[ByteReader]):
+        """Array pages are viewed where they lie and copied once, into
+        the joined column; bytes pages join as lists."""
+        parts = [cls._decode_page(reader) for reader in readers]
+        if not isinstance(parts[0], np.ndarray):
+            return join_values(parts)
+        return np.concatenate(parts)
+
+    @staticmethod
+    def _decode_page(reader: ByteReader):
+        """One page: an array viewing the payload, or a bytes list."""
         tag = reader.read_u8()
         if tag == _TAG_INT:
             count = reader.read_u64()
-            return reader.read_array(np.int64, count)
+            return reader.view_array(np.int64, count)
         if tag == _TAG_FLOAT:
             dtype = float_dtype_from_code(reader.read_u8())
             count = reader.read_u64()
-            return reader.read_array(dtype, count)
+            return reader.view_array(dtype, count)
         if tag == _TAG_BOOL:
             count = reader.read_u64()
-            return reader.read_array(np.uint8, count).astype(np.bool_)
+            return reader.view_array(np.uint8, count).astype(np.bool_)
         if tag == _TAG_BYTES:
             count = reader.read_u64()
             lengths = reader.read_array(np.uint32, count)

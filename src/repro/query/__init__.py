@@ -11,11 +11,11 @@ machinery, answering whatever it can from statistics alone:
 * ``count`` under a predicate — per file and per row group, extents
   the interval evaluator proves ``ALWAYS`` count from metadata,
   ``NEVER`` extents vanish, only ``MAYBE`` extents decode;
-* everything else — a vectorized group-by over scan batches (each
-  batch's partial is sorted key arrays plus one array per needed
-  state), one task per file (on a thread pool when the device waits
-  per request) merged in a deterministic order (parallelism never
-  changes the answer, bit for bit).
+* everything else — a vectorized group-by over batches of row groups
+  from many files at once (a partial is sorted key arrays plus one
+  array per needed state), each column decoded, filtered and reduced
+  once per batch, and float sums folded in file order (batching and
+  parallelism never change the answer, bit for bit).
 
 Quickstart::
 

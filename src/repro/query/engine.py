@@ -1,22 +1,22 @@
-"""Execution: compile a :class:`QueryPlan` against the scan path.
+"""Execution: compile a :class:`QueryPlan` against the stored files.
 
-The engine is a partial-aggregation machine over arrays. Every *unit*
-of the table — a whole file at the catalog level, a row group inside
-one file, a decoded batch — produces a partial: the sorted unique group
-keys it saw, as one array per ``group_by`` column, and one array per
-state the plan needs (matched ``rows``; per aggregated column ``count``,
-``sum``, ``min`` or ``max`` only if some aggregate asks for it). A group
-is a slot in those arrays, never a Python object. Partials merge in a
-fixed order (file order, then row-group order, then batch order) on the
-coordinating thread regardless of how many executor workers computed
-them: a merge aligns the two key sets (identical ones, the common case,
-align for free) and combines slot by slot, only where the incoming
-partial has the key. Counts, minima, maxima and exact integer sums
-(int64 sums of each value's 32-bit halves, recombined as Python ints at
-finalize) are associative, and float sums only ever accumulate in that
-fixed order — so the answer is bit-identical for any ``max_workers``.
+The engine is a partial-aggregation machine over arrays. A partial
+holds the sorted unique group keys it saw, as one array per
+``group_by`` column, and one array per state the plan needs (matched
+``rows``; per aggregated column ``count``, ``sum``, ``min`` or ``max``
+only if some aggregate asks for it). A group is a slot in those
+arrays, never a Python object; merging two partials aligns their key
+sets (identical ones, the common case, align for free) and combines
+slot by slot, only where the incoming partial has the key. Counts,
+minima, maxima and exact integer sums (int64 sums of each value's
+32-bit halves, recombined as Python ints at finalize) are associative,
+so they reduce over as many rows at once as the engine holds. Float
+sums are not: every row group sums its own rows, a file folds its row
+groups in order, and the query folds the file totals in file order —
+the same order for any batching and any ``max_workers``, so the answer
+is bit-identical.
 
-Each unit is answered by the cheapest path that can prove the right
+Each file is answered by the cheapest path that can prove the right
 answer:
 
 * **manifest-only** — an ungrouped query over a clean (no deletion
@@ -28,24 +28,31 @@ answer:
   2**53 may be float64-rounded, so they refuse the shortcut). The
   file is never opened.
 * **footer-stats-only** — otherwise the footer is read (two metadata
-  preads, no data chunks) and each row group is classified with the
-  same tri-state evaluator over its zone maps: ``ALWAYS`` groups
-  answer from ``ChunkStats``, ``NEVER`` groups vanish, ``MAYBE``
-  groups fall through.
-* **decode** — the remaining row groups run the existing
-  ``scan(where=...)`` machinery (zone-map pruning, late
-  materialization, deletion filtering, quantization widening) and each
-  decoded batch becomes a partial. Its keys are factorized once: a
-  small-range int/bool key (the range observed in the batch, at most a
-  few slots per row) is offset-indexed straight into ``bincount``,
-  anything wider takes one ``np.unique``, and multi-key codes are
-  re-compacted after each key so they never outgrow the batch. Each
-  state is then one ``bincount`` (or ``ufunc.at``) over the codes.
-
-Per-file bookkeeping happens once per query: each opened file's row
-groups are classified once and those verdicts are the ones its scan
-uses; the plan is validated, and column kinds and the decode
-projection resolved, once per distinct stored schema.
+  preads, no data chunks) and each row group is classified, once per
+  query, with the same tri-state evaluator over its zone maps:
+  ``ALWAYS`` groups answer from ``ChunkStats``, ``NEVER`` groups
+  vanish, ``MAYBE`` groups fall through.
+* **decode** — the remaining row groups of every file (*segments*)
+  run in batches of at most ``_BATCH_BYTES`` decoded bytes: tens of
+  small files at a time, or a slice of a large file's groups. A batch
+  fetches per segment (on a thread pool when the device waits per
+  request) and then works once per column across all its segments:
+  the filter columns decode in one
+  :func:`~repro.core.reader.decode_chunks` call each (same-codec
+  pages of every file go to the codec together), the ``where`` mask
+  is evaluated once (segments the zone maps prove ``ALWAYS`` skip it)
+  and the deletion vectors apply once; a segment left with no row
+  never fetches its other columns (late materialization), and those
+  decode once over the segments that kept rows. The matched rows are
+  factorized once: a small-range int/bool key (at most a few slots per
+  row) is offset-indexed straight into ``bincount``, anything wider
+  takes one ``np.unique``, and multi-key codes are re-compacted after
+  each key so they never outgrow the batch. Each order-free state is
+  then one ``bincount`` (or ``ufunc.at``); each float sum is one
+  ``bincount`` over compound ``(segment, key)`` codes — one ``np.sum``
+  per segment when ungrouped — folded in the fixed order. Old-schema
+  files join the same batches: stored columns widen to the current
+  type, and columns a file never stored fill with typed nulls.
 
 ``sum``/``mean`` and grouped queries can never be metadata-answered
 (statistics carry no sums and no group structure); a live deletion
@@ -56,12 +63,18 @@ rows too.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from itertools import groupby
 
 import numpy as np
 
+from repro.catalog.schema_evolution import fill_values, widen_values
+from repro.core.reader import _widen_quantized, decode_chunks
 from repro.core.schema import Primitive, stats_kind
-from repro.expr import TriState, int_bound_is_exact
+from repro.encodings.base import join_values
+from repro.expr import TriState, evaluate as evaluate_expr, int_bound_is_exact
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import QUERY_SECONDS
 from repro.query.plan import (
@@ -81,6 +94,13 @@ _BYTES_PRIMS = (Primitive.STRING, Primitive.BINARY)
 #: a batch key spanning at most this many slots per row is
 #: offset-indexed; a wider one is sorted
 _SLOTS_PER_ROW = 4
+
+#: decoded bytes one batch of segments may hold, counted as 8 per row
+#: of every projected column (a batch always holds one segment): enough
+#: rows that numpy's per-call costs vanish, few enough that a batch's
+#: temporaries reuse the memory the last batch freed instead of
+#: faulting in fresh pages from the OS
+_BATCH_BYTES = 1 << 20
 
 #: the states each aggregate needs, per column kind; a column that is
 #: not float is never NaN, so its ``count`` is the group's ``rows``
@@ -115,7 +135,7 @@ def _fill(state: str, dtype: np.dtype):
 
 
 class _Partial:
-    """One unit's group-by state as arrays.
+    """A group-by state as arrays.
 
     ``keys`` holds one array per ``group_by`` column (none when the
     query is ungrouped: one slot), unique and ascending
@@ -133,13 +153,16 @@ class _Partial:
         self.rows = rows
         self.states = states
 
-    def merge(self, other: "_Partial") -> None:
-        """Fold ``other`` in after ``self`` — the fixed merge order.
+    def merge(self, other: "_Partial"):
+        """Fold ``other`` in after ``self``.
 
         Slots combine only where ``other`` has the key: ``-0.0 + 0.0``
-        is ``0.0``, so adding a zero elsewhere would not be a no-op.
+        is ``0.0``, so adding a zero elsewhere would not be a no-op. A
+        state ``other`` does not carry (a batch's float sums, folded
+        segment by segment) is only re-aligned. Returns where ``self``'s
+        slots moved (None: they did not) and where ``other``'s landed.
         """
-        at = slice(None)
+        mine, at = None, slice(None)
         if not all(map(np.array_equal, self.keys, other.keys)):
             self.keys, codes, _rows = _factorize(
                 [np.concatenate(pair) for pair in zip(self.keys, other.keys)]
@@ -153,15 +176,19 @@ class _Partial:
                 )
         self.rows[at] += other.rows
         for name, values in self.states.items():
+            incoming = other.states.get(name)
+            if incoming is None:
+                continue
             combine = _COMBINE.get(name[1], np.add)
             with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
-                values[at] = combine(values[at], other.states[name])
+                values[at] = combine(values[at], incoming)
         for (column, state), low in self.states.items():
             if state == "lo":
                 # carry so neither half of an exact sum can overflow
                 # int64 however many rows a group collects
                 self.states[(column, "hi")] += low >> 32
                 low &= _U32_MASK
+        return mine, at
 
 
 def _spread(values: np.ndarray, at, n_slots: int, fill) -> np.ndarray:
@@ -179,8 +206,75 @@ def _fold(acc: "_Partial | None", part: "_Partial | None"):
     return acc
 
 
+class _SumFold:
+    """Float sums folded in the fixed order: each file's row groups in
+    order into the file's total, file totals in file order into the
+    query's.
+
+    A batch reports each segment's sums; a file with one segment adds
+    them straight to the query's totals, a longer one collects them in
+    an open total (over the query's slots, re-aligned when a merge
+    moves them) that the next file, or :meth:`flush`, adds. Every
+    segment sum starts from +0.0 (``bincount``, numpy's add-reduce), so
+    no total is -0.0 and a new slot's ``0.0 + s`` is ``s``.
+    """
+
+    def __init__(self) -> None:
+        self._file = None
+        #: column -> (total, touched) of the open multi-segment file
+        self._open: dict = {}
+
+    def add(self, acc: _Partial, mine, at, batch: list, sums: dict) -> None:
+        """Fold one batch's ``sums`` (see :func:`_segment_sums`) into
+        ``acc``, which ``acc.merge`` just aligned (``mine``, ``at``)."""
+        n_slots = len(acc.rows)
+        if mine is not None:
+            for name, (total, touched) in self._open.items():
+                self._open[name] = (
+                    _spread(total, mine, n_slots, 0.0),
+                    _spread(touched, mine, n_slots, False),
+                )
+        remap = None if isinstance(at, slice) else at
+        sums = {
+            name: (bounds.tolist(), keys, values)
+            for name, (bounds, keys, values) in sums.items()
+        }
+        with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
+            for j, seg in enumerate(batch):
+                if seg.file is not self._file:
+                    self.flush(acc)
+                    self._file = seg.file
+                whole = len(seg.file.segments) == 1
+                for name, (bounds, keys, values) in sums.items():
+                    lo, hi = bounds[j], bounds[j + 1]
+                    if lo == hi:
+                        continue  # no row of this segment matched
+                    slots = keys[lo:hi]
+                    if remap is not None:
+                        slots = remap[slots]
+                    if whole:
+                        acc.states[(name, "sum")][slots] += values[lo:hi]
+                        continue
+                    if name not in self._open:
+                        self._open[name] = (
+                            np.zeros(n_slots), np.zeros(n_slots, dtype=bool)
+                        )
+                    total, touched = self._open[name]
+                    total[slots] += values[lo:hi]
+                    touched[slots] = True
+
+    def flush(self, acc: "_Partial | None") -> None:
+        """Add the open file's totals to ``acc``."""
+        if not self._open:
+            return
+        with np.errstate(invalid="ignore"):
+            for name, (total, touched) in self._open.items():
+                acc.states[(name, "sum")][touched] += total[touched]
+        self._open = {}
+
+
 # ---------------------------------------------------------------------------
-# vectorized batch accumulation (the decode path)
+# vectorized accumulation (the decode path)
 # ---------------------------------------------------------------------------
 
 def _compact(codes: np.ndarray, n_slots: int):
@@ -206,12 +300,14 @@ def _key_codes(values):
     lo, hi = int(ints.min()), int(ints.max())
     if hi - lo >= _SLOTS_PER_ROW * len(ints):
         return np.unique(values, return_inverse=True, return_counts=True)
-    slots, codes, counts = _compact(ints.astype(np.intp) - lo, hi - lo + 1)
+    slots, codes, counts = _compact(
+        np.subtract(ints, lo, dtype=np.intp), hi - lo + 1
+    )
     return (slots + lo).astype(values.dtype), codes, counts
 
 
 def _factorize(columns: list):
-    """Group a batch by its key columns: ``(keys, codes, rows)`` where
+    """Group rows by their key columns: ``(keys, codes, rows)`` where
     ``keys`` holds one array per key column, lexicographically
     ascending, ``codes[i]`` indexes row ``i``'s key and ``rows`` counts
     the rows of each. Combined codes are re-compacted after each key,
@@ -229,20 +325,12 @@ def _factorize(columns: list):
 
 
 def _reduce(state: str, values: np.ndarray, at, n_slots: int) -> np.ndarray:
-    """One state over every slot; ``at is None`` is the ungrouped slot."""
+    """One order-free state over every slot; ``at is None`` is the
+    ungrouped slot."""
     if state == "count":
         if at is None:
             return np.array([len(values)])
         return np.bincount(at, minlength=n_slots)
-    if state == "sum":
-        with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
-            if at is None:
-                # one whole-batch (pairwise) sum per batch, as ever
-                return np.array([np.sum(values)])
-            # (bincount of no rows at all answers in ints, weights or not)
-            return np.bincount(at, weights=values, minlength=n_slots).astype(
-                np.float64, copy=False
-            )
     if state in ("hi", "lo"):
         half = values >> 32 if state == "hi" else values & _U32_MASK
         if at is None:
@@ -259,31 +347,73 @@ def _reduce(state: str, values: np.ndarray, at, n_slots: int) -> np.ndarray:
     return out
 
 
-def _batch_partial(batch, group_by: tuple, needs: list) -> "_Partial | None":
-    """One decoded batch as a partial (None when it holds no rows)."""
-    n = batch.num_rows
-    if n == 0:
-        return None
+def _segment_sums(values, at, valid, matched, n_slots: int):
+    """Each segment's float sum per key slot, exactly as that segment
+    alone sums it: ``(bounds, keys, sums)``, segment ``j``'s part being
+    ``[bounds[j], bounds[j + 1])``. ``values`` (and ``at``) hold the
+    matched rows that ``valid`` (None: all) keeps.
+
+    Grouped, one ``bincount`` over compound ``(segment, key)`` codes
+    adds each slot's rows in row order from 0.0, like a per-segment
+    ``bincount``. Ungrouped, each segment with a matched row takes its
+    own pairwise ``np.sum`` — ``np.add.reduceat`` adds in another order
+    and would change the bits.
+    """
+    n_seg = len(matched)
+    with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
+        if at is None:
+            starts = np.concatenate(([0], np.cumsum(matched)))
+            if valid is not None:  # rows dropped before each start
+                starts -= np.searchsorted(np.flatnonzero(~valid), starts)
+            starts = starts.tolist()
+            present = np.flatnonzero(matched).tolist()
+            # np.add.reduce is np.sum's reduction, bit for bit
+            sums = np.array([
+                np.add.reduce(values[starts[j] : starts[j + 1]])
+                for j in present
+            ])
+            bounds = np.concatenate(([0], np.cumsum(matched > 0)))
+            return bounds, np.zeros(len(present), dtype=np.intp), sums
+        compound = np.repeat(np.arange(0, n_seg * n_slots, n_slots), matched)
+        if valid is not None:
+            compound = compound[valid]
+        compound += at
+        pairs, codes, _rows = _compact(compound, n_seg * n_slots)
+        del compound
+        sums = np.bincount(codes, weights=values, minlength=len(pairs))
+        bounds = np.searchsorted(pairs // n_slots, np.arange(n_seg + 1))
+        return bounds, pairs % n_slots, sums.astype(np.float64, copy=False)
+
+
+def _batch_partial(columns: dict, matched, group_by: tuple, needs: list):
+    """A batch's matched rows as ``(partial, sums)``: the partial holds
+    every order-free state, ``sums`` each float sum per segment (see
+    :func:`_segment_sums`)."""
     if group_by:
-        keys, codes, rows = _factorize([batch.column(k) for k in group_by])
+        keys, codes, rows = _factorize([columns[k] for k in group_by])
         n_slots = len(rows)
     else:
         codes, keys, n_slots = None, [], 1
-        rows = np.array([n])
-    states = {}
+        rows = np.array([matched.sum()])
+    states, sums = {}, {}
     for name, kind, wanted in needs:
-        values, at = batch.column(name), codes
+        values, at, valid = columns[name], codes, None
         if kind == "float":
             values = np.asarray(values, dtype=np.float64)
             valid = ~np.isnan(values)
-            if not valid.all():
+            if valid.all():
+                valid = None
+            else:
                 values = values[valid]
                 at = None if codes is None else codes[valid]
         else:
             values = values.astype(np.int64, copy=False)
         for state in wanted:
-            states[(name, state)] = _reduce(state, values, at, n_slots)
-    return _Partial(keys, rows, states)
+            if kind == "float" and state == "sum":
+                sums[name] = _segment_sums(values, at, valid, matched, n_slots)
+            else:
+                states[(name, state)] = _reduce(state, values, at, n_slots)
+    return _Partial(keys, rows, states), sums
 
 
 def _needs(plan: QueryPlan, kinds: dict) -> list:
@@ -361,7 +491,7 @@ def _meta_partial(plan: QueryPlan, n_rows: int, stats_of) -> "_Partial | None":
 
 
 # ---------------------------------------------------------------------------
-# single-reader execution
+# opened files
 # ---------------------------------------------------------------------------
 
 def _kind(ptype) -> str | None:
@@ -373,8 +503,8 @@ def _kind(ptype) -> str | None:
 def _resolve(plan: QueryPlan, footer) -> tuple[dict, list[str]]:
     """Check ``plan`` against one file schema: its aggregate columns'
     kinds and the columns the decode path projects (never empty for a
-    counting scan, whose batches must carry a row count). Fails fast on
-    columns the plan cannot aggregate or group by."""
+    counting query, which fetches one column per row group). Fails
+    fast on columns the plan cannot filter, aggregate or group by."""
     kinds = {}
     for spec in plan.aggregates:
         if spec.column is None:
@@ -399,16 +529,13 @@ def _resolve(plan: QueryPlan, footer) -> tuple[dict, list[str]]:
                 f"cannot group by float column {name!r} (NaN keys are "
                 f"not well-defined); cast or bucket it first"
             )
+    for name in sorted(plan.where.columns()) if plan.where is not None else ():
+        if footer.column_type(footer.find_column(name)).list_depth > 0:
+            raise ValueError(f"cannot filter on list column {name!r}")
     projection = plan.scan_columns() or [
         c.name for c in footer.physical_columns()[:1]
     ]
     return kinds, projection
-
-
-def _classify_groups(reader, where) -> list[TriState]:
-    if where is None:
-        return [TriState.ALWAYS] * reader.footer.num_row_groups
-    return reader.classify_row_groups_expr(where)
 
 
 def _group_stats_of(footer, g: int):
@@ -435,85 +562,295 @@ def _group_stats_of(footer, g: int):
     return stats_of
 
 
-def _aggregate_one_reader(reader, plan, needs, projection, **kwargs):
-    """Partial for one open file: footer stats where provable, decode
-    for the rest. Merges metadata partials first (row-group order),
-    then the single ordered decode scan — deterministic regardless of
-    executor width above or scan parallelism below."""
-    if not obs_trace.enabled():
-        return _aggregate_one_reader_impl(
-            reader, plan, needs, projection, **kwargs
-        )
-    storage = getattr(reader, "_storage", None)
-    with obs_trace.span("query.file", file=getattr(storage, "name", "?")):
-        return _aggregate_one_reader_impl(
-            reader, plan, needs, projection, **kwargs
-        )
+class _Tally:
+    """One query's counts, published in one ``bump`` per stats object."""
+
+    __slots__ = ("query", "scan")
+
+    def __init__(self) -> None:
+        self.query: Counter = Counter()
+        self.scan: Counter = Counter()
+
+    def publish(self, stats: QueryStats) -> None:
+        stats.bump(**self.query)
+        stats.scan.bump(**self.scan)
 
 
-def _aggregate_one_reader_impl(
-    reader,
-    plan: QueryPlan,
-    needs: list,
-    projection: list[str],
-    *,
-    use_metadata: bool,
-    stats: QueryStats,
-    max_workers: int = 0,
-) -> "_Partial | None":
+class _File:
+    """One opened file's decode work: its reader, where its projected
+    columns live (``name -> (col_idx, stored type, type)``, ``col_idx``
+    None for a column the file never stored), the stored columns a
+    filtered row group fetches ``first`` and the ``rest``, its deletion
+    vector and the segments left after the verdicts."""
+
+    __slots__ = ("reader", "columns", "first", "rest", "deleted", "segments")
+
+    def __init__(self, reader, projection: list[str], filters) -> None:
+        self.reader, located = reader.locate_columns(projection)
+        self.columns = dict(zip(projection, located))
+        stored = [
+            (name, col_idx)
+            for name, (col_idx, _stored, _type) in self.columns.items()
+            if col_idx is not None
+        ]
+        self.first = [col for name, col in stored if name in filters]
+        self.rest = [col for name, col in stored if name not in filters]
+        footer = self.reader.footer
+        self.deleted = (
+            footer.deletion_bitmap() if footer.deleted_count() else None
+        )
+        self.segments: list[_Segment] = []
+
+
+class _Segment:
+    """One row group of one file: what a batch fetches, masks and folds."""
+
+    __slots__ = ("file", "g", "always", "rows", "row_start", "chunks")
+
+    def __init__(self, file: _File, g: int, always: bool, rg) -> None:
+        self.file, self.g, self.always = file, g, always
+        self.rows, self.row_start = rg.n_rows, rg.row_start
+        self.chunks: dict = {}
+
+    def keys(self, columns: list[int]) -> list[tuple[int, int]]:
+        return [(col_idx, self.g) for col_idx in columns]
+
+    def alive(self) -> np.ndarray:
+        deleted = self.file.deleted
+        if deleted is None:
+            return np.ones(self.rows, dtype=bool)
+        return ~deleted[self.row_start : self.row_start + self.rows]
+
+
+def _open_file(reader, plan, projection, use_metadata, tally: _Tally):
+    """Classify one opened file's row groups, once per query.
+
+    ``NEVER`` groups count as pruned; ``ALWAYS`` groups of a clean,
+    ungrouped query answer from their zone maps where they can; every
+    other group is a segment to decode. Returns ``(zone-map partial or
+    None, _File or None)``.
+    """
     footer = reader.footer
-    partial = None
-    verdicts = None
-    decode_groups = list(range(footer.num_row_groups))
-    if use_metadata and not plan.group_by and footer.deleted_count() == 0:
-        verdicts = _classify_groups(reader, plan.where)
-        decode_groups = []
-        for g, verdict in enumerate(verdicts):
-            n_rows = footer.row_group(g).n_rows
-            if verdict is TriState.NEVER:
-                # zone-map-pruned here, before the decode scan ever
-                # sees the group — surface it in the per-layer skip
-                # counters or the pruning is invisible in QueryStats
-                stats.scan.bump(
-                    groups_total=1, groups_pruned=1, rows_pruned=n_rows
-                )
-                continue
-            meta = (
-                _meta_partial(plan, n_rows, _group_stats_of(footer, g))
-                if verdict is TriState.ALWAYS
-                else None
-            )
-            if meta is None:
-                decode_groups.append(g)
-            else:
-                partial = _fold(partial, meta)
-                # counted into groups_total so the invariant
-                # scan.groups_total == scan.groups_pruned
-                #   + groups_meta_answered + scan.groups_scanned
-                # holds across answer paths
-                stats.scan.bump(groups_total=1)
-                stats.bump(groups_meta_answered=1, rows_from_metadata=n_rows)
-    if not decode_groups:
-        stats.bump(files_footer_answered=1)
-        return partial
+    n_groups = footer.num_row_groups
+    verdicts = (
+        [TriState.ALWAYS] * n_groups
+        if plan.where is None
+        else reader.classify_row_groups_expr(plan.where)
+    )
+    meta_ok = (
+        use_metadata and not plan.group_by and footer.deleted_count() == 0
+    )
+    query, scan = tally.query, tally.scan
+    partial, decode = None, []
+    for g, verdict in enumerate(verdicts):
+        rg = footer.row_group(g)
+        if verdict is TriState.NEVER:
+            scan["groups_pruned"] += 1
+            scan["rows_pruned"] += rg.n_rows
+            continue
+        meta = (
+            _meta_partial(plan, rg.n_rows, _group_stats_of(footer, g))
+            if meta_ok and verdict is TriState.ALWAYS
+            else None
+        )
+        if meta is None:
+            decode.append((g, verdict is TriState.ALWAYS, rg))
+        else:
+            partial = _fold(partial, meta)
+            query["groups_meta_answered"] += 1
+            query["rows_from_metadata"] += rg.n_rows
+    # every group of an opened file is a candidate, however answered:
+    # scan.groups_total == scan.groups_pruned + groups_meta_answered
+    #   + scan.groups_scanned
+    scan["groups_total"] += n_groups
+    # without metadata answers every group is a candidate, even one
+    # the zone maps then prune
+    if not (decode if meta_ok else n_groups):
+        query["files_footer_answered"] += 1
+        return partial, None
     if not projection:
         raise PlanError("cannot aggregate a file with no columns")
-    scanned_before = stats.scan.groups_scanned
-    scan = reader.scan(
-        projection,
-        where=plan.where,
-        row_groups=decode_groups,
-        widen_quantized=True,
-        max_workers=max_workers,
-        scan_stats=stats.scan,
-        _verdicts=verdicts,
+    filters = plan.where.columns() if plan.where is not None else ()
+    file = _File(reader, projection, filters)
+    file.segments = [_Segment(file, *group) for group in decode]
+    query["files_decoded"] += 1
+    scan["files_scanned"] += 1
+    return partial, file
+
+
+# ---------------------------------------------------------------------------
+# batches of segments
+# ---------------------------------------------------------------------------
+
+def _batches(files: list):
+    """Every file's segments in order, cut into batches of at most
+    ``_BATCH_BYTES`` decoded bytes."""
+    batch, size = [], 0
+    for file in files:
+        width = 8 * max(1, len(file.columns))
+        for seg in file.segments:
+            if batch and size + width * seg.rows > _BATCH_BYTES:
+                yield batch
+                batch, size = [], 0
+            batch.append(seg)
+            size += width * seg.rows
+    if batch:
+        yield batch
+
+
+def _decode(name: str, segments: list):
+    """One column over ``segments`` in the current schema's type,
+    quantized columns widened; consecutive segments whose files store
+    the column alike decode in one call."""
+    pieces = []
+    for (stored, ptype), run in groupby(
+        segments, key=lambda seg: seg.file.columns[name][1:]
+    ):
+        run = list(run)
+        if stored is None:
+            pieces.append(fill_values(ptype, sum(s.rows for s in run), True))
+            continue
+        chunks = []
+        for seg in run:
+            col_idx = seg.file.columns[name][0]
+            chunks.append(
+                (seg.file.reader, seg.chunks[(col_idx, seg.g)], col_idx, seg.g)
+            )
+        values = decode_chunks(chunks, stored)
+        if stored != ptype:
+            values = widen_values(values, stored, ptype)
+        pieces.append(_widen_quantized(values, ptype))
+    return join_values(pieces)
+
+
+def _take(values, pick):
+    if pick is None:
+        return values
+    if isinstance(values, np.ndarray):
+        return values[pick]
+    return [values[i] for i in pick.tolist()]  # bytes keys
+
+
+def _run_batch(batch: list, plan: QueryPlan, needs: list, fetch, tally):
+    """Fetch, mask, decode and reduce one batch, each once per column.
+
+    Returns ``(partial, sums)`` as :func:`_batch_partial` does, or
+    ``(None, None)`` when no row matched.
+    """
+    where = plan.where
+    filters = sorted(where.columns()) if where is not None else []
+    counts = tally.scan
+    # phase one: the filter columns — the whole projection where the
+    # zone maps (or no where) leave nothing to filter
+    requests = [
+        (seg.file.reader, seg.keys(
+            seg.file.first + seg.file.rest if seg.always else seg.file.first
+        ))
+        for seg in batch
+    ]
+    for seg, chunks in zip(batch, fetch(requests)):
+        seg.chunks = chunks
+        counts["chunks_fetched"] += len(chunks)
+    rows = np.array([seg.rows for seg in batch])
+    always = [seg.always for seg in batch]
+    decoded, mask = {}, None
+    if where is not None and not all(always):
+        for name in filters:
+            decoded[name] = _decode(name, batch)
+        mask = evaluate_expr(where, decoded)
+        if any(always):
+            mask = mask | np.repeat(always, rows)
+    if any(seg.file.deleted is not None for seg in batch):
+        alive = np.concatenate([seg.alive() for seg in batch])
+        mask = alive if mask is None else mask & alive
+    #: the matched rows, as positions among the batch's rows
+    pick = None if mask is None else np.flatnonzero(mask)
+    if pick is None:
+        matched = rows
+    else:
+        ends = np.concatenate(([0], np.cumsum(rows)))
+        matched = np.diff(np.searchsorted(pick, ends))
+    # phase two: the rest of the projection, for segments that kept rows
+    residual = []
+    for seg, n in zip(batch, matched.tolist()):
+        rest = [] if seg.always else seg.keys(seg.file.rest)
+        if n == 0 and where is not None and (
+            not seg.always or seg.file.deleted is not None
+        ):
+            counts["groups_empty"] += 1
+            counts["chunks_skipped"] += len(rest)
+        elif rest:
+            residual.append((seg, rest))
+    for (seg, _rest), chunks in zip(
+        residual, fetch([(seg.file.reader, rest) for seg, rest in residual])
+    ):
+        seg.chunks.update(chunks)
+        counts["chunks_fetched"] += len(chunks)
+    counts.update(
+        groups_scanned=len(batch),
+        rows_scanned=int(rows.sum()),
+        rows_matched=int(matched.sum()),
     )
-    for batch in scan:
-        partial = _fold(partial, _batch_partial(batch, plan.group_by, needs))
-    stats.bump(
-        groups_decoded=stats.scan.groups_scanned - scanned_before,
-        files_decoded=1,
+    tally.query["groups_decoded"] += len(batch)
+    kept = [seg for seg, n in zip(batch, matched.tolist()) if n]
+    if not kept:
+        return None, None
+    # the matched rows again, as positions among the kept segments' rows
+    pick_kept = pick
+    if pick is not None and len(kept) < len(batch):
+        pick_kept = np.flatnonzero(mask[np.repeat(matched > 0, rows)])
+    used = list(plan.group_by) + [
+        name for name, _kind, _states in needs if name not in plan.group_by
+    ]
+    # each batch-wide array is dropped as soon as its matched rows are
+    # out: peak memory is what a batch costs
+    columns = {n: _take(decoded.pop(n), pick) for n in used if n in decoded}
+    del decoded, mask, pick
+    for name in used:
+        if name not in columns:
+            columns[name] = _take(_decode(name, kept), pick_kept)
+    del pick_kept
+    return _batch_partial(columns, matched, plan.group_by, needs)
+
+
+def _decode_files(files, plan, needs, max_workers, tally, partial):
+    """Fold every segment of ``files`` into ``partial``, batch by
+    batch, in file and row-group order."""
+    threaded = max_workers > 1 and any(
+        file.reader.waits_per_request for file in files
     )
+    fold = _SumFold()
+    with (
+        ThreadPoolExecutor(max_workers=max_workers)
+        if threaded
+        else nullcontext()
+    ) as pool:
+
+        def fetch(requests):
+            """Each ``(reader, keys)`` request's chunks, in order —
+            concurrently where the device waits per request."""
+            if pool is None or len(requests) < 2:
+                return [reader._fetch_chunks(k) for reader, k in requests]
+            return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
+
+        for batch in _batches(files):
+            with obs_trace.span("query.batch", segments=len(batch)):
+                part, sums = _run_batch(batch, plan, needs, fetch, tally)
+            for seg in batch:
+                seg.chunks = {}  # a batch's raw bytes die with it
+            if part is None:
+                continue
+            if partial is None:
+                partial, mine, at = part, None, slice(None)
+            else:
+                mine, at = partial.merge(part)
+            for name in sums:
+                partial.states.setdefault(
+                    (name, "sum"), np.zeros(len(partial.rows))
+                )
+            fold.add(partial, mine, at, batch, sums)
+    if partial is not None:
+        fold.flush(partial)
     return partial
 
 
@@ -621,25 +958,26 @@ def aggregate_reader(
 
     ``aggregates`` is a :class:`QueryPlan`, a spec/string, or a list of
     them. ``use_metadata=False`` forces the decode path end to end
-    (the differential suite's second leg).
+    (the differential suite's second leg). The file's row groups decode
+    as the batches of a one-file table.
     """
     plan = _build_plan(aggregates, where, group_by)
     stats = QueryStats()
-    stats.bump(files_total=1)
+    tally = _Tally()
+    tally.query.update(files_total=1)
     obs_on = obs_metrics.enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with obs_trace.span("query.reader", aggregates=len(plan.aggregates)):
         kinds, projection = _resolve(plan, reader.footer)
         needs = _needs(plan, kinds)
-        partial = _aggregate_one_reader(
-            reader,
-            plan,
-            needs,
-            projection,
-            use_metadata=use_metadata,
-            stats=stats,
-            max_workers=max_workers,
+        with obs_trace.span("query.file"):
+            partial, file = _open_file(
+                reader, plan, projection, use_metadata, tally
+            )
+        partial = _decode_files(
+            [file] if file else [], plan, needs, max_workers, tally, partial
         )
+    tally.publish(stats)
     if obs_on:
         QUERY_SECONDS.observe(time.perf_counter() - t0)
     return _finalize(plan, partial, needs, stats)
@@ -693,16 +1031,14 @@ def aggregate_snapshot(
 
     Files are classified from manifest statistics first: proven-empty
     files are pruned unopened, fully-proven files are answered from
-    the manifest alone, and the rest run one partial-aggregation
-    task per file — on a thread pool when the files' device waits per
-    request, inline otherwise. Partials merge on the calling
-    thread in file order, so the result — including float sums — is
+    the manifest alone, and the rest are opened (on the calling
+    thread), classified by their zone maps and decoded in batches
+    across files. The result — including float sums — is
     bit-identical for any ``max_workers``.
     """
     plan = _build_plan(aggregates, where, group_by)
     stats = QueryStats()
     files = list(pinned.snapshot.files)
-    stats.bump(files_total=len(files))
     obs_on = obs_metrics.enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with obs_trace.span("query.snapshot", files=len(files)):
@@ -724,11 +1060,12 @@ def _aggregate_snapshot_impl(
         if current_schema is not None
         else _kinds_from_manifest(plan, files)
     )
+    tally = _Tally()
+    tally.query.update(files_total=len(files))
     #: stored schema -> decode projection, resolved on its first file;
     #: old-schema files all read as the current schema (key None)
     projections: dict = {}
-    #: in file order: a manifest-answered partial, or (reader, projection)
-    units: list = []
+    partial, opened = None, []
     for f in files:
         resolution = log.resolution(f)
         verdict = (
@@ -737,10 +1074,11 @@ def _aggregate_snapshot_impl(
             else f.classify(plan.where, resolution)
         )
         if verdict is TriState.NEVER:
-            stats.bump(files_pruned=1)
-            # mirror the catalog-layer prune into the scan-layer skip
-            # counters, matching what PinnedSnapshot.scan reports
-            stats.scan.bump(files_pruned=1, rows_pruned=f.row_count)
+            # the catalog-layer prune is a scan-layer skip too, as
+            # PinnedSnapshot.scan reports it
+            tally.query["files_pruned"] += 1
+            tally.scan["files_pruned"] += 1
+            tally.scan["rows_pruned"] += f.row_count
             continue
         if (
             use_metadata
@@ -752,65 +1090,24 @@ def _aggregate_snapshot_impl(
                 plan, f.row_count, _file_stats_of(f, resolution)
             )
             if meta is not None:
-                stats.bump(
-                    files_meta_answered=1, rows_from_metadata=f.row_count
-                )
-                units.append(meta)
+                tally.query["files_meta_answered"] += 1
+                tally.query["rows_from_metadata"] += f.row_count
+                partial = _fold(partial, meta)
                 continue
-        # open (footer pread) on the coordinator so the pin's reader
-        # cache is never touched from worker threads; old-schema files
-        # get their resolver facade here
-        reader = pinned._resolved_reader_for(f)
-        key = f.schema_fingerprint if resolution is None else None
-        if key not in projections:
-            file_kinds, projections[key] = _resolve(plan, reader.footer)
-            kinds.update(file_kinds)
-        units.append((reader, projections[key]))
+        with obs_trace.span("query.file", file=f.file_id):
+            # old-schema files get their resolver facade here
+            reader = pinned._resolved_reader_for(f)
+            key = f.schema_fingerprint if resolution is None else None
+            if key not in projections:
+                file_kinds, projections[key] = _resolve(plan, reader.footer)
+                kinds.update(file_kinds)
+            meta, file = _open_file(
+                reader, plan, projections[key], use_metadata, tally
+            )
+        partial = _fold(partial, meta)
+        if file is not None:
+            opened.append(file)
     needs = _needs(plan, kinds)
-    tasks = [unit for unit in units if not isinstance(unit, _Partial)]
-    # threads only where the device waits per request (the same rule
-    # the scan applies below): across files when several decode,
-    # inside the scan when only one does (scan yields groups in order
-    # either way, so the deterministic merge is unaffected)
-    fan_out = (
-        max_workers > 1
-        and len(tasks) > 1
-        and any(reader.waits_per_request for reader, _cols in tasks)
-    )
-
-    def run_file(task, file_stats):
-        reader, projection = task
-        return _aggregate_one_reader(
-            reader,
-            plan,
-            needs,
-            projection,
-            use_metadata=use_metadata,
-            stats=file_stats,
-            max_workers=0 if fan_out else max_workers,
-        )
-
-    partial = None
-    if not fan_out:
-        for unit in units:
-            if not isinstance(unit, _Partial):
-                unit = run_file(unit, stats)
-            partial = _fold(partial, unit)
-        return _finalize(plan, partial, needs, stats)
-
-    def run_apart(task):
-        # a worker's counters stay its own until merged in file order
-        file_stats = QueryStats()
-        return run_file(task, file_stats), file_stats
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        pending = [
-            unit if isinstance(unit, _Partial) else pool.submit(run_apart, unit)
-            for unit in units
-        ]
-        for unit in pending:
-            if not isinstance(unit, _Partial):
-                unit, file_stats = unit.result()
-                stats.merge(file_stats)
-            partial = _fold(partial, unit)
+    partial = _decode_files(opened, plan, needs, max_workers, tally, partial)
+    tally.publish(stats)
     return _finalize(plan, partial, needs, stats)

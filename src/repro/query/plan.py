@@ -10,7 +10,7 @@ group, which of the three answer paths applies:
    file is never opened;
 2. **footer-stats-only** — answered from the footer's per-row-group
    ``ChunkStats`` zone maps, no data chunk is fetched;
-3. **decode** — the vectorized batch path over ``scan(where=...)``.
+3. **decode** — the vectorized path over batches of row groups.
 
 :class:`QueryStats` counts which path answered what, so tests can
 assert "this query touched zero data chunks" rather than trust it.
@@ -24,7 +24,7 @@ oracle in the differential test suite):
   integer, bool and string columns this equals ``count(*)``.
 * ``sum(col)`` — NaN-skipping sum. Integer sums use exact int64
   wraparound arithmetic (order-independent); float sums accumulate in
-  float64 in deterministic (file, group, batch) order.
+  float64 in deterministic (file, row group) order.
 * ``min(col)`` / ``max(col)`` — NaN-skipping extrema; ``None`` when no
   non-NaN value matched.
 * ``mean(col)`` — ``sum(col) / count(col)``; ``None`` when

@@ -47,7 +47,7 @@ from repro.server.cache import (
     RESULT_CACHE_ENTRIES,
     KeyedCache,
     PinCache,
-    ReaderPool,
+    ServerReaderPool,
 )
 from repro.server.protocol import (
     BadPlan,
@@ -169,7 +169,7 @@ class _TableState:
         self.name = name
         self.table = table
         self.prior_provider = table.reader_provider
-        self.pool = ReaderPool(
+        self.pool = ServerReaderPool(
             table.store,
             chunk_cache=table.chunk_cache,
             reader_options=table.reader_options,

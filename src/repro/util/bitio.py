@@ -77,7 +77,9 @@ class ByteReader:
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
-    def read(self, n: int) -> bytes:
+    def view(self, n: int):
+        """The next ``n`` bytes, not copied when the buffer is a
+        memoryview."""
         if n < 0 or self._pos + n > len(self._data):
             raise ValueError(
                 f"read of {n} bytes at offset {self._pos} exceeds "
@@ -85,7 +87,10 @@ class ByteReader:
             )
         out = self._data[self._pos : self._pos + n]
         self._pos += n
-        return bytes(out)
+        return out
+
+    def read(self, n: int) -> bytes:
+        return bytes(self.view(n))
 
     def _unpack(self, fmt: str, size: int):
         value = struct.unpack_from(fmt, self._data, self._pos)[0]
@@ -113,10 +118,14 @@ class ByteReader:
     def read_blob(self) -> bytes:
         return self.read(self.read_u32())
 
-    def read_array(self, dtype, count: int) -> np.ndarray:
+    def view_array(self, dtype, count: int) -> np.ndarray:
+        """``count`` values where they lie (read-only when the buffer
+        is), for a caller that copies them on anyway."""
         dt = np.dtype(dtype)
-        raw = self.read(dt.itemsize * count)
-        return np.frombuffer(raw, dtype=dt).copy()
+        return np.frombuffer(self.view(dt.itemsize * count), dtype=dt)
+
+    def read_array(self, dtype, count: int) -> np.ndarray:
+        return self.view_array(dtype, count).copy()
 
 
 def min_bit_width(values: np.ndarray) -> int:

@@ -363,13 +363,15 @@ def test_metrics_op_reports_server_families(served):
 
 def test_server_close_is_idempotent_and_joins_threads():
     _store, table = build_table(n_files=1, rows=10)
+    own_pool = table.reader_provider
     before = threading.active_count()
     service = TableService({"t": table}, workers=1, max_queue=1)
     server = BullionServer(service)
+    assert table.reader_provider is not own_pool
     with ServerClient(server.host, server.port) as client:
         client.ping()
     server.close()
     server.close()
     assert threading.active_count() == before
-    # the service restored the table's reader provider on close
-    assert table.reader_provider is None
+    # the service restored the table's own reader pool on close
+    assert table.reader_provider is own_pool

@@ -37,7 +37,7 @@ from repro.obs.metrics import default_registry
 from repro.server import BullionServer, ServerClient, TableService
 from repro.server import cache as cache_mod
 from repro.server import protocol
-from repro.server.cache import KeyedCache, PinCache, ReaderPool
+from repro.server.cache import KeyedCache, PinCache, ServerReaderPool
 
 
 class CountingCatalogStore(MemoryCatalogStore):
@@ -232,7 +232,7 @@ def test_reader_pool_shares_footers_and_drains_busy_entries():
     snap = table.append(_batch(0, 50, seed=0))
     (fid,) = snap.file_ids()
     store.begin_phase()
-    pool = ReaderPool(store)
+    pool = ServerReaderPool(store)
     r1 = pool.acquire(fid)
     r2 = pool.acquire(fid)
     assert r1 is r2 and store.data_opens == 1
@@ -347,7 +347,7 @@ class _Harness:
         if kind == "readers":
             store.ledger = self.ledger
             # uncached readers: every use reaches the storage
-            self.cache = ReaderPool(
+            self.cache = ServerReaderPool(
                 store, reader_options={"chunk_cache_size": 0}
             )
             self.keys = files
