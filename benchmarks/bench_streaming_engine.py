@@ -77,12 +77,12 @@ def test_bench_streaming_vs_one_shot_writer_memory():
     stats = writer.stats
     assert stats.peak_buffered_rows <= ROWS_PER_GROUP + BATCH_ROWS
     assert streaming_peak < one_shot_peak
+    # tracemalloc peaks move by a few bytes run to run: they go to the
+    # JSON artifact, the tracked lines hold the writer's own counters
     lines = [
         f"rows: {N_ROWS:,} x 3 columns, "
         f"groups of {ROWS_PER_GROUP:,}, batches of {BATCH_ROWS:,}",
-        f"one-shot pipeline peak:   {one_shot_peak:>12,} bytes",
-        f"streaming pipeline peak:  {streaming_peak:>12,} bytes "
-        f"({one_shot_peak / streaming_peak:.1f}x smaller)",
+        "streaming pipeline peak below one-shot: True",
         f"writer peak buffered rows:      {stats.peak_buffered_rows:>8,} "
         f"(bound: group + one batch)",
         f"writer peak encoded pages held: {stats.peak_encoded_pages_held:>8,} "
@@ -91,7 +91,10 @@ def test_bench_streaming_vs_one_shot_writer_memory():
         f"{stats.peak_encoded_payload_bytes:>8,}",
         "output byte-identical to one-shot: True",
     ]
-    report("streaming_writer_memory", lines)
+    report("streaming_writer_memory", lines, data={
+        "one_shot_peak_bytes": one_shot_peak,
+        "streaming_peak_bytes": streaming_peak,
+    })
 
 
 def test_bench_parallel_vs_serial_scan():
@@ -121,9 +124,7 @@ def test_bench_parallel_vs_serial_scan():
         # fresh reader per run: no cross-run chunk-cache pollution
         reader = BullionReader(dev, chunk_cache_size=0)
         t0 = time.perf_counter()
-        out = reader.scan(
-            columns, max_workers=max_workers, prefetch_groups=4
-        ).to_table()
+        out = reader.scan(columns, max_workers=max_workers).to_table()
         return time.perf_counter() - t0, out
 
     serial_s, serial_table = timed_scan(0)
@@ -131,14 +132,17 @@ def test_bench_parallel_vs_serial_scan():
     assert parallel_table.equals(serial_table)
     assert parallel_s < serial_s
     n_chunks = len(columns) * BullionReader(base).footer.num_row_groups
+    # the tracked lines hold counts; measured times go to the JSON
     lines = [
         f"rows: {n:,}, columns: {len(columns)}, "
         f"chunk fetches: {n_chunks} "
         f"(seek {model.seek_latency_s * 1e3:.0f} ms, "
         f"{model.bandwidth_bytes_per_s / 1e9:.1f} GB/s)",
-        f"serial scan   (workers=0): {serial_s * 1e3:8.1f} ms",
-        f"parallel scan (workers=8): {parallel_s * 1e3:8.1f} ms "
-        f"({serial_s / parallel_s:.1f}x faster)",
+        "parallel scan (workers=8) faster than serial (workers=0): True",
         "tables equal: True",
     ]
-    report("parallel_scan", lines)
+    report("parallel_scan", lines, data={
+        "serial_ms": serial_s * 1e3,
+        "parallel_ms": parallel_s * 1e3,
+        "speedup": serial_s / parallel_s,
+    })

@@ -17,56 +17,35 @@ This module gives the catalog that vocabulary:
   was written under (``schema_id``); the snapshot carries the schemas
   its files reference plus the current one;
 * a :class:`FileResolution` maps the *current* schema onto one file's
-  *stored* schema, and :class:`ResolvedReader` wraps a plain
-  :class:`~repro.core.reader.BullionReader` so scans, aggregation and
-  training loaders see every file as if it already held the current
-  schema:
-
-  - **absent** columns (added after the file was written, or whose
-    field was dropped from the file's version) materialize as typed
-    nulls — NaN for floats (skipped by aggregates, exactly the
-    engine's null semantics), ``0``/``False``/``b""``/``[]`` for
-    ints/bools/bytes/lists;
-  - **narrower** stored values widen at decode, reusing the §2.4
-    quantization widening machinery (FP16/BF16/FP8 dequantize to
-    float32 first, then cast to the current storage dtype);
-  - **renamed** columns resolve through the field id;
-  - manifest and footer statistics are remapped the same way, and a
-    column absent from a file always evaluates conservatively
-    (``MAYBE``) at the interval layers — evolution can never make
-    pushdown prune wrongly.
-
-Filtering over widened columns is always evaluated in the *current*
-widened domain (never pushed down into the narrower stored domain),
-so a float32 file widened to float64 filters bit-identically to a
-native float64 file.
+  *stored* schema — **renamed** columns resolve through the field id,
+  manifest statistics are remapped the same way, and a column absent
+  from a file has no interval (``MAYBE``), so evolution can never make
+  pushdown prune wrongly;
+* a :class:`ResolvedReader` presents one old-schema file in current
+  coordinates: a footer facade, and ``locate_columns`` naming each
+  current column's stored column, stored type and current type. It
+  holds no read loop of its own: scans, aggregation and training
+  loaders read it through the pipeline of :mod:`repro.core.reader`,
+  which widens **narrower** stored values at decode
+  (:func:`~repro.core.table.widen_values`), fills **absent** columns
+  with typed nulls without fetching anything
+  (:func:`~repro.core.table.fill_column`), and filters in the current
+  widened domain — so a float32 file widened to float64 filters
+  bit-identically to a native float64 file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.reader import ScanStats
-from repro.core.table import rebatch
-from repro.encodings.base import RaggedColumn
+from repro.core.reader import ScanSource
 from repro.core.schema import (
     PhysicalColumn,
     PhysicalType,
     Primitive,
-    STORAGE_DTYPES,
     _PRIMITIVE_BY_NAME,
-    stats_kind,
 )
-from repro.expr import (
-    Expr,
-    TriState,
-    coerce_where,
-    evaluate as evaluate_expr,
-    evaluate_interval,
-    interval_from_stats,
-)
+from repro.expr import interval_from_stats
 from repro.util.hashing import hash64
 
 
@@ -101,15 +80,6 @@ _FLOAT_RANK = {
     Primitive.FLOAT32: 3,
     Primitive.FLOAT64: 4,
 }
-
-_QUANTIZED_PRIMS = frozenset(
-    {
-        Primitive.FLOAT16,
-        Primitive.BFLOAT16,
-        Primitive.FLOAT8_E4M3,
-        Primitive.FLOAT8_E5M2,
-    }
-)
 
 
 def can_widen(src: PhysicalType, dst: PhysicalType) -> bool:
@@ -496,97 +466,6 @@ class FileResolution:
 
 
 # ---------------------------------------------------------------------------
-# value-level machinery: typed nulls, widening
-# ---------------------------------------------------------------------------
-
-def fill_values(ptype: PhysicalType, n: int, widen_quantized: bool):
-    """The typed-null column an absent field materializes as.
-
-    Floats (quantized included) fill with NaN — the engine's null:
-    NaN rows are skipped by every aggregate and excluded from float
-    statistics. Ints fill with 0, bools with False, bytes with
-    ``b""``, lists with empty lists; those kinds carry no null
-    sentinel, so the fill *is* the column's value.
-    """
-    prim = ptype.primitive
-    if ptype.list_depth > 0:
-        if prim in (Primitive.STRING, Primitive.BINARY):
-            return [[] for _ in range(n)]
-        inner = np.zeros(0, dtype=STORAGE_DTYPES.get(prim, np.int64))
-        if ptype.list_depth == 1:
-            empty = np.zeros(n, dtype=np.int64)
-            return RaggedColumn(inner, empty, empty)
-        return [inner for _ in range(n)]
-    if prim in (Primitive.STRING, Primitive.BINARY):
-        return [b""] * n
-    if prim is Primitive.BOOL:
-        return np.zeros(n, dtype=np.bool_)
-    if prim in _INT_RANK:
-        return np.zeros(n, dtype=STORAGE_DTYPES[prim])
-    # float kinds: NaN in the representation the caller would get from
-    # a file that stored the column (payload bits when not widening)
-    if widen_quantized and prim in _QUANTIZED_PRIMS:
-        return np.full(n, np.nan, dtype=np.float32)
-    if prim in (Primitive.BFLOAT16, Primitive.FLOAT8_E4M3,
-                Primitive.FLOAT8_E5M2):
-        from repro.quantization import FloatFormat, quantize
-
-        fmt = {
-            Primitive.BFLOAT16: FloatFormat.BF16,
-            Primitive.FLOAT8_E4M3: FloatFormat.FP8_E4M3,
-            Primitive.FLOAT8_E5M2: FloatFormat.FP8_E5M2,
-        }[prim]
-        return quantize(np.full(n, np.nan, dtype=np.float32), fmt)
-    return np.full(n, np.nan, dtype=STORAGE_DTYPES[prim])
-
-
-def widen_values(values, stored: PhysicalType, target: PhysicalType):
-    """Widen decoded storage values from ``stored`` to ``target``.
-
-    Reuses the §2.4 quantization widening for FP16/BF16/FP8 sources
-    (dequantize to float32), then casts to the target storage dtype.
-    Every legal widening is value-preserving, so this is exact.
-    """
-    if stored == target:
-        return values
-    if stored.list_depth > 0:
-        dtype = STORAGE_DTYPES[target.primitive]
-        if isinstance(values, RaggedColumn):
-            return values.astype(dtype)
-        return [np.asarray(v).astype(dtype) for v in values]
-    if stored.primitive in _QUANTIZED_PRIMS:
-        from repro.core.reader import _widen_quantized
-
-        values = _widen_quantized(values, stored)
-    arr = np.asarray(values)
-    if target.primitive in _QUANTIZED_PRIMS:
-        # payload-bit targets (bf16/fp8 store uint payloads; fp16 its
-        # own dtype): re-quantize — exact, since the widening lattice
-        # guarantees every source value is representable in the target
-        from repro.quantization import FloatFormat, quantize
-
-        fmt = {
-            Primitive.FLOAT16: FloatFormat.FP16,
-            Primitive.BFLOAT16: FloatFormat.BF16,
-            Primitive.FLOAT8_E4M3: FloatFormat.FP8_E4M3,
-            Primitive.FLOAT8_E5M2: FloatFormat.FP8_E5M2,
-        }[target.primitive]
-        return quantize(arr.astype(np.float32, copy=False), fmt)
-    target_dtype = STORAGE_DTYPES[target.primitive]
-    if arr.dtype != target_dtype:
-        arr = arr.astype(target_dtype)
-    return arr
-
-
-def eval_repr(values, ptype: PhysicalType):
-    """A column's exact-filter representation (quantized -> float32),
-    matching what ``Scan`` feeds the vector evaluator."""
-    from repro.core.reader import _widen_quantized
-
-    return _widen_quantized(values, ptype)
-
-
-# ---------------------------------------------------------------------------
 # the resolved reader: one old-schema file, read as the current schema
 # ---------------------------------------------------------------------------
 
@@ -650,42 +529,16 @@ class _ResolvedFooter:
             self._inner.find_column(stored.name), rg
         )
 
-    def column_stats_range(self, col_idx: int):
-        stored = self._res.stored_column(self._columns[col_idx].name)
-        if stored is None:
-            return None
-        return self._inner.column_stats_range(
-            self._inner.find_column(stored.name)
-        )
 
-
-class _ResolvedScan:
-    """Iterable of resolved batches; quacks like :class:`Scan` where
-    the read paths need it (iteration + ``to_table()``)."""
-
-    def __init__(self, batches, empty_table) -> None:
-        self._batches = batches
-        self._empty = empty_table
-
-    def __iter__(self):
-        return iter(self._batches)
-
-    def to_table(self):
-        from repro.core.table import concat_tables
-
-        tables = list(self._batches)
-        if not tables:
-            return self._empty()
-        return concat_tables(tables)
-
-
-class ResolvedReader:
+class ResolvedReader(ScanSource):
     """A :class:`BullionReader` facade that reads one old-schema file
     as if it held the snapshot's current schema.
 
-    Implements the reader surface the scan, query and loader paths
-    use: ``footer`` (current coordinates), ``scan``,
-    ``classify_row_groups_expr``, ``num_rows``/``live_rows``.
+    It supplies ``footer`` (current coordinates) and
+    :meth:`locate_columns`; ``scan``, ``project`` and
+    ``classify_row_groups_expr`` come from
+    :class:`~repro.core.reader.ScanSource`, the same code a plain
+    file reads through.
     """
 
     def __init__(self, reader, resolution: FileResolution) -> None:
@@ -733,224 +586,3 @@ class ResolvedReader:
                     (inner.find_column(stored.name), stored.type, ptype)
                 )
         return self._reader, located
-
-    # -- pushdown (current coordinates, conservative) -------------------
-    def classify_row_groups_expr(self, where: Expr) -> list[TriState]:
-        """Zone-map verdicts with absent columns forced to MAYBE."""
-        inner = self._reader.footer
-        specs = []
-        for name in sorted(where.columns()):
-            cur = self._res.current_column(name)  # KeyError contract
-            stored = self._res.stored_column(name)
-            if stored is None or stats_kind(cur.type) is None:
-                specs.append((name, None, None))
-            else:
-                specs.append(
-                    (name, inner.find_column(stored.name),
-                     stats_kind(stored.type))
-                )
-        verdicts = []
-        for g in range(inner.num_row_groups):
-            intervals = {}
-            for name, col_idx, kind in specs:
-                stats = (
-                    inner.chunk_stats(col_idx, g)
-                    if col_idx is not None
-                    else None
-                )
-                if stats is None or kind is None:
-                    intervals[name] = None
-                else:
-                    intervals[name] = interval_from_stats(
-                        stats.min_value, stats.max_value, kind
-                    )
-            verdicts.append(evaluate_interval(where, intervals))
-        return verdicts
-
-    # -- scanning -------------------------------------------------------
-    def scan(
-        self,
-        columns: list[str],
-        *,
-        where: Expr | None = None,
-        row_groups: list[int] | None = None,
-        batch_size: int | None = None,
-        drop_deleted: bool = True,
-        widen_quantized: bool = False,
-        max_workers: int = 4,
-        prefetch_groups: int = 2,
-        scan_stats=None,
-    ) -> _ResolvedScan:
-        where = coerce_where(where)
-        res = self._res
-        # resolve the projection in current coordinates (KeyError fast)
-        specs = [(name, res.stored_column(name)) for name in columns]
-        where_specs = (
-            [(name, res.stored_column(name)) for name in sorted(where.columns())]
-            if where is not None
-            else []
-        )
-        for name, _stored in where_specs:
-            if res.current_column(name).type.list_depth > 0:
-                raise ValueError(f"cannot filter on list column {name!r}")
-
-        def empty_table():
-            from repro.core.table import Table
-
-            return Table({
-                name: fill_values(
-                    res.current_column(name).type, 0, widen_quantized
-                )
-                for name in columns
-            })
-
-        batches = self._scan_batches(
-            specs,
-            where,
-            where_specs,
-            row_groups,
-            drop_deleted,
-            widen_quantized,
-            max_workers,
-            prefetch_groups,
-            scan_stats,
-        )
-        if batch_size is not None:
-            batches = rebatch(batches, batch_size)
-        return _ResolvedScan(batches, empty_table)
-
-    def _scan_batches(
-        self,
-        specs,
-        where,
-        where_specs,
-        row_groups,
-        drop_deleted,
-        widen_quantized,
-        max_workers,
-        prefetch_groups,
-        scan_stats,
-    ):
-        from repro.core.table import Table
-
-        reader = self._reader
-        res = self._res
-        footer = reader.footer
-        groups = (
-            list(range(footer.num_row_groups))
-            if row_groups is None
-            else list(row_groups)
-        )
-        if where is not None:
-            # conservative zone-map pruning in current coordinates; the
-            # exact filter below always evaluates in the current
-            # (widened) domain, never the narrower stored one
-            verdicts = self.classify_row_groups_expr(where)
-            kept = [g for g in groups if verdicts[g] is not TriState.NEVER]
-            if scan_stats is not None:
-                pruned = [g for g in groups if verdicts[g] is TriState.NEVER]
-                scan_stats.bump(
-                    groups_pruned=len(pruned),
-                    rows_pruned=sum(
-                        footer.row_group(g).n_rows for g in pruned
-                    ),
-                )
-            groups = kept
-        if scan_stats is not None:
-            scan_stats.bump(files_scanned=1, groups_total=len(groups))
-
-        # stored columns the inner scan must decode: projected present
-        # columns plus present filter columns
-        inner_names: list[str] = []
-        for _name, stored in specs + where_specs:
-            if stored is not None and stored.name not in inner_names:
-                inner_names.append(stored.name)
-        deleted = (
-            footer.deletion_bitmap()
-            if drop_deleted and footer.deleted_count()
-            else None
-        )
-
-        for g in groups:
-            rg = footer.row_group(g)
-            # this layer counts groups and rows itself and folds in the
-            # inner scan's chunk counts, which publish only from here
-            inner = ScanStats.unmirrored()
-            if inner_names:
-                # widen_quantized=False: widening to the *current* type
-                # happens below, per column
-                raw = reader.scan(
-                    inner_names,
-                    row_groups=[g],
-                    drop_deleted=False,
-                    widen_quantized=False,
-                    max_workers=max_workers,
-                    prefetch_groups=prefetch_groups,
-                    scan_stats=inner,
-                ).to_table()
-                n = raw.num_rows
-            else:
-                raw = None
-                n = rg.n_rows
-            if scan_stats is not None:
-                scan_stats.bump(
-                    groups_scanned=1,
-                    rows_scanned=n,
-                    chunks_fetched=inner.chunks_fetched,
-                    chunks_skipped=inner.chunks_skipped,
-                )
-
-            def current_values(name, stored, widen):
-                if stored is None:
-                    return fill_values(
-                        res.current_column(name).type, n, widen
-                    )
-                cur_type = res.current_column(name).type
-                values = widen_values(
-                    raw.column(stored.name), stored.type, cur_type
-                )
-                if widen:
-                    values = eval_repr(values, cur_type)
-                return values
-
-            mask = None
-            if where is not None:
-                eval_values = {
-                    name: eval_repr(
-                        current_values(name, stored, False),
-                        res.current_column(name).type,
-                    )
-                    for name, stored in where_specs
-                }
-                mask = evaluate_expr(where, eval_values)
-            if deleted is not None:
-                live = ~deleted[rg.row_start : rg.row_start + rg.n_rows]
-                mask = live if mask is None else (mask & live)
-            if mask is not None and not mask.any():
-                continue
-            out = {
-                name: current_values(name, stored, widen_quantized)
-                for name, stored in specs
-            }
-            table = Table(out)
-            if mask is not None and table.num_columns:
-                table = table.take_mask(mask)
-            if scan_stats is not None:
-                scan_stats.bump(rows_matched=table.num_rows)
-            if table.num_rows:
-                yield table
-
-    def project(
-        self,
-        columns: list[str],
-        drop_deleted: bool = True,
-        row_groups: list[int] | None = None,
-        widen_quantized: bool = False,
-    ):
-        return self.scan(
-            columns,
-            row_groups=row_groups,
-            drop_deleted=drop_deleted,
-            widen_quantized=widen_quantized,
-            max_workers=0,
-        ).to_table()

@@ -27,7 +27,6 @@ from repro.catalog.schema_evolution import (
     ResolvedReader,
     SchemaLog,
     TableSchema,
-    fill_values,
 )
 from repro.catalog.snapshot import (
     Snapshot,
@@ -41,7 +40,7 @@ from repro.core.dataset import LoaderOptions, TrainingDataLoader
 from repro.core.reader import BullionReader
 from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
-from repro.core.table import Table, concat_tables, rebatch
+from repro.core.table import Table, concat_tables, fill_column, rebatch
 from repro.core.writer import WriterOptions
 from repro.obs import trace as obs_trace
 from repro.obs.families import Counters
@@ -232,7 +231,7 @@ class PinnedSnapshot:
             # evolved table: the current schema types the empty result
             # without touching any file at all
             return Table({
-                name: fill_values(current.column(name).type, 0, widen)
+                name: fill_column(current.column(name).type, 0, widen)
                 for name in columns
             })
         if not self.snapshot.files:

@@ -16,37 +16,50 @@ this only removes redundant syscalls; on :class:`~repro.iosim.ObjectStorage`,
 where every request pays a fixed round trip, it is the difference
 between per-chunk and per-row-group request counts.
 
-Reads are built around :class:`Scan` — a lazy batch iterator that fuses
+Every read of row data — :class:`Scan`, and through it ``project()``,
+the training loader and the catalog's scans, as well as the query
+engine's batches — goes through one pipeline:
 
-* row-group pruning (footer zone maps — per-chunk min/max statistics —
-  under the conservative interval evaluator of :mod:`repro.expr`),
-* exact decode-time row filtering (``where=`` expressions evaluated
-  vectorized over decoded batches) with **late materialization**:
-  filter columns are fetched and decoded first, and the remaining
-  projected chunks are fetched only for row groups with surviving
-  rows,
-* column projection,
-* deletion-vector filtering,
-* §2.4 quantization widening,
+1. **prune**: each row group is classified by its footer zone maps
+   (per-chunk min/max) under the conservative interval evaluator of
+   :mod:`repro.expr`; ``NEVER`` groups cost no data I/O, ``ALWAYS``
+   groups are read as if there were no filter;
+2. **fetch the filter columns** of every other group, as one
+   coalesced fetch per group, and decode them;
+3. **filter**: ``where`` is evaluated vectorized over the widened
+   values (§2.4 quantized columns compare as floats, like their zone
+   maps), then the deletion vector is ANDed in;
+4. **late materialization**: only a group with surviving rows fetches
+   its residual projection, in a second coalesced fetch, and decodes
+   it; both phases decode through :func:`decode_chunks`.
 
-in one loop over row groups. Chunks are cached in a
-:class:`~repro.core.chunk_cache.TieredChunkCache` — the shared one a
-caller passes, else a small private one — and the loop fetches ahead
-on threads only when the device under the reader really waits per
-request (:func:`repro.iosim.waits_per_request`). ``project()`` is the
-eager one-shot wrapper over a serial scan. :class:`ScanStats` counts
-what each layer skipped (groups, rows, chunks).
+The pipeline is :func:`read_segments` over :class:`Segment` s (row
+groups) of :class:`ScanFile` s. It reads a file through
+``locate_columns``, which names each current column's stored column,
+stored type and current type, so a file written under an older schema
+reads like a plain file: narrower stored values widen, and columns
+the file never stored fill with typed nulls without any fetch.
+:class:`ScanSource` defines ``scan``, ``project`` and the zone-map
+classification once over ``locate_columns``, for :class:`BullionReader`
+and for the catalog's old-schema reader alike.
+
+Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
+— the shared one a caller passes, else a small private one. A scan
+fetches the next groups' filter chunks ahead on threads only when the
+device under the reader really waits per request
+(:func:`repro.iosim.waits_per_request`). :class:`ScanStats` counts what
+each layer skipped (groups, rows, chunks).
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -54,7 +67,14 @@ from repro.core.chunk_cache import TieredChunkCache, storage_identity
 from repro.core.footer import MAGIC, FooterView
 from repro.core.page import PAGE_HEADER_SIZE, PageHeader
 from repro.core.schema import Primitive, Schema, STORAGE_DTYPES, stats_kind
-from repro.core.table import Table, concat_tables, empty_column, rebatch
+from repro.core.table import (
+    Table,
+    concat_tables,
+    fill_column,
+    rebatch,
+    widen_quantized,
+    widen_values,
+)
 from repro.encodings import decode_blob, decode_blobs
 from repro.encodings.base import RaggedColumn, join_values
 from repro.expr import (
@@ -90,12 +110,9 @@ _TAIL_SPECULATION = 4096
 #: storage's own ``max_request_bytes`` when it advertises one).
 _MAX_RUN_BYTES = 8 << 20
 
-_QUANTIZED_PRIMS = frozenset({
-    Primitive.FLOAT16,
-    Primitive.BFLOAT16,
-    Primitive.FLOAT8_E4M3,
-    Primitive.FLOAT8_E5M2,
-})
+#: groups whose first chunks a scan keeps in flight beyond the one it
+#: decodes, on a device that waits per request
+_PREFETCH_GROUPS = 2
 
 
 class BullionFormatError(ValueError):
@@ -140,32 +157,27 @@ class ScanStats(Counters):
 
 
 class Scan:
-    """Lazy batch iterator over a Bullion file.
+    """Lazy batch iterator over one file, through either reader kind.
 
-    Created via :meth:`BullionReader.scan`. Iterating yields
+    Created via :meth:`ScanSource.scan`. Iterating yields
     :class:`Table` batches; ``to_table()`` materializes the whole
     result. Row groups whose zone maps prove no row can match
     ``where`` are dropped at construction (zero data I/O,
-    :attr:`stats` counts them). Every kept group is then read in two
-    phases: its *first* chunks — the filter columns under ``where=``,
-    the whole projection otherwise — are fetched and decoded and the
-    row mask (exact filter, deletion vector) evaluated; only a group
-    with surviving rows fetches its *residual* projection (late
-    materialization). A group whose zone maps prove *every* row
-    matches is read as if there were no filter: its whole projection
-    in one coalesced fetch, no filter column decoded for the mask.
+    :attr:`stats` counts them). Every kept group is a
+    :class:`Segment` that :func:`read_segments` reads on its own:
+    filter chunks first, the residual projection only if rows survive.
 
-    On a device that waits per request the first chunks of
-    ``prefetch_groups + 1`` groups are in flight on a thread pool
-    while one group decodes (positional reads are independent);
-    decode and assembly stay on the consuming thread. On a
-    memory-speed device, or with ``max_workers <= 1``, every fetch is
-    inline and no thread is started.
+    On a device that waits per request the first chunks of the next
+    ``_PREFETCH_GROUPS`` groups are in flight on a thread pool while
+    one group decodes (positional reads are independent); decode and
+    assembly stay on the consuming thread. On a memory-speed device,
+    or with ``max_workers <= 1``, every fetch is inline and no thread
+    is started.
     """
 
     def __init__(
         self,
-        reader: "BullionReader",
+        source: "ScanSource",
         columns: list[str],
         *,
         where: Expr | None = None,
@@ -174,72 +186,51 @@ class Scan:
         drop_deleted: bool = True,
         widen_quantized: bool = False,
         max_workers: int = 4,
-        prefetch_groups: int = 2,
         scan_stats: ScanStats | None = None,
     ) -> None:
-        self._reader = reader
-        footer = reader.footer
+        footer = source.footer
         self.stats = scan_stats if scan_stats is not None else ScanStats()
-        #: (name, col_idx, ptype) resolved up front so bad names fail fast
-        self._cols = []
-        for name in columns:
-            col_idx = footer.find_column(name)
-            self._cols.append((name, col_idx, footer.column_type(col_idx)))
+        self._columns = list(columns)
+        filters = where.columns() if where is not None else ()
+        # located up front, so bad names fail fast
+        self._file = file = ScanFile(
+            source, self._columns, filters, drop_deleted
+        )
+        for name in sorted(filters):
+            if file.columns[name][2].list_depth > 0:
+                raise ValueError(f"cannot filter on list column {name!r}")
         groups = (
             list(range(footer.num_row_groups))
             if row_groups is None
             else list(row_groups)
         )
-        self._where = where
-        #: phase one: the columns every kept group fetches and decodes
-        self._first = self._cols
-        #: phase two: the columns only a group with survivors fetches
-        self._residual: list[tuple[str, int, object]] = []
-        #: groups the zone maps prove ``where`` holds for on every row:
-        #: read unfiltered (whole projection first, no residual)
-        self._always: set[int] = set()
         counts = {"files_scanned": 1, "groups_total": len(groups)}
+        #: groups read unfiltered: every group without a ``where``, else
+        #: those the zone maps prove match on every row
+        always = set(groups)
         if where is not None:
-            filter_names = where.columns()
-            self._first = []
-            for name in sorted(filter_names):
-                col_idx = footer.find_column(name)
-                ptype = footer.column_type(col_idx)
-                if ptype.list_depth > 0:
-                    raise ValueError(
-                        f"cannot filter on list column {name!r}"
-                    )
-                self._first.append((name, col_idx, ptype))
-            self._residual = [
-                spec for spec in self._cols if spec[0] not in filter_names
-            ]
-            verdicts = reader.classify_row_groups_expr(where)
+            verdicts = source.classify_row_groups_expr(where)
             pruned = [g for g in groups if verdicts[g] is TriState.NEVER]
             groups = [g for g in groups if verdicts[g] is not TriState.NEVER]
-            self._always = {
-                g for g in groups if verdicts[g] is TriState.ALWAYS
-            }
+            always = {g for g in groups if verdicts[g] is TriState.ALWAYS}
             counts["groups_pruned"] = len(pruned)
             counts["rows_pruned"] = sum(
                 footer.row_group(g).n_rows for g in pruned
             )
         self.stats.bump(**counts)
-        self._groups = groups
+        file.segments = [Segment(file, g, g in always) for g in groups]
+        self._where = where
         self._batch_size = batch_size
         self._widen = widen_quantized
         #: look-ahead pool width; 0 when every fetch is inline
         self._fetch_threads = (
-            max_workers if max_workers > 1 and reader.waits_per_request else 0
+            max_workers if max_workers > 1 and source.waits_per_request else 0
         )
-        self._prefetch_groups = max(1, prefetch_groups)
-        self._deleted = None
-        if drop_deleted and footer.deleted_count():
-            self._deleted = footer.deletion_bitmap()
 
     @property
     def row_groups(self) -> list[int]:
         """The row groups this scan will touch, post-pruning."""
-        return list(self._groups)
+        return [seg.g for seg in self._file.segments]
 
     # -- iteration ------------------------------------------------------
     def __iter__(self):
@@ -249,20 +240,18 @@ class Scan:
 
     def to_table(self) -> Table:
         """Materialize the scan into one table."""
-        if not self._cols:
+        if not self._columns:
             return Table({})
         tables = list(self._group_tables())
-        if not tables:
-            # every group pruned (or filtered) away: empty, but typed
-            # exactly like a non-empty result — including widening
-            out = {}
-            for name, _idx, ptype in self._cols:
-                values = empty_column(ptype)
-                if self._widen:
-                    values = _widen_quantized(values, ptype)
-                out[name] = values
-            return Table(out)
-        return concat_tables(tables)
+        if tables:
+            return concat_tables(tables)
+        # every group pruned (or filtered) away: empty, but typed
+        # exactly like a non-empty result — including widening
+        types = self._file.columns
+        return Table({
+            name: fill_column(types[name][2], 0, self._widen)
+            for name in self._columns
+        })
 
     # -- internals ------------------------------------------------------
     def _group_tables(self):
@@ -273,13 +262,9 @@ class Scan:
         survivors. The group being consumed first is fetched inline,
         so a one-group scan never needs the pool.
         """
-        groups = self._groups
-        fetch = self._reader._fetch_chunks
-        threaded = self._fetch_threads > 0 and len(groups) > 1
-
-        def first_keys(g: int) -> list[tuple[int, int]]:
-            first = self._cols if g in self._always else self._first
-            return [(col_idx, g) for _name, col_idx, _pt in first]
+        segments = self._file.segments
+        fetch = self._file.reader._fetch_chunks
+        threaded = self._fetch_threads > 0 and len(segments) > 1
 
         with (
             ThreadPoolExecutor(max_workers=self._fetch_threads)
@@ -287,90 +272,157 @@ class Scan:
             else nullcontext()
         ) as pool:
             # groups not yet handed to the pool (none without one) ...
-            waiting = iter(groups[1:] if threaded else ())
+            waiting = iter(segments[1:] if threaded else ())
             # ... and the first-phase fetches in flight, in group order
             ahead: deque = deque()
 
             def fetch_ahead(depth: int) -> None:
-                for g in islice(waiting, depth - len(ahead)):
-                    ahead.append(pool.submit(fetch, first_keys(g)))
+                for seg in islice(waiting, depth - len(ahead)):
+                    ahead.append(pool.submit(fetch, seg.first_keys()))
 
-            fetch_ahead(self._prefetch_groups)
-            for i, g in enumerate(groups):
+            fetch_ahead(_PREFETCH_GROUPS)
+            for i, seg in enumerate(segments):
                 if threaded and i:
-                    fetched = ahead.popleft().result()
+                    seg.chunks = ahead.popleft().result()
                 else:
-                    fetched = fetch(first_keys(g))
-                fetch_ahead(self._prefetch_groups + 1)
-                table = self._read_group(g, fetched)
-                if table is not None:
-                    yield table
-
-    def _read_group(self, g: int, fetched: dict) -> Table | None:
-        """Decode, mask and assemble one group from its first chunks.
-
-        ``None`` is a filtered group with no surviving rows: it cost
-        exactly its filter chunks, the residual is never fetched.
-        """
-        reader, stats = self._reader, self.stats
-        rg = reader.footer.row_group(g)
-        if g in self._always:
-            first, where, residual = self._cols, None, ()
-        else:
-            first, where, residual = self._first, self._where, self._residual
-        counts = {
-            "chunks_fetched": len(first),
-            "groups_scanned": 1,
-            "rows_scanned": rg.n_rows,
-        }
-        # each column decodes once, in storage representation
-        decoded = {
-            name: reader._decode_column(
-                fetched[(col_idx, g)], col_idx, g, ptype
-            )
-            for name, col_idx, ptype in first
-        }
-        mask = None
-        if where is not None:
-            # evaluate in the widened domain so quantized columns
-            # compare as floats, matching their (widened-domain) zone maps
-            mask = evaluate_expr(
-                where,
-                {
-                    name: _widen_quantized(decoded[name], ptype)
-                    for name, _idx, ptype in first
-                },
-            )
-        if self._deleted is not None:
-            live = ~self._deleted[rg.row_start : rg.row_start + rg.n_rows]
-            mask = live if mask is None else mask & live
-        if self._where is not None and mask is not None and not mask.any():
-            stats.bump(**counts, chunks_skipped=len(residual), groups_empty=1)
-            return None
-        if residual:
-            # only now — the point of late materialization; one planner
-            # call coalesces the lot
-            fetched = reader._fetch_chunks(
-                [(col_idx, g) for _name, col_idx, _pt in residual]
-            )
-            counts["chunks_fetched"] += len(fetched)
-            for name, col_idx, ptype in residual:
-                decoded[name] = reader._decode_column(
-                    fetched[(col_idx, g)], col_idx, g, ptype
+                    seg.chunks = fetch(seg.first_keys())
+                fetch_ahead(_PREFETCH_GROUPS + 1)
+                counts = Counter()
+                columns, _matched = read_segments(
+                    [seg], self._where, self._columns, _fetch_inline,
+                    counts, widen=self._widen,
                 )
-        table = Table({
-            name: _widen_quantized(decoded[name], ptype)
-            if self._widen
-            else decoded[name]
-            for name, _idx, ptype in self._cols
-        })
-        if mask is not None and table.num_columns:
-            table = table.take_mask(mask)
-        stats.bump(**counts, rows_matched=table.num_rows)
-        return table
+                seg.chunks = {}
+                self.stats.bump(**counts)
+                if columns is not None:
+                    yield Table(columns)
 
 
-class BullionReader:
+class ScanSource:
+    """The read surface both reader kinds share.
+
+    A subclass provides ``footer`` (row-group geometry and the deletion
+    vector), ``waits_per_request`` and ``locate_columns``; scanning,
+    projection and zone-map classification are defined here once, over
+    those, so a plain file and an old-schema file read through the same
+    code and count the same work.
+    """
+
+    def scan(
+        self,
+        columns: list[str],
+        *,
+        where: Expr | str | None = None,
+        row_groups: list[int] | None = None,
+        batch_size: int | None = None,
+        drop_deleted: bool = True,
+        widen_quantized: bool = False,
+        max_workers: int = 4,
+        scan_stats: ScanStats | None = None,
+    ) -> Scan:
+        """Lazy batch iterator over a feature projection.
+
+        ``batch_size=None`` yields one batch per row group; otherwise
+        batches of exactly ``batch_size`` rows (last one may be short).
+        ``max_workers`` bounds the fetch look-ahead on a device that
+        waits per request (a memory-speed device never uses threads);
+        ``max_workers <= 1`` forces serial chunk fetches everywhere.
+
+        ``where`` takes a :class:`repro.expr.Expr` or its text form
+        and applies the full pushdown: zone-map row-group pruning plus
+        exact vectorized row filtering with late materialization.
+        Pass a shared :class:`ScanStats` as ``scan_stats`` to
+        aggregate skip counters across several scans.
+        """
+        return Scan(
+            self,
+            columns,
+            where=coerce_where(where),
+            row_groups=row_groups,
+            batch_size=batch_size,
+            drop_deleted=drop_deleted,
+            widen_quantized=widen_quantized,
+            max_workers=max_workers,
+            scan_stats=scan_stats,
+        )
+
+    def project(
+        self,
+        columns: list[str],
+        drop_deleted: bool = True,
+        row_groups: list[int] | None = None,
+        widen_quantized: bool = False,
+    ) -> Table:
+        """Eagerly read the named columns (the ML feature projection).
+
+        A thin wrapper over a serial :meth:`scan` so accounting-based
+        experiments see deterministic I/O ordering.
+
+        ``widen_quantized=True`` dequantizes §2.4 storage-quantized
+        columns (FP16/BF16/FP8) back to float32 on the way out; the
+        default returns the stored representation, which trainers with
+        native low-precision support consume directly ("usable directly
+        in training and serving").
+        """
+        return self.scan(
+            columns,
+            row_groups=row_groups,
+            drop_deleted=drop_deleted,
+            widen_quantized=widen_quantized,
+            max_workers=0,
+        ).to_table()
+
+    def read_column(self, name: str, drop_deleted: bool = True):
+        return self.project([name], drop_deleted=drop_deleted).column(name)
+
+    def prune_row_groups_expr(self, where: Expr) -> list[int]:
+        """Row groups the interval evaluator cannot rule out.
+
+        Evaluates ``where`` against each group's zone maps (chunk
+        min/max statistics) with the conservative tri-state semantics
+        of :mod:`repro.expr.interval`: missing stats, NaN bounds and
+        float64-rounded int64 bounds never prune. Zero data I/O.
+        """
+        return [
+            g
+            for g, verdict in enumerate(self.classify_row_groups_expr(where))
+            if verdict is not TriState.NEVER
+        ]
+
+    def classify_row_groups_expr(self, where: Expr) -> "list[TriState]":
+        """Tri-state zone-map verdict for every row group, in order.
+
+        ``NEVER`` — no row of the group can match (pruned with zero
+        data I/O); ``ALWAYS`` — every row provably matches, which lets
+        the query engine answer counts and extrema from the group's
+        statistics alone; ``MAYBE`` — decode and let the vectorized
+        evaluator decide. Shares :meth:`prune_row_groups_expr`'s
+        conservative evaluator, so the two can never disagree. A
+        column the file never stored has no zone map: ``MAYBE``.
+        """
+        names = sorted(where.columns())
+        reader, located = self.locate_columns(names)
+        footer = reader.footer
+        specs = [
+            (name, col_idx, None if col_idx is None else stats_kind(stored))
+            for name, (col_idx, stored, _type) in zip(names, located)
+        ]
+        verdicts = []
+        for g in range(footer.num_row_groups):
+            intervals = {}
+            for name, col_idx, kind in specs:
+                stats = None if kind is None else footer.chunk_stats(col_idx, g)
+                intervals[name] = (
+                    None
+                    if stats is None
+                    else interval_from_stats(
+                        stats.min_value, stats.max_value, kind
+                    )
+                )
+            verdicts.append(evaluate_interval(where, intervals))
+        return verdicts
+
+class BullionReader(ScanSource):
     """Read-side API: open, scan, project, verify."""
 
     def __init__(
@@ -495,122 +547,6 @@ class BullionReader:
         # shared cache: every entry for this device (any fingerprint),
         # not other readers' files; private cache: everything
         self.chunk_cache.invalidate_prefix(self._cache_prefix[:1])
-
-    # -- data -----------------------------------------------------------
-    def scan(
-        self,
-        columns: list[str],
-        *,
-        where: Expr | str | None = None,
-        row_groups: list[int] | None = None,
-        batch_size: int | None = None,
-        drop_deleted: bool = True,
-        widen_quantized: bool = False,
-        max_workers: int = 4,
-        prefetch_groups: int = 2,
-        scan_stats: ScanStats | None = None,
-    ) -> Scan:
-        """Lazy batch iterator over a feature projection.
-
-        ``batch_size=None`` yields one batch per row group; otherwise
-        batches of exactly ``batch_size`` rows (last one may be short).
-        ``max_workers`` bounds the fetch look-ahead on a device that
-        waits per request (a memory-speed device never uses threads);
-        ``max_workers <= 1`` forces serial chunk fetches everywhere.
-
-        ``where`` takes a :class:`repro.expr.Expr` or its text form
-        and applies the full pushdown: zone-map row-group pruning plus
-        exact vectorized row filtering with late materialization.
-        Pass a shared :class:`ScanStats` as ``scan_stats`` to
-        aggregate skip counters across several scans.
-        """
-        return Scan(
-            self,
-            columns,
-            where=coerce_where(where),
-            row_groups=row_groups,
-            batch_size=batch_size,
-            drop_deleted=drop_deleted,
-            widen_quantized=widen_quantized,
-            max_workers=max_workers,
-            prefetch_groups=prefetch_groups,
-            scan_stats=scan_stats,
-        )
-
-    def project(
-        self,
-        columns: list[str],
-        drop_deleted: bool = True,
-        row_groups: list[int] | None = None,
-        widen_quantized: bool = False,
-    ) -> Table:
-        """Eagerly read the named columns (the ML feature projection).
-
-        A thin wrapper over a serial :meth:`scan` so accounting-based
-        experiments see deterministic I/O ordering.
-
-        ``widen_quantized=True`` dequantizes §2.4 storage-quantized
-        columns (FP16/BF16/FP8) back to float32 on the way out; the
-        default returns the stored representation, which trainers with
-        native low-precision support consume directly ("usable directly
-        in training and serving").
-        """
-        return self.scan(
-            columns,
-            row_groups=row_groups,
-            drop_deleted=drop_deleted,
-            widen_quantized=widen_quantized,
-            max_workers=0,
-        ).to_table()
-
-    def read_column(self, name: str, drop_deleted: bool = True):
-        return self.project([name], drop_deleted=drop_deleted).column(name)
-
-    def prune_row_groups_expr(self, where: Expr) -> list[int]:
-        """Row groups the interval evaluator cannot rule out.
-
-        Evaluates ``where`` against each group's zone maps (chunk
-        min/max statistics) with the conservative tri-state semantics
-        of :mod:`repro.expr.interval`: missing stats, NaN bounds and
-        float64-rounded int64 bounds never prune. Zero data I/O.
-        """
-        return [
-            g
-            for g, verdict in enumerate(self.classify_row_groups_expr(where))
-            if verdict is not TriState.NEVER
-        ]
-
-    def classify_row_groups_expr(self, where: Expr) -> "list[TriState]":
-        """Tri-state zone-map verdict for every row group, in order.
-
-        ``NEVER`` — no row of the group can match (pruned with zero
-        data I/O); ``ALWAYS`` — every row provably matches, which lets
-        the query engine answer counts and extrema from the group's
-        statistics alone; ``MAYBE`` — decode and let the vectorized
-        evaluator decide. Shares :meth:`prune_row_groups_expr`'s
-        conservative evaluator, so the two can never disagree.
-        """
-        footer = self.footer
-        names = sorted(where.columns())
-        specs = [
-            (name, col_idx, stats_kind(ptype))
-            for name, (col_idx, ptype, _type) in zip(
-                names, self.locate_columns(names)[1]
-            )
-        ]
-        verdicts = []
-        for g in range(footer.num_row_groups):
-            intervals = {}
-            for name, col_idx, kind in specs:
-                stats = footer.chunk_stats(col_idx, g)
-                if stats is None or kind is None:
-                    intervals[name] = None
-                else:
-                    intervals[name] = interval_from_stats(
-                        stats.min_value, stats.max_value, kind
-                    )
-            verdicts.append(evaluate_interval(where, intervals))
-        return verdicts
 
     def aggregate(
         self,
@@ -886,7 +822,7 @@ def decode_chunks(chunks, ptype):
     if run:
         parts.append(decode_blobs(run))
     if not parts:
-        return empty_column(ptype)
+        return fill_column(ptype)
     values = join_values(parts)
     if len(values) != expected:
         _reader, _raw, col_idx, rg = chunks[0]
@@ -898,19 +834,201 @@ def decode_chunks(chunks, ptype):
     return _cast_to_storage(values, ptype)
 
 
-def _widen_quantized(values, ptype):
-    """Dequantize FP16/BF16/FP8 storage to float32 (§2.4 read path)."""
-    if ptype.primitive not in _QUANTIZED_PRIMS or ptype.list_depth != 0:
-        return values
-    from repro.quantization import FloatFormat, dequantize
+# ---------------------------------------------------------------------------
+# the read core: fetch -> filter -> late materialization, for every reader
+# ---------------------------------------------------------------------------
 
-    fmt = {
-        Primitive.FLOAT16: FloatFormat.FP16,
-        Primitive.BFLOAT16: FloatFormat.BF16,
-        Primitive.FLOAT8_E4M3: FloatFormat.FP8_E4M3,
-        Primitive.FLOAT8_E5M2: FloatFormat.FP8_E5M2,
-    }[ptype.primitive]
-    return dequantize(np.asarray(values), fmt)
+class ScanFile:
+    """One file's side of a read.
+
+    The reader that holds the bytes, where each named column lives
+    (``name -> (col_idx, stored type, type)`` from ``locate_columns``;
+    ``col_idx`` is None for a column the file never stored, which reads
+    as typed nulls), the stored columns a row group fetches — ``first``
+    (the filter columns), the ``rest`` of the projection, or the
+    ``whole`` projection when nothing is left to filter — the deletion
+    vector the read applies, and the file's segments.
+    """
+
+    __slots__ = (
+        "reader", "columns", "first", "rest", "whole", "deleted", "segments"
+    )
+
+    def __init__(
+        self, source, columns: list[str], filters=(), drop_deleted=True
+    ) -> None:
+        names = list(dict.fromkeys([*columns, *sorted(filters)]))
+        self.reader, located = source.locate_columns(names)
+        self.columns = dict(zip(names, located))
+        projected = set(columns)
+        self.first, self.rest, self.whole = [], [], []
+        for name, (col_idx, _stored, _type) in self.columns.items():
+            if col_idx is None:
+                continue
+            (self.first if name in filters else self.rest).append(col_idx)
+            if name in projected:
+                self.whole.append(col_idx)
+        footer = self.reader.footer
+        self.deleted = (
+            footer.deletion_bitmap()
+            if drop_deleted and footer.deleted_count()
+            else None
+        )
+        self.segments: list[Segment] = []
+
+
+class Segment:
+    """One row group of one file: what a read fetches, masks and
+    decodes together with the other segments of its batch. ``always``
+    marks a group with nothing to filter (no ``where``, or zone maps
+    proving every row matches): it fetches its whole projection at
+    once and skips the filter."""
+
+    __slots__ = ("file", "g", "always", "rows", "row_start", "chunks")
+
+    def __init__(self, file: ScanFile, g: int, always: bool) -> None:
+        rg = file.reader.footer.row_group(g)
+        self.file, self.g, self.always = file, g, always
+        self.rows, self.row_start = rg.n_rows, rg.row_start
+        #: raw chunks fetched so far, ``(col_idx, g) -> bytes``
+        self.chunks: dict = {}
+
+    def first_keys(self) -> list[tuple[int, int]]:
+        """The chunks the first phase fetches."""
+        columns = self.file.whole if self.always else self.file.first
+        return [(col_idx, self.g) for col_idx in columns]
+
+    def alive(self) -> np.ndarray:
+        deleted = self.file.deleted
+        if deleted is None:
+            return np.ones(self.rows, dtype=bool)
+        return ~deleted[self.row_start : self.row_start + self.rows]
+
+
+def _fetch_inline(requests):
+    """Each ``(reader, keys)`` request's chunks, in order, on this thread."""
+    return [reader._fetch_chunks(keys) for reader, keys in requests]
+
+
+def _decode(name: str, segments: list):
+    """One column over ``segments`` in the current schema's type, in
+    storage representation; consecutive segments whose files store the
+    column alike decode in one :func:`decode_chunks` call."""
+    pieces = []
+    for (stored, ptype), run in groupby(
+        segments, key=lambda seg: seg.file.columns[name][1:]
+    ):
+        run = list(run)
+        if stored is None:
+            pieces.append(fill_column(ptype, sum(seg.rows for seg in run)))
+            continue
+        chunks = []
+        for seg in run:
+            col_idx = seg.file.columns[name][0]
+            chunks.append(
+                (seg.file.reader, seg.chunks[(col_idx, seg.g)], col_idx, seg.g)
+            )
+        pieces.append(widen_values(decode_chunks(chunks, stored), stored, ptype))
+    return join_values(pieces)
+
+
+def _take(values, pick):
+    """One column's rows at positions ``pick`` (None: every row)."""
+    if pick is None:
+        return values
+    if isinstance(values, (np.ndarray, RaggedColumn)):
+        return values[pick]
+    return [values[i] for i in pick.tolist()]  # bytes and nested lists
+
+
+def read_segments(batch, where, names, fetch, counts, *, widen=True):
+    """Read ``names`` over a batch of segments: the one two-phase read.
+
+    Each segment arrives holding its first chunks
+    (:meth:`Segment.first_keys`; the caller fetches them, and decides
+    how). The filter columns decode once across the batch, and
+    ``where`` is evaluated once over their widened values (quantized
+    columns compare as floats, like their zone maps); ``always``
+    segments take every row, so a batch with a segment to filter must
+    hold the filter columns in all of them. The deletion vectors apply
+    once. A segment the filter leaves empty never fetches its residual
+    chunks (late materialization); the others fetch theirs in one
+    ``fetch([(reader, keys), ...])`` call, which returns each request's
+    chunks in order. Every other column of ``names`` then decodes once
+    over the kept segments. Stored columns widen to the current type,
+    absent ones fill with typed nulls, and ``widen`` dequantizes
+    quantized columns on the way out.
+
+    Returns ``(columns, matched)``: each name's matched rows, in the
+    order of ``names``, and each segment's matched row count.
+    ``columns`` is None when the filter left no segment. ``counts`` (a
+    ``Counter`` of :class:`ScanStats` fields) adds what the batch read
+    and skipped.
+    """
+    counts["chunks_fetched"] += sum(len(seg.chunks) for seg in batch)
+    rows = [seg.rows for seg in batch]
+    always = [seg.always for seg in batch]
+    types = batch[0].file.columns
+    stored, evals, mask = {}, {}, None
+    if where is not None and not all(always):
+        for name in sorted(where.columns()):
+            stored[name] = _decode(name, batch)
+            evals[name] = widen_quantized(stored[name], types[name][2])
+        mask = evaluate_expr(where, evals)
+        if any(always):
+            mask = mask | np.repeat(always, rows)
+    if any(seg.file.deleted is not None for seg in batch):
+        alive = np.concatenate([seg.alive() for seg in batch])
+        mask = alive if mask is None else mask & alive
+    #: the matched rows, as positions among the batch's rows
+    pick = None if mask is None else np.flatnonzero(mask)
+    if pick is None:
+        matched = np.array(rows)
+    elif len(batch) == 1:
+        matched = np.array([len(pick)])
+    else:
+        ends = np.concatenate(([0], np.cumsum(rows)))
+        matched = np.diff(np.searchsorted(pick, ends))
+    kept, held, residual = [], [], []
+    n_matched = matched.tolist()
+    for seg, n in zip(batch, n_matched):
+        rest = [] if seg.always else [(c, seg.g) for c in seg.file.rest]
+        emptied = where is not None and n == 0 and (
+            not seg.always or seg.file.deleted is not None
+        )
+        held.append(not emptied)
+        if emptied:
+            counts["groups_empty"] += 1
+            counts["chunks_skipped"] += len(rest)
+            continue
+        kept.append(seg)
+        if rest:
+            residual.append((seg, rest))
+    requests = [(seg.file.reader, rest) for seg, rest in residual]
+    for (seg, _rest), chunks in zip(residual, fetch(requests)):
+        seg.chunks.update(chunks)
+        counts["chunks_fetched"] += len(chunks)
+    counts["groups_scanned"] += len(batch)
+    counts["rows_scanned"] += sum(rows)
+    counts["rows_matched"] += sum(n_matched)
+    if not kept:
+        return None, matched
+    # the matched rows again, as positions among the kept segments' rows
+    pick_kept = pick
+    if pick is not None and len(kept) < len(batch):
+        pick_kept = np.flatnonzero(mask[np.repeat(held, rows)])
+    # each batch-wide array is dropped as soon as its matched rows are
+    # out: peak memory is what a batch costs
+    source = evals if widen else stored
+    out = {n: _take(source[n], pick) for n in names if n in source}
+    del stored, evals, source, mask, pick
+    for name in names:
+        if name not in out:
+            values = _decode(name, kept)
+            if widen:
+                values = widen_quantized(values, types[name][2])
+            out[name] = _take(values, pick_kept)
+    return {name: out[name] for name in names}, matched
 
 
 def _cast_to_storage(values, ptype):

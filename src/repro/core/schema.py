@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.quantization import FloatFormat
+
 
 class Primitive(enum.IntEnum):
     """Leaf physical types (codes are persisted in the footer)."""
@@ -75,6 +77,13 @@ STORAGE_DTYPES = {
     Primitive.BOOL: np.bool_,
 }
 
+#: §2.4 storage-quantized primitives and the float format each holds
+QUANTIZED_FORMATS = {
+    Primitive.FLOAT16: FloatFormat.FP16,
+    Primitive.BFLOAT16: FloatFormat.BF16,
+    Primitive.FLOAT8_E4M3: FloatFormat.FP8_E4M3,
+    Primitive.FLOAT8_E5M2: FloatFormat.FP8_E5M2,
+}
 
 #: primitives whose values are integer-valued (no NaN; float64 stats
 #: storage may round magnitudes beyond 2**53)
@@ -83,8 +92,7 @@ _INT_KIND_PRIMS = frozenset(
      Primitive.BOOL}
 )
 _FLOAT_KIND_PRIMS = frozenset(
-    {Primitive.FLOAT64, Primitive.FLOAT32, Primitive.FLOAT16,
-     Primitive.BFLOAT16, Primitive.FLOAT8_E4M3, Primitive.FLOAT8_E5M2}
+    {Primitive.FLOAT64, Primitive.FLOAT32, *QUANTIZED_FORMATS}
 )
 
 

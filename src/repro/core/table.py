@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.schema import (
+    QUANTIZED_FORMATS,
     STORAGE_DTYPES,
     PhysicalColumn,
     PhysicalType,
@@ -24,6 +25,7 @@ from repro.core.schema import (
     Schema,
 )
 from repro.encodings.base import RaggedColumn, join_values
+from repro.quantization import dequantize, quantize
 
 
 def column_length(values) -> int:
@@ -96,16 +98,72 @@ def _values_equal(a, b) -> bool:
     return bool(a == b)
 
 
-def empty_column(ptype: PhysicalType):
-    """A zero-row column in the container and dtype of its physical type
-    (an empty float or string column round-trips as such)."""
-    if ptype.list_depth > 1 or ptype.primitive in (
-        Primitive.STRING,
-        Primitive.BINARY,
-    ):
-        return []
-    values = np.zeros(0, dtype=STORAGE_DTYPES[ptype.primitive])
-    return RaggedColumn(values, [], []) if ptype.list_depth else values
+_BYTES_PRIMS = (Primitive.STRING, Primitive.BINARY)
+
+
+def fill_column(ptype: PhysicalType, n: int = 0, widen: bool = False):
+    """``n`` typed nulls in the container and dtype of ``ptype``: the
+    column a field absent from a file reads as, and at ``n == 0`` the
+    empty column of the type (an empty float or string column
+    round-trips as such).
+
+    Floats (quantized included, as payload bits) fill with NaN — the
+    engine's null: NaN rows are skipped by every aggregate and excluded
+    from float statistics. Ints fill with 0, bools with False, bytes
+    with ``b""``, lists with empty lists; those kinds carry no null
+    sentinel, so the fill *is* the column's value. ``widen`` returns a
+    quantized column dequantized, as :func:`widen_quantized` does.
+    """
+    prim = ptype.primitive
+    if ptype.list_depth > 0:
+        if prim in _BYTES_PRIMS:
+            return [[] for _ in range(n)]
+        inner = np.zeros(0, dtype=STORAGE_DTYPES[prim])
+        if ptype.list_depth == 1:
+            empty = np.zeros(n, dtype=np.int64)
+            return RaggedColumn(inner, empty, empty)
+        return [inner for _ in range(n)]
+    if prim in _BYTES_PRIMS:
+        return [b""] * n
+    fmt = QUANTIZED_FORMATS.get(prim)
+    if fmt is not None:
+        values = quantize(np.full(n, np.nan, dtype=np.float32), fmt)
+        return widen_quantized(values, ptype) if widen else values
+    dtype = np.dtype(STORAGE_DTYPES[prim])
+    if dtype.kind == "f":
+        return np.full(n, np.nan, dtype=dtype)
+    return np.zeros(n, dtype=dtype)
+
+
+def widen_quantized(values, ptype: PhysicalType):
+    """Dequantize FP16/BF16/FP8 storage to float32 (§2.4 read path);
+    any other column passes through."""
+    fmt = QUANTIZED_FORMATS.get(ptype.primitive)
+    if fmt is None or ptype.list_depth:
+        return values
+    return dequantize(np.asarray(values), fmt)
+
+
+def widen_values(values, stored: PhysicalType, target: PhysicalType):
+    """Decoded storage values of type ``stored`` as type ``target``, a
+    legal widening of it (see the schema log's ``can_widen``).
+
+    FP16/BF16/FP8 sources dequantize to float32 first, then cast to the
+    target's storage dtype; a quantized target re-quantizes. Every
+    legal widening is value-preserving, so this is exact.
+    """
+    if stored is target or stored == target:
+        return values
+    if stored.list_depth > 0:
+        dtype = STORAGE_DTYPES[target.primitive]
+        if isinstance(values, RaggedColumn):
+            return values.astype(dtype)
+        return [np.asarray(v).astype(dtype) for v in values]
+    arr = np.asarray(widen_quantized(values, stored))
+    fmt = QUANTIZED_FORMATS.get(target.primitive)
+    if fmt is not None:
+        return quantize(arr.astype(np.float32, copy=False), fmt)
+    return arr.astype(STORAGE_DTYPES[target.primitive], copy=False)
 
 
 def concat_tables(tables: list["Table"]) -> "Table":

@@ -49,6 +49,7 @@ from repro.core.footer import (
 )
 from repro.core.page import frame_page
 from repro.core.schema import (
+    QUANTIZED_FORMATS,
     Field,
     PhysicalColumn,
     PhysicalType,
@@ -57,9 +58,10 @@ from repro.core.schema import (
 )
 from repro.core.table import (
     Table,
-    empty_column,
+    fill_column,
     physical_schema_for_table,
     validate_against_schema,
+    widen_quantized,
 )
 from repro.encodings import (
     Encoding,
@@ -378,7 +380,7 @@ class BullionWriter:
                     fragments[0] = frag[need:]
                     need = 0
             if not taken:
-                out[col.name] = empty_column(col.type)
+                out[col.name] = fill_column(col.type)
             else:
                 out[col.name] = join_values(taken)
         self._buffered_rows -= n
@@ -456,8 +458,11 @@ class BullionWriter:
                 stats.encoded_pages_held -= 1
                 stats.encoded_payload_bytes_held -= len(payload)
                 del payload, framed  # nothing encoded survives the page
+            # quantized payloads do not sort like the floats they hold
+            # (a negative bf16 is a large uint16): zone maps take the
+            # widened values, exactly what the row filter compares
             chunk_stats = (
-                _numeric_chunk_stats(_stats_domain(col_values, column))
+                _numeric_chunk_stats(widen_quantized(col_values, column.type))
                 if opts.collect_statistics
                 else None
             )
@@ -550,14 +555,10 @@ def _quantized_column(column: PhysicalColumn, policy) -> PhysicalColumn:
     from repro.quantization import FloatFormat
 
     fmt = policy.format_for(column.name)
-    fmt_to_primitive = {
+    fmt_to_primitive = {fmt: p for p, fmt in QUANTIZED_FORMATS.items()} | {
         FloatFormat.FP64: Primitive.FLOAT64,
         FloatFormat.FP32: Primitive.FLOAT32,
         FloatFormat.TF32: Primitive.FLOAT32,  # stored in 32 bits
-        FloatFormat.FP16: Primitive.FLOAT16,
-        FloatFormat.BF16: Primitive.BFLOAT16,
-        FloatFormat.FP8_E4M3: Primitive.FLOAT8_E4M3,
-        FloatFormat.FP8_E5M2: Primitive.FLOAT8_E5M2,
     }
     prim = fmt_to_primitive[fmt]
     if prim == column.type.primitive and fmt != FloatFormat.TF32:
@@ -597,38 +598,6 @@ def _numeric_chunk_stats(values) -> ChunkStats | None:
             return None
         return ChunkStats(float(comparable.min()), float(comparable.max()))
     return ChunkStats(float(values.min()), float(values.max()))
-
-
-#: §2.4 quantized primitives whose storage payload is NOT ordered like
-#: the values it encodes (uint16 bf16 bits, uint8 fp8 codes)
-_QUANTIZED_STATS_PRIMS = {
-    Primitive.FLOAT16: "FP16",
-    Primitive.BFLOAT16: "BF16",
-    Primitive.FLOAT8_E4M3: "FP8_E4M3",
-    Primitive.FLOAT8_E5M2: "FP8_E5M2",
-}
-
-
-def _stats_domain(values, column: PhysicalColumn):
-    """Values in the domain predicates compare in.
-
-    Quantized columns store bit payloads whose integer order disagrees
-    with float order (negative bf16 values sort above positive ones as
-    uint16), so zone maps over raw payloads would mis-prune. Stats are
-    therefore collected over the *widened* float values — exactly what
-    the decode-time vector evaluator sees.
-    """
-    prim = column.type.primitive
-    if (
-        column.type.list_depth != 0
-        or prim not in _QUANTIZED_STATS_PRIMS
-        or not isinstance(values, np.ndarray)
-        or len(values) == 0
-    ):
-        return values
-    from repro.quantization import FloatFormat, dequantize
-
-    return dequantize(values, FloatFormat[_QUANTIZED_STATS_PRIMS[prim]])
 
 
 def _logical_for(column: PhysicalColumn):

@@ -34,25 +34,20 @@ answer:
   vanish, ``MAYBE`` groups fall through.
 * **decode** — the remaining row groups of every file (*segments*)
   run in batches of at most ``_BATCH_BYTES`` decoded bytes: tens of
-  small files at a time, or a slice of a large file's groups. A batch
-  fetches per segment (on a thread pool when the device waits per
-  request) and then works once per column across all its segments:
-  the filter columns decode in one
-  :func:`~repro.core.reader.decode_chunks` call each (same-codec
-  pages of every file go to the codec together), the ``where`` mask
-  is evaluated once (segments the zone maps prove ``ALWAYS`` skip it)
-  and the deletion vectors apply once; a segment left with no row
-  never fetches its other columns (late materialization), and those
-  decode once over the segments that kept rows. The matched rows are
-  factorized once: a small-range int/bool key (at most a few slots per
-  row) is offset-indexed straight into ``bincount``, anything wider
-  takes one ``np.unique``, and multi-key codes are re-compacted after
-  each key so they never outgrow the batch. Each order-free state is
-  then one ``bincount`` (or ``ufunc.at``); each float sum is one
-  ``bincount`` over compound ``(segment, key)`` codes — one ``np.sum``
-  per segment when ungrouped — folded in the fixed order. Old-schema
-  files join the same batches: stored columns widen to the current
-  type, and columns a file never stored fill with typed nulls.
+  small files at a time, or a slice of a large file's groups. Each
+  batch is read by the scan path's one pipeline,
+  :func:`~repro.core.reader.read_segments` (filter columns first, the
+  rest only for segments with survivors, each column decoded once per
+  batch, old-schema files widened and filled on the way); segment
+  fetches run on a thread pool when the device waits per request. The
+  engine's own work is the reduction: the matched rows are factorized
+  once — a small-range int/bool key (at most a few slots per row) is
+  offset-indexed straight into ``bincount``, anything wider takes one
+  ``np.unique``, and multi-key codes are re-compacted after each key so
+  they never outgrow the batch. Each order-free state is then one
+  ``bincount`` (or ``ufunc.at``); each float sum is one ``bincount``
+  over compound ``(segment, key)`` codes — one ``np.sum`` per segment
+  when ungrouped — folded in the fixed order.
 
 ``sum``/``mean`` and grouped queries can never be metadata-answered
 (statistics carry no sums and no group structure); a live deletion
@@ -66,15 +61,12 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from itertools import groupby
 
 import numpy as np
 
-from repro.catalog.schema_evolution import fill_values, widen_values
-from repro.core.reader import _widen_quantized, decode_chunks
+from repro.core.reader import ScanFile, Segment, read_segments
 from repro.core.schema import Primitive, stats_kind
-from repro.encodings.base import join_values
-from repro.expr import TriState, evaluate as evaluate_expr, int_bound_is_exact
+from repro.expr import TriState, int_bound_is_exact
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import QUERY_SECONDS
 from repro.query.plan import (
@@ -576,59 +568,13 @@ class _Tally:
         stats.scan.bump(**self.scan)
 
 
-class _File:
-    """One opened file's decode work: its reader, where its projected
-    columns live (``name -> (col_idx, stored type, type)``, ``col_idx``
-    None for a column the file never stored), the stored columns a
-    filtered row group fetches ``first`` and the ``rest``, its deletion
-    vector and the segments left after the verdicts."""
-
-    __slots__ = ("reader", "columns", "first", "rest", "deleted", "segments")
-
-    def __init__(self, reader, projection: list[str], filters) -> None:
-        self.reader, located = reader.locate_columns(projection)
-        self.columns = dict(zip(projection, located))
-        stored = [
-            (name, col_idx)
-            for name, (col_idx, _stored, _type) in self.columns.items()
-            if col_idx is not None
-        ]
-        self.first = [col for name, col in stored if name in filters]
-        self.rest = [col for name, col in stored if name not in filters]
-        footer = self.reader.footer
-        self.deleted = (
-            footer.deletion_bitmap() if footer.deleted_count() else None
-        )
-        self.segments: list[_Segment] = []
-
-
-class _Segment:
-    """One row group of one file: what a batch fetches, masks and folds."""
-
-    __slots__ = ("file", "g", "always", "rows", "row_start", "chunks")
-
-    def __init__(self, file: _File, g: int, always: bool, rg) -> None:
-        self.file, self.g, self.always = file, g, always
-        self.rows, self.row_start = rg.n_rows, rg.row_start
-        self.chunks: dict = {}
-
-    def keys(self, columns: list[int]) -> list[tuple[int, int]]:
-        return [(col_idx, self.g) for col_idx in columns]
-
-    def alive(self) -> np.ndarray:
-        deleted = self.file.deleted
-        if deleted is None:
-            return np.ones(self.rows, dtype=bool)
-        return ~deleted[self.row_start : self.row_start + self.rows]
-
-
 def _open_file(reader, plan, projection, use_metadata, tally: _Tally):
     """Classify one opened file's row groups, once per query.
 
     ``NEVER`` groups count as pruned; ``ALWAYS`` groups of a clean,
     ungrouped query answer from their zone maps where they can; every
     other group is a segment to decode. Returns ``(zone-map partial or
-    None, _File or None)``.
+    None, :class:`~repro.core.reader.ScanFile` or None)``.
     """
     footer = reader.footer
     n_groups = footer.num_row_groups
@@ -654,7 +600,7 @@ def _open_file(reader, plan, projection, use_metadata, tally: _Tally):
             else None
         )
         if meta is None:
-            decode.append((g, verdict is TriState.ALWAYS, rg))
+            decode.append((g, verdict is TriState.ALWAYS))
         else:
             partial = _fold(partial, meta)
             query["groups_meta_answered"] += 1
@@ -671,8 +617,8 @@ def _open_file(reader, plan, projection, use_metadata, tally: _Tally):
     if not projection:
         raise PlanError("cannot aggregate a file with no columns")
     filters = plan.where.columns() if plan.where is not None else ()
-    file = _File(reader, projection, filters)
-    file.segments = [_Segment(file, *group) for group in decode]
+    file = ScanFile(reader, projection, filters)
+    file.segments = [Segment(file, g, always) for g, always in decode]
     query["files_decoded"] += 1
     scan["files_scanned"] += 1
     return partial, file
@@ -698,118 +644,20 @@ def _batches(files: list):
         yield batch
 
 
-def _decode(name: str, segments: list):
-    """One column over ``segments`` in the current schema's type,
-    quantized columns widened; consecutive segments whose files store
-    the column alike decode in one call."""
-    pieces = []
-    for (stored, ptype), run in groupby(
-        segments, key=lambda seg: seg.file.columns[name][1:]
-    ):
-        run = list(run)
-        if stored is None:
-            pieces.append(fill_values(ptype, sum(s.rows for s in run), True))
-            continue
-        chunks = []
-        for seg in run:
-            col_idx = seg.file.columns[name][0]
-            chunks.append(
-                (seg.file.reader, seg.chunks[(col_idx, seg.g)], col_idx, seg.g)
-            )
-        values = decode_chunks(chunks, stored)
-        if stored != ptype:
-            values = widen_values(values, stored, ptype)
-        pieces.append(_widen_quantized(values, ptype))
-    return join_values(pieces)
-
-
-def _take(values, pick):
-    if pick is None:
-        return values
-    if isinstance(values, np.ndarray):
-        return values[pick]
-    return [values[i] for i in pick.tolist()]  # bytes keys
-
-
 def _run_batch(batch: list, plan: QueryPlan, needs: list, fetch, tally):
-    """Fetch, mask, decode and reduce one batch, each once per column.
-
-    Returns ``(partial, sums)`` as :func:`_batch_partial` does, or
-    ``(None, None)`` when no row matched.
-    """
-    where = plan.where
-    filters = sorted(where.columns()) if where is not None else []
-    counts = tally.scan
-    # phase one: the filter columns — the whole projection where the
-    # zone maps (or no where) leave nothing to filter
-    requests = [
-        (seg.file.reader, seg.keys(
-            seg.file.first + seg.file.rest if seg.always else seg.file.first
-        ))
-        for seg in batch
-    ]
-    for seg, chunks in zip(batch, fetch(requests)):
+    """Read one batch through :func:`read_segments` and reduce its
+    matched rows: ``(partial, sums)`` as :func:`_batch_partial` returns
+    them, or ``(None, None)`` when no row matched."""
+    first = fetch([(seg.file.reader, seg.first_keys()) for seg in batch])
+    for seg, chunks in zip(batch, first):
         seg.chunks = chunks
-        counts["chunks_fetched"] += len(chunks)
-    rows = np.array([seg.rows for seg in batch])
-    always = [seg.always for seg in batch]
-    decoded, mask = {}, None
-    if where is not None and not all(always):
-        for name in filters:
-            decoded[name] = _decode(name, batch)
-        mask = evaluate_expr(where, decoded)
-        if any(always):
-            mask = mask | np.repeat(always, rows)
-    if any(seg.file.deleted is not None for seg in batch):
-        alive = np.concatenate([seg.alive() for seg in batch])
-        mask = alive if mask is None else mask & alive
-    #: the matched rows, as positions among the batch's rows
-    pick = None if mask is None else np.flatnonzero(mask)
-    if pick is None:
-        matched = rows
-    else:
-        ends = np.concatenate(([0], np.cumsum(rows)))
-        matched = np.diff(np.searchsorted(pick, ends))
-    # phase two: the rest of the projection, for segments that kept rows
-    residual = []
-    for seg, n in zip(batch, matched.tolist()):
-        rest = [] if seg.always else seg.keys(seg.file.rest)
-        if n == 0 and where is not None and (
-            not seg.always or seg.file.deleted is not None
-        ):
-            counts["groups_empty"] += 1
-            counts["chunks_skipped"] += len(rest)
-        elif rest:
-            residual.append((seg, rest))
-    for (seg, _rest), chunks in zip(
-        residual, fetch([(seg.file.reader, rest) for seg, rest in residual])
-    ):
-        seg.chunks.update(chunks)
-        counts["chunks_fetched"] += len(chunks)
-    counts.update(
-        groups_scanned=len(batch),
-        rows_scanned=int(rows.sum()),
-        rows_matched=int(matched.sum()),
-    )
-    tally.query["groups_decoded"] += len(batch)
-    kept = [seg for seg, n in zip(batch, matched.tolist()) if n]
-    if not kept:
-        return None, None
-    # the matched rows again, as positions among the kept segments' rows
-    pick_kept = pick
-    if pick is not None and len(kept) < len(batch):
-        pick_kept = np.flatnonzero(mask[np.repeat(matched > 0, rows)])
     used = list(plan.group_by) + [
         name for name, _kind, _states in needs if name not in plan.group_by
     ]
-    # each batch-wide array is dropped as soon as its matched rows are
-    # out: peak memory is what a batch costs
-    columns = {n: _take(decoded.pop(n), pick) for n in used if n in decoded}
-    del decoded, mask, pick
-    for name in used:
-        if name not in columns:
-            columns[name] = _take(_decode(name, kept), pick_kept)
-    del pick_kept
+    columns, matched = read_segments(batch, plan.where, used, fetch, tally.scan)
+    tally.query["groups_decoded"] += len(batch)
+    if columns is None or not matched.any():
+        return None, None
     return _batch_partial(columns, matched, plan.group_by, needs)
 
 

@@ -34,7 +34,8 @@ from repro.core import (
     delete_rows,
 )
 from repro.core.page import PAGE_HEADER_SIZE, PageHeader, frame_page
-from repro.core.reader import BullionFormatError, _widen_quantized
+from repro.core.reader import BullionFormatError
+from repro.core.table import widen_quantized
 from repro.core.schema import STORAGE_DTYPES
 from repro.encodings import (
     RLE,
@@ -200,7 +201,7 @@ def _check_file(dev) -> BullionReader:
         for name, (ptype, parts) in want.items():
             ref = _ref_cast_to_storage(_ref_concat([parts], ptype), ptype)
             if widen:
-                ref = _widen_quantized(ref, ptype)
+                ref = widen_quantized(ref, ptype)
             assert isinstance(table.column(name), RaggedColumn) == _is_ragged(ptype)
             _assert_same(table.column(name), ref)
     return reader

@@ -206,9 +206,8 @@ class TestOldSchemaChunkCounts:
             cat.evolve(AddColumn("extra", "int64"))
         return cat
 
-    def _counts(self, evolved):
+    def _counts(self, evolved, where):
         cat = self._table(evolved)
-        where = col("ts") >= 150
         before = REG.snapshot()
         scan_stats = ScanStats()
         rows = sum(
@@ -217,17 +216,36 @@ class TestOldSchemaChunkCounts:
         )
         res = cat.query(["count", "sum(v)"], where=where, max_workers=1)
         fetched = REG.delta(before).value("scan_chunks_fetched_total")
-        assert rows == res.scalar("count") == 150
-        return scan_stats, res.stats, fetched
+        assert rows == res.scalar("count")
+        return rows, scan_stats, res.stats, fetched
 
     def test_evolved_counts_equal_plain(self):
-        plain_scan, plain_query, plain_fetched = self._counts(False)
-        old_scan, old_query, old_fetched = self._counts(True)
-        assert plain_scan.chunks_fetched == 4
-        assert old_scan.chunks_fetched == plain_scan.chunks_fetched
-        assert old_scan.chunks_skipped == plain_scan.chunks_skipped
-        assert old_scan.groups_scanned == plain_scan.groups_scanned
-        assert plain_query.data_chunks_fetched == 4
-        assert old_query.data_chunks_fetched == plain_query.data_chunks_fetched
-        # published once: registry delta == scan + query per-call counts
-        assert old_fetched == plain_fetched == 8
+        # (where, rows matched, chunks the scan fetches, and the query)
+        cases = [
+            # group 0 NEVER, 1 MAYBE, 2 ALWAYS
+            (col("ts") >= 150, 150, 4, 4),
+            # group 1 MAYBE and emptied by the filter: its ``ts`` chunk
+            # is never fetched (late materialization)
+            (col("v") == 0.5, 0, 1, 1),
+        ]
+        for where, rows, chunks, query_chunks in cases:
+            plain_rows, plain_scan, plain_query, plain_fetched = self._counts(
+                False, where
+            )
+            old_rows, old_scan, old_query, old_fetched = self._counts(
+                True, where
+            )
+            assert plain_rows == old_rows == rows
+            assert plain_scan.chunks_fetched == chunks
+            assert old_scan == plain_scan  # every counter
+            for stats in (plain_scan, old_scan):
+                assert stats.groups_total == (
+                    stats.groups_pruned + stats.groups_scanned
+                )
+            assert plain_query.data_chunks_fetched == query_chunks
+            assert (
+                old_query.data_chunks_fetched
+                == plain_query.data_chunks_fetched
+            )
+            # published once: registry delta == scan + query counts
+            assert old_fetched == plain_fetched == chunks + query_chunks
