@@ -60,13 +60,13 @@ def test_bench_fig7_comparison(benchmark, sorted_ds, unsorted_ds):
         return (
             f"{name:26s}  {rep.samples_read:6d}  {rep.meta.bytes_read:>11,}  "
             f"{rep.media.bytes_read:>11,}  {rep.meta.seeks + rep.media.seeks:5d}  "
-            f"{rep.selected_runs:5d}  {rep.modelled_time() * 1e3:8.2f}"
+            f"{rep.selected_runs:5d}"
         )
 
     lines = [
         f"{len(generate_samples(CONFIG))} samples, quality >= {THRESHOLD}",
         "layout                      picked   meta_bytes  media_bytes  seeks"
-        "   runs  time_ms",
+        "   runs",
         row("inline + quality presort", inline_sorted),
         row("inline + unsorted", inline_unsorted),
         row("media bounce + presort", bounce_sorted),

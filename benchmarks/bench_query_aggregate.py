@@ -245,11 +245,10 @@ def test_bench_per_request_fixed_work(tmp_path):
     every run — a count of work, not a time box — and reports the
     median wall and thread-CPU milliseconds of one request in
     ``BENCH_query_aggregate_throughput.json`` only; the tracked
-    results file holds the deterministic counts. The cold and grouped
-    classes then send the same requests from one thread and from two
-    at once: their requests/s and its two-thread/one-thread ratio (how
-    much of a second core a server's two workers get) go to the JSON
-    file too.
+    results file holds the deterministic counts. Each class then sends
+    the same requests from one thread and from two at once: its
+    requests/s and its two-thread/one-thread ratio (how much of a
+    second core a server's two workers get) go to the JSON file too.
     """
     cat = _probe_table(str(tmp_path))
     classes = {
@@ -295,8 +294,7 @@ def test_bench_per_request_fixed_work(tmp_path):
                 f"{name}: {data[name]['wall_ms_p50']:.2f} ms wall, "
                 f"{data[name]['cpu_ms_p50']:.2f} ms CPU per request (median)"
             )
-        for name in ("cold", "grouped"):
-            send = classes[name][1]
+        for name, (_label, send) in classes.items():
             one, two = (_requests_per_s(snap, send, n) for n in (1, 2))
             data[name].update(
                 rps_1_thread=one, rps_2_threads=two, thread_scaling=two / one

@@ -559,10 +559,6 @@ class ResolvedReader(ScanSource):
     def chunk_cache(self):
         return self._reader.chunk_cache
 
-    @property
-    def waits_per_request(self) -> bool:
-        return self._reader.waits_per_request
-
     def schema_fingerprint(self) -> int:
         return self._res.current.fingerprint()
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.catalog.readers import ReaderPool
@@ -37,7 +38,7 @@ from repro.catalog.store import CatalogStore
 from repro.catalog.transaction import Transaction
 from repro.core.compact import CompactionReport
 from repro.core.dataset import LoaderOptions, TrainingDataLoader
-from repro.core.reader import BullionReader
+from repro.core.reader import BullionReader, ScanFile, ScanStats, scan_files
 from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
 from repro.core.table import Table, concat_tables, fill_column, rebatch
@@ -169,77 +170,92 @@ class PinnedSnapshot:
              ).append(f)
         return kept, pruned
 
-    def scan(self, columns: list[str], **scan_kwargs):
-        """Chained lazy scan over the pinned file set (one stream).
+    def scan(
+        self,
+        columns: list[str],
+        *,
+        where: Expr | str | None = None,
+        batch_size: int | None = None,
+        drop_deleted: bool = True,
+        widen_quantized: bool = False,
+        max_workers: int = 4,
+        scan_stats: ScanStats | None = None,
+    ):
+        """Lazy scan over the pinned file set: the tables each file's
+        scan would yield, one per kept row group, in file order
+        (``batch_size`` re-slices them to exact sizes).
 
-        With ``where=`` (an :class:`~repro.expr.Expr` or its text
-        form) the full pushdown applies: files are pruned from
-        manifest stats before any open, then each surviving
-        file's scan prunes row groups via zone maps and row-filters
-        decoded batches. Pass ``scan_stats=`` a shared
-        :class:`~repro.core.reader.ScanStats` to collect per-layer
-        skip counts across the whole read.
+        ``where=`` (an :class:`~repro.expr.Expr` or its text form)
+        prunes files from manifest stats before any open, then row
+        groups by zone maps and rows by the exact filter as each file
+        opens — lazily, as :func:`~repro.core.reader.scan_files`'
+        cross-file batches reach it. A bad name or list-column filter
+        fails even when every file is pruned. Pass ``scan_stats=`` a
+        shared :class:`~repro.core.reader.ScanStats` to collect
+        per-layer skip counts across the whole read.
         """
-        batch_size = scan_kwargs.pop("batch_size", None)
-        where = coerce_where(scan_kwargs.get("where"))
+        where = coerce_where(where)
+        stats = scan_stats if scan_stats is not None else ScanStats()
         files = list(self.snapshot.files)
         if where is not None:
-            scan_kwargs["where"] = where
             files, pruned = self.prune_files(where)
-            stats = scan_kwargs.get("scan_stats")
-            if stats is not None:
-                stats.bump(
-                    files_pruned=len(pruned),
-                    rows_pruned=sum(f.row_count for f in pruned),
-                )
-        chunks = (
-            batch
-            for f in files
-            for batch in self._scan_file_traced(f, columns, scan_kwargs)
+            stats.bump(
+                files_pruned=len(pruned),
+                rows_pruned=sum(f.row_count for f in pruned),
+            )
+            if not files:  # no open checks the names: check them here
+                self._empty(columns, where.columns())
+        counts = Counter()
+
+        def opened():
+            for f in files:
+                with obs_trace.span(
+                    "scan.file", file=f.file_id, rows=f.row_count
+                ):
+                    file = ScanFile.open(
+                        self._resolved_reader_for(f), columns, where,
+                        counts, drop_deleted=drop_deleted,
+                    )
+                yield file
+
+        tables = scan_files(
+            opened(), columns, where, stats, counts,
+            widen_quantized=widen_quantized, max_workers=max_workers,
         )
         if batch_size is not None:
-            chunks = rebatch(chunks, batch_size)
-        yield from chunks
+            tables = rebatch(tables, batch_size)
+        yield from tables
 
-    def _scan_file_traced(self, f, columns, scan_kwargs):
-        """One file's batches under a ``scan.file`` span.
-
-        The span covers the file's whole lazy iteration, so with a slow
-        consumer it includes consumer time between batches — the
-        documented wall-time semantics of generator-crossing spans.
-        """
-        it = self._resolved_reader_for(f).scan(columns, **scan_kwargs)
-        if not obs_trace.enabled():
-            yield from it
-            return
-        with obs_trace.span("scan.file", file=f.file_id, rows=f.row_count):
-            yield from it
+    def _empty(self, columns, filters=(), widen=False) -> Table:
+        """The typed empty result, with each name (and each filter on a
+        list column) rejected as a file's open would: from the current
+        schema when the log has one, else from the first file's footer
+        — one metadata read, no chunk I/O."""
+        current = self.current_schema()
+        if current is not None:
+            types = {n: current.column(n).type for n in [*columns, *filters]}
+            for name in sorted(filters):
+                if types[name].list_depth > 0:
+                    raise ValueError(f"cannot filter on list column {name!r}")
+        elif self.snapshot.files:
+            source = self._resolved_reader_for(self.snapshot.files[0])
+            located = ScanFile(source, columns, filters, drop_deleted=False)
+            types = {n: t for n, (_c, _s, t) in located.columns.items()}
+        else:
+            return Table({})
+        return Table({n: fill_column(types[n], 0, widen) for n in columns})
 
     def read(self, columns: list[str], **scan_kwargs) -> Table:
-        """Eagerly materialize a projection of the pinned snapshot.
-
-        When every row is filtered (or every file pruned) the result
-        is still a correctly-typed empty table, derived from the first
-        file's footer — one metadata read, no chunk I/O.
-        """
+        """Eagerly materialize a projection of the pinned snapshot;
+        takes :meth:`scan`'s keywords. When every row is filtered (or
+        every file pruned) the result is still a correctly-typed empty
+        table."""
         tables = list(self.scan(columns, **scan_kwargs))
         if tables:
             return concat_tables(tables)
-        widen = scan_kwargs.get("widen_quantized", False)
-        current = self.current_schema()
-        if current is not None:
-            # evolved table: the current schema types the empty result
-            # without touching any file at all
-            return Table({
-                name: fill_column(current.column(name).type, 0, widen)
-                for name in columns
-            })
-        if not self.snapshot.files:
-            return Table({})
-        reader = self._resolved_reader_for(self.snapshot.files[0])
-        return reader.scan(
-            columns, row_groups=[], widen_quantized=widen
-        ).to_table()
+        return self._empty(
+            columns, widen=scan_kwargs.get("widen_quantized", False)
+        )
 
     def query(
         self,

@@ -200,12 +200,12 @@ class TrainingDataLoader:
             else None
         )
         self._epoch += 1
-        batches = self._batches(rng)
+        batches = self._epoch_batches(rng)
         if opts.prefetch_batches > 0:
             batches = _prefetch(batches, opts.prefetch_batches)
         return batches
 
-    def _batches(self, rng):
+    def _epoch_batches(self, rng):
         """Group-tables across shards, re-sliced into exact batches."""
         opts = self._options
 

@@ -43,12 +43,24 @@ the file never stored fill with typed nulls without any fetch.
 classification once over ``locate_columns``, for :class:`BullionReader`
 and for the catalog's old-schema reader alike.
 
+``read_segments`` runs on one of two schedules. **Batches**: the
+segments of many files, in order, cut at ``_BATCH_BYTES`` decoded
+bytes (:func:`_batches`), so a column decodes once per batch of small
+files, not once per file. The query engine reads this way, and so does
+a multi-file scan (:func:`scan_files`), which opens each file as the
+budget reaches it and slices one table per kept segment back out.
+**File by file**: :class:`Scan` reads a file's groups one at a time
+and, on a device that waits per request
+(:func:`repro.iosim.waits_per_request`), keeps the next groups' filter
+chunks in flight on threads. A multi-file scan over such a device
+keeps this schedule: batching would overlap fetches across files, a
+faster cold read that holds more in memory at once (on the
+object-store scenario, more than its peak-memory bound allows).
+
 Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
-— the shared one a caller passes, else a small private one. A scan
-fetches the next groups' filter chunks ahead on threads only when the
-device under the reader really waits per request
-(:func:`repro.iosim.waits_per_request`). :class:`ScanStats` counts what
-each layer skipped (groups, rows, chunks).
+— the shared one a caller passes, else a small private one.
+:class:`ScanStats` counts what each layer skipped (groups, rows,
+chunks).
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -114,6 +126,13 @@ _MAX_RUN_BYTES = 8 << 20
 #: decodes, on a device that waits per request
 _PREFETCH_GROUPS = 2
 
+#: decoded bytes one batch of segments may hold, counted as 8 per row
+#: of every projected column (a batch always holds one segment): enough
+#: rows that numpy's per-call costs vanish, few enough that a batch's
+#: temporaries reuse the memory the last batch freed instead of
+#: faulting in fresh pages from the OS
+_BATCH_BYTES = 1 << 20
+
 
 class BullionFormatError(ValueError):
     """Malformed file, bad magic, or checksum mismatch."""
@@ -159,11 +178,10 @@ class ScanStats(Counters):
 class Scan:
     """Lazy batch iterator over one file, through either reader kind.
 
-    Created via :meth:`ScanSource.scan`. Iterating yields
-    :class:`Table` batches; ``to_table()`` materializes the whole
-    result. Row groups whose zone maps prove no row can match
-    ``where`` are dropped at construction (zero data I/O,
-    :attr:`stats` counts them). Every kept group is a
+    Created via :meth:`ScanSource.scan`, over a :class:`ScanFile` that
+    :meth:`ScanFile.open` classified (zone-map-pruned groups cost no
+    data I/O). Iterating yields :class:`Table` batches; ``to_table()``
+    materializes the whole result. Every kept group is a
     :class:`Segment` that :func:`read_segments` reads on its own:
     filter chunks first, the residual projection only if rows survive.
 
@@ -177,55 +195,24 @@ class Scan:
 
     def __init__(
         self,
-        source: "ScanSource",
+        file: "ScanFile",
         columns: list[str],
         *,
-        where: Expr | None = None,
-        row_groups: list[int] | None = None,
+        where: Expr | None,
+        stats: ScanStats,
         batch_size: int | None = None,
-        drop_deleted: bool = True,
         widen_quantized: bool = False,
         max_workers: int = 4,
-        scan_stats: ScanStats | None = None,
     ) -> None:
-        footer = source.footer
-        self.stats = scan_stats if scan_stats is not None else ScanStats()
+        self.stats = stats
+        self._file = file
         self._columns = list(columns)
-        filters = where.columns() if where is not None else ()
-        # located up front, so bad names fail fast
-        self._file = file = ScanFile(
-            source, self._columns, filters, drop_deleted
-        )
-        for name in sorted(filters):
-            if file.columns[name][2].list_depth > 0:
-                raise ValueError(f"cannot filter on list column {name!r}")
-        groups = (
-            list(range(footer.num_row_groups))
-            if row_groups is None
-            else list(row_groups)
-        )
-        counts = {"files_scanned": 1, "groups_total": len(groups)}
-        #: groups read unfiltered: every group without a ``where``, else
-        #: those the zone maps prove match on every row
-        always = set(groups)
-        if where is not None:
-            verdicts = source.classify_row_groups_expr(where)
-            pruned = [g for g in groups if verdicts[g] is TriState.NEVER]
-            groups = [g for g in groups if verdicts[g] is not TriState.NEVER]
-            always = {g for g in groups if verdicts[g] is TriState.ALWAYS}
-            counts["groups_pruned"] = len(pruned)
-            counts["rows_pruned"] = sum(
-                footer.row_group(g).n_rows for g in pruned
-            )
-        self.stats.bump(**counts)
-        file.segments = [Segment(file, g, g in always) for g in groups]
         self._where = where
         self._batch_size = batch_size
         self._widen = widen_quantized
         #: look-ahead pool width; 0 when every fetch is inline
-        self._fetch_threads = (
-            max_workers if max_workers > 1 and source.waits_per_request else 0
-        )
+        waits = file.reader.waits_per_request
+        self._fetch_threads = max_workers if max_workers > 1 and waits else 0
 
     @property
     def row_groups(self) -> list[int]:
@@ -288,11 +275,10 @@ class Scan:
                     seg.chunks = fetch(seg.first_keys())
                 fetch_ahead(_PREFETCH_GROUPS + 1)
                 counts = Counter()
-                columns, _matched = read_segments(
-                    [seg], self._where, self._columns, _fetch_inline,
-                    counts, widen=self._widen,
+                columns, _kept = read_segments(
+                    [seg], self._where, self._columns, _fetch, counts,
+                    widen=self._widen,
                 )
-                seg.chunks = {}
                 self.stats.bump(**counts)
                 if columns is not None:
                     yield Table(columns)
@@ -302,7 +288,7 @@ class ScanSource:
     """The read surface both reader kinds share.
 
     A subclass provides ``footer`` (row-group geometry and the deletion
-    vector), ``waits_per_request`` and ``locate_columns``; scanning,
+    vector) and ``locate_columns``; scanning,
     projection and zone-map classification are defined here once, over
     those, so a plain file and an old-schema file read through the same
     code and count the same work.
@@ -334,16 +320,17 @@ class ScanSource:
         Pass a shared :class:`ScanStats` as ``scan_stats`` to
         aggregate skip counters across several scans.
         """
+        where = coerce_where(where)
+        stats = scan_stats if scan_stats is not None else ScanStats()
+        counts = Counter()
+        file = ScanFile.open(
+            self, columns, where, counts,
+            row_groups=row_groups, drop_deleted=drop_deleted,
+        )
+        stats.bump(**counts)
         return Scan(
-            self,
-            columns,
-            where=coerce_where(where),
-            row_groups=row_groups,
-            batch_size=batch_size,
-            drop_deleted=drop_deleted,
-            widen_quantized=widen_quantized,
-            max_workers=max_workers,
-            scan_stats=scan_stats,
+            file, columns, where=where, stats=stats, batch_size=batch_size,
+            widen_quantized=widen_quantized, max_workers=max_workers,
         )
 
     def project(
@@ -858,8 +845,12 @@ class ScanFile:
         self, source, columns: list[str], filters=(), drop_deleted=True
     ) -> None:
         names = list(dict.fromkeys([*columns, *sorted(filters)]))
+        # located up front, so bad names fail fast
         self.reader, located = source.locate_columns(names)
         self.columns = dict(zip(names, located))
+        for name in sorted(filters):
+            if self.columns[name][2].list_depth > 0:
+                raise ValueError(f"cannot filter on list column {name!r}")
         projected = set(columns)
         self.first, self.rest, self.whole = [], [], []
         for name, (col_idx, _stored, _type) in self.columns.items():
@@ -876,6 +867,36 @@ class ScanFile:
         )
         self.segments: list[Segment] = []
 
+    @classmethod
+    def open(
+        cls, source, columns, where, counts, *, row_groups=None,
+        drop_deleted=True,
+    ) -> "ScanFile":
+        """``source`` ready to scan: its row groups (all, or
+        ``row_groups`` in that order) classified under ``where`` by
+        their zone maps. ``NEVER`` groups are counted into ``counts``
+        (:class:`ScanStats` fields) as pruned; the rest become segments,
+        ``ALWAYS`` ones (every one without a ``where``) unfiltered."""
+        footer = source.footer
+        filters = () if where is None else where.columns()
+        file = cls(source, columns, filters, drop_deleted)
+        if row_groups is None:
+            row_groups = range(footer.num_row_groups)
+        counts["files_scanned"] += 1
+        counts["groups_total"] += len(row_groups)
+        if where is not None:
+            verdicts = source.classify_row_groups_expr(where)
+        for g in row_groups:
+            verdict = TriState.ALWAYS if where is None else verdicts[g]
+            if verdict is TriState.NEVER:
+                counts["groups_pruned"] += 1
+                counts["rows_pruned"] += footer.row_group(g).n_rows
+            else:
+                file.segments.append(
+                    Segment(file, g, verdict is TriState.ALWAYS)
+                )
+        return file
+
 
 class Segment:
     """One row group of one file: what a read fetches, masks and
@@ -890,8 +911,9 @@ class Segment:
         rg = file.reader.footer.row_group(g)
         self.file, self.g, self.always = file, g, always
         self.rows, self.row_start = rg.n_rows, rg.row_start
-        #: raw chunks fetched so far, ``(col_idx, g) -> bytes``
-        self.chunks: dict = {}
+        #: raw chunks fetched so far, ``(col_idx, g) -> bytes``; None
+        #: before the first fetch and once the segment has been read
+        self.chunks: dict | None = None
 
     def first_keys(self) -> list[tuple[int, int]]:
         """The chunks the first phase fetches."""
@@ -905,9 +927,64 @@ class Segment:
         return ~deleted[self.row_start : self.row_start + self.rows]
 
 
-def _fetch_inline(requests):
-    """Each ``(reader, keys)`` request's chunks, in order, on this thread."""
-    return [reader._fetch_chunks(keys) for reader, keys in requests]
+def _fetch(requests, pool=None):
+    """Each ``(reader, keys)`` request's chunks, in order — on
+    ``pool``'s threads, if one is given, when there are several."""
+    if pool is None or len(requests) < 2:
+        return [reader._fetch_chunks(keys) for reader, keys in requests]
+    return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
+
+
+def _batches(files, budget: int):
+    """Every file's segments in order, cut into batches of at most
+    ``budget`` decoded bytes. ``files`` is pulled lazily: a file is
+    opened only once the batches before it are cut."""
+    batch, size = [], 0
+    for file in files:
+        width = 8 * max(1, len(file.columns))
+        for seg in file.segments:
+            if batch and size + width * seg.rows > budget:
+                yield batch
+                batch, size = [], 0
+            batch.append(seg)
+            size += width * seg.rows
+    if batch:
+        yield batch
+
+
+def scan_files(
+    files, columns, where, stats, counts, *, widen_quantized=False,
+    max_workers=4,
+):
+    """A multi-file scan: the tables each file's :class:`Scan` would
+    yield, in file order. ``files`` yields :class:`ScanFile` s, each
+    opened into ``counts`` as it is pulled; the first one's device
+    picks the schedule (see the module docstring). ``counts``
+    publishes to ``stats`` once per batch."""
+    files = iter(files)
+    first = next(files, None)
+    if first is not None and first.reader.waits_per_request:
+        for file in chain([first], files):
+            stats.bump(**counts)
+            counts.clear()
+            yield from Scan(
+                file, columns, where=where, stats=stats,
+                widen_quantized=widen_quantized, max_workers=max_workers,
+            )
+    elif first is not None:
+        for batch in _batches(chain([first], files), _BATCH_BYTES):
+            out, kept = read_segments(
+                batch, where, columns, _fetch, counts, widen=widen_quantized
+            )
+            stats.bump(**counts)
+            counts.clear()
+            if out is None:
+                continue
+            table, start = Table(out), 0
+            for _seg, rows in kept:
+                yield table.slice(start, start + rows)
+                start += rows
+    stats.bump(**counts)
 
 
 def _decode(name: str, segments: list):
@@ -944,54 +1021,64 @@ def _take(values, pick):
 def read_segments(batch, where, names, fetch, counts, *, widen=True):
     """Read ``names`` over a batch of segments: the one two-phase read.
 
-    Each segment arrives holding its first chunks
-    (:meth:`Segment.first_keys`; the caller fetches them, and decides
-    how). The filter columns decode once across the batch, and
-    ``where`` is evaluated once over their widened values (quantized
-    columns compare as floats, like their zone maps); ``always``
-    segments take every row, so a batch with a segment to filter must
-    hold the filter columns in all of them. The deletion vectors apply
+    The segments' first chunks (:meth:`Segment.first_keys`) that the
+    caller did not fetch ahead come in one ``fetch([(reader, keys),
+    ...])`` call, which returns each request's chunks in order. The
+    filter columns decode once across the batch, and ``where`` is
+    evaluated once over their widened values (quantized columns compare
+    as floats, like their zone maps); ``always`` segments take every
+    row and hold only their projection, so a filter column outside it
+    decodes over the other segments alone. The deletion vectors apply
     once. A segment the filter leaves empty never fetches its residual
-    chunks (late materialization); the others fetch theirs in one
-    ``fetch([(reader, keys), ...])`` call, which returns each request's
-    chunks in order. Every other column of ``names`` then decodes once
-    over the kept segments. Stored columns widen to the current type,
-    absent ones fill with typed nulls, and ``widen`` dequantizes
-    quantized columns on the way out.
+    chunks (late materialization); the others fetch theirs in one more
+    ``fetch``, and every other column of ``names`` decodes once over
+    them. Stored columns widen to the current type, absent ones fill
+    with typed nulls, and ``widen`` dequantizes quantized columns.
 
-    Returns ``(columns, matched)``: each name's matched rows, in the
-    order of ``names``, and each segment's matched row count.
-    ``columns`` is None when the filter left no segment. ``counts`` (a
-    ``Counter`` of :class:`ScanStats` fields) adds what the batch read
-    and skipped.
+    Returns ``(columns, kept)``: each name's output rows, in the order
+    of ``names`` (None when no segment is kept), and ``(segment, output
+    rows)`` per kept segment, in order. ``counts`` (a ``Counter`` of
+    :class:`ScanStats` fields) adds what the batch read and skipped.
+    The segments' raw chunks are released on return.
     """
+    todo = [seg for seg in batch if seg.chunks is None]
+    first = fetch([(seg.file.reader, seg.first_keys()) for seg in todo])
+    for seg, chunks in zip(todo, first):
+        seg.chunks = chunks
     counts["chunks_fetched"] += sum(len(seg.chunks) for seg in batch)
     rows = [seg.rows for seg in batch]
     always = [seg.always for seg in batch]
     types = batch[0].file.columns
     stored, evals, mask = {}, {}, None
     if where is not None and not all(always):
+        tested = batch
+        if any(always) and not where.columns() <= set(names):
+            tested = [seg for seg in batch if not seg.always]
         for name in sorted(where.columns()):
-            stored[name] = _decode(name, batch)
+            stored[name] = _decode(name, tested)
             evals[name] = widen_quantized(stored[name], types[name][2])
         mask = evaluate_expr(where, evals)
         if any(always):
-            mask = mask | np.repeat(always, rows)
+            every = np.repeat(always, rows)
+            if tested is batch:
+                mask = mask | every
+            else:  # the values cover the tested segments only
+                every[~every] = mask
+                mask, stored, evals = every, {}, {}
     if any(seg.file.deleted is not None for seg in batch):
         alive = np.concatenate([seg.alive() for seg in batch])
         mask = alive if mask is None else mask & alive
     #: the matched rows, as positions among the batch's rows
     pick = None if mask is None else np.flatnonzero(mask)
     if pick is None:
-        matched = np.array(rows)
+        matched = rows
     elif len(batch) == 1:
-        matched = np.array([len(pick)])
+        matched = [len(pick)]
     else:
         ends = np.concatenate(([0], np.cumsum(rows)))
-        matched = np.diff(np.searchsorted(pick, ends))
+        matched = np.diff(np.searchsorted(pick, ends)).tolist()
     kept, held, residual = [], [], []
-    n_matched = matched.tolist()
-    for seg, n in zip(batch, n_matched):
+    for seg, n in zip(batch, matched):
         rest = [] if seg.always else [(c, seg.g) for c in seg.file.rest]
         emptied = where is not None and n == 0 and (
             not seg.always or seg.file.deleted is not None
@@ -1001,7 +1088,7 @@ def read_segments(batch, where, names, fetch, counts, *, widen=True):
             counts["groups_empty"] += 1
             counts["chunks_skipped"] += len(rest)
             continue
-        kept.append(seg)
+        kept.append((seg, n))
         if rest:
             residual.append((seg, rest))
     requests = [(seg.file.reader, rest) for seg, rest in residual]
@@ -1010,9 +1097,11 @@ def read_segments(batch, where, names, fetch, counts, *, widen=True):
         counts["chunks_fetched"] += len(chunks)
     counts["groups_scanned"] += len(batch)
     counts["rows_scanned"] += sum(rows)
-    counts["rows_matched"] += sum(n_matched)
+    counts["rows_matched"] += sum(matched)
     if not kept:
-        return None, matched
+        for seg in batch:
+            seg.chunks = None
+        return None, kept
     # the matched rows again, as positions among the kept segments' rows
     pick_kept = pick
     if pick is not None and len(kept) < len(batch):
@@ -1022,13 +1111,16 @@ def read_segments(batch, where, names, fetch, counts, *, widen=True):
     source = evals if widen else stored
     out = {n: _take(source[n], pick) for n in names if n in source}
     del stored, evals, source, mask, pick
+    segments = [seg for seg, _n in kept]
     for name in names:
         if name not in out:
-            values = _decode(name, kept)
+            values = _decode(name, segments)
             if widen:
                 values = widen_quantized(values, types[name][2])
             out[name] = _take(values, pick_kept)
-    return {name: out[name] for name in names}, matched
+    for seg in batch:
+        seg.chunks = None
+    return {name: out[name] for name in names}, kept
 
 
 def _cast_to_storage(values, ptype):

@@ -57,6 +57,7 @@ rows too.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -64,7 +65,14 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.core.reader import ScanFile, Segment, read_segments
+from repro.core.reader import (
+    _BATCH_BYTES,
+    ScanFile,
+    Segment,
+    _batches,
+    _fetch,
+    read_segments,
+)
 from repro.core.schema import Primitive, stats_kind
 from repro.expr import TriState, int_bound_is_exact
 from repro.obs import metrics as obs_metrics, trace as obs_trace
@@ -86,13 +94,6 @@ _BYTES_PRIMS = (Primitive.STRING, Primitive.BINARY)
 #: a batch key spanning at most this many slots per row is
 #: offset-indexed; a wider one is sorted
 _SLOTS_PER_ROW = 4
-
-#: decoded bytes one batch of segments may hold, counted as 8 per row
-#: of every projected column (a batch always holds one segment): enough
-#: rows that numpy's per-call costs vanish, few enough that a batch's
-#: temporaries reuse the memory the last batch freed instead of
-#: faulting in fresh pages from the OS
-_BATCH_BYTES = 1 << 20
 
 #: the states each aggregate needs, per column kind; a column that is
 #: not float is never NaN, so its ``count`` is the group's ``rows``
@@ -216,9 +217,10 @@ class _SumFold:
         #: column -> (total, touched) of the open multi-segment file
         self._open: dict = {}
 
-    def add(self, acc: _Partial, mine, at, batch: list, sums: dict) -> None:
-        """Fold one batch's ``sums`` (see :func:`_segment_sums`) into
-        ``acc``, which ``acc.merge`` just aligned (``mine``, ``at``)."""
+    def add(self, acc: _Partial, mine, at, segments, sums: dict) -> None:
+        """Fold one batch's ``sums`` (see :func:`_segment_sums`) over
+        its kept ``segments`` into ``acc``, which ``acc.merge`` just
+        aligned (``mine``, ``at``)."""
         n_slots = len(acc.rows)
         if mine is not None:
             for name, (total, touched) in self._open.items():
@@ -232,7 +234,7 @@ class _SumFold:
             for name, (bounds, keys, values) in sums.items()
         }
         with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
-            for j, seg in enumerate(batch):
+            for j, seg in enumerate(segments):
                 if seg.file is not self._file:
                     self.flush(acc)
                     self._file = seg.file
@@ -628,66 +630,35 @@ def _open_file(reader, plan, projection, use_metadata, tally: _Tally):
 # batches of segments
 # ---------------------------------------------------------------------------
 
-def _batches(files: list):
-    """Every file's segments in order, cut into batches of at most
-    ``_BATCH_BYTES`` decoded bytes."""
-    batch, size = [], 0
-    for file in files:
-        width = 8 * max(1, len(file.columns))
-        for seg in file.segments:
-            if batch and size + width * seg.rows > _BATCH_BYTES:
-                yield batch
-                batch, size = [], 0
-            batch.append(seg)
-            size += width * seg.rows
-    if batch:
-        yield batch
-
-
-def _run_batch(batch: list, plan: QueryPlan, needs: list, fetch, tally):
-    """Read one batch through :func:`read_segments` and reduce its
-    matched rows: ``(partial, sums)`` as :func:`_batch_partial` returns
-    them, or ``(None, None)`` when no row matched."""
-    first = fetch([(seg.file.reader, seg.first_keys()) for seg in batch])
-    for seg, chunks in zip(batch, first):
-        seg.chunks = chunks
-    used = list(plan.group_by) + [
-        name for name, _kind, _states in needs if name not in plan.group_by
-    ]
-    columns, matched = read_segments(batch, plan.where, used, fetch, tally.scan)
-    tally.query["groups_decoded"] += len(batch)
-    if columns is None or not matched.any():
-        return None, None
-    return _batch_partial(columns, matched, plan.group_by, needs)
-
-
 def _decode_files(files, plan, needs, max_workers, tally, partial):
     """Fold every segment of ``files`` into ``partial``, batch by
     batch, in file and row-group order."""
     threaded = max_workers > 1 and any(
         file.reader.waits_per_request for file in files
     )
+    used = list(plan.group_by) + [
+        name for name, _kind, _states in needs if name not in plan.group_by
+    ]
     fold = _SumFold()
     with (
         ThreadPoolExecutor(max_workers=max_workers)
         if threaded
         else nullcontext()
     ) as pool:
-
-        def fetch(requests):
-            """Each ``(reader, keys)`` request's chunks, in order —
-            concurrently where the device waits per request."""
-            if pool is None or len(requests) < 2:
-                return [reader._fetch_chunks(k) for reader, k in requests]
-            return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
-
-        for batch in _batches(files):
+        fetch = functools.partial(_fetch, pool=pool)
+        # the budget is read here, so a test can shrink the batches
+        for batch in _batches(files, _BATCH_BYTES):
             with obs_trace.span("query.batch", segments=len(batch)):
-                part, sums = _run_batch(batch, plan, needs, fetch, tally)
-            for seg in batch:
-                seg.chunks = {}  # a batch's raw bytes die with it
-            if part is None:
-                continue
+                columns, kept = read_segments(
+                    batch, plan.where, used, fetch, tally.scan
+                )
+                tally.query["groups_decoded"] += len(batch)
+                matched = np.array([n for _seg, n in kept], dtype=np.int64)
+                if not matched.any():
+                    continue
+                part, sums = _batch_partial(
+                    columns, matched, plan.group_by, needs
+                )
             if partial is None:
                 partial, mine, at = part, None, slice(None)
             else:
@@ -696,7 +667,7 @@ def _decode_files(files, plan, needs, max_workers, tally, partial):
                 partial.states.setdefault(
                     (name, "sum"), np.zeros(len(partial.rows))
                 )
-            fold.add(partial, mine, at, batch, sums)
+            fold.add(partial, mine, at, [seg for seg, _n in kept], sums)
     if partial is not None:
         fold.flush(partial)
     return partial

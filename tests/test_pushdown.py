@@ -416,6 +416,35 @@ class TestCatalogPushdown:
                     got, _expected(plain, widened, expr)
                 )
 
+    @pytest.mark.parametrize("evolved", [False, True])
+    @pytest.mark.parametrize(
+        "bad, error", [("seq == 1", ValueError), ("nope == 1", KeyError)]
+    )
+    def test_pruning_every_file_keeps_a_bad_filter_bad(
+        self, evolved, bad, error
+    ):
+        """A filter on a list column, or on a name the table lacks,
+        fails whether or not the manifest prunes every file — checked
+        against the current schema on an evolved table, else against
+        the first file's footer."""
+        from repro.catalog import AddColumn
+
+        cat = CatalogTable.create(MemoryCatalogStore())
+        for k in range(3):
+            cat.append(Table({
+                "ts": np.arange(10 * k, 10 * k + 10, dtype=np.int64),
+                "seq": [np.arange(i % 3, dtype=np.int64) for i in range(10)],
+            }))
+        if evolved:
+            cat.evolve(AddColumn("extra", "int64"))
+        with cat.pin() as snap:
+            for where in (bad, f"ts > 1000 and {bad}"):
+                with pytest.raises(error):
+                    snap.read(["ts"], where=where)
+            with pytest.raises(KeyError):
+                snap.read(["ts", "nope"], where="ts > 1000")
+            assert snap.read(["ts", "seq"], where="ts > 1000").num_rows == 0
+
     def test_file_pruning_skips_opens(self):
         rng = np.random.default_rng(42)
         cat, _tables = _build_catalog(rng)

@@ -1,4 +1,4 @@
-"""Golden scan digests for both reader kinds.
+"""Golden scan digests for both reader kinds, and for snapshot scans.
 
 Every case digests each batch a scan yields (row count, then per
 column its container, dtype and bytes) and records the scan's
@@ -16,6 +16,7 @@ Run this file as a script to print the digests of the code at hand.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -342,6 +343,389 @@ def test_old_schema_added_columns_are_filled_not_fetched(observed, case):
     )
 
 
+# ---------------------------------------------------------------------------
+# snapshot scans: many files, one stream
+# ---------------------------------------------------------------------------
+#
+# Each case digests the server's reply frames for the scan
+# (``protocol.replay_scan_frames``; a case the wire cannot express, like
+# ``drop_deleted=False``, digests the batch frames the server would
+# encode) and records the ``ScanStats`` of the same scan. The digests
+# were recorded when a snapshot scan still read one file at a time; the
+# tests below run them under several batch budgets.
+
+SNAP_OPTS = WriterOptions(rows_per_page=50, rows_per_group=250)
+
+
+def _events(lo, n, users, rng):
+    i = np.arange(lo, lo + n)
+    return {
+        "ts": i.astype(np.int64),
+        "user": np.asarray(users, dtype=np.int64),
+        "v": rng.normal(size=n).astype(np.float32),
+        "tag": [b"t%d" % (k % 5) for k in i],
+        "seq": [np.arange(k % 3, dtype=np.int64) + k for k in i],
+    }
+
+
+def _table(parts, options=SNAP_OPTS, store=None):
+    from repro.catalog import CatalogTable, MemoryCatalogStore
+
+    cat = CatalogTable.create(store or MemoryCatalogStore())
+    for part in parts:
+        cat.append(Table(part), options=options)
+    return cat
+
+
+def _many():
+    """Forty files of 380-1,080 rows, so batch cuts fall mid-file."""
+    rng = np.random.default_rng(41)
+    parts, lo = [], 0
+    for k in range(40):
+        n = 380 + (k * 137) % 700
+        parts.append(_events(lo, n, rng.integers(0, 50, n), rng))
+        lo += n
+    return _table(parts)
+
+
+def _verdicts(store=None):
+    """``user == 7`` is ALWAYS for files 0 and 5, for the first group of
+    file 3, NEVER (manifest-pruned) for files 2 and 6, MAYBE elsewhere
+    — and file 7's groups are MAYBE but hold no 7 at all."""
+    rng = np.random.default_rng(42)
+    users = {
+        0: np.full(600, 7),
+        2: rng.integers(100, 120, 600),
+        3: np.concatenate([np.full(250, 7), rng.integers(0, 20, 350)]),
+        4: 7 + np.arange(600) % 2,
+        5: np.full(600, 7),
+        6: rng.integers(100, 120, 600),
+        7: np.where(np.arange(600) % 2 == 0, 3, 11),
+    }
+    return _table(
+        [
+            _events(
+                600 * k, 600, users.get(k, rng.integers(0, 20, 600)), rng
+            )
+            for k in range(8)
+        ],
+        store=store,
+    )
+
+
+def _deleted():
+    """Six files; files 1, 3 and 4 carry deletion vectors, and group 2
+    of file 3 and group 0 of file 4 lose every row."""
+    rng = np.random.default_rng(43)
+    cat = _table([
+        _events(600 * k, 600, rng.integers(0, 20, 600), rng)
+        for k in range(6)
+    ])
+    cat.delete(
+        col("ts").isin([610, 611, 650, 1000])
+        | col("ts").between(1800 + 500, 1800 + 599)
+        | col("ts").between(2400, 2400 + 249)
+        | col("ts").isin([2900, 2950])
+    )
+    return cat
+
+
+def _evolved():
+    """Files 0-1 at schema 0 (int32 ``ts``, ``v``), file 2 after ``v``
+    became ``value``, ``ts`` int64 and ``extra`` was added, files 3-5
+    after ``note`` was added too: three stored shapes, one stream."""
+    from repro.catalog import AddColumn, RenameColumn, WidenColumn
+
+    rng = np.random.default_rng(44)
+    cat = _table([])
+
+    def part(k, n=500):
+        cols = _events(500 * k, n, rng.integers(0, 20, n), rng)
+        del cols["seq"]
+        return cols
+
+    for k in range(2):
+        cols = part(k)
+        cols["ts"] = cols["ts"].astype(np.int32)
+        cat.append(Table(cols), options=SNAP_OPTS)
+    cat.evolve(
+        RenameColumn("v", "value"),
+        WidenColumn("ts", "int64"),
+        AddColumn("extra", "int64"),
+    )
+    cols = part(2)
+    cols["value"] = cols.pop("v")
+    cols["extra"] = np.arange(500, dtype=np.int64) % 3
+    cat.append(Table(cols), options=SNAP_OPTS)
+    cat.evolve(AddColumn("note", "string"))
+    for k in (3, 4, 5):
+        cols = part(k)
+        cols["value"] = cols.pop("v")
+        cols["extra"] = np.arange(500, dtype=np.int64) % 4
+        cols["note"] = [b"n%d" % (j % 6) for j in range(500)]
+        cat.append(Table(cols), options=SNAP_OPTS)
+    return cat
+
+
+def _quantized():
+    rng = np.random.default_rng(45)
+    policy = QuantizationPolicy(assignments=QUANTIZED)
+    parts = []
+    for k in range(5):
+        i = np.arange(400 * k, 400 * (k + 1))
+        parts.append({
+            "ts": i.astype(np.int64),
+            "q": ((i % 8) * 0.25 - 0.5).astype(np.float32),
+            "h": ((i % 16) * 0.125).astype(np.float32),
+            "v": rng.normal(size=400).astype(np.float32),
+        })
+    return _table(
+        parts,
+        WriterOptions(quantization=policy, rows_per_page=100,
+                      rows_per_group=200),
+    )
+
+
+SNAP_TABLES = {
+    "many": _many,
+    "verdicts": _verdicts,
+    "deleted": _deleted,
+    "evolved": _evolved,
+    "quantized": _quantized,
+}
+
+_EV = ["ts", "user", "v", "tag", "seq"]
+# (table, name, columns, scan keyword arguments, how: "frames" | "read")
+SNAP_CASES = [
+    ("many", "all", _EV, {}, "frames"),
+    ("many", "user_filter", ["ts", "v", "tag"], {"where": "user == 7"},
+     "frames"),
+    ("many", "user_filter_all", _EV, {"where": "user == 7"}, "frames"),
+    ("many", "range", ["ts", "seq"], {"where": "ts >= 3000 and ts < 21000"},
+     "frames"),
+    ("many", "batch_100", ["ts", "v"],
+     {"where": "user < 3", "batch_size": 100}, "frames"),
+    ("many", "batch_4096", _EV, {"batch_size": 4096}, "frames"),
+    ("verdicts", "trap", ["ts", "v", "tag"], {"where": "user == 7"},
+     "frames"),
+    ("verdicts", "trap_projected", ["ts", "user", "v"],
+     {"where": "user == 7"}, "frames"),
+    ("verdicts", "trap_and_range", ["v", "seq"],
+     {"where": "user == 7 and ts >= 1700"}, "frames"),
+    ("verdicts", "not_7", ["ts", "tag"], {"where": "user != 7"}, "frames"),
+    ("verdicts", "trap_batch_7", ["ts"],
+     {"where": "user == 7", "batch_size": 7}, "frames"),
+    ("deleted", "all", _EV, {}, "frames"),
+    ("deleted", "keep_deleted", _EV, {"drop_deleted": False}, "frames"),
+    ("deleted", "filter", ["ts", "tag"], {"where": "ts >= 1000"}, "frames"),
+    ("deleted", "filter_keep_deleted", ["ts", "v"],
+     {"where": "ts >= 1000", "drop_deleted": False}, "frames"),
+    ("deleted", "user_filter", ["ts", "seq"], {"where": "user == 3"},
+     "frames"),
+    ("deleted", "batch_333", ["ts", "user"], {"batch_size": 333}, "frames"),
+    ("evolved", "all", ["ts", "user", "value", "tag", "extra", "note"], {},
+     "frames"),
+    ("evolved", "filter_added", ["ts", "note"], {"where": "extra == 0"},
+     "frames"),
+    ("evolved", "filter_widened", ["value", "extra"],
+     {"where": "ts >= 700 and ts < 2300"}, "frames"),
+    ("evolved", "filter_new_only", ["ts"], {"where": "note == 'n1'"},
+     "frames"),
+    ("quantized", "stored", ["ts", "q", "h"], {}, "frames"),
+    ("quantized", "widened", ["ts", "q", "h"], {"widen_quantized": True},
+     "frames"),
+    ("quantized", "filter", ["q", "v"], {"where": "q > 0.0"}, "frames"),
+    ("quantized", "filter_widened", ["h", "ts"],
+     {"where": "q > 0.0 and h < 1.0", "widen_quantized": True}, "frames"),
+    ("many", "pruned_empty", _EV, {"where": "ts < 0"}, "read"),
+    ("quantized", "pruned_empty_widened", ["q", "h", "v"],
+     {"where": "ts < 0", "widen_quantized": True}, "read"),
+    ("evolved", "pruned_empty", ["ts", "value", "note"],
+     {"where": "ts < 0"}, "read"),
+    ("verdicts", "filtered_empty", ["ts", "tag"],
+     {"where": "user == 5 and ts >= 4200"}, "read"),
+]
+
+#: what the server takes; anything else is digested from ``pin.scan``
+_WIRE_KWARGS = {"where", "batch_size", "widen_quantized"}
+
+
+def _snap_run(cat, columns, kwargs, how):
+    """``(digest, stats)`` of one snapshot-scan case."""
+    from repro.server import protocol
+
+    h = hashlib.sha256()
+    stats = ScanStats.unmirrored()
+    with cat.pin() as pin:
+        if how == "read":
+            table = pin.read(columns, scan_stats=stats, **kwargs)
+            return _digest([table]), astuple(stats)
+        batches = list(pin.scan(columns, scan_stats=stats, **kwargs))
+        if set(kwargs) <= _WIRE_KWARGS:
+            sid = pin.snapshot.snapshot_id
+            plan = protocol.canonical_scan_plan({"columns": columns, **kwargs})
+            frames = protocol.replay_scan_frames(pin, sid, plan)
+        else:
+            frames = [
+                protocol.dumps_canonical({"batch": protocol.encode_table(b)})
+                for b in batches
+            ]
+    for frame in frames:
+        h.update(b"%d:" % len(frame) + frame)
+    return h.hexdigest()[:16], astuple(stats)
+
+
+def _observe_snapshots():
+    tables = {name: build() for name, build in SNAP_TABLES.items()}
+    return {
+        f"{table}/{name}": _snap_run(tables[table], columns, kwargs, how)
+        for table, name, columns, kwargs, how in SNAP_CASES
+    }
+
+
+#: ``table/case -> (digest, stats)``
+SNAP_GOLDEN = {
+    'many/all': ('5fd09034198bb416', (40, 0, 136, 0, 136, 0, 0, 28960, 28960, 680, 0)),
+    'many/user_filter': ('e3dd7ebd6983b029', (40, 0, 136, 2, 134, 6, 7, 28953, 539, 518, 18)),
+    'many/user_filter_all': ('70435870cd689914', (40, 0, 136, 2, 134, 6, 7, 28953, 539, 646, 24)),
+    'many/range': ('d512a1ca22412f62', (25, 15, 88, 2, 86, 0, 10660, 18300, 18000, 172, 0)),
+    'many/batch_100': ('53a0bac7851a71a5', (40, 0, 136, 3, 133, 0, 27, 28933, 1719, 399, 0)),
+    'many/batch_4096': ('3d4151cc9f9b4e28', (40, 0, 136, 0, 136, 0, 0, 28960, 28960, 680, 0)),
+    'verdicts/trap': ('0ce88ff52fec86ce', (6, 2, 18, 0, 18, 3, 1200, 3600, 1780, 56, 9)),
+    'verdicts/trap_projected': ('96f6076cc7e72e1d', (6, 2, 18, 0, 18, 3, 1200, 3600, 1780, 48, 6)),
+    'verdicts/trap_and_range': ('d317892fd9e40225', (4, 4, 12, 0, 12, 3, 2400, 2400, 1161, 34, 6)),
+    'verdicts/not_7': ('c199251e8697dc3b', (6, 2, 18, 1, 17, 0, 1450, 3350, 3020, 45, 0)),
+    'verdicts/trap_batch_7': ('ed7bdcff2d079fa7', (6, 2, 18, 0, 18, 3, 1200, 3600, 1780, 26, 3)),
+    'deleted/all': ('0ed5ee3ce9740c72', (6, 0, 18, 0, 18, 0, 0, 3600, 3244, 90, 0)),
+    'deleted/keep_deleted': ('7a6fd61398c485c6', (6, 0, 18, 0, 18, 0, 0, 3600, 3600, 90, 0)),
+    'deleted/filter': ('25bea07899787c11', (5, 1, 15, 1, 14, 2, 850, 2750, 2247, 28, 0)),
+    'deleted/filter_keep_deleted': ('b046dd818481f5fc', (5, 1, 15, 1, 14, 0, 850, 2750, 2600, 28, 0)),
+    'deleted/user_filter': ('f0a8496905b785f0', (6, 0, 18, 0, 18, 2, 0, 3600, 151, 50, 4)),
+    'deleted/batch_333': ('a466871fab8d6c18', (6, 0, 18, 0, 18, 0, 0, 3600, 3244, 36, 0)),
+    'evolved/all': ('baae327af03e710d', (6, 0, 12, 0, 12, 0, 0, 3000, 3000, 62, 0)),
+    'evolved/filter_added': ('94e81e48c7054da7', (6, 0, 12, 0, 12, 0, 0, 3000, 1542, 26, 0)),
+    'evolved/filter_widened': ('c9357d802a78059b', (4, 2, 8, 0, 8, 0, 1000, 2000, 1600, 16, 0)),
+    'evolved/filter_new_only': ('b54959b0c2830d0d', (6, 0, 12, 0, 12, 6, 0, 3000, 252, 12, 6)),
+    'quantized/stored': ('80fc59d7f2c9c957', (5, 0, 10, 0, 10, 0, 0, 2000, 2000, 30, 0)),
+    'quantized/widened': ('b10ab94f8ab8dc02', (5, 0, 10, 0, 10, 0, 0, 2000, 2000, 30, 0)),
+    'quantized/filter': ('b00c3c6e6668e01a', (5, 0, 10, 0, 10, 0, 0, 2000, 1250, 20, 0)),
+    'quantized/filter_widened': ('22352ad6d2bfb5aa', (5, 0, 10, 0, 10, 0, 0, 2000, 625, 30, 0)),
+    'many/pruned_empty': ('e7b7609bffdf6821', (0, 40, 0, 0, 0, 0, 28960, 0, 0, 0, 0)),
+    'quantized/pruned_empty_widened': ('b31565b8410c935e', (0, 5, 0, 0, 0, 0, 2000, 0, 0, 0, 0)),
+    'evolved/pruned_empty': ('b9fc47772f69854c', (0, 6, 0, 0, 0, 0, 3000, 0, 0, 0, 0)),
+    'verdicts/filtered_empty': ('2572d1b6d61f2f90', (1, 7, 3, 0, 3, 3, 4200, 600, 0, 6, 3)),
+}
+
+
+@pytest.fixture(scope="module")
+def snap_tables():
+    return {name: build() for name, build in SNAP_TABLES.items()}
+
+
+@pytest.mark.parametrize(
+    "case", SNAP_CASES, ids=[f"{c[0]}/{c[1]}" for c in SNAP_CASES]
+)
+@pytest.mark.parametrize("budget", ["default", "one_group", "whole_table"])
+def test_snapshot_scan_matches_golden(snap_tables, monkeypatch, case, budget):
+    """The frames and counts do not depend on where batches are cut."""
+    from repro.core import reader
+
+    if budget != "default":
+        monkeypatch.setattr(
+            reader, "_BATCH_BYTES", 1 if budget == "one_group" else 1 << 40
+        )
+    table, name, columns, kwargs, how = case
+    got = _snap_run(snap_tables[table], columns, kwargs, how)
+    assert got == SNAP_GOLDEN[f"{table}/{name}"]
+
+
+def test_many_file_batches_cut_mid_file(snap_tables):
+    """The default budget cuts the ``many`` table inside a file, so the
+    goldens above cover a file whose groups straddle two batches."""
+    from repro.core import reader
+
+    with snap_tables["many"].pin() as pin:
+        files = [
+            reader.ScanFile.open(
+                pin._resolved_reader_for(f), _EV, None, Counter()
+            )
+            for f in pin.snapshot.files
+        ]
+    cuts = [
+        (batch[0].file, batch[0].g)
+        for batch in reader._batches(files, reader._BATCH_BYTES)
+    ]
+    assert len(cuts) > 1
+    assert any(g > 0 for _file, g in cuts)
+
+
+def _sleeping_requests():
+    """Every storage request of four snapshot scans of the ``verdicts``
+    table, its data files behind an object store that sleeps out each
+    request: ``{case: (count, digest)}``. With one worker the digest
+    covers the requests in issue order; with four, the look-ahead's
+    threads race, so it covers them sorted."""
+    from repro.catalog import MemoryCatalogStore
+    from repro.iosim import ObjectStorage, SeekModel
+
+    log = []
+
+    class SleepingStore(MemoryCatalogStore):
+        def open_data(self, file_id):
+            def note(op, offset, nbytes):
+                log.append((file_id, op, offset, nbytes))
+                return 0.0
+
+            return ObjectStorage(
+                super().open_data(file_id),
+                SeekModel(seek_latency_s=0.0, request_latency_s=1e-4),
+                jitter_fn=note,
+                sleep=True,
+            )
+
+    cat = _verdicts(SleepingStore())
+    order = {f.file_id: k for k, f in enumerate(cat.current_snapshot().files)}
+    out = {}
+    for name, kwargs in (
+        ("filtered_serial", {"where": "user == 7", "max_workers": 1}),
+        ("filtered", {"where": "user == 7"}),
+        ("unfiltered_serial", {"max_workers": 1}),
+        ("unfiltered", {}),
+    ):
+        log.clear()
+        with cat.pin() as pin:
+            for _batch in pin.scan(["ts", "v", "tag"], **kwargs):
+                pass
+        seen = [(order[fid], *rest) for fid, *rest in log]
+        if "max_workers" not in kwargs:
+            seen.sort()
+        out[name] = (len(seen), hashlib.sha256(repr(seen).encode())
+                     .hexdigest()[:16])
+    return out
+
+
+#: recorded when a snapshot scan still read one file at a time
+SLEEPING_GOLDEN = {
+    'filtered_serial': (47, '297b53bcebc72de0'),
+    'filtered': (47, '75dedbc54fd852da'),
+    'unfiltered_serial': (56, '65d00a8681781fb0'),
+    'unfiltered': (56, 'd4803f9ca63f8f3c'),
+}
+
+
+def test_sleeping_device_keeps_the_per_file_schedule():
+    """A device that waits per request gets the requests it got when
+    every file was read through its own look-ahead loop: the same
+    count, in the same order."""
+    assert _sleeping_requests() == SLEEPING_GOLDEN
+
+
 if __name__ == "__main__":
     for key, value in _observe(_sources()).items():
+        print(f"    {key!r}: {value!r},")
+    print()
+    for key, value in _observe_snapshots().items():
+        print(f"    {key!r}: {value!r},")
+    print()
+    for key, value in _sleeping_requests().items():
         print(f"    {key!r}: {value!r},")

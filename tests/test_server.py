@@ -323,6 +323,32 @@ def test_typed_errors_over_the_wire(served):
     assert client.ping()["ok"] is True
 
 
+def test_a_bad_filter_fails_alike_when_every_file_is_pruned():
+    """Each bad scan filter gets the same typed error whether or not
+    the manifest prunes every file: never an empty reply."""
+    table = CatalogTable.create(MemoryCatalogStore())
+    for k in range(3):
+        table.append(Table({
+            "ts": np.arange(10 * k, 10 * k + 10, dtype=np.int64),
+            "seq": [np.arange(i % 3, dtype=np.int64) for i in range(10)],
+        }))
+    server = BullionServer(TableService({"events": table}, workers=1))
+    try:
+        with ServerClient(server.host, server.port, timeout=30.0) as client:
+            for bad in ("nope == 1", "seq == 1"):
+                errors = []
+                for where in (bad, f"ts > 1000 and {bad}"):
+                    with pytest.raises(protocol.ServerError) as exc:
+                        client.scan("events", ["ts"], where=where)
+                    errors.append(type(exc.value))
+                assert errors[0] is errors[1]
+            with pytest.raises(BadPlan):
+                client.scan("events", ["ts"], where="ts > 1000 and nope == 1")
+            assert client.ping()["ok"] is True
+    finally:
+        server.close()
+
+
 def test_unknown_op_and_bad_frames(served):
     server, _client, _table = served
     with socket.create_connection(
