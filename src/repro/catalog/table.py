@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog.readers import ReaderPool
 from repro.catalog.schema_evolution import (
@@ -284,7 +284,7 @@ class PinnedSnapshot:
         return aggregate_snapshot(
             self,
             aggregates,
-            where=coerce_where(where),
+            where=where,
             group_by=group_by,
             use_metadata=use_metadata,
             max_workers=max_workers,

@@ -61,11 +61,14 @@ class PageHeader:
         return bool(self.flags & FLAG_COMPACTED)
 
 
+_HEADER = struct.Struct(PAGE_HEADER_FMT)
+
+
 def frame_page(payload: bytes, n_values: int, padding: int = 0) -> bytes:
-    """Header + payload + optional slack bytes."""
-    header = PageHeader(
-        alloc_len=len(payload) + padding,
-        payload_len=len(payload),
-        n_values=n_values,
-    )
-    return header.pack() + payload + b"\x00" * padding
+    """Header + payload + optional slack bytes (``PageHeader.pack``'s
+    layout, without building one per page)."""
+    if padding < 0:
+        raise ValueError(f"page padding {padding} is negative")
+    size = len(payload)
+    header = _HEADER.pack(size + padding, size, n_values, 0)
+    return header + payload + bytes(padding)

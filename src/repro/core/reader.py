@@ -539,7 +539,7 @@ class BullionReader(ScanSource):
         self,
         aggregates,
         *,
-        where: Expr | None = None,
+        where: Expr | str | None = None,
         group_by=None,
         use_metadata: bool = True,
         max_workers: int = 4,

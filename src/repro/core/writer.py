@@ -17,11 +17,13 @@ The writer is *incremental*: ``open()`` stamps the magic,
 ``write_batch(table)`` buffers rows and flushes one fully-encoded row
 group at a time, and ``finish()`` assembles the footer from the
 :class:`~repro.core.footer.FooterBuilder`'s accumulated metadata. At
-no point does more than one row group's raw rows — and at most one
-encoded page payload — live in writer memory; :class:`WriterStats`
-instruments exactly that. ``write()``/``write_table()`` are thin
-one-shot wrappers and produce byte-identical files to any sequence of
-``write_batch`` calls carrying the same rows.
+no point does more than one row group's raw rows — and the encoded
+pages of at most one column chunk — live in writer memory; a chunk's
+pages are encoded by one codec call (``Encoding.encode_pages``) and
+written by one append. :class:`WriterStats` instruments exactly that.
+``write()``/``write_table()`` are thin one-shot wrappers and produce
+byte-identical files to any sequence of ``write_batch`` calls carrying
+the same rows.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from repro.core.footer import (
 from repro.core.page import frame_page
 from repro.core.schema import (
     QUANTIZED_FORMATS,
+    STORAGE_DTYPES,
     Field,
     PhysicalColumn,
     PhysicalType,
@@ -59,7 +62,6 @@ from repro.core.schema import (
 from repro.core.table import (
     Table,
     fill_column,
-    physical_schema_for_table,
     validate_against_schema,
     widen_quantized,
 )
@@ -128,16 +130,15 @@ class WriterStats(Counters):
 
     ``peak_encoded_pages_held`` / ``peak_encoded_payload_bytes`` track
     the most encoded-page state alive at once — the streaming writer
-    encodes, hashes and flushes each page before touching the next, so
-    the peak stays at one page (< one row group) regardless of file
-    size. ``peak_buffered_rows`` bounds the raw-row staging buffer.
+    encodes, hashes and appends each column chunk before touching the
+    next, so the peak stays at one chunk's pages (< one row group)
+    regardless of file size. ``peak_buffered_rows`` bounds the raw-row
+    staging buffer.
     """
 
     groups_flushed: int = 0
     pages_written: int = 0
     peak_buffered_rows: int = 0
-    encoded_pages_held: int = 0
-    encoded_payload_bytes_held: int = 0
     peak_encoded_pages_held: int = 0
     peak_encoded_payload_bytes: int = 0
 
@@ -172,16 +173,16 @@ def default_encoding(column: PhysicalColumn) -> Encoding:
 
 def _to_encodable(values, column: PhysicalColumn):
     """Coerce storage values to what the encoding layer accepts."""
-    prim = column.type.primitive
-    if column.type.list_depth > 0:
+    if (
+        column.type.list_depth > 0
+        or not isinstance(values, np.ndarray)
+        or column.type.primitive not in _INT_PRIMS
+        or values.dtype == np.int64
+    ):
         return values
-    if isinstance(values, np.ndarray):
-        if prim in _INT_PRIMS and values.dtype != np.int64:
-            if values.dtype == np.bool_:
-                raise ValueError(f"bool array for int column {column.name}")
-            return values.astype(np.int64)
-        return values
-    return values
+    if values.dtype == np.bool_:
+        raise ValueError(f"bool array for int column {column.name}")
+    return values.astype(np.int64)
 
 
 class BullionWriter:
@@ -408,6 +409,7 @@ class BullionWriter:
         builder.begin_row_group()
         for c, column in enumerate(self._columns):
             col_values = values[column.name]
+            _check_int_range(column, col_values)
             chunk_offset = storage.size
             first_page = builder.next_page_index
             if n_rows == 0:
@@ -420,44 +422,36 @@ class BullionWriter:
                     for pos in range(0, n_rows, opts.rows_per_page)
                 ]
             encoding = self._chunk_encoding(column, col_values)
-            for lo, hi in page_slices:
-                page_values = _to_encodable(col_values[lo:hi], column)
-                t0 = time.perf_counter() if obs_on else 0.0
-                try:
-                    payload = encode_blob(page_values, encoding)
-                except EncodingError:
-                    # a reused cascade winner met a page it cannot hold
-                    # (``Constant`` on a second value, ``Varint`` on a
-                    # negative): decide again, on this page
-                    if column.name not in self._cascade:
-                        raise
-                    encoding = self._select(column, page_values)
-                    payload = encode_blob(page_values, encoding)
-                if obs_on:
-                    WRITER_ENCODE_SECONDS.observe(time.perf_counter() - t0)
-                stats.encoded_pages_held += 1
-                stats.encoded_payload_bytes_held += len(payload)
-                stats.peak_encoded_pages_held = max(
-                    stats.peak_encoded_pages_held, stats.encoded_pages_held
-                )
-                stats.peak_encoded_payload_bytes = max(
-                    stats.peak_encoded_payload_bytes,
-                    stats.encoded_payload_bytes_held,
-                )
-                framed = frame_page(payload, hi - lo, opts.page_padding)
-                offset = storage.append(framed)
+            encodable = _to_encodable(col_values, column)
+            pages = [encodable[lo:hi] for lo, hi in page_slices]
+            t0 = time.perf_counter() if obs_on else 0.0
+            blobs = self._encode_chunk(column, encoding, pages)
+            if obs_on:
+                WRITER_ENCODE_SECONDS.observe(time.perf_counter() - t0)
+            # the chunk's encoded pages are held until its one append
+            stats.peak_encoded_pages_held = max(
+                stats.peak_encoded_pages_held, len(blobs)
+            )
+            stats.peak_encoded_payload_bytes = max(
+                stats.peak_encoded_payload_bytes, sum(map(len, blobs))
+            )
+            framed = [
+                frame_page(blob, hi - lo, opts.page_padding)
+                for blob, (lo, hi) in zip(blobs, page_slices)
+            ]
+            offset = storage.append(b"".join(framed))
+            for blob, page, (lo, hi) in zip(blobs, framed, page_slices):
                 builder.add_page(
                     PageMeta(
                         offset=offset,
-                        alloc_len=len(payload) + opts.page_padding,
+                        alloc_len=len(blob) + opts.page_padding,
                         n_values=hi - lo,
                     ),
-                    hash_bytes(payload),
+                    hash_bytes(blob),
                 )
-                stats.bump(pages_written=1)
-                stats.encoded_pages_held -= 1
-                stats.encoded_payload_bytes_held -= len(payload)
-                del payload, framed  # nothing encoded survives the page
+                offset += len(page)
+            stats.bump(pages_written=len(blobs))
+            del blobs, framed  # nothing encoded survives the chunk
             # quantized payloads do not sort like the floats they hold
             # (a negative bf16 is a large uint16): zone maps take the
             # widened values, exactly what the row filter compares
@@ -498,6 +492,29 @@ class BullionWriter:
             return decided[0]
         return self._select(column, sample)
 
+    def _encode_chunk(
+        self, column: PhysicalColumn, encoding: Encoding, pages: list
+    ) -> list[bytes]:
+        """Self-describing blobs of a chunk's pages, one codec call."""
+        try:
+            payloads = encoding.encode_pages(pages)
+        except EncodingError:
+            if column.name not in self._cascade:
+                raise
+        else:
+            return [bytes([encoding.id]) + payload for payload in payloads]
+        # a reused cascade winner met a page it cannot hold (``Constant``
+        # on a second value, ``Varint`` on a negative): page by page, it
+        # decides again on the first such page, and the new winner goes on
+        blobs = []
+        for page in pages:
+            try:
+                blobs.append(encode_blob(page, encoding))
+            except EncodingError:
+                encoding = self._select(column, page)
+                blobs.append(encode_blob(page, encoding))
+        return blobs
+
     def _select(self, column: PhysicalColumn, values) -> Encoding:
         """Run the cascade selector; its winner is the column's decision."""
         result = choose_encoding(values)
@@ -506,6 +523,37 @@ class BullionWriter:
             candidate_fingerprint(result.stats),
         )
         return result.encoding
+
+
+def _check_int_range(column: PhysicalColumn, values) -> None:
+    """Reject integers outside the column's storage type.
+
+    The cast to storage would wrap them silently (``2**64 - 1`` reads
+    back as -1 from int64, ``2**40`` as 0 from int32) while the zone
+    map keeps the true value, so a metadata answer and a decoded one
+    would differ. Only a dtype the storage type cannot hold pays for a
+    min/max; a list column's rows are looked at for their dtype alone.
+    """
+    storage = np.dtype(STORAGE_DTYPES.get(column.type.primitive, object))
+    if storage.kind != "i":  # quantized payloads, bools, floats, bytes
+        return
+    depth = column.type.list_depth
+    if isinstance(values, RaggedColumn) or depth == 0:
+        leaves = [getattr(values, "values", values)]
+    else:
+        leaves = values if depth == 1 else [x for row in values for x in row]
+    if {getattr(leaf, "dtype", None) for leaf in leaves} <= {storage}:
+        return
+    info = np.iinfo(storage)
+    for leaf in map(np.asarray, leaves):
+        if leaf.dtype.kind not in "iuf" or leaf.size == 0:
+            continue
+        lo, hi = leaf.min().item(), leaf.max().item()
+        if lo < info.min or hi > info.max:
+            raise ValueError(
+                f"column {column.name!r} holds {hi if hi > info.max else lo},"
+                f" outside the {storage} range [{info.min}, {info.max}]"
+            )
 
 
 def _value_kind(values):

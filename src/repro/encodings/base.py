@@ -291,6 +291,14 @@ class Encoding(ABC):
     def encode(self, values) -> bytes:
         """Encode values of a supported kind to the payload bytes."""
 
+    def encode_pages(self, pages) -> list[bytes]:
+        """Encode several value containers of one column — the pages of
+        one chunk, in order — into one payload each: the write-side
+        twin of :meth:`decode_pages`. The default encodes each;
+        ``FixedBitWidth`` overrides it to pack all of them at once.
+        """
+        return [self.encode(page) for page in pages]
+
     @classmethod
     @abstractmethod
     def decode(cls, reader: ByteReader):

@@ -10,16 +10,19 @@ the same fixed width (paper §2.1, "Bit-Packed Encoding").
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.encodings.base import Encoding, Kind, as_int64, register
 from repro.util.bitio import (
     ByteReader,
-    ByteWriter,
-    min_bit_width,
-    pack_bits,
+    pack_bits_rows,
     unpack_bits_rows,
 )
+
+#: page header: base i64, width u8, count u64
+_HEADER = struct.Struct("<qBQ")
 
 
 @register
@@ -30,9 +33,6 @@ class FixedBitWidth(Encoding):
     name = "fixed_bit_width"
     kinds = frozenset({Kind.INT})
 
-    #: payload layout constants, shared with the in-place deletion masker
-    HEADER_FMT_SIZE = 8 + 1 + 8  # base i64, width u8, count u64
-
     def __init__(self, fixed_base: int | None = None) -> None:
         """``fixed_base`` pins the subtracted base (e.g. 0 so that the
         dictionary mask code 0 stays representable for in-place deletes).
@@ -40,27 +40,47 @@ class FixedBitWidth(Encoding):
         self._fixed_base = fixed_base
 
     def encode(self, values) -> bytes:
-        values = as_int64(values)
-        writer = ByteWriter()
-        if len(values) == 0:
-            writer.write_i64(self._fixed_base or 0)
-            writer.write_u8(0)
-            writer.write_u64(0)
-            return writer.getvalue()
-        base = (
-            int(values.min()) if self._fixed_base is None else self._fixed_base
-        )
-        if self._fixed_base is not None and int(values.min()) < base:
-            raise ValueError(
-                f"values below fixed base {base} cannot be bit-packed"
-            )
-        offsets = (values.astype(np.int64) - base).astype(np.uint64)
-        width = min_bit_width(offsets)
-        writer.write_i64(base)
-        writer.write_u8(width)
-        writer.write_u64(len(values))
-        writer.write(pack_bits(offsets, width))
-        return writer.getvalue()
+        return self.encode_pages([values])[0]
+
+    def encode_pages(self, pages) -> list[bytes]:
+        """Pages of one length — all full pages of a chunk — stack into
+        one ``(k, rows)`` block: each page's base is its row minimum,
+        its width the bit length of its row maximum, and one kernel run
+        packs every page of a width. A short last page is a block of
+        one.
+        """
+        out: list = [None] * len(pages)
+        by_length: dict[int, list[int]] = {}
+        for i, page in enumerate(pages):
+            by_length.setdefault(len(page), []).append(i)
+        for count, index in by_length.items():
+            block = as_int64(np.array([pages[i] for i in index]))
+            if count == 0:
+                for i in index:
+                    out[i] = _HEADER.pack(self._fixed_base or 0, 0, 0)
+                continue
+            bases = block.min(axis=1)
+            if self._fixed_base is not None:
+                if int(bases.min()) < self._fixed_base:
+                    raise ValueError(
+                        f"values below fixed base {self._fixed_base} cannot "
+                        "be bit-packed"
+                    )
+                bases[:] = self._fixed_base
+            offsets = (block - bases[:, None]).astype(np.uint64)
+            bases = bases.tolist()
+            # a handful of pages: plain ints group them faster than numpy
+            by_width: dict[int, list[int]] = {}
+            for row, high in enumerate(offsets.max(axis=1).tolist()):
+                by_width.setdefault(high.bit_length(), []).append(row)
+            for width, rows in by_width.items():
+                packed = pack_bits_rows(
+                    offsets if len(rows) == len(index) else offsets[rows], width
+                )
+                for row, bits in zip(rows, packed):
+                    header = _HEADER.pack(bases[row], width, count)
+                    out[index[row]] = header + bits.tobytes()
+        return out
 
     @classmethod
     def decode(cls, reader: ByteReader) -> np.ndarray:

@@ -17,9 +17,9 @@ data follows, which can be compressed via zstd" (zlib here; see
 DESIGN.md substitutions).
 
 Overlap search: the common sliding-window alignments (small shifts) are
-tried first with vectorized runs, so typical rows cost O(n); the general
-fallback scans all alignments (worst case O(n^2), only hit by
-adversarial data).
+tried first for every row of a page at once (:func:`batch_overlaps`);
+only the rows they miss scan all alignments (:func:`find_overlap`,
+worst case O(n^2)).
 
 Decode
 ------
@@ -186,6 +186,59 @@ def find_overlap(prev: np.ndarray, cur: np.ndarray) -> Overlap:
     return best
 
 
+#: find_overlap's fast-path candidates, in its order, as (offset into
+#: prev, offset into cur): the identical window, then ``h`` new ids at
+#: the head, then ``d`` old ids dropped
+_CANDIDATES = np.array(
+    [(0, 0)] + [(0, h) for h in range(1, 9)] + [(d, 0) for d in range(1, 9)]
+)
+
+
+def batch_overlaps(rows: RaggedColumn) -> np.ndarray:
+    """:func:`find_overlap` of every row against the row before it, as
+    a ``(4, n - 1)`` array of ``start, end, head_len, tail_len``.
+
+    Every fast path is evaluated for all rows at once: each candidate
+    shape is kept only where its sizes allow it and its first ids agree,
+    the survivors are compared whole in one ragged gather, and each row
+    takes its first candidate that matches. Rows that no fast path
+    settles go to :func:`find_overlap` one by one, so the answer is its
+    answer, row for row.
+    """
+    values = rows.values
+    p_start, p_len = rows.starts[:-1], rows.lens[:-1]
+    c_start, c_len = rows.starts[1:], rows.lens[1:]
+    # the empty match, which is also the answer when a side is empty
+    out = np.zeros((4, len(c_len)), dtype=np.int64)
+    out[3] = c_len
+    a, b = _CANDIDATES[:, 0], _CANDIDATES[:, 1]
+    keep = np.minimum(p_len[:, None] - a, c_len[:, None] - b)
+    keep[:, 0] = np.where(p_len == c_len, p_len, 0)
+    # a candidate whose sizes leave nothing to keep is out: this is
+    # find_overlap's ``h < n_cur`` and ``d < n_prev``
+    rows_i, cands = np.nonzero(keep > 0)
+    p_at = p_start[rows_i] + a[cands]
+    c_at = c_start[rows_i] + b[cands]
+    first = values[p_at] == values[c_at]
+    rows_i, cands, p_at, c_at = (x[first] for x in (rows_i, cands, p_at, c_at))
+    k = keep[rows_i, cands]
+    if len(k):
+        same = values[index_ranges(p_at, k)] == values[index_ranges(c_at, k)]
+        whole = np.logical_and.reduceat(same, np.cumsum(k) - k)
+        # pairs run row by row, candidates in order: a row's first
+        # matching pair is its answer
+        rows_i, cands, k = rows_i[whole], cands[whole], k[whole]
+        rows_i, first_pair = np.unique(rows_i, return_index=True)
+        a_k, b_k, k = a[cands[first_pair]], b[cands[first_pair]], k[first_pair]
+        out[:, rows_i] = (a_k, a_k + k, b_k, c_len[rows_i] - b_k - k)
+    open_rows = (p_len > 0) & (c_len > 0)
+    open_rows[rows_i] = False
+    for i in np.flatnonzero(open_rows).tolist():
+        o = find_overlap(rows[i], rows[i + 1])
+        out[:, i] = (o.start, o.end, o.head_len, o.tail_len)
+    return out
+
+
 def _assemble(
     delta_flags, starts, ends, heads, mids, tails, prev_len, bulks
 ) -> RaggedColumn:
@@ -263,40 +316,22 @@ class SparseListDelta(Encoding):
     def encode(self, values) -> bytes:
         rows = normalize_list_column(values, Kind.LIST_INT)
         n = len(rows)
-        delta_flags = np.zeros(n, dtype=np.bool_)
-        range_starts = np.zeros(n, dtype=np.int64)
-        range_ends = np.zeros(n, dtype=np.int64)
-        head_sizes = np.zeros(n, dtype=np.int64)
-        tail_sizes = np.zeros(n, dtype=np.int64)
-        bulk_parts: list[np.ndarray] = []
-        prev: np.ndarray | None = None
-        for i, cur in enumerate(rows):
-            overlap = (
-                find_overlap(prev, cur) if prev is not None else None
-            )
-            reuse_ok = (
-                overlap is not None
-                and len(cur) > 0
-                and overlap.length >= self.MIN_OVERLAP_FRACTION * len(cur)
-            )
-            if reuse_ok:
-                delta_flags[i] = True
-                range_starts[i] = overlap.start
-                range_ends[i] = overlap.end
-                head_sizes[i] = overlap.head_len
-                tail_sizes[i] = overlap.tail_len
-                bulk_parts.append(cur[: overlap.head_len])
-                bulk_parts.append(cur[len(cur) - overlap.tail_len :])
-            else:
-                # base vector: delta flag 0, full data in bulk
-                head_sizes[i] = len(cur)
-                bulk_parts.append(cur)
-            prev = cur
-        bulk = (
-            np.concatenate(bulk_parts)
-            if bulk_parts
-            else np.zeros(0, dtype=np.int64)
+        lens = rows.lens
+        sizes = np.zeros((4, n), dtype=np.int64)
+        sizes[:, 1:] = batch_overlaps(rows)
+        # a row reuses its predecessor only for a long enough overlap;
+        # every other row is a base vector: delta flag 0, all in bulk
+        delta_flags = (lens > 0) & (
+            sizes[1] - sizes[0] >= self.MIN_OVERLAP_FRACTION * lens
         )
+        delta_flags[:1] = False
+        sizes[:, ~delta_flags] = 0
+        sizes[2, ~delta_flags] = lens[~delta_flags]
+        range_starts, range_ends, head_sizes, tail_sizes = sizes
+        # the bulk is every row's head then its tail, gathered at once
+        pieces = np.stack((rows.starts, rows.starts + lens - tail_sizes), axis=1)
+        counts = np.stack((head_sizes, tail_sizes), axis=1)
+        bulk = rows.values[index_ranges(pieces.ravel(), counts.ravel())]
         writer = ByteWriter()
         writer.write_u64(n)
         flags_packed = np.packbits(delta_flags, bitorder="little").tobytes()

@@ -238,7 +238,7 @@ WRITER_FLUSH_SECONDS = _REG.histogram(
     "writer_flush_seconds", "Row-group flush latency (encode + append)"
 )
 WRITER_ENCODE_SECONDS = _REG.histogram(
-    "writer_encode_seconds", "Single page encode latency"
+    "writer_encode_seconds", "Column chunk encode latency (all its pages)"
 )
 
 # --- Query timings ------------------------------------------------------

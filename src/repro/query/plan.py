@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.core.reader import ScanStats
-from repro.expr import Expr
+from repro.expr import Expr, coerce_where
 from repro.obs.families import Counters
 
 #: supported aggregate functions
@@ -124,7 +124,8 @@ class QueryPlan:
 
     @staticmethod
     def build(aggregates, where=None, group_by=None) -> "QueryPlan":
-        """Normalize loose arguments (strings, lists) into a plan."""
+        """Normalize loose arguments (strings, lists) into a plan; a
+        text ``where`` is parsed here, once, for every entry point."""
         if isinstance(aggregates, (str, AggregateSpec)):
             aggregates = [aggregates]
         specs = tuple(as_aggregate(a) for a in aggregates)
@@ -134,7 +135,9 @@ class QueryPlan:
             group = (group_by,)
         else:
             group = tuple(group_by)
-        return QueryPlan(aggregates=specs, where=where, group_by=group)
+        return QueryPlan(
+            aggregates=specs, where=coerce_where(where), group_by=group
+        )
 
     def agg_columns(self) -> list[str]:
         """Columns whose values some aggregate needs, in spec order."""

@@ -5,9 +5,9 @@ encoding payload: fixed-width scalars, length-prefixed blobs and numpy
 arrays. ``pack_bits``/``unpack_bits`` implement fixed-bit-width packing
 (the workhorse behind FixedBitWidth, FOR, dictionary codes and the
 FastPFOR/FastBP128 kernels): byte-aligned widths are a dtype view, the
-rest unpack through the phase-strided kernel of
-:func:`unpack_bits_rows`, which takes the same-width pages of a whole
-chunk in one run. The inner loops stay in C.
+rest run through the phase-strided kernels of :func:`pack_bits_rows`
+and :func:`unpack_bits_rows`, each of which takes the same-width pages
+of a whole chunk in one run. The inner loops stay in C.
 """
 
 from __future__ import annotations
@@ -151,21 +151,73 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
     Layout: value ``i`` occupies bits ``[i*width, (i+1)*width)`` of the
     output bit stream; within a value, bit 0 is the value's LSB. This
     fixed layout is what lets the deletion path mask individual slots
-    without decoding the page (see :mod:`repro.core.deletion`).
+    without decoding the page (see :mod:`repro.core.deletion`). The
+    one-row case of :func:`pack_bits_rows`.
     """
     values = np.asarray(values, dtype=np.uint64)
-    if width == 0:
-        return b""
+    return pack_bits_rows(values[None, :], width)[0].tobytes()
+
+
+#: below 2 KiB of output the phase pass's ~20 fixed vector ops cost more
+#: than they save over bit expansion
+_PHASED_PACK_MIN_BITS = 16384
+
+
+def pack_bits_rows(matrix: np.ndarray, width: int) -> np.ndarray:
+    """Pack a ``(k, count)`` matrix into ``k`` independent LSB-first
+    streams of ``width`` bits per value: the inverse of
+    :func:`unpack_bits_rows`, so a chunk's same-width pages cost one run.
+
+    Widths 8/16/32/64 are a dtype cast. From ``_PHASED_PACK_MIN_BITS``
+    of output the rest run phase-strided: phase ``r`` of every 8-value
+    period lands in one 64-bit lane at one shift (spilling into the next
+    lane when it straddles two), a lane being one contiguous row of a
+    ``(lanes, periods)`` array, so a phase is a shift and an OR over all
+    rows; one transpose turns lanes into bytes. Smaller inputs expand
+    each value's low bytes to bits and pack the first ``width``.
+    """
+    matrix = np.asarray(matrix, dtype=np.uint64)
+    k, count = matrix.shape
+    n_bytes = (width * count + 7) // 8
     if width > 64:
         raise ValueError(f"bit width {width} exceeds 64")
-    if len(values) == 0:
-        return b""
+    if width == 0 or count == 0 or k == 0:
+        return np.zeros((k, n_bytes), dtype=np.uint8)
     if width in _ALIGNED_DTYPES:
-        # whole-byte slots: the LSB-first stream is a little-endian array
-        return values.astype(_ALIGNED_DTYPES[width]).tobytes()
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+        return matrix.astype(_ALIGNED_DTYPES[width]).view(np.uint8)
+    if k * count * width < _PHASED_PACK_MIN_BITS:
+        if width < 8:
+            shifts = np.arange(width, dtype=np.uint8)
+            bits = (matrix.astype(np.uint8)[:, :, None] >> shifts) & np.uint8(1)
+        else:
+            low = (
+                np.ascontiguousarray(matrix, dtype="<u8")
+                .view(np.uint8)
+                .reshape(k, count, 8)[:, :, : (width + 7) // 8]
+            )
+            bits = np.unpackbits(low, axis=2, count=width, bitorder="little")
+        return np.packbits(
+            bits.reshape(k, count * width), axis=1, bitorder="little"
+        )
+    periods = (count + 7) // 8
+    if count % 8:
+        matrix = np.pad(matrix, ((0, 0), (0, periods * 8 - count)))
+    # phases[r]: value r of every period of every row
+    phases = matrix.reshape(k * periods, 8).T
+    lanes = np.zeros(((width + 7) // 8, k * periods), dtype=np.uint64)
+    part = np.empty(k * periods, dtype=np.uint64)
+    for r in range(8):
+        lane, shift = divmod(r * width, 64)
+        np.left_shift(phases[r], np.uint64(shift), out=part)
+        lanes[lane] |= part
+        if shift + width > 64:
+            np.right_shift(phases[r], np.uint64(64 - shift), out=part)
+            lanes[lane + 1] |= part
+    period_bytes = np.ascontiguousarray(lanes.T).astype("<u8", copy=False)
+    return (
+        period_bytes.view(np.uint8)[:, :width]
+        .reshape(k, periods * width)[:, :n_bytes]
+    )
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
@@ -396,37 +448,16 @@ class BitWindowReader:
         return self.peek64(pos) >> (64 - width)
 
 
-def set_packed_value(buf: bytearray, index: int, width: int, value: int) -> None:
-    """Overwrite slot ``index`` of a packed-bit buffer in place.
-
-    Used by deletion-compliance masking: a page encoded with a fixed bit
-    width can have individual slots scrubbed without touching its
-    neighbours, so the page size is trivially unchanged.
-    """
-    if width == 0:
-        return
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    bit_start = index * width
-    for k in range(width):
-        bit = (value >> k) & 1
-        pos = bit_start + k
-        byte_idx, bit_idx = divmod(pos, 8)
-        if bit:
-            buf[byte_idx] |= 1 << bit_idx
-        else:
-            buf[byte_idx] &= ~(1 << bit_idx) & 0xFF
-
-
 def set_packed_values(
     buf: bytearray, indices: np.ndarray, width: int, value: int
 ) -> None:
     """Overwrite many packed-bit slots at once (vectorized scrub).
 
-    Equivalent to calling :func:`set_packed_value` per index, but the
-    read-modify-write happens as one ``unpackbits``/scatter/``packbits``
-    pass over the buffer, which is what the deletion-compliance masker
-    wants when a whole batch of rows is scrubbed from a page.
+    Used by deletion-compliance masking: a page encoded with a fixed bit
+    width can have individual slots scrubbed without touching its
+    neighbours, so the page size is trivially unchanged. The
+    read-modify-write is one ``unpackbits``/scatter/``packbits`` pass
+    over the buffer, for a whole batch of rows at once.
     """
     if width == 0 or len(indices) == 0:
         return
@@ -443,32 +474,3 @@ def set_packed_values(
     ).astype(np.uint8)
     bits[slots] = np.tile(value_bits, len(indices))
     buf[:] = np.packbits(bits, bitorder="little").tobytes()
-
-
-def pack_bits_rows(matrix: np.ndarray, width: int) -> np.ndarray:
-    """Row-wise :func:`pack_bits`: pack a (k, n) uint64 matrix into a
-    (k, ceil(n*width/8)) uint8 matrix, one independent LSB-first bit
-    stream per row. Lets block codecs (FastPFOR/FastBP128/FOR) pack all
-    same-width blocks in a single numpy pass instead of per-block calls.
-    """
-    k, n = matrix.shape
-    if width == 0 or n == 0 or k == 0:
-        return np.zeros((k, (n * width + 7) // 8), dtype=np.uint8)
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = (
-        (matrix[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
-    ).astype(np.uint8)
-    return np.packbits(bits.reshape(k, n * width), axis=1, bitorder="little")
-
-
-def get_packed_value(buf: bytes, index: int, width: int) -> int:
-    """Read slot ``index`` of a packed-bit buffer without full decode."""
-    if width == 0:
-        return 0
-    bit_start = index * width
-    out = 0
-    for k in range(width):
-        pos = bit_start + k
-        byte_idx, bit_idx = divmod(pos, 8)
-        out |= ((buf[byte_idx] >> bit_idx) & 1) << k
-    return out

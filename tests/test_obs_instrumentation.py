@@ -193,7 +193,10 @@ class TestWriterInstrumentation:
             d.value("writer_pages_written_total") == writer.stats.pages_written
         )
         assert d.value("writer_flush_seconds") == 3  # one obs per flush
-        assert d.value("writer_encode_seconds") == writer.stats.pages_written
+        # one observation per column chunk (3 groups x 2 columns), each
+        # covering both of the chunk's pages
+        assert d.value("writer_encode_seconds") == 6
+        assert writer.stats.pages_written == 12
         assert d.sum("writer_flush_seconds") >= d.sum("writer_encode_seconds")
 
 

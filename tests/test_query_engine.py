@@ -82,6 +82,20 @@ class TestAggregateSpec:
         )
         assert plan.scan_columns() == ["g", "v", "ts"]
 
+    def test_plan_build_parses_text_where(self):
+        plan = QueryPlan.build(["count"], where="ts > 3 and g == 1")
+        assert plan.where == (col("ts") > 3) & (col("g") == 1)
+        with pytest.raises(TypeError):
+            QueryPlan.build(["count"], where=3)
+
+    def test_every_entry_point_takes_text_where(self):
+        table = Table({"a": np.arange(10, dtype=np.int64)})
+        reader = _reader(table)
+        assert reader.aggregate(["count"], where="a > 1").scalar("count") == 8
+        cat = CatalogTable.create(MemoryCatalogStore())
+        cat.append(table)
+        assert cat.query(["count"], where="a > 1").scalar("count") == 8
+
 
 class TestValidation:
     def _table(self):

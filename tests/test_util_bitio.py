@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from repro.util.bitio import (
     ByteReader,
     ByteWriter,
-    get_packed_value,
     min_bit_width,
     pack_bits,
-    set_packed_value,
+    set_packed_values,
     unpack_bits,
 )
 
@@ -172,37 +171,36 @@ class TestByteAlignedWidths:
     def test_slot_access_agrees(self, width):
         values = np.arange(1, 6, dtype=np.uint64)
         buf = bytearray(pack_bits(values, width))
-        set_packed_value(buf, 3, width, 0)
-        assert get_packed_value(buf, 2, width) == 3
+        set_packed_values(buf, [3], width, 0)
         assert np.array_equal(unpack_bits(bytes(buf), width, 5), [1, 2, 3, 0, 5])
 
 
 class TestInPlaceSlotAccess:
-    """set/get_packed_value back the §2.1 bit-packed deletion masker."""
+    """set_packed_values backs the §2.1 bit-packed deletion masker."""
 
     def test_set_and_get(self):
         values = np.array([3, 5, 7, 1], dtype=np.uint64)
         buf = bytearray(pack_bits(values, 3))
-        set_packed_value(buf, 2, 3, 0)
-        assert get_packed_value(buf, 2, 3) == 0
+        set_packed_values(buf, [2], 3, 0)
         out = unpack_bits(bytes(buf), 3, 4)
         assert np.array_equal(out, [3, 5, 0, 1])
 
     def test_neighbours_untouched(self):
         values = np.arange(16, dtype=np.uint64)
         buf = bytearray(pack_bits(values, 5))
-        set_packed_value(buf, 7, 5, 31)
+        set_packed_values(buf, [7, 9], 5, 31)
         out = unpack_bits(bytes(buf), 5, 16)
         expected = values.copy()
-        expected[7] = 31
+        expected[[7, 9]] = 31
         assert np.array_equal(out, expected)
 
     def test_value_too_wide_rejected(self):
         buf = bytearray(pack_bits(np.array([1], dtype=np.uint64), 2))
         with pytest.raises(ValueError):
-            set_packed_value(buf, 0, 2, 4)
+            set_packed_values(buf, [0], 2, 4)
 
     def test_width_zero_noop(self):
         buf = bytearray()
-        set_packed_value(buf, 3, 0, 0)
-        assert get_packed_value(b"", 3, 0) == 0
+        set_packed_values(buf, [3], 0, 0)
+        assert buf == bytearray()
+        assert np.array_equal(unpack_bits(b"", 0, 4), np.zeros(4))
