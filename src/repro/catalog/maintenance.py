@@ -37,11 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.snapshot import Snapshot
 from repro.catalog.table import CatalogTable
-from repro.catalog.transaction import (
-    CommitConflict,
-    close_storage,
-    data_file_entry,
-)
+from repro.catalog.transaction import CommitConflict, data_file_entry
 from repro.core.compact import merge
 from repro.core.writer import WriterOptions
 from repro.obs import metrics as obs_metrics, trace as obs_trace
@@ -360,7 +356,7 @@ class MaintenanceService:
                 )
             finally:
                 for source in sources:
-                    close_storage(source)
+                    source.close()
             txn.replace_files(
                 removed_ids=present,
                 added=[data_file_entry(target, new_id)],

@@ -207,7 +207,6 @@ class ReaderPool(LeaseCache):
 
     def _open(self, file_id: str):
         storage = self._store.open_data(file_id)
-        close = getattr(storage, "close", None) or (lambda: None)
         try:
             reader = BullionReader(
                 storage,
@@ -215,10 +214,10 @@ class ReaderPool(LeaseCache):
                 **self._reader_options,
             )
         except BaseException:
-            close()
+            storage.close()
             raise
         self._identity_to_file[storage_identity(storage)] = file_id
-        return reader, close, frozenset((file_id,))
+        return reader, storage.close, frozenset((file_id,))
 
     def file_for_identity(self, identity: str) -> str | None:
         return self._identity_to_file.get(identity)

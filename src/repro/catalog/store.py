@@ -1,24 +1,16 @@
-"""Where a catalog table lives: metadata CAS + data-file storage.
+"""Where a catalog table lives: one :class:`CatalogStore` over a
+:class:`~repro.iosim.Directory`::
 
-A :class:`CatalogStore` holds the two halves of a table:
+    snapshots/   snap-0000000001.json ...    the metadata objects
+    data/        f-<pid>-<seq>.bullion ...   immutable Bullion files
+    tmp/         staging for the atomic metadata commit
 
-* **metadata objects** — small immutable JSON snapshots, written with
-  *put-if-absent* semantics. ``put_metadata`` is the commit primitive:
-  exactly one of N racing committers wins a given snapshot name, the
-  rest observe the moved HEAD and retry. This is the "atomic rename"
-  commit protocol of Iceberg's Hadoop catalog / Delta's log store,
-  reduced to its essential CAS.
-* **data files** — immutable Bullion files, created through the
-  streaming writer and opened through :class:`~repro.iosim.Storage`,
-  so every existing read/write path works unchanged.
-
-Two interchangeable implementations:
-
-``MemoryCatalogStore``      dict-backed, for tests and simulation; the
-                            CAS is a lock-guarded put-if-absent
-``DirectoryCatalogStore``   a local directory; the CAS is write-to-temp
-                            then ``os.link`` (atomic, fails with EEXIST
-                            when another committer won the name)
+``put_metadata`` is the commit CAS — the "atomic rename" commit of
+Iceberg's Hadoop catalog / Delta's log store: write the snapshot to
+``tmp/``, fsync, link it to its final name (which fails when a racing
+committer claimed it first), fsync ``snapshots/``. The two stores
+differ only in their backend: ``MemoryCatalogStore`` (for tests and
+simulation) and ``DirectoryCatalogStore`` (a local directory).
 """
 
 from __future__ import annotations
@@ -26,252 +18,96 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
-from typing import Protocol, runtime_checkable
 
-from repro.iosim import FileStorage, SimulatedStorage, Storage
-
-
-def _fsync_dir(path: str) -> None:
-    """Flush a directory's entries to disk, where the platform allows."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return  # e.g. Windows cannot open directories
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass  # directory fsync is not universally supported
-    finally:
-        os.close(fd)
+from repro.iosim import Directory, MemoryDirectory, OSDirectory, Storage
+from repro.iosim.directory import read_file, write_file
 
 
-@runtime_checkable
-class CatalogStore(Protocol):
-    """Metadata CAS + data-file surface shared by all stores."""
+class CatalogStore:
+    """Metadata CAS + data files of one table, over ``backend``."""
 
-    def put_metadata(self, name: str, data: bytes) -> bool: ...
-
-    def read_metadata(self, name: str) -> bytes: ...
-
-    def list_metadata(self) -> list[str]: ...
-
-    def delete_metadata(self, name: str) -> None: ...
-
-    def new_file_id(self) -> str: ...
-
-    def create_data(self, file_id: str) -> Storage: ...
-
-    def open_data(self, file_id: str) -> Storage: ...
-
-    def data_size(self, file_id: str) -> int: ...
-
-    def data_mtime_ms(self, file_id: str) -> int: ...
-
-    def sync_data(self) -> None: ...
-
-    def delete_data(self, file_id: str) -> None: ...
-
-    def list_data(self) -> list[str]: ...
-
-
-class MemoryCatalogStore:
-    """In-memory store: dicts behind one lock.
-
-    ``put_metadata`` is put-if-absent under the lock — the same
-    winner-takes-the-name semantics as the directory store's
-    ``os.link``, so concurrency tests exercise the real commit race.
-    Data files are :class:`SimulatedStorage` objects; deleting one from
-    the store does not invalidate readers already holding it, matching
-    POSIX unlink-while-open behaviour.
-    """
-
-    def __init__(self, name: str = "catalog") -> None:
-        self.name = name
-        self._meta: dict[str, bytes] = {}
-        self._data: dict[str, SimulatedStorage] = {}
-        self._mtimes_ms: dict[str, int] = {}
-        self._ids = itertools.count()
-        self._lock = threading.Lock()
+    def __init__(self, backend: Directory) -> None:
+        self.backend = backend
+        self._ids = itertools.count()  # for file ids and tmp names
 
     # -- metadata (CAS) -------------------------------------------------
     def put_metadata(self, name: str, data: bytes) -> bool:
-        with self._lock:
-            if name in self._meta:
+        tmp = f"tmp/{os.getpid()}-{threading.get_ident()}-{next(self._ids)}"
+        try:  # tmp goes on ANY exit: a failed commit leaks nothing
+            write_file(self.backend, tmp, data, sync=True)
+            if not self.backend.link(tmp, f"snapshots/{name}"):
                 return False
-            self._meta[name] = bytes(data)
-            return True
-
-    def read_metadata(self, name: str) -> bytes:
-        with self._lock:
-            try:
-                return self._meta[name]
-            except KeyError:
-                raise FileNotFoundError(f"no metadata object {name!r}")
-
-    def list_metadata(self) -> list[str]:
-        with self._lock:
-            return sorted(self._meta)
-
-    def delete_metadata(self, name: str) -> None:
-        with self._lock:
-            self._meta.pop(name, None)
-
-    # -- data files -----------------------------------------------------
-    def new_file_id(self) -> str:
-        with self._lock:
-            return f"f-{next(self._ids):08d}"
-
-    def create_data(self, file_id: str) -> Storage:
-        with self._lock:
-            if file_id in self._data:
-                raise FileExistsError(f"data file {file_id!r} exists")
-            storage = SimulatedStorage(file_id)
-            self._data[file_id] = storage
-            self._mtimes_ms[file_id] = time.time_ns() // 1_000_000
-            return storage
-
-    def open_data(self, file_id: str) -> Storage:
-        with self._lock:
-            try:
-                return self._data[file_id]
-            except KeyError:
-                raise FileNotFoundError(f"no data file {file_id!r}")
-
-    def data_size(self, file_id: str) -> int:
-        return self.open_data(file_id).size
-
-    def data_mtime_ms(self, file_id: str) -> int:
-        with self._lock:
-            try:
-                return self._mtimes_ms[file_id]
-            except KeyError:
-                raise FileNotFoundError(f"no data file {file_id!r}")
-
-    def sync_data(self) -> None:
-        pass  # memory is as durable as it gets
-
-    def delete_data(self, file_id: str) -> None:
-        with self._lock:
-            self._data.pop(file_id, None)
-            self._mtimes_ms.pop(file_id, None)
-
-    def list_data(self) -> list[str]:
-        with self._lock:
-            return sorted(self._data)
-
-
-class DirectoryCatalogStore:
-    """A table rooted at a local directory::
-
-        <root>/snapshots/   snap-0000000001.json ...
-        <root>/data/        f-<pid>-<seq>.bullion ...
-        <root>/tmp/         staging for the atomic metadata commit
-
-    The commit primitive writes the snapshot to ``tmp/``, fsyncs, then
-    ``os.link``\\ s it to its final name: atomic on POSIX, and it fails
-    with ``EEXIST`` when a concurrent committer already claimed the
-    name — no committed snapshot can ever reference a half-written
-    manifest. File ids embed the pid plus a per-process sequence, so
-    writers in different processes never collide.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = os.fspath(root)
-        self._snapdir = os.path.join(self.root, "snapshots")
-        self._datadir = os.path.join(self.root, "data")
-        self._tmpdir = os.path.join(self.root, "tmp")
-        for d in (self._snapdir, self._datadir, self._tmpdir):
-            os.makedirs(d, exist_ok=True)
-        self._ids = itertools.count()
-        self._lock = threading.Lock()
-
-    # -- metadata (CAS) -------------------------------------------------
-    def put_metadata(self, name: str, data: bytes) -> bool:
-        with self._lock:
-            tmp = os.path.join(
-                self._tmpdir,
-                f"{os.getpid()}-{threading.get_ident()}-{next(self._ids)}",
-            )
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        try:  # the outer finally unlinks tmp on ANY exit, even a
-            # failed write/fsync — a crashed commit leaks nothing
-            try:
-                view = memoryview(data)
-                while view:  # os.write may write fewer bytes than asked
-                    view = view[os.write(fd, view) :]
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            try:
-                os.link(tmp, os.path.join(self._snapdir, name))
-            except FileExistsError:
-                return False
-            # the new directory entry must survive a crash too, not
-            # just the snapshot bytes
-            _fsync_dir(self._snapdir)
+            # the new directory entry must survive a crash too
+            self.backend.sync_dir("snapshots")
             return True
         finally:
-            os.unlink(tmp)
+            self.backend.unlink(tmp)
 
     def read_metadata(self, name: str) -> bytes:
-        with open(os.path.join(self._snapdir, name), "rb") as f:
-            return f.read()
+        return read_file(self.backend, f"snapshots/{name}")
 
     def list_metadata(self) -> list[str]:
-        return sorted(os.listdir(self._snapdir))
+        return self.backend.list("snapshots")
 
     def delete_metadata(self, name: str) -> None:
-        try:
-            os.unlink(os.path.join(self._snapdir, name))
-        except FileNotFoundError:
-            pass
+        self.backend.unlink(f"snapshots/{name}")
 
     # -- data files -----------------------------------------------------
-    def _data_path(self, file_id: str) -> str:
-        return os.path.join(self._datadir, f"{file_id}.bullion")
+    @staticmethod
+    def _data_path(file_id: str) -> str:
+        return f"data/{file_id}.bullion"
 
     def new_file_id(self) -> str:
-        with self._lock:
-            # the counter restarts when a table directory is reopened
-            # (and pids recycle), so skip ids already on disk
-            while True:
-                fid = f"f-{os.getpid():05d}-{next(self._ids):06d}"
-                if not os.path.exists(self._data_path(fid)):
-                    return fid
+        # the pid keeps processes apart; the sequence restarts on reopen
+        # (and pids recycle), so skip ids taken — a racing handle on the
+        # same directory may still win one: create_data then raises
+        while True:
+            fid = f"f-{os.getpid():05d}-{next(self._ids):06d}"
+            if not self.backend.exists(self._data_path(fid)):
+                return fid
 
     def create_data(self, file_id: str) -> Storage:
-        path = self._data_path(file_id)
-        if os.path.exists(path):
-            raise FileExistsError(f"data file {file_id!r} exists")
-        return FileStorage(path, name=file_id)
+        return self.backend.create(self._data_path(file_id))
 
     def open_data(self, file_id: str) -> Storage:
-        path = self._data_path(file_id)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"no data file {file_id!r}")
-        # data files are immutable once committed; readers share the
-        # bytes even if the file is unlinked by GC while they hold it
-        return FileStorage(path, name=file_id, create=False, readonly=True)
+        # data files are immutable once committed; readers keep the
+        # bytes even if GC unlinks the file while they hold it
+        return self.backend.open(self._data_path(file_id))
 
     def data_size(self, file_id: str) -> int:
-        return os.path.getsize(self._data_path(file_id))
+        storage = self.backend.open(self._data_path(file_id))
+        size = storage.size
+        storage.close()
+        return size
 
     def data_mtime_ms(self, file_id: str) -> int:
-        return int(os.stat(self._data_path(file_id)).st_mtime * 1000)
+        return self.backend.mtime_ms(self._data_path(file_id))
 
     def sync_data(self) -> None:
-        _fsync_dir(self._datadir)
+        self.backend.sync_dir("data")
 
     def delete_data(self, file_id: str) -> None:
-        try:
-            os.unlink(self._data_path(file_id))
-        except FileNotFoundError:
-            pass
+        self.backend.unlink(self._data_path(file_id))
 
     def list_data(self) -> list[str]:
-        return sorted(
+        return [
             n[: -len(".bullion")]
-            for n in os.listdir(self._datadir)
+            for n in self.backend.list("data")
             if n.endswith(".bullion")
-        )
+        ]
+
+
+class MemoryCatalogStore(CatalogStore):
+    """A table in memory, for tests and simulation."""
+
+    def __init__(self, name: str = "catalog") -> None:
+        super().__init__(MemoryDirectory())
+        self.name = name
+
+
+class DirectoryCatalogStore(CatalogStore):
+    """A table in a local directory (created if missing)."""
+
+    def __init__(self, root: str) -> None:
+        super().__init__(OSDirectory(root, ("snapshots", "data", "tmp")))
+        self.root = self.backend.root

@@ -72,17 +72,6 @@ class CommitConflict(RuntimeError):
     """The transaction lost its race and could not be replayed."""
 
 
-def close_storage(storage: Storage) -> None:
-    """Release a storage's OS resources, if it holds any.
-
-    ``FileStorage`` keeps an fd open; the simulated backends hold
-    nothing and expose no ``close``.
-    """
-    close = getattr(storage, "close", None)
-    if close is not None:
-        close()
-
-
 def data_file_entry(storage: Storage, file_id: str) -> DataFile:
     """Manifest entry for a finished Bullion file, stats from its footer.
 
@@ -188,22 +177,25 @@ class Transaction:
     def new_data_file(self) -> tuple[str, Storage]:
         """Allocate a staged data file (deleted again if we abort)."""
         self._require_open()
-        file_id = self._store.new_file_id()
-        # register BEFORE creating: GC lists its candidates from the
-        # store, so the file must be protected the moment it exists
-        self._table._register_inflight(file_id)
-        try:
-            storage = self._store.create_data(file_id)
-        except BaseException:
-            self._table._unregister_inflight([file_id])
-            raise
+        while True:
+            file_id = self._store.new_file_id()
+            # register BEFORE creating: GC lists its candidates from the
+            # store, so the file must be protected the moment it exists
+            self._table._register_inflight(file_id)
+            try:
+                storage = self._store.create_data(file_id)
+                break
+            except BaseException as exc:
+                self._table._unregister_inflight([file_id])
+                if not isinstance(exc, FileExistsError):
+                    raise  # FileExistsError: a racing handle won the id
         self._staged_ids.append(file_id)
         self._staged_storages.append(storage)
         return file_id, storage
 
     def _close_staged(self) -> None:
         for storage in self._staged_storages:
-            close_storage(storage)
+            storage.close()
         self._staged_storages = []
 
     def add_file(
@@ -271,7 +263,7 @@ class Transaction:
                 footer = BullionReader(source).footer
                 return schema_from_footer(footer, schema_id=0)
             finally:
-                close_storage(source)
+                source.close()
         raise SchemaLogError(
             "cannot evolve an empty table with no schema history; "
             "append data first to establish the base schema"
@@ -525,7 +517,7 @@ class Transaction:
             copy.append(source.pread(0, source.size))
             delete_rows(copy, rows)
         finally:
-            close_storage(source)
+            source.close()
         # the copy is byte-identical modulo scrubbed pages: it keeps
         # the source's schema version
         scrubbed = _replace(
@@ -627,7 +619,7 @@ class Transaction:
             try:
                 report = compact_file(source, target, options=options)
             finally:
-                close_storage(source)
+                source.close()
             rewrote = True
             # compaction preserves layout: keep the source version.
             # Every row deleted: drop the file from the table; the
@@ -694,9 +686,7 @@ class Transaction:
         # manifest that references it — put_metadata only makes the
         # small snapshot JSON durable
         for storage in self._staged_storages:
-            sync = getattr(storage, "sync", None)
-            if sync is not None:  # FileStorage; simulators need none
-                sync()
+            storage.sync()
         if self._staged_ids:  # a manifest-only commit (a delete that
             # only dropped files) put nothing in the data directory
             self._store.sync_data()

@@ -45,6 +45,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.iosim.directory import OSDirectory, read_file, write_file
 from repro.obs import families as _fam
 from repro.obs import metrics as obs_metrics
 from repro.util.hashing import hash_bytes
@@ -63,6 +64,12 @@ _SPILL_MAGIC = b"SPL1"
 _SPILL_HEADER = struct.Struct("<4sQI")
 
 _DEFAULT_MEMORY_BYTES = 64 << 20
+
+
+def _spill_head(key_bytes: bytes, raw: bytes) -> bytes:
+    """Everything a spill file holds before its payload ``raw``."""
+    header = _SPILL_HEADER.pack(_SPILL_MAGIC, hash_bytes(raw), len(key_bytes))
+    return header + key_bytes
 
 
 @dataclass
@@ -146,8 +153,7 @@ class TieredChunkCache:
         self._disk_bytes = 0
         self._flights: dict[tuple, _Flight] = {}
         self._lock = threading.Lock()
-        if disk_bytes > 0:
-            os.makedirs(disk_dir, exist_ok=True)
+        self._spill_dir = OSDirectory(disk_dir) if disk_bytes > 0 else None
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:
@@ -230,20 +236,16 @@ class TieredChunkCache:
         self._publish_gauges()
 
     # -- disk tier ------------------------------------------------------
-    def _spill_path(self, key: tuple) -> str:
-        assert self.disk_dir is not None
-        return os.path.join(
-            self.disk_dir, f"{hash_bytes(repr(key).encode()):016x}.chunk"
-        )
+    @staticmethod
+    def _spill_name(key: tuple) -> str:
+        return f"{hash_bytes(repr(key).encode()):016x}.chunk"
 
     def _spill_locked(self, key: tuple, raw: bytes) -> None:
-        key_bytes = repr(key).encode()
-        header = _SPILL_HEADER.pack(
-            _SPILL_MAGIC, hash_bytes(raw), len(key_bytes)
-        )
+        blob = _spill_head(repr(key).encode(), raw) + raw
+        name = self._spill_name(key)
         try:
-            with open(self._spill_path(key), "wb") as f:
-                f.write(header + key_bytes + raw)
+            self._spill_dir.unlink(name)  # an earlier cache's leftover
+            write_file(self._spill_dir, name, blob)
         except OSError:
             return  # disk tier is best-effort; a failed spill is a miss
         self._disk[key] = len(raw)
@@ -260,23 +262,13 @@ class TieredChunkCache:
         expected = self._disk.get(key)
         key_bytes = repr(key).encode()
         try:
-            with open(self._spill_path(key), "rb") as f:
-                blob = f.read()
+            blob = read_file(self._spill_dir, self._spill_name(key))
         except OSError:
             blob = b""
-        ok = len(blob) >= _SPILL_HEADER.size
-        if ok:
-            magic, checksum, key_len = _SPILL_HEADER.unpack_from(blob)
-            body = blob[_SPILL_HEADER.size :]
-            ok = (
-                magic == _SPILL_MAGIC
-                and key_len == len(key_bytes)
-                and body[:key_len] == key_bytes
-            )
-            if ok:
-                raw = body[key_len:]
-                ok = len(raw) == expected and hash_bytes(raw) == checksum
-        if not ok:
+        raw = blob[_SPILL_HEADER.size + len(key_bytes) :]
+        if len(raw) != expected or not blob.startswith(
+            _spill_head(key_bytes, raw)
+        ):
             self._disk.pop(key, None)
             if expected is not None:
                 self._disk_bytes -= expected
@@ -288,7 +280,7 @@ class TieredChunkCache:
 
     def _unlink_quiet(self, key: tuple) -> None:
         try:
-            os.unlink(self._spill_path(key))
+            self._spill_dir.unlink(self._spill_name(key))
         except OSError:
             pass
 

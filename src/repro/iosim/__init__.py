@@ -1,23 +1,24 @@
-"""Storage substrate: one protocol, pluggable backends.
+"""Storage substrate: one file protocol, one directory interface.
 
 The paper's I/O claims (deletion rewrite cost, metadata pread counts,
 multimodal seek behaviour) are about *bytes moved and seeks issued*.
 Every Bullion/baseline file in this repo is read and written through
-the :class:`Storage` protocol, with three backends:
-
-* :class:`SimulatedStorage` — byte-accurate in-memory block device
-  that counts operations and models seek/bandwidth costs (the default
-  for tests and benchmarks; see DESIGN.md §3 substitutions),
-* :class:`FileStorage` — a real local file via ``os.pread``, for
-  running against an actual filesystem,
-* :class:`LatencyModelledStorage` — wraps either backend and charges
-  (optionally sleeps) modelled device time per operation,
-* :class:`ObjectStorage` — an S3-like modelled object store over any
-  inner backend where each ranged GET/PUT pays a fixed round trip, so
-  request *count* is the bottleneck the read path must engineer down.
+the :class:`Storage` protocol: :class:`SimulatedStorage` (a
+byte-accurate in-memory device that counts operations and models
+seek/bandwidth cost — the default for tests and benchmarks) or
+:class:`FileStorage` (a real file via ``os.pread``), optionally under
+the wrappers :class:`LatencyModelledStorage` (charges or sleeps
+modelled device time), :class:`ObjectStorage` (an S3-like store where
+each ranged GET/PUT pays a round trip, so request *count* is the
+bottleneck) and :class:`InstrumentedStorage` (publishes to
+:mod:`repro.obs`). File *names* — create, open, link, unlink, list,
+directory fsync — go through one :class:`Directory` interface with an
+:class:`OSDirectory` and a :class:`MemoryDirectory` backend: the seam
+every durable effect crosses.
 """
 
 from repro.iosim.blockdev import IOStats, SeekModel, SimulatedStorage
+from repro.iosim.directory import Directory, MemoryDirectory, OSDirectory
 from repro.iosim.storage import (
     DEFAULT_MAX_REQUEST_BYTES,
     OBJECT_STORE_MODEL,
@@ -47,4 +48,7 @@ __all__ = [
     "DEFAULT_MAX_REQUEST_BYTES",
     "IOStats",
     "SeekModel",
+    "Directory",
+    "OSDirectory",
+    "MemoryDirectory",
 ]

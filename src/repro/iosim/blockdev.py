@@ -152,6 +152,12 @@ class SimulatedStorage:
         self.pwrite(offset, data)
         return offset
 
+    def sync(self) -> None:
+        pass  # memory has nothing to flush or give back
+
+    def close(self) -> None:
+        pass
+
     # -- escape hatches for tests -------------------------------------
     def raw_bytes(self) -> bytes:
         """Uncounted full snapshot (test assertions only)."""

@@ -1,36 +1,10 @@
 """Pluggable storage backends behind one positional-I/O protocol.
 
 Every Bullion read/write path talks to a :class:`Storage` — the small
-pread/pwrite/append surface the paper's design assumes (§2.3: footer
-pread, coalesced per-chunk preads; §2.1: in-place page pwrites).
-Three interchangeable backends implement it:
-
-``SimulatedStorage``        byte-accurate in-memory device with I/O
-                            accounting (the original lab rig; see
-                            :mod:`repro.iosim.blockdev`)
-``FileStorage``             a real local file driven by ``os.pread`` /
-                            ``os.pwrite``, so benchmarks and the
-                            ``repro-inspect`` CLI run against an actual
-                            filesystem
-``LatencyModelledStorage``  a wrapper over either that charges each
-                            operation seek latency + bandwidth time
-                            under a :class:`SeekModel`, optionally
-                            sleeping it out so wall-clock experiments
-                            (parallel vs serial scans) see realistic
-                            device behaviour
-``InstrumentedStorage``     a wrapper over any backend that publishes
-                            op counts, bytes moved and latency
-                            histograms per backend kind into the
-                            process-wide :mod:`repro.obs` metrics
-                            registry
-``ObjectStorage``           an S3-like object store modelled in
-                            process over any inner backend: every
-                            operation is a *request* paying a fixed
-                            round-trip latency plus bytes/bandwidth,
-                            ranged GETs are capped at a configurable
-                            size, and each request is appended to a
-                            replayable log — the backend that makes
-                            request *count* the measurable bottleneck
+pread/pwrite/append/sync/close surface the paper's design assumes
+(§2.3: footer pread, coalesced per-chunk preads; §2.1: in-place page
+pwrites). :mod:`repro.iosim` lists the backends and wrappers; each
+class below documents its own model.
 """
 
 from __future__ import annotations
@@ -54,14 +28,12 @@ class Storage(Protocol):
 
     @property
     def size(self) -> int: ...
-
     def pread(self, offset: int, length: int) -> bytes: ...
-
     def pwrite(self, offset: int, data: bytes) -> None: ...
-
     def append(self, data: bytes) -> int: ...
-
     def truncate(self, size: int) -> None: ...
+    def sync(self) -> None: ...
+    def close(self) -> None: ...
 
 
 class FileStorage:
@@ -155,7 +127,9 @@ class FileStorage:
             raise ValueError("negative offset")
         if self.readonly:
             raise ValueError(f"storage {self.name!r} opened read-only")
-        os.pwrite(self._fd, data, offset)
+        n = os.pwrite(self._fd, data, offset)
+        while n < len(data):  # a short write: finish it
+            n += os.pwrite(self._fd, memoryview(data)[n:], offset + n)
         with self._lock:
             end = offset + len(data)
             self._size = max(self._size, end)
@@ -189,8 +163,8 @@ class StorageWrapper:
     Identity, geometry, lifecycle and the test escape hatches read
     through to :attr:`inner`; a subclass adds the ``pread``/``pwrite``/
     ``append`` it times, charges or counts. ``close``/``sync`` reach
-    the inner backend whenever it has them, so a wrapped
-    ``FileStorage`` still fsyncs before a commit and gives its fd back.
+    the inner backend, so a wrapped ``FileStorage`` still fsyncs
+    before a commit and gives its fd back.
     """
 
     #: ``True`` on a layer that sleeps out a modelled cost per request
@@ -218,16 +192,11 @@ class StorageWrapper:
     def truncate(self, size: int) -> None:
         self.inner.truncate(size)
 
-    # -- lifecycle (simulated backends hold nothing and expose neither)
     def close(self) -> None:
-        inner_close = getattr(self.inner, "close", None)
-        if inner_close is not None:
-            inner_close()
+        self.inner.close()
 
     def sync(self) -> None:
-        inner_sync = getattr(self.inner, "sync", None)
-        if inner_sync is not None:
-            inner_sync()
+        self.inner.sync()
 
     def __enter__(self):
         return self
@@ -526,13 +495,11 @@ class InstrumentedStorage(StorageWrapper):
         return offset
 
     def sync(self) -> None:
-        inner_sync = getattr(self.inner, "sync", None)
-        if inner_sync is None:
-            return
-        if not obs_metrics.enabled():
-            inner_sync()
+        # a memory device has nothing to flush: no sync to count
+        if self.backend == "memory" or not obs_metrics.enabled():
+            self.inner.sync()
             return
         t0 = time.perf_counter()
-        inner_sync()
+        self.inner.sync()
         self._sync_secs.observe(time.perf_counter() - t0)
         self._sync_ops.inc()

@@ -289,7 +289,7 @@ class TestStatsMirrors:
         assert cache.get(("nope",)) is None  # miss
         # corrupt a spill file: the next lookup rejects it
         (victim,) = [k for k in cache._disk if k != ("k", 1)]
-        with open(cache._spill_path(victim), "r+b") as f:
+        with open(tmp_path / cache._spill_name(victim), "r+b") as f:
             f.write(b"XXXX")
         assert cache.get(victim) is None
         s = cache.stats
