@@ -437,6 +437,12 @@ class FooterView:
         )
         return PageMeta(offset, alloc_len, n_values)
 
+    def page_counts(self, first: int, n: int) -> list[int]:
+        """``n_values`` of ``n`` pages from ``first``, in one read."""
+        start = self._sections[SEC_PAGEINDEX][0] + first * _PAGE_SIZE
+        entries = self._data[start : start + n * _PAGE_SIZE]
+        return [count for _o, _a, count in struct.iter_unpack(_PAGE_FMT, entries)]
+
     def row_group(self, rg: int) -> RowGroupMeta:
         base, _ = self._sections[SEC_RGINDEX]
         row_start, n_rows, first_page = struct.unpack_from(

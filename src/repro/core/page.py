@@ -23,7 +23,10 @@ import struct
 from dataclasses import dataclass
 
 PAGE_HEADER_FMT = "<IIII"
-PAGE_HEADER_SIZE = struct.calcsize(PAGE_HEADER_FMT)
+#: ``PAGE_HEADER.unpack_from(raw, pos)`` is ``(alloc_len, payload_len,
+#: n_values, flags)``
+PAGE_HEADER = struct.Struct(PAGE_HEADER_FMT)
+PAGE_HEADER_SIZE = PAGE_HEADER.size
 
 FLAG_COMPACTED = 1
 
@@ -51,17 +54,7 @@ class PageHeader:
 
     @staticmethod
     def unpack(data: bytes, offset: int = 0) -> "PageHeader":
-        alloc_len, payload_len, n_values, flags = struct.unpack_from(
-            PAGE_HEADER_FMT, data, offset
-        )
-        return PageHeader(alloc_len, payload_len, n_values, flags)
-
-    @property
-    def compacted(self) -> bool:
-        return bool(self.flags & FLAG_COMPACTED)
-
-
-_HEADER = struct.Struct(PAGE_HEADER_FMT)
+        return PageHeader(*PAGE_HEADER.unpack_from(data, offset))
 
 
 def frame_page(payload: bytes, n_values: int, padding: int = 0) -> bytes:
@@ -70,5 +63,5 @@ def frame_page(payload: bytes, n_values: int, padding: int = 0) -> bytes:
     if padding < 0:
         raise ValueError(f"page padding {padding} is negative")
     size = len(payload)
-    header = _HEADER.pack(size + padding, size, n_values, 0)
+    header = PAGE_HEADER.pack(size + padding, size, n_values, 0)
     return header + payload + bytes(padding)

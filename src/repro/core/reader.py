@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.core.chunk_cache import TieredChunkCache, storage_identity
 from repro.core.footer import MAGIC, FooterView
-from repro.core.page import PAGE_HEADER_SIZE, PageHeader
+from repro.core.page import PAGE_HEADER, PAGE_HEADER_SIZE, PageHeader
 from repro.core.schema import Primitive, Schema, STORAGE_DTYPES, stats_kind
 from repro.core.table import (
     Table,
@@ -125,6 +125,9 @@ _MAX_RUN_BYTES = 8 << 20
 #: groups whose first chunks a scan keeps in flight beyond the one it
 #: decodes, on a device that waits per request
 _PREFETCH_GROUPS = 2
+
+#: quantized primitives stored as codes, which INT codecs decode to int64
+_CODED = (Primitive.BFLOAT16, Primitive.FLOAT8_E4M3, Primitive.FLOAT8_E5M2)
 
 #: decoded bytes one batch of segments may hold, counted as 8 per row
 #: of every projected column (a batch always holds one segment): enough
@@ -690,40 +693,37 @@ class BullionReader(ScanSource):
         return decode_chunks([(self, raw, col_idx, rg)], ptype)
 
     def _walk_pages(self, raw, col_idx: int, rg: int, parts, run) -> int:
-        """One validated walk over a chunk's page headers.
+        """One validated walk over a chunk's page headers, read as plain
+        ints: the page-index entries in one read, a header in one call.
 
-        Each page's payload joins ``run``, the payloads waiting for one
-        decode call; only a page a deletion compacted — its header
-        holds fewer values than the footer recorded — is decoded on its
-        own (``run`` flushed to ``parts`` first), because it must be
-        re-aligned through the deletion vector before it can be joined.
-        Returns how many values the footer records for the chunk.
+        Each page's payload, a view of ``raw``, joins ``run``, the
+        payloads waiting for one decode call; only a page a deletion
+        compacted — its header holds fewer values than the footer
+        recorded — is decoded on its own (``run`` flushed to ``parts``
+        first), because it must be re-aligned through the deletion
+        vector before it can be joined. Returns how many values the
+        footer records for the chunk.
         """
         footer = self.footer
         chunk = footer.chunk(col_idx, rg)
-        view = memoryview(raw)
+        view, size = memoryview(raw), len(raw)
         pos = 0
         row_start = page_row = footer.row_group(rg).row_start
-        for pid in range(chunk.first_page, chunk.first_page + chunk.n_pages):
+        counts = footer.page_counts(chunk.first_page, chunk.n_pages)
+        for pid, original in enumerate(counts, chunk.first_page):
             body = pos + PAGE_HEADER_SIZE
             # a header cut short by the end of the chunk reads as empty
-            header = (
-                PageHeader.unpack(raw, pos)
-                if body <= len(raw)
-                else PageHeader(0, 0, 0)
+            alloc_len, payload_len, n_values, _flags = (
+                PAGE_HEADER.unpack_from(raw, pos) if body <= size else (0, 0, 0, 0)
             )
-            if not (
-                0 < header.payload_len <= header.alloc_len <= len(raw) - body
-            ):
+            if not 0 < payload_len <= alloc_len <= size - body:
                 raise BullionFormatError(
                     f"column {col_idx} row group {rg} page {pid}: corrupt "
-                    f"page header at byte {pos} of a {len(raw)}-byte chunk "
-                    f"(alloc_len {header.alloc_len}, payload_len "
-                    f"{header.payload_len})"
+                    f"page header at byte {pos} of a {size}-byte chunk "
+                    f"(alloc_len {alloc_len}, payload_len {payload_len})"
                 )
-            payload = view[body : body + header.payload_len]
-            original = footer.page(pid).n_values
-            if header.n_values == original:
+            payload = view[body : body + payload_len]
+            if n_values == original:
                 run.append(payload)
             else:
                 if run:
@@ -732,7 +732,7 @@ class BullionReader(ScanSource):
                 parts.append(
                     self._re_expand(decode_blob(payload), pid, page_row, original)
                 )
-            pos = body + header.alloc_len
+            pos = body + alloc_len
             page_row += original
         return page_row - row_start
 
@@ -791,14 +791,16 @@ class BullionReader(ScanSource):
         )
 
 
-def decode_chunks(chunks, ptype):
+def decode_chunks(chunks, ptype, widen: bool = False):
     """Chunks of one column — ``(reader, raw bytes, col_idx, rg)`` each,
-    from one file or many — as one column in storage representation.
+    from one file or many — as one column in storage representation
+    (``widen``: dequantized, BF16/FP8 codes straight from the codec).
 
     Every chunk gets its validated page walk; the pages then go to the
     codecs in as few calls as the chunks allow
     (:func:`~repro.encodings.decode_blobs` runs a codec once per run of
-    same-codec pages, across chunk and file boundaries).
+    same-codec pages, across chunk and file boundaries), so a chunk pays
+    each codec's framing and kernel once, not once per page.
     """
     parts = []  # decoded runs and re-expanded pages, in page order
     run = []  # payloads waiting for one decode call
@@ -818,7 +820,10 @@ def decode_chunks(chunks, ptype):
             f"column {col_idx} row group {rg}{more}: pages hold "
             f"{len(values)} values, the footer records {expected}"
         )
-    return _cast_to_storage(values, ptype)
+    coded = widen and ptype.primitive in _CODED and not ptype.list_depth
+    if not (coded and values.dtype == np.int64):  # codes widen as decoded
+        values = _cast_to_storage(values, ptype)
+    return widen_quantized(values, ptype) if widen else values
 
 
 # ---------------------------------------------------------------------------
@@ -987,17 +992,19 @@ def scan_files(
     stats.bump(**counts)
 
 
-def _decode(name: str, segments: list):
+def _decode(name: str, segments: list, widen: bool = False):
     """One column over ``segments`` in the current schema's type, in
-    storage representation; consecutive segments whose files store the
-    column alike decode in one :func:`decode_chunks` call."""
+    storage representation (``widen``: quantized columns dequantized);
+    consecutive segments whose files store the column alike decode in
+    one :func:`decode_chunks` call."""
     pieces = []
     for (stored, ptype), run in groupby(
         segments, key=lambda seg: seg.file.columns[name][1:]
     ):
         run = list(run)
         if stored is None:
-            pieces.append(fill_column(ptype, sum(seg.rows for seg in run)))
+            rows = sum(seg.rows for seg in run)
+            pieces.append(fill_column(ptype, rows, widen))
             continue
         chunks = []
         for seg in run:
@@ -1005,7 +1012,11 @@ def _decode(name: str, segments: list):
             chunks.append(
                 (seg.file.reader, seg.chunks[(col_idx, seg.g)], col_idx, seg.g)
             )
-        pieces.append(widen_values(decode_chunks(chunks, stored), stored, ptype))
+        values = decode_chunks(chunks, stored, widen and stored == ptype)
+        values = widen_values(values, stored, ptype)
+        if widen and stored != ptype:
+            values = widen_quantized(values, ptype)
+        pieces.append(values)
     return join_values(pieces)
 
 
@@ -1114,10 +1125,7 @@ def read_segments(batch, where, names, fetch, counts, *, widen=True):
     segments = [seg for seg, _n in kept]
     for name in names:
         if name not in out:
-            values = _decode(name, segments)
-            if widen:
-                values = widen_quantized(values, types[name][2])
-            out[name] = _take(values, pick_kept)
+            out[name] = _take(_decode(name, segments, widen), pick_kept)
     for seg in batch:
         seg.chunks = None
     return {name: out[name] for name in names}, kept

@@ -89,17 +89,16 @@ class FixedBitWidth(Encoding):
     @classmethod
     def decode_pages(cls, readers: list[ByteReader]) -> np.ndarray:
         """Pages that agree on ``(width, count)`` — all of a typical
-        chunk — are unpacked by one kernel run over the stacked
-        payloads; the per-page bases are added by broadcast, in place.
+        chunk — are unpacked by one kernel run over their payloads,
+        viewed where they lie; the per-page bases are added by
+        broadcast, in place.
         """
         batches = {}  # (width, count) -> [(page index, base, packed bits)]
         for i, reader in enumerate(readers):
-            base, width, count = (
-                reader.read_i64(), reader.read_u8(), reader.read_u64()
-            )
-            # the read bounds ``count`` by the payload before it sizes
+            base, width, count = reader.unpack(_HEADER)
+            # the view bounds ``count`` by the payload before it sizes
             # anything
-            packed = reader.read((width * count + 7) // 8)
+            packed = reader.view((width * count + 7) // 8)
             batches.setdefault((width, count), []).append((i, base, packed))
         parts: list = [None] * len(readers)
         for (width, count), pages in batches.items():

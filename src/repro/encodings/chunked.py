@@ -69,8 +69,13 @@ class Chunked(Encoding):
 
     @classmethod
     def decode(cls, reader: ByteReader):
+        return decode_blob(cls.inflate(reader))
+
+    @staticmethod
+    def inflate(reader: ByteReader) -> bytes:
+        """The child blob: every zlib chunk inflated, then joined."""
         reader.read_u32()  # chunk_size (layout info only)
         reader.read_u64()  # uncompressed length (sanity/meta)
         n_chunks = reader.read_u32()
         parts = [zlib.decompress(reader.read_blob()) for _ in range(n_chunks)]
-        return decode_blob(b"".join(parts))
+        return parts[0] if n_chunks == 1 else b"".join(parts)

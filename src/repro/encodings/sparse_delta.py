@@ -67,6 +67,7 @@ output element at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,7 +77,6 @@ from repro.encodings.base import (
     Kind,
     RaggedColumn,
     decode_blob,
-    decode_blobs,
     encode_child,
     index_ranges,
     join_values,
@@ -84,6 +84,7 @@ from repro.encodings.base import (
 )
 from repro.encodings.chunked import Chunked
 from repro.encodings.lists import normalize_list_column
+from repro.encodings.trivial import Trivial
 from repro.encodings.varint_enc import Varint
 from repro.util.bitio import ByteReader, ByteWriter
 
@@ -239,16 +240,22 @@ def batch_overlaps(rows: RaggedColumn) -> np.ndarray:
     return out
 
 
-def _assemble(
-    delta_flags, starts, ends, heads, mids, tails, prev_len, bulks
-) -> RaggedColumn:
+def _bulk_ids(blob) -> np.ndarray:
+    """One page's bulk ids: the encoder's (Trivial ids in zlib chunks)
+    inflated once and viewed in place, any other through its codecs."""
+    if blob[:1] == bytes([Chunked.id]):
+        blob = Chunked.inflate(ByteReader(blob, offset=1))
+        if blob[:1] == bytes([Trivial.id]):
+            return np.asarray(Trivial.decode_view(ByteReader(blob, 1)), np.int64)
+    return np.asarray(decode_blob(blob), dtype=np.int64)
+
+
+def _assemble(is_base, bases, sizes, mids, lens, pieces, prev_len, bulks):
     """Rows from validated size columns and the pages' bulk ids ("Decode"
     in the module docstring); one or many pages, it is the same stream."""
-    n = len(delta_flags)
-    lens = heads + mids + tails
-    bulk_counts = heads + tails
-    bulk_ends = np.cumsum(bulk_counts)
-    is_base = ~delta_flags
+    n = len(is_base)
+    starts, ends, heads, tails = sizes
+    bulk_ends = np.cumsum(pieces)
     append_row = is_base | ((heads == 0) & (ends == prev_len))
     if append_row.all():
         return RaggedColumn(join_values(bulks), bulk_ends - lens, lens)
@@ -259,7 +266,6 @@ def _assemble(
         order = index_ranges((bulk_ends - heads)[::-1], heads[::-1])
         bulk = join_values(bulks)[order]
         return RaggedColumn(bulk, len(bulk) - bulk_ends, lens)
-    bases = np.flatnonzero(is_base)
     seg_sizes = np.diff(np.append(bases, n))
 
     def whole_segments(row_ok: np.ndarray) -> np.ndarray:
@@ -284,7 +290,7 @@ def _assemble(
     bulk = np.concatenate(bulks, out=out[:kept])
     # heads and tails of those other rows in one scatter, two pieces a row
     counts = np.where(appended, 0, np.stack((heads, tails))).T.ravel()
-    bulk_starts = bulk_ends - bulk_counts
+    bulk_starts = bulk_ends - pieces
     dst = np.stack((out_starts, out_starts + heads + mids), axis=1).ravel()
     src = np.stack((bulk_starts, bulk_starts + heads), axis=1).ravel()
     out[index_ranges(dst, counts)] = bulk[index_ranges(src, counts)]
@@ -360,12 +366,13 @@ class SparseListDelta(Encoding):
         page_flags, page_sizes, bulks = [], [], []  # of the non-empty pages
         for reader in readers:
             n = reader.read_u64()
+            # the sub-columns are views of the page, none copied
+            blobs = [reader.view(reader.read_u32()) for _ in range(6)]
+            flags, *size_blobs, bulk = blobs
             flags = np.unpackbits(
-                np.frombuffer(reader.read_blob(), dtype=np.uint8),
-                bitorder="little",
+                np.frombuffer(flags, dtype=np.uint8), bitorder="little"
             )[:n]
-            size_blobs = [reader.read_blob() for _ in range(4)]
-            bulk = np.asarray(decode_blob(reader.read_blob()), dtype=np.int64)
+            bulk = _bulk_ids(bulk)
             if n == 0:
                 for blob in size_blobs:
                     decode_blob(blob)  # corrupt is corrupt, rows or none
@@ -380,25 +387,29 @@ class SparseListDelta(Encoding):
         if not page_flags:
             return RaggedColumn(np.zeros(0, dtype=np.int64), [], [])
         rows = [len(flags) for flags in page_flags]
-        page_starts = np.cumsum(rows) - rows
-        delta_flags = join_values(page_flags).astype(np.bool_)
-        if delta_flags[page_starts].any():
+        page_starts = [0, *accumulate(rows)][:-1]
+        is_base = ~np.concatenate(page_flags).view(np.bool_)
+        if not is_base[page_starts].all():
             raise EncodingError("delta row without a base vector")
-        starts, ends, heads, tails = cls._size_columns(page_sizes, rows)
+        sizes = cls._size_columns(page_sizes, rows)
         # base rows carry their whole payload as "head"; their range and
         # tail columns are padding and must not contribute
-        starts, ends, tails = np.where(delta_flags, (starts, ends, tails), 0)
-        if int(heads.min()) < 0 or int(tails.min()) < 0:
+        bases = np.flatnonzero(is_base)
+        sizes[[[0], [1], [3]], bases] = 0
+        low_start, _low_end, low_head, low_tail = sizes.min(axis=1).tolist()
+        if min(low_head, low_tail) < 0:
             raise EncodingError("sparse_list_delta: negative segment size")
+        starts, ends, heads, tails = sizes
         mids = ends - starts
-        lens = heads + mids + tails
+        pieces = heads + tails
+        lens = pieces + mids
         # a page's first row is a base (checked above), so no delta row
         # ever looks across a page boundary
         prev_len = np.concatenate(([0], lens[:-1]))
-        if min(int(starts.min()), int(mids.min())) < 0 or (ends > prev_len).any():
+        if min(low_start, int(mids.min())) < 0 or (ends > prev_len).any():
             raise EncodingError("sparse_list_delta: corrupt overlap range")
         bulk_lens = np.array([len(bulk) for bulk in bulks])
-        bulk_used = np.add.reduceat(heads + tails, page_starts)
+        bulk_used = np.add.reduceat(pieces, page_starts)
         # each size is bounded first so the sums cannot wrap int64
         if (
             np.maximum.reduceat(np.maximum(heads, tails), page_starts)
@@ -409,7 +420,7 @@ class SparseListDelta(Encoding):
         # the running bulk offsets of the assembly need no per-page rebasing
         bulks = [bulk[:used] for bulk, used in zip(bulks, bulk_used.tolist())]
         return _assemble(
-            delta_flags, starts, ends, heads, mids, tails, prev_len, bulks
+            is_base, bases, sizes, mids, lens, pieces, prev_len, bulks
         )
 
     @staticmethod
@@ -417,14 +428,13 @@ class SparseListDelta(Encoding):
         """The four size sub-columns over all pages, one per row of the
         result, each page holding exactly its own row count: blobs that
         open the way the encoder's do (varint id, then the count) in one
-        codec call for all four, others one by one."""
+        Varint call for all four, others one by one."""
         blobs = [blobs[k] for k in range(4) for blobs in page_blobs]
         counts = rows * 4
-        if all(
-            blob[:9] == bytes([Varint.id]) + n.to_bytes(8, "little")
-            for blob, n in zip(blobs, counts)
-        ):
-            return decode_blobs(blobs).reshape(4, -1)
+        opens = [bytes([Varint.id]) + n.to_bytes(8, "little") for n in rows] * 4
+        if all(blob[:9] == head for blob, head in zip(blobs, opens)):
+            readers = [ByteReader(blob, offset=1) for blob in blobs]
+            return Varint.decode_pages(readers).reshape(4, -1)
         parts = [np.asarray(decode_blob(b), dtype=np.int64) for b in blobs]
         if any(part.shape != (n,) for part, n in zip(parts, counts)):
             raise EncodingError("sparse_list_delta: corrupt size columns")

@@ -73,13 +73,13 @@ class Trivial(Encoding):
     def decode_pages(cls, readers: list[ByteReader]):
         """Array pages are viewed where they lie and copied once, into
         the joined column; bytes pages join as lists."""
-        parts = [cls._decode_page(reader) for reader in readers]
+        parts = [cls.decode_view(reader) for reader in readers]
         if not isinstance(parts[0], np.ndarray):
             return join_values(parts)
         return np.concatenate(parts)
 
     @staticmethod
-    def _decode_page(reader: ByteReader):
+    def decode_view(reader: ByteReader):
         """One page: an array viewing the payload, or a bytes list."""
         tag = reader.read_u8()
         if tag == _TAG_INT:

@@ -67,10 +67,12 @@ class Varint(Encoding):
         if len(readers) == 1:
             return cls.decode(readers[0])
         counts = [reader.read_u64() for reader in readers]
-        streams = [reader.read(reader.remaining()) for reader in readers]
+        streams = [reader.view(reader.remaining()) for reader in readers]
         sizes = [len(stream) for stream in streams]
         if all(sizes):
             raw = np.frombuffer(b"".join(streams), dtype=np.uint8)
+            if sizes == counts and raw.max() < 0x80:
+                return raw.astype(np.int64)  # one byte each
             ends = np.cumsum(sizes)
             held = np.add.reduceat(raw < 0x80, ends - sizes, dtype=np.int64)
             if held.tolist() == counts and (raw[ends - 1] < 0x80).all():

@@ -124,11 +124,18 @@ def _fp8_encode(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return codes | sign
 
 
-def _fp8_decode(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
-    codes = np.asarray(codes, dtype=np.uint8)
-    mag = table[codes & 0x7F]
-    sign = np.where(codes & 0x80, -1.0, 1.0)
-    return (mag * sign).astype(np.float32)
+def _fp8_decode(table: np.ndarray) -> np.ndarray:
+    """Every code's float32, rounded once: a decode is one lookup."""
+    codes = np.arange(256)
+    return (table[codes & 0x7F] * np.where(codes & 0x80, -1.0, 1.0)).astype(
+        np.float32
+    )
+
+
+_FP8_DECODE = {
+    FloatFormat.FP8_E4M3: _fp8_decode(_E4M3_TABLE),
+    FloatFormat.FP8_E5M2: _fp8_decode(_E5M2_TABLE),
+}
 
 
 def _round_keep_top_bits(values: np.ndarray, keep_mantissa: int) -> np.ndarray:
@@ -186,13 +193,12 @@ def dequantize(stored, fmt: FloatFormat) -> np.ndarray:
         return np.asarray(stored, dtype=np.float32)
     if fmt == FloatFormat.FP16:
         return np.asarray(stored, dtype=np.float16).astype(np.float32)
+    # codes of any int dtype widen in one pass, as their low 16/8 bits
     if fmt == FloatFormat.BF16:
-        bits = np.asarray(stored, dtype=np.uint16).astype(np.uint32) << np.uint32(16)
+        bits = np.left_shift(stored, 16, dtype=np.uint32, casting="unsafe")
         return bits.view(np.float32)
-    if fmt == FloatFormat.FP8_E4M3:
-        return _fp8_decode(stored, _E4M3_TABLE)
-    if fmt == FloatFormat.FP8_E5M2:
-        return _fp8_decode(stored, _E5M2_TABLE)
+    if fmt in _FP8_DECODE:
+        return np.take(_FP8_DECODE[fmt], stored, mode="wrap")
     raise ValueError(f"unknown format {fmt}")
 
 

@@ -86,8 +86,6 @@ from repro.query.plan import (
 )
 
 _U32_MASK = 0xFFFFFFFF
-_I64_WRAP = 2**64
-_I64_HALF = 2**63
 
 _BYTES_PRIMS = (Primitive.STRING, Primitive.BINARY)
 
@@ -704,8 +702,7 @@ def _finalize_agg(spec: AggregateSpec, partial: _Partial, rows: list) -> list:
         low = states[(spec.column, "lo")].tolist()
         exact = [h * 2**32 + lo for h, lo in zip(high.tolist(), low)]
     if spec.fn == "sum":
-        # int64 wraparound semantics, applied exactly once
-        return [((t + _I64_HALF) % _I64_WRAP) - _I64_HALF for t in exact]
+        return exact  # exact Python ints, never wrapped to int64
     return [t / r if r else None for t, r in zip(exact, rows)]
 
 

@@ -22,8 +22,9 @@ oracle in the differential test suite):
   never count).
 * ``count(col)`` — matching rows where ``col`` is not NaN. For
   integer, bool and string columns this equals ``count(*)``.
-* ``sum(col)`` — NaN-skipping sum. Integer sums use exact int64
-  wraparound arithmetic (order-independent); float sums accumulate in
+* ``sum(col)`` — NaN-skipping sum. Integer sums are exact Python
+  ``int``s, never wrapped to int64 (``sum`` of ``[3, 2**63 - 1]`` is
+  ``2**63 + 2``) and order-independent; float sums accumulate in
   float64 in deterministic (file, row group) order.
 * ``min(col)`` / ``max(col)`` — NaN-skipping extrema; ``None`` when no
   non-NaN value matched.

@@ -66,6 +66,8 @@ class ByteWriter:
 class ByteReader:
     """Sequential reader over a bytes-like object."""
 
+    __slots__ = ("_data", "_pos")
+
     def __init__(self, data: bytes, offset: int = 0) -> None:
         self._data = data
         self._pos = offset
@@ -91,6 +93,12 @@ class ByteReader:
 
     def read(self, n: int) -> bytes:
         return bytes(self.view(n))
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """The fields of a fixed header, in one call."""
+        fields = layout.unpack_from(self._data, self._pos)
+        self._pos += layout.size
+        return fields
 
     def _unpack(self, fmt: str, size: int):
         value = struct.unpack_from(fmt, self._data, self._pos)[0]
@@ -233,18 +241,18 @@ def unpack_bits_rows(rows, width: int, count: int) -> np.ndarray:
     of ``width`` bits each into one ``(k, count)`` uint64 array.
 
     ``rows`` is a sequence of bytes-like buffers; each must hold its
-    whole stream (surplus bytes are ignored). The rows are stacked into
-    one 2-D byte buffer so every step below is a single vector op over
-    all of them — a chunk's same-width pages cost one kernel run.
+    whole stream (surplus bytes are ignored). One ``join`` lays them
+    back to back, so each step below is one vector op over all of them:
+    a chunk's same-width pages cost one copy and one kernel run.
 
     Widths 8/16/32/64 are a dtype view (the stream is a little-endian
     array). Other widths up to 57 run phase-strided: the bit layout
     repeats every 8 values (one ``width``-byte period), so phase ``r``
     of every period shares one byte offset and one sub-byte shift, and
-    the up to 64 bits from that byte on hold the whole value. Each
-    phase is one strided slice of an (unaligned) uint64 window over the
-    bytes, shifted straight into its output slots — no fancy indexing,
-    no per-value work, 9 vector ops in all.
+    the up to 64 bits from that byte on hold the whole value. One
+    gather takes every period's 8 (unaligned) uint64 windows, one shift
+    and one mask finish: 3 vector ops, no per-value work. A window may
+    run on into the next row's bytes; the mask drops them.
     """
     k = len(rows)
     if width == 0 or count == 0 or k == 0:
@@ -253,35 +261,29 @@ def unpack_bits_rows(rows, width: int, count: int) -> np.ndarray:
         raise ValueError(f"bit width {width} exceeds 64")
     n_bytes = (width * count + 7) // 8
     periods = (count + 7) // 8
-    phased = width <= 57 and width not in _ALIGNED_DTYPES
-    # a window reaches 7 bytes past the byte it starts on
-    row_bytes = periods * width + 8 if phased else n_bytes
-    stacked = np.zeros((k, row_bytes), dtype=np.uint8)
-    for i, row in enumerate(rows):
+    for row in rows:
         if len(row) < n_bytes:
             raise ValueError(
                 f"bit buffer too small: have {len(row) * 8} bits, "
                 f"need {width * count}"
             )
-        stacked[i, :n_bytes] = np.frombuffer(row, dtype=np.uint8, count=n_bytes)
+    # the tail pads the last row's windows, which reach past its end
+    tail = bytes(periods * width + 8 - n_bytes)
+    rows = [memoryview(row)[:n_bytes] for row in rows]
+    stacked = np.frombuffer(b"".join([*rows, tail]), dtype=np.uint8)
+    if width <= 57 and width not in _ALIGNED_DTYPES:
+        # windows[i, p, j]: bytes j..j+7 of period p of row i, one word
+        windows = np.ndarray(
+            (k, periods, width), "<u8", stacked, strides=(n_bytes, width, 1)
+        )
+        first_bit = np.arange(0, 8 * width, width)
+        out = windows[:, :, first_bit >> 3]
+        out >>= (first_bit & 7).astype(np.uint64)
+        out &= np.uint64((1 << width) - 1)
+        return out.reshape(k, periods * 8)[:, :count]
+    stacked = stacked[: k * n_bytes].reshape(k, n_bytes)
     if width in _ALIGNED_DTYPES:
         return stacked.view(_ALIGNED_DTYPES[width]).astype(np.uint64)
-    if phased:
-        # windows[i, j]: bytes j..j+7 of row i as one little-endian word
-        windows = np.ndarray(
-            (k, row_bytes - 7), "<u8", stacked, strides=(row_bytes, 1)
-        )
-        out = np.empty((k, periods * 8), dtype=np.uint64)
-        span = periods * width
-        for r in range(8):
-            byte0, shift = divmod(r * width, 8)
-            np.right_shift(
-                windows[:, byte0 : byte0 + span : width],
-                np.uint64(shift),
-                out=out[:, r::8],
-            )
-        out &= np.uint64((1 << width) - 1)
-        return out[:, :count]
     # widths 58..63: pad each value's bits to 64 and view the bytes as
     # uint64 — one C pass instead of a multiply-accumulate per bit. Row
     # by row: the 64-bytes-per-value scratch only pays while it fits in

@@ -288,14 +288,6 @@ def _random_expr(rng, model, depth=2) -> Expr:
 # brute-force aggregation with engine semantics
 # ---------------------------------------------------------------------------
 
-_I64_WRAP = 1 << 64
-_I64_HALF = 1 << 63
-
-
-def _wrap_i64(total: int) -> int:
-    return ((total + _I64_HALF) % _I64_WRAP) - _I64_HALF
-
-
 def _brute_query(model, aggregates, where, group_by):
     view = model.view()
     if where is not None:
@@ -320,7 +312,7 @@ def _brute_query(model, aggregates, where, group_by):
                 if tag in FLOAT_TAGS:
                     out[key] = float(sum(vals))
                 else:
-                    out[key] = _wrap_i64(int(sum(int(v) for v in vals)))
+                    out[key] = int(sum(int(v) for v in vals))
             elif fn == "mean":
                 out[key] = (
                     sum(float(v) for v in vals) / len(vals) if vals else None

@@ -137,10 +137,6 @@ def _pylist(values):
     return [bytes(v) for v in values]
 
 
-def _wrap_i64(total: int) -> int:
-    return ((total + 2**63) % 2**64) - 2**63
-
-
 def _brute_one_group(plan, cols, idx):
     """Aggregate one group (row indices ``idx``) with plain numpy."""
     row = {}
@@ -161,7 +157,7 @@ def _brute_one_group(plan, cols, idx):
             exact = sum(int(x) for x in v)
             out = {
                 "count": len(v),
-                "sum": _wrap_i64(exact),
+                "sum": exact,
                 "min": int(v.min()) if len(v) else None,
                 "max": int(v.max()) if len(v) else None,
                 "mean": exact / len(v) if len(v) else None,
@@ -412,12 +408,11 @@ class TestDirectedEdges:
             assert row["max(f)"] == np.inf
             assert row["count(f)"] == 4
 
-    def test_int64_sum_wraparound_matches_numpy(self):
+    def test_int64_sum_past_int64_is_exact(self):
         v = np.array([2**62, 2**62, 2**62], dtype=np.int64)
         reader = self._reader_for(Table({"v": v}))
         res = reader.aggregate(["sum(v)"], use_metadata=False)
-        with np.errstate(over="ignore"):
-            assert res.rows[0]["sum(v)"] == int(np.sum(v))
+        assert res.rows[0]["sum(v)"] == 3 * 2**62
 
     def test_zero_match_filter(self):
         t = Table({
@@ -619,7 +614,7 @@ class TestArrayPartials:
         assert rows.tolist() == [1, 1, 2]
 
     def test_exact_integer_sums_beyond_2_53_and_int64(self):
-        """Sums stay exact past 2**53 and past int64, then wrap once."""
+        """Sums stay exact past 2**53 and past int64."""
         n = 40
         cols = {
             "g": np.tile(np.arange(2, dtype=np.int32), n // 2),
@@ -635,11 +630,11 @@ class TestArrayPartials:
                 group_by=group_by,
             )
             for row in _check_catalog(cat, plan):
-                assert row["sum(big)"] == _wrap_i64(per_group * 2**62)
+                assert row["sum(big)"] == per_group * 2**62
                 assert row["mean(big)"] == float(2**62)
                 assert row["sum(odd)"] == per_group * (2**53 + 1)
                 assert row["mean(odd)"] == (per_group * (2**53 + 1)) / per_group
-                assert row["sum(low)"] == _wrap_i64(per_group * -(2**63))
+                assert row["sum(low)"] == per_group * -(2**63)
                 assert row["mean(low)"] == float(-(2**63))
 
     def test_fan_out_over_a_sleeping_device_is_bit_identical(self):
