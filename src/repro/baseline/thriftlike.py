@@ -92,10 +92,6 @@ class CompactWriter:
     def list_elem_i64(self, value: int) -> None:
         self._out += encode_varint(_zigzag(value) & (2**64 - 1))
 
-    def list_elem_binary(self, value: bytes) -> None:
-        self._out += encode_varint(len(value))
-        self._out += value
-
     def field_struct(self, field_id: int) -> None:
         self._field_header(field_id, T_STRUCT)
         self.struct_begin()

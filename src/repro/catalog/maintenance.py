@@ -40,6 +40,7 @@ from repro.catalog.table import CatalogTable
 from repro.catalog.transaction import CommitConflict, data_file_entry
 from repro.core.compact import merge
 from repro.core.writer import WriterOptions
+from repro.expr import TriState
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
     MAINT_BYTES_RECLAIMED,
@@ -149,7 +150,8 @@ class MaintenanceService:
             matchable = [
                 f
                 for f in head.files
-                if f.live_rows and f.might_match(policy.retention_filter)
+                if f.live_rows
+                and f.classify(policy.retention_filter) is not TriState.NEVER
             ]
             if matchable:
                 jobs.append(

@@ -45,7 +45,6 @@ from repro.core.schema import (
     Primitive,
     _PRIMITIVE_BY_NAME,
 )
-from repro.expr import interval_from_stats
 from repro.util.hashing import hash64
 
 
@@ -396,10 +395,6 @@ class SchemaLog:
             return None
         return FileResolution(file_schema, current)
 
-    def is_homogeneous(self, files) -> bool:
-        """True iff no file of ``files`` needs resolution."""
-        return all(self.resolution(f) is None for f in files)
-
 
 class FileResolution:
     """Maps the current schema onto one file's stored schema.
@@ -432,37 +427,14 @@ class FileResolution:
         return self._stored[name]
 
     def stored_name(self, name: str) -> str | None:
-        stored = self.stored_column(name)
+        """The stored name behind a current one: None when the file
+        lacks the column or no current column has the name. Stored
+        statistics stay valid under widening (int bounds are
+        value-domain, float bounds exact stored values, quantized stats
+        collected in the widened float domain), so a manifest lookup
+        through this name stays conservative."""
+        stored = self._stored.get(name)
         return None if stored is None else stored.name
-
-    def stats_of(self, column_stats):
-        """A manifest-stats lookup remapped through this resolution:
-        ``stats_of(current_name) -> (min, max, kind) | None``.
-
-        Stored statistics stay valid under widening (int bounds are
-        value-domain, float bounds are exact stored values, quantized
-        stats are already collected in the widened float domain);
-        absent columns report no stats, so every interval layer stays
-        conservative."""
-
-        def stats_of(name: str):
-            stored = self._stored.get(name)
-            if stored is None or column_stats is None:
-                return None
-            stats = column_stats.get(stored.name)
-            if stats is None:
-                return None
-            return (stats.min_value, stats.max_value, stats.kind)
-
-        return stats_of
-
-    def interval_for(self, name: str, column_stats):
-        """Interval of one current column from stored manifest stats
-        (None — conservative MAYBE — when absent or stats-free)."""
-        stats = self.stats_of(column_stats)(name)
-        if stats is None:
-            return None
-        return interval_from_stats(*stats)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +517,8 @@ class ResolvedReader(ScanSource):
         self._reader = reader
         self._res = resolution
         self.footer = _ResolvedFooter(reader.footer, resolution)
+        #: see ``ScanSource._memo``
+        self._memos: dict = {}
 
     # -- metadata -------------------------------------------------------
     @property

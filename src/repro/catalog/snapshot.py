@@ -21,6 +21,7 @@ including, since the expression engine, per-column [min, max] so a
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from repro.catalog.schema_evolution import (
@@ -30,7 +31,6 @@ from repro.catalog.schema_evolution import (
 )
 from repro.expr import (
     Expr,
-    Interval,
     TriState,
     evaluate_interval,
     interval_from_stats,
@@ -50,9 +50,6 @@ class ColumnStats:
     min_value: float
     max_value: float
     kind: str  # "int" | "float"
-
-    def interval(self) -> Interval:
-        return interval_from_stats(self.min_value, self.max_value, self.kind)
 
     def to_dict(self) -> dict:
         return {
@@ -84,6 +81,10 @@ class DataFile:
     #: schema-log id this file was written under; None for legacy
     #: manifests that predate the schema log (one frozen schema)
     schema_id: "int | None" = None
+    #: column_stats as intervals, derived on first use
+    _intervals: "dict | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def live_rows(self) -> int:
@@ -92,18 +93,6 @@ class DataFile:
     @property
     def deleted_fraction(self) -> float:
         return self.deleted_count / self.row_count if self.row_count else 0.0
-
-    def might_match(
-        self, where: Expr, resolution: "FileResolution | None" = None
-    ) -> bool:
-        """Can any row of this file possibly satisfy ``where``?
-
-        Conservative manifest-level answer — the first pushdown layer,
-        decided without opening the file. Files without stats (older
-        manifests, statistics-free writers, stats-less columns) always
-        report True.
-        """
-        return self.classify(where, resolution) is not TriState.NEVER
 
     def classify(
         self, where: Expr, resolution: "FileResolution | None" = None
@@ -123,19 +112,20 @@ class DataFile:
         file never stored gets no interval, which the evaluator treats
         as ``MAYBE`` (evolution can never prune wrongly).
         """
+        intervals = self._intervals
+        if intervals is None:
+            intervals = {
+                name: interval_from_stats(s.min_value, s.max_value, s.kind)
+                for name, s in (self.column_stats or {}).items()
+            }
+            object.__setattr__(self, "_intervals", intervals)
         if resolution is not None:
             intervals = {
-                name: resolution.interval_for(name, self.column_stats)
+                name: intervals.get(resolution.stored_name(name))
                 for name in where.columns()
             }
-            return evaluate_interval(where, intervals)
-        if self.column_stats is None:
+        elif self.column_stats is None:
             return TriState.MAYBE
-        intervals = {
-            name: self.column_stats[name].interval()
-            for name in where.columns()
-            if name in self.column_stats
-        }
         return evaluate_interval(where, intervals)
 
     def to_dict(self) -> dict:
@@ -280,6 +270,19 @@ class Snapshot:
 def snapshot_name(snapshot_id: int) -> str:
     """Metadata object name for a snapshot id (sortable, fixed width)."""
     return f"snap-{snapshot_id:010d}.json"
+
+
+#: snapshot names in a NUL-joined listing (no file name holds a NUL)
+_SNAPSHOT_NAMES = re.compile(r"(?:^|\0)snap-(\d+)\.json(?=\0|$)")
+
+
+def newest_snapshot_id(names) -> int | None:
+    """The highest id :func:`parse_snapshot_name` reads among ``names``
+    (None if none), without parsing each: names are fixed-width until
+    an id outgrows 10 digits, so the newest has the longest, then the
+    greatest, digit string."""
+    ids = _SNAPSHOT_NAMES.findall("\0".join(names))
+    return int(max(ids, key=lambda d: (len(d), d))) if ids else None
 
 
 def parse_snapshot_name(name: str) -> int | None:

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import Counter
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 from repro.catalog.readers import ReaderPool
 from repro.catalog.schema_evolution import (
@@ -31,6 +33,7 @@ from repro.catalog.schema_evolution import (
 )
 from repro.catalog.snapshot import (
     Snapshot,
+    newest_snapshot_id,
     parse_snapshot_name,
     snapshot_name,
 )
@@ -39,7 +42,7 @@ from repro.catalog.transaction import Transaction
 from repro.core.compact import CompactionReport
 from repro.core.dataset import LoaderOptions, TrainingDataLoader
 from repro.core.reader import BullionReader, ScanFile, ScanStats, scan_files
-from repro.expr import Expr, coerce_where
+from repro.expr import Expr, TriState, coerce_where
 from repro.core.schema import Schema
 from repro.core.table import Table, concat_tables, fill_column, rebatch
 from repro.core.writer import WriterOptions
@@ -136,11 +139,13 @@ class PinnedSnapshot:
     def current_schema(self) -> TableSchema | None:
         return self.schema_log().current()
 
-    def _resolved_reader_for(self, data_file):
+    def _resolved_reader_for(self, data_file, resolution=False):
         """The reader every read path uses: the raw reader when the
         file is already at the current schema, else a
-        :class:`ResolvedReader` presenting it as the current schema."""
-        resolution = self.schema_log().resolution(data_file)
+        :class:`ResolvedReader` presenting it as the current schema
+        (``resolution``: the file's, when the caller has it)."""
+        if resolution is False:
+            resolution = self.schema_log().resolution(data_file)
         if resolution is None:
             return self._reader_for(data_file.file_id)
         with self._reader_lock:
@@ -155,19 +160,25 @@ class PinnedSnapshot:
     def readers(self) -> list[BullionReader]:
         return [self._resolved_reader_for(f) for f in self.snapshot.files]
 
-    def prune_files(self, where) -> tuple[list, list]:
-        """Split the snapshot's files into (kept, pruned) for ``where``.
-
-        Decided purely from manifest column statistics — the first
-        pushdown layer; pruned files are never opened. Conservative:
-        files without stats are always kept, and a column an
-        old-schema file never stored yields no interval (``MAYBE``).
-        """
+    def classify_files(self, where) -> list[tuple]:
+        """``(file, schema resolution, manifest verdict)`` per file, in
+        order: the first pushdown layer, decided from manifest column
+        statistics alone (a ``NEVER`` file is never opened; without
+        ``where`` every file is ``ALWAYS``). Conservative: files without
+        stats are ``MAYBE``, and a column an old-schema file never
+        stored yields no interval."""
         log = self.schema_log()
+        return [
+            (f, r, TriState.ALWAYS if where is None else f.classify(where, r))
+            for f, r in ((f, log.resolution(f)) for f in self.snapshot.files)
+        ]
+
+    def prune_files(self, where) -> tuple[list, list]:
+        """Split the snapshot's files into (kept, pruned) for ``where``
+        (see :meth:`classify_files`)."""
         kept, pruned = [], []
-        for f in self.snapshot.files:
-            (kept if f.might_match(where, log.resolution(f)) else pruned
-             ).append(f)
+        for f, _resolution, verdict in self.classify_files(where):
+            (pruned if verdict is TriState.NEVER else kept).append(f)
         return kept, pruned
 
     def scan(
@@ -196,25 +207,28 @@ class PinnedSnapshot:
         """
         where = coerce_where(where)
         stats = scan_stats if scan_stats is not None else ScanStats()
-        files = list(self.snapshot.files)
-        if where is not None:
-            files, pruned = self.prune_files(where)
-            stats.bump(
-                files_pruned=len(pruned),
-                rows_pruned=sum(f.row_count for f in pruned),
-            )
-            if not files:  # no open checks the names: check them here
-                self._empty(columns, where.columns())
+        classified = self.classify_files(where)
+        files = [(f, r) for f, r, v in classified if v is not TriState.NEVER]
+        pruned = [f for f, _r, v in classified if v is TriState.NEVER]
+        stats.bump(
+            files_pruned=len(pruned),
+            rows_pruned=sum(f.row_count for f in pruned),
+        )
+        if where is not None and not files:
+            self._empty(columns, where.columns())  # no open checks names
         counts = Counter()
+        traced = obs_trace.enabled()
 
         def opened():
-            for f in files:
-                with obs_trace.span(
-                    "scan.file", file=f.file_id, rows=f.row_count
+            for f, resolution in files:
+                source = self._resolved_reader_for(f, resolution)
+                with (
+                    obs_trace.span("scan.file", file=f.file_id, rows=f.row_count)
+                    if traced else nullcontext()
                 ):
                     file = ScanFile.open(
-                        self._resolved_reader_for(f), columns, where,
-                        counts, drop_deleted=drop_deleted,
+                        source, columns, where, counts,
+                        drop_deleted=drop_deleted,
                     )
                 yield file
 
@@ -356,6 +370,9 @@ class CatalogTable:
         self._clock = clock or (lambda: time.time_ns() // 1_000_000)
         self._lock = threading.Lock()
         self._snap_cache: dict[int, Snapshot] = {}
+        #: file_id -> the one DataFile every snapshot this handle parses
+        #: shares for that entry (with its memo of manifest intervals)
+        self._files: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         #: snapshot id -> pin count (this handle's readers)
         self._pins: dict[int, int] = {}
         #: data files staged by open transactions (GC must not touch)
@@ -408,6 +425,13 @@ class CatalogTable:
         data = self.store.read_metadata(snapshot_name(snapshot_id))
         snap = Snapshot.from_json(data)
         with self._lock:
+            files = []
+            for f in snap.files:  # an entry parsed before is shared
+                known = self._files.get(f.file_id)
+                if known != f:
+                    self._files[f.file_id] = known = f
+                files.append(known)
+            snap = replace(snap, files=tuple(files))
             self._cache_snapshot(snap)
         return snap
 
@@ -419,13 +443,13 @@ class CatalogTable:
 
     def current_snapshot(self) -> Snapshot:
         for _attempt in range(10):
-            ids = self._snapshot_ids()
-            if not ids:
+            head = newest_snapshot_id(self.store.list_metadata())
+            if head is None:
                 raise FileNotFoundError("table has no snapshots")
             try:
-                return self.snapshot(ids[-1])
+                return self.snapshot(head)
             except FileNotFoundError:
-                # ids[-1] was expired between listing and reading —
+                # head was expired between listing and reading —
                 # only possible once a newer snapshot exists, so a
                 # re-listing converges on the new HEAD
                 continue

@@ -183,23 +183,23 @@ class TieredChunkCache:
     # -- lookup ---------------------------------------------------------
     def get(self, key: tuple) -> bytes | None:
         """Memory tier, then disk tier, else ``None`` (a miss)."""
+        counts = {}
         with self._lock:
-            raw = self._lookup_locked(key)
-            if raw is None:
-                self.stats.bump(misses=1)
+            raw = self._lookup_locked(key, counts)
+            self.stats.bump(**counts, misses=raw is None)
             return raw
 
-    def _lookup_locked(self, key: tuple) -> bytes | None:
+    def _lookup_locked(self, key: tuple, tally: dict) -> bytes | None:
         raw = self._mem.get(key)
         if raw is not None:
             self._mem.move_to_end(key)
-            self.stats.bump(memory_hits=1)
+            tally["memory_hits"] = tally.get("memory_hits", 0) + 1
             return raw
         if key in self._disk:
             raw = self._disk_read_locked(key)
             if raw is not None:
                 # promote back into memory (it is hot again)
-                self.stats.bump(disk_hits=1)
+                tally["disk_hits"] = tally.get("disk_hits", 0) + 1
                 self._put_memory_locked(key, raw)
                 return raw
         return None
@@ -296,17 +296,38 @@ class TieredChunkCache:
                               ``flight.event`` and re-claim if its
                               ``error`` is set.
         """
-        with self._lock:
-            raw = self._lookup_locked(key)
-            if raw is not None:
-                return ("hit", raw)
-            flight = self._flights.get(key)
-            if flight is not None:
-                self.stats.bump(singleflight_waits=1)
-                return ("wait", flight)
-            self.stats.bump(misses=1)
-            self._flights[key] = _Flight()
+        values, mine, waits = self.claim_many([key])
+        if mine:
             return ("mine", None)
+        return ("wait", waits[0][1]) if waits else ("hit", values[0])
+
+    def claim_many(
+        self, keys: list, tally: dict | None = None
+    ) -> tuple[list, list, list]:
+        """:meth:`claim` of every key under one lock, counted in one
+        :meth:`TierStats.bump` (into ``tally``, if given): each key's
+        cached bytes (None unless a hit), the positions the caller now
+        leads, and ``(position, flight)`` per key to wait on."""
+        counts: dict = {}
+        values, mine, waits = [], [], []
+        with self._lock:
+            for i, key in enumerate(keys):
+                raw = self._lookup_locked(key, counts)
+                values.append(raw)
+                if raw is not None:
+                    continue
+                flight = self._flights.get(key)
+                if flight is not None:
+                    waits.append((i, flight))
+                else:
+                    self._flights[key] = _Flight()
+                    mine.append(i)
+            if mine:
+                counts["misses"] = len(mine)
+            if waits:
+                counts["singleflight_waits"] = len(waits)
+            self.stats.bump(tally, **counts)
+        return values, mine, waits
 
     def fulfill(self, key: tuple, raw: bytes) -> None:
         """Leader path: publish fetched bytes and wake all waiters."""

@@ -37,6 +37,7 @@ Parquet-style footer (``repro.baseline``) deserializes everything.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -362,6 +363,12 @@ class FooterBuilder:
         )
 
 
+@functools.cache
+def _physical_type(prim: int, depth: int) -> PhysicalType:
+    """One shared instance per type: equal types compare by identity."""
+    return PhysicalType(Primitive(prim), depth)
+
+
 class FooterView:
     """Lazy, probe-based view over serialized footer bytes.
 
@@ -420,7 +427,7 @@ class FooterView:
         prim, depth, _flags, _hint = struct.unpack_from(
             _COLDESC_FMT, self._data, base + col_idx * _COLDESC_SIZE
         )
-        return PhysicalType(Primitive(prim), depth)
+        return _physical_type(prim, depth)
 
     def chunk(self, col_idx: int, rg: int) -> ChunkMeta:
         base, _ = self._sections[SEC_CHUNKINDEX]
@@ -503,11 +510,6 @@ class FooterView:
     def deleted_count(self) -> int:
         base, _ = self._sections[SEC_DELVEC]
         return struct.unpack_from("<I", self._data, base)[0]
-
-    def is_deleted(self, row: int) -> bool:
-        base, _ = self._sections[SEC_DELVEC]
-        byte = self._data[base + 4 + row // 8]
-        return bool((byte >> (row % 8)) & 1)
 
     def deletion_bitmap(self):
         """Boolean array over all rows (numpy-unpacked once)."""

@@ -34,14 +34,17 @@ engine's batches — goes through one pipeline:
    it; both phases decode through :func:`decode_chunks`.
 
 The pipeline is :func:`read_segments` over :class:`Segment` s (row
-groups) of :class:`ScanFile` s. It reads a file through
-``locate_columns``, which names each current column's stored column,
-stored type and current type, so a file written under an older schema
-reads like a plain file: narrower stored values widen, and columns
-the file never stored fill with typed nulls without any fetch.
+groups) of :class:`ScanFile` s, which :meth:`ScanFile.open`, the one
+file opener of scans and queries, classifies and cuts. It reads a file
+through ``locate_columns``, which names each current column's stored
+column, stored type and current type, so a file written under an
+older schema reads like a plain file: narrower stored values widen,
+and columns it never stored fill with typed nulls without any fetch.
 :class:`ScanSource` defines ``scan``, ``project`` and the zone-map
-classification once over ``locate_columns``, for :class:`BullionReader`
-and for the catalog's old-schema reader alike.
+classification once, for :class:`BullionReader` and the catalog's
+old-schema reader alike, and keeps what a read derives from the footer
+alone (column locations, zone-map intervals, layouts, page counts)
+once per source: a request pays per file only for its verdicts.
 
 ``read_segments`` runs on one of two schedules. **Batches**: the
 segments of many files, in order, cut at ``_BATCH_BYTES`` decoded
@@ -58,9 +61,9 @@ faster cold read that holds more in memory at once (on the
 object-store scenario, more than its peak-memory bound allows).
 
 Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
-— the shared one a caller passes, else a small private one.
-:class:`ScanStats` counts what each layer skipped (groups, rows,
-chunks).
+— the shared one a caller passes, else a small private one; a batch
+claims each reader's chunks under one lock and publishes the caches'
+counters once. :class:`ScanStats` counts what each layer skipped.
 """
 
 from __future__ import annotations
@@ -390,27 +393,32 @@ class ScanSource:
         conservative evaluator, so the two can never disagree. A
         column the file never stored has no zone map: ``MAYBE``.
         """
-        names = sorted(where.columns())
-        reader, located = self.locate_columns(names)
+        names = tuple(sorted(where.columns()))
+        zones = self._memo(("zones", names), lambda: self._zone_maps(names))
+        return [evaluate_interval(where, zone) for zone in zones]
+
+    def _zone_maps(self, names: tuple) -> list[dict]:
+        """Per row group, each named column's zone-map interval."""
+        reader, located = self.locate_columns(list(names))
         footer = reader.footer
-        specs = [
-            (name, col_idx, None if col_idx is None else stats_kind(stored))
-            for name, (col_idx, stored, _type) in zip(names, located)
-        ]
-        verdicts = []
-        for g in range(footer.num_row_groups):
-            intervals = {}
-            for name, col_idx, kind in specs:
+        zones = [{} for _g in range(footer.num_row_groups)]
+        for name, (col_idx, stored, _type) in zip(names, located):
+            kind = None if col_idx is None else stats_kind(stored)
+            for g, zone in enumerate(zones):
                 stats = None if kind is None else footer.chunk_stats(col_idx, g)
-                intervals[name] = (
-                    None
-                    if stats is None
-                    else interval_from_stats(
-                        stats.min_value, stats.max_value, kind
-                    )
+                zone[name] = None if stats is None else interval_from_stats(
+                    stats.min_value, stats.max_value, kind
                 )
-            verdicts.append(evaluate_interval(where, intervals))
-        return verdicts
+        return zones
+
+    def _memo(self, key: tuple, make):
+        """``make()``, once per ``key``: a file invariant derived from
+        the footer (metadata only, never chunk bytes; threads that race
+        on a key derive it twice, alike)."""
+        value = self._memos.get(key)
+        if value is None:
+            value = self._memos[key] = make()
+        return value
 
 class BullionReader(ScanSource):
     """Read-side API: open, scan, project, verify."""
@@ -482,8 +490,8 @@ class BullionReader(ScanSource):
         #: once, here, from the device (see ``waits_per_request``);
         #: scans and the query's fetches both ask this and nothing else
         self.waits_per_request = waits_per_request(storage)
-        #: names -> locate_columns answer
-        self._located: dict = {}
+        #: see ``_memo``
+        self._memos: dict = {}
         # resolved once: per-fetch latency histogram child for this
         # storage backend (class-derived label, never the file name)
         self._fetch_hist = CHUNK_FETCH_SECONDS.labels(
@@ -521,17 +529,11 @@ class BullionReader(ScanSource):
         decodes them itself: ``(reader, [(col_idx, stored type, type)])``
         — here the reader is this one and the two types are the same.
         Remembered per list of names: a reader outlives many queries."""
-        key = tuple(names)
-        located = self._located.get(key)
-        if located is None:
-            footer = self.footer
-            located = []
-            for name in names:
-                col_idx = footer.find_column(name)
-                ptype = footer.column_type(col_idx)
-                located.append((col_idx, ptype, ptype))
-            self._located[key] = located
-        return self, located
+        return self, self._memo(("located", *names), lambda: [
+            (col_idx, ptype, ptype)
+            for col_idx in map(self.footer.find_column, names)
+            for ptype in [self.footer.column_type(col_idx)]
+        ])
 
     def invalidate_cache(self) -> None:
         # shared cache: every entry for this device (any fingerprint),
@@ -584,7 +586,7 @@ class BullionReader(ScanSource):
         return raw
 
     def _fetch_chunks(
-        self, keys: list[tuple[int, int]]
+        self, keys: list[tuple[int, int]], tally: dict | None = None
     ) -> dict[tuple[int, int], bytes]:
         """Batch fetch with single-flight claims and ranged coalescing.
 
@@ -595,37 +597,35 @@ class BullionReader(ScanSource):
         bytes back out per chunk, and finally waits on any keys other
         threads had in flight. Exactly one backend fetch happens per
         chunk process-wide, however many scans want it concurrently.
+        ``tally``: as :meth:`TieredChunkCache.claim_many`'s.
         """
         cache = self.chunk_cache
+        prefix = self._cache_prefix
         results: dict[tuple[int, int], bytes] = {}
         todo = list(dict.fromkeys(keys))
         while todo:
-            mine: list[tuple[int, int]] = []
-            waits: list[tuple[tuple[int, int], object]] = []
-            for key in todo:
-                kind, val = cache.claim(self._cache_key(*key))
-                if kind == "hit":
-                    results[key] = val
-                elif kind == "mine":
-                    mine.append(key)
-                else:
-                    waits.append((key, val))
+            values, mine, waits = cache.claim_many(
+                [prefix + k for k in todo], tally
+            )
+            results.update(zip(todo, values))  # a miss maps to None
             if mine:
+                mine = [todo[i] for i in mine]
                 try:
                     self._fetch_claimed(mine, results)
                 except BaseException as exc:
                     for key in mine:
-                        if key not in results:
+                        if results[key] is None:
                             cache.abandon(self._cache_key(*key), exc)
                     raise
-            todo = []
-            for key, flight in waits:
+            retry = []
+            for i, flight in waits:
                 flight.event.wait()
                 if flight.error is None:
-                    results[key] = flight.value
+                    results[todo[i]] = flight.value
                 else:
                     # the leader failed: claim again, possibly as leader
-                    todo.append(key)
+                    retry.append(todo[i])
+            todo = retry
         return results
 
     def _fetch_claimed(
@@ -705,12 +705,15 @@ class BullionReader(ScanSource):
         footer records for the chunk.
         """
         footer = self.footer
-        chunk = footer.chunk(col_idx, rg)
+        first_page, counts, row_start = self._memo(("pages", col_idx, rg), lambda: (
+            (chunk := footer.chunk(col_idx, rg)).first_page,
+            footer.page_counts(chunk.first_page, chunk.n_pages),
+            footer.row_group(rg).row_start,
+        ))
         view, size = memoryview(raw), len(raw)
         pos = 0
-        row_start = page_row = footer.row_group(rg).row_start
-        counts = footer.page_counts(chunk.first_page, chunk.n_pages)
-        for pid, original in enumerate(counts, chunk.first_page):
+        page_row = row_start
+        for pid, original in enumerate(counts, first_page):
             body = pos + PAGE_HEADER_SIZE
             # a header cut short by the end of the chunk reads as empty
             alloc_len, payload_len, n_values, _flags = (
@@ -839,68 +842,92 @@ class ScanFile:
     as typed nulls), the stored columns a row group fetches — ``first``
     (the filter columns), the ``rest`` of the projection, or the
     ``whole`` projection when nothing is left to filter — the deletion
-    vector the read applies, and the file's segments.
+    vector the read applies, each row group's ``(row_start, n_rows)``
+    and the file's segments. All but the segments are the source's
+    layout for ``(columns, filters)``, derived once per source.
     """
 
     __slots__ = (
-        "reader", "columns", "first", "rest", "whole", "deleted", "segments"
+        "reader", "columns", "first", "rest", "whole", "deleted", "groups",
+        "segments",
     )
 
     def __init__(
         self, source, columns: list[str], filters=(), drop_deleted=True
     ) -> None:
-        names = list(dict.fromkeys([*columns, *sorted(filters)]))
-        # located up front, so bad names fail fast
-        self.reader, located = source.locate_columns(names)
-        self.columns = dict(zip(names, located))
-        for name in sorted(filters):
-            if self.columns[name][2].list_depth > 0:
-                raise ValueError(f"cannot filter on list column {name!r}")
-        projected = set(columns)
-        self.first, self.rest, self.whole = [], [], []
-        for name, (col_idx, _stored, _type) in self.columns.items():
-            if col_idx is None:
-                continue
-            (self.first if name in filters else self.rest).append(col_idx)
-            if name in projected:
-                self.whole.append(col_idx)
-        footer = self.reader.footer
-        self.deleted = (
-            footer.deletion_bitmap()
-            if drop_deleted and footer.deleted_count()
-            else None
+        filters = tuple(sorted(filters))
+        (
+            self.reader, self.columns, self.first, self.rest, self.whole,
+            self.deleted, self.groups,
+        ) = source._memo(
+            ("layout", tuple(columns), filters, drop_deleted),
+            lambda: _layout(source, columns, filters, drop_deleted),
         )
         self.segments: list[Segment] = []
 
     @classmethod
     def open(
         cls, source, columns, where, counts, *, row_groups=None,
-        drop_deleted=True,
+        drop_deleted=True, answer=None,
     ) -> "ScanFile":
         """``source`` ready to scan: its row groups (all, or
         ``row_groups`` in that order) classified under ``where`` by
         their zone maps. ``NEVER`` groups are counted into ``counts``
-        (:class:`ScanStats` fields) as pruned; the rest become segments,
-        ``ALWAYS`` ones (every one without a ``where``) unfiltered."""
-        footer = source.footer
-        filters = () if where is None else where.columns()
-        file = cls(source, columns, filters, drop_deleted)
+        (:class:`ScanStats` fields) as pruned; an ``ALWAYS`` group that
+        ``answer(g, n_rows)`` answers from its statistics is left out;
+        the rest become segments, ``ALWAYS`` ones (every one without a
+        ``where``) unfiltered. The one file opener of scans and
+        queries."""
+        file = cls(
+            source, columns, () if where is None else where.columns(),
+            drop_deleted,
+        )
+        groups = file.groups
         if row_groups is None:
-            row_groups = range(footer.num_row_groups)
+            row_groups = range(len(groups))
+        verdicts = None if where is None else source.classify_row_groups_expr(where)
         counts["files_scanned"] += 1
         counts["groups_total"] += len(row_groups)
-        if where is not None:
-            verdicts = source.classify_row_groups_expr(where)
         for g in row_groups:
-            verdict = TriState.ALWAYS if where is None else verdicts[g]
+            verdict = TriState.ALWAYS if verdicts is None else verdicts[g]
+            row_start, rows = groups[g]
             if verdict is TriState.NEVER:
                 counts["groups_pruned"] += 1
-                counts["rows_pruned"] += footer.row_group(g).n_rows
-            else:
-                file.segments.append(
-                    Segment(file, g, verdict is TriState.ALWAYS)
-                )
+                counts["rows_pruned"] += rows
+            elif verdict is TriState.MAYBE or not (answer and answer(g, rows)):
+                file.segments.append(Segment(
+                    file, g, verdict is TriState.ALWAYS, row_start, rows
+                ))
         return file
+
+
+def _layout(source, columns, filters, drop_deleted) -> tuple:
+    """:class:`ScanFile`'s fields but the segments, for ``columns``
+    read under a filter on the sorted ``filters``."""
+    names = list(dict.fromkeys([*columns, *filters]))
+    # located up front, so bad names fail fast
+    reader, located = source.locate_columns(names)
+    types = dict(zip(names, located))
+    for name in filters:
+        if types[name][2].list_depth > 0:
+            raise ValueError(f"cannot filter on list column {name!r}")
+    projected = set(columns)
+    first, rest, whole = [], [], []
+    for name, (col_idx, _stored, _type) in types.items():
+        if col_idx is None:
+            continue
+        (first if name in filters else rest).append(col_idx)
+        if name in projected:
+            whole.append(col_idx)
+    footer = reader.footer
+    deleted = (
+        footer.deletion_bitmap()
+        if drop_deleted and footer.deleted_count()
+        else None
+    )
+    groups = map(footer.row_group, range(footer.num_row_groups))
+    groups = [(rg.row_start, rg.n_rows) for rg in groups]
+    return reader, types, first, rest, whole, deleted, groups
 
 
 class Segment:
@@ -910,12 +937,13 @@ class Segment:
     proving every row matches): it fetches its whole projection at
     once and skips the filter."""
 
-    __slots__ = ("file", "g", "always", "rows", "row_start", "chunks")
+    __slots__ = ("file", "g", "always", "row_start", "rows", "chunks")
 
-    def __init__(self, file: ScanFile, g: int, always: bool) -> None:
-        rg = file.reader.footer.row_group(g)
+    def __init__(
+        self, file: ScanFile, g: int, always: bool, row_start: int, rows: int
+    ) -> None:
         self.file, self.g, self.always = file, g, always
-        self.rows, self.row_start = rg.n_rows, rg.row_start
+        self.row_start, self.rows = row_start, rows
         #: raw chunks fetched so far, ``(col_idx, g) -> bytes``; None
         #: before the first fetch and once the segment has been read
         self.chunks: dict | None = None
@@ -925,19 +953,18 @@ class Segment:
         columns = self.file.whole if self.always else self.file.first
         return [(col_idx, self.g) for col_idx in columns]
 
-    def alive(self) -> np.ndarray:
-        deleted = self.file.deleted
-        if deleted is None:
-            return np.ones(self.rows, dtype=bool)
-        return ~deleted[self.row_start : self.row_start + self.rows]
-
 
 def _fetch(requests, pool=None):
     """Each ``(reader, keys)`` request's chunks, in order — on
-    ``pool``'s threads, if one is given, when there are several."""
-    if pool is None or len(requests) < 2:
-        return [reader._fetch_chunks(keys) for reader, keys in requests]
-    return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
+    ``pool``'s threads, if one is given, when there are several; inline,
+    the chunk caches' counters publish once for all of them."""
+    if pool is not None and len(requests) > 1:
+        return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
+    tally: dict = {}
+    out = [reader._fetch_chunks(keys, tally) for reader, keys in requests]
+    if tally:
+        requests[0][0].chunk_cache.stats.publish(tally)
+    return out
 
 
 def _batches(files, budget: int):
@@ -1056,7 +1083,7 @@ def read_segments(batch, where, names, fetch, counts, *, widen=True):
     first = fetch([(seg.file.reader, seg.first_keys()) for seg in todo])
     for seg, chunks in zip(todo, first):
         seg.chunks = chunks
-    counts["chunks_fetched"] += sum(len(seg.chunks) for seg in batch)
+    fetched = sum(len(seg.chunks) for seg in batch)
     rows = [seg.rows for seg in batch]
     always = [seg.always for seg in batch]
     types = batch[0].file.columns
@@ -1077,8 +1104,11 @@ def read_segments(batch, where, names, fetch, counts, *, widen=True):
                 every[~every] = mask
                 mask, stored, evals = every, {}, {}
     if any(seg.file.deleted is not None for seg in batch):
-        alive = np.concatenate([seg.alive() for seg in batch])
-        mask = alive if mask is None else mask & alive
+        mask = ~np.concatenate([
+            np.zeros(seg.rows, bool) if seg.file.deleted is None
+            else seg.file.deleted[seg.row_start : seg.row_start + seg.rows]
+            for seg in batch
+        ]) & (True if mask is None else mask)
     #: the matched rows, as positions among the batch's rows
     pick = None if mask is None else np.flatnonzero(mask)
     if pick is None:
@@ -1088,47 +1118,50 @@ def read_segments(batch, where, names, fetch, counts, *, widen=True):
     else:
         ends = np.concatenate(([0], np.cumsum(rows)))
         matched = np.diff(np.searchsorted(pick, ends)).tolist()
+    # one pass: kept segments and their residual requests; the emptied
+    # ones' residual chunks are skipped (late materialization)
     kept, held, residual = [], [], []
     for seg, n in zip(batch, matched):
-        rest = [] if seg.always else [(c, seg.g) for c in seg.file.rest]
-        emptied = where is not None and n == 0 and (
-            not seg.always or seg.file.deleted is not None
+        held.append(
+            where is None or n > 0 or seg.always and seg.file.deleted is None
         )
-        held.append(not emptied)
-        if emptied:
-            counts["groups_empty"] += 1
-            counts["chunks_skipped"] += len(rest)
-            continue
-        kept.append((seg, n))
-        if rest:
-            residual.append((seg, rest))
-    requests = [(seg.file.reader, rest) for seg, rest in residual]
-    for (seg, _rest), chunks in zip(residual, fetch(requests)):
+        if held[-1]:
+            kept.append((seg, n))
+            if not seg.always and seg.file.rest:
+                residual.append(seg)
+    requests = [(seg.file.reader, [(c, seg.g) for c in seg.file.rest])
+                for seg in residual]
+    for seg, chunks in zip(residual, fetch(requests)):
         seg.chunks.update(chunks)
-        counts["chunks_fetched"] += len(chunks)
-    counts["groups_scanned"] += len(batch)
-    counts["rows_scanned"] += sum(rows)
-    counts["rows_matched"] += sum(matched)
-    if not kept:
-        for seg in batch:
-            seg.chunks = None
-        return None, kept
-    # the matched rows again, as positions among the kept segments' rows
-    pick_kept = pick
-    if pick is not None and len(kept) < len(batch):
-        pick_kept = np.flatnonzero(mask[np.repeat(held, rows)])
-    # each batch-wide array is dropped as soon as its matched rows are
-    # out: peak memory is what a batch costs
-    source = evals if widen else stored
-    out = {n: _take(source[n], pick) for n in names if n in source}
-    del stored, evals, source, mask, pick
-    segments = [seg for seg, _n in kept]
-    for name in names:
-        if name not in out:
-            out[name] = _take(_decode(name, segments, widen), pick_kept)
+        fetched += len(chunks)
+    emptied = [seg for seg, h in zip(batch, held) if not h]
+    counts.update(
+        chunks_fetched=fetched, groups_scanned=len(batch),
+        rows_scanned=sum(rows), rows_matched=sum(matched),
+        groups_empty=len(emptied),
+        chunks_skipped=sum(
+            len(seg.file.rest) for seg in emptied if not seg.always
+        ),
+    )
+    out = None
+    if kept:
+        # the matched rows again, as positions among the kept segments'
+        pick_kept = pick
+        if pick is not None and len(kept) < len(batch):
+            pick_kept = np.flatnonzero(mask[np.repeat(held, rows)])
+        # each batch-wide array is dropped as soon as its matched rows
+        # are out: peak memory is what a batch costs
+        source = evals if widen else stored
+        out = {n: _take(source[n], pick) for n in names if n in source}
+        del stored, evals, source, mask, pick
+        segments = [seg for seg, _n in kept]
+        for name in names:
+            if name not in out:
+                out[name] = _take(_decode(name, segments, widen), pick_kept)
+        out = {name: out[name] for name in names}
     for seg in batch:
         seg.chunks = None
-    return {name: out[name] for name in names}, kept
+    return out, kept
 
 
 def _cast_to_storage(values, ptype):

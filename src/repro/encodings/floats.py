@@ -230,14 +230,6 @@ class Gorilla(Encoding):
 _CHIMP_LEAD_ROUND = [0, 8, 12, 16, 18, 20, 22, 24]
 
 
-def _chimp_round_lead(lead: int) -> int:
-    best = 0
-    for v in _CHIMP_LEAD_ROUND:
-        if v <= lead:
-            best = v
-    return best
-
-
 @register
 class Chimp(Encoding):
     """Chimp: Gorilla with a 3-bit leading-zero class table.

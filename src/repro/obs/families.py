@@ -52,15 +52,25 @@ class Counters:
             for fld, (fam, labels) in cls.families.items()
         }
 
-    def bump(self, **deltas: int) -> None:
-        """Add ``deltas`` to the fields and publish the declared ones."""
+    def bump(self, tally: "dict | None" = None, /, **deltas: int) -> None:
+        """Add ``deltas`` to the fields and publish the declared ones:
+        now, or, given a ``tally`` dict, by adding them to it for one
+        later :meth:`publish` of a whole batch."""
+        children = self._children if _m.enabled() else {}
         for name, n in deltas.items():
-            setattr(self, name, getattr(self, name) + n)
-        children = self._children
-        if children and _m.enabled():
-            for name, n in deltas.items():
-                if n and name in children:
+            if n:
+                setattr(self, name, getattr(self, name) + n)
+                if tally is not None:
+                    tally[name] = tally.get(name, 0) + n
+                elif name in children:
                     children[name].inc(n)
+
+    def publish(self, deltas: dict) -> None:
+        """Add ``deltas`` to the registry families this class declares."""
+        children = self._children if _m.enabled() else {}
+        for name, n in deltas.items():
+            if n and name in children:
+                children[name].inc(n)
 
     def merge(self, other: "Counters") -> None:
         """Add ``other`` field by field, nested ``Counters`` included.

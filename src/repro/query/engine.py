@@ -62,13 +62,13 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from itertools import groupby
 
 import numpy as np
 
 from repro.core.reader import (
     _BATCH_BYTES,
     ScanFile,
-    Segment,
     _batches,
     _fetch,
     read_segments,
@@ -202,12 +202,14 @@ class _SumFold:
     order into the file's total, file totals in file order into the
     query's.
 
-    A batch reports each segment's sums; a file with one segment adds
-    them straight to the query's totals, a longer one collects them in
-    an open total (over the query's slots, re-aligned when a merge
-    moves them) that the next file, or :meth:`flush`, adds. Every
-    segment sum starts from +0.0 (``bincount``, numpy's add-reduce), so
-    no total is -0.0 and a new slot's ``0.0 + s`` is ``s``.
+    A batch reports each segment's sums; each run of files with one
+    segment adds them straight to the query's totals in one
+    ``np.add.at`` (unbuffered, in index order: file order, as adding
+    them one file at a time would); a longer file collects them in an
+    open total (over the query's slots, re-aligned when a merge moves
+    them) that the next file, or :meth:`flush`, adds. Every segment sum
+    starts from +0.0 (``bincount``, numpy's add-reduce), so no total is
+    -0.0 and a new slot's ``0.0 + s`` is ``s``.
     """
 
     def __init__(self) -> None:
@@ -226,34 +228,43 @@ class _SumFold:
                     _spread(total, mine, n_slots, 0.0),
                     _spread(touched, mine, n_slots, False),
                 )
-        remap = None if isinstance(at, slice) else at
         sums = {
-            name: (bounds.tolist(), keys, values)
+            name: (bounds.tolist(), keys if isinstance(at, slice) else at[keys],
+                   values)
             for name, (bounds, keys, values) in sums.items()
         }
+        runs = groupby(
+            enumerate(segments), lambda item: len(item[1].file.segments) == 1
+        )
         with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
-            for j, seg in enumerate(segments):
-                if seg.file is not self._file:
+            for whole, run in runs:
+                run = list(run)
+                if whole:  # one run of single-segment files
                     self.flush(acc)
-                    self._file = seg.file
-                whole = len(seg.file.segments) == 1
-                for name, (bounds, keys, values) in sums.items():
-                    lo, hi = bounds[j], bounds[j + 1]
-                    if lo == hi:
-                        continue  # no row of this segment matched
-                    slots = keys[lo:hi]
-                    if remap is not None:
-                        slots = remap[slots]
-                    if whole:
-                        acc.states[(name, "sum")][slots] += values[lo:hi]
-                        continue
-                    if name not in self._open:
-                        self._open[name] = (
-                            np.zeros(n_slots), np.zeros(n_slots, dtype=bool)
+                    self._file = run[-1][1].file
+                    j, k = run[0][0], run[-1][0] + 1
+                    for name, (bounds, slots, values) in sums.items():
+                        lo, hi = bounds[j], bounds[k]
+                        np.add.at(
+                            acc.states[(name, "sum")], slots[lo:hi],
+                            values[lo:hi],
                         )
-                    total, touched = self._open[name]
-                    total[slots] += values[lo:hi]
-                    touched[slots] = True
+                    continue
+                for j, seg in run:
+                    if seg.file is not self._file:
+                        self.flush(acc)
+                        self._file = seg.file
+                    for name, (bounds, slots, values) in sums.items():
+                        lo, hi = bounds[j], bounds[j + 1]
+                        if lo == hi:
+                            continue  # no row of this segment matched
+                        if name not in self._open:
+                            self._open[name] = (
+                                np.zeros(n_slots), np.zeros(n_slots, dtype=bool)
+                            )
+                        total, touched = self._open[name]
+                        total[slots[lo:hi]] += values[lo:hi]
+                        touched[slots[lo:hi]] = True
 
     def flush(self, acc: "_Partial | None") -> None:
         """Add the open file's totals to ``acc``."""
@@ -568,7 +579,7 @@ class _Tally:
         stats.scan.bump(**self.scan)
 
 
-def _open_file(reader, plan, projection, use_metadata, tally: _Tally):
+def _open_file(source, plan, projection, use_metadata, tally: _Tally):
     """Classify one opened file's row groups, once per query.
 
     ``NEVER`` groups count as pruned; ``ALWAYS`` groups of a clean,
@@ -576,51 +587,36 @@ def _open_file(reader, plan, projection, use_metadata, tally: _Tally):
     other group is a segment to decode. Returns ``(zone-map partial or
     None, :class:`~repro.core.reader.ScanFile` or None)``.
     """
-    footer = reader.footer
-    n_groups = footer.num_row_groups
-    verdicts = (
-        [TriState.ALWAYS] * n_groups
-        if plan.where is None
-        else reader.classify_row_groups_expr(plan.where)
-    )
+    footer = source.footer
     meta_ok = (
         use_metadata and not plan.group_by and footer.deleted_count() == 0
     )
-    query, scan = tally.query, tally.scan
-    partial, decode = None, []
-    for g, verdict in enumerate(verdicts):
-        rg = footer.row_group(g)
-        if verdict is TriState.NEVER:
-            scan["groups_pruned"] += 1
-            scan["rows_pruned"] += rg.n_rows
-            continue
-        meta = (
-            _meta_partial(plan, rg.n_rows, _group_stats_of(footer, g))
-            if meta_ok and verdict is TriState.ALWAYS
-            else None
-        )
-        if meta is None:
-            decode.append((g, verdict is TriState.ALWAYS))
-        else:
+    query, partial = tally.query, None
+
+    def answer(g: int, rows: int) -> bool:
+        nonlocal partial
+        meta = _meta_partial(plan, rows, _group_stats_of(footer, g))
+        if meta is not None:
             partial = _fold(partial, meta)
-            query["groups_meta_answered"] += 1
-            query["rows_from_metadata"] += rg.n_rows
+            query.update(groups_meta_answered=1, rows_from_metadata=rows)
+        return meta is not None
+
     # every group of an opened file is a candidate, however answered:
     # scan.groups_total == scan.groups_pruned + groups_meta_answered
     #   + scan.groups_scanned
-    scan["groups_total"] += n_groups
+    file = ScanFile.open(
+        source, projection, plan.where, tally.scan,
+        answer=answer if meta_ok else None,
+    )
     # without metadata answers every group is a candidate, even one
     # the zone maps then prune
-    if not (decode if meta_ok else n_groups):
+    if not (file.segments if meta_ok else footer.num_row_groups):
         query["files_footer_answered"] += 1
+        tally.scan["files_scanned"] -= 1  # answered, not scanned
         return partial, None
     if not projection:
         raise PlanError("cannot aggregate a file with no columns")
-    filters = plan.where.columns() if plan.where is not None else ()
-    file = ScanFile(reader, projection, filters)
-    file.segments = [Segment(file, g, always) for g, always in decode]
     query["files_decoded"] += 1
-    scan["files_scanned"] += 1
     return partial, file
 
 
@@ -800,24 +796,16 @@ def aggregate_reader(
 
 
 def _file_stats_of(data_file, resolution=None):
-    """``stats_of`` callback over one manifest entry's column stats.
-
-    With a schema ``resolution`` (old-schema file in an evolved
-    snapshot) lookups remap current names to the stored column's
-    stats; columns the file never stored report no stats, which makes
-    :func:`_meta_partial` refuse and the engine fall back to decode —
-    where the typed-null fills produce the right answer.
-    """
-    if resolution is not None:
-        return resolution.stats_of(data_file.column_stats)
+    """``stats_of`` callback over one manifest entry's column stats,
+    through a schema ``resolution`` for an old-schema file: a column
+    the file never stored has no stats, so :func:`_meta_partial`
+    refuses and decode fills the typed nulls."""
 
     def stats_of(name: str):
-        if data_file.column_stats is None:
-            return None
-        stats = data_file.column_stats.get(name)
-        if stats is None:
-            return None
-        return (stats.min_value, stats.max_value, stats.kind)
+        if resolution is not None:
+            name = resolution.stored_name(name)
+        stats = (data_file.column_stats or {}).get(name)
+        return stats and (stats.min_value, stats.max_value, stats.kind)
 
     return stats_of
 
@@ -878,17 +866,12 @@ def _aggregate_snapshot_impl(
     )
     tally = _Tally()
     tally.query.update(files_total=len(files))
+    traced = obs_trace.enabled()
     #: stored schema -> decode projection, resolved on its first file;
     #: old-schema files all read as the current schema (key None)
     projections: dict = {}
     partial, opened = None, []
-    for f in files:
-        resolution = log.resolution(f)
-        verdict = (
-            TriState.ALWAYS
-            if plan.where is None
-            else f.classify(plan.where, resolution)
-        )
+    for f, resolution, verdict in pinned.classify_files(plan.where):
         if verdict is TriState.NEVER:
             # the catalog-layer prune is a scan-layer skip too, as
             # PinnedSnapshot.scan reports it
@@ -910,15 +893,20 @@ def _aggregate_snapshot_impl(
                 tally.query["rows_from_metadata"] += f.row_count
                 partial = _fold(partial, meta)
                 continue
-        with obs_trace.span("query.file", file=f.file_id):
-            # old-schema files get their resolver facade here
-            reader = pinned._resolved_reader_for(f)
-            key = f.schema_fingerprint if resolution is None else None
-            if key not in projections:
-                file_kinds, projections[key] = _resolve(plan, reader.footer)
-                kinds.update(file_kinds)
+        # old-schema files get their resolver facade here
+        source = pinned._resolved_reader_for(f, resolution)
+        key = f.schema_fingerprint if resolution is None else None
+        if key not in projections:
+            file_kinds, projections[key] = _resolve(plan, source.footer)
+            kinds.update(file_kinds)
+        if traced:
+            with obs_trace.span("query.file", file=f.file_id):
+                meta, file = _open_file(
+                    source, plan, projections[key], use_metadata, tally
+                )
+        else:
             meta, file = _open_file(
-                reader, plan, projections[key], use_metadata, tally
+                source, plan, projections[key], use_metadata, tally
             )
         partial = _fold(partial, meta)
         if file is not None:

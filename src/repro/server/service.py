@@ -417,10 +417,3 @@ class TableService:
                 it.close()
         finally:
             state.pins.release(sid, pin)
-
-    # -- introspection (tests + tools) -----------------------------------
-    def table_state(self, name: str) -> _TableState:
-        state = self._tables.get(name)
-        if state is None:
-            raise UnknownTable(f"no table named {name!r} is served")
-        return state
