@@ -1,25 +1,10 @@
-"""Aggregation fast path: metadata answers vs full decode.
+"""Per-request fixed work of the serving path: the per-file tax probe.
 
-The query engine's headline claim: ``count``/``min``/``max`` over a
-clean snapshot are *metadata* problems — the manifest (or at worst
-the footers) answers them with zero data-chunk fetches, so their cost
-is independent of table size. This bench builds a multi-file catalog
-on a latency-modelled backend (every opened file charges seek latency
-+ bandwidth per operation, accumulated — not slept) and compares
-three ways of answering the same queries:
-
-* fast path   — ``snap.query(...)`` with metadata on (the default);
-* full decode — the same query with ``use_metadata=False``;
-* hybrid      — a predicate cutting mid-row-group, where ALWAYS/NEVER
-  extents answer from metadata and only the boundary group decodes.
-
-Acceptance bar asserted here: the metadata-answered queries fetch
-zero data chunks and are >=10x cheaper in modelled device time than
-full decode; the hybrid count decodes only boundary extents.
-
-``test_bench_per_request_fixed_work`` is the decode path's
-per-request probe: a fixed set of cold, grouped and filtered-scan
-requests over the many-small-files serving shape on real files.
+``test_bench_per_request_fixed_work`` sends a fixed set of cold,
+grouped and filtered-scan requests over the many-small-files serving
+shape on real files, and the same requests over the same rows written
+as one file. CPU per request on the many files over CPU per request on
+the one is the per-file tax that CI gates on.
 """
 
 import statistics
@@ -29,143 +14,9 @@ import time
 import numpy as np
 from reporting import report
 
-from repro.catalog import CatalogTable, DirectoryCatalogStore, MemoryCatalogStore
-from repro.core import ScanStats, Table, WriterOptions
+from repro.catalog import CatalogTable, DirectoryCatalogStore
+from repro.core import ScanStats, Table
 from repro.expr import col
-from repro.iosim import LatencyModelledStorage, SeekModel
-
-N_FILES = 8
-ROWS_PER_FILE = 16_384
-ROWS_PER_GROUP = 2_048
-ROWS_PER_PAGE = 512
-MODEL = SeekModel(seek_latency_s=1e-3, bandwidth_bytes_per_s=5e8)
-
-
-class LatencyModelledCatalogStore(MemoryCatalogStore):
-    """Memory store whose data files charge modelled device time."""
-
-    def __init__(self) -> None:
-        super().__init__("latency-query")
-        self.opened: list[LatencyModelledStorage] = []
-
-    def open_data(self, file_id: str):
-        wrapper = LatencyModelledStorage(
-            super().open_data(file_id), MODEL, sleep=False
-        )
-        self.opened.append(wrapper)
-        return wrapper
-
-    def begin_run(self) -> None:
-        self.opened = []
-
-    def elapsed_s(self) -> float:
-        return sum(w.elapsed_s for w in self.opened)
-
-
-def _build_table(store) -> CatalogTable:
-    cat = CatalogTable.create(store)
-    rng = np.random.default_rng(0)
-    for k in range(N_FILES):
-        lo = k * ROWS_PER_FILE
-        cat.append(
-            Table({
-                "ts": np.arange(lo, lo + ROWS_PER_FILE, dtype=np.int64),
-                "score": rng.random(ROWS_PER_FILE),
-                "value": rng.normal(size=ROWS_PER_FILE).astype(np.float32),
-                "region": rng.integers(0, 16, ROWS_PER_FILE).astype(
-                    np.int32
-                ),
-                "payload": [b"x" * 64] * ROWS_PER_FILE,
-            }),
-            options=WriterOptions(
-                rows_per_page=ROWS_PER_PAGE, rows_per_group=ROWS_PER_GROUP
-            ),
-        )
-    return cat
-
-
-def test_bench_metadata_vs_decode():
-    store = LatencyModelledCatalogStore()
-    cat = _build_table(store)
-    total_rows = N_FILES * ROWS_PER_FILE
-
-    def run(aggs, where=None, use_metadata=True):
-        store.begin_run()
-        with cat.pin() as snap:
-            res = snap.query(aggs, where=where, use_metadata=use_metadata)
-        return res, store.elapsed_s()
-
-    lines = [
-        f"table: {N_FILES} files x {ROWS_PER_FILE:,} rows "
-        f"(seek {MODEL.seek_latency_s * 1e3:.0f} ms, "
-        f"{MODEL.bandwidth_bytes_per_s / 1e9:.1f} GB/s modelled)",
-        "",
-        f"{'query':36} {'path':14} {'chunks':>7} {'time':>10} {'speedup':>8}",
-    ]
-
-    cases = [
-        ("count, min(ts), max(ts), min(score)", None),
-        ("count", col("ts") < 4 * ROWS_PER_FILE),
-    ]
-    speedups = []
-    for aggs_text, where in cases:
-        aggs = [a.strip() for a in aggs_text.split(",")]
-        fast, fast_s = run(aggs, where=where)
-        slow, slow_s = run(aggs, where=where, use_metadata=False)
-        assert fast.rows == slow.rows
-        assert fast.stats.data_chunks_fetched == 0, (
-            "metadata-answerable query fetched data chunks"
-        )
-        speedup = slow_s / fast_s if fast_s else float("inf")
-        speedups.append(speedup)
-        label = aggs_text if where is None else f"{aggs_text} [filtered]"
-        shown = "zero-I/O" if fast_s == 0 else f"{speedup:.1f}x"
-        lines.append(
-            f"{label[:36]:36} {'metadata':14} "
-            f"{fast.stats.data_chunks_fetched:>7} {fast_s * 1e3:>8.2f} ms "
-            f"{shown:>8}"
-        )
-        lines.append(
-            f"{'':36} {'full decode':14} "
-            f"{slow.stats.data_chunks_fetched:>7} {slow_s * 1e3:>8.2f} ms "
-            f"{'1.0x':>8}"
-        )
-
-    # the first (unfiltered count/min/max) case never opens a file at
-    # all — the manifest answered — so its modelled time is zero
-    fast, fast_s = run(["count", "min(ts)", "max(score)"])
-    assert fast.stats.files_meta_answered == N_FILES
-    assert fast_s == 0.0
-
-    # hybrid: a boundary-straddling predicate decodes only the one
-    # MAYBE row group; everything provable stays metadata
-    edge = col("ts") < 3 * ROWS_PER_FILE + ROWS_PER_GROUP // 2
-    hybrid, hybrid_s = run(["count"], where=edge)
-    _slow_h, slow_h_s = run(["count"], where=edge, use_metadata=False)
-    assert hybrid.rows[0]["count(*)"] == (
-        3 * ROWS_PER_FILE + ROWS_PER_GROUP // 2
-    )
-    assert hybrid.stats.scan.chunks_fetched == 1
-    lines += [
-        "",
-        f"boundary-straddling count: {hybrid_s * 1e3:.2f} ms vs "
-        f"{slow_h_s * 1e3:.2f} ms decode "
-        f"({slow_h_s / hybrid_s:.1f}x), "
-        f"{hybrid.stats.files_pruned} files pruned, "
-        f"{hybrid.stats.files_meta_answered} manifest-answered, "
-        f"{hybrid.stats.scan.chunks_fetched} chunk fetched "
-        f"(of {total_rows // ROWS_PER_GROUP * 4})",
-        f"metadata-path speedups: "
-        + ", ".join(
-            "zero-I/O" if s == float("inf") else f"{s:.0f}x"
-            for s in speedups
-        ),
-    ]
-
-    for s in speedups:
-        assert s >= 10.0, f"metadata path only {s:.1f}x over decode"
-    report("query_aggregate", lines)
-
 
 #: the serving shape: micro-batch files of the six-column event table
 PROBE_FILES = 100

@@ -4,7 +4,8 @@ Paper: a catalog of 20+ encodings "found in existing storage systems
 and formats" unified behind Bullion's modular interface. Reproduction:
 run every scheme of the catalog on its natural workload and report its
 compression ratio; every scheme that exists to save bytes must save
-them. Codec speed is ``bench_codecs.py``'s to measure.
+them. Codec speed (encode and decode MB/s on paper workload shapes) is
+the codec scoreboard's to measure: ``bench_codecs.py``.
 """
 
 import numpy as np

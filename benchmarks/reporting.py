@@ -1,20 +1,21 @@
-"""Shared reporting helper for the benchmark suite.
+"""Shared reporting helper for the benches outside ``e2e/``.
 
-Every bench regenerates one of the paper's tables/figures and records
-its series here: printed to stdout (visible with ``-s``) and persisted
-under ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can cite
-measured numbers.
+The paper benches, the codec scoreboard and the fixed-work probe each
+record their series here: printed to stdout (visible with ``-s``) and
+persisted under ``benchmarks/results/<experiment>.txt``. Apart from the
+codec scoreboard and the cascade's timed winners, a tracked results
+file holds deterministic lines only (counts, bytes), so CI can check
+that a run leaves it unchanged; timings go to the JSON artifact.
 
 Each ``report()`` call additionally writes a machine-readable
 ``BENCH_<experiment>.json`` at the repo root (schema
 ``bench_report/v1``): the human-readable lines, any structured ``data``
 the bench passes, and a full :mod:`repro.obs` metrics-registry snapshot
-taken at report time — so every benchmark artifact carries the I/O,
-pushdown, and latency counters that produced its wall-clock numbers.
-``repro-inspect metrics BENCH_<experiment>.json`` renders the embedded
-snapshot; benches with a custom JSON artifact (``bench_codecs``)
-overwrite the generic file with their richer schema and embed the same
-``"metrics"`` key themselves.
+taken at report time. ``repro-inspect metrics BENCH_<experiment>.json``
+renders the embedded snapshot; ``bench_codecs.py`` overwrites the
+generic file with its richer ``bench_codecs/v1`` schema and embeds the
+same ``"metrics"`` key itself. System performance is measured by the
+e2e ledger (``BENCHMARK.json``, ``benchmarks/e2e/``), not here.
 """
 
 from __future__ import annotations

@@ -6,19 +6,21 @@ Space is reclaimed later, off the compliance-critical path, by a
 background compaction — the same division of labour as Delta Lake's
 OPTIMIZE after deletion vectors.
 
-:func:`compact` rewrites a file without its deleted rows (and without
-the per-page padding and mask slots), returning how many bytes were
-reclaimed. :func:`merge` concatenates several files into one, which is
-how small incremental ingests roll up into training-sized files.
-
-Both accept any :class:`~repro.iosim.Storage` backend — simulated,
-real file, or latency-modelled — so catalog maintenance jobs run
-unchanged against an actual filesystem.
+:func:`merge` concatenates files without their deleted rows (and
+without the per-page padding and mask slots), which is how small
+incremental ingests roll up into training-sized files; :func:`compact`
+is the merge of one file. Both, and the level-0 deletion baseline
+(:func:`repro.core.deletion.rewrite_without_rows`), run the one
+:func:`rewrite` loop on any :class:`~repro.iosim.Storage` backend, so
+every rewrite keeps the source's physical layout and catalog
+maintenance runs unchanged against an actual filesystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.reader import BullionReader
 from repro.core.schema import Field, LogicalType, Schema
@@ -62,26 +64,6 @@ class CompactionReport:
         return self.bytes_in - self.bytes_out
 
 
-def compact(
-    source: Storage,
-    target: Storage,
-    options: WriterOptions | None = None,
-) -> CompactionReport:
-    """Rewrite ``source`` into ``target`` dropping deleted rows."""
-    reader = BullionReader(source)
-    names = reader.column_names()
-    table = reader.project(names, drop_deleted=True)
-    BullionWriter(
-        target, schema=layout_schema(reader), options=options or WriterOptions()
-    ).write(table)
-    return CompactionReport(
-        rows_in=reader.num_rows,
-        rows_out=table.num_rows,
-        bytes_in=source.size,
-        bytes_out=target.size,
-    )
-
-
 def merge(
     sources: list[Storage],
     target: Storage,
@@ -90,21 +72,49 @@ def merge(
     """Concatenate files with identical physical columns into one."""
     if not sources:
         raise ValueError("nothing to merge")
+    return rewrite(sources, target, options)
+
+
+def compact(
+    source: Storage,
+    target: Storage,
+    options: WriterOptions | None = None,
+) -> CompactionReport:
+    """Rewrite ``source`` into ``target`` dropping deleted rows."""
+    return merge([source], target, options)
+
+
+def check_row_ids(rows: np.ndarray, num_rows: int) -> None:
+    if len(rows) and (rows[0] < 0 or rows[-1] >= num_rows):
+        raise ValueError("row id out of range")
+
+
+def rewrite(
+    sources: list[Storage],
+    target: Storage,
+    options: WriterOptions | None = None,
+    drop: np.ndarray | None = None,
+) -> CompactionReport:
+    """Write the live rows of ``sources``, in order, into ``target``
+    under the first file's physical layout; ``drop`` (sorted unique row
+    ids) leaves those rows of each source out as well — the level-0
+    deletion baseline rewrites one file this way."""
     tables = []
     names: list[str] | None = None
-    schema: Schema | None = None
     rows_in = 0
-    bytes_in = 0
     for src in sources:
         reader = BullionReader(src)
         if names is None:
-            names = reader.column_names()
-            schema = layout_schema(reader)
+            names, schema = reader.column_names(), layout_schema(reader)
         elif reader.column_names() != names:
             raise ValueError("cannot merge files with different columns")
-        tables.append(reader.project(names, drop_deleted=True))
+        table = reader.project(names, drop_deleted=True)
+        if drop is not None:
+            check_row_ids(drop, reader.num_rows)
+            live_ids = np.flatnonzero(~reader.footer.deletion_bitmap())
+            table = table.take_mask(~np.isin(live_ids, drop))
+        tables.append(table)
         rows_in += reader.num_rows
-        bytes_in += src.size
     table = concat_tables(tables)
     BullionWriter(
         target, schema=schema, options=options or WriterOptions()
@@ -112,6 +122,6 @@ def merge(
     return CompactionReport(
         rows_in=rows_in,
         rows_out=table.num_rows,
-        bytes_in=bytes_in,
+        bytes_in=sum(src.size for src in sources),
         bytes_out=target.size,
     )

@@ -40,10 +40,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.chunk_cache import notify_mutation
+from repro.core.compact import check_row_ids, rewrite
 from repro.core.footer import FooterView
 from repro.core.page import FLAG_COMPACTED, PAGE_HEADER_SIZE, PageHeader
 from repro.core.reader import BullionReader
-from repro.core.writer import LEVEL_DELETION_VECTOR, LEVEL_IN_PLACE, LEVEL_PLAIN
+from repro.core.writer import (
+    LEVEL_DELETION_VECTOR,
+    LEVEL_IN_PLACE,
+    LEVEL_PLAIN,
+    WriterOptions,
+)
 from repro.encodings import decode_blob, encoding_by_id
 from repro.encodings.base import ByteReader, RaggedColumn
 from repro.encodings.bitpack import FixedBitWidth
@@ -294,8 +300,7 @@ def delete_rows(
     footer = reader.footer
     if level is None:
         level = footer.compliance_level
-    if len(rows) and (rows[0] < 0 or rows[-1] >= footer.num_rows):
-        raise ValueError("row id out of range")
+    check_row_ids(rows, footer.num_rows)
     if level == LEVEL_PLAIN:
         raise ValueError(
             "compliance level 0 files have no deletion support; "
@@ -446,21 +451,13 @@ def rewrite_without_rows(
     This is the "delete requests causing rewriting of hundreds of
     petabytes per month" path the paper's hybrid scheme displaces; the
     deletion-compliance benchmark compares its I/O against
-    :func:`delete_rows`.
+    :func:`delete_rows`. It runs compaction's rewrite loop, so rows
+    already deleted stay gone and quantized columns keep their layout.
     """
     rows = np.unique(np.asarray(list(rows), dtype=np.int64))
     read0 = storage.stats.bytes_read
-    reader = BullionReader(storage)
-    names = reader.column_names()
-    table = reader.project(names, drop_deleted=False)
-    keep = np.ones(reader.num_rows, dtype=np.bool_)
-    keep[rows] = False
-    survivor = table.take_mask(keep)
-    from repro.core.writer import BullionWriter, WriterOptions
-
-    BullionWriter(target, options=WriterOptions(compliance_level=0)).write(
-        survivor
-    )
+    options = WriterOptions(compliance_level=LEVEL_PLAIN)
+    rewrite([storage], target, options, drop=rows)
     return DeletionReport(
         rows_deleted=len(rows),
         bytes_read=storage.stats.bytes_read - read0,

@@ -218,58 +218,22 @@ def _run_guarded(parser: argparse.ArgumentParser, fn) -> int:
 
 
 # ---------------------------------------------------------------------------
-# codecs subcommand (the Table 2 catalog + throughput scoreboard)
+# codecs subcommand (the Table 2 catalog)
 # ---------------------------------------------------------------------------
 
-def describe_codecs() -> str:
-    """The registered encoding catalog: id, name, accepted kinds."""
+def _codecs_main(argv: list[str]) -> int:
+    """List the registered encoding catalog: id, name, accepted kinds."""
     from repro.encodings import catalog
 
+    argparse.ArgumentParser(
+        prog="repro-inspect codecs", description="List the encoding catalog."
+    ).parse_args(argv)
     lines = [f"{'id':>4}  {'codec':18s}  kinds"]
     for name, cls in sorted(catalog().items(), key=lambda kv: kv[1].id):
         kinds = ", ".join(sorted(k.value for k in cls.kinds))
         lines.append(f"{cls.id:>4}  {name:18s}  {kinds}")
-    return "\n".join(lines)
-
-
-def _codecs_main(parser: argparse.ArgumentParser, argv: list[str]) -> int:
-    sub = argparse.ArgumentParser(
-        prog="repro-inspect codecs",
-        description="List the encoding catalog; --bench runs the "
-        "throughput scoreboard on paper workload shapes.",
-    )
-    sub.add_argument(
-        "--bench", action="store_true",
-        help="measure encode/decode MB/s per codec x workload",
-    )
-    sub.add_argument(
-        "--scale", type=float, default=0.25, metavar="F",
-        help="workload size multiplier for --bench (default: 0.25)",
-    )
-    sub.add_argument(
-        "--repeats", type=int, default=2, metavar="N",
-        help="timing repeats for --bench, best kept (default: 2)",
-    )
-    sub.add_argument(
-        "codecs", nargs="*", metavar="CODEC",
-        help="restrict --bench to these codec names",
-    )
-    args = sub.parse_args(argv)
-
-    def run() -> None:
-        if not args.bench:
-            print(describe_codecs())
-            return
-        from repro.tools.codec_bench import format_scoreboard, run_scoreboard
-
-        results = run_scoreboard(
-            scale=args.scale,
-            repeats=args.repeats,
-            codecs=set(args.codecs) or None,
-        )
-        print("\n".join(format_scoreboard(results)))
-
-    return _run_guarded(parser, run)
+    print("\n".join(lines))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +944,7 @@ def main(argv: list[str] | None = None) -> int:
     if raw[:1] == ["catalog"]:
         status = _catalog_main(parser, raw[1:])
     elif raw[:1] == ["codecs"]:
-        status = _codecs_main(parser, raw[1:])
+        status = _codecs_main(raw[1:])
     elif raw[:1] == ["scan"]:
         status = _scan_main(parser, raw[1:])
     elif raw[:1] == ["query"]:

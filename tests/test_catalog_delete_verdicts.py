@@ -162,6 +162,28 @@ def test_upsert_opens_only_files_holding_a_key(table, store):
     assert [scores[k] for k in keys.tolist()] == [-1.0] * 3
 
 
+def test_upsert_is_one_snapshot_where_delete_then_append_is_two(table):
+    keys = np.array([105, 310], dtype=np.int64)
+    batch = Table({"ts": keys, "user": keys % 7, "score": np.full(2, -1.0)})
+    other = CatalogTable.create(MemoryCatalogStore())
+    for k in range(4):
+        other.append(_batch(100 * k), options=_opts())
+    head = table.current_snapshot().snapshot_id
+    assert table.upsert(batch, "ts", options=_opts()).snapshot_id == head + 1
+    other.delete(col("ts").isin(keys.tolist()))
+    # the window an upsert never opens: old rows gone, new ones missing
+    assert other.current_snapshot().live_rows == 398
+    assert other.append(batch, options=_opts()).snapshot_id == head + 2
+    for t in (table, other):
+        got = t.read(["ts", "score"])
+        order = np.argsort(np.asarray(got.column("ts")))
+        scores = np.asarray(got.column("score"))[order]
+        np.testing.assert_array_equal(
+            np.asarray(got.column("ts"))[order], np.arange(400)
+        )
+        assert list(scores[keys]) == [-1.0, -1.0]
+
+
 def test_no_match_stages_nothing(table, store):
     head = table.current_snapshot().snapshot_id
     assert table.delete(col("ts") >= 1000).snapshot_id == head

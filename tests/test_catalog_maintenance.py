@@ -211,6 +211,34 @@ def test_background_service_start_stop(table):
     svc.stop()
 
 
+def test_every_compaction_path_writes_the_same_bytes(table):
+    """Maintenance, ``Transaction.compact``, core ``compact`` and a
+    one-file ``merge`` are one rewrite loop: the same file in, the same
+    bytes out."""
+    from repro.core.compact import compact, merge
+    from repro.iosim import SimulatedStorage
+
+    other = CatalogTable.create(MemoryCatalogStore())
+    for t in (table, other):
+        t.append(_table(0, 2000), options=_opts())
+        t.delete(col("id") <= 999)
+    source = table.store.open_data(table.current_snapshot().files[0].file_id)
+
+    assert _service(table).run_once().files_compacted == 1
+    other.compact(options=_opts())
+    outputs = [
+        t.store.open_data(t.current_snapshot().files[0].file_id).raw_bytes()
+        for t in (table, other)
+    ]
+    for rewrite_file in (compact, lambda src, dst, o: merge([src], dst, o)):
+        target = SimulatedStorage()
+        rewrite_file(source, target, _opts())
+        outputs.append(target.raw_bytes())
+    assert all(out == outputs[0] for out in outputs[1:])
+    got = np.asarray(table.read(["id"]).column("id"))
+    assert np.array_equal(got, np.arange(1000, 2000))
+
+
 def test_generalized_compact_and_merge_accept_file_storage(tmp_path):
     """Satellite: core compact()/merge() run on FileStorage backends."""
     from repro.core import BullionReader, BullionWriter, delete_rows

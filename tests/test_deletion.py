@@ -26,6 +26,7 @@ from repro.encodings import (
     encode_blob,
 )
 from repro.iosim import SimulatedStorage
+from repro.quantization import FloatFormat, QuantizationPolicy
 
 
 class TestMaskers:
@@ -239,6 +240,60 @@ class TestDeleteRows:
         out = BullionReader(target).project(["ids", "score", "tag"])
         keep = np.ones(500, dtype=bool)
         keep[[5, 6]] = False
+        assert out.equals(table.take_mask(keep))
+
+
+class TestRewriteWithoutRows:
+    """The level-0 baseline rewrites through compaction's loop."""
+
+    def _quantized_file(self):
+        table = Table({
+            "x": np.arange(10, dtype=np.int64),
+            "f": (np.arange(10) / 9).astype(np.float32),
+        })
+        dev = SimulatedStorage()
+        BullionWriter(
+            dev,
+            options=WriterOptions(
+                quantization=QuantizationPolicy(default=FloatFormat.BF16)
+            ),
+        ).write(table)
+        return dev
+
+    def test_quantized_column_keeps_its_layout(self):
+        dev = self._quantized_file()
+        target = SimulatedStorage()
+        rewrite_without_rows(dev, [3], target)
+        source, rewritten = BullionReader(dev), BullionReader(target)
+        assert [
+            (c.name, str(c.type)) for c in rewritten.footer.physical_columns()
+        ] == [(c.name, str(c.type)) for c in source.footer.physical_columns()]
+        keep = np.arange(10) != 3
+        before = source.project(["x", "f"], widen_quantized=True)
+        after = rewritten.project(["x", "f"], widen_quantized=True)
+        assert after.equals(before.take_mask(keep))
+        assert 0.1 < float(np.asarray(after.column("f"))[1]) < 0.12
+
+    @pytest.mark.parametrize("bad", [[-1], [10], [2, 10]])
+    def test_out_of_range_row_ids_rejected(self, bad):
+        dev = self._quantized_file()
+        for delete in (
+            lambda: delete_rows(dev, bad),
+            lambda: rewrite_without_rows(dev, bad, SimulatedStorage()),
+        ):
+            with pytest.raises(ValueError, match="row id out of range"):
+                delete()
+        assert BullionReader(dev).project(["x"]).num_rows == 10
+
+    def test_rows_already_deleted_stay_deleted(self):
+        dev, table = _make_file(n=500)
+        delete_rows(dev, [1, 2])
+        target = SimulatedStorage()
+        report = rewrite_without_rows(dev, [2, 7], target)
+        assert report.rows_deleted == 2
+        keep = np.ones(500, dtype=bool)
+        keep[[1, 2, 7]] = False
+        out = BullionReader(target).project(["ids", "score", "tag"])
         assert out.equals(table.take_mask(keep))
 
 

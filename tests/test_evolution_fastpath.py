@@ -219,6 +219,13 @@ class TestOldSchemaChunkCounts:
         assert rows == res.scalar("count")
         return rows, scan_stats, res.stats, fetched
 
+    def test_added_column_is_filled_not_fetched(self):
+        plain, evolved = ScanStats(), ScanStats()
+        self._table(False).read(["ts", "v"], scan_stats=plain)
+        out = self._table(True).read(["ts", "v", "extra"], scan_stats=evolved)
+        assert out.num_rows == 300
+        assert evolved.chunks_fetched == plain.chunks_fetched > 0
+
     def test_evolved_counts_equal_plain(self):
         # (where, rows matched, chunks the scan fetches, and the query)
         cases = [

@@ -337,7 +337,6 @@ ALLOWED = {
     "obs/trace.py": {"open"},
     "obs/metrics.py": {"open"},
     "tools/inspect.py": {"open"},
-    "tools/codec_bench.py": {"open"},
 }
 
 

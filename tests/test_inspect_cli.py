@@ -208,25 +208,6 @@ class TestCodecsSubcommand:
         names = {line.split()[1] for line in lines[1:]}
         assert {"huffman", "fastpfor", "gorilla", "fsst"} <= names
 
-    def test_bench_restricted(self, capsys):
-        code, out, _err = _run(
-            ["codecs", "--bench", "--scale", "0.02", "--repeats", "1",
-             "varint", "rle"],
-            capsys,
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert "dec MB/s" in lines[0]
-        benched = {line.split()[0] for line in lines[1:]}
-        assert benched == {"varint", "rle"}
-
-    def test_bench_unknown_codec_is_empty_board(self, capsys):
-        code, out, _err = _run(
-            ["codecs", "--bench", "--scale", "0.02", "nope"], capsys
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 1  # header only
-
 
 class TestCatalogSchemaRendering:
     """``catalog files``/``snapshot`` show schema ids + column lists.

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.catalog import CatalogTable, MemoryCatalogStore
 from repro.core import (
     BullionReader,
     BullionWriter,
@@ -18,6 +19,7 @@ from repro.core import (
     TieredChunkCache,
     WriterOptions,
 )
+from repro.expr import col
 from repro.iosim import (
     OBJECT_STORE_MODEL,
     IOStats,
@@ -232,6 +234,69 @@ class TestCoalescing:
         obj = _object_copy(dev)
         BullionReader(obj)
         assert obj.request_count == 1  # tail + footer in one ranged GET
+
+
+class ObjectCatalogStore(MemoryCatalogStore):
+    """Memory store whose data files sit behind a (non-sleeping)
+    object store; counts the requests and opens of one run."""
+
+    def __init__(self):
+        super().__init__("object")
+        self.opened: list[ObjectStorage] = []
+
+    def open_data(self, file_id):
+        obj = ObjectStorage(super().open_data(file_id))
+        self.opened.append(obj)
+        return obj
+
+    def requests(self):
+        return sum(obj.request_count for obj in self.opened)
+
+
+class TestWarmCatalogScan:
+    def test_warm_scan_fetches_no_data_from_the_store(self, tmp_path):
+        """A filtered multi-file scan through one tiered cache whose
+        memory tier is smaller than the working set: the warm scan sends
+        the store only its footer reads, the disk tier serves the
+        spilled chunks, and every configuration returns the same rows."""
+        store = ObjectCatalogStore()
+        cat = CatalogTable.create(store)
+        rng = np.random.default_rng(7)
+        for k in range(6):
+            cat.append(
+                Table({
+                    "ts": np.arange(k * 2048, (k + 1) * 2048, dtype=np.int64),
+                    "score": rng.random(2048),
+                    "clicks": rng.integers(0, 100, 2048, dtype=np.int64),
+                    "payload": [b"x" * 48] * 2048,
+                }),
+                options=WriterOptions(rows_per_page=256, rows_per_group=512),
+            )
+        cache = TieredChunkCache(
+            64 << 10, disk_bytes=16 << 20, disk_dir=str(tmp_path / "spill"),
+            name="warm-scan-test",
+        )
+        runs = {}
+        for label, chunk_cache, options in (
+            ("naive", None, {"chunk_cache_size": 0, "coalesce_gap": -1}),
+            ("cold", cache, {"coalesce_gap": 0}),
+            ("warm", cache, {"coalesce_gap": 0}),
+        ):
+            table = CatalogTable(
+                store, chunk_cache=chunk_cache, reader_options=options
+            )
+            store.opened = []
+            out = table.read(
+                ["ts", "score", "clicks", "payload"], where=col("ts") < 4096
+            )
+            runs[label] = (out, store.requests(), len(store.opened))
+        naive, _cold, warm = runs["naive"], runs["cold"], runs["warm"]
+        assert naive[0].num_rows == 4096
+        assert all(out.equals(naive[0]) for out, _r, _o in runs.values())
+        assert warm[1] == warm[2] == 2  # one footer read per kept file
+        assert warm[1] <= 0.25 * naive[1]
+        assert cache.stats.spills > 0 and cache.stats.disk_hits > 0
+        assert cache.stats.checksum_failures == 0
 
 
 class TestThunderingHerd:

@@ -462,6 +462,46 @@ class TestCatalogPushdown:
         assert stats.files_scanned == 1
         assert names == ["i64", "f64"]
 
+    def test_one_scan_skips_at_all_three_layers(self):
+        cat, _tables = _build_catalog(np.random.default_rng(7))
+        stats = ScanStats()
+        # rows 150..249 of file 0: the manifest prunes files 1-4, zone
+        # maps prune groups 0 and 3, groups 1 and 2 filter at decode
+        out = cat.read(
+            ["i64", "f64"], where=col("i64").between(150, 249),
+            scan_stats=stats,
+        )
+        assert out.num_rows == 100
+        assert stats.files_pruned == 4
+        assert stats.groups_pruned == 2
+        assert stats.rows_scanned == 200 and stats.rows_matched == 100
+
+    def test_late_materialization_reads_only_the_filter_column(self):
+        cat, _tables = _build_catalog(np.random.default_rng(8))
+        columns = ["i64", "i32", "f64", "f32"]
+        files = [
+            cat.store.open_data(f.file_id)
+            for f in cat.current_snapshot().files
+        ]
+
+        def bytes_read(names, **kw):
+            before = sum(dev.stats.bytes_read for dev in files)
+            out = cat.read(names, **kw)
+            return out, sum(dev.stats.bytes_read for dev in files) - before
+
+        stats = ScanStats()
+        # strings carry no zone maps: every group decodes its tag chunk,
+        # and no group has a survivor to fetch the projection for
+        out, filtered = bytes_read(
+            columns, where=col("tag") == b"absent", scan_stats=stats
+        )
+        assert out.num_rows == 0
+        assert stats.groups_pruned == 0
+        assert stats.chunks_skipped == stats.groups_empty * len(columns) > 0
+        _tags, tags_only = bytes_read(["tag"])
+        _full, full = bytes_read(columns)
+        assert filtered == tags_only < full, (filtered, tags_only, full)
+
     def test_multishard_commit_carries_stats(self):
         rng = np.random.default_rng(5)
         cat = CatalogTable.create(MemoryCatalogStore())
