@@ -52,6 +52,7 @@ from repro.catalog.snapshot import (
 )
 from repro.catalog.store import (
     CatalogStore,
+    CommitOutcomeUnknown,
     DirectoryCatalogStore,
     MemoryCatalogStore,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "ReaderPool",
     "Transaction",
     "CommitConflict",
+    "CommitOutcomeUnknown",
     "data_file_entry",
     "Snapshot",
     "DataFile",

@@ -35,12 +35,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.catalog.snapshot import Snapshot
+from repro.catalog.snapshot import ManifestIndex, Snapshot
 from repro.catalog.table import CatalogTable
 from repro.catalog.transaction import CommitConflict, data_file_entry
 from repro.core.compact import merge
 from repro.core.writer import WriterOptions
-from repro.expr import TriState
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
     MAINT_BYTES_RECLAIMED,
@@ -147,11 +146,13 @@ class MaintenanceService:
             # manifest-level pruning decides the candidate set: in the
             # steady state (all expired rows already deleted) no file
             # can match and no job is planned
+            never, _always = ManifestIndex(
+                head.files, [None] * len(head.files)
+            ).verdicts(policy.retention_filter)
             matchable = [
                 f
-                for f in head.files
-                if f.live_rows
-                and f.classify(policy.retention_filter) is not TriState.NEVER
+                for f, pruned in zip(head.files, never.tolist())
+                if f.live_rows and not pruned
             ]
             if matchable:
                 jobs.append(

@@ -22,8 +22,8 @@ This module gives the catalog that vocabulary:
   from a file has no interval (``MAYBE``), so evolution can never make
   pushdown prune wrongly;
 * a :class:`ResolvedReader` presents one old-schema file in current
-  coordinates: a footer facade, and ``locate_columns`` naming each
-  current column's stored column, stored type and current type. It
+  coordinates through a layout naming each current column's stored
+  column, stored type and current type. It
   holds no read loop of its own: scans, aggregation and training
   loaders read it through the pipeline of :mod:`repro.core.reader`,
   which widens **narrower** stored values at decode
@@ -36,9 +36,9 @@ This module gives the catalog that vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from repro.core.reader import ScanSource
+from repro.core.reader import Layout, ScanSource
 from repro.core.schema import (
     PhysicalColumn,
     PhysicalType,
@@ -50,6 +50,12 @@ from repro.util.hashing import hash64
 
 class CatalogMetadataError(ValueError):
     """Malformed catalog metadata (snapshot JSON, schema log)."""
+
+
+def unknown_keys(doc: dict, known) -> dict:
+    """The keys of a manifest record this build does not read — a newer
+    writer's optional fields, kept so they are written back unchanged."""
+    return {k: v for k, v in doc.items() if k not in known}
 
 
 class SchemaLogError(CatalogMetadataError):
@@ -121,9 +127,14 @@ class SchemaColumn:
     field_id: int
     name: str
     type: PhysicalType
+    #: keys a newer writer added, written back unchanged
+    extra: dict = field(default_factory=dict, compare=False, hash=False)
 
     def to_dict(self) -> dict:
-        return {"id": self.field_id, "name": self.name, "type": str(self.type)}
+        return {
+            **self.extra,
+            "id": self.field_id, "name": self.name, "type": str(self.type),
+        }
 
     @staticmethod
     def from_dict(d: dict) -> "SchemaColumn":
@@ -131,11 +142,14 @@ class SchemaColumn:
             field_id = int(d["id"])
             name = d["name"]
             type_text = d["type"]
+            extra = unknown_keys(d, ("id", "name", "type"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaLogError(f"malformed schema column {d!r}") from exc
         if not isinstance(name, str) or not name:
             raise SchemaLogError(f"malformed schema column name {name!r}")
-        return SchemaColumn(field_id, name, parse_physical_type(type_text))
+        return SchemaColumn(
+            field_id, name, parse_physical_type(type_text), extra
+        )
 
 
 @dataclass(frozen=True)
@@ -144,6 +158,8 @@ class TableSchema:
 
     schema_id: int
     columns: tuple[SchemaColumn, ...]
+    #: keys a newer writer added, written back unchanged
+    extra: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.columns]
@@ -200,6 +216,7 @@ class TableSchema:
 
     def to_dict(self) -> dict:
         return {
+            **self.extra,
             "schema_id": self.schema_id,
             "columns": [c.to_dict() for c in self.columns],
         }
@@ -209,6 +226,7 @@ class TableSchema:
         try:
             schema_id = int(d["schema_id"])
             raw_columns = d["columns"]
+            extra = unknown_keys(d, ("schema_id", "columns"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaLogError(f"malformed schema entry: {exc}") from exc
         if not isinstance(raw_columns, (list, tuple)) or not raw_columns:
@@ -218,6 +236,7 @@ class TableSchema:
         return TableSchema(
             schema_id=schema_id,
             columns=tuple(SchemaColumn.from_dict(c) for c in raw_columns),
+            extra=extra,
         )
 
 
@@ -313,9 +332,7 @@ def apply_ops(
             i = index_of(op.old)
             if any(c.name == op.new for c in columns):
                 raise SchemaLogError(f"column {op.new!r} already exists")
-            columns[i] = SchemaColumn(
-                columns[i].field_id, op.new, columns[i].type
-            )
+            columns[i] = replace(columns[i], name=op.new)
         elif isinstance(op, WidenColumn):
             i = index_of(op.name)
             target = _as_ptype(op.type)
@@ -324,7 +341,7 @@ def apply_ops(
                     f"cannot widen {op.name!r} from {columns[i].type} "
                     f"to {target}"
                 )
-            columns[i] = SchemaColumn(columns[i].field_id, op.name, target)
+            columns[i] = replace(columns[i], type=target)
         else:
             raise SchemaLogError(f"unknown evolution op {op!r}")
     return TableSchema(schema_id=new_schema_id, columns=tuple(columns))
@@ -441,118 +458,41 @@ class FileResolution:
 # the resolved reader: one old-schema file, read as the current schema
 # ---------------------------------------------------------------------------
 
-class _ResolvedFooter:
-    """Footer facade in current-schema coordinates.
-
-    ``find_column``/``column_type`` speak current names and types;
-    ``chunk_stats`` remaps to the stored column (None when absent, so
-    the query engine's metadata paths fall back instead of lying).
-    Row-group geometry and deletion state pass straight through.
-    """
-
-    def __init__(self, inner, resolution: FileResolution) -> None:
-        self._inner = inner
-        self._res = resolution
-        self._columns = resolution.current.columns
-
-    # -- geometry (pass-through) ---------------------------------------
-    @property
-    def num_rows(self) -> int:
-        return self._inner.num_rows
-
-    @property
-    def num_row_groups(self) -> int:
-        return self._inner.num_row_groups
-
-    @property
-    def num_columns(self) -> int:
-        return len(self._columns)
-
-    def row_group(self, rg: int):
-        return self._inner.row_group(rg)
-
-    def deleted_count(self) -> int:
-        return self._inner.deleted_count()
-
-    def deletion_bitmap(self):
-        return self._inner.deletion_bitmap()
-
-    # -- columns in current coordinates --------------------------------
-    def find_column(self, name: str) -> int:
-        for i, c in enumerate(self._columns):
-            if c.name == name:
-                return i
-        raise KeyError(f"no column {name!r}")
-
-    def column_type(self, col_idx: int) -> PhysicalType:
-        return self._columns[col_idx].type
-
-    def physical_columns(self) -> list[PhysicalColumn]:
-        return self._res.current.physical_columns()
-
-    def schema_fingerprint(self) -> int:
-        return self._res.current.fingerprint()
-
-    def chunk_stats(self, col_idx: int, rg: int):
-        stored = self._res.stored_column(self._columns[col_idx].name)
-        if stored is None:
-            return None
-        return self._inner.chunk_stats(
-            self._inner.find_column(stored.name), rg
-        )
-
-
 class ResolvedReader(ScanSource):
     """A :class:`BullionReader` facade that reads one old-schema file
     as if it held the snapshot's current schema.
 
-    It supplies ``footer`` (current coordinates) and
-    :meth:`locate_columns`; ``scan``, ``project`` and
+    It supplies a :class:`~repro.core.reader.Layout` that resolves
+    current names to stored columns; ``scan``, ``project`` and
     ``classify_row_groups_expr`` come from
     :class:`~repro.core.reader.ScanSource`, the same code a plain
     file reads through.
     """
 
     def __init__(self, reader, resolution: FileResolution) -> None:
-        self._reader = reader
+        self.reader = reader
         self._res = resolution
-        self.footer = _ResolvedFooter(reader.footer, resolution)
-        #: see ``ScanSource._memo``
-        self._memos: dict = {}
+        self.layout = Layout(reader.footer, resolution)
 
     # -- metadata -------------------------------------------------------
     @property
+    def file_index(self):
+        return self.reader.file_index
+
+    @property
     def num_rows(self) -> int:
-        return self._reader.num_rows
+        return self.reader.num_rows
 
     @property
     def live_rows(self) -> int:
-        return self._reader.live_rows
+        return self.reader.live_rows
 
     @property
     def chunk_cache(self):
-        return self._reader.chunk_cache
+        return self.reader.chunk_cache
 
     def schema_fingerprint(self) -> int:
         return self._res.current.fingerprint()
 
     def column_names(self) -> list[str]:
         return self._res.current.names()
-
-    def locate_columns(self, names: list[str]):
-        """:meth:`BullionReader.locate_columns` in current coordinates:
-        the stored column behind each current name, its stored and its
-        current type (``col_idx`` and stored type ``None`` for a column
-        the file never stored)."""
-        inner = self._reader.footer
-        located = []
-        for name in names:
-            ptype = self._res.current_column(name).type  # KeyError contract
-            stored = self._res.stored_column(name)
-            if stored is None:
-                located.append((None, None, ptype))
-            else:
-                located.append(
-                    (inner.find_column(stored.name), stored.type, ptype)
-                )
-        return self._reader, located

@@ -26,15 +26,47 @@ from dataclasses import dataclass, field
 
 from repro.catalog.schema_evolution import (
     CatalogMetadataError,
-    FileResolution,
     TableSchema,
+    unknown_keys,
 )
-from repro.expr import (
-    Expr,
-    TriState,
-    evaluate_interval,
-    interval_from_stats,
+import numpy as np
+
+from repro.core.reader import Layout, ReadIndex
+from repro.expr import Expr
+from repro.expr.interval import Zones, evaluate_zones
+
+
+#: manifest features this build reads. A snapshot whose
+#: ``required_features`` names any other is refused, on read and on
+#: commit, before anything is written: this build would misread it.
+KNOWN_FEATURES: frozenset = frozenset()
+
+_FILE_KEYS = (
+    "file_id", "row_count", "deleted_count", "byte_size",
+    "schema_fingerprint", "column_stats", "schema_id",
 )
+_SNAPSHOT_KEYS = (
+    "snapshot_id", "parent_id", "timestamp_ms", "operation", "files",
+    "summary", "schemas", "current_schema_id", "format_version",
+    "required_features",
+)
+
+
+def check_features(features) -> None:
+    """Raise :class:`CatalogMetadataError` for any required feature
+    this build does not know."""
+    unknown = sorted(set(features) - KNOWN_FEATURES)
+    if unknown:
+        raise CatalogMetadataError(
+            f"snapshot requires manifest features this build does not "
+            f"know: {unknown}"
+        )
+
+
+def _features(raw) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(f, str) for f in raw):
+        raise CatalogMetadataError(f"malformed required_features {raw!r}")
+    return tuple(raw)
 
 
 @dataclass(frozen=True)
@@ -50,9 +82,12 @@ class ColumnStats:
     min_value: float
     max_value: float
     kind: str  # "int" | "float"
+    #: keys a newer writer added, written back unchanged
+    extra: dict = field(default_factory=dict, compare=False, hash=False)
 
     def to_dict(self) -> dict:
         return {
+            **self.extra,
             "min": self.min_value,
             "max": self.max_value,
             "kind": self.kind,
@@ -64,6 +99,7 @@ class ColumnStats:
             min_value=float(d["min"]),
             max_value=float(d["max"]),
             kind=str(d["kind"]),
+            extra=unknown_keys(d, ("min", "max", "kind")),
         )
 
 
@@ -81,10 +117,8 @@ class DataFile:
     #: schema-log id this file was written under; None for legacy
     #: manifests that predate the schema log (one frozen schema)
     schema_id: "int | None" = None
-    #: column_stats as intervals, derived on first use
-    _intervals: "dict | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: keys a newer writer added, written back unchanged
+    extra: dict = field(default_factory=dict, compare=False, hash=False)
 
     @property
     def live_rows(self) -> int:
@@ -94,42 +128,9 @@ class DataFile:
     def deleted_fraction(self) -> float:
         return self.deleted_count / self.row_count if self.row_count else 0.0
 
-    def classify(
-        self, where: Expr, resolution: "FileResolution | None" = None
-    ) -> TriState:
-        """Tri-state manifest verdict for ``where`` over this file.
-
-        ``NEVER`` — provably no matching row (the file is prunable);
-        ``ALWAYS`` — provably every row matches, which lets the query
-        engine answer counts and extrema from the manifest alone and a
-        delete drop the file unopened;
-        ``MAYBE`` — open the file and let finer layers decide. Files
-        without statistics are always ``MAYBE``.
-
-        ``where`` speaks current-schema names; when the file was
-        written under an older schema version, ``resolution`` remaps
-        each reference to the stored column's stats — a column the
-        file never stored gets no interval, which the evaluator treats
-        as ``MAYBE`` (evolution can never prune wrongly).
-        """
-        intervals = self._intervals
-        if intervals is None:
-            intervals = {
-                name: interval_from_stats(s.min_value, s.max_value, s.kind)
-                for name, s in (self.column_stats or {}).items()
-            }
-            object.__setattr__(self, "_intervals", intervals)
-        if resolution is not None:
-            intervals = {
-                name: intervals.get(resolution.stored_name(name))
-                for name in where.columns()
-            }
-        elif self.column_stats is None:
-            return TriState.MAYBE
-        return evaluate_interval(where, intervals)
-
     def to_dict(self) -> dict:
         doc = {
+            **self.extra,
             "file_id": self.file_id,
             "row_count": self.row_count,
             "deleted_count": self.deleted_count,
@@ -166,6 +167,7 @@ class DataFile:
             schema_id=(
                 None if raw_schema_id is None else int(raw_schema_id)
             ),
+            extra=unknown_keys(d, _FILE_KEYS),
         )
 
 
@@ -184,6 +186,13 @@ class Snapshot:
     #: files all share one frozen fingerprint.
     schemas: tuple[TableSchema, ...] = ()
     current_schema_id: "int | None" = None
+    #: the manifest format; written only when it is not 1
+    format_version: int = 1
+    #: features a reader must know to read this snapshot (see
+    #: :func:`check_features`); written only when there are some
+    required_features: tuple[str, ...] = ()
+    #: top-level keys a newer writer added, written back unchanged
+    extra: dict = field(default_factory=dict, compare=False, hash=False)
 
     # -- aggregates -----------------------------------------------------
     @property
@@ -203,7 +212,9 @@ class Snapshot:
 
     # -- serialization --------------------------------------------------
     def to_json(self) -> bytes:
+        check_features(self.required_features)
         doc = {
+            **self.extra,
             "snapshot_id": self.snapshot_id,
             "parent_id": self.parent_id,
             "timestamp_ms": self.timestamp_ms,
@@ -217,6 +228,10 @@ class Snapshot:
             doc["schemas"] = [s.to_dict() for s in self.schemas]
         if self.current_schema_id is not None:
             doc["current_schema_id"] = self.current_schema_id
+        if self.format_version != 1:
+            doc["format_version"] = self.format_version
+        if self.required_features:
+            doc["required_features"] = list(self.required_features)
         return json.dumps(
             doc, sort_keys=True, separators=(",", ":")
         ).encode()
@@ -257,7 +272,11 @@ class Snapshot:
                     if doc.get("current_schema_id") is None
                     else int(doc["current_schema_id"])
                 ),
+                format_version=int(doc.get("format_version", 1)),
+                required_features=_features(doc.get("required_features", [])),
+                extra=unknown_keys(doc, _SNAPSHOT_KEYS),
             )
+            check_features(snapshot.required_features)
         except CatalogMetadataError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -265,6 +284,115 @@ class Snapshot:
                 f"malformed snapshot manifest: {exc!r}"
             ) from exc
         return snapshot
+
+
+#: manifest stat kinds as codes (``ManifestIndex.meta_stats``)
+KIND_NONE, KIND_INT, KIND_FLOAT, KIND_BYTES = range(4)
+_KIND_CODES = {"int": KIND_INT, "float": KIND_FLOAT}
+
+
+class ManifestIndex:
+    """The manifest rows of a file list as arrays, one row per file:
+    ``row_count``, ``deleted_count`` and, per column name on first use,
+    its file-level stats read through each file's schema ``resolution``
+    (a column an old-schema file never stored has none). Manifest
+    verdicts are one :func:`~repro.expr.interval.evaluate_zones` pass
+    over them."""
+
+    def __init__(self, files, resolutions) -> None:
+        self.files = list(files)
+        self.resolutions = list(resolutions)
+        self.row_count = np.array([f.row_count for f in self.files], dtype=np.int64)
+        self.deleted_count = np.array(
+            [f.deleted_count for f in self.files], dtype=np.int64
+        )
+        self._stats: dict = {}
+        self._zones: dict = {}
+
+    def meta_stats(self, name: str):
+        """``(has, lo, hi, kind)`` arrays of ``name``'s stats per file
+        (``kind``: ``KIND_*`` codes)."""
+        found = self._stats.get(name)
+        if found is None:
+            stats = [
+                None if f.column_stats is None or stored is None
+                else f.column_stats.get(stored)
+                for f, stored in zip(self.files, (
+                    name if r is None else r.stored_name(name)
+                    for r in self.resolutions
+                ))
+            ]
+            found = self._stats[name] = (
+                np.array([s is not None for s in stats], dtype=bool),
+                np.array([s.min_value if s else 0.0 for s in stats]),
+                np.array([s.max_value if s else 0.0 for s in stats]),
+                np.array([
+                    _KIND_CODES.get(s.kind, KIND_NONE) if s else KIND_NONE
+                    for s in stats
+                ], dtype=np.int8),
+            )
+        return found
+
+    def verdicts(self, where: Expr):
+        """``(never, always)`` of ``where`` per file from manifest stats.
+
+        ``NEVER`` — provably no matching row (the file is prunable);
+        ``ALWAYS`` — provably every row matches, which lets the query
+        engine answer counts and extrema from the manifest alone and a
+        delete drop the file unopened; neither — open the file and let
+        finer layers decide. Files without statistics are never
+        decided. ``where`` speaks current-schema names; an old-schema
+        file's stats are read through its resolution, and a column the
+        file never stored has none (evolution can never prune wrongly).
+        """
+        zones = {}
+        for name in where.columns():
+            zones[name] = self._zones.get(name)
+            if zones[name] is None:
+                has, lo, hi, kind = self.meta_stats(name)
+                zones[name] = self._zones[name] = Zones.from_stats(
+                    lo, hi, has, kind == KIND_INT
+                )
+        return evaluate_zones(where, zones, len(self.files))
+
+
+class SnapshotIndex:
+    """One parsed snapshot as arrays, shared by a table handle's pins:
+    its :class:`ManifestIndex`, and a :class:`~repro.core.reader.ReadIndex`
+    whose row per file × row group × column chunk is filled from a
+    file's footer on the first read that reaches the file, so a file the
+    manifest prunes costs no open. Files of one physical schema share
+    one :class:`~repro.core.reader.Layout`."""
+
+    def __init__(self, snapshot: "Snapshot", log) -> None:
+        self.files = snapshot.files
+        self.resolutions = [log.resolution(f) for f in self.files]
+        self.manifest = ManifestIndex(self.files, self.resolutions)
+        self.read = ReadIndex([None] * len(self.files))
+        self._layouts: dict = {}
+
+    def layout_key(self, i: int):
+        """Files with one key share a layout (and a decode projection)."""
+        f = self.files[i]
+        return f.schema_fingerprint if self.resolutions[i] is None else (
+            "schema", f.schema_id
+        )
+
+    def fill(self, ordinals, reader_for) -> None:
+        """Fill files ``ordinals`` from their readers (``reader_for(file
+        id)``), once each."""
+
+        def block(i: int):
+            reader = reader_for(self.files[i].file_id)
+            key = self.layout_key(i)
+            layout = self._layouts.get(key)
+            if layout is None:
+                layout = self._layouts[key] = Layout(
+                    reader.footer, self.resolutions[i]
+                )
+            return reader.file_index, layout
+
+        self.read.fill(ordinals, block)
 
 
 def snapshot_name(snapshot_id: int) -> str:

@@ -23,6 +23,18 @@ from repro.iosim import Directory, MemoryDirectory, OSDirectory, Storage
 from repro.iosim.directory import read_file, write_file
 
 
+class CommitOutcomeUnknown(OSError):
+    """A commit published its snapshot (or may have), then a file-system
+    step failed: the link raised after taking effect, or ``snapshots/``
+    could not be synced. The snapshot is visible but maybe not durable.
+    ``snapshot_id`` names it, so a caller can check instead of retrying
+    (a retry would append the rows twice)."""
+
+    def __init__(self, message: str, snapshot_id: "int | None" = None):
+        super().__init__(message)
+        self.snapshot_id = snapshot_id
+
+
 class CatalogStore:
     """Metadata CAS + data files of one table, over ``backend``."""
 
@@ -32,16 +44,50 @@ class CatalogStore:
 
     # -- metadata (CAS) -------------------------------------------------
     def put_metadata(self, name: str, data: bytes) -> bool:
+        """Publish ``data`` as ``name`` unless the name is taken: True
+        when this call published it. A fault once the link has taken
+        effect raises :class:`CommitOutcomeUnknown`; one before it, a
+        plain ``OSError`` (nothing was published). The staging file goes
+        on any exit; failing to remove it once the snapshot is published
+        is not a failed commit."""
         tmp = f"tmp/{os.getpid()}-{threading.get_ident()}-{next(self._ids)}"
-        try:  # tmp goes on ANY exit: a failed commit leaks nothing
+        final = f"snapshots/{name}"
+        published = False
+        try:
             write_file(self.backend, tmp, data, sync=True)
-            if not self.backend.link(tmp, f"snapshots/{name}"):
-                return False
-            # the new directory entry must survive a crash too
-            self.backend.sync_dir("snapshots")
+            try:
+                if not self.backend.link(tmp, final):
+                    return False
+            except OSError as exc:
+                if not self._holds(final, data):
+                    raise
+                published = True
+                raise CommitOutcomeUnknown(
+                    f"{name} is published but not synced: {exc}"
+                ) from exc
+            published = True
+            try:
+                # the new directory entry must survive a crash too
+                self.backend.sync_dir("snapshots")
+            except OSError as exc:
+                raise CommitOutcomeUnknown(
+                    f"{name} is published but not synced: {exc}"
+                ) from exc
             return True
         finally:
-            self.backend.unlink(tmp)
+            try:
+                self.backend.unlink(tmp)
+            except OSError:
+                if not published:
+                    raise
+
+    def _holds(self, path: str, data: bytes) -> bool:
+        """Does ``path`` exist with exactly ``data`` (our link, after a
+        fault that hid whether it happened)?"""
+        try:
+            return read_file(self.backend, path) == data
+        except OSError:
+            return False
 
     def read_metadata(self, name: str) -> bytes:
         return read_file(self.backend, f"snapshots/{name}")

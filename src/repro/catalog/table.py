@@ -20,8 +20,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import Counter
-from contextlib import nullcontext
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.catalog.readers import ReaderPool
@@ -33,6 +32,7 @@ from repro.catalog.schema_evolution import (
 )
 from repro.catalog.snapshot import (
     Snapshot,
+    SnapshotIndex,
     newest_snapshot_id,
     parse_snapshot_name,
     snapshot_name,
@@ -41,8 +41,10 @@ from repro.catalog.store import CatalogStore
 from repro.catalog.transaction import Transaction
 from repro.core.compact import CompactionReport
 from repro.core.dataset import LoaderOptions, TrainingDataLoader
-from repro.core.reader import BullionReader, ScanFile, ScanStats, scan_files
-from repro.expr import Expr, TriState, coerce_where
+import numpy as np
+
+from repro.core.reader import BullionReader, Scan, ScanStats, scan_batches
+from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
 from repro.core.table import Table, concat_tables, fill_column, rebatch
 from repro.core.writer import WriterOptions
@@ -52,6 +54,9 @@ from repro.obs.families import Counters
 #: parsed-snapshot cache bound (oldest ids evicted first; pinned
 #: snapshots are unaffected — each PinnedSnapshot holds its own copy)
 _SNAP_CACHE_MAX = 128
+
+#: snapshot indexes a handle keeps beyond those its live pins hold
+_INDEX_CACHE_MAX = 4
 
 
 @dataclass
@@ -84,6 +89,7 @@ class PinnedSnapshot:
         #: file_id -> ResolvedReader facade for old-schema files
         self._resolved_cache: dict[str, ResolvedReader] = {}
         self._log: SchemaLog | None = None
+        self._index: SnapshotIndex | None = None
         #: the files whose readers this pin borrowed from
         #: ``table.reader_provider``; returned on release
         self._pooled: list[str] = []
@@ -160,26 +166,28 @@ class PinnedSnapshot:
     def readers(self) -> list[BullionReader]:
         return [self._resolved_reader_for(f) for f in self.snapshot.files]
 
-    def classify_files(self, where) -> list[tuple]:
-        """``(file, schema resolution, manifest verdict)`` per file, in
-        order: the first pushdown layer, decided from manifest column
-        statistics alone (a ``NEVER`` file is never opened; without
-        ``where`` every file is ``ALWAYS``). Conservative: files without
-        stats are ``MAYBE``, and a column an old-schema file never
-        stored yields no interval."""
-        log = self.schema_log()
-        return [
-            (f, r, TriState.ALWAYS if where is None else f.classify(where, r))
-            for f, r in ((f, log.resolution(f)) for f in self.snapshot.files)
-        ]
+    def index(self) -> SnapshotIndex:
+        """The snapshot as arrays (see :class:`SnapshotIndex`), shared
+        with the handle's other pins of it."""
+        if self._index is None:
+            self._index = self._table._index_for(self.snapshot, self.schema_log())
+        return self._index
 
     def prune_files(self, where) -> tuple[list, list]:
         """Split the snapshot's files into (kept, pruned) for ``where``
-        (see :meth:`classify_files`)."""
-        kept, pruned = [], []
-        for f, _resolution, verdict in self.classify_files(where):
-            (pruned if verdict is TriState.NEVER else kept).append(f)
-        return kept, pruned
+        by manifest statistics alone (see
+        :meth:`~repro.catalog.snapshot.ManifestIndex.verdicts`): a
+        pruned file is never opened."""
+        index = self.index()
+        if where is None:
+            return list(index.files), []
+        never, _always = index.manifest.verdicts(where)
+        files = index.files
+        flags = never.tolist()
+        return (
+            [f for f, pruned in zip(files, flags) if not pruned],
+            [f for f, pruned in zip(files, flags) if pruned],
+        )
 
     def scan(
         self,
@@ -198,47 +206,83 @@ class PinnedSnapshot:
 
         ``where=`` (an :class:`~repro.expr.Expr` or its text form)
         prunes files from manifest stats before any open, then row
-        groups by zone maps and rows by the exact filter as each file
-        opens — lazily, as :func:`~repro.core.reader.scan_files`'
-        cross-file batches reach it. A bad name or list-column filter
+        groups by zone maps and rows by the exact filter, each in one
+        pass over the snapshot's index. A bad name or list-column filter
         fails even when every file is pruned. Pass ``scan_stats=`` a
         shared :class:`~repro.core.reader.ScanStats` to collect
         per-layer skip counts across the whole read.
+
+        On a memory-speed device the surviving files' footers are read
+        up front and their row groups read in batches across files; on
+        a device that waits per request (see
+        :func:`~repro.iosim.waits_per_request`) file by file, each
+        footer read as the scan reaches it, with the next groups'
+        chunks in flight.
         """
         where = coerce_where(where)
         stats = scan_stats if scan_stats is not None else ScanStats()
-        classified = self.classify_files(where)
-        files = [(f, r) for f, r, v in classified if v is not TriState.NEVER]
-        pruned = [f for f, _r, v in classified if v is TriState.NEVER]
-        stats.bump(
-            files_pruned=len(pruned),
-            rows_pruned=sum(f.row_count for f in pruned),
-        )
-        if where is not None and not files:
+        index = self.index()
+        manifest = index.manifest
+        if where is None:
+            kept = np.arange(len(index.files))
+        else:
+            never, _always = manifest.verdicts(where)
+            kept = np.flatnonzero(~never)
+            stats.bump(
+                files_pruned=int(never.sum()),
+                rows_pruned=int(manifest.row_count[never].sum()),
+            )
+        if where is not None and not len(kept):
             self._empty(columns, where.columns())  # no open checks names
         counts = Counter()
-        traced = obs_trace.enabled()
+        files = index.files
 
-        def opened():
-            for f, resolution in files:
-                source = self._resolved_reader_for(f, resolution)
-                with (
-                    obs_trace.span("scan.file", file=f.file_id, rows=f.row_count)
-                    if traced else nullcontext()
-                ):
-                    file = ScanFile.open(
-                        source, columns, where, counts,
-                        drop_deleted=drop_deleted,
-                    )
-                yield file
+        def reader_of(i: int) -> BullionReader:
+            return self._reader_for(files[i].file_id)
 
-        tables = scan_files(
-            opened(), columns, where, stats, counts,
-            widen_quantized=widen_quantized, max_workers=max_workers,
-        )
+        def plan(ordinals):
+            if obs_trace.enabled():
+                for i in ordinals.tolist():
+                    with obs_trace.span(
+                        "scan.file", file=files[i].file_id,
+                        rows=files[i].row_count,
+                    ):
+                        index.fill([i], self._reader_for)
+            else:
+                index.fill(ordinals, self._reader_for)
+            state = index.read.state()
+            opened = np.zeros(len(files), dtype=bool)
+            opened[ordinals] = True
+            return state.plan(
+                np.flatnonzero(opened[state.g_file]), columns, where, counts,
+                reader_of, files=len(ordinals), drop_deleted=drop_deleted,
+            )
+
+        if not len(kept):
+            tables = iter(())
+        elif reader_of(int(kept[0])).waits_per_request:
+            tables = self._file_by_file(
+                kept, plan, columns, where, stats, counts,
+                widen_quantized=widen_quantized, max_workers=max_workers,
+            )
+        else:
+            tables = scan_batches(
+                plan(kept), columns, where, stats, counts,
+                widen_quantized=widen_quantized,
+            )
         if batch_size is not None:
             tables = rebatch(tables, batch_size)
         yield from tables
+
+    @staticmethod
+    def _file_by_file(kept, plan, columns, where, stats, counts, **kwargs):
+        """Each file's :class:`~repro.core.reader.Scan`, its footer read
+        as the scan reaches it."""
+        for i in kept:
+            file_plan = plan(np.array([i]))
+            stats.bump(**counts)
+            counts.clear()
+            yield from Scan(file_plan, columns, where=where, stats=stats, **kwargs)
 
     def _empty(self, columns, filters=(), widen=False) -> Table:
         """The typed empty result, with each name (and each filter on a
@@ -253,8 +297,10 @@ class PinnedSnapshot:
                     raise ValueError(f"cannot filter on list column {name!r}")
         elif self.snapshot.files:
             source = self._resolved_reader_for(self.snapshot.files[0])
-            located = ScanFile(source, columns, filters, drop_deleted=False)
-            types = {n: t for n, (_c, _s, t) in located.columns.items()}
+            types = {n: source.layout.locate(n)[2] for n in [*columns, *filters]}
+            for name in sorted(filters):
+                if types[name].list_depth > 0:
+                    raise ValueError(f"cannot filter on list column {name!r}")
         else:
             return Table({})
         return Table({n: fill_column(types[n], 0, widen) for n in columns})
@@ -371,8 +417,11 @@ class CatalogTable:
         self._lock = threading.Lock()
         self._snap_cache: dict[int, Snapshot] = {}
         #: file_id -> the one DataFile every snapshot this handle parses
-        #: shares for that entry (with its memo of manifest intervals)
+        #: shares for that entry
         self._files: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        #: snapshot id -> its SnapshotIndex, shared by this handle's pins
+        #: (the newest few kept; a pin holds its own)
+        self._indexes: OrderedDict[int, SnapshotIndex] = OrderedDict()
         #: snapshot id -> pin count (this handle's readers)
         self._pins: dict[int, int] = {}
         #: data files staged by open transactions (GC must not touch)
@@ -434,6 +483,28 @@ class CatalogTable:
             snap = replace(snap, files=tuple(files))
             self._cache_snapshot(snap)
         return snap
+
+    def _index_for(self, snap: Snapshot, log: SchemaLog) -> SnapshotIndex:
+        """The handle's one :class:`SnapshotIndex` of ``snap``."""
+        with self._lock:
+            index = self._indexes.get(snap.snapshot_id)
+            if index is None or index.files is not snap.files:
+                index = self._indexes[snap.snapshot_id] = SnapshotIndex(snap, log)
+            self._indexes.move_to_end(snap.snapshot_id)
+            while len(self._indexes) > _INDEX_CACHE_MAX:
+                self._indexes.popitem(last=False)
+        return index
+
+    def invalidate_files(self, file_ids) -> None:
+        """Forget the snapshot indexes that hold any of ``file_ids`` (a
+        file scrubbed in place): the next pin re-reads their footers."""
+        ids = set(file_ids)
+        with self._lock:
+            for sid in [
+                sid for sid, index in self._indexes.items()
+                if any(f.file_id in ids for f in index.files)
+            ]:
+                del self._indexes[sid]
 
     def _cache_snapshot(self, snap: Snapshot) -> None:
         """Insert under the held lock, evicting the oldest past the cap."""

@@ -28,24 +28,39 @@ validation failure) deletes the staged data files so nothing leaks.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import replace as _replace
 
 import numpy as np
 
 from repro.catalog.schema_evolution import (
     EvolutionOp,
-    ResolvedReader,
     SchemaLog,
     SchemaLogError,
     TableSchema,
     apply_ops,
     schema_from_footer,
 )
-from repro.catalog.snapshot import ColumnStats, DataFile, Snapshot, snapshot_name
+from repro.catalog.store import CommitOutcomeUnknown
+from repro.catalog.snapshot import (
+    ColumnStats,
+    DataFile,
+    ManifestIndex,
+    Snapshot,
+    check_features,
+    snapshot_name,
+)
+from repro.expr.interval import verdicts
 from repro.core.compact import CompactionReport, compact as compact_file
 from repro.core.dataset import ShardedDataset
 from repro.core.deletion import delete_rows
-from repro.core.reader import BullionReader
+from repro.core.reader import (
+    BullionReader,
+    Layout,
+    ReadIndex,
+    ScanStats,
+    scan_batches,
+)
 from repro.core.schema import Schema, stats_kind
 from repro.core.table import Table
 from repro.core.writer import BullionWriter, WriterOptions
@@ -120,23 +135,27 @@ def _adopt_legacy_files(
     return out
 
 
-def _delete_verdict(entry: DataFile, where: Expr, resolution) -> TriState:
-    """The manifest verdict :meth:`Transaction.delete` acts on.
+def _delete_verdicts(files, resolutions, where: Expr) -> list:
+    """The manifest verdicts :meth:`Transaction.delete` acts on.
 
-    :meth:`DataFile.classify`, except that ``ALWAYS`` — which drops the
-    file unopened — also requires every referenced column to be one the
-    file is known to have. An OR can be proven by one arm alone, and a
-    typo'd name in the other must still raise when the file is opened,
-    as it does for ``scan(where=...)``, not delete quietly.
+    :meth:`ManifestIndex.verdicts`, except that ``ALWAYS`` — which
+    drops the file unopened — also requires every referenced column to
+    be one the file is known to have. An OR can be proven by one arm
+    alone, and a typo'd name in the other must still raise when the
+    file is opened, as it does for ``scan(where=...)``, not delete
+    quietly.
     """
-    verdict = entry.classify(where, resolution)
-    if verdict is TriState.ALWAYS:
+    states = verdicts(*ManifestIndex(files, resolutions).verdicts(where))
+    names = where.columns()
+    for k, (entry, resolution) in enumerate(zip(files, resolutions)):
+        if states[k] is not TriState.ALWAYS:
+            continue
         if resolution is not None:
-            for name in where.columns():
+            for name in names:
                 resolution.current_column(name)  # KeyError on a typo
-        elif not where.columns() <= set(entry.column_stats or ()):
-            return TriState.MAYBE
-    return verdict
+        elif not names <= set(entry.column_stats or ()):
+            states[k] = TriState.MAYBE
+    return states
 
 
 class Transaction:
@@ -388,7 +407,7 @@ class Transaction:
         form, run through the same unified evaluator the scan path
         uses, so ``delete(e)`` removes exactly the rows
         ``scan(where=e)`` would return. Per file, from manifest
-        statistics alone (:meth:`DataFile.classify`):
+        statistics alone (:meth:`ManifestIndex.verdicts`):
 
         ``NEVER``   no row can match: the file is carried over unopened.
         ``ALWAYS``  every row matches: the file is *dropped* from the
@@ -422,10 +441,7 @@ class Transaction:
         log = self.schema_log()
         files = self.staged_files()
         resolutions = [log.resolution(f) for f in files]
-        verdicts = [
-            _delete_verdict(f, where, res)
-            for f, res in zip(files, resolutions)
-        ]
+        verdicts = _delete_verdicts(files, resolutions, where)
         if (
             self._current_schema_id is None
             and files
@@ -441,18 +457,32 @@ class Transaction:
             # deleted, exactly as before
             verdicts[-1] = TriState.MAYBE
         total = dropped = 0
-        for entry, res, verdict in zip(files, resolutions, verdicts):
-            if verdict is TriState.NEVER or entry.live_rows == 0:
-                continue  # file never opened
-            if verdict is TriState.ALWAYS:
-                scrubbed, n_rows = None, entry.live_rows
-                dropped += 1
-            else:
-                scrubbed, n_rows = self._scrubbed_copy(entry, where, res)
-                if scrubbed is None:
-                    continue  # stats said maybe, the rows said no
-            self._supersede(entry, scrubbed)
-            total += n_rows
+        sources: dict = {}
+        try:
+            victims = self._victims([
+                (entry, res)
+                for entry, res, verdict in zip(files, resolutions, verdicts)
+                if verdict is TriState.MAYBE and entry.live_rows
+            ], where, sources)
+            for entry, verdict in zip(files, verdicts):
+                if verdict is TriState.NEVER or entry.live_rows == 0:
+                    continue  # file never opened
+                if verdict is TriState.ALWAYS:
+                    scrubbed, n_rows = None, entry.live_rows
+                    dropped += 1
+                else:
+                    rows = victims[entry.file_id]
+                    if not len(rows):
+                        continue  # stats said maybe, the rows said no
+                    scrubbed = self._scrubbed_copy(
+                        entry, sources[entry.file_id], rows
+                    )
+                    n_rows = len(rows)
+                self._supersede(entry, scrubbed)
+                total += n_rows
+        finally:
+            for source in sources.values():
+                source.close()
         if total:  # zero matches stage nothing: no no-op snapshot
             self._ops.append("delete")
             self._bump("rows_deleted", total)
@@ -460,70 +490,69 @@ class Transaction:
                 self._bump("files_dropped", dropped)
         return total
 
-    def _scrubbed_copy(
-        self, entry: DataFile, where: Expr, resolution
-    ) -> tuple[DataFile | None, int]:
-        """Find ``where``'s live rows in one file and stage a scrubbed
-        copy without them: (its manifest entry, rows deleted), or
-        ``(None, 0)`` — nothing staged — when no live row matches."""
-        filter_columns = sorted(where.columns())
-        source = self._store.open_data(entry.file_id)
-        try:
-            reader = BullionReader(source)
-            if resolution is not None:
-                # old-schema file: filter in current coordinates —
-                # renames resolve, narrow values widen, absent
-                # columns fill (so e.g. a predicate on an added
-                # column simply matches its typed-null fill)
-                reader = ResolvedReader(reader, resolution)
-            # a missing filter column raises, exactly like
-            # scan(where=...) — a typo'd name must not silently
-            # delete nothing
-            verdicts = reader.classify_row_groups_expr(where)
-            deleted_bitmap = None
-            rows_parts: list[np.ndarray] = []
-            for g, verdict in enumerate(verdicts):
-                if verdict is TriState.NEVER:
-                    continue
-                mask = None  # ALWAYS: every row, nothing to decode
-                if verdict is TriState.MAYBE:
-                    batch = reader.project(
-                        filter_columns,
-                        drop_deleted=False,
-                        row_groups=[g],
-                        widen_quantized=True,
-                    )
-                    mask = evaluate_expr(where, batch.columns)
-                    if not mask.any():
-                        continue
-                if deleted_bitmap is None:
-                    deleted_bitmap = reader.footer.deletion_bitmap()
-                rg = reader.footer.row_group(g)
-                live = ~deleted_bitmap[
-                    rg.row_start : rg.row_start + rg.n_rows
-                ]
-                rows_parts.append(
-                    rg.row_start
-                    + np.flatnonzero(live if mask is None else mask & live)
-                )
-            rows = (
-                np.concatenate(rows_parts)
-                if rows_parts
-                else np.zeros(0, dtype=np.int64)
-            )
-            if len(rows) == 0:
-                return None, 0
-            new_id, copy = self.new_data_file()
-            copy.append(source.pread(0, source.size))
-            delete_rows(copy, rows)
-        finally:
-            source.close()
-        # the copy is byte-identical modulo scrubbed pages: it keeps
-        # the source's schema version
-        scrubbed = _replace(
-            data_file_entry(copy, new_id), schema_id=entry.schema_id
+    def _victims(self, files, where: Expr, sources: dict) -> dict:
+        """Each ``(entry, resolution)``'s live rows that ``where``
+        matches, by file id. The files are opened (into ``sources``,
+        which the caller closes) and read as one index: their row
+        groups' zone-map verdicts in one pass, then the filter columns
+        of the undecided groups decoded in batches across files, in the
+        current schema's coordinates (renames resolve, narrow values
+        widen, absent columns fill, so e.g. a predicate on an added
+        column simply matches its typed-null fill). ``ALWAYS`` groups
+        give up their live rows undecoded. A missing filter column
+        raises, exactly like ``scan(where=...)``: a typo'd name must
+        not silently delete nothing."""
+        if not files:
+            return {}
+        readers = []
+        for entry, _res in files:
+            source = sources[entry.file_id] = self._store.open_data(entry.file_id)
+            readers.append(BullionReader(source))
+        state = ReadIndex([
+            (reader.file_index, Layout(reader.footer, res))
+            for reader, (_entry, res) in zip(readers, files)
+        ]).state()
+        never, always = state.verdicts(where)
+        undecided = np.flatnonzero(~never & ~always)
+        filters = sorted(where.columns())
+        plan = state.plan(
+            undecided, filters, None, Counter(), readers.__getitem__,
+            files=len(files), drop_deleted=False,
         )
-        return scrubbed, len(rows)
+        masks = {
+            g: evaluate_expr(where, table.columns)
+            for g, table in zip(undecided.tolist(), scan_batches(
+                plan, filters, None, ScanStats(), Counter(),
+                widen_quantized=True,
+            ))
+        }
+        victims = {}
+        for i, (entry, _res) in enumerate(files):
+            index, first = readers[i].file_index, int(state.file_start[i])
+            parts = []
+            for rg in range(len(index.rows)):
+                mask = masks.get(first + rg)  # None: ALWAYS or NEVER
+                if never[first + rg] or mask is not None and not mask.any():
+                    continue
+                start = int(index.row_start[rg])
+                live = ~index.deleted()[start : start + int(index.rows[rg])]
+                parts.append(
+                    start + np.flatnonzero(live if mask is None else mask & live)
+                )
+            victims[entry.file_id] = (
+                np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+            )
+        return victims
+
+    def _scrubbed_copy(self, entry: DataFile, source, rows) -> DataFile:
+        """Stage a copy of ``entry``'s file (open as ``source``) with
+        ``rows`` scrubbed (§2.1, in place on the copy): its manifest
+        entry. The copy is byte-identical modulo scrubbed pages, so it
+        keeps the source's schema version."""
+        new_id, copy = self.new_data_file()
+        copy.append(source.pread(0, source.size))
+        delete_rows(copy, rows)
+        return _replace(data_file_entry(copy, new_id), schema_id=entry.schema_id)
 
     def upsert(
         self,
@@ -678,10 +707,24 @@ class Transaction:
             COMMITS.labels(operation=snap.operation).inc()
         return snap
 
+    def _published(self, snap: Snapshot) -> None:
+        """Bookkeeping once ``snap`` is visible."""
+        self._state = "committed"
+        self._table._note_commit(snap)
+        self._table._unregister_inflight(self._staged_ids)
+        self._close_staged()  # readers re-open via open_data
+        # staged files superseded within this very transaction
+        # (e.g. delete-then-compact) are unreferenced: drop them
+        referenced = snap.file_ids()
+        for file_id in self._staged_ids:
+            if file_id not in referenced:
+                self._store.delete_data(file_id)
+
     def _commit_impl(self, max_retries: int, obs_on: bool) -> Snapshot:
         self._require_open()
         if not self._ops and not self._added and not self._removed:
             raise ValueError("empty transaction: nothing staged")
+        check_features(self._base.required_features)
         # durability first: staged data must be on disk before the
         # manifest that references it — put_metadata only makes the
         # small snapshot JSON durable
@@ -768,20 +811,22 @@ class Transaction:
                 summary=dict(self._summary),
                 schemas=kept_schemas,
                 current_schema_id=current_id,
+                format_version=head.format_version,
+                required_features=head.required_features,
+                extra=head.extra,
             )
-            if self._store.put_metadata(
-                snapshot_name(snap.snapshot_id), snap.to_json()
-            ):
-                self._state = "committed"
-                table._note_commit(snap)
-                table._unregister_inflight(self._staged_ids)
-                self._close_staged()  # readers re-open via open_data
-                # staged files superseded within this very transaction
-                # (e.g. delete-then-compact) are unreferenced: drop them
-                referenced = snap.file_ids()
-                for file_id in self._staged_ids:
-                    if file_id not in referenced:
-                        self._store.delete_data(file_id)
+            try:
+                published = self._store.put_metadata(
+                    snapshot_name(snap.snapshot_id), snap.to_json()
+                )
+            except CommitOutcomeUnknown as exc:
+                # visible, maybe not durable: the handle knows it as
+                # committed, and the caller learns which snapshot it is
+                exc.snapshot_id = snap.snapshot_id
+                self._published(snap)
+                raise
+            if published:
+                self._published(snap)
                 return snap
             table._bump(conflicts=1)
             if obs_on:

@@ -285,29 +285,31 @@ class TieredChunkCache:
             pass
 
     # -- single-flight ---------------------------------------------------
-    def claim(self, key: tuple) -> tuple[str, object]:
-        """Atomically resolve a key to one of three outcomes.
-
-        ``("hit", raw)``    — cached (either tier); no fetch needed.
-        ``("mine", None)``  — the caller is now the flight leader and
-                              MUST later :meth:`fulfill` or
-                              :meth:`abandon` the key.
-        ``("wait", flight)``— another thread is fetching; block on
-                              ``flight.event`` and re-claim if its
-                              ``error`` is set.
-        """
-        values, mine, waits = self.claim_many([key])
-        if mine:
-            return ("mine", None)
-        return ("wait", waits[0][1]) if waits else ("hit", values[0])
+    def hits(self, keys: list, tally: dict) -> list | None:
+        """Every key's bytes when all are in the memory tier — counted
+        into ``tally`` and moved to the LRU's end, as :meth:`claim_many`
+        does with hits — else None, with nothing changed: the common
+        case of a warm read, in one pass."""
+        memory = self._mem
+        with self._lock:
+            values = [memory.get(key) for key in keys]
+            if None in values:
+                return None
+            for key in keys:
+                memory.move_to_end(key)
+            self.stats.bump(tally, memory_hits=len(keys))
+        return values
 
     def claim_many(
         self, keys: list, tally: dict | None = None
     ) -> tuple[list, list, list]:
-        """:meth:`claim` of every key under one lock, counted in one
+        """Resolve every key under one lock, counted in one
         :meth:`TierStats.bump` (into ``tally``, if given): each key's
-        cached bytes (None unless a hit), the positions the caller now
-        leads, and ``(position, flight)`` per key to wait on."""
+        cached bytes (None unless a hit, in either tier), the positions
+        the caller now leads — it MUST later :meth:`fulfill` or
+        :meth:`abandon` each — and ``(position, flight)`` per key
+        another thread is fetching: block on ``flight.event`` and claim
+        again if its ``error`` is set."""
         counts: dict = {}
         values, mine, waits = [], [], []
         with self._lock:

@@ -215,7 +215,7 @@ class TrainingDataLoader:
                 rng.shuffle(shard_order)
             for s in shard_order:
                 reader = self._readers[s]
-                groups = list(range(reader.footer.num_row_groups))
+                groups = list(range(len(reader.file_index.rows)))
                 if rng is not None:
                     rng.shuffle(groups)
                 yield from reader.scan(
@@ -281,7 +281,7 @@ def _prefetch(gen, depth: int):
 
 def _column_exists(reader: BullionReader, name: str) -> bool:
     try:
-        reader.footer.find_column(name)
+        reader.layout.locate(name)
         return True
     except KeyError:
         return False

@@ -41,6 +41,8 @@ import functools
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.schema import (
     Field,
     LogicalType,
@@ -113,6 +115,17 @@ class RowGroupMeta:
 
 _STATS_FMT = "<Bxxxxxxxdd"  # has_stats flag (8-byte aligned), min, max
 _STATS_SIZE = struct.calcsize(_STATS_FMT)  # 24
+
+
+#: the index sections as numpy record types (:meth:`FooterView.table`)
+CHUNK_DTYPE = np.dtype([("offset", "<u8"), ("size", "<u8"),
+                        ("first_page", "<u4"), ("n_pages", "<u4")])
+PAGE_DTYPE = np.dtype([("offset", "<u8"), ("alloc_len", "<u4"),
+                       ("n_values", "<u4")])
+RG_DTYPE = np.dtype([("row_start", "<u8"), ("n_rows", "<u4"),
+                     ("first_page", "<u4")])
+STATS_DTYPE = np.dtype([("has", "u1"), ("pad", "V7"), ("min", "<f8"),
+                        ("max", "<f8")])
 
 
 @dataclass(frozen=True)
@@ -437,6 +450,15 @@ class FooterView:
         )
         return ChunkMeta(offset, size, first_page, n_pages)
 
+    def table(self, section: int, dtype: np.dtype) -> np.ndarray:
+        """One fixed-width index section as a record array over the
+        footer bytes (no copy); empty when the section is."""
+        base, length = self._sections[section]
+        return np.frombuffer(
+            self._data, dtype=dtype, count=length // dtype.itemsize,
+            offset=base,
+        )
+
     def page(self, page_id: int) -> PageMeta:
         base, _ = self._sections[SEC_PAGEINDEX]
         offset, alloc_len, n_values = struct.unpack_from(
@@ -513,8 +535,6 @@ class FooterView:
 
     def deletion_bitmap(self):
         """Boolean array over all rows (numpy-unpacked once)."""
-        import numpy as np
-
         base, length = self._sections[SEC_DELVEC]
         raw = self._data[base + 4 : base + length]
         bits = np.unpackbits(

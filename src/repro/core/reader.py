@@ -16,70 +16,86 @@ this only removes redundant syscalls; on :class:`~repro.iosim.ObjectStorage`,
 where every request pays a fixed round trip, it is the difference
 between per-chunk and per-row-group request counts.
 
+The footers a read needs are one index, a table of contents to find
+what to fetch: a :class:`FileIndex` views one footer's chunk,
+zone-map, page and row-group sections as record arrays, and a
+:class:`ReadIndex` joins the files of a read — one file for a reader,
+every file of a pinned snapshot for the catalog — into one row per
+file × row group and, per column name (:class:`ColumnRows`), one per
+column chunk. A file's rows are filled once, on the first read that
+reaches it; files of one physical schema share a :class:`Layout`,
+which names each current column's stored column, stored type and
+current type, so a file written under an older schema reads like a
+plain file: narrower stored values widen, and columns it never stored
+fill with typed nulls without any fetch. Zone-map verdicts are one
+:func:`~repro.expr.interval.evaluate_zones` pass over every row group
+at once.
+
 Every read of row data — :class:`Scan`, and through it ``project()``,
 the training loader and the catalog's scans, as well as the query
-engine's batches — goes through one pipeline:
+engine's batches — goes through one pipeline, :func:`read_segments`,
+over a slice of a :class:`Plan` (the row groups a request reads, as
+arrays):
 
-1. **prune**: each row group is classified by its footer zone maps
-   (per-chunk min/max) under the conservative interval evaluator of
-   :mod:`repro.expr`; ``NEVER`` groups cost no data I/O, ``ALWAYS``
-   groups are read as if there were no filter;
-2. **fetch the filter columns** of every other group, as one
-   coalesced fetch per group, and decode them;
+1. **prune**: row groups the zone maps prove ``NEVER`` never enter
+   the plan; ``ALWAYS`` groups are read as if there were no filter;
+2. **fetch the filter columns** of every other group, one
+   ``claim_many`` per reader, and decode them;
 3. **filter**: ``where`` is evaluated vectorized over the widened
    values (§2.4 quantized columns compare as floats, like their zone
    maps), then the deletion vector is ANDed in;
 4. **late materialization**: only a group with surviving rows fetches
-   its residual projection, in a second coalesced fetch, and decodes
-   it; both phases decode through :func:`decode_chunks`.
-
-The pipeline is :func:`read_segments` over :class:`Segment` s (row
-groups) of :class:`ScanFile` s, which :meth:`ScanFile.open`, the one
-file opener of scans and queries, classifies and cuts. It reads a file
-through ``locate_columns``, which names each current column's stored
-column, stored type and current type, so a file written under an
-older schema reads like a plain file: narrower stored values widen,
-and columns it never stored fill with typed nulls without any fetch.
-:class:`ScanSource` defines ``scan``, ``project`` and the zone-map
-classification once, for :class:`BullionReader` and the catalog's
-old-schema reader alike, and keeps what a read derives from the footer
-alone (column locations, zone-map intervals, layouts, page counts)
-once per source: a request pays per file only for its verdicts.
+   its residual projection, and decodes it; both phases decode a
+   column's pages with their headers checked in one pass at the
+   offsets the index knows (:func:`_decode_known`).
 
 ``read_segments`` runs on one of two schedules. **Batches**: the
-segments of many files, in order, cut at ``_BATCH_BYTES`` decoded
-bytes (:func:`_batches`), so a column decodes once per batch of small
-files, not once per file. The query engine reads this way, and so does
-a multi-file scan (:func:`scan_files`), which opens each file as the
-budget reaches it and slices one table per kept segment back out.
+groups of many files, in order, cut at ``_BATCH_BYTES`` decoded bytes
+(:func:`_batches`), so a column decodes once per batch of small
+files, not once per file. The query engine reads this way, and so
+does a snapshot scan on a memory-speed device (:func:`scan_batches`).
 **File by file**: :class:`Scan` reads a file's groups one at a time
 and, on a device that waits per request
 (:func:`repro.iosim.waits_per_request`), keeps the next groups' filter
-chunks in flight on threads. A multi-file scan over such a device
-keeps this schedule: batching would overlap fetches across files, a
-faster cold read that holds more in memory at once (on the
-object-store scenario, more than its peak-memory bound allows).
+chunks in flight on threads. A snapshot scan over such a device keeps
+this schedule, reading each footer as the scan reaches it: batching
+would overlap fetches across files, a faster cold read that holds
+more in memory at once (on the object-store scenario, more than its
+peak-memory bound allows).
 
 Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
 — the shared one a caller passes, else a small private one; a batch
-claims each reader's chunks under one lock and publishes the caches'
-counters once. :class:`ScanStats` counts what each layer skipped.
+claims each reader's chunks under one lock (in one pass when they are
+all in memory) and publishes the caches' counters once. :class:`ScanStats` counts what each layer skipped.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 import time
+from bisect import bisect_right
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import islice
 
 import numpy as np
 
 from repro.core.chunk_cache import TieredChunkCache, storage_identity
-from repro.core.footer import MAGIC, FooterView
+from repro.core.footer import (
+    CHUNK_DTYPE,
+    MAGIC,
+    PAGE_DTYPE,
+    RG_DTYPE,
+    SEC_CHUNKINDEX,
+    SEC_PAGEINDEX,
+    SEC_RGINDEX,
+    SEC_STATS,
+    STATS_DTYPE,
+    FooterView,
+)
 from repro.core.page import PAGE_HEADER, PAGE_HEADER_SIZE, PageHeader
 from repro.core.schema import Primitive, Schema, STORAGE_DTYPES, stats_kind
 from repro.core.table import (
@@ -92,14 +108,8 @@ from repro.core.table import (
 )
 from repro.encodings import decode_blob, decode_blobs
 from repro.encodings.base import RaggedColumn, join_values
-from repro.expr import (
-    Expr,
-    TriState,
-    coerce_where,
-    evaluate as evaluate_expr,
-    evaluate_interval,
-    interval_from_stats,
-)
+from repro.expr import Expr, TriState, coerce_where, evaluate as evaluate_expr
+from repro.expr.interval import Zones, evaluate_zones, verdicts
 from repro.iosim import Storage, waits_per_request
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
@@ -138,6 +148,7 @@ _CODED = (Primitive.BFLOAT16, Primitive.FLOAT8_E4M3, Primitive.FLOAT8_E5M2)
 #: temporaries reuse the memory the last batch freed instead of
 #: faulting in fresh pages from the OS
 _BATCH_BYTES = 1 << 20
+
 
 
 class BullionFormatError(ValueError):
@@ -184,12 +195,13 @@ class ScanStats(Counters):
 class Scan:
     """Lazy batch iterator over one file, through either reader kind.
 
-    Created via :meth:`ScanSource.scan`, over a :class:`ScanFile` that
-    :meth:`ScanFile.open` classified (zone-map-pruned groups cost no
-    data I/O). Iterating yields :class:`Table` batches; ``to_table()``
-    materializes the whole result. Every kept group is a
-    :class:`Segment` that :func:`read_segments` reads on its own:
-    filter chunks first, the residual projection only if rows survive.
+    Created via :meth:`ScanSource.scan` (or, per file, by a snapshot
+    scan on a device that waits per request) over a :class:`Plan` of
+    the file's kept row groups (zone-map-pruned groups cost no data
+    I/O). Iterating yields :class:`Table` batches; ``to_table()``
+    materializes the whole result. Every kept group is read by
+    :func:`read_segments` on its own: filter chunks first, the residual
+    projection only if rows survive.
 
     On a device that waits per request the first chunks of the next
     ``_PREFETCH_GROUPS`` groups are in flight on a thread pool while
@@ -201,7 +213,7 @@ class Scan:
 
     def __init__(
         self,
-        file: "ScanFile",
+        plan: "Plan",
         columns: list[str],
         *,
         where: Expr | None,
@@ -211,19 +223,21 @@ class Scan:
         max_workers: int = 4,
     ) -> None:
         self.stats = stats
-        self._file = file
+        self._plan = plan
         self._columns = list(columns)
         self._where = where
         self._batch_size = batch_size
         self._widen = widen_quantized
         #: look-ahead pool width; 0 when every fetch is inline
-        waits = file.reader.waits_per_request
+        waits = len(plan.groups) and plan.reader_of(
+            int(plan.files[0])
+        ).waits_per_request
         self._fetch_threads = max_workers if max_workers > 1 and waits else 0
 
     @property
     def row_groups(self) -> list[int]:
         """The row groups this scan will touch, post-pruning."""
-        return [seg.g for seg in self._file.segments]
+        return self._plan.g.tolist()
 
     # -- iteration ------------------------------------------------------
     def __iter__(self):
@@ -240,9 +254,9 @@ class Scan:
             return concat_tables(tables)
         # every group pruned (or filtered) away: empty, but typed
         # exactly like a non-empty result — including widening
-        types = self._file.columns
+        plan = self._plan
         return Table({
-            name: fill_column(types[name][2], 0, self._widen)
+            name: fill_column(plan.column(name).ptype, 0, self._widen)
             for name in self._columns
         })
 
@@ -255,9 +269,13 @@ class Scan:
         survivors. The group being consumed first is fetched inline,
         so a one-group scan never needs the pool.
         """
-        segments = self._file.segments
-        fetch = self._file.reader._fetch_chunks
-        threaded = self._fetch_threads > 0 and len(segments) > 1
+        plan = self._plan
+        n = len(plan.groups)
+        threaded = self._fetch_threads > 0 and n > 1
+
+        def fetch(j: int) -> dict:
+            reader, keys = plan.requests([j], plan.first_of)[0]
+            return reader._fetch_chunks(keys)
 
         with (
             ThreadPoolExecutor(max_workers=self._fetch_threads)
@@ -265,25 +283,22 @@ class Scan:
             else nullcontext()
         ) as pool:
             # groups not yet handed to the pool (none without one) ...
-            waiting = iter(segments[1:] if threaded else ())
+            waiting = iter(range(1, n) if threaded else ())
             # ... and the first-phase fetches in flight, in group order
             ahead: deque = deque()
 
             def fetch_ahead(depth: int) -> None:
-                for seg in islice(waiting, depth - len(ahead)):
-                    ahead.append(pool.submit(fetch, seg.first_keys()))
+                for j in islice(waiting, depth - len(ahead)):
+                    ahead.append(pool.submit(fetch, j))
 
             fetch_ahead(_PREFETCH_GROUPS)
-            for i, seg in enumerate(segments):
-                if threaded and i:
-                    seg.chunks = ahead.popleft().result()
-                else:
-                    seg.chunks = fetch(seg.first_keys())
+            for j in range(n):
+                got = ahead.popleft().result() if threaded and j else fetch(j)
                 fetch_ahead(_PREFETCH_GROUPS + 1)
                 counts = Counter()
-                columns, _kept = read_segments(
-                    [seg], self._where, self._columns, _fetch, counts,
-                    widen=self._widen,
+                columns, _kept, _matched = read_segments(
+                    plan, j, j + 1, self._where, self._columns, _fetch,
+                    counts, widen=self._widen, fetched=[got],
                 )
                 self.stats.bump(**counts)
                 if columns is not None:
@@ -293,12 +308,23 @@ class Scan:
 class ScanSource:
     """The read surface both reader kinds share.
 
-    A subclass provides ``footer`` (row-group geometry and the deletion
-    vector) and ``locate_columns``; scanning,
-    projection and zone-map classification are defined here once, over
-    those, so a plain file and an old-schema file read through the same
-    code and count the same work.
+    A subclass provides ``footer`` (current-schema coordinates),
+    ``reader`` (the :class:`BullionReader` holding the bytes),
+    ``file_index`` and ``layout``; scanning, projection and zone-map
+    classification are defined here once, over the source's one-file
+    :class:`ReadIndex`, so a plain file and an old-schema file read
+    through the same code and count the same work.
     """
+
+    @property
+    def read_index(self) -> "ReadIndex":
+        """This file as a one-file :class:`ReadIndex`, built on first use."""
+        index = self.__dict__.get("_read_index")
+        if index is None:
+            index = self._read_index = ReadIndex(
+                [(self.file_index, self.layout)]
+            )
+        return index
 
     def scan(
         self,
@@ -329,13 +355,18 @@ class ScanSource:
         where = coerce_where(where)
         stats = scan_stats if scan_stats is not None else ScanStats()
         counts = Counter()
-        file = ScanFile.open(
-            self, columns, where, counts,
-            row_groups=row_groups, drop_deleted=drop_deleted,
+        state = self.read_index.state()
+        groups = (
+            np.arange(state.n_groups) if row_groups is None
+            else np.asarray(row_groups, dtype=np.int64).reshape(-1)
+        )
+        plan = state.plan(
+            groups, columns, where, counts, lambda _i: self.reader,
+            drop_deleted=drop_deleted,
         )
         stats.bump(**counts)
         return Scan(
-            file, columns, where=where, stats=stats, batch_size=batch_size,
+            plan, columns, where=where, stats=stats, batch_size=batch_size,
             widen_quantized=widen_quantized, max_workers=max_workers,
         )
 
@@ -376,11 +407,8 @@ class ScanSource:
         of :mod:`repro.expr.interval`: missing stats, NaN bounds and
         float64-rounded int64 bounds never prune. Zero data I/O.
         """
-        return [
-            g
-            for g, verdict in enumerate(self.classify_row_groups_expr(where))
-            if verdict is not TriState.NEVER
-        ]
+        never, _always = self.read_index.state().verdicts(where)
+        return np.flatnonzero(~never).tolist()
 
     def classify_row_groups_expr(self, where: Expr) -> "list[TriState]":
         """Tri-state zone-map verdict for every row group, in order.
@@ -393,32 +421,8 @@ class ScanSource:
         conservative evaluator, so the two can never disagree. A
         column the file never stored has no zone map: ``MAYBE``.
         """
-        names = tuple(sorted(where.columns()))
-        zones = self._memo(("zones", names), lambda: self._zone_maps(names))
-        return [evaluate_interval(where, zone) for zone in zones]
+        return verdicts(*self.read_index.state().verdicts(where))
 
-    def _zone_maps(self, names: tuple) -> list[dict]:
-        """Per row group, each named column's zone-map interval."""
-        reader, located = self.locate_columns(list(names))
-        footer = reader.footer
-        zones = [{} for _g in range(footer.num_row_groups)]
-        for name, (col_idx, stored, _type) in zip(names, located):
-            kind = None if col_idx is None else stats_kind(stored)
-            for g, zone in enumerate(zones):
-                stats = None if kind is None else footer.chunk_stats(col_idx, g)
-                zone[name] = None if stats is None else interval_from_stats(
-                    stats.min_value, stats.max_value, kind
-                )
-        return zones
-
-    def _memo(self, key: tuple, make):
-        """``make()``, once per ``key``: a file invariant derived from
-        the footer (metadata only, never chunk bytes; threads that race
-        on a key derive it twice, alike)."""
-        value = self._memos.get(key)
-        if value is None:
-            value = self._memos[key] = make()
-        return value
 
 class BullionReader(ScanSource):
     """Read-side API: open, scan, project, verify."""
@@ -490,8 +494,8 @@ class BullionReader(ScanSource):
         #: once, here, from the device (see ``waits_per_request``);
         #: scans and the query's fetches both ask this and nothing else
         self.waits_per_request = waits_per_request(storage)
-        #: see ``_memo``
-        self._memos: dict = {}
+        #: where each column lives (see :class:`Layout`)
+        self.layout = Layout(self.footer)
         # resolved once: per-fetch latency histogram child for this
         # storage backend (class-derived label, never the file name)
         self._fetch_hist = CHUNK_FETCH_SECONDS.labels(
@@ -524,16 +528,17 @@ class BullionReader(ScanSource):
     def column_names(self) -> list[str]:
         return [c.name for c in self.footer.physical_columns()]
 
-    def locate_columns(self, names: list[str]):
-        """Where the named columns' chunks live, for a caller that
-        decodes them itself: ``(reader, [(col_idx, stored type, type)])``
-        — here the reader is this one and the two types are the same.
-        Remembered per list of names: a reader outlives many queries."""
-        return self, self._memo(("located", *names), lambda: [
-            (col_idx, ptype, ptype)
-            for col_idx in map(self.footer.find_column, names)
-            for ptype in [self.footer.column_type(col_idx)]
-        ])
+    @property
+    def reader(self) -> "BullionReader":
+        return self
+
+    @property
+    def file_index(self) -> "FileIndex":
+        """The footer as arrays, derived on first use."""
+        index = self.__dict__.get("_file_index")
+        if index is None:
+            index = self._file_index = FileIndex(self.footer)
+        return index
 
     def invalidate_cache(self) -> None:
         # shared cache: every entry for this device (any fingerprint),
@@ -605,7 +610,7 @@ class BullionReader(ScanSource):
         todo = list(dict.fromkeys(keys))
         while todo:
             values, mine, waits = cache.claim_many(
-                [prefix + k for k in todo], tally
+                [prefix + k for k in todo] if prefix else todo, tally
             )
             results.update(zip(todo, values))  # a miss maps to None
             if mine:
@@ -637,8 +642,9 @@ class BullionReader(ScanSource):
         footer = self.footer
         cache = self.chunk_cache
         extents = sorted(
-            (footer.chunk(c, g).offset, footer.chunk(c, g).size, (c, g))
+            (chunk.offset, chunk.size, (c, g))
             for c, g in mine
+            for chunk in [footer.chunk(c, g)]
         )
         max_run = _MAX_RUN_BYTES
         storage_cap = getattr(self._storage, "max_request_bytes", None)
@@ -693,8 +699,9 @@ class BullionReader(ScanSource):
         return decode_chunks([(self, raw, col_idx, rg)], ptype)
 
     def _walk_pages(self, raw, col_idx: int, rg: int, parts, run) -> int:
-        """One validated walk over a chunk's page headers, read as plain
-        ints: the page-index entries in one read, a header in one call.
+        """One validated walk over a chunk's page headers, following
+        each header's ``alloc_len`` (the general path of a decode: bytes
+        framed by hand, damage, pages a deletion compacted).
 
         Each page's payload, a view of ``raw``, joins ``run``, the
         payloads waiting for one decode call; only a page a deletion
@@ -705,11 +712,10 @@ class BullionReader(ScanSource):
         footer records for the chunk.
         """
         footer = self.footer
-        first_page, counts, row_start = self._memo(("pages", col_idx, rg), lambda: (
-            (chunk := footer.chunk(col_idx, rg)).first_page,
-            footer.page_counts(chunk.first_page, chunk.n_pages),
-            footer.row_group(rg).row_start,
-        ))
+        chunk = footer.chunk(col_idx, rg)
+        first_page = chunk.first_page
+        counts = footer.page_counts(first_page, chunk.n_pages)
+        row_start = footer.row_group(rg).row_start
         view, size = memoryview(raw), len(raw)
         pos = 0
         page_row = row_start
@@ -823,6 +829,12 @@ def decode_chunks(chunks, ptype, widen: bool = False):
             f"column {col_idx} row group {rg}{more}: pages hold "
             f"{len(values)} values, the footer records {expected}"
         )
+    return _as_stored(values, ptype, widen)
+
+
+def _as_stored(values, ptype, widen: bool):
+    """Decoded values in storage representation, or dequantized with
+    ``widen`` (BF16/FP8 codes straight from the codec)."""
     coded = widen and ptype.primitive in _CODED and not ptype.list_depth
     if not (coded and values.dtype == np.int64):  # codes widen as decoded
         values = _cast_to_storage(values, ptype)
@@ -830,128 +842,362 @@ def decode_chunks(chunks, ptype, widen: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# the read core: fetch -> filter -> late materialization, for every reader
+# the index: footers as arrays, for one file or a whole snapshot
 # ---------------------------------------------------------------------------
 
-class ScanFile:
-    """One file's side of a read.
+class Layout:
+    """Where one file keeps each column of the schema it is read as:
+    ``name -> (col_idx, stored type, type)``, looked up once per name.
+    ``col_idx`` and the stored type are None for a column the file never
+    stored (it reads as typed nulls). With a ``resolution`` (an
+    old-schema file read as the current schema) a name resolves through
+    it to the stored column, else straight through the footer. Files
+    that share a physical schema share one layout."""
 
-    The reader that holds the bytes, where each named column lives
-    (``name -> (col_idx, stored type, type)`` from ``locate_columns``;
-    ``col_idx`` is None for a column the file never stored, which reads
-    as typed nulls), the stored columns a row group fetches — ``first``
-    (the filter columns), the ``rest`` of the projection, or the
-    ``whole`` projection when nothing is left to filter — the deletion
-    vector the read applies, each row group's ``(row_start, n_rows)``
-    and the file's segments. All but the segments are the source's
-    layout for ``(columns, filters)``, derived once per source.
-    """
+    __slots__ = ("footer", "resolution", "_located")
+
+    def __init__(self, footer, resolution=None) -> None:
+        self.footer = footer
+        self.resolution = resolution
+        self._located: dict = {}
+
+    def locate(self, name: str) -> tuple:
+        located = self._located.get(name)
+        if located is None:
+            located = self._located[name] = self._locate(name)
+        return located
+
+    def _locate(self, name: str) -> tuple:
+        footer, res = self.footer, self.resolution
+        if res is None:
+            col_idx = footer.find_column(name)
+            ptype = footer.column_type(col_idx)
+            return col_idx, ptype, ptype
+        ptype = res.current_column(name).type  # KeyError contract
+        stored = res.stored_column(name)
+        if stored is None:
+            return None, None, ptype
+        return footer.find_column(stored.name), stored.type, ptype
+
+
+class FileIndex:
+    """One file's footer as arrays: its row groups' ``row_start`` and
+    ``rows``, and record views (no copy) of the column-major chunk
+    index, the zone maps (all unknown when the file has none) and the
+    page index."""
 
     __slots__ = (
-        "reader", "columns", "first", "rest", "whole", "deleted", "groups",
-        "segments",
+        "footer", "row_start", "rows", "chunks", "stats", "pages",
+        "deleted_count", "_deleted", "_page_tables",
     )
 
-    def __init__(
-        self, source, columns: list[str], filters=(), drop_deleted=True
-    ) -> None:
-        filters = tuple(sorted(filters))
-        (
-            self.reader, self.columns, self.first, self.rest, self.whole,
-            self.deleted, self.groups,
-        ) = source._memo(
-            ("layout", tuple(columns), filters, drop_deleted),
-            lambda: _layout(source, columns, filters, drop_deleted),
-        )
-        self.segments: list[Segment] = []
+    def __init__(self, footer: FooterView) -> None:
+        groups = footer.table(SEC_RGINDEX, RG_DTYPE)
+        self.footer = footer
+        self.row_start = groups["row_start"].astype(np.int64)
+        self.rows = groups["n_rows"].astype(np.int64)
+        self.chunks = footer.table(SEC_CHUNKINDEX, CHUNK_DTYPE)
+        self.stats = footer.table(SEC_STATS, STATS_DTYPE)
+        if not len(self.stats):  # no zone maps: none known
+            self.stats = np.zeros(len(self.chunks), STATS_DTYPE)
+        self.pages = footer.table(SEC_PAGEINDEX, PAGE_DTYPE)
+        self.deleted_count = footer.deleted_count()
+        self._deleted = None
+        self._page_tables: dict = {}
 
-    @classmethod
-    def open(
-        cls, source, columns, where, counts, *, row_groups=None,
+    def page_table(self, col_idx: int, rg: int):
+        """One chunk's pages as the footer records them, derived once:
+        ``(chunk size, each page header's offset in the chunk, each
+        page's alloc_len << 32 | n_values)``, or None when the pages do
+        not lie back to back inside the chunk."""
+        key = (col_idx, rg)
+        table = self._page_tables.get(key, False)
+        if table is False:
+            offset, size, first, n = self.chunks[col_idx * len(self.rows) + rg].item()
+            pages = self.pages[first : first + n].tolist()
+            rel = [at - offset for at, _alloc, _count in pages]
+            ends = [at + PAGE_HEADER_SIZE + p[1] for at, p in zip(rel, pages)]
+            table = None if not n or rel[0] or rel[1:] != ends[:-1] or (
+                ends[-1] > size
+            ) else (size, rel, [alloc << 32 | count for _at, alloc, count in pages])
+            self._page_tables[key] = table
+        return table
+
+    def deleted(self) -> np.ndarray:
+        """The deletion vector over all rows, unpacked once."""
+        if self._deleted is None:
+            self._deleted = self.footer.deletion_bitmap()
+        return self._deleted
+
+
+class ReadIndex:
+    """Files as one struct-of-arrays index, one row per row group and,
+    per column a read names, one per column chunk.
+
+    ``blocks[i]`` is file ``i``'s ``(FileIndex, Layout)``, None until
+    :meth:`fill` fills it — once, under a lock — so a file no read
+    reaches is never opened. :meth:`state` is the arrays over the files
+    filled so far, built once per fill and shared by every read until
+    the next one."""
+
+    def __init__(self, blocks) -> None:
+        self.blocks = list(blocks)
+        self.filled = np.array([b is not None for b in self.blocks], dtype=bool)
+        self._lock = threading.Lock()
+        self._state: IndexState | None = None
+
+    def fill(self, ordinals, block_of) -> None:
+        """Fill files ``ordinals`` that are not yet, file ``i`` with
+        ``block_of(i)``."""
+        if self.filled[ordinals].all():
+            return
+        with self._lock:
+            for i in np.asarray(ordinals).reshape(-1).tolist():
+                if self.blocks[i] is None:
+                    self.blocks[i] = block_of(i)
+                    self.filled[i] = True
+                    self._state = None
+
+    def state(self) -> "IndexState":
+        state = self._state
+        if state is None:
+            with self._lock:
+                state = self._state
+                if state is None:
+                    state = self._state = IndexState(self.blocks, self._lock)
+        return state
+
+
+def _joined(parts, dtype=np.int64) -> np.ndarray:
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+class IndexState:
+    """A :class:`ReadIndex`'s arrays over the files filled when it was
+    built. Per row group, in file order: ``g_file`` (file ordinal),
+    ``g_rg`` (group within its file), ``row_start`` and ``rows``; per
+    file: ``file_start`` (its first group row), ``file_deleted`` and
+    ``file_layout``; ``stats``, every filled file's zone maps joined.
+    :meth:`column` adds one :class:`ColumnRows` per column name, on
+    first use."""
+
+    def __init__(self, blocks, lock) -> None:
+        self.blocks = list(blocks)
+        self._lock = lock
+        self._columns: dict = {}
+        n = len(self.blocks)
+        filled = [b[0] for b in self.blocks if b is not None]
+        sizes = [0 if b is None else len(b[0].rows) for b in self.blocks]
+        self.file_start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.n_groups = int(self.file_start[-1])
+        self.g_file = np.repeat(np.arange(n), sizes)
+        self.g_rg = np.arange(self.n_groups) - self.file_start[self.g_file]
+        self.file_list, self.rg_list = self.g_file.tolist(), self.g_rg.tolist()
+        self.row_start = _joined([fi.row_start for fi in filled])
+        self.rows = _joined([fi.rows for fi in filled])
+        self.file_deleted = np.array(
+            [0 if b is None else b[0].deleted_count for b in self.blocks],
+            dtype=np.int64,
+        )
+        # every filled file's zone maps, joined; a file's (column,
+        # group) chunk is row chunk_base + col * groups + group of them
+        self.stats = _joined([fi.stats for fi in filled], STATS_DTYPE)
+        self.chunk_base = np.concatenate(([0], np.cumsum(
+            [0 if b is None else len(b[0].stats) for b in self.blocks],
+            dtype=np.int64,
+        )))[:-1]
+        #: the distinct layouts, and each file's (-1: not filled)
+        distinct = {id(b[1]): b[1] for b in self.blocks if b is not None}
+        self.layouts = list(distinct.values())
+        codes = {key: k for k, key in enumerate(distinct)}
+        self.file_layout = np.array(
+            [-1 if b is None else codes[id(b[1])] for b in self.blocks],
+            dtype=np.intp,
+        )
+
+    def column(self, name: str) -> "ColumnRows":
+        rows = self._columns.get(name)
+        if rows is None:
+            with self._lock:
+                rows = self._columns.get(name)
+                if rows is None:
+                    rows = self._columns[name] = ColumnRows(self, name)
+        return rows
+
+    def verdicts(self, where: Expr):
+        """``(never, always)`` of ``where`` over every row group, from
+        the zone maps in one pass per predicate node."""
+        zones = {name: self.column(name).zones() for name in where.columns()}
+        return evaluate_zones(where, zones, self.n_groups)
+
+    def plan(
+        self, groups, columns, where, counts, reader_of, *, files=1,
         drop_deleted=True, answer=None,
-    ) -> "ScanFile":
-        """``source`` ready to scan: its row groups (all, or
-        ``row_groups`` in that order) classified under ``where`` by
-        their zone maps. ``NEVER`` groups are counted into ``counts``
-        (:class:`ScanStats` fields) as pruned; an ``ALWAYS`` group that
-        ``answer(g, n_rows)`` answers from its statistics is left out;
-        the rest become segments, ``ALWAYS`` ones (every one without a
-        ``where``) unfiltered. The one file opener of scans and
-        queries."""
-        file = cls(
-            source, columns, () if where is None else where.columns(),
+    ) -> "Plan":
+        """The :class:`Plan` of row groups ``groups`` (rows of this
+        state, in read order, of ``files`` files) classified under
+        ``where``: ``NEVER`` groups are counted into ``counts``
+        (:class:`ScanStats` fields) as pruned, those ``answer(never,
+        always)`` marks as answered from statistics are left out, the
+        rest are read — ``ALWAYS`` ones (every one without a ``where``)
+        unfiltered. Names are checked before anything is counted."""
+        filters = () if where is None else sorted(where.columns())
+        names = list(dict.fromkeys([*columns, *filters]))
+        for name in names:
+            self.column(name)  # bad names fail fast
+        for name in filters:
+            if self.column(name).ptype.list_depth > 0:
+                raise ValueError(f"cannot filter on list column {name!r}")
+        if where is None:
+            never = np.zeros(len(groups), dtype=bool)
+            always = ~never
+        else:
+            never, always = self.verdicts(where)
+            never, always = never[groups], always[groups]
+        counts["files_scanned"] += files
+        counts["groups_total"] += len(groups)
+        counts["groups_pruned"] += int(never.sum())
+        counts["rows_pruned"] += int(self.rows[groups][never].sum())
+        read = ~never if answer is None else ~never & ~answer(never, always)
+        return Plan(
+            self, groups[read], always[read], columns, filters, reader_of,
             drop_deleted,
         )
-        groups = file.groups
-        if row_groups is None:
-            row_groups = range(len(groups))
-        verdicts = None if where is None else source.classify_row_groups_expr(where)
-        counts["files_scanned"] += 1
-        counts["groups_total"] += len(row_groups)
-        for g in row_groups:
-            verdict = TriState.ALWAYS if verdicts is None else verdicts[g]
-            row_start, rows = groups[g]
-            if verdict is TriState.NEVER:
-                counts["groups_pruned"] += 1
-                counts["rows_pruned"] += rows
-            elif verdict is TriState.MAYBE or not (answer and answer(g, rows)):
-                file.segments.append(Segment(
-                    file, g, verdict is TriState.ALWAYS, row_start, rows
-                ))
-        return file
 
 
-def _layout(source, columns, filters, drop_deleted) -> tuple:
-    """:class:`ScanFile`'s fields but the segments, for ``columns``
-    read under a filter on the sorted ``filters``."""
-    names = list(dict.fromkeys([*columns, *filters]))
-    # located up front, so bad names fail fast
-    reader, located = source.locate_columns(names)
-    types = dict(zip(names, located))
-    for name in filters:
-        if types[name][2].list_depth > 0:
-            raise ValueError(f"cannot filter on list column {name!r}")
-    projected = set(columns)
-    first, rest, whole = [], [], []
-    for name, (col_idx, _stored, _type) in types.items():
-        if col_idx is None:
-            continue
-        (first if name in filters else rest).append(col_idx)
-        if name in projected:
-            whole.append(col_idx)
-    footer = reader.footer
-    deleted = (
-        footer.deletion_bitmap()
-        if drop_deleted and footer.deleted_count()
-        else None
+class ColumnRows:
+    """One column over every row group of an :class:`IndexState`, one
+    row per chunk: ``col`` (−1 where the file never stored the column)
+    and the zone map ``has``/``lo``/``hi``. ``layout`` indexes
+    ``types``, the ``(stored type, type)`` pairs the files read it as;
+    ``ptype`` is its type."""
+
+    __slots__ = (
+        "col", "has", "lo", "hi", "layout", "types", "ptype", "_zones",
+        "_lists",
     )
-    groups = map(footer.row_group, range(footer.num_row_groups))
-    groups = [(rg.row_start, rg.n_rows) for rg in groups]
-    return reader, types, first, rest, whole, deleted, groups
+
+    def __init__(self, state: IndexState, name: str) -> None:
+        # one lookup per distinct layout, then array work over groups
+        located = [layout.locate(name) for layout in state.layouts]
+        self.types = list(dict.fromkeys((s, t) for _c, s, t in located))
+        per_file = state.file_layout[state.g_file]
+        self.layout = np.array(
+            [self.types.index((s, t)) for _c, s, t in located], dtype=np.intp
+        )[per_file] if located else np.zeros(0, dtype=np.intp)
+        self.col = np.array(
+            [-1 if c is None else c for c, _s, _t in located], dtype=np.int64
+        )[per_file] if located else np.zeros(0, dtype=np.int64)
+        present = self.col >= 0
+        rows = state.chunk_base[state.g_file] + state.g_rg + self.col * (
+            np.diff(state.file_start)[state.g_file]
+        )
+        stats = state.stats[np.where(present, rows, 0)]
+        self.has = present & (stats["has"] != 0)
+        self.lo, self.hi = stats["min"].copy(), stats["max"].copy()
+        self.ptype = self.types[0][1] if self.types else None
+        self._zones = self._lists = None
+
+    def lists(self) -> list:
+        """``col`` as a plain list, for reads that index it a group at
+        a time."""
+        if self._lists is None:
+            self._lists = self.col.tolist()
+        return self._lists
+
+    def zones(self) -> Zones:
+        """The zone maps as :class:`~repro.expr.interval.Zones`, kinds
+        from each file's stored type."""
+        if self._zones is None:
+            kinds = [None if s is None else stats_kind(s) for s, _t in self.types]
+            layout = self.layout.astype(np.intp)
+            self._zones = Zones.from_stats(
+                self.lo, self.hi,
+                self.has & np.array([k is not None for k in kinds])[layout],
+                np.array([k == "int" for k in kinds])[layout],
+            )
+        return self._zones
 
 
-class Segment:
-    """One row group of one file: what a read fetches, masks and
-    decodes together with the other segments of its batch. ``always``
-    marks a group with nothing to filter (no ``where``, or zone maps
-    proving every row matches): it fetches its whole projection at
-    once and skips the filter."""
-
-    __slots__ = ("file", "g", "always", "row_start", "rows", "chunks")
+class Plan:
+    """The row groups one read decodes, in order: ``groups`` (rows of
+    an :class:`IndexState`) with their ``files``, ``g`` and ``rows``
+    as arrays; per group, as lists, ``always`` (nothing to filter: no
+    ``where``, or zone maps proving every row matches — it fetches its
+    whole projection at once and skips the filter), ``deleted`` (its
+    file's deletion vector applies) and the stored columns each phase
+    fetches: ``first_of`` (the filter columns; the whole projection for
+    an ``always`` group) and ``rest`` (the projection's other columns).
+    ``reader_of(i)`` is file ``i``'s reader."""
 
     def __init__(
-        self, file: ScanFile, g: int, always: bool, row_start: int, rows: int
+        self, state, groups, always, columns, filters, reader_of,
+        drop_deleted=True,
     ) -> None:
-        self.file, self.g, self.always = file, g, always
-        self.row_start, self.rows = row_start, rows
-        #: raw chunks fetched so far, ``(col_idx, g) -> bytes``; None
-        #: before the first fetch and once the segment has been read
-        self.chunks: dict | None = None
+        self.state = state
+        self.groups = groups
+        self.files = state.g_file[groups]
+        self.g = state.g_rg[groups]
+        self.rows = state.rows[groups]
+        self._reader_of = reader_of
+        self._readers: dict = {}
+        # the same, as lists, for the per-group bookkeeping of a batch
+        self._files, self._g = self.files.tolist(), self.g.tolist()
+        self._groups, self._rows = groups.tolist(), self.rows.tolist()
+        names = list(dict.fromkeys([*columns, *filters]))
+        #: decoded bytes per row, counted as 8 per column read
+        self.width = 8 * max(1, len(names))
+        self.deleted = (
+            state.file_deleted[self.files] > 0 if drop_deleted
+            else np.zeros(len(groups), dtype=bool)
+        ).tolist()
+        self.always = always.tolist()
+        projected = set(columns)
+        codes = state.file_layout[self.files].tolist()
 
-    def first_keys(self) -> list[tuple[int, int]]:
-        """The chunks the first phase fetches."""
-        columns = self.file.whole if self.always else self.file.first
-        return [(col_idx, self.g) for col_idx in columns]
+        def per_group(chosen):
+            # the stored columns, once per layout; groups share the list
+            by_layout = [
+                [c for c in (layout.locate(n)[0] for n in chosen) if c is not None]
+                for layout in state.layouts
+            ]
+            if len(by_layout) == 1:
+                return by_layout * len(groups)
+            return [by_layout[k] for k in codes]
+
+        first = per_group([n for n in names if n in filters])
+        whole = per_group([n for n in names if n in projected])
+        self.rest = per_group([n for n in names if n not in filters])
+        self.first_of = first if not any(self.always) else [
+            w if a else f for f, w, a in zip(first, whole, self.always)
+        ]
+
+    def column(self, name: str) -> ColumnRows:
+        return self.state.column(name)
+
+    def reader_of(self, f: int):
+        """File ``f``'s reader, looked up once per plan."""
+        reader = self._readers.get(f)
+        if reader is None:
+            reader = self._readers[f] = self._reader_of(f)
+        return reader
+
+    def requests(self, positions, phase) -> list:
+        """``(reader, keys)`` per run of ``positions`` in one file: the
+        chunks ``phase[j]`` names for each group ``j``."""
+        out, last = [], None
+        files, gs = self._files, self._g
+        for j in positions:
+            f, g = files[j], gs[j]
+            keys = [(c, g) for c in phase[j]]
+            if f == last:
+                out[-1][1].extend(keys)
+            else:
+                out.append((self.reader_of(f), keys))
+                last = f
+        return out
 
 
 def _fetch(requests, pool=None):
@@ -961,90 +1207,119 @@ def _fetch(requests, pool=None):
     if pool is not None and len(requests) > 1:
         return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
     tally: dict = {}
-    out = [reader._fetch_chunks(keys, tally) for reader, keys in requests]
+    out = []
+    for reader, keys in requests:
+        cached = None if reader._cache_prefix else reader.chunk_cache.hits(
+            keys, tally
+        )
+        out.append(
+            reader._fetch_chunks(keys, tally) if cached is None
+            else dict(zip(keys, cached))
+        )
     if tally:
         requests[0][0].chunk_cache.stats.publish(tally)
     return out
 
 
-def _batches(files, budget: int):
-    """Every file's segments in order, cut into batches of at most
-    ``budget`` decoded bytes. ``files`` is pulled lazily: a file is
-    opened only once the batches before it are cut."""
-    batch, size = [], 0
-    for file in files:
-        width = 8 * max(1, len(file.columns))
-        for seg in file.segments:
-            if batch and size + width * seg.rows > budget:
-                yield batch
-                batch, size = [], 0
-            batch.append(seg)
-            size += width * seg.rows
-    if batch:
-        yield batch
+def _batches(plan: Plan, budget: int):
+    """``(lo, hi)`` ranges of the plan's groups, in order, each at most
+    ``budget`` decoded bytes (and at least one group)."""
+    ends = np.cumsum(plan.rows * plan.width).tolist()
+    lo, n = 0, len(ends)
+    while lo < n:
+        limit = (ends[lo - 1] if lo else 0) + budget
+        hi = max(lo + 1, bisect_right(ends, limit, lo))
+        yield lo, hi
+        lo = hi
 
 
-def scan_files(
-    files, columns, where, stats, counts, *, widen_quantized=False,
-    max_workers=4,
-):
-    """A multi-file scan: the tables each file's :class:`Scan` would
-    yield, in file order. ``files`` yields :class:`ScanFile` s, each
-    opened into ``counts`` as it is pulled; the first one's device
-    picks the schedule (see the module docstring). ``counts``
-    publishes to ``stats`` once per batch."""
-    files = iter(files)
-    first = next(files, None)
-    if first is not None and first.reader.waits_per_request:
-        for file in chain([first], files):
-            stats.bump(**counts)
-            counts.clear()
-            yield from Scan(
-                file, columns, where=where, stats=stats,
-                widen_quantized=widen_quantized, max_workers=max_workers,
-            )
-    elif first is not None:
-        for batch in _batches(chain([first], files), _BATCH_BYTES):
-            out, kept = read_segments(
-                batch, where, columns, _fetch, counts, widen=widen_quantized
-            )
-            stats.bump(**counts)
-            counts.clear()
-            if out is None:
-                continue
-            table, start = Table(out), 0
-            for _seg, rows in kept:
-                yield table.slice(start, start + rows)
-                start += rows
+def scan_batches(plan, columns, where, stats, counts, *, widen_quantized=False):
+    """A multi-file scan on one schedule: the plan's groups in batches
+    of ``_BATCH_BYTES`` decoded bytes, one table per kept group sliced
+    back out. ``counts`` publishes to ``stats`` once per batch."""
+    for lo, hi in _batches(plan, _BATCH_BYTES):
+        out, _kept, matched = read_segments(
+            plan, lo, hi, where, columns, _fetch, counts, widen=widen_quantized
+        )
+        stats.bump(**counts)
+        counts.clear()
+        if out is None:
+            continue
+        table, start = Table(out), 0
+        for rows in matched:
+            yield table.slice(start, start + rows)
+            start += rows
     stats.bump(**counts)
 
 
-def _decode(name: str, segments: list, widen: bool = False):
-    """One column over ``segments`` in the current schema's type, in
-    storage representation (``widen``: quantized columns dequantized);
-    consecutive segments whose files store the column alike decode in
-    one :func:`decode_chunks` call."""
+def _decode(plan: Plan, name: str, at: list, held: list, widen=False):
+    """One column over the plan's groups ``at`` (``held[k]``: group
+    ``at[k]``'s raw chunks) in the current schema's type, in storage
+    representation (``widen``: quantized columns dequantized); runs of
+    groups whose files store the column alike decode in one call, their
+    page headers checked where the index puts them."""
+    column = plan.column(name)
+    col, rg = column.lists(), plan.state.rg_list
+    groups = [plan._groups[j] for j in at]
+    layout = column.layout[groups].tolist() if len(column.types) > 1 else None
+    cuts = [0, len(groups)] if layout is None else [0, *(
+        k for k in range(1, len(groups)) if layout[k] != layout[k - 1]
+    ), len(groups)]
     pieces = []
-    for (stored, ptype), run in groupby(
-        segments, key=lambda seg: seg.file.columns[name][1:]
-    ):
-        run = list(run)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        stored, ptype = column.types[0 if layout is None else layout[lo]]
+        run = groups[lo:hi]
         if stored is None:
-            rows = sum(seg.rows for seg in run)
+            rows = sum(plan._rows[j] for j in at[lo:hi])
             pieces.append(fill_column(ptype, rows, widen))
             continue
-        chunks = []
-        for seg in run:
-            col_idx = seg.file.columns[name][0]
-            chunks.append(
-                (seg.file.reader, seg.chunks[(col_idx, seg.g)], col_idx, seg.g)
-            )
-        values = decode_chunks(chunks, stored, widen and stored == ptype)
+        cols = [col[g] for g in run]
+        raws = [held[k][(c, rg[g])] for k, g, c in zip(range(lo, hi), run, cols)]
+        wide = widen and stored == ptype
+        values = _decode_known(plan.state, run, cols, raws)
+        if values is None:  # the general path: walk every header
+            values = decode_chunks([
+                (plan.reader_of(plan.state.file_list[g]), raw, c, rg[g])
+                for g, raw, c in zip(run, raws, cols)
+            ], stored, wide)
+        else:
+            values = _as_stored(values, stored, wide)
         values = widen_values(values, stored, ptype)
         if widen and stored != ptype:
             values = widen_quantized(values, ptype)
         pieces.append(values)
     return join_values(pieces)
+
+
+def _decode_known(state, run, cols, raws):
+    """The chunks of row groups ``run`` (column ``cols[k]`` of each)
+    decoded and joined, when they are exactly as the footer records
+    them: one pass reads every page header where its
+    :meth:`FileIndex.page_table` puts it and checks it against the
+    footer's ``alloc_len`` and value count (so ``0 < payload_len <=
+    alloc_len <= bytes left`` holds), then one decode. None
+    (:func:`decode_chunks` walks the headers instead) when anything
+    differs — a page that moved, a bad header, a page a deletion
+    compacted — so errors and re-expansion stay in one place."""
+    blocks, files, rgs = state.blocks, state.file_list, state.rg_list
+    unpack = PAGE_HEADER.unpack_from
+    payloads, expected = [], 0
+    for raw, g, c in zip(raws, run, cols):
+        table = blocks[files[g]][0].page_table(c, rgs[g])
+        if table is None or len(raw) != table[0]:
+            return None
+        view = memoryview(raw)
+        for at, packed in zip(table[1], table[2]):
+            alloc, size, count, _flags = unpack(raw, at)
+            if alloc << 32 | count != packed or not 0 < size <= alloc:
+                return None
+            at += PAGE_HEADER_SIZE
+            payloads.append(view[at : at + size])
+            expected += count
+    if not payloads:
+        return None
+    values = decode_blobs(payloads)
+    return values if len(values) == expected else None
 
 
 def _take(values, pick):
@@ -1056,112 +1331,144 @@ def _take(values, pick):
     return [values[i] for i in pick.tolist()]  # bytes and nested lists
 
 
-def read_segments(batch, where, names, fetch, counts, *, widen=True):
-    """Read ``names`` over a batch of segments: the one two-phase read.
+def read_segments(
+    plan, lo, hi, where, names, fetch, counts, *, widen=True, fetched=None,
+):
+    """Read ``names`` over the plan's groups ``[lo, hi)``: the one
+    two-phase read.
 
-    The segments' first chunks (:meth:`Segment.first_keys`) that the
-    caller did not fetch ahead come in one ``fetch([(reader, keys),
-    ...])`` call, which returns each request's chunks in order. The
-    filter columns decode once across the batch, and ``where`` is
-    evaluated once over their widened values (quantized columns compare
-    as floats, like their zone maps); ``always`` segments take every
-    row and hold only their projection, so a filter column outside it
-    decodes over the other segments alone. The deletion vectors apply
-    once. A segment the filter leaves empty never fetches its residual
-    chunks (late materialization); the others fetch theirs in one more
-    ``fetch``, and every other column of ``names`` decodes once over
-    them. Stored columns widen to the current type, absent ones fill
-    with typed nulls, and ``widen`` dequantizes quantized columns.
+    The groups' first chunks (:attr:`Plan.first_of`) come in one
+    ``fetch([(reader, keys), ...])`` call, which returns each request's
+    chunks in order, unless the caller fetched them ahead (``fetched``,
+    one dict per group). The filter columns decode once across the
+    batch, and ``where`` is evaluated once over their widened values
+    (quantized columns compare as floats, like their zone maps);
+    ``always`` groups take every row and hold only their projection, so
+    a filter column outside it decodes over the other groups alone. The
+    deletion vectors apply once. A group the filter leaves empty never
+    fetches its residual chunks (late materialization); the others
+    fetch theirs in one more ``fetch``, and every other column of
+    ``names`` decodes once over them. Stored columns widen to the
+    current type, absent ones fill with typed nulls, and ``widen``
+    dequantizes quantized columns.
 
-    Returns ``(columns, kept)``: each name's output rows, in the order
-    of ``names`` (None when no segment is kept), and ``(segment, output
-    rows)`` per kept segment, in order. ``counts`` (a ``Counter`` of
-    :class:`ScanStats` fields) adds what the batch read and skipped.
-    The segments' raw chunks are released on return.
+    Returns ``(columns, kept, matched)``: each name's output rows, in
+    the order of ``names`` (None when no group is kept), and lists of
+    the plan positions of the kept groups and their output rows.
+    ``counts`` (a ``Counter`` of :class:`ScanStats` fields) adds what
+    the batch read and skipped.
     """
-    todo = [seg for seg in batch if seg.chunks is None]
-    first = fetch([(seg.file.reader, seg.first_keys()) for seg in todo])
-    for seg, chunks in zip(todo, first):
-        seg.chunks = chunks
-    fetched = sum(len(seg.chunks) for seg in batch)
-    rows = [seg.rows for seg in batch]
-    always = [seg.always for seg in batch]
-    types = batch[0].file.columns
+    m = hi - lo
+    at = range(lo, hi)
+    rows = plan.rows[lo:hi]
+    always, deleted = plan.always[lo:hi], plan.deleted[lo:hi]
+    if fetched is None:
+        fetched = _fetch_phase(plan, at, plan.first_of, fetch)
+    held = fetched
+    n_fetched = sum(len(d) for d in {id(d): d for d in held}.values())
     stored, evals, mask = {}, {}, None
     if where is not None and not all(always):
-        tested = batch
+        tested = at
         if any(always) and not where.columns() <= set(names):
-            tested = [seg for seg in batch if not seg.always]
+            tested = [j for j, a in zip(at, always) if not a]
+        tested_held = held if tested is at else [
+            h for h, a in zip(held, always) if not a
+        ]
         for name in sorted(where.columns()):
-            stored[name] = _decode(name, tested)
-            evals[name] = widen_quantized(stored[name], types[name][2])
+            stored[name] = _decode(plan, name, tested, tested_held)
+            evals[name] = widen_quantized(stored[name], plan.column(name).ptype)
         mask = evaluate_expr(where, evals)
         if any(always):
             every = np.repeat(always, rows)
-            if tested is batch:
+            if tested is at:
                 mask = mask | every
-            else:  # the values cover the tested segments only
+            else:  # the values cover the tested groups only
                 every[~every] = mask
                 mask, stored, evals = every, {}, {}
-    if any(seg.file.deleted is not None for seg in batch):
+    if any(deleted):
+        state = plan.state
         mask = ~np.concatenate([
-            np.zeros(seg.rows, bool) if seg.file.deleted is None
-            else seg.file.deleted[seg.row_start : seg.row_start + seg.rows]
-            for seg in batch
+            state.blocks[plan._files[j]][0].deleted()[s : s + n] if d
+            else np.zeros(n, dtype=bool)
+            for j, s, n, d in zip(
+                at, state.row_start[plan.groups[lo:hi]].tolist(),
+                plan._rows[lo:hi], deleted,
+            )
         ]) & (True if mask is None else mask)
     #: the matched rows, as positions among the batch's rows
     pick = None if mask is None else np.flatnonzero(mask)
     if pick is None:
-        matched = rows
-    elif len(batch) == 1:
+        matched = plan._rows[lo:hi]
+    elif m == 1:
         matched = [len(pick)]
     else:
         ends = np.concatenate(([0], np.cumsum(rows)))
         matched = np.diff(np.searchsorted(pick, ends)).tolist()
-    # one pass: kept segments and their residual requests; the emptied
-    # ones' residual chunks are skipped (late materialization)
-    kept, held, residual = [], [], []
-    for seg, n in zip(batch, matched):
-        held.append(
-            where is None or n > 0 or seg.always and seg.file.deleted is None
-        )
-        if held[-1]:
-            kept.append((seg, n))
-            if not seg.always and seg.file.rest:
-                residual.append(seg)
-    requests = [(seg.file.reader, [(c, seg.g) for c in seg.file.rest])
-                for seg in residual]
-    for seg, chunks in zip(residual, fetch(requests)):
-        seg.chunks.update(chunks)
-        fetched += len(chunks)
-    emptied = [seg for seg, h in zip(batch, held) if not h]
+    # kept groups and their residual requests; the emptied ones'
+    # residual chunks are skipped (late materialization)
+    keep = [
+        where is None or n > 0 or a and not d
+        for n, a, d in zip(matched, always, deleted)
+    ]
+    rest = plan.rest
+    residual = [
+        k for k in range(m) if keep[k] and not always[k] and rest[lo + k]
+    ]
+    if residual:
+        got = fetch(plan.requests([lo + k for k in residual], rest))
+        fresh = iter(got)
+        last = None
+        for k in residual:
+            f = plan._files[lo + k]
+            if f != last:
+                chunks = next(fresh)
+                held[k].update(chunks)
+                n_fetched += len(chunks)
+                last = f
     counts.update(
-        chunks_fetched=fetched, groups_scanned=len(batch),
-        rows_scanned=sum(rows), rows_matched=sum(matched),
-        groups_empty=len(emptied),
+        chunks_fetched=n_fetched, groups_scanned=m,
+        rows_scanned=sum(plan._rows[lo:hi]), rows_matched=sum(matched),
+        groups_empty=keep.count(False),
         chunks_skipped=sum(
-            len(seg.file.rest) for seg in emptied if not seg.always
+            len(rest[lo + k]) for k in range(m) if not keep[k] and not always[k]
         ),
     )
     out = None
+    kept = [k for k in range(m) if keep[k]]
     if kept:
-        # the matched rows again, as positions among the kept segments'
+        # the matched rows again, as positions among the kept groups'
         pick_kept = pick
-        if pick is not None and len(kept) < len(batch):
-            pick_kept = np.flatnonzero(mask[np.repeat(held, rows)])
+        if pick is not None and len(kept) < m:
+            pick_kept = np.flatnonzero(mask[np.repeat(keep, rows)])
         # each batch-wide array is dropped as soon as its matched rows
         # are out: peak memory is what a batch costs
         source = evals if widen else stored
         out = {n: _take(source[n], pick) for n in names if n in source}
         del stored, evals, source, mask, pick
-        segments = [seg for seg, _n in kept]
+        kept_at = at if len(kept) == m else [lo + k for k in kept]
+        kept_held = held if len(kept) == m else [held[k] for k in kept]
         for name in names:
             if name not in out:
-                out[name] = _take(_decode(name, segments, widen), pick_kept)
+                out[name] = _take(
+                    _decode(plan, name, kept_at, kept_held, widen), pick_kept
+                )
         out = {name: out[name] for name in names}
-    for seg in batch:
-        seg.chunks = None
-    return out, kept
+    return out, [lo + k for k in kept], [matched[k] for k in kept]
+
+
+def _fetch_phase(plan, positions, phase, fetch) -> list:
+    """One dict of raw chunks per group of ``positions`` (the groups of
+    one file share theirs), fetched in one ``fetch`` call."""
+    positions = list(positions)
+    results = iter(fetch(plan.requests(positions, phase)))
+    held, last, chunks = [], None, None
+    files = plan._files
+    for j in positions:
+        f = files[j]
+        if f != last:
+            chunks, last = next(results), f
+        held.append(chunks)
+    return held
 
 
 def _cast_to_storage(values, ptype):

@@ -44,7 +44,6 @@ from repro.expr.interval import (
     Interval,
     TriState,
     evaluate_interval,
-    int_bound_is_exact,
     interval_from_stats,
     might_match,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "TriState",
     "Interval",
     "interval_from_stats",
-    "int_bound_is_exact",
     "evaluate_interval",
     "might_match",
     "parse",

@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.expr.ast import And, Comparison, Expr, In, Not, Or
 from repro.expr.literals import EXACT_INT_BOUND
@@ -95,81 +96,137 @@ class Interval:
     eq_exact: bool = True
 
 
-def _widen_int_bound(value: float, direction: int) -> tuple[float, bool]:
-    """Push an int-column stat bound outward past its rounding error.
-
-    float64 rounds an int64 by at most ulp(stored)/2; one full ULP
-    outward is therefore always enough. The boundary is inclusive:
-    a stored 2**53 may itself be the round-to-even image of 2**53 + 1.
-    Returns (bound, was_exact).
-    """
-    if abs(value) < EXACT_INT_BOUND:
-        return value, True
-    if math.isinf(value) or math.isnan(value):
-        return value, True
-    return value + direction * math.ulp(value), False
-
-
-def int_bound_is_exact(value: float) -> bool:
-    """Is a float64-stored integer statistic guaranteed unrounded?
-
-    True only strictly below 2**53: the boundary itself is excluded
-    because a stored 2**53 may be the round-to-even image of 2**53+1.
-    Metadata consumers that need the *exact* value (the query engine's
-    ``min``/``max`` fast path) must refuse bounds this returns False
-    for; the pruning path instead widens them outward
-    (:func:`interval_from_stats`) and keeps going.
-    """
-    return abs(value) < EXACT_INT_BOUND
-
-
 def interval_from_stats(
     min_value: float, max_value: float, kind: str
 ) -> Interval:
-    """Build an :class:`Interval` from stored min/max statistics.
+    """Build an :class:`Interval` from stored min/max statistics: one
+    row of :meth:`Zones.from_stats`.
 
     ``kind`` is ``"int"`` for integer-valued columns (no NaN possible,
     but float64 storage may have rounded large values) or ``"float"``
     for float-valued columns (bounds are exact stored values, but NaN
     rows may exist outside them).
     """
-    if kind == "int":
-        lo, lo_exact = _widen_int_bound(float(min_value), -1)
-        hi, hi_exact = _widen_int_bound(float(max_value), +1)
-        return Interval(lo, hi, maybe_nan=False,
-                        eq_exact=lo_exact and hi_exact)
-    return Interval(float(min_value), float(max_value),
-                    maybe_nan=True, eq_exact=True)
+    z = Zones.from_stats([min_value], [max_value], [True], [kind == "int"])
+    return Interval(float(z.lo[0]), float(z.hi[0]), maybe_nan=kind != "int",
+                    eq_exact=bool(z.eq_exact[0]))
+
+
+def bracket(value) -> tuple[float, float]:
+    """``(a, b)``: the largest float64 at or below a real number and the
+    smallest at or above it (``a == b`` when it is a float64). An int
+    literal beyond 2**53 usually falls between two floats; numpy would
+    round it to one of them, and a rounded literal can turn a ``MAYBE``
+    into an unsound ``NEVER``."""
+    if isinstance(value, float):
+        return value, value
+    try:
+        f = float(value)
+    except OverflowError:
+        f = math.inf if value > 0 else -math.inf
+    if math.isfinite(f) and int(f) == value:
+        return f, f
+    if f > value:
+        return math.nextafter(f, -math.inf), f
+    return f, math.nextafter(f, math.inf)
+
+
+class Zones:
+    """The intervals of one column over ``n`` extents, as arrays: the
+    array form of :class:`Interval` (``known`` False: no stats, every
+    verdict ``MAYBE``), with the rows a leaf can decide at all
+    (``valid``: stats whose bounds are not NaN) and those that also
+    hold no NaN rows (``sure``) derived once."""
+
+    __slots__ = ("lo", "hi", "eq_exact", "valid", "sure")
+
+    def __init__(self, lo, hi, maybe_nan, eq_exact, known) -> None:
+        self.lo, self.hi, self.eq_exact = lo, hi, eq_exact
+        self.valid = known & ~np.isnan(lo) & ~np.isnan(hi)
+        self.sure = self.valid & ~maybe_nan
+
+    @staticmethod
+    def from_stats(lo, hi, known, is_int) -> "Zones":
+        """Zones from stored min/max statistics. ``is_int`` rows are
+        int columns: float64 rounds an int64 by at most ulp/2, so a
+        bound at or beyond 2**53 (a stored 2**53 may be the
+        round-to-even image of 2**53 + 1) is widened one ULP outward
+        and loses point-equality exactness. The other known rows are
+        float columns, whose NaN rows may hide outside the bounds."""
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        is_int = np.asarray(is_int, dtype=bool)
+        with np.errstate(invalid="ignore"):
+            lo_moved = is_int & np.isfinite(lo) & (np.abs(lo) >= EXACT_INT_BOUND)
+            hi_moved = is_int & np.isfinite(hi) & (np.abs(hi) >= EXACT_INT_BOUND)
+        if lo_moved.any():
+            lo = np.where(lo_moved, lo - np.spacing(np.abs(lo)), lo)
+        if hi_moved.any():
+            hi = np.where(hi_moved, hi + np.spacing(np.abs(hi)), hi)
+        return Zones(lo, hi, ~is_int, ~(lo_moved | hi_moved),
+                     np.asarray(known, dtype=bool))
+
+    @staticmethod
+    def of(iv: "Interval") -> "Zones":
+        """One extent's :class:`Interval` as one row."""
+        return Zones(
+            np.array([iv.lo], dtype=np.float64),
+            np.array([iv.hi], dtype=np.float64),
+            np.array([iv.maybe_nan]), np.array([iv.eq_exact]),
+            np.ones(1, dtype=bool),
+        )
+
+
+def evaluate_zones(expr: Expr, zones, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tri-state evaluation of ``expr`` over ``n`` extents at once, one
+    array pass per node: ``(never, always)`` boolean masks, ``MAYBE``
+    where neither is set. ``zones`` maps column name -> :class:`Zones`
+    or None; a column it does not name is ``MAYBE`` everywhere."""
+    if isinstance(expr, Comparison):
+        return _leaf(zones.get(expr.column), expr.op, expr.value, n)
+    if isinstance(expr, In):
+        return _membership(zones.get(expr.column), expr.literals, n)
+    if isinstance(expr, And):
+        never, always = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        for a in expr.args:
+            a_never, a_always = evaluate_zones(a, zones, n)
+            never |= a_never
+            always &= a_always
+        return never, always & ~never
+    if isinstance(expr, Or):
+        never, always = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        for a in expr.args:
+            a_never, a_always = evaluate_zones(a, zones, n)
+            never &= a_never
+            always |= a_always
+        return never & ~always, always
+    if isinstance(expr, Not):
+        never, always = evaluate_zones(expr.arg, zones, n)
+        return always, never
+    return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+
+def verdicts(never: np.ndarray, always: np.ndarray) -> "list[TriState]":
+    """The masks of :func:`evaluate_zones` as one :class:`TriState` per
+    extent."""
+    out = np.where(never, 0, np.where(always, 2, 1)).tolist()
+    return [_STATES[k] for k in out]
 
 
 def evaluate_interval(expr: Expr, stats) -> TriState:
-    """Tri-state evaluation of ``expr`` over per-column intervals.
+    """Tri-state evaluation of ``expr`` over per-column intervals: one
+    extent through :func:`evaluate_zones`.
 
     ``stats`` maps column name -> :class:`Interval` or ``None``
     (unknown). Columns absent from the mapping, or mapped to ``None``,
     make their leaves ``MAYBE`` — conservative include.
     """
-    if isinstance(expr, Comparison):
-        return _leaf(stats.get(expr.column), expr.op, expr.value)
-    if isinstance(expr, In):
-        return _membership(stats.get(expr.column), expr.literals)
-    if isinstance(expr, And):
-        out = TriState.ALWAYS
-        for a in expr.args:
-            out = out & evaluate_interval(a, stats)
-            if out is TriState.NEVER:
-                break
-        return out
-    if isinstance(expr, Or):
-        out = TriState.NEVER
-        for a in expr.args:
-            out = out | evaluate_interval(a, stats)
-            if out is TriState.ALWAYS:
-                break
-        return out
-    if isinstance(expr, Not):
-        return ~evaluate_interval(expr.arg, stats)
-    return TriState.MAYBE
+    zones = {
+        name: Zones.of(stats.get(name))
+        for name in expr.columns()
+        if stats.get(name) is not None
+    }
+    return verdicts(*evaluate_zones(expr, zones, 1))[0]
 
 
 def might_match(expr: Expr, stats) -> bool:
@@ -177,80 +234,65 @@ def might_match(expr: Expr, stats) -> bool:
     return evaluate_interval(expr, stats) is not TriState.NEVER
 
 
-def _membership(iv: Interval | None, literals) -> TriState:
-    """``In`` over one interval: the OR of an ``==`` leaf per literal,
-    answered from the sorted literals with one bisect."""
-    if iv is None or math.isnan(iv.lo) or math.isnan(iv.hi):
-        return TriState.MAYBE
-    numbers = literals.numbers
-    i = bisect_left(numbers, iv.lo)
-    if i < len(numbers) and numbers[i] <= iv.hi:
-        # a literal inside [lo, hi]; on a one-point extent it *is* the
-        # point, which is the == leaf's only ALWAYS
-        if iv.lo == iv.hi and iv.eq_exact and not iv.maybe_nan:
-            return TriState.ALWAYS
-        return TriState.MAYBE
+_STATES = (TriState.NEVER, TriState.MAYBE, TriState.ALWAYS)
+
+
+def _membership(z: "Zones | None", literals, n: int):
+    """``In``: the OR of an ``==`` leaf per literal, answered from the
+    sorted literals with one ``searchsorted``."""
+    nothing = np.zeros(n, dtype=bool)
+    if z is None:
+        return nothing, nothing
+    below, above = literals.brackets()
+    if len(below):
+        # the first literal at or above lo, and whether it is <= hi
+        i = np.searchsorted(below, z.lo, side="left")
+        inside = (i < len(below)) & (above[np.minimum(i, len(below) - 1)] <= z.hi)
+    else:
+        inside = nothing
+    # a literal inside [lo, hi]; on a one-point extent it *is* the
+    # point, which is the == leaf's only ALWAYS
+    always = z.sure & inside & (z.lo == z.hi) & z.eq_exact
     # a string literal against numeric stats decides nothing
-    return TriState.MAYBE if literals.texts else TriState.NEVER
+    never = nothing if literals.texts else z.valid & ~inside
+    return never, always
 
 
-def _leaf(iv: Interval | None, op: str, value) -> TriState:
-    if iv is None:
-        return TriState.MAYBE
+def _leaf(z: "Zones | None", op: str, value, n: int):
+    nothing = np.zeros(n, dtype=bool)
+    if z is None:
+        return nothing, nothing
     if isinstance(value, bool):
         value = int(value)
     elif not isinstance(value, (int, float)):
-        return TriState.MAYBE  # string literal vs numeric stats
-    if math.isnan(iv.lo) or math.isnan(iv.hi):
-        return TriState.MAYBE  # degenerate stats never prune
+        return nothing, nothing  # string literal vs numeric stats
     if isinstance(value, float) and math.isnan(value):
         # NaN satisfies only !=, and does so for every row
-        return TriState.ALWAYS if op == "!=" else TriState.NEVER
-    lo, hi = iv.lo, iv.hi
-    # Python compares int and float with full precision, so an int
-    # literal beyond 2**53 is not silently rounded here — the stats
-    # side alone carries the rounding, already widened outward.
-    if op == "<":
-        if lo >= value:
-            return TriState.NEVER
-        if hi < value:
-            return _always_unless_nan(iv)
-        return TriState.MAYBE
-    if op == "<=":
-        if lo > value:
-            return TriState.NEVER
-        if hi <= value:
-            return _always_unless_nan(iv)
-        return TriState.MAYBE
-    if op == ">":
-        if hi <= value:
-            return TriState.NEVER
-        if lo > value:
-            return _always_unless_nan(iv)
-        return TriState.MAYBE
-    if op == ">=":
-        if hi < value:
-            return TriState.NEVER
-        if lo >= value:
-            return _always_unless_nan(iv)
-        return TriState.MAYBE
-    if op == "==":
-        if value < lo or value > hi:
-            return TriState.NEVER
-        if lo == hi == value and iv.eq_exact and not iv.maybe_nan:
-            return TriState.ALWAYS
-        return TriState.MAYBE
-    if op == "!=":
-        if value < lo or value > hi:
-            # every in-interval row differs, and NaN != value is True
-            return TriState.ALWAYS
-        if lo == hi == value and iv.eq_exact and not iv.maybe_nan:
-            return TriState.NEVER
-        return TriState.MAYBE
-    return TriState.MAYBE
-
-
-def _always_unless_nan(iv: Interval) -> TriState:
-    """Ordered ops and == are False for NaN rows, so a possible NaN
-    downgrades an all-rows-match verdict to MAYBE."""
-    return TriState.MAYBE if iv.maybe_nan else TriState.ALWAYS
+        return (nothing, z.valid) if op == "!=" else (z.valid, nothing)
+    lo, hi = z.lo, z.hi
+    # v strictly between floats a < b: x < v is x <= a and x > v is
+    # x >= b, so the literal is never rounded (numpy would round it);
+    # the stats side alone carries rounding, already widened outward
+    a, b = bracket(value)
+    exact = a == b
+    if op in ("<", ">="):
+        below = lo < a if exact else lo <= a  # lo < v
+        above = hi < a if exact else hi <= a  # hi < v
+        never, always = (~below, above) if op == "<" else (above, ~below)
+    elif op in ("<=", ">"):
+        at_most = lo <= a  # lo <= v
+        under = hi <= a  # hi <= v
+        never, always = (~at_most, under) if op == "<=" else (under, ~at_most)
+    elif op in ("==", "!="):
+        outside = (lo > a if exact else lo >= b) | (hi < a if exact else hi <= a)
+        point = (lo == hi) & (lo == a) & z.eq_exact & z.sure & exact
+        if op == "==":
+            return z.valid & outside, point & ~outside
+        # every in-interval row differs, and NaN != value is True
+        return point & ~outside, z.valid & outside
+    else:
+        return nothing, nothing
+    # ordered ops are False for NaN rows, so a possible NaN downgrades
+    # an all-rows-match verdict to MAYBE
+    never &= z.valid
+    return never, always & z.sure & ~never

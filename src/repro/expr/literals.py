@@ -97,6 +97,21 @@ class InLiterals:
         self.texts = frozenset(texts)
         self._typed: dict = {}
 
+    def brackets(self):
+        """:attr:`numbers` as two ascending float64 arrays, built once:
+        per literal the largest float at or below it and the smallest at
+        or above it (equal unless an int literal falls between floats)."""
+        typed = self._typed.get("brackets")
+        if typed is None:
+            from repro.expr.interval import bracket
+
+            pairs = [bracket(v) for v in self.numbers]
+            typed = self._typed["brackets"] = tuple(
+                np.array(side, dtype=np.float64).reshape(-1)
+                for side in (zip(*pairs) if pairs else ((), ()))
+            )
+        return typed
+
     def typed_for(self, dtype: np.dtype):
         """The numeric literals as ``(exact, rounded)`` arrays for one
         int, bool or float column dtype, built once per dtype.

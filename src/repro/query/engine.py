@@ -17,7 +17,9 @@ the same order for any batching and any ``max_workers``, so the answer
 is bit-identical.
 
 Each file is answered by the cheapest path that can prove the right
-answer:
+answer, every path deciding all the files (or row groups) of a query
+in one pass over the snapshot's index
+(:class:`~repro.catalog.snapshot.SnapshotIndex`):
 
 * **manifest-only** — an ungrouped query over a clean (no deletion
   vector) file whose ``where`` the interval evaluator proves
@@ -27,11 +29,11 @@ answer:
   — exactly the NaN-skipping aggregate semantics; int stats beyond
   2**53 may be float64-rounded, so they refuse the shortcut). The
   file is never opened.
-* **footer-stats-only** — otherwise the footer is read (two metadata
-  preads, no data chunks) and each row group is classified, once per
-  query, with the same tri-state evaluator over its zone maps:
-  ``ALWAYS`` groups answer from ``ChunkStats``, ``NEVER`` groups
-  vanish, ``MAYBE`` groups fall through.
+* **footer-stats-only** — otherwise the file's footer rows join the
+  index (read once, on the first query that reaches the file; no data
+  chunks) and its row groups are classified with the same tri-state
+  evaluator over their zone maps: ``ALWAYS`` groups answer from the
+  zone maps, ``NEVER`` groups vanish, ``MAYBE`` groups fall through.
 * **decode** — the remaining row groups of every file (*segments*)
   run in batches of at most ``_BATCH_BYTES`` decoded bytes: tens of
   small files at a time, or a slice of a large file's groups. Each
@@ -66,15 +68,16 @@ from itertools import groupby
 
 import numpy as np
 
+from repro.catalog.snapshot import KIND_BYTES, KIND_FLOAT, KIND_INT, KIND_NONE
 from repro.core.reader import (
     _BATCH_BYTES,
-    ScanFile,
+    Plan,
     _batches,
     _fetch,
     read_segments,
 )
 from repro.core.schema import Primitive, stats_kind
-from repro.expr import TriState, int_bound_is_exact
+from repro.expr.literals import EXACT_INT_BOUND
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import QUERY_SECONDS
 from repro.query.plan import (
@@ -88,6 +91,8 @@ from repro.query.plan import (
 _U32_MASK = 0xFFFFFFFF
 
 _BYTES_PRIMS = (Primitive.STRING, Primitive.BINARY)
+
+_KIND_CODES = {"int": KIND_INT, "float": KIND_FLOAT, "bytes": KIND_BYTES}
 
 #: a batch key spanning at most this many slots per row is
 #: offset-indexed; a wider one is sorted
@@ -188,15 +193,6 @@ def _spread(values: np.ndarray, at, n_slots: int, fill) -> np.ndarray:
     return out
 
 
-def _fold(acc: "_Partial | None", part: "_Partial | None"):
-    """``acc`` with ``part`` merged in after it; either may be None."""
-    if acc is None:
-        return part
-    if part is not None:
-        acc.merge(part)
-    return acc
-
-
 class _SumFold:
     """Float sums folded in the fixed order: each file's row groups in
     order into the file's total, file totals in file order into the
@@ -217,10 +213,11 @@ class _SumFold:
         #: column -> (total, touched) of the open multi-segment file
         self._open: dict = {}
 
-    def add(self, acc: _Partial, mine, at, segments, sums: dict) -> None:
+    def add(self, acc: _Partial, mine, at, files, single, sums: dict) -> None:
         """Fold one batch's ``sums`` (see :func:`_segment_sums`) over
-        its kept ``segments`` into ``acc``, which ``acc.merge`` just
-        aligned (``mine``, ``at``)."""
+        its kept segments — of files ``files``, ``single`` where the file
+        has no other — into ``acc``, which ``acc.merge`` just aligned
+        (``mine``, ``at``)."""
         n_slots = len(acc.rows)
         if mine is not None:
             for name, (total, touched) in self._open.items():
@@ -234,14 +231,15 @@ class _SumFold:
             for name, (bounds, keys, values) in sums.items()
         }
         runs = groupby(
-            enumerate(segments), lambda item: len(item[1].file.segments) == 1
+            enumerate(zip(files.tolist(), single.tolist())),
+            lambda item: item[1][1],
         )
         with np.errstate(invalid="ignore"):  # inf + -inf is just NaN
             for whole, run in runs:
                 run = list(run)
                 if whole:  # one run of single-segment files
                     self.flush(acc)
-                    self._file = run[-1][1].file
+                    self._file = run[-1][1][0]
                     j, k = run[0][0], run[-1][0] + 1
                     for name, (bounds, slots, values) in sums.items():
                         lo, hi = bounds[j], bounds[k]
@@ -250,10 +248,10 @@ class _SumFold:
                             values[lo:hi],
                         )
                     continue
-                for j, seg in run:
-                    if seg.file is not self._file:
+                for j, (file, _single) in run:
+                    if file != self._file:
                         self.flush(acc)
-                        self._file = seg.file
+                        self._file = file
                     for name, (bounds, slots, values) in sums.items():
                         lo, hi = bounds[j], bounds[j + 1]
                         if lo == hi:
@@ -451,46 +449,75 @@ def _empty(needs: list) -> _Partial:
 # metadata answers
 # ---------------------------------------------------------------------------
 
-def _meta_partial(plan: QueryPlan, n_rows: int, stats_of) -> "_Partial | None":
-    """Answer one extent (file or row group) purely from statistics.
+def _meta_answers(plan: QueryPlan, candidates: np.ndarray, stats_of):
+    """Which candidate extents (files or row groups, already proven
+    ``ALWAYS``-matching and free of deletion vectors) statistics alone
+    answer, and how: ``(answered mask, {(column, fn): bound per
+    extent})``. ``stats_of(column)`` gives ``(has, lo, hi, kind)``
+    arrays over the extents (``kind``: the ``KIND_*`` codes of
+    :mod:`repro.catalog.snapshot`).
 
-    The extent is already proven ``ALWAYS``-matching and free of
-    deletion vectors, so every one of its ``n_rows`` rows matches the
-    filter. ``stats_of(column)`` returns ``(min, max, kind)`` or
-    ``None``. Returns the ungrouped partial, or ``None`` when any
-    aggregate cannot be proven from statistics alone — the caller falls
-    back to decode.
+    An extent is refused — the caller decodes it — when any aggregate
+    cannot be proven from its statistics: sums (statistics carry none),
+    missing stats, a ``count`` of a float column (NaN rows may hide
+    outside the stats), or an int bound float64 may have rounded
+    (beyond 2**53). Float stats exclude NaN — exactly the NaN-skipping
+    aggregate semantics; an all-NaN extent carries no stats at all, so
+    stats present ⇒ ≥ 1 real value.
     """
-    states = {}
+    ok = candidates.copy()
+    bounds = {}
     for spec in plan.aggregates:
         if spec.column is None:
             continue  # count(*) == n_rows
         if spec.fn in ("sum", "mean"):
-            return None  # statistics carry no sums
-        stats = stats_of(spec.column)
-        if stats is None:
-            return None
-        lo, hi, kind = stats
+            return np.zeros_like(ok), {}
+        has, lo, hi, kind = stats_of(spec.column)
+        ok &= has
         if spec.fn == "count":
-            # int/bool/string values are never NaN, so every row
-            # counts; a float column may hide NaN rows outside stats
-            if kind == "float":
-                return None
+            # int/bool/string values are never NaN, so every row counts
+            ok &= kind != KIND_FLOAT
             continue
-        bound = lo if spec.fn == "min" else hi
-        if kind == "int":
-            if not (int_bound_is_exact(lo) and int_bound_is_exact(hi)):
-                return None  # float64-rounded beyond 2**53
-            value = np.array([int(bound)], dtype=np.int64)
-        elif kind == "float":
-            # float stats exclude NaN — exactly the NaN-skipping
-            # aggregate semantics; an all-NaN extent carries no stats
-            # at all, so stats present ⇒ ≥ 1 real value
-            value = np.array([float(bound)])
-        else:
+        with np.errstate(invalid="ignore"):
+            exact = (np.abs(lo) < EXACT_INT_BOUND) & (np.abs(hi) < EXACT_INT_BOUND)
+        ok &= (kind == KIND_FLOAT) | (kind == KIND_INT) & exact
+        bounds[(spec.column, spec.fn)] = (lo if spec.fn == "min" else hi, kind)
+    return ok, bounds
+
+
+class _MetaExtents:
+    """The extents a query answers from statistics, folded in file
+    order into one ungrouped partial."""
+
+    def __init__(self) -> None:
+        self.order: list = []  # (file ordinals, row group or -1)
+        self.rows: list = []
+        self.bounds: list = []
+
+    def add(self, files, groups, rows, ok, bounds) -> None:
+        if ok.any():
+            self.order.append((files[ok], groups[ok]))
+            self.rows.append(rows[ok])
+            self.bounds.append({
+                name: (values[ok], kind[ok]) for name, (values, kind) in bounds.items()
+            })
+
+    def partial(self) -> "_Partial | None":
+        if not self.order:
             return None
-        states[(spec.column, spec.fn)] = value
-    return _Partial([], np.array([n_rows], dtype=np.int64), states)
+        files = np.concatenate([f for f, _g in self.order])
+        groups = np.concatenate([g for _f, g in self.order])
+        order = np.lexsort((groups, files))
+        states = {}
+        for name in self.bounds[0]:
+            values = np.concatenate([b[name][0] for b in self.bounds])[order]
+            kinds = np.concatenate([b[name][1] for b in self.bounds])[order]
+            if kinds[0] == KIND_INT:
+                values = values.astype(np.int64)
+            combine = _COMBINE[name[1]]
+            states[name] = np.array([combine.reduce(values)], dtype=values.dtype)
+        rows = int(np.concatenate(self.rows).sum())
+        return _Partial([], np.array([rows], dtype=np.int64), states)
 
 
 # ---------------------------------------------------------------------------
@@ -503,64 +530,62 @@ def _kind(ptype) -> str | None:
     return stats_kind(ptype)
 
 
-def _resolve(plan: QueryPlan, footer) -> tuple[dict, list[str]]:
-    """Check ``plan`` against one file schema: its aggregate columns'
-    kinds and the columns the decode path projects (never empty for a
-    counting query, which fetches one column per row group). Fails
-    fast on columns the plan cannot filter, aggregate or group by."""
+def _resolve(plan: QueryPlan, source) -> tuple[dict, list[str]]:
+    """Check ``plan`` against one file schema (``source``: a reader of a
+    file at it): its aggregate columns' kinds and the columns the
+    decode path projects (never empty for a counting query, which
+    fetches one column per row group). Fails fast on columns the plan
+    cannot filter, aggregate or group by."""
     kinds = {}
+
+    def ptype(name):
+        return source.layout.locate(name)[2]
+
     for spec in plan.aggregates:
         if spec.column is None:
             continue
-        ptype = footer.column_type(footer.find_column(spec.column))
-        if ptype.list_depth > 0:
+        if ptype(spec.column).list_depth > 0:
             raise PlanError(
                 f"cannot aggregate list column {spec.column!r}"
             )
-        if ptype.primitive in _BYTES_PRIMS and spec.fn != "count":
+        if ptype(spec.column).primitive in _BYTES_PRIMS and spec.fn != "count":
             raise PlanError(
                 f"{spec.fn}({spec.column}) is not defined for "
                 f"string/binary columns"
             )
-        kinds[spec.column] = _kind(ptype)
+        kinds[spec.column] = _kind(ptype(spec.column))
     for name in plan.group_by:
-        ptype = footer.column_type(footer.find_column(name))
-        if ptype.list_depth > 0:
+        if ptype(name).list_depth > 0:
             raise PlanError(f"cannot group by list column {name!r}")
-        if stats_kind(ptype) == "float":
+        if stats_kind(ptype(name)) == "float":
             raise PlanError(
                 f"cannot group by float column {name!r} (NaN keys are "
                 f"not well-defined); cast or bucket it first"
             )
     for name in sorted(plan.where.columns()) if plan.where is not None else ():
-        if footer.column_type(footer.find_column(name)).list_depth > 0:
+        if ptype(name).list_depth > 0:
             raise ValueError(f"cannot filter on list column {name!r}")
-    projection = plan.scan_columns() or [
-        c.name for c in footer.physical_columns()[:1]
-    ]
+    projection = plan.scan_columns() or source.column_names()[:1]
     return kinds, projection
 
 
-def _group_stats_of(footer, g: int):
-    """``stats_of`` callback over one row group's zone maps."""
+def _zone_stats_of(state, groups):
+    """``stats_of`` for :func:`_meta_answers` over row groups ``groups``
+    of an index state: each group's zone map, kinds from the column's
+    current type. A string/binary column has no [min, max], but its
+    values exist and are never NaN: good enough for ``count(col)``."""
 
     def stats_of(name: str):
-        try:
-            col_idx = footer.find_column(name)
-        except KeyError:
-            return None
-        ptype = footer.column_type(col_idx)
-        if ptype.list_depth > 0:
-            return None
-        if ptype.primitive in _BYTES_PRIMS:
-            # no [min,max], but values exist and are never NaN: good
-            # enough for count(col); min/max refuse a "bytes" kind
-            return (None, None, "bytes")
-        stats = footer.chunk_stats(col_idx, g)
-        kind = stats_kind(ptype)
-        if stats is None or kind is None:
-            return None
-        return (stats.min_value, stats.max_value, kind)
+        column = state.column(name)
+        code = _KIND_CODES.get(
+            _kind(column.ptype) if not column.ptype.list_depth else None,
+            KIND_NONE,
+        )
+        has = column.has[groups] if code != KIND_BYTES else np.ones(len(groups), bool)
+        return (
+            has & (code != KIND_NONE), column.lo[groups], column.hi[groups],
+            np.full(len(groups), code, dtype=np.int8),
+        )
 
     return stats_of
 
@@ -579,61 +604,78 @@ class _Tally:
         stats.scan.bump(**self.scan)
 
 
-def _open_file(source, plan, projection, use_metadata, tally: _Tally):
-    """Classify one opened file's row groups, once per query.
+def _open_files(
+    state, opened, plan, projection, use_metadata, tally, meta, reader_of,
+) -> Plan:
+    """Classify the row groups of files ``opened`` (file ordinals of an
+    index state, ascending) under the query's ``where``, in one pass
+    over the index (:meth:`~repro.core.reader.IndexState.plan`).
 
     ``NEVER`` groups count as pruned; ``ALWAYS`` groups of a clean,
-    ungrouped query answer from their zone maps where they can; every
-    other group is a segment to decode. Returns ``(zone-map partial or
-    None, :class:`~repro.core.reader.ScanFile` or None)``.
+    ungrouped query answer from their zone maps where they can (into
+    ``meta``); every other group is read. A file left with nothing to
+    read is footer-answered. Returns the :class:`Plan` of the groups to
+    decode.
     """
-    footer = source.footer
-    meta_ok = (
-        use_metadata and not plan.group_by and footer.deleted_count() == 0
-    )
-    query, partial = tally.query, None
+    mask = np.zeros(len(state.file_start) - 1, dtype=bool)
+    mask[opened] = True
+    groups = np.flatnonzero(mask[state.g_file])
+    files, rows = state.g_file[groups], state.rows[groups]
+    meta_ok = use_metadata and not plan.group_by
+    clean = state.file_deleted == 0
 
-    def answer(g: int, rows: int) -> bool:
-        nonlocal partial
-        meta = _meta_partial(plan, rows, _group_stats_of(footer, g))
-        if meta is not None:
-            partial = _fold(partial, meta)
-            query.update(groups_meta_answered=1, rows_from_metadata=rows)
-        return meta is not None
+    def answer(never, always):
+        answered, bounds = _meta_answers(
+            plan, always & ~never & clean[files], _zone_stats_of(state, groups)
+        )
+        meta.add(files, state.g_rg[groups], rows, answered, bounds)
+        tally.query.update(
+            groups_meta_answered=int(answered.sum()),
+            rows_from_metadata=int(rows[answered].sum()),
+        )
+        return answered
 
     # every group of an opened file is a candidate, however answered:
     # scan.groups_total == scan.groups_pruned + groups_meta_answered
     #   + scan.groups_scanned
-    file = ScanFile.open(
-        source, projection, plan.where, tally.scan,
-        answer=answer if meta_ok else None,
+    read = state.plan(
+        groups, projection, plan.where, tally.scan, reader_of,
+        files=len(opened), answer=answer if meta_ok else None,
     )
-    # without metadata answers every group is a candidate, even one
-    # the zone maps then prune
-    if not (file.segments if meta_ok else footer.num_row_groups):
-        query["files_footer_answered"] += 1
-        tally.scan["files_scanned"] -= 1  # answered, not scanned
-        return partial, None
-    if not projection:
+    # without metadata answers (a grouped query, a deletion vector)
+    # every group is a candidate, even one the zone maps then prune
+    touched = np.where(
+        meta_ok & clean[opened],
+        np.bincount(read.files, minlength=len(mask))[opened] > 0,
+        np.diff(state.file_start)[opened] > 0,
+    )
+    footer_answered = int((~touched).sum())
+    tally.query["files_footer_answered"] += footer_answered
+    tally.scan["files_scanned"] -= footer_answered  # answered, not scanned
+    tally.query["files_decoded"] += len(opened) - footer_answered
+    if footer_answered < len(opened) and not projection:
         raise PlanError("cannot aggregate a file with no columns")
-    query["files_decoded"] += 1
-    return partial, file
+    return read
 
 
 # ---------------------------------------------------------------------------
-# batches of segments
+# batches of row groups
 # ---------------------------------------------------------------------------
 
-def _decode_files(files, plan, needs, max_workers, tally, partial):
-    """Fold every segment of ``files`` into ``partial``, batch by
+def _decode_files(read, plan, needs, max_workers, tally, partial):
+    """Fold every group of the plan ``read`` into ``partial``, batch by
     batch, in file and row-group order."""
+    if not len(read.groups):
+        return partial
     threaded = max_workers > 1 and any(
-        file.reader.waits_per_request for file in files
+        read.reader_of(f).waits_per_request for f in dict.fromkeys(read._files)
     )
     used = list(plan.group_by) + [
         name for name, _kind, _states in needs if name not in plan.group_by
     ]
     fold = _SumFold()
+    # files with one group each fold their sums straight into the query's
+    single = (np.bincount(read.files) == 1)[read.files]
     with (
         ThreadPoolExecutor(max_workers=max_workers)
         if threaded
@@ -641,15 +683,15 @@ def _decode_files(files, plan, needs, max_workers, tally, partial):
     ) as pool:
         fetch = functools.partial(_fetch, pool=pool)
         # the budget is read here, so a test can shrink the batches
-        for batch in _batches(files, _BATCH_BYTES):
-            with obs_trace.span("query.batch", segments=len(batch)):
-                columns, kept = read_segments(
-                    batch, plan.where, used, fetch, tally.scan
+        for lo, hi in _batches(read, _BATCH_BYTES):
+            with obs_trace.span("query.batch", segments=hi - lo):
+                columns, kept, matched = read_segments(
+                    read, lo, hi, plan.where, used, fetch, tally.scan
                 )
-                tally.query["groups_decoded"] += len(batch)
-                matched = np.array([n for _seg, n in kept], dtype=np.int64)
-                if not matched.any():
+                tally.query["groups_decoded"] += hi - lo
+                if not any(matched):
                     continue
+                matched = np.array(matched, dtype=np.int64)
                 part, sums = _batch_partial(
                     columns, matched, plan.group_by, needs
                 )
@@ -661,7 +703,7 @@ def _decode_files(files, plan, needs, max_workers, tally, partial):
                 partial.states.setdefault(
                     (name, "sum"), np.zeros(len(partial.rows))
                 )
-            fold.add(partial, mine, at, [seg for seg, _n in kept], sums)
+            fold.add(partial, mine, at, read.files[kept], single[kept], sums)
     if partial is not None:
         fold.flush(partial)
     return partial
@@ -780,34 +822,22 @@ def aggregate_reader(
     obs_on = obs_metrics.enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with obs_trace.span("query.reader", aggregates=len(plan.aggregates)):
-        kinds, projection = _resolve(plan, reader.footer)
+        kinds, projection = _resolve(plan, reader)
         needs = _needs(plan, kinds)
+        meta = _MetaExtents()
         with obs_trace.span("query.file"):
-            partial, file = _open_file(
-                reader, plan, projection, use_metadata, tally
+            read = _open_files(
+                reader.read_index.state(), np.zeros(1, dtype=np.int64), plan,
+                projection, use_metadata, tally, meta,
+                lambda _i: reader.reader,
             )
         partial = _decode_files(
-            [file] if file else [], plan, needs, max_workers, tally, partial
+            read, plan, needs, max_workers, tally, meta.partial()
         )
     tally.publish(stats)
     if obs_on:
         QUERY_SECONDS.observe(time.perf_counter() - t0)
     return _finalize(plan, partial, needs, stats)
-
-
-def _file_stats_of(data_file, resolution=None):
-    """``stats_of`` callback over one manifest entry's column stats,
-    through a schema ``resolution`` for an old-schema file: a column
-    the file never stored has no stats, so :func:`_meta_partial`
-    refuses and decode fills the typed nulls."""
-
-    def stats_of(name: str):
-        if resolution is not None:
-            name = resolution.stored_name(name)
-        stats = (data_file.column_stats or {}).get(name)
-        return stats and (stats.min_value, stats.max_value, stats.kind)
-
-    return stats_of
 
 
 def _kinds_from_schema(plan: QueryPlan, schema) -> dict:
@@ -857,8 +887,7 @@ def aggregate_snapshot(
 def _aggregate_snapshot_impl(
     pinned, plan, stats, files, use_metadata, max_workers
 ) -> QueryResult:
-    log = pinned.schema_log()
-    current_schema = log.current()
+    current_schema = pinned.schema_log().current()
     kinds = (
         _kinds_from_schema(plan, current_schema)
         if current_schema is not None
@@ -866,52 +895,55 @@ def _aggregate_snapshot_impl(
     )
     tally = _Tally()
     tally.query.update(files_total=len(files))
-    traced = obs_trace.enabled()
-    #: stored schema -> decode projection, resolved on its first file;
-    #: old-schema files all read as the current schema (key None)
-    projections: dict = {}
-    partial, opened = None, []
-    for f, resolution, verdict in pinned.classify_files(plan.where):
-        if verdict is TriState.NEVER:
-            # the catalog-layer prune is a scan-layer skip too, as
-            # PinnedSnapshot.scan reports it
-            tally.query["files_pruned"] += 1
-            tally.scan["files_pruned"] += 1
-            tally.scan["rows_pruned"] += f.row_count
-            continue
-        if (
-            use_metadata
-            and not plan.group_by
-            and verdict is TriState.ALWAYS
-            and f.deleted_count == 0
-        ):
-            meta = _meta_partial(
-                plan, f.row_count, _file_stats_of(f, resolution)
-            )
-            if meta is not None:
-                tally.query["files_meta_answered"] += 1
-                tally.query["rows_from_metadata"] += f.row_count
-                partial = _fold(partial, meta)
-                continue
-        # old-schema files get their resolver facade here
-        source = pinned._resolved_reader_for(f, resolution)
-        key = f.schema_fingerprint if resolution is None else None
-        if key not in projections:
-            file_kinds, projections[key] = _resolve(plan, source.footer)
-            kinds.update(file_kinds)
-        if traced:
-            with obs_trace.span("query.file", file=f.file_id):
-                meta, file = _open_file(
-                    source, plan, projections[key], use_metadata, tally
-                )
+    index = pinned.index()
+    manifest = index.manifest
+    n = len(files)
+    if plan.where is None:
+        never = np.zeros(n, dtype=bool)
+        always = ~never
+    else:
+        never, always = manifest.verdicts(plan.where)
+    pruned = int(never.sum())
+    # the catalog-layer prune is a scan-layer skip too, as
+    # PinnedSnapshot.scan reports it
+    tally.query["files_pruned"] += pruned
+    tally.scan["files_pruned"] += pruned
+    tally.scan["rows_pruned"] += int(manifest.row_count[never].sum())
+    meta = _MetaExtents()
+    answered = np.zeros(n, dtype=bool)
+    if use_metadata and not plan.group_by:
+        ordinals = np.arange(n)
+        answered, bounds = _meta_answers(
+            plan, always & ~never & (manifest.deleted_count == 0),
+            manifest.meta_stats,
+        )
+        meta.add(ordinals, np.full(n, -1), manifest.row_count, answered, bounds)
+        tally.query["files_meta_answered"] += int(answered.sum())
+        tally.query["rows_from_metadata"] += int(manifest.row_count[answered].sum())
+    opened = np.flatnonzero(~never & ~answered)
+    read = None
+    if len(opened):
+        if obs_trace.enabled():
+            for i in opened.tolist():
+                with obs_trace.span("query.file", file=files[i].file_id):
+                    index.fill([i], pinned._reader_for)
         else:
-            meta, file = _open_file(
-                source, plan, projections[key], use_metadata, tally
-            )
-        partial = _fold(partial, meta)
-        if file is not None:
-            opened.append(file)
+            index.fill(opened, pinned._reader_for)
+        # stored schema -> decode projection, resolved on its first file;
+        # old-schema files all read as the current schema
+        projection: dict = {}
+        for key, i in {index.layout_key(i): i for i in opened[::-1].tolist()}.items():
+            source = pinned._resolved_reader_for(files[i], index.resolutions[i])
+            file_kinds, names = _resolve(plan, source)
+            kinds.update(file_kinds)
+            projection.update(dict.fromkeys(names))
+        read = _open_files(
+            index.read.state(), opened, plan, list(projection), use_metadata,
+            tally, meta, lambda i: pinned._reader_for(files[i].file_id),
+        )
     needs = _needs(plan, kinds)
-    partial = _decode_files(opened, plan, needs, max_workers, tally, partial)
+    partial = meta.partial()
+    if read is not None:
+        partial = _decode_files(read, plan, needs, max_workers, tally, partial)
     tally.publish(stats)
     return _finalize(plan, partial, needs, stats)

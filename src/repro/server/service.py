@@ -246,6 +246,7 @@ class TableService:
             if file_id is not None:
                 for cache in (state.pool, state.pins, state.results):
                     cache.invalidate([file_id])
+                state.table.invalidate_files([file_id])
 
     # -- request plumbing ----------------------------------------------
     def deadline_for(self, doc: dict) -> Deadline:

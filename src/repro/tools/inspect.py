@@ -745,7 +745,9 @@ def describe_catalog_files(
     prune correctly.
     """
     from repro.catalog import SchemaLog
+    from repro.catalog.snapshot import ManifestIndex
     from repro.expr import TriState
+    from repro.expr.interval import verdicts as tri_states
 
     snap = (
         table.current_snapshot()
@@ -755,7 +757,10 @@ def describe_catalog_files(
     log = SchemaLog.from_snapshot(snap)
     lines = [f"data files of snapshot {snap.snapshot_id}:"]
     if where is not None:
-        verdicts = [f.classify(where, log.resolution(f)) for f in snap.files]
+        manifest = ManifestIndex(
+            snap.files, [log.resolution(f) for f in snap.files]
+        )
+        verdicts = tri_states(*manifest.verdicts(where))
         pruned = [
             f for f, v in zip(snap.files, verdicts) if v is TriState.NEVER
         ]

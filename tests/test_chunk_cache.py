@@ -221,10 +221,8 @@ def _fetch_through(cache, key, fetch):
     """The single-flight protocol as ``BullionReader`` drives it: at
     most one live ``fetch`` per key, waiters re-claim when it fails."""
     while True:
-        kind, val = cache.claim(key)
-        if kind == "hit":
-            return val
-        if kind == "mine":
+        values, mine, waits = cache.claim_many([key])
+        if mine:
             try:
                 raw = fetch()
             except BaseException as exc:
@@ -232,9 +230,12 @@ def _fetch_through(cache, key, fetch):
                 raise
             cache.fulfill(key, raw)
             return raw
-        val.event.wait(30)
-        if val.error is None:
-            return val.value
+        if not waits:
+            return values[0]
+        flight = waits[0][1]
+        flight.event.wait(30)
+        if flight.error is None:
+            return flight.value
 
 
 class TestSingleFlight:
@@ -307,13 +308,14 @@ class TestSingleFlight:
 
     def test_claim_fulfill_contract(self):
         cache = _cache()
-        kind, _ = cache.claim(("k",))
-        assert kind == "mine"
-        kind2, flight = cache.claim(("k",))
-        assert kind2 == "wait"
+        assert cache.claim_many([("k",)]) == ([None], [0], [])  # mine
+        values, mine, waits = cache.claim_many([("k",)])
+        assert values == [None] and not mine
+        (position, flight), = waits  # in flight: wait
+        assert position == 0
         cache.fulfill(("k",), b"v")
         assert flight.value == b"v" and flight.event.is_set()
-        assert cache.claim(("k",)) == ("hit", b"v")
+        assert cache.claim_many([("k",)]) == ([b"v"], [], [])  # hit
 
 
 class TestSharingAndInvalidation:

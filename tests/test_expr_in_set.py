@@ -30,7 +30,6 @@ from repro.expr import (
     interval_from_stats,
     parse,
 )
-from repro.expr.interval import _leaf
 from repro.expr.vector import _compare
 from repro.quantization import FloatFormat, dequantize, quantize
 
@@ -51,7 +50,7 @@ def or_of_eq(values, literals) -> np.ndarray:
 def or_of_leaves(iv, literals) -> TriState:
     out = TriState.NEVER
     for v in literals:
-        out = out | _leaf(iv, "==", v)
+        out = out | evaluate_interval(col("x") == v, {"x": iv})
     return out
 
 

@@ -14,6 +14,7 @@ import repro
 from repro.catalog import (
     CatalogStore,
     CatalogTable,
+    CommitOutcomeUnknown,
     DirectoryCatalogStore,
     MemoryCatalogStore,
 )
@@ -271,17 +272,33 @@ FAULTS = [
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: "-".join(f))
 def test_a_fault_at_any_commit_step_leaves_pre_or_post_head(fault):
+    """Before the link, a fault is a plain ``OSError`` and nothing is
+    published. Once the link took effect the snapshot is visible: a
+    fault up to the directory sync raises ``CommitOutcomeUnknown``
+    naming it (the handle has noted the commit, so a caller can check
+    instead of appending the rows twice), and one removing the staging
+    file is no failed commit at all."""
     fs = RecordingDirectory()
     table = CatalogTable.create(CatalogStore(fs))
     table.append(_batch(0), options=_opts())
     fs.fail = fault
-    with pytest.raises(OSError, match="injected"):
-        table.append(_batch(100), options=_opts())
-    fs.fail = None
-    assert fs.list("tmp") == []
     published = COMMIT_STEPS.index(fault[1:]) > COMMIT_STEPS.index(
         ("link", "snapshots")
     ) or fault == ("after", "link", "snapshots")
+    if fault[1:] == ("unlink", "tmp"):
+        assert table.append(_batch(100), options=_opts()).snapshot_id == 2
+    elif published:
+        with pytest.raises(CommitOutcomeUnknown, match="injected") as info:
+            table.append(_batch(100), options=_opts())
+        assert info.value.snapshot_id == 2
+    else:
+        with pytest.raises(OSError, match="injected") as info:
+            table.append(_batch(100), options=_opts())
+        assert not isinstance(info.value, CommitOutcomeUnknown)
+    fs.fail = None
+    assert fs.list("tmp") == []
+    assert table.current_snapshot().snapshot_id == (2 if published else 1)
+    assert table.stats.commits == (2 if published else 1)
     fresh = CatalogTable(CatalogStore(fs))
     assert _rows(fresh) == list(range(200 if published else 100))
 

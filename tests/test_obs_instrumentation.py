@@ -279,10 +279,11 @@ class TestStatsMirrors:
         )
         before = REG.snapshot()
         for k in range(4):  # 4 x 100 B through a 200 B memory tier
-            assert cache.claim(("k", k)) == ("mine", None)
+            assert cache.claim_many([("k", k)]) == ([None], [0], [])  # mine
             cache.fulfill(("k", k), bytes([k]) * 100)
-        assert cache.claim(("k", 9)) == ("mine", None)
-        assert cache.claim(("k", 9))[0] == "wait"  # single-flight
+        assert cache.claim_many([("k", 9)]) == ([None], [0], [])  # mine
+        _values, mine, waits = cache.claim_many([("k", 9)])
+        assert not mine and len(waits) == 1  # single-flight
         cache.abandon(("k", 9))
         assert cache.get(("k", 3)) is not None  # memory hit
         assert cache.get(("k", 1)) is not None  # disk hit, promoted

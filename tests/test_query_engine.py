@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.catalog import AddColumn, CatalogTable, MemoryCatalogStore
-from repro.catalog.schema_evolution import ResolvedReader
 from repro.core import BullionReader, BullionWriter, Table, WriterOptions
 from repro.expr import col
 from repro.iosim import SimulatedStorage
@@ -298,7 +297,7 @@ class TestPerQueryBookkeeping:
 
     def _catalog(self):
         """Three files at schema 0 and one at schema 1 (old files read
-        through a ``ResolvedReader``), three row groups each: ``u > 0.5``
+        through a resolved layout), three row groups each: ``u > 0.5``
         is NEVER, MAYBE and ALWAYS on them, MAYBE on every file."""
         cat = CatalogTable.create(MemoryCatalogStore())
         opts = WriterOptions(rows_per_page=20, rows_per_group=40)
@@ -317,15 +316,20 @@ class TestPerQueryBookkeeping:
 
     @pytest.mark.parametrize("group_by", [None, ["g"]])
     def test_each_opened_file_is_classified_once(self, monkeypatch, group_by):
+        """The zone maps of every opened file are classified in one
+        pass over the snapshot's index, and the plan is checked once
+        per stored schema."""
+        from repro.core.reader import IndexState
         from repro.query import engine
 
         classified = Counter()
-        for cls in (BullionReader, ResolvedReader):
-            def counting(self, where, _original=cls.classify_row_groups_expr):
-                classified[id(self)] += 1
-                return _original(self, where)
+        original = IndexState.verdicts
 
-            monkeypatch.setattr(cls, "classify_row_groups_expr", counting)
+        def counting(self, where):
+            classified[id(self)] += 1
+            return original(self, where)
+
+        monkeypatch.setattr(IndexState, "verdicts", counting)
         resolved = []
         resolve = engine._resolve
         monkeypatch.setattr(
@@ -336,7 +340,7 @@ class TestPerQueryBookkeeping:
             ["count", "sum(v)"], where=col("u") > 0.5, group_by=group_by
         )
         assert res.stats.files_decoded == 4
-        assert sorted(classified.values()) == [1, 1, 1, 1]
+        assert sorted(classified.values()) == [1]
         # one stored schema per schema version: old files share one
         assert len(resolved) == 2
         assert sum(r["count(*)"] for r in res.rows) == 4 * 60

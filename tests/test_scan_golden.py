@@ -645,15 +645,18 @@ def test_many_file_batches_cut_mid_file(snap_tables):
     from repro.core import reader
 
     with snap_tables["many"].pin() as pin:
-        files = [
-            reader.ScanFile.open(
-                pin._resolved_reader_for(f), _EV, None, Counter()
-            )
-            for f in pin.snapshot.files
-        ]
+        index = pin.index()
+        everything = np.arange(len(index.files))
+        index.fill(everything, pin._reader_for)
+        state = index.read.state()
+        plan = state.plan(
+            np.arange(state.n_groups), _EV, None, Counter(),
+            lambda i: pin._reader_for(index.files[i].file_id),
+            files=len(everything),
+        )
     cuts = [
-        (batch[0].file, batch[0].g)
-        for batch in reader._batches(files, reader._BATCH_BYTES)
+        (plan.files[lo], plan.g[lo])
+        for lo, _hi in reader._batches(plan, reader._BATCH_BYTES)
     ]
     assert len(cuts) > 1
     assert any(g > 0 for _file, g in cuts)

@@ -1,12 +1,15 @@
-"""Per-file invariants of a snapshot read are derived once.
+"""A pinned snapshot is one columnar index, derived once.
 
 A request over a held pin pays per file only for what depends on the
-request. The manifest intervals of a ``DataFile``, a reader's zone-map
-intervals and its ``ScanFile`` layouts are derived on first use and
-reused by every later request of the same shape; a second query and a
-second scan derive none of them again. The memos hold metadata only,
-never chunk bytes, and a read through them answers exactly as a read
-through a fresh handle does, old-schema files included.
+request. The snapshot's index — manifest rows per file, and a row per
+file × row group × column chunk filled from a footer on the first read
+that reaches the file — is built once per snapshot and shared by the
+handle's pins; a second query or scan derives nothing. Its size is set
+by the snapshot (its files, groups and column names), not by how many
+projections or filters were asked of it; two threads racing the first
+request fill it once and answer alike; and a read through it answers
+exactly as a read through a fresh handle does, old-schema files
+included.
 """
 
 import dataclasses
@@ -18,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.catalog import AddColumn, CatalogTable, MemoryCatalogStore
-from repro.catalog.schema_evolution import ResolvedReader
 from repro.catalog import snapshot as snapshot_mod
 from repro.catalog.snapshot import Snapshot, newest_snapshot_id, snapshot_name
 from repro.core import ScanStats, Table, WriterOptions
@@ -28,8 +30,9 @@ from repro.obs import metrics as obs_metrics
 
 FILES = 20
 ROWS = 300
+GROUPS = 3  # per file
 #: the last files are written after ``extra`` is added; the earlier
-#: ones read through a ``ResolvedReader``
+#: ones read through a resolved layout
 EVOLVED = 4
 
 
@@ -37,7 +40,7 @@ EVOLVED = 4
 def table():
     cat = CatalogTable.create(MemoryCatalogStore())
     rng = np.random.default_rng(7)
-    opts = WriterOptions(rows_per_page=50, rows_per_group=100)
+    opts = WriterOptions(rows_per_page=50, rows_per_group=ROWS // GROUPS)
     for k in range(FILES):
         if k == FILES - EVOLVED:
             cat.evolve(AddColumn("extra", "int64"))
@@ -75,50 +78,120 @@ def _requests(pin, i):
 
 
 def _counting(monkeypatch):
-    """Count every derivation of a manifest interval, a zone-map
-    interval and a layout."""
+    """Count every derivation: a snapshot index, a file's footer rows,
+    the arrays over the filled files, a column's chunk rows, and a
+    column's manifest stats."""
     calls = Counter()
 
-    def wrap(name, fn):
+    def wrap(cls, attr, name):
+        fn = getattr(cls, attr)
+
         def counted(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(cls, attr, counted)
 
-    monkeypatch.setattr(
-        snapshot_mod, "interval_from_stats",
-        wrap("manifest", snapshot_mod.interval_from_stats),
-    )
-    monkeypatch.setattr(
-        reader_mod, "interval_from_stats",
-        wrap("zone map", reader_mod.interval_from_stats),
-    )
-    monkeypatch.setattr(reader_mod, "_layout", wrap("layout", reader_mod._layout))
+    wrap(snapshot_mod.SnapshotIndex, "__init__", "index")
+    wrap(reader_mod.FileIndex, "__init__", "footer rows")
+    wrap(reader_mod.IndexState, "__init__", "arrays")
+    wrap(reader_mod.ColumnRows, "__init__", "chunk rows")
+    real = snapshot_mod.ManifestIndex.meta_stats
+
+    def meta_stats(self, name):
+        if name not in self._stats:
+            calls["manifest"] += 1
+        return real(self, name)
+
+    monkeypatch.setattr(snapshot_mod.ManifestIndex, "meta_stats", meta_stats)
     return calls
 
 
 def test_second_request_derives_nothing(table, monkeypatch):
+    """The index is derived once per snapshot: a second query or scan,
+    and a second pin of the snapshot, derive nothing."""
     calls = _counting(monkeypatch)
-    with CatalogTable(table.store).pin() as pin:
+    fresh = CatalogTable(table.store)
+    with fresh.pin() as pin:
         _requests(pin, 1)
-        assert set(calls) == {"manifest", "zone map", "layout"}
+        assert calls["index"] == 1
+        # every file's footer, once; the arrays at most once per fill
+        assert calls["footer rows"] == FILES
+        assert set(calls) == {
+            "index", "footer rows", "arrays", "chunk rows", "manifest",
+        }
         calls.clear()
         _requests(pin, 2)
         assert not calls
+    # a second pin of the snapshot shares it
+    with fresh.pin() as again:
+        _requests(again, 3)
+        assert not calls
+
+
+def test_the_index_is_bounded_by_the_snapshot(table):
+    """Any number of projections and filters: one row per file × group,
+    one chunk-row set per column name, one manifest-stats set per
+    filtered name."""
+    with CatalogTable(table.store).pin() as pin:
+        names = ["ts", "v", "region", "extra"]
+        for k in range(12):
+            columns = names[k % 4 :] + names[: k % 4 - 1]
+            pin.read(columns, where=col(names[k % 3]) >= k)
+            pin.query(["count", f"max({names[k % 4]})"], where=col("v") < k / 4)
+        index = pin.index()
+        state = index.read.state()
+        assert state.n_groups == FILES * GROUPS
+        assert len(state._columns) <= len(names)
+        assert set(index.manifest._stats) <= set(names)
+        assert len(index._layouts) == 2  # one per stored schema
 
 
 @pytest.mark.parametrize("i", [0, 3, 5])
 def test_memos_answer_as_a_fresh_handle(table, i):
+    """The index, the snapshot's memo of its footers, answers as a
+    fresh handle does."""
     with CatalogTable(table.store).pin() as held:
         for k in range(4):
             _requests(held, k)
         warm = _requests(held, i)
-        resolved = [r for r in held._resolved_cache.values()]
+        index = held.index()
     with CatalogTable(table.store).pin() as fresh:
         assert _requests(fresh, i) == warm
+    # old-schema files are covered: resolved through their own layout
+    resolved = [r for r in index.resolutions if r is not None]
     assert len(resolved) == FILES - EVOLVED
-    assert all(isinstance(r, ResolvedReader) for r in resolved)
+    layouts = {id(block[1]) for block in index.read.blocks}
+    assert len(layouts) == 2
+
+
+def test_racing_first_requests_fill_the_index_once(table, monkeypatch):
+    calls = _counting(monkeypatch)
+    with CatalogTable(table.store).pin() as pin:
+        want = _requests(CatalogTable(table.store).pin(), 0)
+        calls.clear()
+        barrier = threading.Barrier(2)
+        got, errors = [], []
+
+        def client():
+            try:
+                barrier.wait()
+                got.append(_requests(pin, 0))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors and got == [want, want]
+        assert calls["index"] == 1 and calls["footer rows"] == FILES
 
 
 def _chunks_fetched(answers) -> int:
@@ -126,7 +199,7 @@ def _chunks_fetched(answers) -> int:
     return sum(stats.get("scan", stats)["chunks_fetched"] for _, stats in answers)
 
 
-def test_threads_share_the_memos(table):
+def test_threads_share_the_index(table):
     """Eight threads over one pin, switching often: every answer is the
     single-threaded one, and every chunk a read fetched is one claim
     the caches counted (hit, miss or wait), published exactly once."""
@@ -175,17 +248,19 @@ def _holds_bytes(value) -> bool:
     return False
 
 
-def test_memos_hold_no_bytes(table):
+def test_the_index_holds_no_chunk_bytes(table):
+    """Only footers: the chunk rows and manifest stats are arrays."""
     with CatalogTable(table.store).pin() as pin:
         for k in range(3):
             _requests(pin, k)
-        sources = [*pin._reader_cache.values(), *pin._resolved_cache.values()]
-        assert len(sources) == 2 * FILES - EVOLVED
-        for source in sources:
-            assert source._memos
-            assert not _holds_bytes(source._memos)
-        for f in pin.snapshot.files:
-            assert f._intervals and not _holds_bytes(f._intervals)
+        index = pin.index()
+        state = index.read.state()
+        for rows in state._columns.values():
+            for attr in rows.__slots__:
+                value = getattr(rows, attr)
+                assert not _holds_bytes(value)
+                assert not isinstance(value, np.ndarray) or value.dtype != object
+        assert not _holds_bytes(index.manifest._stats)
 
 
 def test_snapshots_share_their_file_entries(table):
@@ -298,7 +373,13 @@ def test_float_sum_fold_matches_one_segment_at_a_time():
         )
         want.states = {k: v.copy() for k, v in got.states.items()}
         fold = engine._SumFold()
-        fold.add(got, None, slice(None) if at is None else at, segments, sums)
+        files = {id(seg.file): k for k, seg in enumerate(segments)}
+        fold.add(
+            got, None, slice(None) if at is None else at,
+            np.array([files[id(seg.file)] for seg in segments]),
+            np.array([len(seg.file.segments) == 1 for seg in segments]),
+            sums,
+        )
         fold.flush(got)
         _fold_one_segment_at_a_time(want, at, segments, sums)
         for key, total in want.states.items():
