@@ -493,6 +493,3 @@ class ResolvedReader(ScanSource):
 
     def schema_fingerprint(self) -> int:
         return self._res.current.fingerprint()
-
-    def column_names(self) -> list[str]:
-        return self._res.current.names()

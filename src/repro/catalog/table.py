@@ -43,7 +43,9 @@ from repro.core.compact import CompactionReport
 from repro.core.dataset import LoaderOptions, TrainingDataLoader
 import numpy as np
 
-from repro.core.reader import BullionReader, Scan, ScanStats, scan_batches
+from repro.core.reader import (
+    BullionReader, ReadIndex, Scan, ScanStats, scan_batches,
+)
 from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
 from repro.core.table import Table, concat_tables, fill_column, rebatch
@@ -145,13 +147,11 @@ class PinnedSnapshot:
     def current_schema(self) -> TableSchema | None:
         return self.schema_log().current()
 
-    def _resolved_reader_for(self, data_file, resolution=False):
+    def _resolved_reader_for(self, data_file):
         """The reader every read path uses: the raw reader when the
         file is already at the current schema, else a
-        :class:`ResolvedReader` presenting it as the current schema
-        (``resolution``: the file's, when the caller has it)."""
-        if resolution is False:
-            resolution = self.schema_log().resolution(data_file)
+        :class:`ResolvedReader` presenting it as the current schema."""
+        resolution = self.schema_log().resolution(data_file)
         if resolution is None:
             return self._reader_for(data_file.file_id)
         with self._reader_lock:
@@ -240,7 +240,7 @@ class PinnedSnapshot:
         def reader_of(i: int) -> BullionReader:
             return self._reader_for(files[i].file_id)
 
-        def plan(ordinals):
+        def fill(ordinals):
             if obs_trace.enabled():
                 for i in ordinals.tolist():
                     with obs_trace.span(
@@ -250,39 +250,47 @@ class PinnedSnapshot:
                         index.fill([i], self._reader_for)
             else:
                 index.fill(ordinals, self._reader_for)
-            state = index.read.state()
-            opened = np.zeros(len(files), dtype=bool)
-            opened[ordinals] = True
+
+        def plan(state, groups, n, reader_of):
             return state.plan(
-                np.flatnonzero(opened[state.g_file]), columns, where, counts,
-                reader_of, files=len(ordinals), drop_deleted=drop_deleted,
+                groups, columns, where, counts, reader_of, files=n,
+                drop_deleted=drop_deleted,
             )
+
+        def file_by_file():
+            # each file planned over a one-file index: a file costs the
+            # same however many the snapshot holds
+            for i in kept.tolist():
+                fill(np.array([i]))
+                reader = reader_of(i)
+                state = ReadIndex([index.read.blocks[i]]).state()
+                file_plan = plan(
+                    state, np.arange(state.n_groups), 1, lambda _f: reader
+                )
+                stats.bump(**counts)
+                counts.clear()
+                yield from Scan(
+                    file_plan, columns, where=where, stats=stats,
+                    widen_quantized=widen_quantized, max_workers=max_workers,
+                )
 
         if not len(kept):
             tables = iter(())
         elif reader_of(int(kept[0])).waits_per_request:
-            tables = self._file_by_file(
-                kept, plan, columns, where, stats, counts,
-                widen_quantized=widen_quantized, max_workers=max_workers,
-            )
+            tables = file_by_file()
         else:
+            fill(kept)
+            state = index.read.state()
+            opened = np.zeros(len(files), dtype=bool)
+            opened[kept] = True
             tables = scan_batches(
-                plan(kept), columns, where, stats, counts,
-                widen_quantized=widen_quantized,
+                plan(state, np.flatnonzero(opened[state.g_file]), len(kept),
+                     reader_of),
+                columns, where, stats, counts, widen_quantized=widen_quantized,
             )
         if batch_size is not None:
             tables = rebatch(tables, batch_size)
         yield from tables
-
-    @staticmethod
-    def _file_by_file(kept, plan, columns, where, stats, counts, **kwargs):
-        """Each file's :class:`~repro.core.reader.Scan`, its footer read
-        as the scan reaches it."""
-        for i in kept:
-            file_plan = plan(np.array([i]))
-            stats.bump(**counts)
-            counts.clear()
-            yield from Scan(file_plan, columns, where=where, stats=stats, **kwargs)
 
     def _empty(self, columns, filters=(), widen=False) -> Table:
         """The typed empty result, with each name (and each filter on a

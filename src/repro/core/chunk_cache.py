@@ -285,21 +285,6 @@ class TieredChunkCache:
             pass
 
     # -- single-flight ---------------------------------------------------
-    def hits(self, keys: list, tally: dict) -> list | None:
-        """Every key's bytes when all are in the memory tier — counted
-        into ``tally`` and moved to the LRU's end, as :meth:`claim_many`
-        does with hits — else None, with nothing changed: the common
-        case of a warm read, in one pass."""
-        memory = self._mem
-        with self._lock:
-            values = [memory.get(key) for key in keys]
-            if None in values:
-                return None
-            for key in keys:
-                memory.move_to_end(key)
-            self.stats.bump(tally, memory_hits=len(keys))
-        return values
-
     def claim_many(
         self, keys: list, tally: dict | None = None
     ) -> tuple[list, list, list]:
@@ -311,11 +296,22 @@ class TieredChunkCache:
         another thread is fetching: block on ``flight.event`` and claim
         again if its ``error`` is set."""
         counts: dict = {}
-        values, mine, waits = [], [], []
+        mine, waits = [], []
+        memory = self._mem
         with self._lock:
-            for i, key in enumerate(keys):
-                raw = self._lookup_locked(key, counts)
-                values.append(raw)
+            # the memory tier in one pass (all of a warm read) ...
+            values = list(map(memory.get, keys))
+            missed = values.count(None)
+            if missed < len(keys):
+                counts["memory_hits"] = len(keys) - missed
+                for key, raw in zip(keys, values):
+                    if raw is not None:
+                        memory.move_to_end(key)
+            # ... then the disk tier, else a flight to lead or wait on
+            for i, key in enumerate(keys if missed else ()):
+                if values[i] is not None:
+                    continue
+                raw = values[i] = self._lookup_locked(key, counts)
                 if raw is not None:
                     continue
                 flight = self._flights.get(key)

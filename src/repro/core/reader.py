@@ -65,8 +65,8 @@ peak-memory bound allows).
 
 Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
 — the shared one a caller passes, else a small private one; a batch
-claims each reader's chunks under one lock (in one pass when they are
-all in memory) and publishes the caches' counters once. :class:`ScanStats` counts what each layer skipped.
+claims each reader's chunks under one lock and publishes the caches'
+counters once. :class:`ScanStats` counts what each layer skipped.
 """
 
 from __future__ import annotations
@@ -316,6 +316,9 @@ class ScanSource:
     through the same code and count the same work.
     """
 
+    def column_names(self) -> list[str]:
+        return self.layout.names()
+
     @property
     def read_index(self) -> "ReadIndex":
         """This file as a one-file :class:`ReadIndex`, built on first use."""
@@ -525,9 +528,6 @@ class BullionReader(ScanSource):
         """See :meth:`FooterView.schema_fingerprint`."""
         return self.footer.schema_fingerprint()
 
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.footer.physical_columns()]
-
     @property
     def reader(self) -> "BullionReader":
         return self
@@ -607,12 +607,14 @@ class BullionReader(ScanSource):
         cache = self.chunk_cache
         prefix = self._cache_prefix
         results: dict[tuple[int, int], bytes] = {}
-        todo = list(dict.fromkeys(keys))
+        todo = keys if len(keys) == 1 else list(dict.fromkeys(keys))
         while todo:
             values, mine, waits = cache.claim_many(
                 [prefix + k for k in todo] if prefix else todo, tally
             )
             results.update(zip(todo, values))  # a miss maps to None
+            if not mine and not waits:
+                return results
             if mine:
                 mine = [todo[i] for i in mine]
                 try:
@@ -867,6 +869,12 @@ class Layout:
             located = self._located[name] = self._locate(name)
         return located
 
+    def names(self) -> list[str]:
+        """The column names of the schema the file is read as."""
+        if self.resolution is None:
+            return [c.name for c in self.footer.physical_columns()]
+        return self.resolution.current.names()
+
     def _locate(self, name: str) -> tuple:
         footer, res = self.footer, self.resolution
         if res is None:
@@ -955,8 +963,10 @@ class ReadIndex:
             for i in np.asarray(ordinals).reshape(-1).tolist():
                 if self.blocks[i] is None:
                     self.blocks[i] = block_of(i)
-                    self.filled[i] = True
+                    # drop the stale state before a lock-free reader of
+                    # ``filled`` can see file i as filled
                     self._state = None
+                    self.filled[i] = True
 
     def state(self) -> "IndexState":
         state = self._state
@@ -1001,9 +1011,12 @@ class IndexState:
             [0 if b is None else b[0].deleted_count for b in self.blocks],
             dtype=np.int64,
         )
-        # every filled file's zone maps, joined; a file's (column,
-        # group) chunk is row chunk_base + col * groups + group of them
-        self.stats = _joined([fi.stats for fi in filled], STATS_DTYPE)
+        # every filled file's zone maps, joined as bytes (numpy joins
+        # record arrays slowly); a file's (column, group) chunk is row
+        # chunk_base + col * groups + group of them
+        self.stats = _joined(
+            [fi.stats.view(np.uint8) for fi in filled], np.uint8
+        ).view(STATS_DTYPE)
         self.chunk_base = np.concatenate(([0], np.cumsum(
             [0 if b is None else len(b[0].stats) for b in self.blocks],
             dtype=np.int64,
@@ -1084,12 +1097,14 @@ class ColumnRows:
         located = [layout.locate(name) for layout in state.layouts]
         self.types = list(dict.fromkeys((s, t) for _c, s, t in located))
         per_file = state.file_layout[state.g_file]
+        # narrow codes: an index holds these for every group it knows
         self.layout = np.array(
-            [self.types.index((s, t)) for _c, s, t in located], dtype=np.intp
-        )[per_file] if located else np.zeros(0, dtype=np.intp)
-        self.col = np.array(
-            [-1 if c is None else c for c, _s, _t in located], dtype=np.int64
-        )[per_file] if located else np.zeros(0, dtype=np.int64)
+            [self.types.index((s, t)) for _c, s, t in located], dtype=np.int8
+        )[per_file] if located else np.zeros(0, dtype=np.int8)
+        at = [-1 if c is None else c for c, _s, _t in located]
+        self.col = np.array(at, dtype=np.int32)[per_file] if located else (
+            np.zeros(0, dtype=np.int32)
+        )
         present = self.col >= 0
         rows = state.chunk_base[state.g_file] + state.g_rg + self.col * (
             np.diff(state.file_start)[state.g_file]
@@ -1207,15 +1222,7 @@ def _fetch(requests, pool=None):
     if pool is not None and len(requests) > 1:
         return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
     tally: dict = {}
-    out = []
-    for reader, keys in requests:
-        cached = None if reader._cache_prefix else reader.chunk_cache.hits(
-            keys, tally
-        )
-        out.append(
-            reader._fetch_chunks(keys, tally) if cached is None
-            else dict(zip(keys, cached))
-        )
+    out = [reader._fetch_chunks(keys, tally) for reader, keys in requests]
     if tally:
         requests[0][0].chunk_cache.stats.publish(tally)
     return out

@@ -530,16 +530,17 @@ def _kind(ptype) -> str | None:
     return stats_kind(ptype)
 
 
-def _resolve(plan: QueryPlan, source) -> tuple[dict, list[str]]:
-    """Check ``plan`` against one file schema (``source``: a reader of a
-    file at it): its aggregate columns' kinds and the columns the
+def _resolve(plan: QueryPlan, layout) -> tuple[dict, list[str]]:
+    """Check ``plan`` against one file schema (``layout``: a
+    :class:`~repro.core.reader.Layout` of a file at it, read as the
+    current schema): its aggregate columns' kinds and the columns the
     decode path projects (never empty for a counting query, which
     fetches one column per row group). Fails fast on columns the plan
     cannot filter, aggregate or group by."""
     kinds = {}
 
     def ptype(name):
-        return source.layout.locate(name)[2]
+        return layout.locate(name)[2]
 
     for spec in plan.aggregates:
         if spec.column is None:
@@ -565,7 +566,7 @@ def _resolve(plan: QueryPlan, source) -> tuple[dict, list[str]]:
     for name in sorted(plan.where.columns()) if plan.where is not None else ():
         if ptype(name).list_depth > 0:
             raise ValueError(f"cannot filter on list column {name!r}")
-    projection = plan.scan_columns() or source.column_names()[:1]
+    projection = plan.scan_columns() or layout.names()[:1]
     return kinds, projection
 
 
@@ -822,7 +823,7 @@ def aggregate_reader(
     obs_on = obs_metrics.enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with obs_trace.span("query.reader", aggregates=len(plan.aggregates)):
-        kinds, projection = _resolve(plan, reader)
+        kinds, projection = _resolve(plan, reader.layout)
         needs = _needs(plan, kinds)
         meta = _MetaExtents()
         with obs_trace.span("query.file"):
@@ -932,9 +933,8 @@ def _aggregate_snapshot_impl(
         # stored schema -> decode projection, resolved on its first file;
         # old-schema files all read as the current schema
         projection: dict = {}
-        for key, i in {index.layout_key(i): i for i in opened[::-1].tolist()}.items():
-            source = pinned._resolved_reader_for(files[i], index.resolutions[i])
-            file_kinds, names = _resolve(plan, source)
+        for i in {index.layout_key(i): i for i in opened[::-1].tolist()}.values():
+            file_kinds, names = _resolve(plan, index.read.blocks[i][1])
             kinds.update(file_kinds)
             projection.update(dict.fromkeys(names))
         read = _open_files(

@@ -194,6 +194,84 @@ def test_racing_first_requests_fill_the_index_once(table, monkeypatch):
         assert calls["index"] == 1 and calls["footer rows"] == FILES
 
 
+class _HookedFlags(np.ndarray):
+    """A ``filled`` array that runs ``hook`` right after each store."""
+
+    hook = None
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if self.hook is not None:
+            self.hook()
+
+
+def test_a_file_seen_filled_is_in_the_state_read_next(table):
+    """A request whose files all read as filled skips the lock; the
+    state it reads next must cover them. Request B runs at the moment
+    request A marks file 1 filled, with an older state built."""
+    with CatalogTable(table.store).pin() as pin:
+        pin.read(["ts"])
+        blocks = pin.index().read.blocks
+    index = reader_mod.ReadIndex([blocks[0], None])
+    assert index.state().n_groups == GROUPS  # the state B must not reuse
+    index.filled = index.filled.view(_HookedFlags)
+    seen = []
+
+    def request_b():
+        index.fill([1], blocks.__getitem__)
+        seen.append(index.state().n_groups)
+
+    def hook():
+        index.filled.hook = None
+        b = threading.Thread(target=request_b)
+        b.start()
+        b.join(timeout=0.5)  # B blocks on the lock unless it went stale
+        threads.append(b)
+
+    threads = []
+    index.filled.hook = hook
+    index.fill([1], blocks.__getitem__)
+    threads[0].join(timeout=60)
+    assert seen == [2 * GROUPS]
+
+
+def test_threads_filling_different_files_answer_as_a_fresh_handle(table):
+    """Two threads racing their first requests over overlapping halves
+    of a cold snapshot answer as a fresh handle does, trial after
+    trial."""
+    halves = [col("ts") < ROWS * FILES * 3 // 5, col("ts") >= ROWS * FILES * 2 // 5]
+
+    def ask(pin, where):
+        stats = ScanStats()
+        rows = pin.read(["ts", "extra"], where=where, scan_stats=stats)
+        answer = pin.query(["count", "sum(ts)", "max(extra)"], where=where)
+        return rows.column("ts").tolist(), answer.rows, stats.files_scanned
+
+    with CatalogTable(table.store).pin() as pin:
+        want = [ask(pin, where) for where in halves]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _trial in range(4):
+            with CatalogTable(table.store).pin() as pin:
+                got, errors = [None, None], []
+
+                def client(k):
+                    try:
+                        got[k] = ask(pin, halves[k])
+                    except Exception as exc:  # reported by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=client, args=(k,)) for k in (0, 1)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            assert not errors and got == want
+    finally:
+        sys.setswitchinterval(switch)
+
+
 def _chunks_fetched(answers) -> int:
     """Chunks the requests of one ``_requests`` call fetched."""
     return sum(stats.get("scan", stats)["chunks_fetched"] for _, stats in answers)
