@@ -6,9 +6,15 @@ file plus the footer-derived stats the control plane plans with), a
 parent pointer, a timestamp for ``as_of`` time travel, and an
 operation label plus summary counters for the log.
 
-Snapshots serialize to compact, key-sorted JSON. A manifest is written
-on every commit, and ``indent=`` would take ``json.dumps`` off its C
-encoder, so there is no indentation: ``repro-inspect catalog snapshot``
+Snapshots serialize to compact, key-sorted JSON, and a commit costs
+what it changes. A :class:`DataFile` is shared by a snapshot and its
+children, and encodes its manifest record once, the first time a
+manifest names it: :meth:`Snapshot.to_json` splices those records into
+the document, so a commit encodes only the entries it adds.
+:meth:`Snapshot.from_json` takes the entry parser as an argument; a
+table handle passes one that hands back the entry it already holds
+when the record is unchanged, so each record is parsed once per
+handle. There is no indentation: ``repro-inspect catalog snapshot``
 formats the parsed object for people, and ``from_json`` reads indented
 manifests written by older versions as well. The heavy metadata
 (page/chunk indexes, Merkle trees, deletion vectors) stays in each
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.catalog.schema_evolution import (
     CatalogMetadataError,
@@ -50,6 +57,49 @@ _SNAPSHOT_KEYS = (
     "summary", "schemas", "current_schema_id", "format_version",
     "required_features",
 )
+
+
+#: the one manifest encoder: ``json.dumps(doc, sort_keys=True,
+#: separators=(",", ":"))`` without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _FrozenDict(dict):
+    """A dict that refuses changes (see :func:`_freeze`)."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("manifest entries are immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (_FrozenDict, (dict(self),))
+
+
+class _FrozenList(list):
+    """A list that refuses changes (see :func:`_freeze`)."""
+
+    _refuse = _FrozenDict._refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = _refuse
+    sort = reverse = _refuse
+
+    def __reduce__(self):
+        return (_FrozenList, (list(self),))
+
+
+def _freeze(value):
+    """``value`` with every dict and list in it made read-only: an
+    entry caches its encoding, which must not go stale. Still a dict or
+    a list to ``==``, ``isinstance`` and the JSON encoder."""
+    if isinstance(value, (_FrozenDict, _FrozenList)):
+        return value
+    if isinstance(value, dict):
+        return _FrozenDict({k: _freeze(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return _FrozenList(_freeze(v) for v in value)
+    return value
 
 
 def check_features(features) -> None:
@@ -82,8 +132,11 @@ class ColumnStats:
     min_value: float
     max_value: float
     kind: str  # "int" | "float"
-    #: keys a newer writer added, written back unchanged
+    #: keys a newer writer added, written back unchanged (read-only)
     extra: dict = field(default_factory=dict, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extra", _freeze(self.extra))
 
     def to_dict(self) -> dict:
         return {
@@ -105,7 +158,11 @@ class ColumnStats:
 
 @dataclass(frozen=True)
 class DataFile:
-    """One immutable member file, with its footer-derived stats."""
+    """One immutable member file, with its footer-derived stats.
+
+    ``column_stats`` and ``extra`` are read-only: the entry encodes its
+    manifest record once (:attr:`record_json`) and snapshots splice it.
+    """
 
     file_id: str
     row_count: int
@@ -117,8 +174,12 @@ class DataFile:
     #: schema-log id this file was written under; None for legacy
     #: manifests that predate the schema log (one frozen schema)
     schema_id: "int | None" = None
-    #: keys a newer writer added, written back unchanged
+    #: keys a newer writer added, written back unchanged (read-only)
     extra: dict = field(default_factory=dict, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "column_stats", _freeze(self.column_stats))
+        object.__setattr__(self, "extra", _freeze(self.extra))
 
     @property
     def live_rows(self) -> int:
@@ -145,6 +206,32 @@ class DataFile:
         if self.schema_id is not None:
             doc["schema_id"] = self.schema_id
         return doc
+
+    @cached_property
+    def record_json(self) -> str:
+        """This entry's manifest record, encoded on first use."""
+        return _encode(self.to_dict())
+
+    @cached_property
+    def _record(self) -> dict:
+        return self.to_dict()
+
+    def matches(self, raw) -> bool:
+        """Is ``raw`` (an entry of a parsed manifest) exactly this
+        entry's record, unknown keys included, so that parsing it would
+        give this entry back? ``==`` takes ``1``, ``1.0`` and ``true``
+        for one value; :meth:`from_dict` converts the keys it reads, so
+        only unknown ones are also compared as the bytes they encode
+        to."""
+        return raw == self._record and (
+            not self._has_extra or _encode(raw) == self.record_json
+        )
+
+    @cached_property
+    def _has_extra(self) -> bool:
+        return bool(self.extra) or any(
+            s.extra for s in (self.column_stats or {}).values()
+        )
 
     @staticmethod
     def from_dict(d: dict) -> "DataFile":
@@ -212,6 +299,9 @@ class Snapshot:
 
     # -- serialization --------------------------------------------------
     def to_json(self) -> bytes:
+        """The manifest: exactly ``json.dumps(doc, sort_keys=True,
+        separators=(",", ":"))`` of the snapshot's document, with each
+        entry's record spliced in as it encoded it once."""
         check_features(self.required_features)
         doc = {
             **self.extra,
@@ -219,7 +309,7 @@ class Snapshot:
             "parent_id": self.parent_id,
             "timestamp_ms": self.timestamp_ms,
             "operation": self.operation,
-            "files": [f.to_dict() for f in self.files],
+            "files": None,
             "summary": self.summary,
         }
         # emitted only when the table has evolved: legacy tables keep
@@ -232,13 +322,17 @@ class Snapshot:
             doc["format_version"] = self.format_version
         if self.required_features:
             doc["required_features"] = list(self.required_features)
-        return json.dumps(
-            doc, sort_keys=True, separators=(",", ":")
-        ).encode()
+        files = "[" + ",".join(f.record_json for f in self.files) + "]"
+        return ("{" + ",".join(
+            _encode(key) + ":" + (files if key == "files" else _encode(value))
+            for key, value in sorted(doc.items())
+        ) + "}").encode()
 
     @staticmethod
-    def from_json(data: bytes) -> "Snapshot":
-        """Parse one snapshot manifest.
+    def from_json(data: bytes, entry=None) -> "Snapshot":
+        """Parse one snapshot manifest; ``entry`` (default
+        :meth:`DataFile.from_dict`) turns each parsed record of
+        ``files`` into its :class:`DataFile`.
 
         Any malformation — bad JSON, missing keys, corrupt schema-log
         entries — surfaces as :class:`CatalogMetadataError`, never a
@@ -261,7 +355,7 @@ class Snapshot:
                 ),
                 timestamp_ms=int(doc["timestamp_ms"]),
                 operation=doc["operation"],
-                files=tuple(DataFile.from_dict(d) for d in doc["files"]),
+                files=tuple(map(entry or DataFile.from_dict, doc["files"])),
                 summary=dict(doc.get("summary", {})),
                 schemas=tuple(
                     TableSchema.from_dict(s)

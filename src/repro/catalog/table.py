@@ -3,7 +3,8 @@
 A table is a log of immutable :class:`~repro.catalog.Snapshot`\\ s in a
 :class:`~repro.catalog.CatalogStore`. HEAD is simply the highest
 committed snapshot id; commits race through the store's put-if-absent
-CAS (see :mod:`repro.catalog.transaction`).
+CAS (see :mod:`repro.catalog.transaction`). A handle parses each
+manifest entry once (see :meth:`CatalogTable.snapshot`).
 
 Reads never touch HEAD directly — they **pin** a snapshot:
 ``pin()``/``scan()``/``as_of()`` resolve to one immutable file set and
@@ -21,7 +22,7 @@ import threading
 import time
 import weakref
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.catalog.readers import ReaderPool
 from repro.catalog.schema_evolution import (
@@ -31,6 +32,7 @@ from repro.catalog.schema_evolution import (
     TableSchema,
 )
 from repro.catalog.snapshot import (
+    DataFile,
     Snapshot,
     SnapshotIndex,
     newest_snapshot_id,
@@ -424,8 +426,8 @@ class CatalogTable:
         self._clock = clock or (lambda: time.time_ns() // 1_000_000)
         self._lock = threading.Lock()
         self._snap_cache: dict[int, Snapshot] = {}
-        #: file_id -> the one DataFile every snapshot this handle parses
-        #: shares for that entry
+        #: file_id -> the DataFile this handle holds for that entry,
+        #: reused by every manifest whose record of it is unchanged
         self._files: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         #: snapshot id -> its SnapshotIndex, shared by this handle's pins
         #: (the newest few kept; a pin holds its own)
@@ -475,22 +477,26 @@ class CatalogTable:
         return sorted(ids)
 
     def snapshot(self, snapshot_id: int) -> Snapshot:
+        """One snapshot, parsed once per handle: a manifest record
+        equal, unknown keys included, to the record of an entry this
+        handle holds yields that entry, so only new or changed records
+        are parsed (see :meth:`DataFile.matches`)."""
         with self._lock:
             cached = self._snap_cache.get(snapshot_id)
         if cached is not None:
             return cached
         data = self.store.read_metadata(snapshot_name(snapshot_id))
-        snap = Snapshot.from_json(data)
+        snap = Snapshot.from_json(data, self._entry)
         with self._lock:
-            files = []
-            for f in snap.files:  # an entry parsed before is shared
-                known = self._files.get(f.file_id)
-                if known != f:
-                    self._files[f.file_id] = known = f
-                files.append(known)
-            snap = replace(snap, files=tuple(files))
             self._cache_snapshot(snap)
         return snap
+
+    def _entry(self, raw) -> DataFile:
+        with self._lock:
+            held = self._files.get(raw["file_id"])
+            if held is None or not held.matches(raw):
+                held = self._files[raw["file_id"]] = DataFile.from_dict(raw)
+        return held
 
     def _index_for(self, snap: Snapshot, log: SchemaLog) -> SnapshotIndex:
         """The handle's one :class:`SnapshotIndex` of ``snap``."""
@@ -768,9 +774,12 @@ class CatalogTable:
         with self._lock:
             self._inflight.difference_update(file_ids)
 
-    def _note_commit(self, snap: Snapshot) -> None:
+    def _note_commit(self, snap: Snapshot, added) -> None:
+        """``snap`` is published; ``added`` are the entries it adds."""
         with self._lock:
             self._cache_snapshot(snap)
+            for f in added:
+                self._files[f.file_id] = f
             self.stats.bump(commits=1)
 
     def _bump(self, **deltas: int) -> None:

@@ -710,7 +710,7 @@ class Transaction:
     def _published(self, snap: Snapshot) -> None:
         """Bookkeeping once ``snap`` is visible."""
         self._state = "committed"
-        self._table._note_commit(snap)
+        self._table._note_commit(snap, self._added)
         self._table._unregister_inflight(self._staged_ids)
         self._close_staged()  # readers re-open via open_data
         # staged files superseded within this very transaction

@@ -9,7 +9,9 @@ on commit, before anything is written. Manifests this build writes
 without either keep re-serialising byte for byte.
 """
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -132,3 +134,57 @@ def test_malformed_required_features_fail_typed():
         doc["required_features"] = bad
         with pytest.raises(CatalogMetadataError):
             Snapshot.from_json(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("level", ["file", "stats"])
+def test_keys_a_newer_writer_adds_to_an_entry_a_handle_holds_survive(level):
+    """The handle has parsed the entry already; the newer writer's
+    record of it differs only in a key this build does not read. The
+    handle must take the new record, not the entry it holds."""
+    cat = _table()
+    held = CatalogTable(cat.store)
+    held.current_snapshot()
+    _sid, doc = _head_doc(cat)
+    record = doc["files"][0]
+    if level == "file":
+        record["future_field"] = 42
+    else:
+        record["column_stats"]["ts"]["future_field"] = 42
+    _publish(cat, doc)
+
+    entry = held.current_snapshot().files[0]
+    extra = entry.extra if level == "file" else entry.column_stats["ts"].extra
+    assert extra == {"future_field": 42}
+    held.append(_batch(100, extra=True))
+    _sid, after = _head_doc(held)
+    carried = {f["file_id"]: f for f in after["files"]}[record["file_id"]]
+    assert carried == record
+
+
+def test_an_entry_is_read_only_so_its_encoding_cannot_go_stale():
+    cat = _table()
+    _sid, doc = _head_doc(cat)
+    doc["files"][0]["encryption"] = {"key_ids": ["k1"]}
+    _publish(cat, doc)
+    entry = CatalogTable(cat.store).current_snapshot().files[0]
+    encoded = entry.record_json
+    stats = entry.column_stats["ts"]
+    for change in (
+        lambda: entry.extra.update(x=1),
+        lambda: entry.extra["encryption"].pop("key_ids"),
+        lambda: entry.extra["encryption"]["key_ids"].append("k2"),
+        lambda: entry.column_stats.__setitem__("ts", stats),
+        lambda: entry.column_stats.pop("ts"),
+        lambda: stats.extra.setdefault("null_count", 0),
+    ):
+        with pytest.raises(TypeError, match="immutable"):
+            change()
+    assert entry.record_json == encoded == json.dumps(
+        entry.to_dict(), sort_keys=True, separators=(",", ":")
+    )
+    # still plain JSON values to everything that reads them
+    assert entry.extra == {"encryption": {"key_ids": ["k1"]}}
+    assert isinstance(entry.extra["encryption"]["key_ids"], list)
+    for clone in (pickle.loads(pickle.dumps(entry)), copy.deepcopy(entry)):
+        assert clone == entry and clone.extra == entry.extra
+        assert clone.record_json == encoded
