@@ -69,7 +69,8 @@ def main() -> None:
                 [np.asarray(b.column("event_id")) for b in loader]
             )
             print(
-                f"epoch {epoch}: {len(ids):,} rows at pinned snapshot "
+                f"epoch {epoch}: {len(ids):,} of {loader.num_rows:,} rows "
+                f"in {loader.num_shards} file(s) at pinned snapshot "
                 f"{pinned.snapshot.snapshot_id} "
                 f"(checksum {int(ids.sum()):,})"
             )

@@ -38,7 +38,7 @@ Subpackages
 ``repro.baseline``      Parquet-like comparator format (Fig 5)
 ``repro.workloads``     synthetic stand-ins for the production data
 ``repro.iosim``         pluggable storage backends (simulated, real
-                        file, latency-modelled) with I/O stats
+                        file, object store) with I/O stats
 """
 
 from repro.core import (
@@ -49,7 +49,6 @@ from repro.core import (
     Scan,
     ScanStats,
     Schema,
-    ShardedDataset,
     Table,
     WriterOptions,
     delete_rows,
@@ -57,7 +56,7 @@ from repro.core import (
     write_table,
 )
 from repro.expr import Expr, col, parse
-from repro.iosim import FileStorage, LatencyModelledStorage, SimulatedStorage
+from repro.iosim import FileStorage, SimulatedStorage
 
 __version__ = "1.2.0"
 
@@ -77,9 +76,7 @@ __all__ = [
     "Expr",
     "col",
     "parse",
-    "ShardedDataset",
     "SimulatedStorage",
     "FileStorage",
-    "LatencyModelledStorage",
     "__version__",
 ]

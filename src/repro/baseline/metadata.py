@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from repro.baseline.thriftlike import (
     CompactReader,
     CompactWriter,
-    T_BINARY,
     T_I64,
     T_STRUCT,
 )

@@ -2,7 +2,7 @@
 
 The control plane over Bullion data files. A **table** is a log of
 immutable **snapshots** held in a :class:`CatalogStore`; every
-mutation — ``append``, ``add_shards``, ``delete(where)``,
+mutation — ``append``, ``upsert``, ``delete(where)``,
 ``compact`` — is a :class:`Transaction` that writes new files through
 the streaming writer and publishes the next snapshot with an atomic
 put-if-absent commit, retrying optimistically when another committer

@@ -8,11 +8,9 @@ jobs, and executes each as an ordinary transaction — so maintenance
 commits race (and retry) like any other writer and never blocks
 training readers, which hold pinned snapshots.
 
-Four job kinds:
+Three job kinds (row retention is a foreground
+``CatalogTable.delete(where)``, not a job):
 
-``retention`` delete rows matching the policy's standing expression
-              (e.g. ``col("ts") < horizon``) through the same unified
-              evaluator and pushdown layers every scan and delete use
 ``rollup``    merge small incremental ingest files into
               training-sized ones via :func:`repro.core.merge`
 ``compact``   rewrite files whose deleted-row fraction crossed the
@@ -35,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.catalog.snapshot import ManifestIndex, Snapshot
+from repro.catalog.snapshot import Snapshot
 from repro.catalog.table import CatalogTable
 from repro.catalog.transaction import CommitConflict, data_file_entry
 from repro.core.compact import merge
@@ -74,12 +72,6 @@ class MaintenancePolicy:
     #: processes write the same store, set this above the longest
     #: transaction (or only run expiry in the writer process)
     gc_grace_ms: int = 0
-    #: standing row-retention filter (:class:`repro.expr.Expr`):
-    #: every cycle deletes the rows it matches, using the same
-    #: evaluator and file/group pruning as ``scan(where=...)`` —
-    #: files whose manifest stats rule the filter out are untouched,
-    #: so a steady-state cycle plans no retention job at all
-    retention_filter: "object | None" = None
     #: writer options for rewritten files (None = defaults)
     writer_options: WriterOptions | None = None
 
@@ -106,11 +98,9 @@ class MaintenanceReport(Counters):
     bytes_reclaimed: int = 0
     snapshots_expired: int = 0
     data_files_deleted: int = 0
-    rows_deleted: int = 0
     skipped: list[str] = field(default_factory=list)
 
     families = {
-        "rows_deleted": "maintenance_rows_deleted_total",
         "snapshots_expired": "maintenance_snapshots_expired_total",
         "data_files_deleted": "maintenance_files_deleted_total",
     }
@@ -141,30 +131,6 @@ class MaintenanceService:
         policy = self.policy
         head = self.table.current_snapshot()
         jobs: list[MaintenanceJob] = []
-
-        if policy.retention_filter is not None:
-            # manifest-level pruning decides the candidate set: in the
-            # steady state (all expired rows already deleted) no file
-            # can match and no job is planned
-            never, _always = ManifestIndex(
-                head.files, [None] * len(head.files)
-            ).verdicts(policy.retention_filter)
-            matchable = [
-                f
-                for f, pruned in zip(head.files, never.tolist())
-                if f.live_rows and not pruned
-            ]
-            if matchable:
-                jobs.append(
-                    MaintenanceJob(
-                        kind="retention",
-                        file_ids=tuple(f.file_id for f in matchable),
-                        reason=(
-                            f"{len(matchable)} files may hold rows "
-                            f"matching {policy.retention_filter!r}"
-                        ),
-                    )
-                )
 
         compactable = [
             f
@@ -266,9 +232,7 @@ class MaintenanceService:
         for job in jobs:
             try:
                 with obs_trace.span("maintenance.job", kind=job.kind):
-                    if job.kind == "retention":
-                        self._run_retention(job, report)
-                    elif job.kind == "compact":
+                    if job.kind == "compact":
                         self._run_compact(job, report)
                     elif job.kind == "rollup":
                         self._run_rollup(job, report)
@@ -294,23 +258,6 @@ class MaintenanceService:
         self.cycles += 1
         self.last_report = report
         return report
-
-    def _run_retention(
-        self, job: MaintenanceJob, report: MaintenanceReport
-    ) -> None:
-        txn = self.table.transaction()
-        try:
-            deleted = txn.delete(self.policy.retention_filter)
-            if deleted == 0:
-                # stats said maybe, the exact evaluator said no —
-                # nothing staged, so commit would be a no-op snapshot
-                txn.abort()
-                return
-            txn.commit()
-        except BaseException:
-            txn.abort()  # no-op after commit()'s own conflict abort
-            raise
-        report.bump(rows_deleted=deleted)
 
     def _run_compact(
         self, job: MaintenanceJob, report: MaintenanceReport

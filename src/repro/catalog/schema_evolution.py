@@ -464,7 +464,7 @@ class ResolvedReader(ScanSource):
 
     It supplies a :class:`~repro.core.reader.Layout` that resolves
     current names to stored columns; ``scan``, ``project`` and
-    ``classify_row_groups_expr`` come from
+    ``prune_row_groups_expr`` come from
     :class:`~repro.core.reader.ScanSource`, the same code a plain
     file reads through.
     """

@@ -371,27 +371,14 @@ class PinnedSnapshot:
         pruned set (zone maps and decode-time filtering then apply
         inside each file's scan).
         """
-        source: object = self
-        if options is not None and options.where is not None:
-            kept, _pruned = self.prune_files(options.where)
-            source = _PrunedFileSet(self, kept)
-        return TrainingDataLoader(source, columns, options)
-
-
-class _PrunedFileSet:
-    """Reader source over the subset of a pin's files a filter keeps.
-
-    Quacks like :class:`~repro.core.dataset.ShardedDataset` (exposes
-    ``readers()``); readers open lazily through the owning pin, so
-    manifest-pruned files are never touched.
-    """
-
-    def __init__(self, pinned: "PinnedSnapshot", files) -> None:
-        self._pinned = pinned
-        self._files = list(files)
-
-    def readers(self) -> list[BullionReader]:
-        return [self._pinned._resolved_reader_for(f) for f in self._files]
+        files = (
+            self.snapshot.files
+            if options is None or options.where is None
+            else self.prune_files(options.where)[0]
+        )
+        return TrainingDataLoader(
+            [self._resolved_reader_for(f) for f in files], columns, options
+        )
 
 
 class CatalogTable:
@@ -578,19 +565,6 @@ class CatalogTable:
     ) -> Snapshot:
         txn = self.transaction()
         txn.append(table, schema=schema, options=options)
-        return txn.commit()
-
-    def add_shards(
-        self,
-        table: Table,
-        rows_per_shard: int,
-        schema: Schema | None = None,
-        options: WriterOptions | None = None,
-    ) -> Snapshot:
-        txn = self.transaction()
-        txn.add_shards(
-            table, rows_per_shard, schema=schema, options=options
-        )
         return txn.commit()
 
     def evolve(self, *ops: EvolutionOp) -> Snapshot:

@@ -52,7 +52,6 @@ from repro.catalog.snapshot import (
 )
 from repro.expr.interval import verdicts
 from repro.core.compact import CompactionReport, compact as compact_file
-from repro.core.dataset import ShardedDataset
 from repro.core.deletion import delete_rows
 from repro.core.reader import (
     BullionReader,
@@ -362,43 +361,6 @@ class Transaction:
         self._ops.append("append")
         self._bump("rows_added", table.num_rows)
         return entry
-
-    def add_shards(
-        self,
-        table: Table,
-        rows_per_shard: int,
-        schema: Schema | None = None,
-        options: WriterOptions | None = None,
-    ) -> list[DataFile]:
-        """Split ``table`` into shard files and stage them all.
-
-        Reuses :meth:`ShardedDataset.write` with this transaction's
-        staged storages as the shard factory, so one commit publishes
-        the whole shard set atomically.
-        """
-        self._require_open()
-        ids: list[str] = []
-
-        def factory(i: int) -> Storage:
-            file_id, storage = self.new_data_file()
-            ids.append(file_id)
-            return storage
-
-        dataset = ShardedDataset.write(
-            table,
-            rows_per_shard=rows_per_shard,
-            storage_factory=factory,
-            schema=schema,
-            options=options,
-        )
-        entries = [
-            self.add_file(storage, file_id)
-            for file_id, storage in zip(ids, dataset.shards)
-        ]
-        self._ops.append("add-shards")
-        self._bump("rows_added", table.num_rows)
-        self._bump("shards_added", len(entries))
-        return entries
 
     def delete(self, where: "Expr | str") -> int:
         """Delete matching rows; the zone-map verdict picks the work.

@@ -15,7 +15,7 @@ from repro.core.chunk_cache import (
     storage_identity,
 )
 from repro.core.compact import CompactionReport, compact, merge
-from repro.core.dataset import LoaderOptions, ShardedDataset, TrainingDataLoader
+from repro.core.dataset import LoaderOptions, TrainingDataLoader
 from repro.core.deletion import (
     DeletionReport,
     MaskError,
@@ -70,7 +70,6 @@ __all__ = [
     "merge",
     "TrainingDataLoader",
     "LoaderOptions",
-    "ShardedDataset",
     "DeletionReport",
     "MaskError",
     "delete_rows",

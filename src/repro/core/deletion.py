@@ -41,12 +41,10 @@ import numpy as np
 
 from repro.core.chunk_cache import notify_mutation
 from repro.core.compact import check_row_ids, rewrite
-from repro.core.footer import FooterView
 from repro.core.page import FLAG_COMPACTED, PAGE_HEADER_SIZE, PageHeader
 from repro.core.reader import BullionReader
 from repro.core.writer import (
     LEVEL_DELETION_VECTOR,
-    LEVEL_IN_PLACE,
     LEVEL_PLAIN,
     WriterOptions,
 )

@@ -108,8 +108,8 @@ from repro.core.table import (
 )
 from repro.encodings import decode_blob, decode_blobs
 from repro.encodings.base import RaggedColumn, join_values
-from repro.expr import Expr, TriState, coerce_where, evaluate as evaluate_expr
-from repro.expr.interval import Zones, evaluate_zones, verdicts
+from repro.expr import Expr, coerce_where, evaluate as evaluate_expr
+from repro.expr.interval import Zones, evaluate_zones
 from repro.iosim import Storage, waits_per_request
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
@@ -345,6 +345,8 @@ class ScanSource:
 
         ``batch_size=None`` yields one batch per row group; otherwise
         batches of exactly ``batch_size`` rows (last one may be short).
+        ``row_groups`` picks groups by index; an index outside the
+        file's groups raises ``ValueError``.
         ``max_workers`` bounds the fetch look-ahead on a device that
         waits per request (a memory-speed device never uses threads);
         ``max_workers <= 1`` forces serial chunk fetches everywhere.
@@ -361,7 +363,7 @@ class ScanSource:
         state = self.read_index.state()
         groups = (
             np.arange(state.n_groups) if row_groups is None
-            else np.asarray(row_groups, dtype=np.int64).reshape(-1)
+            else _group_indices(row_groups, state.n_groups)
         )
         plan = state.plan(
             groups, columns, where, counts, lambda _i: self.reader,
@@ -413,18 +415,20 @@ class ScanSource:
         never, _always = self.read_index.state().verdicts(where)
         return np.flatnonzero(~never).tolist()
 
-    def classify_row_groups_expr(self, where: Expr) -> "list[TriState]":
-        """Tri-state zone-map verdict for every row group, in order.
 
-        ``NEVER`` — no row of the group can match (pruned with zero
-        data I/O); ``ALWAYS`` — every row provably matches, which lets
-        the query engine answer counts and extrema from the group's
-        statistics alone; ``MAYBE`` — decode and let the vectorized
-        evaluator decide. Shares :meth:`prune_row_groups_expr`'s
-        conservative evaluator, so the two can never disagree. A
-        column the file never stored has no zone map: ``MAYBE``.
-        """
-        return verdicts(*self.read_index.state().verdicts(where))
+def _group_indices(row_groups, n_groups: int) -> np.ndarray:
+    """``row_groups`` as int64 indices in ``[0, n_groups)``: a negative,
+    boolean, fractional or too-large entry is refused, not wrapped or cast."""
+    raw = np.asarray(row_groups).reshape(-1)
+    groups = raw.astype(np.int64)
+    if (raw.size and raw.dtype.kind not in "iu") or (
+        (groups < 0) | (groups >= n_groups)
+    ).any():
+        raise ValueError(
+            f"row_groups {raw[:4].tolist()} are not indices of a "
+            f"{n_groups}-group file"
+        )
+    return groups
 
 
 class BullionReader(ScanSource):
@@ -544,36 +548,6 @@ class BullionReader(ScanSource):
         # shared cache: every entry for this device (any fingerprint),
         # not other readers' files; private cache: everything
         self.chunk_cache.invalidate_prefix(self._cache_prefix[:1])
-
-    def aggregate(
-        self,
-        aggregates,
-        *,
-        where: Expr | str | None = None,
-        group_by=None,
-        use_metadata: bool = True,
-        max_workers: int = 4,
-    ):
-        """Run an aggregation query over this file (``repro.query``).
-
-        ``aggregates`` is a list of specs like ``"count"``,
-        ``"sum(clicks)"``, ``"min(price)"``. With ``use_metadata``
-        (the default), counts and extrema are answered from footer
-        statistics wherever the tri-state evaluator can prove them —
-        often with zero chunk fetches; ``use_metadata=False`` forces
-        the decode path. Returns a
-        :class:`repro.query.QueryResult`.
-        """
-        from repro.query import aggregate_reader
-
-        return aggregate_reader(
-            self,
-            aggregates,
-            where=where,
-            group_by=group_by,
-            use_metadata=use_metadata,
-            max_workers=max_workers,
-        )
 
     def _cache_key(self, col_idx: int, rg: int) -> tuple:
         return self._cache_prefix + (col_idx, rg)

@@ -8,8 +8,7 @@ e.g. Dictionary for the run values and Varint for the run lengths.
 The deletion story for RLE (paper §2.1) is *not* in-place masking —
 masking can grow the re-encoded data — but drop-and-realign: deleted
 elements are removed before re-encoding and a deletion vector restores
-offsets at read time. :func:`runs_without` implements the drop step and
-is used by :mod:`repro.core.deletion`.
+offsets at read time (see :mod:`repro.core.deletion`).
 """
 
 from __future__ import annotations
@@ -37,11 +36,6 @@ def compute_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change, [len(values)]))
     return values[starts], (ends - starts).astype(np.int64)
-
-
-def runs_without(values: np.ndarray, drop_mask: np.ndarray) -> np.ndarray:
-    """Values with ``drop_mask`` positions removed (deletion support)."""
-    return values[~drop_mask]
 
 
 @register

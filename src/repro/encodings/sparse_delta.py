@@ -439,9 +439,3 @@ class SparseListDelta(Encoding):
         if any(part.shape != (n,) for part, n in zip(parts, counts)):
             raise EncodingError("sparse_list_delta: corrupt size columns")
         return np.concatenate(parts).reshape(4, -1)
-
-    @staticmethod
-    def plain_size(values) -> int:
-        """Bytes of the trivially-encoded column (for savings reports)."""
-        lens = normalize_list_column(values, Kind.LIST_INT).lens
-        return int(8 * lens.sum() + 4 * len(lens))

@@ -45,7 +45,6 @@ from repro.expr.interval import (
     TriState,
     evaluate_interval,
     interval_from_stats,
-    might_match,
 )
 from repro.expr.parse import ParseError, coerce_where, parse
 from repro.expr.vector import VectorEvalError, evaluate
@@ -68,7 +67,6 @@ __all__ = [
     "Interval",
     "interval_from_stats",
     "evaluate_interval",
-    "might_match",
     "parse",
     "ParseError",
     "coerce_where",

@@ -229,11 +229,6 @@ def evaluate_interval(expr: Expr, stats) -> TriState:
     return verdicts(*evaluate_zones(expr, zones, 1))[0]
 
 
-def might_match(expr: Expr, stats) -> bool:
-    """True unless the interval evaluator proves no row can match."""
-    return evaluate_interval(expr, stats) is not TriState.NEVER
-
-
 _STATES = (TriState.NEVER, TriState.MAYBE, TriState.ALWAYS)
 
 

@@ -7,14 +7,13 @@ the :class:`Storage` protocol: :class:`SimulatedStorage` (a
 byte-accurate in-memory device that counts operations and models
 seek/bandwidth cost — the default for tests and benchmarks) or
 :class:`FileStorage` (a real file via ``os.pread``), optionally under
-the wrappers :class:`LatencyModelledStorage` (charges or sleeps
-modelled device time), :class:`ObjectStorage` (an S3-like store where
-each ranged GET/PUT pays a round trip, so request *count* is the
-bottleneck) and :class:`InstrumentedStorage` (publishes to
-:mod:`repro.obs`). File *names* — create, open, link, unlink, list,
-directory fsync — go through one :class:`Directory` interface with an
-:class:`OSDirectory` and a :class:`MemoryDirectory` backend: the seam
-every durable effect crosses.
+:class:`ObjectStorage` (an S3-like store where each ranged GET/PUT pays
+a round trip, so request *count* is the bottleneck). Each device
+counts its own operations in one :class:`IOStats`. File *names* —
+create, open, link, unlink, list, directory fsync — go through one
+:class:`Directory` interface with an :class:`OSDirectory` and a
+:class:`MemoryDirectory` backend: the seam every durable effect
+crosses.
 """
 
 from repro.iosim.blockdev import IOStats, SeekModel, SimulatedStorage
@@ -23,8 +22,6 @@ from repro.iosim.storage import (
     DEFAULT_MAX_REQUEST_BYTES,
     OBJECT_STORE_MODEL,
     FileStorage,
-    InstrumentedStorage,
-    LatencyModelledStorage,
     ObjectRequest,
     ObjectStorage,
     ObjectStorageError,
@@ -39,8 +36,6 @@ __all__ = [
     "waits_per_request",
     "SimulatedStorage",
     "FileStorage",
-    "InstrumentedStorage",
-    "LatencyModelledStorage",
     "ObjectStorage",
     "ObjectRequest",
     "ObjectStorageError",

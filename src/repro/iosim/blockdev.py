@@ -43,10 +43,8 @@ class SeekModel:
     def request_cost(self, nbytes: int, seeked: bool = True) -> float:
         """Modelled seconds for one request moving ``nbytes``.
 
-        The single charging formula shared by
-        :class:`~repro.iosim.LatencyModelledStorage` and
-        :class:`~repro.iosim.ObjectStorage` — the object store is this
-        model with ``request_latency_s`` dominating and seeks free.
+        The charging formula of :class:`~repro.iosim.ObjectStorage`
+        (``request_latency_s`` dominating, seeks free).
         """
         cost = self.request_latency_s + nbytes / self.bandwidth_bytes_per_s
         if seeked:
@@ -56,8 +54,8 @@ class SeekModel:
 
 @dataclass
 class IOStats(Counters):
-    """Mutable counters for one device (no registry families: the
-    ``InstrumentedStorage`` wrapper publishes ``storage_*`` itself)."""
+    """Mutable counters for one device: the one storage accounting
+    (no registry families)."""
 
     reads: int = 0
     writes: int = 0

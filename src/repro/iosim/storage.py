@@ -228,55 +228,6 @@ def waits_per_request(storage) -> bool:
     return False
 
 
-class LatencyModelledStorage(StorageWrapper):
-    """Wrap any backend and charge per-op time under a :class:`SeekModel`.
-
-    Each operation costs ``seek_latency`` when non-contiguous plus
-    ``bytes / bandwidth``. The cost accumulates in :attr:`elapsed_s`;
-    with ``sleep=True`` it is also slept out, so concurrent readers
-    genuinely overlap their modelled device time — the property the
-    parallel-scan benchmark measures.
-    """
-
-    def __init__(
-        self,
-        inner: Storage,
-        model: SeekModel | None = None,
-        sleep: bool = False,
-    ) -> None:
-        super().__init__(inner)
-        self.model = model or SeekModel()
-        self.sleep = sleep
-        self.elapsed_s = 0.0
-        self._read_cursor: int | None = None
-        self._write_cursor: int | None = None
-        self._lock = threading.Lock()
-
-    def _charge(self, cursor_attr: str, offset: int, nbytes: int) -> None:
-        with self._lock:
-            cost = self.model.request_cost(
-                nbytes, seeked=getattr(self, cursor_attr) != offset
-            )
-            setattr(self, cursor_attr, offset + nbytes)
-            self.elapsed_s += cost
-        if self.sleep:
-            time.sleep(cost)
-
-    def pread(self, offset: int, length: int) -> bytes:
-        data = self.inner.pread(offset, length)
-        self._charge("_read_cursor", offset, len(data))
-        return data
-
-    def pwrite(self, offset: int, data: bytes) -> None:
-        self.inner.pwrite(offset, data)
-        self._charge("_write_cursor", offset, len(data))
-
-    def append(self, data: bytes) -> int:
-        offset = self.inner.append(data)
-        self._charge("_write_cursor", offset, len(data))
-        return offset
-
-
 #: S3-in-the-same-region-ish defaults: ~25 ms to first byte per
 #: request, ~100 MB/s per stream, no seek penalty (objects have no
 #: heads to move) — the regime where request count dominates cost.
@@ -426,80 +377,3 @@ class ObjectStorage(StorageWrapper):
     def append(self, data: bytes) -> int:
         self._request("PUT", self.inner.size, len(data))
         return self.inner.append(data)
-
-
-class InstrumentedStorage(StorageWrapper):
-    """Wrap any backend; publish its I/O into the metrics registry.
-
-    Counts preads/pwrites/appends/syncs, bytes moved, request-size
-    distribution and per-op latency histograms, all labeled by backend
-    *kind* (``file``, ``memory``, ``latency`` — class-derived, never
-    the file name, to keep label cardinality bounded). The inner
-    backend's own :class:`IOStats` keep counting unchanged; this
-    wrapper adds the process-wide view. Honours the global
-    :func:`repro.obs.set_enabled` switch per operation.
-    """
-
-    def __init__(self, inner: Storage, backend: str | None = None) -> None:
-        from repro.obs import families as _fam  # circular-free, heavy names
-
-        super().__init__(inner)
-        self.backend = backend or _fam.backend_label(inner)
-        lbl = {"backend": self.backend}
-        self._read_ops = _fam.STORAGE_READ_OPS.labels(**lbl)
-        self._read_bytes = _fam.STORAGE_READ_BYTES.labels(**lbl)
-        self._read_secs = _fam.STORAGE_READ_SECONDS.labels(**lbl)
-        self._write_ops = _fam.STORAGE_WRITE_OPS.labels(**lbl)
-        self._write_bytes = _fam.STORAGE_WRITE_BYTES.labels(**lbl)
-        self._write_secs = _fam.STORAGE_WRITE_SECONDS.labels(**lbl)
-        self._sync_ops = _fam.STORAGE_SYNC_OPS.labels(**lbl)
-        self._sync_secs = _fam.STORAGE_SYNC_SECONDS.labels(**lbl)
-        self._read_size = _fam.STORAGE_IO_SIZE_BYTES.labels(
-            backend=self.backend, op="read"
-        )
-        self._write_size = _fam.STORAGE_IO_SIZE_BYTES.labels(
-            backend=self.backend, op="write"
-        )
-
-    def pread(self, offset: int, length: int) -> bytes:
-        if not obs_metrics.enabled():
-            return self.inner.pread(offset, length)
-        t0 = time.perf_counter()
-        data = self.inner.pread(offset, length)
-        self._read_secs.observe(time.perf_counter() - t0)
-        self._read_ops.inc()
-        self._read_bytes.inc(len(data))
-        self._read_size.observe(len(data))
-        return data
-
-    def _observe_write(self, nbytes: int, t0: float) -> None:
-        self._write_secs.observe(time.perf_counter() - t0)
-        self._write_ops.inc()
-        self._write_bytes.inc(nbytes)
-        self._write_size.observe(nbytes)
-
-    def pwrite(self, offset: int, data: bytes) -> None:
-        if not obs_metrics.enabled():
-            self.inner.pwrite(offset, data)
-            return
-        t0 = time.perf_counter()
-        self.inner.pwrite(offset, data)
-        self._observe_write(len(data), t0)
-
-    def append(self, data: bytes) -> int:
-        if not obs_metrics.enabled():
-            return self.inner.append(data)
-        t0 = time.perf_counter()
-        offset = self.inner.append(data)
-        self._observe_write(len(data), t0)
-        return offset
-
-    def sync(self) -> None:
-        # a memory device has nothing to flush: no sync to count
-        if self.backend == "memory" or not obs_metrics.enabled():
-            self.inner.sync()
-            return
-        t0 = time.perf_counter()
-        self.inner.sync()
-        self._sync_secs.observe(time.perf_counter() - t0)
-        self._sync_ops.inc()

@@ -16,7 +16,6 @@ Records are field-length-prefixed in schema order. Random access is by
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 
@@ -92,7 +91,7 @@ class MediaWriter:
 
 
 class MediaReader:
-    """Random access by MediaRef plus full sequential scan."""
+    """Random access by :class:`MediaRef` (the meta table's join key)."""
 
     def __init__(self, storage: SimulatedStorage) -> None:
         self._storage = storage
@@ -102,11 +101,6 @@ class MediaReader:
         (schema_len,) = struct.unpack_from("<I", head, 4)
         schema_raw = storage.pread(8, schema_len)
         self._fields = json.loads(schema_raw.decode())["fields"]
-        self._data_start = 8 + schema_len + SYNC_SIZE
-
-    @property
-    def field_names(self) -> list[str]:
-        return list(self._fields)
 
     def read_record(self, ref: MediaRef) -> dict[str, bytes]:
         """Seek to the block and walk to the record (counts real I/O)."""
@@ -127,25 +121,6 @@ class MediaReader:
             record[f] = payload[pos : pos + flen]
             pos += flen
         return record
-
-    def scan(self):
-        """Yield every record sequentially (training-ingest order)."""
-        pos = self._data_start
-        size = self._storage.size
-        while pos + 8 <= size:
-            head = self._storage.pread(pos, 8)
-            count, payload_len = struct.unpack("<II", head)
-            payload = self._storage.pread(pos + 8, payload_len)
-            cursor = 0
-            for _ in range(count):
-                record = {}
-                for f in self._fields:
-                    (flen,) = struct.unpack_from("<I", payload, cursor)
-                    cursor += 4
-                    record[f] = payload[cursor : cursor + flen]
-                    cursor += flen
-                yield record
-            pos += 8 + payload_len + SYNC_SIZE
 
 
 def _encode_header(fields: list[str]) -> bytes:

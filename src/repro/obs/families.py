@@ -139,42 +139,6 @@ CHUNK_FETCH_SECONDS = _REG.histogram(
     labels=("backend",),
 )
 
-# --- Storage (InstrumentedStorage wrapper) ------------------------------
-STORAGE_READ_OPS = _REG.counter(
-    "storage_read_ops_total", "preads issued", labels=("backend",)
-)
-STORAGE_READ_BYTES = _REG.counter(
-    "storage_read_bytes_total", "bytes returned by pread", labels=("backend",)
-)
-STORAGE_READ_SECONDS = _REG.histogram(
-    "storage_read_seconds", "pread latency", labels=("backend",)
-)
-STORAGE_WRITE_OPS = _REG.counter(
-    "storage_write_ops_total",
-    "pwrites/appends issued",
-    labels=("backend",),
-)
-STORAGE_WRITE_BYTES = _REG.counter(
-    "storage_write_bytes_total",
-    "bytes handed to pwrite/append",
-    labels=("backend",),
-)
-STORAGE_WRITE_SECONDS = _REG.histogram(
-    "storage_write_seconds", "pwrite/append latency", labels=("backend",)
-)
-STORAGE_SYNC_OPS = _REG.counter(
-    "storage_sync_ops_total", "fsync-style syncs issued", labels=("backend",)
-)
-STORAGE_SYNC_SECONDS = _REG.histogram(
-    "storage_sync_seconds", "sync latency", labels=("backend",)
-)
-STORAGE_IO_SIZE_BYTES = _REG.histogram(
-    "storage_io_bytes",
-    "Distribution of I/O request sizes",
-    labels=("backend", "op"),
-    buckets=_m.SIZE_BUCKETS,
-)
-
 # --- Object store (ObjectStorage backend) -------------------------------
 OBJECT_REQUESTS = _REG.counter(
     "objectstore_requests_total",
@@ -293,9 +257,6 @@ MAINT_JOBS_SKIPPED = _REG.counter(
 MAINT_BYTES_RECLAIMED = _REG.counter(
     "maintenance_bytes_reclaimed_total", "Bytes deleted by expiry GC"
 )
-MAINT_ROWS_DELETED = _REG.counter(
-    "maintenance_rows_deleted_total", "Rows hard-deleted by compliance rewrites"
-)
 MAINT_FILES_DELETED = _REG.counter(
     "maintenance_files_deleted_total", "Data files deleted by expiry GC"
 )
@@ -412,16 +373,12 @@ STANDARD_FAMILIES = tuple(sorted(f.name for f in _REG.families()))
 def backend_label(storage) -> str:
     """A low-cardinality backend label for a storage object.
 
-    Class-derived (``file``, ``memory``, ``latency``), never the file
+    Class-derived (``file``, ``memory``, ``object``), never the file
     name — per-file labels would explode label cardinality.
     """
-    inner = getattr(storage, "inner", None)
-    if inner is not None and type(storage).__name__ == "InstrumentedStorage":
-        return backend_label(inner)
     cls = type(storage).__name__
     return {
         "FileStorage": "file",
         "SimulatedStorage": "memory",
-        "LatencyModelledStorage": "latency",
         "ObjectStorage": "object",
     }.get(cls, cls.lower().removesuffix("storage") or "unknown")

@@ -8,8 +8,9 @@ Usage::
     with trace.span("query.snapshot", table="events"):
         with trace.span("query.file", file="f-0001.bln"):
             ...
-    trace.export_chrome("out.trace.json")   # chrome://tracing / Perfetto
-    trace.export_jsonl("out.spans.jsonl")
+    tracer = trace.default_tracer()
+    tracer.export_chrome("out.trace.json")  # chrome://tracing / Perfetto
+    tracer.export_jsonl("out.spans.jsonl")
 
 Tracing is **disabled by default**.  When disabled, :func:`span`
 returns a shared no-op context manager — no :class:`Span` object is
@@ -42,10 +43,6 @@ __all__ = [
     "disable",
     "enabled",
     "reset",
-    "records",
-    "export_jsonl",
-    "export_chrome",
-    "summarize",
     "load_trace",
     "summarize_events",
 ]
@@ -212,9 +209,6 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
 
-    def summarize(self) -> list[dict]:
-        return summarize_events(self._events())
-
 
 def summarize_events(events: list[dict]) -> list[dict]:
     """Per-name totals with self-time, sorted by self-time descending.
@@ -352,19 +346,3 @@ def enabled() -> bool:
 
 def reset() -> None:
     _DEFAULT.reset()
-
-
-def records() -> list[SpanRecord]:
-    return _DEFAULT.records()
-
-
-def export_jsonl(path) -> None:
-    _DEFAULT.export_jsonl(path)
-
-
-def export_chrome(path) -> None:
-    _DEFAULT.export_chrome(path)
-
-
-def summarize() -> list[dict]:
-    return _DEFAULT.summarize()

@@ -32,13 +32,11 @@ Quickstart::
         for row in by_region.rows:
             ...
 
-    reader.aggregate(["sum(clicks)"])  # single-file form
-
 :class:`QueryStats` reports which answer path handled what, so "this
 never touched data" is assertable, not aspirational.
 """
 
-from repro.query.engine import aggregate_reader, aggregate_snapshot
+from repro.query.engine import aggregate_snapshot
 from repro.query.plan import (
     AGG_FUNCTIONS,
     AggregateSpec,
@@ -57,6 +55,5 @@ __all__ = [
     "QueryResult",
     "QueryStats",
     "as_aggregate",
-    "aggregate_reader",
     "aggregate_snapshot",
 ]

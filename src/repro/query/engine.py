@@ -800,47 +800,6 @@ def _kinds_from_manifest(plan: QueryPlan, files) -> dict:
     return kinds
 
 
-def aggregate_reader(
-    reader,
-    aggregates,
-    *,
-    where=None,
-    group_by=None,
-    use_metadata: bool = True,
-    max_workers: int = 4,
-) -> QueryResult:
-    """Run an aggregation query over one open Bullion file.
-
-    ``aggregates`` is a :class:`QueryPlan`, a spec/string, or a list of
-    them. ``use_metadata=False`` forces the decode path end to end
-    (the differential suite's second leg). The file's row groups decode
-    as the batches of a one-file table.
-    """
-    plan = _build_plan(aggregates, where, group_by)
-    stats = QueryStats()
-    tally = _Tally()
-    tally.query.update(files_total=1)
-    obs_on = obs_metrics.enabled()
-    t0 = time.perf_counter() if obs_on else 0.0
-    with obs_trace.span("query.reader", aggregates=len(plan.aggregates)):
-        kinds, projection = _resolve(plan, reader.layout)
-        needs = _needs(plan, kinds)
-        meta = _MetaExtents()
-        with obs_trace.span("query.file"):
-            read = _open_files(
-                reader.read_index.state(), np.zeros(1, dtype=np.int64), plan,
-                projection, use_metadata, tally, meta,
-                lambda _i: reader.reader,
-            )
-        partial = _decode_files(
-            read, plan, needs, max_workers, tally, meta.partial()
-        )
-    tally.publish(stats)
-    if obs_on:
-        QUERY_SECONDS.observe(time.perf_counter() - t0)
-    return _finalize(plan, partial, needs, stats)
-
-
 def _kinds_from_schema(plan: QueryPlan, schema) -> dict:
     """Column kinds straight from the current table schema — the
     authority on evolved snapshots, where manifest stats are keyed by

@@ -120,12 +120,15 @@ def test_no_match_delete_and_compact_stage_nothing(table):
     assert "rows_deleted" not in snap.summary
 
 
-def test_add_shards_commits_atomically(table):
-    snap = table.add_shards(_table(0, 1000), rows_per_shard=256,
-                            options=_opts())
+def test_multi_file_append_commits_atomically(table):
+    txn = table.transaction()
+    for lo in range(0, 1000, 256):
+        txn.append(_table(lo, min(256, 1000 - lo)), options=_opts())
+    assert len(table.current_snapshot().files) == 0  # nothing visible yet
+    snap = txn.commit()
     assert len(snap.files) == 4
-    assert snap.operation == "add-shards"
-    assert snap.summary["shards_added"] == 4
+    assert snap.operation == "append"
+    assert snap.summary["rows_added"] == 1000
     got = table.read(["id"], batch_size=100)
     assert np.array_equal(got.column("id"), np.arange(1000))
 

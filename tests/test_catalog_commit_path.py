@@ -55,10 +55,13 @@ def _batch(start: int, n: int = 10) -> Table:
 
 @pytest.fixture()
 def wide():
-    """A 200-file table (one add_shards commit) and its directory."""
+    """A 200-file table (one commit) and its directory."""
     fs = FaultyDirectory()
     table = CatalogTable.create(CatalogStore(fs))
-    table.add_shards(_batch(0, 2000), rows_per_shard=10)
+    txn = table.transaction()
+    for start in range(0, 2000, 10):
+        txn.append(_batch(start, 10))
+    txn.commit()
     assert len(table.current_snapshot().files) == 200
     return fs, table
 

@@ -1,15 +1,17 @@
-"""Tests for the batch-oriented training data loader."""
+"""Tests for the batch-oriented training data loader (``snap.loader``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import BullionWriter, Table, WriterOptions, delete_rows
-from repro.core.dataset import LoaderOptions, TrainingDataLoader
-from repro.iosim import SimulatedStorage
+from repro.catalog import CatalogTable, MemoryCatalogStore
+from repro.core import Table, WriterOptions
+from repro.core.dataset import LoaderOptions
+from repro.expr import col
 from repro.quantization import FloatFormat, QuantizationPolicy
 
 
 def _file(n=1000, quantization=None):
+    """One 1000-row file (groups of 200) in a catalog table."""
     rng = np.random.default_rng(23)
     table = Table(
         {
@@ -17,45 +19,36 @@ def _file(n=1000, quantization=None):
             "y": rng.normal(size=n).astype(np.float32),
         }
     )
-    dev = SimulatedStorage()
-    BullionWriter(
-        dev,
-        options=WriterOptions(
-            rows_per_page=100, rows_per_group=200, quantization=quantization
-        ),
-    ).write(table)
-    return dev, table
+    cat = CatalogTable.create(MemoryCatalogStore())
+    cat.append(table, options=WriterOptions(
+        rows_per_page=100, rows_per_group=200, quantization=quantization
+    ))
+    return cat, table
 
 
 class TestLoader:
     def test_batches_cover_all_rows_in_order(self):
-        dev, table = _file()
-        loader = TrainingDataLoader(
-            dev, ["x"], LoaderOptions(batch_size=128)
-        )
+        cat, table = _file()
+        loader = cat.pin().loader(["x"], LoaderOptions(batch_size=128))
         seen = np.concatenate([np.asarray(b.column("x")) for b in loader])
         assert np.array_equal(seen, table.column("x"))
 
     def test_batch_sizes(self):
-        dev, _t = _file(n=1000)
-        batches = list(
-            TrainingDataLoader(dev, ["x"], LoaderOptions(batch_size=300))
-        )
+        cat, _t = _file(n=1000)
+        batches = list(cat.pin().loader(["x"], LoaderOptions(batch_size=300)))
         assert [b.num_rows for b in batches] == [300, 300, 300, 100]
 
     def test_drop_last(self):
-        dev, _t = _file(n=1000)
-        batches = list(
-            TrainingDataLoader(
-                dev, ["x"], LoaderOptions(batch_size=300, drop_last=True)
-            )
-        )
+        cat, _t = _file(n=1000)
+        batches = list(cat.pin().loader(
+            ["x"], LoaderOptions(batch_size=300, drop_last=True)
+        ))
         assert [b.num_rows for b in batches] == [300, 300, 300]
 
     def test_shuffle_permutes_groups_per_epoch(self):
-        dev, table = _file(n=1000)
-        loader = TrainingDataLoader(
-            dev, ["x"], LoaderOptions(batch_size=200, shuffle_row_groups=True)
+        cat, table = _file(n=1000)
+        loader = cat.pin().loader(
+            ["x"], LoaderOptions(batch_size=200, shuffle_row_groups=True)
         )
         epoch1 = np.concatenate([np.asarray(b.column("x")) for b in loader])
         epoch2 = np.concatenate([np.asarray(b.column("x")) for b in loader])
@@ -64,18 +57,18 @@ class TestLoader:
         assert not np.array_equal(epoch1, epoch2)  # reshuffled
 
     def test_deleted_rows_excluded(self):
-        dev, _t = _file(n=1000)
-        delete_rows(dev, range(50, 150))
-        loader = TrainingDataLoader(dev, ["x"], LoaderOptions(batch_size=100))
+        cat, _t = _file(n=1000)
+        cat.delete((col("x") >= 50) & (col("x") < 150))
+        loader = cat.pin().loader(["x"], LoaderOptions(batch_size=100))
         seen = np.concatenate([np.asarray(b.column("x")) for b in loader])
         assert len(seen) == 900
         assert not np.isin(np.arange(50, 150), seen).any()
 
     def test_widen_quantized(self):
         policy = QuantizationPolicy(default=FloatFormat.FP16)
-        dev, table = _file(quantization=policy)
-        loader = TrainingDataLoader(
-            dev, ["y"], LoaderOptions(batch_size=500, widen_quantized=True)
+        cat, table = _file(quantization=policy)
+        loader = cat.pin().loader(
+            ["y"], LoaderOptions(batch_size=500, widen_quantized=True)
         )
         batch = next(iter(loader))
         assert batch.column("y").dtype == np.float32
@@ -84,6 +77,18 @@ class TestLoader:
         )
 
     def test_missing_column_rejected(self):
-        dev, _t = _file()
+        cat, _t = _file()
         with pytest.raises(KeyError, match="not in file"):
-            TrainingDataLoader(dev, ["nope"])
+            cat.pin().loader(["nope"])
+
+
+@pytest.mark.parametrize("where", [None, col("v") >= 0])
+def test_num_rows_counts_live_rows(where):
+    """``num_rows`` is what an epoch yields: deleted rows are not in
+    it, with or without a loader filter."""
+    cat = CatalogTable.create(MemoryCatalogStore())
+    cat.append(Table({"v": np.arange(100, dtype=np.int64)}))
+    cat.delete(col("v") < 30)
+    loader = cat.pin().loader(["v"], LoaderOptions(where=where))
+    assert sum(b.num_rows for b in loader) == 70
+    assert loader.num_rows == 70

@@ -8,7 +8,7 @@ harness exhausts those interactions the same way the PR-5 query
 harness did (which caught the 2**53 and NaN-pruning bug classes):
 
 * each seeded case runs a randomized history of
-  append / add_shards / upsert / evolve / delete / compact / expire /
+  append (one file or several) / upsert / evolve / delete / compact / expire /
   racing-commit steps against a real catalog AND a brute-force
   in-memory model (rows keyed by stable field id, so renames and
   widenings are free on the model side);
@@ -424,10 +424,13 @@ class History:
         batch = _write_arrays(self.model, rows)
         schema = _schema_of(self.model)
         if self.rng.random() < 0.3:
-            snap = self.table.add_shards(
-                batch, rows_per_shard=max(4, n // 3), schema=schema,
-                options=OPTS,
-            )
+            # several files, one commit
+            step = max(4, n // 3)
+            txn = self.table.transaction()
+            for lo in range(0, n, step):
+                txn.append(batch.slice(lo, lo + step), schema=schema,
+                           options=OPTS)
+            snap = txn.commit()
         else:
             snap = self.table.append(batch, schema=schema, options=OPTS)
         self.model.rows.extend(

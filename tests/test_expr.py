@@ -21,7 +21,6 @@ from repro.expr import (
     evaluate,
     evaluate_interval,
     interval_from_stats,
-    might_match,
     parse,
 )
 
@@ -250,7 +249,6 @@ class TestIntervalEvaluate:
     def test_missing_stats_are_maybe(self):
         assert evaluate_interval(col("x") > 1, {}) is TriState.MAYBE
         assert evaluate_interval(col("x") > 1, {"x": None}) is TriState.MAYBE
-        assert might_match(col("x") > 1, {"x": None})
 
     def test_not_never_prunes_through_missing_stats(self):
         stats = {"x": None}

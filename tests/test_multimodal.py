@@ -34,8 +34,9 @@ class TestMediaFile:
         w = MediaWriter(dev, field_names=["v"], block_records=3)
         for i in range(7):
             w.append({"v": bytes([i])})
-        w.close()
-        values = [rec["v"] for rec in MediaReader(dev).scan()]
+        refs = w.close()
+        r = MediaReader(dev)
+        values = [r.read_record(ref)["v"] for ref in refs]
         assert values == [bytes([i]) for i in range(7)]
 
     def test_missing_field_rejected(self):

@@ -28,10 +28,10 @@ from repro.core.chunk_cache import TieredChunkCache, TierStats
 from repro.core.reader import ScanStats
 from repro.core.writer import WriterStats
 from repro.expr import col
-from repro.iosim import InstrumentedStorage, IOStats, SimulatedStorage
+from repro.iosim import IOStats, SimulatedStorage
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import STANDARD_FAMILIES
-from repro.query import QueryStats, aggregate_reader
+from repro.query import QueryStats
 
 REG = obs_metrics.default_registry()
 
@@ -97,56 +97,6 @@ def _write_file(storage, n_rows=400, rows_per_group=100):
 # ---------------------------------------------------------------------------
 # storage + reader + writer layers
 # ---------------------------------------------------------------------------
-
-class TestInstrumentedStorage:
-    def test_write_and_read_ops_counted(self):
-        st = InstrumentedStorage(SimulatedStorage("obs-st"))
-        assert st.backend == "memory"
-        before = REG.snapshot()
-        st.append(b"a" * 100)
-        st.append(b"b" * 28)
-        st.pread(0, 64)
-        st.pread(64, 64)
-        st.pread(100, 28)
-        st.sync()  # SimulatedStorage has no sync: must be a silent no-op
-        d = REG.delta(before)
-        assert d.value("storage_write_ops_total", backend="memory") == 2
-        assert d.value("storage_write_bytes_total", backend="memory") == 128
-        assert d.value("storage_read_ops_total", backend="memory") == 3
-        assert d.value("storage_read_bytes_total", backend="memory") == 156
-        assert d.value("storage_read_seconds", backend="memory") == 3
-        assert d.value("storage_io_bytes", backend="memory", op="read") == 3
-        assert d.value("storage_io_bytes", backend="memory", op="write") == 2
-        assert d.value("storage_sync_ops_total", backend="memory") == 0
-
-    def test_disabled_switch_stops_publication(self):
-        st = InstrumentedStorage(SimulatedStorage("obs-off"))
-        st.append(b"x" * 10)
-        before = REG.snapshot()
-        obs_metrics.set_enabled(False)
-        st.pread(0, 10)
-        st.append(b"y")
-        obs_metrics.set_enabled(True)
-        d = REG.delta(before)
-        assert d.value("storage_read_ops_total", backend="memory") == 0
-        assert d.value("storage_write_ops_total", backend="memory") == 0
-        # the inner backend's own accounting is unaffected by the switch
-        assert st.stats.reads == 1
-
-    def test_full_file_roundtrip_through_wrapper(self):
-        st = InstrumentedStorage(SimulatedStorage("obs-rt"))
-        before = REG.snapshot()
-        _write_file(st, n_rows=200, rows_per_group=100)
-        total = sum(
-            b.num_rows for b in BullionReader(st).scan(["x", "y"])
-        )
-        assert total == 200
-        d = REG.delta(before)
-        assert d.value("storage_write_ops_total", backend="memory") > 0
-        assert d.value("storage_read_ops_total", backend="memory") > 0
-        written = d.value("storage_write_bytes_total", backend="memory")
-        assert written == st.size  # append-only file: bytes == size
-
 
 class TestReaderInstrumentation:
     def test_cache_hits_misses_and_chunk_latency(self):
@@ -266,7 +216,7 @@ class TestStatsMirrors:
         io = IOStats(reads=2, bytes_read=9, write_seeks=1)
         io.reset()
         assert io == IOStats()
-        report = MaintenanceReport(rows_deleted=3, skipped=["x"])
+        report = MaintenanceReport(files_compacted=3, skipped=["x"])
         report.reset()
         assert report == MaintenanceReport()
 
@@ -311,15 +261,18 @@ class TestQueryStatsPruningRegression:
     skipped with a bare ``continue``, so a query that pruned 3 of 4
     groups reported ``groups_total == 1`` and zero pruning."""
 
-    def _reader(self):
-        storage = SimulatedStorage("obs-prune")
+    def _pin(self):
+        """The file as the one member of a catalog table, pinned."""
+        cat = CatalogTable.create(MemoryCatalogStore())
+        txn = cat.transaction()
+        file_id, storage = txn.new_data_file()
         _write_file(storage, n_rows=400, rows_per_group=100)
-        return BullionReader(storage)
+        txn.add_file(storage, file_id)
+        txn.commit()
+        return cat.pin()
 
     def test_decode_query_reports_pruned_groups(self):
-        res = aggregate_reader(
-            self._reader(), ["sum(y)"], where=col("x") >= 300
-        )
+        res = self._pin().query(["sum(y)"], where=col("x") >= 300)
         s = res.stats
         assert res.scalar("sum(y)") == pytest.approx(sum(0.5 * x for x in range(300, 400)))
         assert s.scan.groups_total == 4
@@ -332,9 +285,7 @@ class TestQueryStatsPruningRegression:
         )
 
     def test_footer_answered_query_reports_pruned_groups(self):
-        res = aggregate_reader(
-            self._reader(), ["count"], where=col("x") >= 300
-        )
+        res = self._pin().query(["count"], where=col("x") >= 300)
         s = res.stats
         assert res.scalar("count") == 100
         assert s.files_footer_answered == 1

@@ -21,7 +21,6 @@ from repro.core import (
     LoaderOptions,
     ScanStats,
     Table,
-    TrainingDataLoader,
     WriterOptions,
 )
 from repro.expr import Expr, all_of, any_of, col, evaluate
@@ -507,7 +506,10 @@ class TestCatalogPushdown:
         cat = CatalogTable.create(MemoryCatalogStore())
         t = _random_table(rng, 900)
         t.columns["i64"] = np.arange(900, dtype=np.int64)
-        cat.add_shards(t, rows_per_shard=300)
+        txn = cat.transaction()
+        for lo in range(0, 900, 300):
+            txn.append(t.slice(lo, lo + 300))
+        txn.commit()
         snap = cat.current_snapshot()
         assert len(snap.files) == 3
         for f in snap.files:
@@ -604,33 +606,6 @@ class TestCatalogPushdown:
             rows = sum(b.num_rows for b in loader)
             assert rows == 400
             assert len(snap._reader_cache) == 1  # 4 files never opened
-
-    def test_maintenance_retention_filter(self):
-        from repro.catalog import MaintenancePolicy, MaintenanceService
-
-        rng = np.random.default_rng(23)
-        cat, _tables = _build_catalog(rng, n_files=3)
-        horizon = col("i64") < 400  # exactly the first file's ids
-        service = MaintenanceService(
-            cat,
-            MaintenancePolicy(
-                retention_filter=horizon,
-                keep_snapshots=100,  # keep expiry out of this test
-            ),
-        )
-        jobs = service.plan()
-        retention = [j for j in jobs if j.kind == "retention"]
-        assert len(retention) == 1
-        assert len(retention[0].file_ids) == 1  # manifest-pruned plan
-        report = service.run_once()
-        assert report.rows_deleted == 400
-        with cat.pin() as snap:
-            assert snap.read(["i64"], where=horizon).num_rows == 0
-            assert snap.read(["i64"]).num_rows == 800
-        # steady state: every matching row gone, stats prune the plan
-        assert not [j for j in service.plan() if j.kind == "retention"]
-        report = service.run_once()
-        assert report.rows_deleted == 0
 
 
 # ---------------------------------------------------------------------------

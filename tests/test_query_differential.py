@@ -23,7 +23,6 @@ import pytest
 
 from repro.catalog import CatalogTable, MemoryCatalogStore
 from repro.core import (
-    BullionReader,
     BullionWriter,
     Table,
     WriterOptions,
@@ -245,12 +244,26 @@ def _assert_rows_match(plan, got, expected, context=""):
 # single-file differential
 # ---------------------------------------------------------------------------
 
-def _check_reader(reader, table, plan, context):
+def _pin_file(table, options, doomed=()):
+    """``table`` as the one file of a catalog table, its ``doomed``
+    rows deleted in place before the commit, pinned."""
+    cat = CatalogTable.create(MemoryCatalogStore())
+    txn = cat.transaction()
+    file_id, dev = txn.new_data_file()
+    BullionWriter(dev, options=options).write(table)
+    if len(doomed):
+        delete_rows(dev, doomed)
+    txn.add_file(dev, file_id)
+    txn.commit()
+    return cat.pin()
+
+
+def _check_file(pinned, table, plan, context):
     names = list(table.columns)
-    widened = reader.project(names, widen_quantized=True)
+    widened = pinned.read(names, widen_quantized=True)
     expected = _brute_aggregate(plan, widened.columns, widened.num_rows)
     for use_metadata in (True, False):
-        res = reader.aggregate(plan, use_metadata=use_metadata)
+        res = pinned.query(plan, use_metadata=use_metadata)
         _assert_rows_match(
             plan, res.rows, expected,
             f"{context} metadata={use_metadata}",
@@ -258,7 +271,7 @@ def _check_reader(reader, table, plan, context):
 
 
 class TestFileDifferential:
-    """~160 randomized (plan, path) cases over single files."""
+    """~160 randomized (plan, path) cases over one-file catalogs."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_randomized(self, seed):
@@ -266,23 +279,18 @@ class TestFileDifferential:
         n = int(rng.integers(200, 800))
         quantized = bool(seed % 2)
         table = _random_table(rng, n, quantized=quantized)
-        from repro.iosim import SimulatedStorage
-
-        dev = SimulatedStorage()
         options = WriterOptions(
             rows_per_page=25,
             rows_per_group=int(rng.integers(2, 6)) * 25,
             quantization=_quant_policy() if quantized else None,
         )
-        BullionWriter(dev, options=options).write(table)
+        doomed = ()
         if rng.random() < 0.5:
             doomed = np.flatnonzero(rng.random(n) < 0.15)
-            if len(doomed):
-                delete_rows(dev, doomed)
-        reader = BullionReader(dev)
+        pinned = _pin_file(table, options, doomed)
         for case in range(8):
             plan = _random_plan(rng, table, quantized=quantized)
-            _check_reader(reader, table, plan, f"seed={seed} case={case}")
+            _check_file(pinned, table, plan, f"seed={seed} case={case}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +350,10 @@ class TestCatalogDifferential:
 # ---------------------------------------------------------------------------
 
 class TestDirectedEdges:
-    def _reader_for(self, table, **writer_kwargs):
-        from repro.iosim import SimulatedStorage
-
-        dev = SimulatedStorage()
-        BullionWriter(
-            dev,
-            options=WriterOptions(
-                rows_per_page=10, rows_per_group=20, **writer_kwargs
-            ),
-        ).write(table)
-        return BullionReader(dev)
+    def _pin_for(self, table, **writer_kwargs):
+        return _pin_file(table, WriterOptions(
+            rows_per_page=10, rows_per_group=20, **writer_kwargs
+        ))
 
     def test_int64_precision_boundary(self):
         """min/max at 2**53±1 are exact — the metadata path must
@@ -362,9 +363,9 @@ class TestDirectedEdges:
             [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 7],
             dtype=np.int64,
         )
-        reader = self._reader_for(Table({"v": v}))
+        snap = self._pin_for(Table({"v": v}))
         for use_metadata in (True, False):
-            res = reader.aggregate(
+            res = snap.query(
                 ["min(v)", "max(v)", "sum(v)"], use_metadata=use_metadata
             )
             assert res.rows[0]["min(v)"] == -(2**53) - 1
@@ -373,8 +374,8 @@ class TestDirectedEdges:
 
     def test_small_int_min_max_is_metadata_answered(self):
         v = np.arange(100, dtype=np.int64)
-        reader = self._reader_for(Table({"v": v}))
-        res = reader.aggregate(["min(v)", "max(v)", "count"])
+        snap = self._pin_for(Table({"v": v}))
+        res = snap.query(["min(v)", "max(v)", "count"])
         assert res.rows[0] == {"min(v)": 0, "max(v)": 99, "count(*)": 100}
         assert res.stats.data_chunks_fetched == 0
 
@@ -383,9 +384,9 @@ class TestDirectedEdges:
             "k": np.arange(40, dtype=np.int64),
             "f": np.full(40, np.nan),
         })
-        reader = self._reader_for(t)
+        snap = self._pin_for(t)
         for use_metadata in (True, False):
-            res = reader.aggregate(
+            res = snap.query(
                 ["count", "count(f)", "sum(f)", "min(f)", "mean(f)"],
                 use_metadata=use_metadata,
             )
@@ -398,9 +399,9 @@ class TestDirectedEdges:
 
     def test_infinities_survive_min_max(self):
         f = np.array([1.5, np.inf, -np.inf, np.nan, 2.0])
-        reader = self._reader_for(Table({"f": f}))
+        snap = self._pin_for(Table({"f": f}))
         for use_metadata in (True, False):
-            res = reader.aggregate(
+            res = snap.query(
                 ["min(f)", "max(f)", "count(f)"], use_metadata=use_metadata
             )
             row = res.rows[0]
@@ -410,8 +411,8 @@ class TestDirectedEdges:
 
     def test_int64_sum_past_int64_is_exact(self):
         v = np.array([2**62, 2**62, 2**62], dtype=np.int64)
-        reader = self._reader_for(Table({"v": v}))
-        res = reader.aggregate(["sum(v)"], use_metadata=False)
+        snap = self._pin_for(Table({"v": v}))
+        res = snap.query(["sum(v)"], use_metadata=False)
         assert res.rows[0]["sum(v)"] == 3 * 2**62
 
     def test_zero_match_filter(self):
@@ -419,9 +420,9 @@ class TestDirectedEdges:
             "k": np.arange(60, dtype=np.int64),
             "f": np.linspace(0, 1, 60),
         })
-        reader = self._reader_for(t)
+        snap = self._pin_for(t)
         for use_metadata in (True, False):
-            res = reader.aggregate(
+            res = snap.query(
                 ["count", "count(f)", "sum(f)", "min(f)", "max(k)",
                  "mean(f)"],
                 where=col("k") > 1000,
@@ -640,13 +641,13 @@ class TestArrayPartials:
     def test_fan_out_over_a_sleeping_device_is_bit_identical(self):
         """max_workers=4 over a device that waits per request runs one
         task per file on threads; the merge order keeps every float."""
-        from repro.iosim import LatencyModelledStorage, SeekModel
+        from repro.iosim import ObjectStorage, SeekModel
 
         class SleepingStore(MemoryCatalogStore):
             def open_data(self, file_id):
-                return LatencyModelledStorage(
+                return ObjectStorage(
                     super().open_data(file_id),
-                    SeekModel(seek_latency_s=2e-4),
+                    SeekModel(request_latency_s=2e-4),
                     sleep=True,
                 )
 

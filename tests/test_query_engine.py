@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.catalog import AddColumn, CatalogTable, MemoryCatalogStore
-from repro.core import BullionReader, BullionWriter, Table, WriterOptions
+from repro.core import Table, WriterOptions
 from repro.expr import col
-from repro.iosim import SimulatedStorage
 from repro.query import (
     AggregateSpec,
     PlanError,
@@ -23,15 +22,13 @@ from repro.query import (
 )
 
 
-def _reader(table, rows_per_page=20, rows_per_group=40):
-    dev = SimulatedStorage()
-    BullionWriter(
-        dev,
-        options=WriterOptions(
-            rows_per_page=rows_per_page, rows_per_group=rows_per_group
-        ),
-    ).write(table)
-    return BullionReader(dev)
+def _pin(table, rows_per_page=20, rows_per_group=40):
+    """``table`` as the one file of a catalog table, pinned."""
+    cat = CatalogTable.create(MemoryCatalogStore())
+    cat.append(table, options=WriterOptions(
+        rows_per_page=rows_per_page, rows_per_group=rows_per_group
+    ))
+    return cat.pin()
 
 
 class TestAggregateSpec:
@@ -89,8 +86,8 @@ class TestAggregateSpec:
 
     def test_every_entry_point_takes_text_where(self):
         table = Table({"a": np.arange(10, dtype=np.int64)})
-        reader = _reader(table)
-        assert reader.aggregate(["count"], where="a > 1").scalar("count") == 8
+        snap = _pin(table)
+        assert snap.query(["count"], where="a > 1").scalar("count") == 8
         cat = CatalogTable.create(MemoryCatalogStore())
         cat.append(table)
         assert cat.query(["count"], where="a > 1").scalar("count") == 8
@@ -106,43 +103,43 @@ class TestValidation:
         })
 
     def test_sum_on_string_column(self):
-        reader = _reader(self._table())
+        snap = _pin(self._table())
         with pytest.raises(PlanError, match="string"):
-            reader.aggregate(["sum(tag)"])
+            snap.query(["sum(tag)"])
 
     def test_aggregate_on_list_column(self):
-        reader = _reader(self._table())
+        snap = _pin(self._table())
         with pytest.raises(PlanError, match="list"):
-            reader.aggregate(["min(vec)"])
+            snap.query(["min(vec)"])
 
     def test_group_by_float_column(self):
-        reader = _reader(self._table())
+        snap = _pin(self._table())
         with pytest.raises(PlanError, match="float"):
-            reader.aggregate(["count"], group_by=["f"])
+            snap.query(["count"], group_by=["f"])
 
     def test_group_by_list_column(self):
-        reader = _reader(self._table())
+        snap = _pin(self._table())
         with pytest.raises(PlanError, match="list"):
-            reader.aggregate(["count"], group_by=["vec"])
+            snap.query(["count"], group_by=["vec"])
 
     def test_unknown_column(self):
-        reader = _reader(self._table())
+        snap = _pin(self._table())
         with pytest.raises(KeyError):
-            reader.aggregate(["sum(absent)"])
+            snap.query(["sum(absent)"])
         with pytest.raises(KeyError):
-            reader.aggregate(["count"], where=col("absent") > 1,
-                             use_metadata=False)
+            snap.query(["count"], where=col("absent") > 1,
+                       use_metadata=False)
 
     def test_count_of_string_column_is_fine(self):
-        reader = _reader(self._table())
-        res = reader.aggregate(["count(tag)"])
+        snap = _pin(self._table())
+        res = snap.query(["count(tag)"])
         assert res.rows[0]["count(tag)"] == 50
 
     def test_plan_object_and_loose_args_conflict(self):
-        reader = _reader(self._table())
+        snap = _pin(self._table())
         plan = QueryPlan.build(["count"])
         with pytest.raises(PlanError):
-            reader.aggregate(plan, group_by=["i"])
+            snap.query(plan, group_by=["i"])
 
 
 class TestGroupBy:
@@ -153,8 +150,8 @@ class TestGroupBy:
             "tag": [b"y" if i % 2 else b"x" for i in range(n)],
             "v": np.arange(n, dtype=np.int64),
         })
-        reader = _reader(t)
-        res = reader.aggregate(
+        snap = _pin(t)
+        res = snap.query(
             ["count", "sum(v)"], group_by=["a", "tag"]
         )
         keys = [(r["a"], r["tag"]) for r in res.rows]
@@ -168,13 +165,13 @@ class TestGroupBy:
             "flag": np.array([True, False] * 30),
             "v": np.ones(60, dtype=np.int64),
         })
-        res = _reader(t).aggregate(["sum(v)"], group_by=["flag"])
+        res = _pin(t).query(["sum(v)"], group_by=["flag"])
         assert [r["flag"] for r in res.rows] == [False, True]
         assert all(r["sum(v)"] == 30 for r in res.rows)
 
     def test_group_by_aggregated_column(self):
         t = Table({"g": np.repeat(np.arange(4, dtype=np.int64), 10)})
-        res = _reader(t).aggregate(
+        res = _pin(t).query(
             ["count", "min(g)", "max(g)"], group_by=["g"]
         )
         for r in res.rows:
@@ -205,7 +202,7 @@ class TestGroupBy:
             "g": np.repeat(np.arange(4, dtype=np.int64), 10),
             "v": np.arange(40, dtype=np.int64),
         })
-        res = _reader(t).aggregate(
+        res = _pin(t).query(
             ["count"], where=col("g") <= 1, group_by=["g"]
         )
         assert [r["g"] for r in res.rows] == [0, 1]
@@ -214,7 +211,7 @@ class TestGroupBy:
 class TestResultHelpers:
     def test_scalar_and_column(self):
         t = Table({"v": np.arange(10, dtype=np.int64)})
-        res = _reader(t).aggregate(["count", "sum(v)"])
+        res = _pin(t).query(["count", "sum(v)"])
         assert res.scalar("count") == 10
         assert res.scalar("sum(v)") == 45
         assert res.column("sum(v)") == [45]
@@ -222,7 +219,7 @@ class TestResultHelpers:
 
     def test_scalar_on_grouped_query_raises(self):
         t = Table({"g": np.zeros(5, dtype=np.int64)})
-        res = _reader(t).aggregate(["count"], group_by=["g"])
+        res = _pin(t).query(["count"], group_by=["g"])
         with pytest.raises(PlanError):
             res.scalar("count")
 
@@ -267,10 +264,8 @@ class TestCatalogEntryPoints:
         row = res.rows[0]
         assert row["sum(f)"] == 0.0 and isinstance(row["sum(f)"], float)
         assert row["sum(ts)"] == 0 and isinstance(row["sum(ts)"], int)
-        # same contract at the single-file level (zone maps prune all)
-        dev = SimulatedStorage()
-        BullionWriter(dev).write(Table({"f": np.linspace(0, 1, 30)}))
-        r = BullionReader(dev).aggregate(
+        # same contract on a float-only file
+        r = _pin(Table({"f": np.linspace(0, 1, 30)})).query(
             ["sum(f)"], where=col("f") > 100.0
         )
         assert isinstance(r.rows[0]["sum(f)"], float)

@@ -20,15 +20,8 @@ import numpy as np
 import pytest
 
 from repro.catalog import CatalogTable, MemoryCatalogStore
-from repro.core import (
-    BullionReader,
-    BullionWriter,
-    Table,
-    WriterOptions,
-    delete_rows,
-)
+from repro.core import Table, WriterOptions
 from repro.expr import col
-from repro.iosim import SimulatedStorage
 
 
 class CountingCatalogStore(MemoryCatalogStore):
@@ -161,19 +154,16 @@ class TestFallbacks:
         assert res.stats.data_chunks_fetched > 0
 
     def test_single_file_deletion_vector(self):
-        dev = SimulatedStorage()
-        BullionWriter(
-            dev, options=WriterOptions(rows_per_page=20, rows_per_group=40)
-        ).write(Table({"ts": np.arange(200, dtype=np.int64)}))
-        delete_rows(dev, [7])
-        reader = BullionReader(dev)
-        reads_before = dev.stats.reads
-        res = reader.aggregate(["count", "min(ts)"])
+        store, cat = _build_catalog(n_files=1)
+        cat.delete(col("ts") == 7)  # the file rewritten with a delvec
+        store.begin_run()
+        with cat.pin() as snap:
+            res = snap.query(["count", "min(ts)"])
         assert res.rows[0]["count(*)"] == 199
         assert res.rows[0]["min(ts)"] == 0
         assert res.stats.files_decoded == 1
         assert res.stats.data_chunks_fetched > 0
-        assert dev.stats.reads > reads_before
+        assert store.data_reads > 1  # more than the footer
 
     def test_maybe_predicate_falls_back(self):
         """Strings carry no statistics: every verdict is MAYBE and the
@@ -197,24 +187,29 @@ class TestFallbacks:
         assert res.stats.data_chunks_fetched > 0
 
     def test_reader_zero_chunk_fetches(self):
-        """Single-file form of the acceptance criterion: count/min/max
-        on a clean file issue no preads beyond the footer open."""
-        dev = SimulatedStorage()
-        BullionWriter(
-            dev, options=WriterOptions(rows_per_page=20, rows_per_group=40)
-        ).write(Table({
-            "ts": np.arange(500, dtype=np.int64),
-            "v": np.linspace(-1, 1, 500),
-        }))
-        reader = BullionReader(dev)
-        reads_before = dev.stats.reads
-        res = reader.aggregate(["count", "min(ts)", "max(v)", "count(ts)"])
-        assert dev.stats.reads == reads_before, "fast path touched data"
+        """File form of the acceptance criterion: count/min/max over
+        the row groups a predicate proves, in a file the manifest
+        cannot decide, issue no preads beyond the footer open."""
+        store = CountingCatalogStore()
+        cat = CatalogTable.create(store)
+        v = np.linspace(-1, 1, 500)
+        cat.append(
+            Table({"ts": np.arange(500, dtype=np.int64), "v": v}),
+            options=WriterOptions(rows_per_page=20, rows_per_group=40),
+        )
+        store.begin_run()
+        with cat.pin() as snap:
+            # groups of 40: ts < 240 is ALWAYS or NEVER per group
+            res = snap.query(
+                ["count", "min(ts)", "max(v)", "count(ts)"],
+                where=col("ts") < 240,
+            )
+        assert store.data_reads == 1, "fast path touched data"
         assert res.stats.data_chunks_fetched == 0
         assert res.stats.files_footer_answered == 1
         assert res.rows[0] == {
-            "count(*)": 500, "min(ts)": 0, "max(v)": 1.0,
-            "count(ts)": 500,
+            "count(*)": 240, "min(ts)": 0, "max(v)": float(v[239]),
+            "count(ts)": 240,
         }
 
     def test_forced_decode_matches_fast_path(self):

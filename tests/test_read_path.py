@@ -24,7 +24,6 @@ from repro.core import (
     BullionWriter,
     LoaderOptions,
     Table,
-    TrainingDataLoader,
     WriterOptions,
     delete_rows,
 )
@@ -143,11 +142,11 @@ class TestMemorySpeedDevicesStartNoThread:
         assert result.rows[0]["sum(a)"] == sum(range(4 * N_ROWS))
 
     def test_training_loader_epoch(self, no_pools):
-        devs = [_write(SimulatedStorage(), _table(k * N_ROWS)) for k in range(3)]
-        loader = TrainingDataLoader(
-            devs, ["a", "b"], LoaderOptions(batch_size=128, scan_workers=4)
-        )
-        assert sum(b.num_rows for b in loader) == 3 * N_ROWS
+        with _catalog(MemoryCatalogStore(), n_files=3).pin() as snap:
+            loader = snap.loader(
+                ["a", "b"], LoaderOptions(batch_size=128, scan_workers=4)
+            )
+            assert sum(b.num_rows for b in loader) == 3 * N_ROWS
 
 
 class TestSleepingDevicesOverlap:

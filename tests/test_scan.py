@@ -262,3 +262,28 @@ class TestDuplicateProjection:
         assert len(par) == len(ser)
         for p, s in zip(par, ser):
             assert p.equals(s)
+
+
+class TestRowGroupIndices:
+    """``row_groups`` are indices into the file's groups: a negative,
+    boolean or too-large entry is refused by name, not wrapped, cast or
+    left to numpy."""
+
+    def _reader(self):
+        table = Table({"x": np.arange(400, dtype=np.int64)})
+        dev = _write(table, rows_per_page=50, rows_per_group=100)
+        return BullionReader(dev)
+
+    @pytest.mark.parametrize("bad", [[-1], [True], [4], [0, 4], [1.0]])
+    @pytest.mark.parametrize("entry", ["scan", "project"])
+    def test_bad_indices_are_refused(self, bad, entry):
+        reader = self._reader()
+        read = getattr(reader, entry)
+        with pytest.raises(ValueError, match="4-group file"):
+            list(read(["x"], row_groups=bad))
+
+    def test_good_indices_read_their_groups(self):
+        reader = self._reader()
+        got = reader.project(["x"], row_groups=[3, 0]).column("x")
+        assert list(got[:2]) == [300, 301] and list(got[-2:]) == [98, 99]
+        assert reader.project(["x"], row_groups=[]).num_rows == 0

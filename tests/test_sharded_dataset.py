@@ -1,16 +1,16 @@
-"""Tests for ShardedDataset and multi-shard loader iteration."""
+"""Multi-file reads of a pinned snapshot: scans and loader epochs that
+cross file boundaries."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    BullionReader,
-    ShardedDataset,
-    Table,
-    WriterOptions,
+from repro.catalog import (
+    CatalogTable,
+    DirectoryCatalogStore,
+    MemoryCatalogStore,
 )
-from repro.core.dataset import LoaderOptions, TrainingDataLoader
-from repro.iosim import FileStorage, SimulatedStorage
+from repro.core import Table, WriterOptions
+from repro.core.dataset import LoaderOptions
 
 
 def _table(n=1000):
@@ -26,87 +26,68 @@ def _table(n=1000):
 _OPTS = WriterOptions(rows_per_page=50, rows_per_group=100)
 
 
+def _pin(table, n_files=4, store=None):
+    """``table`` as ``n_files`` consecutive row slices, one file each,
+    committed together; the snapshot pinned."""
+    cat = CatalogTable.create(store or MemoryCatalogStore())
+    txn = cat.transaction()
+    step = -(-table.num_rows // n_files)
+    for lo in range(0, table.num_rows, step):
+        txn.append(table.slice(lo, lo + step), options=_OPTS)
+    txn.commit()
+    return cat.pin()
+
+
 class TestShardedWrite:
-    def test_num_shards_split(self):
-        ds = ShardedDataset.write(_table(), num_shards=4, options=_OPTS)
-        assert ds.num_shards == 4
-        assert [r.num_rows for r in ds.readers()] == [250, 250, 250, 250]
-        assert ds.num_rows == 1000
-
-    def test_rows_per_shard_split_with_remainder(self):
-        ds = ShardedDataset.write(_table(), rows_per_shard=300, options=_OPTS)
-        assert [r.num_rows for r in ds.readers()] == [300, 300, 300, 100]
-
     def test_shards_concatenate_to_original(self):
         table = _table()
-        ds = ShardedDataset.write(table, num_shards=3, options=_OPTS)
-        parts = [r.project(["x", "y"]) for r in ds.readers()]
+        snap = _pin(table, n_files=3)
+        parts = [r.project(["x", "y"]) for r in snap.readers()]
+        assert [p.num_rows for p in parts] == [334, 334, 332]
         merged = np.concatenate([p.column("x") for p in parts])
         assert np.array_equal(merged, table.column("x"))
 
-    def test_scan_chains_across_shards(self):
-        table = _table()
-        ds = ShardedDataset.write(table, num_shards=3, options=_OPTS)
-        seen = np.concatenate(
-            [b.column("x") for b in ds.scan(["x"], batch_size=128)]
-        )
-        assert np.array_equal(seen, table.column("x"))
-
-    def test_split_spec_validation(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            ShardedDataset.write(_table(10))
-        with pytest.raises(ValueError, match="exactly one"):
-            ShardedDataset.write(_table(10), num_shards=2, rows_per_shard=5)
-
     def test_file_backed_shards(self, tmp_path):
         table = _table(400)
-        ds = ShardedDataset.write(
-            table,
-            num_shards=2,
-            options=_OPTS,
-            storage_factory=lambda i: FileStorage(tmp_path / f"shard{i}.bullion"),
-        )
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "shard0.bullion",
-            "shard1.bullion",
-        ]
-        assert ds.num_rows == 400
-        got = np.concatenate(
-            [b.column("x") for b in ds.scan(["x"])]
-        )
+        store = DirectoryCatalogStore(str(tmp_path))
+        snap = _pin(table, n_files=2, store=store)
+        data = [p for p in tmp_path.rglob("*") if p.is_file()
+                and any(f.file_id in p.name for f in snap.snapshot.files)]
+        assert len(data) == 2
+        got = np.concatenate([b.column("x") for b in snap.scan(["x"])])
         assert np.array_equal(got, table.column("x"))
+
+    def test_scan_chains_across_shards(self):
+        table = _table()
+        snap = _pin(table, n_files=3)
+        seen = np.concatenate(
+            [b.column("x") for b in snap.scan(["x"], batch_size=128)]
+        )
+        assert np.array_equal(seen, table.column("x"))
 
 
 class TestShardedLoader:
     def test_batches_cover_all_shards_in_order(self):
         table = _table()
-        ds = ShardedDataset.write(table, num_shards=4, options=_OPTS)
-        loader = TrainingDataLoader(ds, ["x"], LoaderOptions(batch_size=128))
+        loader = _pin(table).loader(["x"], LoaderOptions(batch_size=128))
+        assert loader.num_shards == 4
         seen = np.concatenate([np.asarray(b.column("x")) for b in loader])
         assert np.array_equal(seen, table.column("x"))
 
     def test_batches_span_shard_boundaries(self):
-        # 250-row shards with 300-row batches force cross-shard carry
-        ds = ShardedDataset.write(_table(), num_shards=4, options=_OPTS)
-        loader = TrainingDataLoader(ds, ["x"], LoaderOptions(batch_size=300))
+        # 250-row files with 300-row batches force cross-file carry
+        loader = _pin(_table()).loader(["x"], LoaderOptions(batch_size=300))
         assert [b.num_rows for b in loader] == [300, 300, 300, 100]
 
-    def test_prefetch_yields_same_batches(self):
-        table = _table()
-        ds = ShardedDataset.write(table, num_shards=4, options=_OPTS)
-        plain = TrainingDataLoader(ds, ["x"], LoaderOptions(batch_size=128))
-        prefetched = TrainingDataLoader(
-            ds, ["x"], LoaderOptions(batch_size=128, prefetch_batches=3)
+    def test_drop_last_across_shards(self):
+        loader = _pin(_table()).loader(
+            ["x"], LoaderOptions(batch_size=300, drop_last=True)
         )
-        for a, b in zip(plain, prefetched):
-            assert a.equals(b)
+        assert [b.num_rows for b in loader] == [300, 300, 300]
 
     def test_shuffle_covers_all_rows_and_reshuffles(self):
-        ds = ShardedDataset.write(_table(), num_shards=4, options=_OPTS)
-        loader = TrainingDataLoader(
-            ds,
-            ["x"],
-            LoaderOptions(batch_size=200, shuffle_row_groups=True),
+        loader = _pin(_table()).loader(
+            ["x"], LoaderOptions(batch_size=200, shuffle_row_groups=True)
         )
         epoch1 = np.concatenate([np.asarray(b.column("x")) for b in loader])
         epoch2 = np.concatenate([np.asarray(b.column("x")) for b in loader])
@@ -114,59 +95,32 @@ class TestShardedLoader:
         assert sorted(epoch2) == list(range(1000))
         assert not np.array_equal(epoch1, epoch2)
 
-    def test_list_of_storages_accepted(self):
-        table = _table(400)
-        shards = []
-        for lo in (0, 200):
-            dev = SimulatedStorage()
-            from repro.core import BullionWriter
+    def test_shuffle_order_is_a_function_of_the_seed(self):
+        snap = _pin(_table())
 
-            BullionWriter(dev, options=_OPTS).write(table.slice(lo, lo + 200))
-            shards.append(dev)
-        loader = TrainingDataLoader(shards, ["x"], LoaderOptions(batch_size=100))
-        seen = np.concatenate([np.asarray(b.column("x")) for b in loader])
-        assert np.array_equal(seen, table.column("x"))
-        assert loader.num_shards == 2
+        def epoch(seed):
+            loader = snap.loader(["x"], LoaderOptions(
+                batch_size=200, shuffle_row_groups=True, seed=seed
+            ))
+            return np.concatenate([np.asarray(b.column("x")) for b in loader])
 
-    def test_missing_column_rejected_on_any_shard(self):
-        ds = ShardedDataset.write(_table(100), num_shards=2, options=_OPTS)
-        with pytest.raises(KeyError, match="not in file"):
-            TrainingDataLoader(ds, ["nope"])
+        assert np.array_equal(epoch(3), epoch(3))
+        assert not np.array_equal(epoch(3), epoch(4))
 
     def test_single_storage_still_works(self):
-        dev = SimulatedStorage()
-        from repro.core import BullionWriter
-
-        table = _table(500)
-        BullionWriter(dev, options=_OPTS).write(table)
-        loader = TrainingDataLoader(dev, ["x"], LoaderOptions(batch_size=200))
+        loader = _pin(_table(500), n_files=1).loader(
+            ["x"], LoaderOptions(batch_size=200)
+        )
         assert [b.num_rows for b in loader] == [200, 200, 100]
+
+    def test_missing_column_rejected_on_any_shard(self):
+        with pytest.raises(KeyError, match="not in file"):
+            _pin(_table(100), n_files=2).loader(["nope"])
 
 
 class TestRegressionFixes:
     def test_sharded_scan_batches_exact_across_shards(self):
-        # shard boundary at 250; batches must still be exactly 300
-        ds = ShardedDataset.write(_table(), num_shards=4, options=_OPTS)
-        sizes = [b.num_rows for b in ds.scan(["x"], batch_size=300)]
+        # file boundary at 250; batches must still be exactly 300
+        batches = _pin(_table()).scan(["x"], batch_size=300)
+        sizes = [b.num_rows for b in batches]
         assert sizes == [300, 300, 300, 100]
-
-    def test_rows_per_shard_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            ShardedDataset.write(_table(10), rows_per_shard=0)
-
-    def test_prefetch_consumer_early_exit_stops_producer(self):
-        import threading
-        import time
-
-        ds = ShardedDataset.write(_table(), num_shards=4, options=_OPTS)
-        loader = TrainingDataLoader(
-            ds, ["x"], LoaderOptions(batch_size=64, prefetch_batches=1)
-        )
-        before = threading.active_count()
-        it = iter(loader)
-        next(it)
-        it.close()  # consumer abandons the epoch
-        deadline = time.time() + 2.0
-        while threading.active_count() > before and time.time() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() <= before

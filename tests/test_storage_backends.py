@@ -6,10 +6,7 @@ import pytest
 from repro.core import BullionReader, BullionWriter, Table, WriterOptions
 from repro.iosim import (
     FileStorage,
-    InstrumentedStorage,
-    LatencyModelledStorage,
     ObjectStorage,
-    SeekModel,
     SimulatedStorage,
     Storage,
     waits_per_request,
@@ -32,9 +29,7 @@ class TestProtocol:
         assert isinstance(SimulatedStorage(), Storage)
         with FileStorage(tmp_path / "f.bullion") as fs:
             assert isinstance(fs, Storage)
-        assert isinstance(
-            LatencyModelledStorage(SimulatedStorage()), Storage
-        )
+        assert isinstance(ObjectStorage(SimulatedStorage()), Storage)
 
 
 class TestFileStorage:
@@ -104,43 +99,13 @@ class TestFileStorage:
             assert dev.raw_bytes() == sim.raw_bytes()
 
 
-class TestLatencyModelledStorage:
-    def test_charges_seek_and_bandwidth(self):
-        inner = SimulatedStorage()
-        model = SeekModel(seek_latency_s=1e-3, bandwidth_bytes_per_s=1e6)
-        dev = LatencyModelledStorage(inner, model)
-        dev.append(b"x" * 1000)  # 1 seek + 1000B/1MBps = 2 ms
-        dev.pread(0, 500)  # 1 seek + 0.5 ms
-        dev.pread(500, 500)  # contiguous: 0.5 ms
-        assert abs(dev.elapsed_s - (2e-3 + 1.5e-3 + 0.5e-3)) < 1e-9
-
-    def test_delegates_data_and_stats(self):
-        inner = SimulatedStorage()
-        dev = LatencyModelledStorage(inner)
-        dev.append(b"abcdef")
-        assert dev.pread(2, 3) == b"cde"
-        assert dev.size == 6
-        assert inner.stats.reads == 1
-        assert dev.stats is inner.stats
-
-    def test_wraps_file_backend(self, tmp_path):
-        with FileStorage(tmp_path / "dev.bin") as inner:
-            dev = LatencyModelledStorage(inner)
-            table = _table(100)
-            BullionWriter(
-                dev, options=WriterOptions(rows_per_page=50, rows_per_group=50)
-            ).write(table)
-            assert BullionReader(dev).project(["x"]).column("x")[99] == 99
-            assert dev.elapsed_s > 0
-
-
-WRAPPERS = [LatencyModelledStorage, ObjectStorage, InstrumentedStorage]
+WRAPPERS = [ObjectStorage]
 
 
 class TestStorageWrappers:
-    """The three wrappers share one forwarding base: lifecycle calls
-    reach the backend through any of them (a latency-wrapped
-    ``FileStorage`` used to skip the pre-commit fsync and leak its fd)."""
+    """Wrappers share one forwarding base: lifecycle calls reach the
+    backend through it (a wrapped ``FileStorage`` used to skip the
+    pre-commit fsync and leak its fd)."""
 
     @pytest.mark.parametrize("wrapper", WRAPPERS)
     def test_sync_and_close_reach_the_file(self, tmp_path, monkeypatch, wrapper):
@@ -178,13 +143,9 @@ class TestStorageWrappers:
         sim = SimulatedStorage()
         assert not waits_per_request(sim)
         assert not waits_per_request(ObjectStorage(sim))  # modelled only
-        assert not waits_per_request(
-            InstrumentedStorage(LatencyModelledStorage(sim))
-        )
-        assert waits_per_request(LatencyModelledStorage(sim, sleep=True))
-        assert waits_per_request(
-            InstrumentedStorage(ObjectStorage(sim, sleep=True))
-        )
+        assert not waits_per_request(ObjectStorage(ObjectStorage(sim)))
+        assert waits_per_request(ObjectStorage(sim, sleep=True))
+        assert waits_per_request(ObjectStorage(ObjectStorage(sim, sleep=True)))
 
         class Foreign:  # a wrapper outside this package: only ``.inner``
             def __init__(self, inner):

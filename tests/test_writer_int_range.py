@@ -13,7 +13,8 @@ with the values given.
 import numpy as np
 import pytest
 
-from repro.core import BullionReader, Table, write_table
+from repro.catalog import CatalogTable, MemoryCatalogStore
+from repro.core import BullionReader, Table, WriterOptions, write_table
 from repro.core.schema import Field, LogicalType, Primitive, Schema
 from repro.iosim import SimulatedStorage
 
@@ -52,21 +53,24 @@ def test_writer_rejects_what_storage_cannot_hold(values, schema, fits):
     "values,schema,fits", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
 def test_metadata_answer_equals_decoded_answer(values, schema, fits):
+    table = CatalogTable.create(MemoryCatalogStore())
     try:
-        dev = _write(values, schema)
+        table.append(
+            Table({"a": values}), schema, WriterOptions(rows_per_page=1)
+        )
     except ValueError:
         assert not fits
         return
-    reader = BullionReader(dev)
+    snap = table.pin()
     specs = ["min(a)", "max(a)"]
-    meta = reader.aggregate(specs)
-    decoded = reader.aggregate(specs, use_metadata=False)
+    meta = snap.query(specs)
+    decoded = snap.query(specs, use_metadata=False)
     for spec in specs:
         assert meta.scalar(spec) == decoded.scalar(spec), spec
     assert meta.scalar("max(a)") == int(values.max())
     assert decoded.scalar("min(a)") == int(values.min())
     # and a filter on the true values finds their rows
-    assert reader.scan(["a"], where=f"a == {int(values[1])}").to_table().num_rows == 1
+    assert snap.read(["a"], where=f"a == {int(values[1])}").num_rows == 1
 
 
 @pytest.mark.parametrize(
