@@ -61,9 +61,10 @@ def main() -> None:
     )
 
     # mini-batch iteration feeding a (mock) trainer: the scan path
-    # streams fixed-size batches while prefetching chunks in parallel
+    # streams fixed-size batches (fetching ahead on threads only from a
+    # device that waits per request)
     n_batches = 0
-    for mini in reader.scan(projection, batch_size=128, max_workers=4):
+    for mini in reader.scan(projection, batch_size=128):
         _features = [np.asarray(v, dtype=object) for v in mini.columns.values()]
         n_batches += 1
     print(f"iterated {n_batches} mini-batches via reader.scan()")

@@ -7,11 +7,12 @@ mutation — ``append``, ``upsert``, ``delete(where)``,
 the streaming writer and publishes the next snapshot with an atomic
 put-if-absent commit, retrying optimistically when another committer
 moved HEAD. Reads pin a snapshot (``pin()`` / ``scan(snapshot_id=…)``
-/ ``as_of(ts)``), which fixes an immutable file set — the existing
-``Scan``/chunk-cache/``TrainingDataLoader`` machinery is safe by
-construction on top. :class:`MaintenanceService` rolls small ingests
-into training-sized files, compacts deletion-scrubbed files, and
-expires unreferenced snapshots without ever touching pinned files.
+/ ``as_of(ts)``), which fixes an immutable file set; its scans,
+queries and ``TrainingDataLoader`` epochs all read through the pin's
+one snapshot index, safe by construction. :class:`MaintenanceService`
+rolls small ingests into training-sized files, compacts
+deletion-scrubbed files, and expires unreferenced snapshots without
+ever touching pinned files.
 
 Quickstart::
 

@@ -471,25 +471,9 @@ class ResolvedReader(ScanSource):
 
     def __init__(self, reader, resolution: FileResolution) -> None:
         self.reader = reader
-        self._res = resolution
         self.layout = Layout(reader.footer, resolution)
 
     # -- metadata -------------------------------------------------------
     @property
     def file_index(self):
         return self.reader.file_index
-
-    @property
-    def num_rows(self) -> int:
-        return self.reader.num_rows
-
-    @property
-    def live_rows(self) -> int:
-        return self.reader.live_rows
-
-    @property
-    def chunk_cache(self):
-        return self.reader.chunk_cache
-
-    def schema_fingerprint(self) -> int:
-        return self._res.current.fingerprint()

@@ -11,8 +11,9 @@ Reads never touch HEAD directly — they **pin** a snapshot:
 hold a refcount the garbage collector respects, which is what makes
 the existing :class:`~repro.core.reader.Scan` and chunk cache safe
 by construction (a pinned file is never mutated, and never deleted
-while pinned). :meth:`PinnedSnapshot.loader` hands the pinned reader
-set straight to :class:`~repro.core.dataset.TrainingDataLoader`, so
+while pinned). A pin's scans, queries and
+:class:`~repro.core.dataset.TrainingDataLoader` epochs all read
+through its one :class:`~repro.catalog.snapshot.SnapshotIndex`, so
 training epochs are reproducible while ingest keeps committing.
 """
 
@@ -25,12 +26,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 from repro.catalog.readers import ReaderPool
-from repro.catalog.schema_evolution import (
-    EvolutionOp,
-    ResolvedReader,
-    SchemaLog,
-    TableSchema,
-)
+from repro.catalog.schema_evolution import EvolutionOp, SchemaLog, TableSchema
 from repro.catalog.snapshot import (
     DataFile,
     Snapshot,
@@ -50,7 +46,9 @@ from repro.core.reader import (
 )
 from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
-from repro.core.table import Table, concat_tables, fill_column, rebatch
+from repro.core.table import (
+    Table, check_int, concat_tables, fill_column, rebatch,
+)
 from repro.core.writer import WriterOptions
 from repro.obs import trace as obs_trace
 from repro.obs.families import Counters
@@ -87,16 +85,13 @@ class PinnedSnapshot:
     def __init__(self, table: "CatalogTable", snapshot: Snapshot) -> None:
         self._table = table
         self.snapshot = snapshot
-        #: file_id -> open reader; populated lazily, and only for files
-        #: a scan actually needs (pruned files are never opened)
+        #: file_id -> the reader this pin borrowed from
+        #: ``table.reader_provider`` (returned on release); populated
+        #: lazily, and only for files a read needs (pruned files are
+        #: never opened)
         self._reader_cache: dict[str, BullionReader] = {}
-        #: file_id -> ResolvedReader facade for old-schema files
-        self._resolved_cache: dict[str, ResolvedReader] = {}
         self._log: SchemaLog | None = None
         self._index: SnapshotIndex | None = None
-        #: the files whose readers this pin borrowed from
-        #: ``table.reader_provider``; returned on release
-        self._pooled: list[str] = []
         self._provider = table.reader_provider
         #: concurrent requests (the serving layer) may race to open a
         #: reader; the lock makes "parse each footer once per pin" hold
@@ -109,14 +104,8 @@ class PinnedSnapshot:
         if not self._released:
             self._released = True
             with self._reader_lock:
-                pooled = [
-                    (fid, self._reader_cache.get(fid))
-                    for fid in self._pooled
-                ]
-                self._pooled = []
-                self._reader_cache = {}
-                self._resolved_cache = {}
-            for fid, reader in pooled:
+                pooled, self._reader_cache = self._reader_cache, {}
+            for fid, reader in pooled.items():
                 self._provider.release(fid, reader)
             self._table._unpin(self.snapshot.snapshot_id)
 
@@ -136,7 +125,6 @@ class PinnedSnapshot:
                 # borrowed from the table's pool: every live pin reads
                 # a file through one reader
                 reader = self._provider.acquire(file_id)
-                self._pooled.append(file_id)
                 self._reader_cache[file_id] = reader
         return reader
 
@@ -149,25 +137,6 @@ class PinnedSnapshot:
     def current_schema(self) -> TableSchema | None:
         return self.schema_log().current()
 
-    def _resolved_reader_for(self, data_file):
-        """The reader every read path uses: the raw reader when the
-        file is already at the current schema, else a
-        :class:`ResolvedReader` presenting it as the current schema."""
-        resolution = self.schema_log().resolution(data_file)
-        if resolution is None:
-            return self._reader_for(data_file.file_id)
-        with self._reader_lock:
-            resolved = self._resolved_cache.get(data_file.file_id)
-            if resolved is None:
-                resolved = ResolvedReader(
-                    self._reader_for(data_file.file_id), resolution
-                )
-                self._resolved_cache[data_file.file_id] = resolved
-        return resolved
-
-    def readers(self) -> list[BullionReader]:
-        return [self._resolved_reader_for(f) for f in self.snapshot.files]
-
     def index(self) -> SnapshotIndex:
         """The snapshot as arrays (see :class:`SnapshotIndex`), shared
         with the handle's other pins of it."""
@@ -175,20 +144,27 @@ class PinnedSnapshot:
             self._index = self._table._index_for(self.snapshot, self.schema_log())
         return self._index
 
+    def _fill(self, ordinals, span: str) -> None:
+        """Fill files ``ordinals`` of the index from their footers; one
+        ``span`` per file when tracing."""
+        index = self.index()
+        if not obs_trace.enabled():
+            return index.fill(ordinals, self._reader_for)
+        for i in ordinals.tolist():
+            f = index.files[i]
+            with obs_trace.span(span, file=f.file_id, rows=f.row_count):
+                index.fill([i], self._reader_for)
+
     def prune_files(self, where) -> tuple[list, list]:
         """Split the snapshot's files into (kept, pruned) for ``where``
         by manifest statistics alone (see
         :meth:`~repro.catalog.snapshot.ManifestIndex.verdicts`): a
         pruned file is never opened."""
-        index = self.index()
-        if where is None:
-            return list(index.files), []
-        never, _always = index.manifest.verdicts(where)
-        files = index.files
-        flags = never.tolist()
+        files = self.index().files
+        kept = set(self._kept(coerce_where(where)).tolist())
         return (
-            [f for f, pruned in zip(files, flags) if not pruned],
-            [f for f, pruned in zip(files, flags) if pruned],
+            [f for i, f in enumerate(files) if i in kept],
+            [f for i, f in enumerate(files) if i not in kept],
         )
 
     def scan(
@@ -199,12 +175,12 @@ class PinnedSnapshot:
         batch_size: int | None = None,
         drop_deleted: bool = True,
         widen_quantized: bool = False,
-        max_workers: int = 4,
         scan_stats: ScanStats | None = None,
     ):
         """Lazy scan over the pinned file set: the tables each file's
         scan would yield, one per kept row group, in file order
-        (``batch_size`` re-slices them to exact sizes).
+        (``batch_size`` re-slices them to exact sizes, and is checked
+        before this returns).
 
         ``where=`` (an :class:`~repro.expr.Expr` or its text form)
         prunes files from manifest stats before any open, then row
@@ -221,37 +197,50 @@ class PinnedSnapshot:
         footer read as the scan reaches it, with the next groups'
         chunks in flight.
         """
-        where = coerce_where(where)
-        stats = scan_stats if scan_stats is not None else ScanStats()
-        index = self.index()
-        manifest = index.manifest
+        if batch_size is not None:
+            check_int(batch_size, "batch_size", positive=True)
+        tables = self._read(
+            columns, where, scan_stats, drop_deleted=drop_deleted,
+            widen_quantized=widen_quantized,
+        )
+        return tables if batch_size is None else rebatch(tables, batch_size)
+
+    def _kept(self, where: Expr | None, stats: ScanStats | None = None):
+        """Ordinals of the files manifest statistics cannot rule out
+        for ``where``; ``stats`` counts the others as pruned."""
+        manifest = self.index().manifest
         if where is None:
-            kept = np.arange(len(index.files))
-        else:
-            never, _always = manifest.verdicts(where)
-            kept = np.flatnonzero(~never)
+            return np.arange(len(manifest.row_count))
+        never, _always = manifest.verdicts(where)
+        if stats is not None:
             stats.bump(
                 files_pruned=int(never.sum()),
                 rows_pruned=int(manifest.row_count[never].sum()),
             )
-        if where is not None and not len(kept):
-            self._empty(columns, where.columns())  # no open checks names
+        return np.flatnonzero(~never)
+
+    def _read(
+        self, columns, where, stats, *, files=None, shuffle=None,
+        drop_deleted=True, widen_quantized=False,
+    ):
+        """The one read of row data behind :meth:`scan` and the
+        loader's epochs: one table per kept row group of files ``files``
+        (ordinals, in read order; by default those ``where`` leaves),
+        each file's groups in order — or in the order ``shuffle``
+        leaves an array of them in."""
+        where = coerce_where(where)
+        stats = stats if stats is not None else ScanStats()
+        if files is None:
+            files = self._kept(where, stats)
+            if where is not None and not len(files):
+                self._empty(columns, where.columns())  # no open checks names
+        if not len(files):
+            return
+        index = self.index()
         counts = Counter()
-        files = index.files
 
         def reader_of(i: int) -> BullionReader:
-            return self._reader_for(files[i].file_id)
-
-        def fill(ordinals):
-            if obs_trace.enabled():
-                for i in ordinals.tolist():
-                    with obs_trace.span(
-                        "scan.file", file=files[i].file_id,
-                        rows=files[i].row_count,
-                    ):
-                        index.fill([i], self._reader_for)
-            else:
-                index.fill(ordinals, self._reader_for)
+            return self._reader_for(index.files[i].file_id)
 
         def plan(state, groups, n, reader_of):
             return state.plan(
@@ -259,40 +248,31 @@ class PinnedSnapshot:
                 drop_deleted=drop_deleted,
             )
 
-        def file_by_file():
-            # each file planned over a one-file index: a file costs the
-            # same however many the snapshot holds
-            for i in kept.tolist():
-                fill(np.array([i]))
+        if reader_of(int(files[0])).waits_per_request:
+            # file by file, each planned over a one-file index: a file
+            # costs the same however many the snapshot holds
+            for i in files.tolist():
+                self._fill(np.array([i]), "scan.file")
                 reader = reader_of(i)
                 state = ReadIndex([index.read.blocks[i]]).state()
                 file_plan = plan(
-                    state, np.arange(state.n_groups), 1, lambda _f: reader
+                    state, _file_groups(state, [0], shuffle), 1,
+                    lambda _f: reader,
                 )
                 stats.bump(**counts)
                 counts.clear()
                 yield from Scan(
                     file_plan, columns, where=where, stats=stats,
-                    widen_quantized=widen_quantized, max_workers=max_workers,
+                    widen_quantized=widen_quantized,
                 )
-
-        if not len(kept):
-            tables = iter(())
-        elif reader_of(int(kept[0])).waits_per_request:
-            tables = file_by_file()
         else:
-            fill(kept)
+            self._fill(files, "scan.file")
             state = index.read.state()
-            opened = np.zeros(len(files), dtype=bool)
-            opened[kept] = True
-            tables = scan_batches(
-                plan(state, np.flatnonzero(opened[state.g_file]), len(kept),
+            yield from scan_batches(
+                plan(state, _file_groups(state, files, shuffle), len(files),
                      reader_of),
                 columns, where, stats, counts, widen_quantized=widen_quantized,
             )
-        if batch_size is not None:
-            tables = rebatch(tables, batch_size)
-        yield from tables
 
     def _empty(self, columns, filters=(), widen=False) -> Table:
         """The typed empty result, with each name (and each filter on a
@@ -302,17 +282,14 @@ class PinnedSnapshot:
         current = self.current_schema()
         if current is not None:
             types = {n: current.column(n).type for n in [*columns, *filters]}
-            for name in sorted(filters):
-                if types[name].list_depth > 0:
-                    raise ValueError(f"cannot filter on list column {name!r}")
         elif self.snapshot.files:
-            source = self._resolved_reader_for(self.snapshot.files[0])
-            types = {n: source.layout.locate(n)[2] for n in [*columns, *filters]}
-            for name in sorted(filters):
-                if types[name].list_depth > 0:
-                    raise ValueError(f"cannot filter on list column {name!r}")
+            layout = self._reader_for(self.snapshot.files[0].file_id).layout
+            types = {n: layout.locate(n)[2] for n in [*columns, *filters]}
         else:
             return Table({})
+        for name in sorted(filters):
+            if types[name].list_depth > 0:
+                raise ValueError(f"cannot filter on list column {name!r}")
         return Table({n: fill_column(types[n], 0, widen) for n in columns})
 
     def read(self, columns: list[str], **scan_kwargs) -> Table:
@@ -334,7 +311,6 @@ class PinnedSnapshot:
         where: Expr | str | None = None,
         group_by=None,
         use_metadata: bool = True,
-        max_workers: int = 4,
     ):
         """Aggregate over the pinned file set (``repro.query``).
 
@@ -345,7 +321,7 @@ class PinnedSnapshot:
         clean snapshot fetch **zero** data chunks, and files the
         manifest fully proves are never even opened. The rest decode in
         batches of row groups across files, merged in file order, so
-        results are bit-identical for any ``max_workers``.
+        results are bit-identical however the fetches fan out.
         Returns a :class:`repro.query.QueryResult`; its ``stats``
         reports which answer path handled what.
         """
@@ -357,7 +333,6 @@ class PinnedSnapshot:
             where=where,
             group_by=group_by,
             use_metadata=use_metadata,
-            max_workers=max_workers,
         )
 
     def loader(
@@ -365,20 +340,32 @@ class PinnedSnapshot:
     ) -> TrainingDataLoader:
         """A loader bound to this pin: every epoch sees the same rows.
 
-        When ``options.where`` is set, manifest column statistics
-        prune files up front — the loader never opens a file the
-        interval evaluator rules out, and every epoch reuses the same
-        pruned set (zone maps and decode-time filtering then apply
-        inside each file's scan).
+        The projection and ``options.where`` are checked here, as a
+        scan checks them. When ``options.where`` is set, manifest
+        column statistics prune files up front — the loader never opens
+        a file the interval evaluator rules out, and every epoch reuses
+        the same pruned set (zone maps and decode-time filtering then
+        apply inside each epoch's read).
         """
-        files = (
-            self.snapshot.files
-            if options is None or options.where is None
-            else self.prune_files(options.where)[0]
-        )
-        return TrainingDataLoader(
-            [self._resolved_reader_for(f) for f in files], columns, options
-        )
+        options = options or LoaderOptions()
+        where = options.where
+        self._empty(columns, () if where is None else where.columns())
+        return TrainingDataLoader(self, columns, self._kept(where), options)
+
+
+def _file_groups(state, files, shuffle) -> np.ndarray:
+    """Rows of ``state`` for every group of files ``files``, file after
+    file: each file's in group order, or as ``shuffle`` reorders them
+    in place."""
+    sizes = np.diff(state.file_start)[files]
+    ends = np.cumsum(sizes)
+    groups = np.arange(ends[-1]) + np.repeat(
+        state.file_start[files] - ends + sizes, sizes
+    )
+    if shuffle is not None:
+        for part in np.split(groups, ends[:-1]):
+            shuffle(part)  # a view: groups reorders with it
+    return groups
 
 
 class CatalogTable:
@@ -467,7 +454,10 @@ class CatalogTable:
         """One snapshot, parsed once per handle: a manifest record
         equal, unknown keys included, to the record of an entry this
         handle holds yields that entry, so only new or changed records
-        are parsed (see :meth:`DataFile.matches`)."""
+        are parsed (see :meth:`DataFile.matches`). The id must be a
+        non-negative ``int`` (``TypeError``/``ValueError``); an id the
+        log does not hold raises ``FileNotFoundError``."""
+        check_int(snapshot_id, "snapshot_id")
         with self._lock:
             cached = self._snap_cache.get(snapshot_id)
         if cached is not None:

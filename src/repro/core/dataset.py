@@ -1,4 +1,4 @@
-"""Batch-oriented training reads over a pinned snapshot's files.
+"""Batch-oriented training reads over a pinned snapshot.
 
 The access pattern §2.3 describes — "reading all training data within a
 specific time period in a batch-oriented manner, without requiring
@@ -11,11 +11,12 @@ complex indexing or filtering" — as a data-loader:
 * optional §2.4 widening of quantized features,
 * deleted rows filtered via the deletion vector, like every read path.
 
-A loader reads the fixed reader list of one pinned catalog snapshot
+A loader is bound to one pinned catalog snapshot
 (:meth:`repro.catalog.PinnedSnapshot.loader`), so epochs stay
-reproducible while ingest continues. It walks the files in sequence;
-each file's chunks are fetched ahead by the scan layer when the device
-waits per request.
+reproducible while ingest continues. Each epoch is one read of the
+pin's snapshot index, the same read a snapshot scan makes: batched
+across files on a memory-speed device, file by file with the next
+groups' chunks in flight on a device that waits per request.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.reader import BullionReader
-from repro.core.table import rebatch
+from repro.core.table import check_int, rebatch
 from repro.expr import Expr, coerce_where
 
 
@@ -36,8 +36,6 @@ class LoaderOptions:
     widen_quantized: bool = False
     drop_last: bool = False
     seed: int = 0
-    #: bound on each file scan's fetch look-ahead (``max_workers``)
-    scan_workers: int = 4
     #: optional row filter (:class:`repro.expr.Expr` or its text form,
     #: parsed on construction) applied with the full pushdown: zone-map
     #: group pruning + exact decode-time filtering, so a
@@ -46,75 +44,53 @@ class LoaderOptions:
     where: "Expr | str | None" = None
 
     def __post_init__(self) -> None:
+        check_int(self.batch_size, "batch_size", positive=True)
+        check_int(self.seed, "seed")
         self.where = coerce_where(self.where)
 
 
 class TrainingDataLoader:
-    """Iterate mini-batches of a feature projection over a fixed list
-    of file readers (a pinned snapshot's; see
-    :meth:`repro.catalog.PinnedSnapshot.loader`)."""
+    """Iterate mini-batches of a feature projection over the files
+    ``files`` (ordinals, the ones the manifest did not prune) of a
+    pinned snapshot; see :meth:`repro.catalog.PinnedSnapshot.loader`."""
 
     def __init__(
-        self,
-        readers: list[BullionReader],
-        columns: list[str],
-        options: LoaderOptions | None = None,
+        self, pin, columns: list[str], files: np.ndarray,
+        options: LoaderOptions,
     ) -> None:
-        self._readers = list(readers)
-        for reader in self._readers:
-            missing = [
-                c for c in columns if not _column_exists(reader, c)
-            ]
-            if missing:
-                raise KeyError(f"columns not in file: {missing}")
+        self._pin = pin
         self._columns = list(columns)
-        self._options = options or LoaderOptions()
+        self._files = files
+        self._options = options
         self._epoch = 0
 
     @property
     def num_rows(self) -> int:
         """Live rows of the files the loader reads: what an epoch
         yields without ``where`` (with it, an upper bound)."""
-        return sum(r.live_rows for r in self._readers)
+        manifest = self._pin.index().manifest
+        live = manifest.row_count - manifest.deleted_count
+        return int(live[self._files].sum())
 
     @property
     def num_shards(self) -> int:
-        return len(self._readers)
+        return len(self._files)
 
     def __iter__(self):
-        """One epoch: group tables across files, re-sliced into exact
-        batches."""
+        """One epoch: the files' row groups, each file's in turn (the
+        files, then each file's groups, shuffled per epoch with
+        ``shuffle_row_groups``), re-sliced into exact batches."""
         opts = self._options
-        rng = (
-            np.random.default_rng(opts.seed + self._epoch)
-            if opts.shuffle_row_groups
-            else None
-        )
+        files, shuffle = self._files, None
+        if opts.shuffle_row_groups:
+            rng = np.random.default_rng(opts.seed + self._epoch)
+            if len(files) > 1:
+                files = files.copy()
+                rng.shuffle(files)
+            shuffle = rng.shuffle
         self._epoch += 1
-
-        def chunks():
-            order = list(range(len(self._readers)))
-            if rng is not None and len(order) > 1:
-                rng.shuffle(order)
-            for s in order:
-                reader = self._readers[s]
-                groups = list(range(len(reader.file_index.rows)))
-                if rng is not None:
-                    rng.shuffle(groups)
-                yield from reader.scan(
-                    self._columns,
-                    row_groups=groups,
-                    where=opts.where,
-                    widen_quantized=opts.widen_quantized,
-                    max_workers=opts.scan_workers,
-                )
-
-        return rebatch(chunks(), opts.batch_size, drop_last=opts.drop_last)
-
-
-def _column_exists(reader: BullionReader, name: str) -> bool:
-    try:
-        reader.layout.locate(name)
-        return True
-    except KeyError:
-        return False
+        tables = self._pin._read(
+            self._columns, opts.where, None, files=files,
+            shuffle=shuffle, widen_quantized=opts.widen_quantized,
+        )
+        return rebatch(tables, opts.batch_size, drop_last=opts.drop_last)

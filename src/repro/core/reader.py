@@ -32,9 +32,9 @@ fill with typed nulls without any fetch. Zone-map verdicts are one
 at once.
 
 Every read of row data — :class:`Scan`, and through it ``project()``,
-the training loader and the catalog's scans, as well as the query
-engine's batches — goes through one pipeline, :func:`read_segments`,
-over a slice of a :class:`Plan` (the row groups a request reads, as
+a pinned snapshot's scans and loader epochs, and the query engine's
+batches — goes through one pipeline, :func:`read_segments`, over a
+slice of a :class:`Plan` (the row groups a request reads, as
 arrays):
 
 1. **prune**: row groups the zone maps prove ``NEVER`` never enter
@@ -57,10 +57,11 @@ does a snapshot scan on a memory-speed device (:func:`scan_batches`).
 **File by file**: :class:`Scan` reads a file's groups one at a time
 and, on a device that waits per request
 (:func:`repro.iosim.waits_per_request`), keeps the next groups' filter
-chunks in flight on threads. A snapshot scan over such a device keeps
-this schedule, reading each footer as the scan reaches it: batching
-would overlap fetches across files, a faster cold read that holds
-more in memory at once (on the object-store scenario, more than its
+chunks in flight on a :func:`fetch_pool` (the query's fan-out uses
+one too). A snapshot scan or loader epoch over such a device keeps
+this schedule, reading each footer as it reaches it: batching would
+overlap fetches across files, a faster cold read that holds more in
+memory at once (on the object-store scenario, more than its
 peak-memory bound allows).
 
 Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
@@ -100,6 +101,7 @@ from repro.core.page import PAGE_HEADER, PAGE_HEADER_SIZE, PageHeader
 from repro.core.schema import Primitive, Schema, STORAGE_DTYPES, stats_kind
 from repro.core.table import (
     Table,
+    check_int,
     concat_tables,
     fill_column,
     rebatch,
@@ -138,6 +140,11 @@ _MAX_RUN_BYTES = 8 << 20
 #: groups whose first chunks a scan keeps in flight beyond the one it
 #: decodes, on a device that waits per request
 _PREFETCH_GROUPS = 2
+
+#: threads that overlap fetches from a device that waits per request
+#: (a scan's look-ahead, a query's fan-out); a memory-speed device
+#: fetches inline and never starts one
+_FETCH_THREADS = 4
 
 #: quantized primitives stored as codes, which INT codecs decode to int64
 _CODED = (Primitive.BFLOAT16, Primitive.FLOAT8_E4M3, Primitive.FLOAT8_E5M2)
@@ -196,7 +203,7 @@ class Scan:
     """Lazy batch iterator over one file, through either reader kind.
 
     Created via :meth:`ScanSource.scan` (or, per file, by a snapshot
-    scan on a device that waits per request) over a :class:`Plan` of
+    read on a device that waits per request) over a :class:`Plan` of
     the file's kept row groups (zone-map-pruned groups cost no data
     I/O). Iterating yields :class:`Table` batches; ``to_table()``
     materializes the whole result. Every kept group is read by
@@ -204,11 +211,10 @@ class Scan:
     projection only if rows survive.
 
     On a device that waits per request the first chunks of the next
-    ``_PREFETCH_GROUPS`` groups are in flight on a thread pool while
-    one group decodes (positional reads are independent); decode and
-    assembly stay on the consuming thread. On a memory-speed device,
-    or with ``max_workers <= 1``, every fetch is inline and no thread
-    is started.
+    ``_PREFETCH_GROUPS`` groups are in flight on a :func:`fetch_pool`
+    while one group decodes (positional reads are independent);
+    decode and assembly stay on the consuming thread. On a memory-speed
+    device every fetch is inline and no thread is started.
     """
 
     def __init__(
@@ -220,7 +226,6 @@ class Scan:
         stats: ScanStats,
         batch_size: int | None = None,
         widen_quantized: bool = False,
-        max_workers: int = 4,
     ) -> None:
         self.stats = stats
         self._plan = plan
@@ -228,11 +233,6 @@ class Scan:
         self._where = where
         self._batch_size = batch_size
         self._widen = widen_quantized
-        #: look-ahead pool width; 0 when every fetch is inline
-        waits = len(plan.groups) and plan.reader_of(
-            int(plan.files[0])
-        ).waits_per_request
-        self._fetch_threads = max_workers if max_workers > 1 and waits else 0
 
     @property
     def row_groups(self) -> list[int]:
@@ -271,17 +271,15 @@ class Scan:
         """
         plan = self._plan
         n = len(plan.groups)
-        threaded = self._fetch_threads > 0 and n > 1
 
         def fetch(j: int) -> dict:
             reader, keys = plan.requests([j], plan.first_of)[0]
             return reader._fetch_chunks(keys)
 
-        with (
-            ThreadPoolExecutor(max_workers=self._fetch_threads)
-            if threaded
-            else nullcontext()
+        with fetch_pool(
+            n > 1 and plan.reader_of(int(plan.files[0])).waits_per_request
         ) as pool:
+            threaded = pool is not None
             # groups not yet handed to the pool (none without one) ...
             waiting = iter(range(1, n) if threaded else ())
             # ... and the first-phase fetches in flight, in group order
@@ -338,7 +336,6 @@ class ScanSource:
         batch_size: int | None = None,
         drop_deleted: bool = True,
         widen_quantized: bool = False,
-        max_workers: int = 4,
         scan_stats: ScanStats | None = None,
     ) -> Scan:
         """Lazy batch iterator over a feature projection.
@@ -347,9 +344,6 @@ class ScanSource:
         batches of exactly ``batch_size`` rows (last one may be short).
         ``row_groups`` picks groups by index; an index outside the
         file's groups raises ``ValueError``.
-        ``max_workers`` bounds the fetch look-ahead on a device that
-        waits per request (a memory-speed device never uses threads);
-        ``max_workers <= 1`` forces serial chunk fetches everywhere.
 
         ``where`` takes a :class:`repro.expr.Expr` or its text form
         and applies the full pushdown: zone-map row-group pruning plus
@@ -357,6 +351,8 @@ class ScanSource:
         Pass a shared :class:`ScanStats` as ``scan_stats`` to
         aggregate skip counters across several scans.
         """
+        if batch_size is not None:
+            check_int(batch_size, "batch_size", positive=True)
         where = coerce_where(where)
         stats = scan_stats if scan_stats is not None else ScanStats()
         counts = Counter()
@@ -372,7 +368,7 @@ class ScanSource:
         stats.bump(**counts)
         return Scan(
             plan, columns, where=where, stats=stats, batch_size=batch_size,
-            widen_quantized=widen_quantized, max_workers=max_workers,
+            widen_quantized=widen_quantized,
         )
 
     def project(
@@ -382,10 +378,8 @@ class ScanSource:
         row_groups: list[int] | None = None,
         widen_quantized: bool = False,
     ) -> Table:
-        """Eagerly read the named columns (the ML feature projection).
-
-        A thin wrapper over a serial :meth:`scan` so accounting-based
-        experiments see deterministic I/O ordering.
+        """Eagerly read the named columns (the ML feature projection):
+        :meth:`scan` materialized into one table.
 
         ``widen_quantized=True`` dequantizes §2.4 storage-quantized
         columns (FP16/BF16/FP8) back to float32 on the way out; the
@@ -398,7 +392,6 @@ class ScanSource:
             row_groups=row_groups,
             drop_deleted=drop_deleted,
             widen_quantized=widen_quantized,
-            max_workers=0,
         ).to_table()
 
     def read_column(self, name: str, drop_deleted: bool = True):
@@ -519,11 +512,6 @@ class BullionReader(ScanSource):
     @property
     def num_columns(self) -> int:
         return self.footer.num_columns
-
-    @property
-    def live_rows(self) -> int:
-        """Rows that survive deletion filtering (the manifest stat)."""
-        return self.footer.num_rows - self.footer.deleted_count()
 
     def schema(self) -> Schema:
         return self.footer.schema()
@@ -1187,6 +1175,15 @@ class Plan:
                 out.append((self.reader_of(f), keys))
                 last = f
         return out
+
+
+def fetch_pool(waits: bool):
+    """A pool of ``_FETCH_THREADS`` threads to overlap fetches on when
+    they ``waits`` (from a device that waits per request), else a
+    context of None: every fetch inline."""
+    if waits and _FETCH_THREADS > 1:
+        return ThreadPoolExecutor(max_workers=_FETCH_THREADS)
+    return nullcontext()
 
 
 def _fetch(requests, pool=None):

@@ -176,6 +176,17 @@ def concat_tables(tables: list["Table"]) -> "Table":
     return Table(out)
 
 
+def check_int(value, name: str, *, positive: bool = False) -> None:
+    """Refuse ``value`` unless it is an ``int`` (not a ``bool``) of at
+    least 0 (``positive``: at least 1): ``TypeError``, or ``ValueError``
+    when it is too small."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < int(positive):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {kind}, not {value}")
+
+
 def rebatch(chunks, batch_size: int, drop_last: bool = False):
     """Re-slice a stream of tables into exact ``batch_size`` batches.
 

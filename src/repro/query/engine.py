@@ -13,7 +13,7 @@ minima, maxima and exact integer sums (int64 sums of each value's
 so they reduce over as many rows at once as the engine holds. Float
 sums are not: every row group sums its own rows, a file folds its row
 groups in order, and the query folds the file totals in file order —
-the same order for any batching and any ``max_workers``, so the answer
+the same order for any batching and any fetch fan-out, so the answer
 is bit-identical.
 
 Each file is answered by the cheapest path that can prove the right
@@ -62,8 +62,6 @@ from __future__ import annotations
 import functools
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from itertools import groupby
 
 import numpy as np
@@ -74,6 +72,7 @@ from repro.core.reader import (
     Plan,
     _batches,
     _fetch,
+    fetch_pool,
     read_segments,
 )
 from repro.core.schema import Primitive, stats_kind
@@ -663,25 +662,21 @@ def _open_files(
 # batches of row groups
 # ---------------------------------------------------------------------------
 
-def _decode_files(read, plan, needs, max_workers, tally, partial):
+def _decode_files(read, plan, needs, tally, partial):
     """Fold every group of the plan ``read`` into ``partial``, batch by
-    batch, in file and row-group order."""
+    batch, in file and row-group order; a batch's fetches from a device
+    that waits per request fan out on a :func:`fetch_pool`."""
     if not len(read.groups):
         return partial
-    threaded = max_workers > 1 and any(
-        read.reader_of(f).waits_per_request for f in dict.fromkeys(read._files)
-    )
     used = list(plan.group_by) + [
         name for name, _kind, _states in needs if name not in plan.group_by
     ]
     fold = _SumFold()
     # files with one group each fold their sums straight into the query's
     single = (np.bincount(read.files) == 1)[read.files]
-    with (
-        ThreadPoolExecutor(max_workers=max_workers)
-        if threaded
-        else nullcontext()
-    ) as pool:
+    with fetch_pool(any(
+        read.reader_of(f).waits_per_request for f in dict.fromkeys(read._files)
+    )) as pool:
         fetch = functools.partial(_fetch, pool=pool)
         # the budget is read here, so a test can shrink the batches
         for lo, hi in _batches(read, _BATCH_BYTES):
@@ -819,7 +814,6 @@ def aggregate_snapshot(
     where=None,
     group_by=None,
     use_metadata: bool = True,
-    max_workers: int = 4,
 ) -> QueryResult:
     """Run an aggregation query over a pinned catalog snapshot.
 
@@ -828,7 +822,7 @@ def aggregate_snapshot(
     the manifest alone, and the rest are opened (on the calling
     thread), classified by their zone maps and decoded in batches
     across files. The result — including float sums — is
-    bit-identical for any ``max_workers``.
+    bit-identical however the fetches fan out.
     """
     plan = _build_plan(aggregates, where, group_by)
     stats = QueryStats()
@@ -837,7 +831,7 @@ def aggregate_snapshot(
     t0 = time.perf_counter() if obs_on else 0.0
     with obs_trace.span("query.snapshot", files=len(files)):
         result = _aggregate_snapshot_impl(
-            pinned, plan, stats, files, use_metadata, max_workers
+            pinned, plan, stats, files, use_metadata
         )
     if obs_on:
         QUERY_SECONDS.observe(time.perf_counter() - t0)
@@ -845,7 +839,7 @@ def aggregate_snapshot(
 
 
 def _aggregate_snapshot_impl(
-    pinned, plan, stats, files, use_metadata, max_workers
+    pinned, plan, stats, files, use_metadata
 ) -> QueryResult:
     current_schema = pinned.schema_log().current()
     kinds = (
@@ -883,12 +877,7 @@ def _aggregate_snapshot_impl(
     opened = np.flatnonzero(~never & ~answered)
     read = None
     if len(opened):
-        if obs_trace.enabled():
-            for i in opened.tolist():
-                with obs_trace.span("query.file", file=files[i].file_id):
-                    index.fill([i], pinned._reader_for)
-        else:
-            index.fill(opened, pinned._reader_for)
+        pinned._fill(opened, "query.file")
         # stored schema -> decode projection, resolved on its first file;
         # old-schema files all read as the current schema
         projection: dict = {}
@@ -903,6 +892,6 @@ def _aggregate_snapshot_impl(
     needs = _needs(plan, kinds)
     partial = meta.partial()
     if read is not None:
-        partial = _decode_files(read, plan, needs, max_workers, tally, partial)
+        partial = _decode_files(read, plan, needs, tally, partial)
     tally.publish(stats)
     return _finalize(plan, partial, needs, stats)

@@ -273,8 +273,8 @@ class TableService:
             raise BadRequest("pass at most one of snapshot_id/as_of")
         try:
             if sid is not None:
-                if not isinstance(sid, int) or isinstance(sid, bool):
-                    raise BadRequest("snapshot_id must be an integer")
+                if not isinstance(sid, int) or isinstance(sid, bool) or sid < 0:
+                    raise BadRequest("snapshot_id must be a non-negative integer")
                 return state.table.snapshot(sid).snapshot_id
             if as_of is not None:
                 if not isinstance(as_of, int) or isinstance(as_of, bool):

@@ -86,7 +86,7 @@ def test_manifest_carries_footer_stats(table):
     reader = BullionReader(storage)
     assert entry.row_count == reader.num_rows == 300
     assert entry.deleted_count == reader.footer.deleted_count() == 50
-    assert entry.live_rows == reader.live_rows == 250
+    assert entry.live_rows == 250
     assert entry.byte_size == storage.size
     assert entry.schema_fingerprint == reader.schema_fingerprint()
 
@@ -330,7 +330,7 @@ def test_released_pin_rejects_reads(table):
     pinned = table.pin()
     pinned.release()
     with pytest.raises(RuntimeError):
-        pinned.readers()
+        pinned.read(["id"])
 
 
 # -- directory store --------------------------------------------------------
@@ -473,3 +473,18 @@ def test_inspect_catalog_cli(tmp_path, capsys):
     assert main(["catalog", "files", root]) == 0
     out = capsys.readouterr().out
     assert "data files of snapshot 2" in out
+
+
+@pytest.mark.parametrize("sid,error", [
+    (-1, ValueError), (True, TypeError), (1.0, TypeError), ("1", TypeError),
+])
+def test_snapshot_ids_are_checked(table, sid, error):
+    """Only a non-negative int names a snapshot: no bool or float pins
+    snapshot 1, no negative id turns into a garbled file name."""
+    table.append(_table(0, 10), options=_opts())
+    with pytest.raises(error, match="snapshot_id"):
+        table.snapshot(sid)
+    with pytest.raises(error, match="snapshot_id"):
+        table.pin(sid)
+    with pytest.raises(FileNotFoundError):
+        table.snapshot(99)

@@ -87,12 +87,12 @@ class TestLegacyShim:
         assert (cache.max_entries, cache.memory_bytes) == (3, 64 << 20)
         assert cache.disk_bytes == 0
 
-    def test_capacity_zero_disables(self):
+    def test_capacity_zero_disables(self, serial_fetch):
         dev = self._dev()
         reader = BullionReader(dev, chunk_cache_size=0)
-        reader.scan(["x"], max_workers=0).to_table()
+        reader.scan(["x"]).to_table()
         first = dev.stats.bytes_read
-        reader.scan(["x"], max_workers=0).to_table()
+        reader.scan(["x"]).to_table()
         assert dev.stats.bytes_read > first  # nothing was kept
         stats = reader.chunk_cache.stats
         assert len(reader.chunk_cache) == 0
@@ -189,7 +189,7 @@ class TestDiskCrashConsistency:
         assert cache.get(("k", 1)) is None
         assert cache.stats.checksum_failures == 1
 
-    def test_corrupt_spill_refetches_good_bytes_end_to_end(self, tmp_path):
+    def test_corrupt_spill_refetches_good_bytes_end_to_end(self, serial_fetch, tmp_path):
         """A reader over a corrupted disk tier silently refetches from
         the backend and the scan still verifies against the file's own
         page checksums."""
@@ -205,13 +205,13 @@ class TestDiskCrashConsistency:
         )
         reader = BullionReader(dev, chunk_cache=cache)
         assert np.array_equal(
-            reader.scan(["x"], max_workers=0).to_table().column("x"),
+            reader.scan(["x"]).to_table().column("x"),
             table.column("x"),
         )
         # smash every spill file, then re-scan through the same cache
         for f in (tmp_path / "spill").iterdir():
             f.write_bytes(b"garbage")
-        out = reader.scan(["x"], max_workers=0).to_table()
+        out = reader.scan(["x"]).to_table()
         assert np.array_equal(out.column("x"), table.column("x"))
         assert cache.stats.checksum_failures > 0
         assert reader.verify()
@@ -324,20 +324,20 @@ class TestSharingAndInvalidation:
             dev, options=WriterOptions(rows_per_page=100, rows_per_group=200)
         ).write(Table({"x": np.arange(n, dtype=np.int64)}))
 
-    def test_second_reader_hits_first_readers_entries(self):
+    def test_second_reader_hits_first_readers_entries(self, serial_fetch):
         dev = SimulatedStorage()
         self._write(dev)
         cache = _cache()
         r1 = BullionReader(dev, chunk_cache=cache)
-        r1.scan(["x"], max_workers=0).to_table()
+        r1.scan(["x"]).to_table()
         reads_before = dev.stats.reads
         r2 = BullionReader(dev, chunk_cache=cache)  # fresh reader, same file
-        out = r2.scan(["x"], max_workers=0).to_table()
+        out = r2.scan(["x"]).to_table()
         # only the footer open hit the device; all chunks came shared
         assert dev.stats.reads == reads_before + 1
         assert np.array_equal(out.column("x"), np.arange(400))
 
-    def test_fingerprint_isolates_mutated_file(self):
+    def test_fingerprint_isolates_mutated_file(self, serial_fetch):
         """In-place deletion changes the footer fingerprint, so a new
         reader over the mutated file can never be served the old
         chunks — without any explicit invalidation."""
@@ -345,12 +345,12 @@ class TestSharingAndInvalidation:
         self._write(dev)
         cache = _cache()
         r1 = BullionReader(dev, chunk_cache=cache)
-        before = r1.scan(["x"], max_workers=0).to_table()
+        before = r1.scan(["x"]).to_table()
         assert before.num_rows == 400
         delete_rows(dev, range(100))
         r2 = BullionReader(dev, chunk_cache=cache)
         assert r2.fingerprint != r1.fingerprint
-        after = r2.scan(["x"], max_workers=0).to_table()
+        after = r2.scan(["x"]).to_table()
         assert after.num_rows == 300
         assert after.column("x").min() == 100
 
@@ -376,12 +376,12 @@ class TestSharingAndInvalidation:
         assert storage_identity(m1) != storage_identity(m2)
         assert storage_identity(m1) == storage_identity(m1)
 
-    def test_reader_invalidate_cache_on_shared_cache(self):
+    def test_reader_invalidate_cache_on_shared_cache(self, serial_fetch):
         dev = SimulatedStorage()
         self._write(dev)
         cache = _cache()
         reader = BullionReader(dev, chunk_cache=cache)
-        reader.scan(["x"], max_workers=0).to_table()
+        reader.scan(["x"]).to_table()
         assert len(cache) > 0
         reader.invalidate_cache()
         assert len(cache) == 0

@@ -92,3 +92,56 @@ def test_num_rows_counts_live_rows(where):
     loader = cat.pin().loader(["v"], LoaderOptions(where=where))
     assert sum(b.num_rows for b in loader) == 70
     assert loader.num_rows == 70
+
+
+class TestInputsCheckedUpFront:
+    """A bad batch size, seed or filter fails where it is given, with a
+    typed error, not at the first batch or the first epoch."""
+
+    BAD_BATCH_SIZES = [
+        (0, ValueError), (-3, ValueError), (2.5, TypeError),
+        (True, TypeError), ("8", TypeError),
+    ]
+
+    @pytest.mark.parametrize("size,error", BAD_BATCH_SIZES)
+    def test_loader_options_reject_batch_size(self, size, error):
+        with pytest.raises(error, match="batch_size"):
+            LoaderOptions(batch_size=size)
+
+    @pytest.mark.parametrize("seed,error", [
+        (-1, ValueError), (1.0, TypeError), (False, TypeError),
+    ])
+    def test_loader_options_reject_seed(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            LoaderOptions(seed=seed, shuffle_row_groups=True)
+
+    @pytest.mark.parametrize("size,error", BAD_BATCH_SIZES)
+    def test_scans_reject_batch_size_when_called(self, size, error):
+        cat, _table = _file(200)
+        with cat.pin() as pin:
+            reader = pin._reader_for(pin.snapshot.files[0].file_id)
+            with pytest.raises(error, match="batch_size"):
+                reader.scan(["x"], batch_size=size)
+            with pytest.raises(error, match="batch_size"):
+                pin.scan(["x"], batch_size=size)
+            with pytest.raises(error, match="batch_size"):
+                pin.read(["x"], batch_size=size)
+
+    @pytest.mark.parametrize("where", [
+        "nope > 1", "x > 1 and nope < 2", col("nope") == 3,
+    ])
+    def test_loader_rejects_a_bad_filter_at_construction(self, where):
+        cat, _table = _file(200)
+        with cat.pin() as pin:
+            with pytest.raises(KeyError):
+                pin.loader(["x"], LoaderOptions(where=where))
+
+    def test_loader_rejects_a_filter_on_a_list_column(self):
+        cat = CatalogTable.create(MemoryCatalogStore())
+        cat.append(Table({
+            "x": np.arange(4, dtype=np.int64),
+            "l": [np.arange(k, dtype=np.int64) for k in range(4)],
+        }))
+        with cat.pin() as pin:
+            with pytest.raises(ValueError, match="list column"):
+                pin.loader(["x"], LoaderOptions(where=col("l") > 1))

@@ -214,7 +214,7 @@ class TestOldSchemaChunkCounts:
             b.num_rows
             for b in cat.scan(["ts", "v"], where=where, scan_stats=scan_stats)
         )
-        res = cat.query(["count", "sum(v)"], where=where, max_workers=1)
+        res = cat.query(["count", "sum(v)"], where=where)
         fetched = REG.delta(before).value("scan_chunks_fetched_total")
         assert rows == res.scalar("count")
         return rows, scan_stats, res.stats, fetched
@@ -226,7 +226,7 @@ class TestOldSchemaChunkCounts:
         assert out.num_rows == 300
         assert evolved.chunks_fetched == plain.chunks_fetched > 0
 
-    def test_evolved_counts_equal_plain(self):
+    def test_evolved_counts_equal_plain(self, serial_fetch):
         # (where, rows matched, chunks the scan fetches, and the query)
         cases = [
             # group 0 NEVER, 1 MAYBE, 2 ALWAYS

@@ -170,15 +170,15 @@ class TestObjectStorage:
 
 
 class TestCoalescing:
-    def test_coalescing_halves_data_requests(self):
+    def test_coalescing_halves_data_requests(self, serial_fetch):
         dev = _bullion_device(n_rows=1000, n_cols=4, rows_per_group=200)
         naive = _object_copy(dev)
         BullionReader(naive, chunk_cache_size=0, coalesce_gap=-1).scan(
-            ["c0", "c1", "c2", "c3"], max_workers=0
+            ["c0", "c1", "c2", "c3"]
         ).to_table()
         coalesced = _object_copy(dev)
         BullionReader(coalesced, chunk_cache_size=0).scan(
-            ["c0", "c1", "c2", "c3"], max_workers=0
+            ["c0", "c1", "c2", "c3"]
         ).to_table()
         # 5 groups x 4 cols: 20 per-chunk GETs naive, 5 runs coalesced
         # (+1 footer open each)
@@ -186,7 +186,9 @@ class TestCoalescing:
         assert coalesced.request_count == 6
         assert naive.request_count >= 2 * coalesced.request_count
 
-    def test_results_byte_identical_across_configs(self):
+    def test_results_byte_identical_across_configs(self, monkeypatch):
+        from repro.core import reader
+
         dev = _bullion_device(n_rows=1000, n_cols=3, rows_per_group=200)
         expected = BullionReader(dev).scan(["c0", "c2"]).to_table()
         for kwargs in (
@@ -194,24 +196,25 @@ class TestCoalescing:
             {"coalesce_gap": 0},
             {"coalesce_gap": 1 << 20},
         ):
-            for workers in (0, 4):
+            for workers in (1, 4):
+                monkeypatch.setattr(reader, "_FETCH_THREADS", workers)
                 got = BullionReader(
                     _object_copy(dev), chunk_cache_size=0, **kwargs
-                ).scan(["c0", "c2"], max_workers=workers).to_table()
+                ).scan(["c0", "c2"]).to_table()
                 assert got.equals(expected), (kwargs, workers)
 
-    def test_gap_merges_non_adjacent_extents(self):
+    def test_gap_merges_non_adjacent_extents(self, serial_fetch):
         # project a strict subset of columns: their chunks are NOT
         # adjacent (the skipped column sits between), so gap=0 cannot
         # merge them but a generous gap can
         dev = _bullion_device(n_rows=400, n_cols=3, rows_per_group=400)
         tight = _object_copy(dev)
         BullionReader(tight, chunk_cache_size=0).scan(
-            ["c0", "c2"], max_workers=0
+            ["c0", "c2"]
         ).to_table()
         wide = _object_copy(dev)
         BullionReader(wide, chunk_cache_size=0, coalesce_gap=1 << 20).scan(
-            ["c0", "c2"], max_workers=0
+            ["c0", "c2"]
         ).to_table()
         data_gets = lambda o: sum(1 for r in o.requests if r.op == "GET") - 1
         assert data_gets(tight) == 2  # c0 and c2 separately
@@ -219,11 +222,11 @@ class TestCoalescing:
         # the over-read is bounded by the gap: c1's chunk bytes
         assert wide.bytes_moved("GET") > tight.bytes_moved("GET")
 
-    def test_runs_respect_storage_request_cap(self):
+    def test_runs_respect_storage_request_cap(self, serial_fetch):
         dev = _bullion_device(n_rows=2000, n_cols=2, rows_per_group=500)
         obj = _object_copy(dev, max_request_bytes=4096)
         BullionReader(obj, chunk_cache_size=0).scan(
-            ["c0", "c1"], max_workers=0
+            ["c0", "c1"]
         ).to_table()
         # the planner caps runs at the storage's max ranged-get size,
         # so no logged request was ever split by the backend
@@ -300,11 +303,14 @@ class TestWarmCatalogScan:
 
 
 class TestThunderingHerd:
-    def test_one_backend_fetch_per_hot_chunk(self):
+    def test_one_backend_fetch_per_hot_chunk(self, monkeypatch):
         """N threads scanning the same table through one shared cache:
         every (column, group) chunk is fetched from the backend exactly
         once — the single-flight guarantee — and every thread still
         gets byte-identical results."""
+        from repro.core import reader as reader_module
+
+        monkeypatch.setattr(reader_module, "_FETCH_THREADS", 2)
         n_threads = 8
         dev = _bullion_device(n_rows=1000, n_cols=2, rows_per_group=200)
         expected = BullionReader(dev).scan(["c0", "c1"]).to_table()
@@ -324,9 +330,7 @@ class TestThunderingHerd:
         def scan(i, reader):
             try:
                 barrier.wait()
-                results[i] = reader.scan(
-                    ["c0", "c1"], max_workers=2
-                ).to_table()
+                results[i] = reader.scan(["c0", "c1"]).to_table()
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 

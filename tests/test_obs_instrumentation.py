@@ -431,7 +431,7 @@ class TestMaintenanceInstrumentation:
 # ---------------------------------------------------------------------------
 
 class TestEndToEndReconciliation:
-    def test_flow_counters_reconcile_exactly(self, tmp_path):
+    def test_flow_counters_reconcile_exactly(self, tmp_path, serial_fetch):
         """Ingest -> commit -> pruned scan -> aggregate query ->
         maintenance cycle. The registry delta for every declared
         ``scan_*`` / ``query_*`` family must equal the summed per-call
@@ -461,9 +461,7 @@ class TestEndToEndReconciliation:
             assert scan_stats.rows_pruned == 600
 
             # aggregate query: one MAYBE file decodes, two files pruned
-            res = snap.query(
-                ["count", "sum(v)"], where=col("ts") < 250, max_workers=1
-            )
+            res = snap.query(["count", "sum(v)"], where=col("ts") < 250)
             assert res.scalar("count") == 250
 
         # reconcile BEFORE maintenance: the rollup job re-reads the

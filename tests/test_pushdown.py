@@ -121,7 +121,10 @@ def _assert_tables_equal(a: Table, b: Table):
 class TestScanMatchesBruteForce:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("workers", [0, 4])
-    def test_randomized(self, seed, workers):
+    def test_randomized(self, seed, workers, monkeypatch):
+        from repro.core import reader as reader_module
+
+        monkeypatch.setattr(reader_module, "_FETCH_THREADS", workers)
         rng = np.random.default_rng(seed)
         table = _random_table(rng, 700)
         dev = SimulatedStorage()
@@ -134,9 +137,7 @@ class TestScanMatchesBruteForce:
         widened = reader.project(names, widen_quantized=True)
         for _case in range(6):
             expr = _random_expr(rng, table)
-            got = reader.scan(
-                names, where=expr, max_workers=workers
-            ).to_table()
+            got = reader.scan(names, where=expr).to_table()
             _assert_tables_equal(got, _expected(plain, widened, expr))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -650,8 +651,8 @@ WHERE_ENTRIES = {
     ),
     "BullionReader.scan": _pinned(
         lambda snap, where: sum(
-            _rows(reader.scan(["i64"], where=where))
-            for reader in snap.readers()
+            _rows(snap._reader_for(f.file_id).scan(["i64"], where=where))
+            for f in snap.snapshot.files
         )
     ),
     "LoaderOptions.where": _pinned(

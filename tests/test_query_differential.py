@@ -27,6 +27,7 @@ from repro.core import (
     Table,
     WriterOptions,
     delete_rows,
+    reader,
 )
 from repro.expr import all_of, any_of, col, evaluate
 from repro.query import QueryPlan
@@ -302,9 +303,9 @@ def _check_snapshot(pinned, names, plan, context):
     expected = _brute_aggregate(plan, widened.columns, widened.num_rows)
     for use_metadata in (True, False):
         for workers in (1, 4):
-            res = pinned.query(
-                plan, use_metadata=use_metadata, max_workers=workers
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reader, "_FETCH_THREADS", workers)
+                res = pinned.query(plan, use_metadata=use_metadata)
             _assert_rows_match(
                 plan, res.rows, expected,
                 f"{context} metadata={use_metadata} workers={workers}",
@@ -490,7 +491,7 @@ def _catalog(parts, store=None):
 def _check_catalog(cat, plan):
     """Brute force vs every path and width; returns the default rows."""
     with cat.pin() as snap:
-        names = snap.readers()[0].column_names()
+        names = snap._reader_for(snap.snapshot.files[0].file_id).column_names()
         _check_snapshot(snap, names, plan, str(plan))
         return snap.query(plan).rows
 
@@ -638,9 +639,9 @@ class TestArrayPartials:
                 assert row["sum(low)"] == per_group * -(2**63)
                 assert row["mean(low)"] == float(-(2**63))
 
-    def test_fan_out_over_a_sleeping_device_is_bit_identical(self):
-        """max_workers=4 over a device that waits per request runs one
-        task per file on threads; the merge order keeps every float."""
+    def test_fan_out_over_a_sleeping_device_is_bit_identical(self, monkeypatch):
+        """Fetches over a device that waits per request fan out on
+        threads; the merge order keeps every float."""
         from repro.iosim import ObjectStorage, SeekModel
 
         class SleepingStore(MemoryCatalogStore):
@@ -669,9 +670,10 @@ class TestArrayPartials:
             group_by=["g"],
         )
         with cat.pin() as snap:
-            assert snap.readers()[0].waits_per_request
-            serial = snap.query(plan, max_workers=1)
-            fanned = snap.query(plan, max_workers=4)
+            assert snap._reader_for(snap.snapshot.files[0].file_id).waits_per_request
+            fanned = snap.query(plan)
+            monkeypatch.setattr(reader, "_FETCH_THREADS", 1)
+            serial = snap.query(plan)
         assert serial.stats.files_decoded == fanned.stats.files_decoded == 5
         assert len(serial.rows) == len(fanned.rows) == 6
         for a, b in zip(serial.rows, fanned.rows):
@@ -716,10 +718,12 @@ class TestArrayPartials:
             where = None if cut is None else col("x") > cut
             for group_by, expected in ((None, ungrouped), (["g"], grouped)):
                 for workers in (1, 4):
-                    res = cat.query(
-                        ["sum(x)", "mean(x)"], where=where,
-                        group_by=group_by, max_workers=workers,
-                    )
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(reader, "_FETCH_THREADS", workers)
+                        res = cat.query(
+                            ["sum(x)", "mean(x)"], where=where,
+                            group_by=group_by,
+                        )
                     got = [
                         (r["sum(x)"].hex(), r["mean(x)"].hex())
                         for r in res.rows

@@ -250,15 +250,17 @@ class TestMergeDeterminism:
         return cat
 
     @pytest.mark.parametrize("group_by", [None, ["g"]])
-    def test_float_sum_bit_identical_across_widths(self, group_by):
+    def test_float_sum_bit_identical_across_widths(self, group_by, monkeypatch):
+        from repro.core import reader
+
         cat = self._catalog()
         results = {}
         with cat.pin() as snap:
             for workers in (1, 2, 8):
+                monkeypatch.setattr(reader, "_FETCH_THREADS", workers)
                 res = snap.query(
                     ["count", "sum(f)", "mean(f)", "min(f)", "max(f)"],
                     group_by=group_by,
-                    max_workers=workers,
                 )
                 results[workers] = res.rows
         base = results[1]
@@ -276,15 +278,16 @@ class TestMergeDeterminism:
                     else:
                         assert va == vb
 
-    def test_filtered_float_sum_bit_identical(self):
+    def test_filtered_float_sum_bit_identical(self, monkeypatch):
+        from repro.core import reader
+
         cat = self._catalog()
+        outs = []
         with cat.pin() as snap:
-            outs = [
-                snap.query(
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(reader, "_FETCH_THREADS", workers)
+                outs.append(snap.query(
                     ["sum(f)", "mean(f)"],
                     where=(col("ts") > 100) & (col("g") != 2),
-                    max_workers=w,
-                ).rows
-                for w in (1, 2, 8)
-            ]
+                ).rows)
         assert outs[0] == outs[1] == outs[2]

@@ -2,8 +2,8 @@
 
 *Rule*: a read overlaps I/O on threads only when the device under the
 reader really waits per request (a sleeping wrapper anywhere in the
-storage stack); memory-speed devices fetch inline, and ``max_workers
-<= 1`` forces serial everywhere. The scan's look-ahead, the query
+storage stack); memory-speed devices fetch inline, and one fetch thread
+(``repro.core.reader._FETCH_THREADS``) forces serial everywhere. The scan's look-ahead, the query
 engine's per-file fan-out and the training loader all follow it.
 
 *Loop*: filtered and unfiltered, serial and threaded scans are one
@@ -97,13 +97,13 @@ def _catalog(store, n_files=4):
 
 @pytest.fixture
 def no_pools(monkeypatch):
-    """Any attempt to build a thread pool on the read path fails."""
+    """Any attempt to build a thread pool on the read path fails (scans
+    and queries take theirs from ``repro.core.reader.fetch_pool``)."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the read path started a thread pool")
 
     monkeypatch.setattr("repro.core.reader.ThreadPoolExecutor", refuse)
-    monkeypatch.setattr("repro.query.engine.ThreadPoolExecutor", refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ class TestMemorySpeedDevicesStartNoThread:
         reader = BullionReader(_write(dev))
         assert not reader.waits_per_request
         before = threading.active_count()
-        scan = reader.scan(["a", "b"], where=where, max_workers=4)
+        scan = reader.scan(["a", "b"], where=where)
         for _batch in scan:
             assert threading.active_count() == before
         assert scan.stats.groups_scanned == N_ROWS // ROWS_PER_GROUP
@@ -137,14 +137,14 @@ class TestMemorySpeedDevicesStartNoThread:
         table = _catalog(store)
         with table.pin() as snap:
             # sum() is never metadata-answerable: every file decodes
-            result = snap.query(["count", "sum(a)"], max_workers=4)
+            result = snap.query(["count", "sum(a)"])
         assert result.stats.files_decoded == 4
         assert result.rows[0]["sum(a)"] == sum(range(4 * N_ROWS))
 
     def test_training_loader_epoch(self, no_pools):
         with _catalog(MemoryCatalogStore(), n_files=3).pin() as snap:
             loader = snap.loader(
-                ["a", "b"], LoaderOptions(batch_size=128, scan_workers=4)
+                ["a", "b"], LoaderOptions(batch_size=128)
             )
             assert sum(b.num_rows for b in loader) == 3 * N_ROWS
 
@@ -160,7 +160,7 @@ class TestSleepingDevicesOverlap:
         reader = BullionReader(self._object(log), chunk_cache_size=0)
         assert reader.waits_per_request
         log.idents.clear()  # drop the footer open
-        out = reader.scan(["a", "b"], where=where, max_workers=4).to_table()
+        out = reader.scan(["a", "b"], where=where).to_table()
         assert out.num_rows > 0
         # group 0 inline on this thread, the rest from the look-ahead
         assert threading.get_ident() in log.idents
@@ -170,7 +170,7 @@ class TestSleepingDevicesOverlap:
         log = _ThreadLog()
         reader = BullionReader(self._object(log))
         out = reader.scan(
-            ["a", "b"], where=col("b") > 0.0, row_groups=[2], max_workers=4
+            ["a", "b"], where=col("b") > 0.0, row_groups=[2]
         ).to_table()
         assert out.num_rows > 0
         assert log.idents == {threading.get_ident()}
@@ -180,7 +180,7 @@ class TestSleepingDevicesOverlap:
         table = _catalog(store)
         with table.pin() as snap:
             store.log.idents.clear()
-            result = snap.query(["sum(a)"], max_workers=4)
+            result = snap.query(["sum(a)"])
         assert result.rows[0]["sum(a)"] == sum(range(4 * N_ROWS))
         # footers open on the coordinator; files decode on the pool
         assert len(store.log.idents - {threading.get_ident()}) > 1
@@ -194,18 +194,16 @@ class TestSleepingDevicesOverlap:
             assert sum(b.num_rows for b in loader) == 2 * N_ROWS
         assert len(store.log.idents) > 1
 
-    def test_max_workers_zero_starts_none(self, no_pools):
+    def test_one_fetch_thread_starts_none(self, no_pools, serial_fetch):
         store = SleepingStore()
         table = _catalog(store, n_files=2)
         me = {threading.get_ident()}
         with table.pin() as snap:
             store.log.idents.clear()
-            for reader in snap.readers():
-                reader.scan(["a", "b"], max_workers=0).to_table()
-            snap.query(["sum(a)"], max_workers=0)
-            loader = snap.loader(
-                ["a"], LoaderOptions(batch_size=256, scan_workers=0)
-            )
+            for f in snap.snapshot.files:
+                snap._reader_for(f.file_id).scan(["a", "b"]).to_table()
+            snap.query(["sum(a)"])
+            loader = snap.loader(["a"], LoaderOptions(batch_size=256))
             assert sum(b.num_rows for b in loader) == 2 * N_ROWS
         assert store.log.idents == me
 
@@ -232,7 +230,10 @@ PROJECTIONS = {
 @pytest.mark.parametrize("projection", sorted(PROJECTIONS))
 @pytest.mark.parametrize("deletions", [False, True], ids=["clean", "deleted"])
 @pytest.mark.parametrize("where", sorted(WHERES))
-def test_every_cell_of_the_scan_loop_agrees(where, deletions, projection):
+def test_every_cell_of_the_scan_loop_agrees(
+    where, deletions, projection, monkeypatch
+):
+    from repro.core import reader
     base = _write(SimulatedStorage())
     if deletions:
         # group 0 partly, group 1 entirely, group 2 partly deleted
@@ -241,13 +242,12 @@ def test_every_cell_of_the_scan_loop_agrees(where, deletions, projection):
 
     cells = {}
     for sleep in (False, True):
-        for workers in (0, 4):
+        for workers in (1, 4):
+            monkeypatch.setattr(reader, "_FETCH_THREADS", workers)
             inner = SimulatedStorage()
             inner._buf = bytearray(base.raw_bytes())
             obj = ObjectStorage(inner, model=_SLOW, sleep=sleep)
-            scan = BullionReader(obj).scan(
-                columns, where=expr, max_workers=workers
-            )
+            scan = BullionReader(obj).scan(columns, where=expr)
             batches = list(scan)
             cells[(sleep, workers)] = (
                 batches,
@@ -255,7 +255,7 @@ def test_every_cell_of_the_scan_loop_agrees(where, deletions, projection):
                 obj.request_count,
             )
 
-    ref_batches, ref_stats, ref_requests = cells[(False, 0)]
+    ref_batches, ref_stats, ref_requests = cells[(False, 1)]
     for cell, (batches, stats, requests) in cells.items():
         assert len(batches) == len(ref_batches), cell
         for got, want in zip(batches, ref_batches):

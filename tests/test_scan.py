@@ -59,16 +59,19 @@ class TestScanProjectEquivalence:
         reader = BullionReader(dev)
         columns = list(table.columns)
         projected = reader.project(columns)
-        scanned = reader.scan(columns, max_workers=4).to_table()
+        scanned = reader.scan(columns).to_table()
         assert scanned.equals(projected)
         assert projected.equals(table)
 
-    def test_parallel_and_serial_scans_agree(self):
+    def test_parallel_and_serial_scans_agree(self, monkeypatch):
+        from repro.core import reader as reader_module
+
         table = Table({"x": np.arange(5000, dtype=np.int64)})
         dev = _write(table, rows_per_page=100, rows_per_group=200)
         reader = BullionReader(dev)
-        serial = reader.scan(["x"], max_workers=0).to_table()
-        parallel = reader.scan(["x"], max_workers=8).to_table()
+        parallel = reader.scan(["x"]).to_table()
+        monkeypatch.setattr(reader_module, "_FETCH_THREADS", 1)
+        serial = reader.scan(["x"]).to_table()
         assert serial.equals(parallel)
         assert serial.equals(table)
 
@@ -115,13 +118,13 @@ class TestBatching:
         with pytest.raises(ValueError, match="positive"):
             list(BullionReader(dev).scan(["x"], batch_size=0))
 
-    def test_scan_is_lazy(self):
+    def test_scan_is_lazy(self, serial_fetch):
         table = Table({"x": np.arange(1000, dtype=np.int64)})
         dev = _write(table, rows_per_page=100, rows_per_group=100)
         dev.stats.reset()
         reader = BullionReader(dev)
         after_open = dev.stats.bytes_read
-        scan = reader.scan(["x"], max_workers=0)
+        scan = reader.scan(["x"])
         assert dev.stats.bytes_read == after_open  # nothing fetched yet
         next(iter(scan))
         assert dev.stats.bytes_read > after_open
@@ -176,7 +179,7 @@ class TestDeletionInteraction:
         dev = _write(table, rows_per_page=100, rows_per_group=200)
         delete_rows(dev, range(150, 350))
         reader = BullionReader(dev)
-        out = reader.scan(["x"], max_workers=4).to_table()
+        out = reader.scan(["x"]).to_table()
         assert out.num_rows == 800
         assert not np.isin(np.arange(150, 350), out.column("x")).any()
         assert out.equals(reader.project(["x"]))
@@ -200,14 +203,14 @@ class TestDeletionInteraction:
 
 
 class TestChunkCache:
-    def test_repeat_scans_hit_cache(self):
+    def test_repeat_scans_hit_cache(self, serial_fetch):
         table = Table({"x": np.arange(1000, dtype=np.int64)})
         dev = _write(table, rows_per_page=100, rows_per_group=200)
         reader = BullionReader(dev)
-        reader.scan(["x"], max_workers=0).to_table()
+        reader.scan(["x"]).to_table()
         dev.stats.reset()
         before = dev.stats.bytes_read
-        reader.scan(["x"], max_workers=0).to_table()
+        reader.scan(["x"]).to_table()
         assert dev.stats.bytes_read == before  # served from cache
         assert reader.chunk_cache.stats.memory_hits >= 5
 
@@ -253,12 +256,15 @@ class TestEmptyProjectionDtypes:
 
 
 class TestDuplicateProjection:
-    def test_duplicate_column_parallel_matches_serial(self):
+    def test_duplicate_column_parallel_matches_serial(self, monkeypatch):
+        from repro.core import reader as reader_module
+
         table = Table({"a": np.arange(500, dtype=np.int64)})
         dev = _write(table, rows_per_page=50, rows_per_group=100)
         reader = BullionReader(dev)
-        par = list(reader.scan(["a", "a"], max_workers=4))
-        ser = list(reader.scan(["a", "a"], max_workers=0))
+        par = list(reader.scan(["a", "a"]))
+        monkeypatch.setattr(reader_module, "_FETCH_THREADS", 1)
+        ser = list(reader.scan(["a", "a"]))
         assert len(par) == len(ser)
         for p, s in zip(par, ser):
             assert p.equals(s)

@@ -665,10 +665,11 @@ def test_many_file_batches_cut_mid_file(snap_tables):
 def _sleeping_requests():
     """Every storage request of four snapshot scans of the ``verdicts``
     table, its data files behind an object store that sleeps out each
-    request: ``{case: (count, digest)}``. With one worker the digest
-    covers the requests in issue order; with four, the look-ahead's
-    threads race, so it covers them sorted."""
+    request: ``{case: (count, digest)}``. With one fetch thread the
+    digest covers the requests in issue order; with the default four,
+    the look-ahead's threads race, so it covers them sorted."""
     from repro.catalog import MemoryCatalogStore
+    from repro.core import reader
     from repro.iosim import ObjectStorage, SeekModel
 
     log = []
@@ -689,18 +690,19 @@ def _sleeping_requests():
     cat = _verdicts(SleepingStore())
     order = {f.file_id: k for k, f in enumerate(cat.current_snapshot().files)}
     out = {}
-    for name, kwargs in (
-        ("filtered_serial", {"where": "user == 7", "max_workers": 1}),
-        ("filtered", {"where": "user == 7"}),
-        ("unfiltered_serial", {"max_workers": 1}),
-        ("unfiltered", {}),
+    for name, kwargs, threads in (
+        ("filtered_serial", {"where": "user == 7"}, 1),
+        ("filtered", {"where": "user == 7"}, reader._FETCH_THREADS),
+        ("unfiltered_serial", {}, 1),
+        ("unfiltered", {}, reader._FETCH_THREADS),
     ):
         log.clear()
-        with cat.pin() as pin:
+        with pytest.MonkeyPatch.context() as patch, cat.pin() as pin:
+            patch.setattr(reader, "_FETCH_THREADS", threads)
             for _batch in pin.scan(["ts", "v", "tag"], **kwargs):
                 pass
         seen = [(order[fid], *rest) for fid, *rest in log]
-        if "max_workers" not in kwargs:
+        if threads > 1:
             seen.sort()
         out[name] = (len(seen), hashlib.sha256(repr(seen).encode())
                      .hexdigest()[:16])

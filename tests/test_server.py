@@ -31,6 +31,7 @@ from repro.server import (
 )
 from repro.server.protocol import (
     BadPlan,
+    BadRequest,
     DeadlineExceeded,
     ProtocolError,
     UnknownSnapshot,
@@ -315,6 +316,8 @@ def test_typed_errors_over_the_wire(served):
         client.query("nope", ["count"])
     with pytest.raises(UnknownSnapshot):
         client.query("events", ["count"], snapshot_id=999)
+    with pytest.raises(BadRequest, match="non-negative"):
+        client.query("events", ["count"], snapshot_id=-1)
     with pytest.raises(BadPlan):
         client.query("events", ["frobnicate(v)"])
     with pytest.raises(BadPlan):

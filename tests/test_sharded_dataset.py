@@ -42,7 +42,10 @@ class TestShardedWrite:
     def test_shards_concatenate_to_original(self):
         table = _table()
         snap = _pin(table, n_files=3)
-        parts = [r.project(["x", "y"]) for r in snap.readers()]
+        parts = [
+            snap._reader_for(f.file_id).project(["x", "y"])
+            for f in snap.snapshot.files
+        ]
         assert [p.num_rows for p in parts] == [334, 334, 332]
         merged = np.concatenate([p.column("x") for p in parts])
         assert np.array_equal(merged, table.column("x"))
