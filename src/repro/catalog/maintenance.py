@@ -9,12 +9,14 @@ commits race (and retry) like any other writer and never blocks
 training readers, which hold pinned snapshots.
 
 Three job kinds (row retention is a foreground
-``CatalogTable.delete(where)``, not a job):
+``CatalogTable.delete(where)``, not a job); ``rollup`` and ``compact``
+run one executor, :meth:`~repro.catalog.Transaction.rewrite` of the
+job's files:
 
-``rollup``    merge small incremental ingest files into
-              training-sized ones via :func:`repro.core.merge`
+``rollup``    merge small incremental ingest files of one schema
+              version into training-sized ones
 ``compact``   rewrite files whose deleted-row fraction crossed the
-              policy threshold via :func:`repro.core.compact`
+              policy threshold without their dead rows
 ``expire``    drop old snapshots beyond the retention policy, then
               delete data files no retained (or pinned, or
               mid-transaction) snapshot references
@@ -35,8 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.snapshot import Snapshot
 from repro.catalog.table import CatalogTable
-from repro.catalog.transaction import CommitConflict, data_file_entry
-from repro.core.compact import merge
+from repro.catalog.transaction import CommitConflict
 from repro.core.writer import WriterOptions
 from repro.obs import metrics as obs_metrics, trace as obs_trace
 from repro.obs.families import (
@@ -151,23 +152,27 @@ class MaintenanceService:
                 )
             )
 
+        # small files roll up in bins of one schema version each: a
+        # rewrite keeps its inputs' version
         taken = {f.file_id for f in compactable}
-        small = [
-            f
-            for f in head.files
-            if f.file_id not in taken
-            and f.live_rows < policy.rollup_small_file_rows
-        ]
-        bin_files: list[str] = []
-        bin_rows = 0
-        for f in small:
-            bin_files.append(f.file_id)
-            bin_rows += f.live_rows
-            if bin_rows >= policy.rollup_target_rows:
+        small: dict[int | None, list] = {}
+        for f in head.files:
+            if (
+                f.file_id not in taken
+                and f.live_rows < policy.rollup_small_file_rows
+            ):
+                small.setdefault(f.schema_id, []).append(f)
+        for files in small.values():
+            bin_files: list[str] = []
+            bin_rows = 0
+            for f in files:
+                bin_files.append(f.file_id)
+                bin_rows += f.live_rows
+                if bin_rows >= policy.rollup_target_rows:
+                    jobs.append(self._rollup_job(bin_files, bin_rows))
+                    bin_files, bin_rows = [], 0
+            if len(bin_files) >= policy.rollup_min_files:
                 jobs.append(self._rollup_job(bin_files, bin_rows))
-                bin_files, bin_rows = [], 0
-        if len(bin_files) >= policy.rollup_min_files:
-            jobs.append(self._rollup_job(bin_files, bin_rows))
 
         expirable = self._expirable_snapshots(head)
         if expirable:
@@ -232,12 +237,10 @@ class MaintenanceService:
         for job in jobs:
             try:
                 with obs_trace.span("maintenance.job", kind=job.kind):
-                    if job.kind == "compact":
-                        self._run_compact(job, report)
-                    elif job.kind == "rollup":
-                        self._run_rollup(job, report)
-                    elif job.kind == "expire":
+                    if job.kind == "expire":
                         self._run_expire(job, report)
+                    else:
+                        self._run_rewrite(job, report)
                 report.jobs_run += 1
                 if obs_on:
                     MAINT_JOBS_RUN.labels(kind=job.kind).inc()
@@ -259,70 +262,28 @@ class MaintenanceService:
         self.last_report = report
         return report
 
-    def _run_compact(
+    def _run_rewrite(
         self, job: MaintenanceJob, report: MaintenanceReport
     ) -> None:
-        txn = self.table.transaction()
-        try:
-            comp = txn.compact(
-                file_ids=list(job.file_ids),
-                options=self.policy.writer_options,
-            )
-            if comp.bytes_in == 0:  # inputs vanished under a racing commit
-                txn.abort()
+        """A ``compact`` or ``rollup`` job: one :meth:`Transaction.rewrite`
+        of the job's files still live at HEAD."""
+        with self.table.transaction() as txn:
+            live = {f.file_id for f in txn.staged_files()}
+            present = [fid for fid in job.file_ids if fid in live]
+            need = self.policy.rollup_min_files if job.kind == "rollup" else 1
+            if len(present) < need:
+                # a racing commit replaced the inputs since the plan
                 report.skipped.append(
-                    f"compact: inputs vanished ({job.file_ids})"
+                    f"{job.kind}: inputs vanished ({job.file_ids})"
                 )
                 return
+            comp = txn.rewrite(present, self.policy.writer_options)
             txn.commit()
-        except BaseException:
-            txn.abort()  # no-op after commit()'s own conflict abort
-            raise
-        report.files_compacted += len(job.file_ids)
-        report.bytes_reclaimed += comp.bytes_reclaimed
+        done = "files_merged" if job.kind == "rollup" else "files_compacted"
+        report.bump(**{done: len(present)}, bytes_reclaimed=comp.bytes_reclaimed)
         if obs_metrics.enabled():
             # a rewrite can grow a file (encoding drift); counters only
             # go up, so clamp the reclaimed delta at zero
-            MAINT_BYTES_RECLAIMED.inc(max(0, comp.bytes_reclaimed))
-
-    def _run_rollup(
-        self, job: MaintenanceJob, report: MaintenanceReport
-    ) -> None:
-        txn = self.table.transaction()
-        try:
-            staged = {f.file_id for f in txn.staged_files()}
-            present = [fid for fid in job.file_ids if fid in staged]
-            if len(present) < self.policy.rollup_min_files:
-                txn.abort()
-                report.skipped.append(
-                    f"rollup: inputs vanished before merge ({job.file_ids})"
-                )
-                return
-            sources = [self.table.store.open_data(fid) for fid in present]
-            try:
-                new_id, target = txn.new_data_file()
-                comp = merge(
-                    sources, target, options=self.policy.writer_options
-                )
-            finally:
-                for source in sources:
-                    source.close()
-            txn.replace_files(
-                removed_ids=present,
-                added=[data_file_entry(target, new_id)],
-                operation="rollup",
-                summary={
-                    "files_merged": len(sources),
-                    "bytes_reclaimed": comp.bytes_reclaimed,
-                },
-            )
-            txn.commit()
-        except BaseException:
-            txn.abort()  # no-op after commit()'s own conflict abort
-            raise
-        report.files_merged += len(sources)
-        report.bytes_reclaimed += comp.bytes_reclaimed
-        if obs_metrics.enabled():
             MAINT_BYTES_RECLAIMED.inc(max(0, comp.bytes_reclaimed))
 
     def _run_expire(

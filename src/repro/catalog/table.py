@@ -23,6 +23,7 @@ import threading
 import time
 import weakref
 from collections import Counter, OrderedDict
+from itertools import chain
 from dataclasses import dataclass
 
 from repro.catalog.readers import ReaderPool
@@ -179,8 +180,10 @@ class PinnedSnapshot:
     ):
         """Lazy scan over the pinned file set: the tables each file's
         scan would yield, one per kept row group, in file order
-        (``batch_size`` re-slices them to exact sizes, and is checked
-        before this returns).
+        (``batch_size`` re-slices them to exact sizes). ``batch_size``,
+        the ``where`` text and every name are checked before this
+        returns, from metadata the read would load first anyway: a bad
+        one raises here, not at the first batch.
 
         ``where=`` (an :class:`~repro.expr.Expr` or its text form)
         prunes files from manifest stats before any open, then row
@@ -227,7 +230,9 @@ class PinnedSnapshot:
         loader's epochs: one table per kept row group of files ``files``
         (ordinals, in read order; by default those ``where`` leaves),
         each file's groups in order — or in the order ``shuffle``
-        leaves an array of them in."""
+        leaves an array of them in. ``where`` is parsed and the first
+        file planned before this returns, so a bad filter or name
+        raises here; rows are read as the result is iterated."""
         where = coerce_where(where)
         stats = stats if stats is not None else ScanStats()
         if files is None:
@@ -235,7 +240,7 @@ class PinnedSnapshot:
             if where is not None and not len(files):
                 self._empty(columns, where.columns())  # no open checks names
         if not len(files):
-            return
+            return iter(())
         index = self.index()
         counts = Counter()
 
@@ -248,31 +253,34 @@ class PinnedSnapshot:
                 drop_deleted=drop_deleted,
             )
 
-        if reader_of(int(files[0])).waits_per_request:
-            # file by file, each planned over a one-file index: a file
-            # costs the same however many the snapshot holds
-            for i in files.tolist():
-                self._fill(np.array([i]), "scan.file")
-                reader = reader_of(i)
-                state = ReadIndex([index.read.blocks[i]]).state()
-                file_plan = plan(
-                    state, _file_groups(state, [0], shuffle), 1,
-                    lambda _f: reader,
-                )
-                stats.bump(**counts)
-                counts.clear()
-                yield from Scan(
-                    file_plan, columns, where=where, stats=stats,
-                    widen_quantized=widen_quantized,
-                )
-        else:
+        if not reader_of(int(files[0])).waits_per_request:
             self._fill(files, "scan.file")
             state = index.read.state()
-            yield from scan_batches(
+            return scan_batches(
                 plan(state, _file_groups(state, files, shuffle), len(files),
                      reader_of),
                 columns, where, stats, counts, widen_quantized=widen_quantized,
             )
+
+        def file_scan(i: int) -> Scan:
+            # one file planned over a one-file index: a file costs the
+            # same however many the snapshot holds; its footer is read
+            # as the scan reaches it
+            self._fill(np.array([i]), "scan.file")
+            reader = reader_of(i)
+            state = ReadIndex([index.read.blocks[i]]).state()
+            file_plan = plan(
+                state, _file_groups(state, [0], shuffle), 1, lambda _f: reader
+            )
+            stats.bump(**counts)
+            counts.clear()
+            return Scan(
+                file_plan, columns, where=where, stats=stats,
+                widen_quantized=widen_quantized,
+            )
+
+        rest = (file_scan(i) for i in files[1:].tolist())
+        return chain(file_scan(int(files[0])), chain.from_iterable(rest))
 
     def _empty(self, columns, filters=(), widen=False) -> Table:
         """The typed empty result, with each name (and each filter on a
@@ -545,6 +553,8 @@ class CatalogTable:
 
     # -- transactions ---------------------------------------------------
     def transaction(self) -> Transaction:
+        """A new :class:`Transaction` on HEAD; ``with`` it to abort
+        whatever it staged unless it commits."""
         return Transaction(self)
 
     def append(
@@ -553,19 +563,15 @@ class CatalogTable:
         schema: Schema | None = None,
         options: WriterOptions | None = None,
     ) -> Snapshot:
-        txn = self.transaction()
-        txn.append(table, schema=schema, options=options)
-        return txn.commit()
+        with self.transaction() as txn:
+            txn.append(table, schema=schema, options=options)
+            return txn.commit()
 
     def evolve(self, *ops: EvolutionOp) -> Snapshot:
         """Commit a schema evolution (add/drop/rename/widen columns)."""
-        txn = self.transaction()
-        try:
+        with self.transaction() as txn:
             txn.evolve(*ops)
-        except BaseException:
-            txn.abort()
-            raise
-        return txn.commit()
+            return txn.commit()
 
     def upsert(
         self,
@@ -576,13 +582,9 @@ class CatalogTable:
     ) -> Snapshot:
         """Keyed upsert committed as one snapshot; see
         :meth:`Transaction.upsert`."""
-        txn = self.transaction()
-        try:
+        with self.transaction() as txn:
             txn.upsert(table, key, schema=schema, options=options)
-        except BaseException:
-            txn.abort()
-            raise
-        return txn.commit()
+            return txn.commit()
 
     def current_schema(self) -> TableSchema | None:
         """HEAD's current schema version (None: never evolved)."""
@@ -596,30 +598,23 @@ class CatalogTable:
         removed are exactly the rows ``scan(where=where)`` would have
         returned.
         """
-        txn = self.transaction()
-        try:
-            deleted = txn.delete(where)
-        except BaseException:
-            txn.abort()  # e.g. a typo'd filter column raised KeyError
-            raise
-        if deleted == 0:
-            txn.abort()  # nothing matched: no no-op snapshot
-            return self.current_snapshot()
-        return txn.commit()
+        with self.transaction() as txn:
+            if txn.delete(where) == 0:  # nothing matched: no no-op snapshot
+                return self.current_snapshot()
+            return txn.commit()
 
     def compact(
         self,
         min_deleted_fraction: float = 0.0,
         options: WriterOptions | None = None,
     ) -> tuple[Snapshot, CompactionReport]:
-        txn = self.transaction()
-        report = txn.compact(
-            min_deleted_fraction=min_deleted_fraction, options=options
-        )
-        if report.bytes_in == 0:
-            txn.abort()  # nothing to compact: no no-op snapshot
-            return self.current_snapshot(), report
-        return txn.commit(), report
+        with self.transaction() as txn:
+            report = txn.compact(
+                min_deleted_fraction=min_deleted_fraction, options=options
+            )
+            if report.bytes_in == 0:  # nothing to compact: no no-op snapshot
+                return self.current_snapshot(), report
+            return txn.commit(), report
 
     def expire_snapshot(self, snapshot_id: int) -> bool:
         """Delete one snapshot's metadata unless it is pinned.

@@ -6,7 +6,8 @@ Every mutation follows the same two-phase shape:
    streaming writer (``append``), copy-on-write + in-place scrub
    (``delete``, for files only partly matched: a file every row of
    which matches is just left out of the next snapshot), or rewrite
-   (``compact``). Nothing is visible yet: a
+   (``rewrite``: a compaction is a bin of one file, a roll-up a bin of
+   small files). Nothing is visible yet: a
    data file only becomes part of the table when a committed snapshot
    names it, so no committed snapshot can ever reference a
    half-written file.
@@ -21,8 +22,11 @@ Every mutation follows the same two-phase shape:
    aborts when files were appended concurrently (its predicate never
    scanned their rows, so replaying could leave matches live).
 
-``abort()`` (called automatically on conflict exhaustion or
-validation failure) deletes the staged data files so nothing leaks.
+``abort()`` deletes the staged data files so nothing leaks. It is
+the one exit of a transaction that does not commit: the commit calls it
+on conflict exhaustion or validation failure, and ``with
+table.transaction() as txn:`` calls it on leaving the block, so a
+transaction that raises, or is left uncommitted, aborts.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from repro.catalog.snapshot import (
     snapshot_name,
 )
 from repro.expr.interval import verdicts
-from repro.core.compact import CompactionReport, compact as compact_file
+from repro.core.compact import CompactionReport, rewrite as rewrite_files
 from repro.core.deletion import delete_rows
 from repro.core.reader import (
     BullionReader,
@@ -119,11 +123,15 @@ def data_file_entry(storage: Storage, file_id: str) -> DataFile:
 def _adopt_legacy_files(
     files: list[DataFile], schemas: dict[int, TableSchema]
 ) -> list[DataFile]:
-    """Tag files that predate the schema log with the version whose
-    fingerprint they match (the bootstrap guarantees one exists for
-    every legacy file); unmatched files stay untagged and read as-is.
+    """Tag files that predate the schema log with the oldest version
+    whose fingerprint they match (the bootstrap guarantees one exists
+    for every legacy file): a later version can share the layout — a
+    column dropped and added back — but not the field ids the file was
+    written under. Unmatched files stay untagged and read as-is.
     """
-    by_fingerprint = {s.fingerprint(): s.schema_id for s in schemas.values()}
+    by_fingerprint: dict[int, int] = {}
+    for sid in sorted(schemas, reverse=True):
+        by_fingerprint[schemas[sid].fingerprint()] = sid
     out = []
     for f in files:
         if f.schema_id is None:
@@ -179,6 +187,12 @@ class Transaction:
         }
         self._current_schema_id: int | None = self._base.current_schema_id
         self._evolved = False
+
+    def __enter__(self) -> "Transaction":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.abort()  # a no-op once committed
 
     # -- staging helpers ------------------------------------------------
     def _require_open(self) -> None:
@@ -321,16 +335,13 @@ class Transaction:
         return new_schema
 
     def _supersede(
-        self, entry: DataFile, replacement: DataFile | None
+        self, entries: list[DataFile], replacement: DataFile | None
     ) -> None:
-        """Take ``entry`` out of the staged file list, putting
-        ``replacement`` (its rewrite; None drops it) in its stead."""
-        if entry.file_id in {f.file_id for f in self._added}:
-            self._added = [
-                f for f in self._added if f.file_id != entry.file_id
-            ]
-        else:
-            self._removed.add(entry.file_id)
+        """Take ``entries`` out of the staged file list, putting
+        ``replacement`` (their rewrite; None drops them) in their stead."""
+        ids = {f.file_id for f in entries}
+        self._removed |= ids - {f.file_id for f in self._added}
+        self._added = [f for f in self._added if f.file_id not in ids]
         if replacement is not None:
             self._added.append(replacement)
 
@@ -440,7 +451,7 @@ class Transaction:
                         entry, sources[entry.file_id], rows
                     )
                     n_rows = len(rows)
-                self._supersede(entry, scrubbed)
+                self._supersede([entry], scrubbed)
                 total += n_rows
         finally:
             for source in sources.values():
@@ -582,80 +593,67 @@ class Transaction:
         self._bump("rows_replaced", replaced)
         return entry
 
+    def rewrite(
+        self, file_ids: list[str], options: WriterOptions | None = None
+    ) -> CompactionReport:
+        """Rewrite staged files of one schema version into one file.
+
+        The one rewrite behind compaction (a bin of one file) and
+        roll-up (a bin of small files): the live rows of ``file_ids``,
+        in order, go through :func:`repro.core.compact.rewrite` into a
+        new file staged under the inputs' schema version in their
+        place. When no row is live the inputs are just dropped. A bin of
+        one file is a ``compact``, a larger one a ``rollup``.
+        """
+        self._require_open()
+        staged = {f.file_id: f for f in self.staged_files()}
+        entries = [staged[fid] for fid in file_ids if fid in staged]
+        if not entries or len(entries) < len(file_ids):
+            raise ValueError(f"cannot rewrite {file_ids}: not all are staged")
+        if len({f.schema_id for f in entries}) > 1:
+            raise ValueError("cannot rewrite files of different schema versions")
+        report = CompactionReport(
+            rows_in=sum(f.row_count for f in entries), rows_out=0,
+            bytes_in=sum(f.byte_size for f in entries), bytes_out=0,
+        )
+        replacement = None
+        if any(f.live_rows for f in entries):
+            new_id, target = self.new_data_file()
+            sources = [self._store.open_data(fid) for fid in file_ids]
+            try:
+                report = rewrite_files(sources, target, options)
+            finally:
+                for source in sources:
+                    source.close()
+            replacement = _replace(
+                data_file_entry(target, new_id), schema_id=entries[0].schema_id
+            )
+        self._supersede(entries, replacement)
+        if len(entries) > 1:
+            self._ops.append("rollup")
+            self._bump("files_merged", len(entries))
+        else:
+            self._ops.append("compact")
+        self._bump("bytes_reclaimed", report.bytes_reclaimed)
+        return report
+
     def compact(
         self,
-        file_ids: list[str] | None = None,
         min_deleted_fraction: float = 0.0,
         options: WriterOptions | None = None,
     ) -> CompactionReport:
-        """Rewrite deletion-scrubbed files without their dead rows.
-
-        By default every staged file carrying deletions at or above
-        ``min_deleted_fraction`` is rewritten; ``file_ids`` narrows the
-        set explicitly. Returns the aggregate report.
-        """
-        self._require_open()
-        rows_in = rows_out = bytes_in = bytes_out = 0
-        rewrote = False
-        for entry in self.staged_files():
-            if file_ids is not None and entry.file_id not in file_ids:
-                continue
-            if file_ids is None and (
-                entry.deleted_count == 0
-                or entry.deleted_fraction < min_deleted_fraction
-            ):
-                continue
-            new_id, target = self.new_data_file()
-            source = self._store.open_data(entry.file_id)
-            try:
-                report = compact_file(source, target, options=options)
-            finally:
-                source.close()
-            rewrote = True
-            # compaction preserves layout: keep the source version.
-            # Every row deleted: drop the file from the table; the
-            # staged empty rewrite is swept at commit
-            self._supersede(
-                entry,
-                _replace(
-                    data_file_entry(target, new_id),
-                    schema_id=entry.schema_id,
-                )
-                if report.rows_out > 0
-                else None,
-            )
-            rows_in += report.rows_in
-            rows_out += report.rows_out
-            bytes_in += report.bytes_in
-            bytes_out += report.bytes_out
-        if rewrote:  # nothing to rewrite stages no no-op snapshot
-            self._ops.append("compact")
-            self._bump("bytes_reclaimed", bytes_in - bytes_out)
-        return CompactionReport(
-            rows_in=rows_in,
-            rows_out=rows_out,
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-        )
-
-    def replace_files(
-        self,
-        removed_ids: list[str],
-        added: list[DataFile],
-        operation: str,
-        summary: dict | None = None,
-    ) -> None:
-        """Stage an arbitrary file-set edit (the maintenance surface)."""
-        self._require_open()
-        live = {f.file_id for f in self.staged_files()}
-        missing = [fid for fid in removed_ids if fid not in live]
-        if missing:
-            raise ValueError(f"cannot remove unknown files {missing}")
-        self._removed.update(removed_ids)
-        self._added.extend(added)
-        self._ops.append(operation)
-        for key, value in (summary or {}).items():
-            self._bump(key, value)
+        """Rewrite each staged file carrying deletions at or above
+        ``min_deleted_fraction`` without its dead rows (a bin of one
+        file, see :meth:`rewrite`). Returns the aggregate report."""
+        reports = [
+            self.rewrite([f.file_id], options)
+            for f in self.staged_files()
+            if f.deleted_count and f.deleted_fraction >= min_deleted_fraction
+        ]
+        return CompactionReport(*(
+            sum(getattr(r, k) for r in reports)
+            for k in ("rows_in", "rows_out", "bytes_in", "bytes_out")
+        ))
 
     # -- commit protocol ------------------------------------------------
     def commit(self, max_retries: int = 20) -> Snapshot:

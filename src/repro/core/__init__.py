@@ -14,7 +14,7 @@ from repro.core.chunk_cache import (
     remove_mutation_listener,
     storage_identity,
 )
-from repro.core.compact import CompactionReport, compact, merge
+from repro.core.compact import CompactionReport, compact, rewrite
 from repro.core.dataset import LoaderOptions, TrainingDataLoader
 from repro.core.deletion import (
     DeletionReport,
@@ -67,7 +67,7 @@ __all__ = [
     "storage_identity",
     "CompactionReport",
     "compact",
-    "merge",
+    "rewrite",
     "TrainingDataLoader",
     "LoaderOptions",
     "DeletionReport",

@@ -6,14 +6,15 @@ Space is reclaimed later, off the compliance-critical path, by a
 background compaction — the same division of labour as Delta Lake's
 OPTIMIZE after deletion vectors.
 
-:func:`merge` concatenates files without their deleted rows (and
-without the per-page padding and mask slots), which is how small
-incremental ingests roll up into training-sized files; :func:`compact`
-is the merge of one file. Both, and the level-0 deletion baseline
-(:func:`repro.core.deletion.rewrite_without_rows`), run the one
-:func:`rewrite` loop on any :class:`~repro.iosim.Storage` backend, so
-every rewrite keeps the source's physical layout and catalog
-maintenance runs unchanged against an actual filesystem.
+:func:`rewrite` concatenates files without their deleted rows (and
+without the slack and mask slots deletions leave in pages), which is
+how small incremental ingests roll up into training-sized files;
+:func:`compact` is the rewrite of one file. Catalog compaction and
+roll-up (:meth:`repro.catalog.Transaction.rewrite`) and the level-0
+deletion baseline (:func:`repro.core.deletion.rewrite_without_rows`)
+run the one loop on any :class:`~repro.iosim.Storage` backend, so every
+rewrite keeps the source's physical layout and catalog maintenance runs
+unchanged against an actual filesystem.
 """
 
 from __future__ import annotations
@@ -64,24 +65,13 @@ class CompactionReport:
         return self.bytes_in - self.bytes_out
 
 
-def merge(
-    sources: list[Storage],
-    target: Storage,
-    options: WriterOptions | None = None,
-) -> CompactionReport:
-    """Concatenate files with identical physical columns into one."""
-    if not sources:
-        raise ValueError("nothing to merge")
-    return rewrite(sources, target, options)
-
-
 def compact(
     source: Storage,
     target: Storage,
     options: WriterOptions | None = None,
 ) -> CompactionReport:
     """Rewrite ``source`` into ``target`` dropping deleted rows."""
-    return merge([source], target, options)
+    return rewrite([source], target, options)
 
 
 def check_row_ids(rows: np.ndarray, num_rows: int) -> None:
@@ -95,16 +85,17 @@ def rewrite(
     options: WriterOptions | None = None,
     drop: np.ndarray | None = None,
 ) -> CompactionReport:
-    """Write the live rows of ``sources``, in order, into ``target``
-    under the first file's physical layout; ``drop`` (sorted unique row
-    ids) leaves those rows of each source out as well — the level-0
-    deletion baseline rewrites one file this way."""
-    tables = []
-    names: list[str] | None = None
-    rows_in = 0
-    for src in sources:
+    """Write the live rows of ``sources`` (files with identical physical
+    columns), in order, into ``target`` under the first file's physical
+    layout; ``drop`` (sorted unique row ids) leaves those rows of each
+    source out as well — the level-0 deletion baseline rewrites one
+    file this way."""
+    if not sources:
+        raise ValueError("nothing to rewrite")
+    tables, rows_in = [], 0
+    for k, src in enumerate(sources):
         reader = BullionReader(src)
-        if names is None:
+        if k == 0:
             names, schema = reader.column_names(), layout_schema(reader)
         elif reader.column_names() != names:
             raise ValueError("cannot merge files with different columns")

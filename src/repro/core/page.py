@@ -9,7 +9,8 @@ header (16 bytes)     u32 alloc_len — payload area size, fixed at write
                       u32 n_values — values currently stored (may shrink
                       when a deletion drops rows instead of masking)
                       u32 flags — bit 0: COMPACTED
-payload               self-describing encoding blob + padding
+payload               self-describing encoding blob (a scrub that
+                      shrinks it leaves the rest as slack)
 ====================  =================================================
 
 The "post-update page dimensions do not exceed their initial size"
@@ -57,11 +58,8 @@ class PageHeader:
         return PageHeader(*PAGE_HEADER.unpack_from(data, offset))
 
 
-def frame_page(payload: bytes, n_values: int, padding: int = 0) -> bytes:
-    """Header + payload + optional slack bytes (``PageHeader.pack``'s
-    layout, without building one per page)."""
-    if padding < 0:
-        raise ValueError(f"page padding {padding} is negative")
+def frame_page(payload: bytes, n_values: int) -> bytes:
+    """Header + payload (``PageHeader.pack``'s layout, without building
+    one per page)."""
     size = len(payload)
-    header = PAGE_HEADER.pack(size + padding, size, n_values, 0)
-    return header + payload + bytes(padding)
+    return PAGE_HEADER.pack(size, size, n_values, 0) + payload

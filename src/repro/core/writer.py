@@ -106,8 +106,6 @@ class WriterOptions:
     #: statistics cross a selector threshold, or on a page the winner
     #: cannot encode
     encoding_policy: str = "auto"
-    #: slack appended to each page so in-place updates have headroom
-    page_padding: int = 0
     #: record per-(column, row-group) min/max for predicate pruning
     collect_statistics: bool = True
     #: §2.4 storage quantization applied at write time: float columns
@@ -339,26 +337,34 @@ class BullionWriter:
         self._buffer = {c.name: self._buffer.get(c.name, []) for c in columns}
 
     def _quantize_group(self, values: dict[str, object]) -> dict[str, object]:
-        """Narrow float columns per the §2.4 policy (no-op without one).
+        """Narrow float values to their column's stored format.
 
-        Decided against the *source* column types: a natively-f16
-        column is stored as-is, while an f32/f64 feature the policy
-        maps to a narrower format is converted element-wise (so the
-        result is independent of how rows were batched).
+        A float column the §2.4 policy maps to a narrower format is
+        converted element-wise (decided against the *source* column
+        types: a natively-f16 column is stored as-is), so the result is
+        independent of how rows were batched. A column the schema types
+        FP16/BF16/FP8 takes floats the same way; its stored codes pass
+        through.
         """
-        policy = self._options.quantization
-        if policy is None:
-            return values
         from repro.quantization import quantize
 
         assert self._source_columns is not None and self._columns is not None
+        policy = self._options.quantization
         out: dict[str, object] = {}
         for src, col in zip(self._source_columns, self._columns):
             v = values[src.name]
-            if _is_plain_float(src):
+            if policy is not None and _is_plain_float(src):
                 fmt = policy.format_for(src.name)
                 if col.type.primitive != src.type.primitive or _is_tf32(fmt):
                     v = quantize(np.asarray(v), fmt)
+            elif (
+                col.type.primitive in QUANTIZED_FORMATS
+                and not col.type.list_depth
+                and isinstance(v, np.ndarray)
+                and v.dtype.kind == "f"
+                and v.dtype != STORAGE_DTYPES[col.type.primitive]
+            ):
+                v = quantize(v, QUANTIZED_FORMATS[col.type.primitive])
             out[src.name] = v
         return out
 
@@ -436,7 +442,7 @@ class BullionWriter:
                 stats.peak_encoded_payload_bytes, sum(map(len, blobs))
             )
             framed = [
-                frame_page(blob, hi - lo, opts.page_padding)
+                frame_page(blob, hi - lo)
                 for blob, (lo, hi) in zip(blobs, page_slices)
             ]
             offset = storage.append(b"".join(framed))
@@ -444,7 +450,7 @@ class BullionWriter:
                 builder.add_page(
                     PageMeta(
                         offset=offset,
-                        alloc_len=len(blob) + opts.page_padding,
+                        alloc_len=len(blob),
                         n_values=hi - lo,
                     ),
                     hash_bytes(blob),

@@ -23,7 +23,7 @@ from repro.core import (
     BullionWriter,
     Table,
     WriterOptions,
-    merge,
+    rewrite,
 )
 from repro.core.page import PAGE_HEADER_SIZE
 from repro.core.schema import Field, LogicalType, Schema
@@ -295,7 +295,7 @@ def test_batching_and_merge_make_the_same_selections(selections):
         )
         halves.append(part)
     merged = SimulatedStorage()
-    n_merged = count(lambda: merge(halves, merged, cascade()))
+    n_merged = count(lambda: rewrite(halves, merged, cascade()))
 
     assert n_one == n_ragged == n_merged
     assert 6 <= n_one <= 12  # per column, plus at most the short tail group

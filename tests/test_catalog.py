@@ -488,3 +488,71 @@ def test_snapshot_ids_are_checked(table, sid, error):
         table.pin(sid)
     with pytest.raises(FileNotFoundError):
         table.snapshot(99)
+
+
+@pytest.mark.parametrize("columns,where,error", [
+    (["id"], "nope > 1", KeyError),
+    (["id"], "id >", Exception),
+    (["nope"], None, KeyError),
+    (["nope"], "id > 1000000", KeyError),  # every file pruned
+])
+def test_scan_checks_its_inputs_at_the_call(table, columns, where, error):
+    """A bad filter or name raises from ``scan()`` itself, as a bad
+    ``batch_size`` does, not at the first batch."""
+    from repro.expr import ParseError
+
+    table.append(_table(0, 100), options=_opts())
+    table.append(_table(100, 100), options=_opts())
+    with table.pin() as pin:
+        with pytest.raises(ParseError if error is Exception else error):
+            pin.scan(columns, where=where)
+
+
+def test_failed_append_leaves_no_staged_file(table):
+    """A one-call mutation that raises aborts: its staged file leaves
+    the disk and the in-flight set (GC would never collect it)."""
+    table.append(_table(0, 10), options=_opts())
+    before = set(table.store.list_data())
+    with pytest.raises(ValueError):
+        table.append(Table({"id": np.array(["a", "b"], dtype=object)}))
+    assert set(table.store.list_data()) == before
+    assert table.pinned_file_ids() == set()
+    assert table.stats.aborts == 1
+
+
+def test_failed_compact_leaves_no_staged_file(table, monkeypatch):
+    import importlib
+
+    # the module, not the function ``repro.core`` exports under its name
+    core_compact = importlib.import_module("repro.core.compact")
+
+    table.append(_table(0, 500), options=_opts())
+    table.delete(col("id") <= 199)
+    before = set(table.store.list_data())
+
+    class FailingWriter(core_compact.BullionWriter):
+        def write(self, _table):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(core_compact, "BullionWriter", FailingWriter)
+    with pytest.raises(OSError, match="disk full"):
+        table.compact()
+    assert set(table.store.list_data()) == before
+    assert table.pinned_file_ids() == set()
+
+
+def test_transaction_block_aborts_unless_committed(table):
+    table.append(_table(0, 10), options=_opts())
+    head = table.current_snapshot().snapshot_id
+    before = set(table.store.list_data())
+    with table.transaction() as txn:
+        txn.append(_table(10, 10), options=_opts())
+    assert set(table.store.list_data()) == before
+    with pytest.raises(RuntimeError, match="aborted"):
+        txn.commit()
+    with table.transaction() as txn:
+        txn.append(_table(10, 10), options=_opts())
+        snap = txn.commit()
+    assert snap.snapshot_id == head + 1
+    assert table.current_snapshot().live_rows == 20
+    assert table.stats.aborts == 1

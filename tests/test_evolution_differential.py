@@ -8,10 +8,11 @@ harness exhausts those interactions the same way the PR-5 query
 harness did (which caught the 2**53 and NaN-pruning bug classes):
 
 * each seeded case runs a randomized history of
-  append (one file or several) / upsert / evolve / delete / compact / expire /
-  racing-commit steps against a real catalog AND a brute-force
-  in-memory model (rows keyed by stable field id, so renames and
-  widenings are free on the model side);
+  append (one file or several) / upsert / evolve / delete / compact /
+  maintenance (roll-ups and compactions) / expire / racing-commit
+  steps against a real catalog AND a brute-force in-memory model
+  (rows keyed by stable field id, so renames and widenings are free
+  on the model side);
 * after the history, **every retained snapshot** is pinned and checked:
   full scans must match the model bit for bit (sorted by the ``id``
   key; floats compared with NaN-aware exact equality — widening and
@@ -38,6 +39,8 @@ from repro.catalog import (
     CatalogTable,
     CommitConflict,
     DropColumn,
+    MaintenancePolicy,
+    MaintenanceService,
     MemoryCatalogStore,
     RenameColumn,
     WidenColumn,
@@ -482,6 +485,15 @@ class History:
                 victim = mutable[int(self.rng.integers(0, len(mutable)))]
                 ops.append(DropColumn(victim.name))
                 model.columns.remove(victim)
+                if self.rng.random() < 0.4:
+                    # the name and type come back as a new field: the
+                    # dropped field's bytes must not read as it, not
+                    # even from a file rewritten after the drop
+                    ops.append(AddColumn(victim.name, TYPE_NAME[victim.tag]))
+                    model.columns.append(ModelColumn(
+                        model.next_field_id, victim.name, victim.tag
+                    ))
+                    model.next_field_id += 1
             elif choice < 0.75 and mutable:
                 victim = mutable[int(self.rng.integers(0, len(mutable)))]
                 new_name = f"r{self.n_renames}_{victim.name}"[:24]
@@ -519,6 +531,22 @@ class History:
         if report.bytes_in == 0:
             return
         self._record(snap)  # model unchanged: compaction is invisible
+
+    def step_maintain(self):
+        """One maintenance cycle with thresholds low enough that small
+        files roll up and scrubbed files compact: invisible to the
+        model, so every snapshot it commits reads as HEAD did."""
+        before = self.table.current_snapshot().snapshot_id
+        report = MaintenanceService(self.table, MaintenancePolicy(
+            rollup_small_file_rows=64,
+            rollup_target_rows=128,
+            compact_deleted_fraction=0.1,
+            keep_snapshots=10**6,  # expiry is step_expire's
+            writer_options=OPTS,
+        )).run_once()
+        assert not report.skipped, report.skipped
+        for sid in range(before + 1, self.table.current_snapshot().snapshot_id + 1):
+            self._record(self.table.snapshot(sid))
 
     def step_expire(self):
         retained = sorted(self.records)
@@ -562,6 +590,7 @@ class History:
             (self.step_evolve, 0.22),
             (self.step_delete, 0.12),
             (self.step_compact, 0.06),
+            (self.step_maintain, 0.10),
             (self.step_expire, 0.06),
             (self.step_racing_appends, 0.08),
         ]

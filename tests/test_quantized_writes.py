@@ -105,3 +105,58 @@ class TestQuantizedWrites:
         assert np.array_equal(out.column("emb_0"), embeddings["emb_0"])
         assert not np.array_equal(out.column("emb_1"), embeddings["emb_1"])
         assert np.allclose(out.column("emb_1"), embeddings["emb_1"], atol=0.07)
+
+
+QUANTIZED = [
+    (FloatFormat.BF16, "bfloat16"),
+    (FloatFormat.FP8_E4M3, "fp8_e4m3"),
+    (FloatFormat.FP8_E5M2, "fp8_e5m2"),
+]
+
+
+class TestQuantizedSchemaColumns:
+    """A column the write schema types BF16/FP8 takes floats and
+    quantizes them; its stored codes pass through unchanged."""
+
+    @pytest.mark.parametrize("fmt,type_name", QUANTIZED)
+    def test_schema_typed_column_takes_floats_or_codes(self, fmt, type_name):
+        from repro.core.schema import Field, LogicalType, Schema
+        from repro.quantization import dequantize, quantize
+
+        values = np.array([0.5, 1.0, -2.0, 0.25], dtype=np.float32)
+        schema = Schema([Field("x", LogicalType.parse(type_name))])
+        reads = []
+        for given in (values, quantize(values, fmt)):
+            dev = SimulatedStorage()
+            BullionWriter(dev, schema=schema).write(Table({"x": given}))
+            reads.append(BullionReader(dev).project(["x"]).column("x"))
+        assert np.array_equal(reads[0], quantize(values, fmt))
+        assert np.array_equal(reads[1], reads[0])
+        assert np.array_equal(dequantize(reads[0], fmt), values)
+
+    @pytest.mark.parametrize("use_policy", [False, True], ids=["plain", "policy"])
+    @pytest.mark.parametrize("fmt,type_name", QUANTIZED)
+    def test_float_append_after_evolution(self, fmt, type_name, use_policy):
+        """After ``evolve()`` an append writes the current version's
+        physical layout, which types the column as its stored format:
+        floats appended to it are quantized, with or without the
+        policy that first narrowed it."""
+        from repro.catalog import AddColumn, CatalogTable, MemoryCatalogStore
+        from repro.core.schema import Field, LogicalType, Schema
+
+        values = np.array([0.5, 1.0, -2.0], dtype=np.float32)
+        table = CatalogTable.create(MemoryCatalogStore())
+        if use_policy:
+            options = WriterOptions(quantization=QuantizationPolicy(default=fmt))
+            table.append(Table({"x": values}), options=options)
+        else:
+            options = None
+            schema = Schema([Field("x", LogicalType.parse(type_name))])
+            table.append(Table({"x": values}), schema=schema)
+        table.evolve(AddColumn("k", "int64"))
+        table.append(
+            Table({"x": values, "k": np.arange(3, dtype=np.int64)}),
+            options=options,
+        )
+        got = table.read(["x"], widen_quantized=True).column("x")
+        assert np.array_equal(got, np.concatenate([values, values]))

@@ -10,7 +10,7 @@ from repro.core import (
     WriterOptions,
     delete_rows,
 )
-from repro.core.compact import compact, merge
+from repro.core.compact import compact, rewrite
 from repro.expr import col
 from repro.iosim import SimulatedStorage
 from repro.tools import describe, inspect_file
@@ -109,7 +109,7 @@ class TestCompaction:
         dev1, t1 = _file(n=200)
         dev2, t2 = _file(n=300)
         target = SimulatedStorage()
-        report = merge([dev1, dev2], target)
+        report = rewrite([dev1, dev2], target)
         assert report.rows_out == 500
         out = BullionReader(target).project(["id"])
         assert list(out.column("id")) == list(range(200)) + list(range(300))
@@ -119,11 +119,11 @@ class TestCompaction:
         dev2 = SimulatedStorage()
         BullionWriter(dev2).write(Table({"other": np.zeros(5, dtype=np.int64)}))
         with pytest.raises(ValueError, match="different columns"):
-            merge([dev1, dev2], SimulatedStorage())
+            rewrite([dev1, dev2], SimulatedStorage())
 
     def test_merge_empty_rejected(self):
         with pytest.raises(ValueError):
-            merge([], SimulatedStorage())
+            rewrite([], SimulatedStorage())
 
 
 class TestInspector:
