@@ -2,6 +2,7 @@
 
     python3 benchmarks/pairs.py --parent REV --workload W[,W...]|all \\
         --pairs N [--seconds S] [--series NAME] [--out runs.jsonl]
+    python3 benchmarks/pairs.py --judge LEDGER.jsonl [...] [--out FILE]
 
 ``--parent`` is a revision (checked out with ``git worktree add`` under
 a temp dir, removed at exit) or a directory that already holds one.
@@ -11,11 +12,17 @@ it finishes, tagged with ``--series``, so an interrupted series resumes
 instead of restarting. One report per workload follows the last run,
 and ``--out`` gets one verdict row per (workload, metric) —
 ``"kind": "verdict"``, each side's median and quartiles, pairs won and
-the verdict — so the file is the ledger of the series. Verdicts:
-``gain`` only when the change wins >= 9/10 of the pairs (ties count for
-neither) and the medians differ by more than the parent's inter-quartile
-range; ``worse`` beyond the ``BENCHMARK.json`` bound; ``unresolved``
-when a side's spread exceeds that bound and the sides' runs interleave.
+the verdict — so the file is the ledger of the series.
+
+Verdicts are judged on the pairs, which alternate to cancel the box's
+drift: per pair, the change's relative cost against its parent run.
+``worse`` (``gain``) when the median of those clears the
+``BENCHMARK.json`` bound the wrong (right) way and >= 9/10 of the pairs
+agree on the side (ties count for neither); ``unresolved`` when the
+median clears the bound but the pairs split; ``within`` otherwise.
+``--judge`` re-judges the runs of committed ledgers under this rule and
+prints each verdict row whose verdict it changes (appended to ``--out``,
+when given, as ``"kind": "rejudge"`` rows).
 """
 
 import argparse
@@ -37,16 +44,15 @@ def run_once(root, workload, seed, seconds) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def verdict(a, b, won, bound) -> str:
-    """``a``/``b``: parent/change runs as costs (smaller is better)."""
-    q1, _, q3 = quantiles(a, n=4)
-    spread = max((max(x) - min(x)) / abs(median(x) or 1.0) for x in (a, b))
-    if spread > bound and not (max(b) < min(a) or min(b) > max(a)):
-        return "unresolved"
-    if median(b) - median(a) > bound * abs(median(a)):
-        return "worse"
-    if won >= 0.9 * len(a) and median(a) - median(b) > q3 - q1:
-        return "gain"
+def verdict(a, b, bound) -> str:
+    """``a``/``b``: paired parent/change runs as costs (smaller is
+    better), pair ``i`` being ``(a[i], b[i])``."""
+    rel = [(y - x) / (abs(x) or 1.0) for x, y in zip(a, b)]
+    agree = 0.9 * len(rel)
+    if median(rel) > bound:
+        return "worse" if sum(r > 0 for r in rel) >= agree else "unresolved"
+    if median(rel) < -bound:
+        return "gain" if sum(r < 0 for r in rel) >= agree else "unresolved"
     return "within"
 
 
@@ -71,7 +77,7 @@ def report(rows, spec) -> list[dict]:
                       median=median(xs)) for xs in raw]
         cells = "  ".join(
             "{median:.5g} [{q1:.5g}, {q3:.5g}]".format(**side) for side in sides)
-        word = verdict(a, b, won, m["bound"])
+        word = verdict(a, b, m["bound"])
         print(f"{m['name']:<12} parent | change median [q1, q3]: {cells}  "
               f"won {won}/{len(seeds)}  {word}")
         verdicts.append({"kind": "verdict", "metric": m["name"],
@@ -80,20 +86,67 @@ def report(rows, spec) -> list[dict]:
     return verdicts
 
 
+def judge(paths, spec) -> list[dict]:
+    """Re-judge each ledger's run rows; print and return every verdict
+    row that changes."""
+    bounds = {m["name"]: m for m in spec["end_to_end"]}
+    changed = []
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            rows = [json.loads(line) for line in f if line.strip()]
+        runs: dict = {}
+        for r in rows:
+            if "side" in r:
+                key = (r.get("series", ""), r["workload"], r["seconds"])
+                runs.setdefault(key, {})[r["side"], r["seed"]] = r["result"]
+        for v in (r for r in rows if r.get("kind") == "verdict"):
+            by = runs.get((v.get("series", ""), v["workload"], v["seconds"]), {})
+            seeds = sorted(s for side, s in by if side == "change"
+                           and ("parent", s) in by)
+            m = bounds[v["metric"]]
+            sign = 1.0 if m["better"] == "lower" else -1.0
+            a, b = ([sign * by[side, s]["metrics"][m["name"]]["value"]
+                     for s in seeds] for side in ("parent", "change"))
+            word = verdict(a, b, m["bound"])
+            if word != v["verdict"]:
+                changed.append({
+                    "kind": "rejudge", "ledger": os.path.basename(path),
+                    "series": v.get("series", ""), "workload": v["workload"],
+                    "metric": v["metric"], "was": v["verdict"], "now": word,
+                    "won": v["won"], "pairs": len(seeds),
+                })
+                print("{ledger} {series} {workload} {metric}: {was} -> {now} "
+                      "(won {won}/{pairs})".format(**changed[-1]))
+    return changed
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True)
-    p.add_argument("--workload", required=True,
+    p.add_argument("--judge", nargs="+", metavar="LEDGER",
+                   help="re-judge committed ledgers instead of running")
+    p.add_argument("--parent")
+    p.add_argument("--workload",
                    help="a BENCHMARK.json workload, several joined by "
                         "commas, or 'all'")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float)
     p.add_argument("--series", default="",
                    help="name stored on every run and verdict row")
-    p.add_argument("--out", default="pairs.jsonl")
+    p.add_argument("--out", help="the ledger to append to "
+                   "(running pairs: default pairs.jsonl)")
     args = p.parse_args(argv)
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
+    if args.judge:
+        changed = judge(args.judge, spec)
+        print(len(changed), "verdict rows change")
+        if args.out:
+            with open(args.out, "a", encoding="utf-8") as f:
+                f.writelines(json.dumps(row) + "\n" for row in changed)
+        return 0
+    if not (args.parent and args.workload):
+        p.error("--parent and --workload are required to run pairs")
+    args.out = args.out or "pairs.jsonl"
     known = [w["name"] for w in spec["workloads"]]
     workloads = known if args.workload == "all" else args.workload.split(",")
     if set(workloads) - set(known):

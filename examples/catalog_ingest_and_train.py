@@ -4,7 +4,8 @@ An ingest thread keeps committing small files to a transactional
 table while a trainer pins one snapshot and runs reproducible epochs
 over it. A maintenance pass then rolls the small ingest files into
 one training-sized file and expires old snapshots — without touching
-anything the pinned trainer holds.
+anything the pinned trainer holds. A last compliance delete writes
+only a manifest; the next maintenance pass erases its rows' bytes.
 
 Run:  python examples/catalog_ingest_and_train.py
 """
@@ -83,8 +84,9 @@ def main() -> None:
         f"({table.stats.commits} commits, {table.stats.conflicts} replays)"
     )
 
-    # 4. GDPR-style delete runs as a transaction: copy-on-write + the
-    # paper's in-place page scrub on the copy; old snapshots unaffected
+    # 4. GDPR-style delete runs as a transaction: the file takes the
+    # rows into its manifest entry's deletion vector; old snapshots
+    # unaffected
     snap = table.delete(col("event_id") <= 499)
     print(
         f"deleted {snap.summary['rows_deleted']} rows -> snapshot "
@@ -114,6 +116,17 @@ def main() -> None:
         f"{report.bytes_reclaimed:,} bytes, expired "
         f"{report.snapshots_expired} snapshots -> HEAD has "
         f"{len(head.files)} files, {head.live_rows:,} rows"
+    )
+
+    # 6. one user's rows: a manifest-only commit, then the next cycle
+    # gives the file one copy with the §2.1 page scrub of its vector
+    snap = table.delete(col("event_id").isin([2_500, 7_777]))
+    vectors = sum(bool(f.deletion_vector) for f in snap.files)
+    report = service.run_once()
+    print(
+        f"deleted {snap.summary['rows_deleted']} rows into {vectors} "
+        f"deletion vector(s); maintenance erased {report.files_erased} "
+        f"file(s) -> HEAD has {table.current_snapshot().live_rows:,} rows"
     )
 
 

@@ -1,14 +1,16 @@
-"""Background maintenance: roll-ups, compaction, snapshot expiry.
+"""Background maintenance: roll-ups, compaction, erasure, expiry.
 
-The paper deliberately keeps space reclamation off the
-compliance-critical path (§2.1: deletes scrub pages in place; a later
-compaction reclaims the bytes). The catalog gives that division of
-labour a scheduler: :class:`MaintenanceService` inspects HEAD, plans
-jobs, and executes each as an ordinary transaction — so maintenance
-commits race (and retry) like any other writer and never blocks
-training readers, which hold pinned snapshots.
+The paper keeps space reclamation off the compliance-critical path
+(§2.1: a delete records its rows in a deletion vector and scrubs their
+pages in place; a later compaction reclaims the bytes). The catalog
+moves the page scrub off it too: a delete only restages manifest
+entries with deletion vectors, and the ``erase`` job scrubs them at the
+next cycle. :class:`MaintenanceService` inspects HEAD, plans jobs, and
+executes each as an ordinary transaction — so maintenance commits race
+(and retry) like any other writer and never blocks training readers,
+which hold pinned snapshots.
 
-Three job kinds (row retention is a foreground
+Four job kinds (row retention is a foreground
 ``CatalogTable.delete(where)``, not a job); ``rollup`` and ``compact``
 run one executor, :meth:`~repro.catalog.Transaction.rewrite` of the
 job's files:
@@ -17,16 +19,25 @@ job's files:
               version into training-sized ones
 ``compact``   rewrite files whose deleted-row fraction crossed the
               policy threshold without their dead rows
+``erase``     give every other file with a deletion vector one copy
+              with the whole vector scrubbed (§2.1,
+              :meth:`~repro.catalog.Transaction.erase`): a deleted
+              row's bytes leave every live file at the next cycle
 ``expire``    drop old snapshots beyond the retention policy, then
               delete data files no retained (or pinned, or
-              mid-transaction) snapshot references
+              mid-transaction) snapshot references — the pre-erasure
+              originals among them
 
 Pins and in-flight staged files live in the :class:`CatalogTable`
 handle, not the store, so expiry only sees readers and open
-transactions on the *same* handle. When several processes write one
-``DirectoryCatalogStore``, run expiry in the writer process or set
-``MaintenancePolicy.gc_grace_ms`` above the longest transaction so GC
-never collects a file another process staged but has not committed yet.
+transactions on the *same* handle; the bases of open transactions are
+known to every store object of the table in this process, so an
+expired snapshot id one of them may still claim stays a tombstone (see
+:mod:`repro.catalog.store`). When
+several processes write one ``DirectoryCatalogStore``, run expiry in
+the writer process or set ``MaintenancePolicy.gc_grace_ms`` above the
+longest transaction so GC never collects a file another process staged
+but has not committed yet, nor a tombstone whose id it may claim.
 """
 
 from __future__ import annotations
@@ -81,7 +92,7 @@ class MaintenancePolicy:
 class MaintenanceJob:
     """One planned unit of background work."""
 
-    kind: str  # "rollup" | "compact" | "expire"
+    kind: str  # "rollup" | "compact" | "erase" | "expire"
     file_ids: tuple[str, ...] = ()
     snapshot_ids: tuple[int, ...] = ()
     reason: str = ""
@@ -96,6 +107,7 @@ class MaintenanceReport(Counters):
     jobs_run: int = 0
     files_merged: int = 0
     files_compacted: int = 0
+    files_erased: int = 0
     bytes_reclaimed: int = 0
     snapshots_expired: int = 0
     data_files_deleted: int = 0
@@ -174,6 +186,19 @@ class MaintenanceService:
             if len(bin_files) >= policy.rollup_min_files:
                 jobs.append(self._rollup_job(bin_files, bin_rows))
 
+        # a file rewritten this cycle leaves its vector out already
+        rewritten = {fid for job in jobs for fid in job.file_ids}
+        vectored = [
+            f.file_id for f in head.files
+            if f.deletion_vector and f.file_id not in rewritten
+        ]
+        if vectored:
+            jobs.append(MaintenanceJob(
+                kind="erase",
+                file_ids=tuple(vectored),
+                reason=f"{len(vectored)} files carry deletion vectors",
+            ))
+
         expirable = self._expirable_snapshots(head)
         if expirable:
             jobs.append(
@@ -239,6 +264,8 @@ class MaintenanceService:
                 with obs_trace.span("maintenance.job", kind=job.kind):
                     if job.kind == "expire":
                         self._run_expire(job, report)
+                    elif job.kind == "erase":
+                        self._run_erase(job, report)
                     else:
                         self._run_rewrite(job, report)
                 report.jobs_run += 1
@@ -286,6 +313,19 @@ class MaintenanceService:
             # go up, so clamp the reclaimed delta at zero
             MAINT_BYTES_RECLAIMED.inc(max(0, comp.bytes_reclaimed))
 
+    def _run_erase(
+        self, job: MaintenanceJob, report: MaintenanceReport
+    ) -> None:
+        """An ``erase`` job: one :meth:`Transaction.erase` of the job's
+        files, one commit."""
+        with self.table.transaction() as txn:
+            erased = txn.erase(job.file_ids)
+            if not erased:
+                report.skipped.append(f"erase: inputs vanished ({job.file_ids})")
+                return
+            txn.commit()
+        report.bump(files_erased=erased)
+
     def _run_expire(
         self, job: MaintenanceJob, report: MaintenanceReport
     ) -> None:
@@ -305,7 +345,7 @@ class MaintenanceService:
         for sid in job.snapshot_ids:
             # expire_snapshot re-checks pins under the table lock, so
             # a pin registered since the plan wins the race
-            if table.expire_snapshot(sid):
+            if table.expire_snapshot(sid, keep_id=policy.gc_grace_ms > 0):
                 report.bump(snapshots_expired=1)
             else:
                 report.skipped.append(f"expire: snapshot {sid} is pinned")
@@ -315,6 +355,7 @@ class MaintenanceService:
         # references it
         for snap in table.history():
             referenced |= snap.file_ids()
+        table.collect_tombstones(policy.gc_grace_ms)
         now_ms = time.time_ns() // 1_000_000
         for file_id in candidates:
             if file_id in referenced:

@@ -17,18 +17,22 @@ when the record is unchanged, so each record is parsed once per
 handle. There is no indentation: ``repro-inspect catalog snapshot``
 formats the parsed object for people, and ``from_json`` reads indented
 manifests written by older versions as well. The heavy metadata
-(page/chunk indexes, Merkle trees, deletion vectors) stays in each
-file's binary footer where the paper puts it. The
-manifest only ever *names* files and caches their headline stats —
-including, since the expression engine, per-column [min, max] so a
-``scan(where=...)`` can prune whole files without opening them.
+(page/chunk indexes, Merkle trees, the file's own deletion vector)
+stays in each file's binary footer where the paper puts it. The
+manifest *names* files and caches their headline stats — per-column
+[min, max], so a ``scan(where=...)`` can prune whole files without
+opening them — plus one thing the file does not hold: an entry's
+``deletion_vector``, the rows deleted since the file was written (see
+:class:`DataFile`). A snapshot that carries one lists
+``deletion_vectors`` in ``required_features``, so a build that cannot
+apply vectors refuses it instead of reading deleted rows back.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as _replace
 from functools import cached_property
 
 from repro.catalog.schema_evolution import (
@@ -43,14 +47,17 @@ from repro.expr import Expr
 from repro.expr.interval import Zones, evaluate_zones
 
 
+#: the feature a snapshot requires while any entry carries a vector
+DELETION_VECTORS = "deletion_vectors"
+
 #: manifest features this build reads. A snapshot whose
 #: ``required_features`` names any other is refused, on read and on
 #: commit, before anything is written: this build would misread it.
-KNOWN_FEATURES: frozenset = frozenset()
+KNOWN_FEATURES: frozenset = frozenset({DELETION_VECTORS})
 
 _FILE_KEYS = (
     "file_id", "row_count", "deleted_count", "byte_size",
-    "schema_fingerprint", "column_stats", "schema_id",
+    "schema_fingerprint", "column_stats", "schema_id", "deletion_vector",
 )
 _SNAPSHOT_KEYS = (
     "snapshot_id", "parent_id", "timestamp_ms", "operation", "files",
@@ -113,6 +120,35 @@ def check_features(features) -> None:
         )
 
 
+def encode_runs(rows) -> tuple[int, ...]:
+    """Sorted unique row positions as ``(start, length, start, length,
+    ...)``: a retention cut (a prefix of the file) is one run."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
+        return ()
+    breaks = np.flatnonzero(np.diff(rows) != 1) + 1
+    starts = rows[np.concatenate(([0], breaks))]
+    lengths = np.diff(np.concatenate(([0], breaks, [len(rows)])))
+    return tuple(np.column_stack((starts, lengths)).ravel().tolist())
+
+
+def decode_runs(runs, row_count: int) -> np.ndarray:
+    """The sorted row positions :func:`encode_runs` encoded; raises
+    ``ValueError`` unless the runs are ascending, disjoint, non-empty
+    and inside ``row_count`` rows."""
+    pairs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+    starts, lengths = pairs[:, 0], pairs[:, 1]
+    ends = starts + lengths
+    if len(pairs) and (
+        (lengths <= 0).any() or starts[0] < 0 or ends[-1] > row_count
+        or (starts[1:] <= ends[:-1]).any()
+    ):
+        raise ValueError(f"malformed deletion vector {list(runs)[:8]!r}")
+    return np.repeat(ends - lengths.cumsum(), lengths) + np.arange(
+        int(lengths.sum())
+    )
+
+
 def _features(raw) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(f, str) for f in raw):
         raise CatalogMetadataError(f"malformed required_features {raw!r}")
@@ -160,8 +196,13 @@ class ColumnStats:
 class DataFile:
     """One immutable member file, with its footer-derived stats.
 
-    ``column_stats`` and ``extra`` are read-only: the entry encodes its
-    manifest record once (:attr:`record_json`) and snapshots splice it.
+    ``deletion_vector`` holds the rows deleted since the file was
+    written, as runs (:func:`encode_runs`): a delete restages the entry,
+    not the file. ``deleted_count`` counts the footer's deleted rows and
+    the vector's, so :attr:`live_rows` and every threshold read it
+    alike. ``column_stats`` and ``extra`` are read-only: the entry
+    encodes its manifest record once (:attr:`record_json`) and
+    snapshots splice it.
     """
 
     file_id: str
@@ -174,12 +215,30 @@ class DataFile:
     #: schema-log id this file was written under; None for legacy
     #: manifests that predate the schema log (one frozen schema)
     schema_id: "int | None" = None
+    #: rows deleted since the file was written, as runs; empty: none
+    deletion_vector: tuple[int, ...] = ()
     #: keys a newer writer added, written back unchanged (read-only)
     extra: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "column_stats", _freeze(self.column_stats))
         object.__setattr__(self, "extra", _freeze(self.extra))
+
+    def vector_rows(self) -> np.ndarray:
+        """The rows :attr:`deletion_vector` deletes, ascending (decoded
+        per call: snapshots of a table hold many entries of one file,
+        and a retention cut's vector is one run of many rows)."""
+        return decode_runs(self.deletion_vector, self.row_count)
+
+    def with_deleted(self, rows) -> "DataFile":
+        """This entry with live rows ``rows`` (ascending) deleted too."""
+        before = self.vector_rows()
+        merged = np.union1d(before, rows)
+        return _replace(
+            self,
+            deleted_count=self.deleted_count + len(merged) - len(before),
+            deletion_vector=encode_runs(merged),
+        )
 
     @property
     def live_rows(self) -> int:
@@ -205,6 +264,8 @@ class DataFile:
             }
         if self.schema_id is not None:
             doc["schema_id"] = self.schema_id
+        if self.deletion_vector:
+            doc["deletion_vector"] = list(self.deletion_vector)
         return doc
 
     @cached_property
@@ -237,6 +298,9 @@ class DataFile:
     def from_dict(d: dict) -> "DataFile":
         raw_stats = d.get("column_stats")
         raw_schema_id = d.get("schema_id")
+        runs = tuple(d.get("deletion_vector", ()))
+        if runs:
+            decode_runs(runs, int(d["row_count"]))  # ValueError if malformed
         return DataFile(
             file_id=d["file_id"],
             row_count=int(d["row_count"]),
@@ -254,6 +318,7 @@ class DataFile:
             schema_id=(
                 None if raw_schema_id is None else int(raw_schema_id)
             ),
+            deletion_vector=runs,
             extra=unknown_keys(d, _FILE_KEYS),
         )
 
@@ -484,7 +549,10 @@ class SnapshotIndex:
                 layout = self._layouts[key] = Layout(
                     reader.footer, self.resolutions[i]
                 )
-            return reader.file_index, layout
+            # the vector is this snapshot's: applied to a copy of the
+            # reader's index, which other snapshots share
+            index = reader.file_index.with_deleted(self.files[i].vector_rows())
+            return index, layout
 
         self.read.fill(ordinals, block)
 

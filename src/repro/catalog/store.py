@@ -11,6 +11,14 @@ Iceberg's Hadoop catalog / Delta's log store: write the snapshot to
 committer claimed it first), fsync ``snapshots/``. The two stores
 differ only in their backend: ``MemoryCatalogStore`` (for tests and
 simulation) and ``DirectoryCatalogStore`` (a local directory).
+
+A snapshot id once published is never free again: a transaction's
+first commit attempt claims ``base + 1``, so expiring a snapshot above
+the lowest base an open transaction holds (:meth:`CatalogStore.base_floor`,
+over every store object of the table's directory in this process)
+replaces its document with :data:`TOMBSTONE` instead of unlinking it,
+and the put fails as a conflict. A tombstone goes once no open
+transaction can claim its id.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+import weakref
+from collections import Counter
 
 from repro.iosim import Directory, MemoryDirectory, OSDirectory, Storage
 from repro.iosim.directory import read_file, write_file
@@ -35,12 +45,61 @@ class CommitOutcomeUnknown(OSError):
         self.snapshot_id = snapshot_id
 
 
+#: an expired snapshot's document while its id may still be claimed
+TOMBSTONE = b'{"expired":true}'
+
+
+class _Bases:
+    """Base snapshot id -> transactions open on it, for one table."""
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+        self.lock = threading.Lock()
+
+
+_REGISTRY_LOCK = threading.Lock()
+#: one registry per table in this process: by real path for a
+#: directory on disk, by backend object for one in memory
+_BASES_BY_ROOT: dict = {}
+_BASES_BY_BACKEND: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _bases_of(backend) -> _Bases:
+    root = getattr(backend, "root", None)
+    with _REGISTRY_LOCK:
+        if root is not None:
+            return _BASES_BY_ROOT.setdefault(os.path.realpath(root), _Bases())
+        return _BASES_BY_BACKEND.setdefault(backend, _Bases())
+
+
 class CatalogStore:
     """Metadata CAS + data files of one table, over ``backend``."""
 
     def __init__(self, backend: Directory) -> None:
         self.backend = backend
         self._ids = itertools.count()  # for file ids and tmp names
+        self._bases = _bases_of(backend)
+
+    # -- open transactions ----------------------------------------------
+    def hold_base(self, snapshot_id: int) -> None:
+        """A transaction opens on ``snapshot_id``: until it ends, its
+        first commit attempt may claim ``snapshot_id + 1``."""
+        with self._bases.lock:
+            self._bases.counts[snapshot_id] += 1
+
+    def release_base(self, snapshot_id: int) -> None:
+        with self._bases.lock:
+            counts = self._bases.counts
+            counts[snapshot_id] -= 1
+            if counts[snapshot_id] <= 0:
+                del counts[snapshot_id]
+
+    def base_floor(self) -> "int | None":
+        """The lowest base an open transaction on this table holds, in
+        this process (None: none is open). Ids at or below it can no
+        longer be claimed."""
+        with self._bases.lock:
+            return min(self._bases.counts, default=None)
 
     # -- metadata (CAS) -------------------------------------------------
     def put_metadata(self, name: str, data: bytes) -> bool:
@@ -50,7 +109,7 @@ class CatalogStore:
         plain ``OSError`` (nothing was published). The staging file goes
         on any exit; failing to remove it once the snapshot is published
         is not a failed commit."""
-        tmp = f"tmp/{os.getpid()}-{threading.get_ident()}-{next(self._ids)}"
+        tmp = self._tmp_name()
         final = f"snapshots/{name}"
         published = False
         try:
@@ -81,6 +140,9 @@ class CatalogStore:
                 if not published:
                     raise
 
+    def _tmp_name(self) -> str:
+        return f"tmp/{os.getpid()}-{threading.get_ident()}-{next(self._ids)}"
+
     def _holds(self, path: str, data: bytes) -> bool:
         """Does ``path`` exist with exactly ``data`` (our link, after a
         fault that hid whether it happened)?"""
@@ -97,6 +159,21 @@ class CatalogStore:
 
     def delete_metadata(self, name: str) -> None:
         self.backend.unlink(f"snapshots/{name}")
+
+    def put_tombstone(self, name: str) -> None:
+        """Replace ``name``'s document with :data:`TOMBSTONE` in one
+        step: the name never stops existing, so no put can take it."""
+        tmp = self._tmp_name()
+        write_file(self.backend, tmp, TOMBSTONE, sync=True)
+        try:
+            self.backend.replace(tmp, f"snapshots/{name}")
+        except BaseException:
+            self.backend.unlink(tmp)
+            raise
+        self.backend.sync_dir("snapshots")
+
+    def metadata_mtime_ms(self, name: str) -> int:
+        return self.backend.mtime_ms(f"snapshots/{name}")
 
     # -- data files -----------------------------------------------------
     @staticmethod

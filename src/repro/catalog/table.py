@@ -36,7 +36,7 @@ from repro.catalog.snapshot import (
     parse_snapshot_name,
     snapshot_name,
 )
-from repro.catalog.store import CatalogStore
+from repro.catalog.store import TOMBSTONE, CatalogStore
 from repro.catalog.transaction import Transaction
 from repro.core.compact import CompactionReport
 from repro.core.dataset import LoaderOptions, TrainingDataLoader
@@ -361,6 +361,13 @@ class PinnedSnapshot:
         return TrainingDataLoader(self, columns, self._kept(where), options)
 
 
+def _released_after(tables, pinned: PinnedSnapshot):
+    try:
+        yield from tables
+    finally:
+        pinned.release()
+
+
 def _file_groups(state, files, shuffle) -> np.ndarray:
     """Rows of ``state`` for every group of files ``files``, file after
     file: each file's in group order, or as ``shuffle`` reorders them
@@ -418,6 +425,8 @@ class CatalogTable:
         self._pins: dict[int, int] = {}
         #: data files staged by open transactions (GC must not touch)
         self._inflight: set[str] = set()
+        #: ids whose document is a tombstone (expired, id still taken)
+        self._expired: set[int] = set()
         if self._snapshot_ids() == []:
             raise FileNotFoundError(
                 "store holds no snapshots; use CatalogTable.create()"
@@ -468,9 +477,16 @@ class CatalogTable:
         check_int(snapshot_id, "snapshot_id")
         with self._lock:
             cached = self._snap_cache.get(snapshot_id)
+            expired = snapshot_id in self._expired
         if cached is not None:
             return cached
-        data = self.store.read_metadata(snapshot_name(snapshot_id))
+        data = None if expired else self.store.read_metadata(
+            snapshot_name(snapshot_id)
+        )
+        if data is None or data == TOMBSTONE:
+            with self._lock:
+                self._expired.add(snapshot_id)
+            raise FileNotFoundError(f"snapshot {snapshot_id} was expired")
         snap = Snapshot.from_json(data, self._entry)
         with self._lock:
             self._cache_snapshot(snap)
@@ -519,6 +535,8 @@ class CatalogTable:
             try:
                 return self.snapshot(head)
             except FileNotFoundError:
+                if head in self._expired:  # HEAD itself expired by hand
+                    return self.history()[-1]
                 # head was expired between listing and reading —
                 # only possible once a newer snapshot exists, so a
                 # re-listing converges on the new HEAD
@@ -616,20 +634,59 @@ class CatalogTable:
                 return self.current_snapshot(), report
             return txn.commit(), report
 
-    def expire_snapshot(self, snapshot_id: int) -> bool:
-        """Delete one snapshot's metadata unless it is pinned.
+    def expire_snapshot(self, snapshot_id: int, *, keep_id: bool = False) -> bool:
+        """Expire one snapshot unless it is pinned. Returns True when
+        expired.
 
-        The pin check and the delete happen under the table lock —
-        the same lock :meth:`pin` registers under — so a racing
-        ``pin()`` either lands first (we refuse) or observes the
-        missing metadata and re-resolves. Returns True when expired.
+        Its document is deleted, or replaced by a tombstone when an open
+        transaction on this store may still claim its id (see
+        :mod:`repro.catalog.store`) or ``keep_id`` says one in another
+        process may: a commit then conflicts instead of landing below
+        HEAD. :meth:`collect_tombstones` deletes them later. The pin
+        check and the expiry happen under the table lock — the same lock
+        :meth:`pin` registers under — so a racing ``pin()`` either lands
+        first (we refuse) or observes the expiry and re-resolves.
         """
+        name = snapshot_name(snapshot_id)
         with self._lock:
             if snapshot_id in self._pins:
                 return False
             self._snap_cache.pop(snapshot_id, None)
-            self.store.delete_metadata(snapshot_name(snapshot_id))
+            floor = self.store.base_floor()
+            if keep_id or floor is not None and snapshot_id > floor:
+                self.store.put_tombstone(name)
+                self._expired.add(snapshot_id)
+            else:
+                self.store.delete_metadata(name)
         return True
+
+    def collect_tombstones(self, grace_ms: int = 0) -> int:
+        """Delete the tombstones this handle has seen whose id no open
+        transaction on this store can claim, and, given ``grace_ms``,
+        that are at least that old (a transaction in another process
+        may claim a younger one). Returns how many went."""
+        floor = self.store.base_floor()
+        now_ms = time.time_ns() // 1_000_000
+        with self._lock:
+            ids = sorted(self._expired)
+        collected = 0
+        for sid in ids:
+            if floor is not None and sid > floor:
+                break
+            name = snapshot_name(sid)
+            try:
+                if grace_ms and (
+                    now_ms - self.store.metadata_mtime_ms(name) < grace_ms
+                ):
+                    continue
+            except FileNotFoundError:
+                pass  # another handle collected it
+            else:
+                self.store.delete_metadata(name)
+                collected += 1
+            with self._lock:
+                self._expired.discard(sid)
+        return collected
 
     # -- pinned reads ---------------------------------------------------
     def pin(
@@ -657,8 +714,9 @@ class CatalogTable:
             # closes the window (bypassing the snapshot cache — one
             # metadata read, not a full listing)
             try:
-                self.store.read_metadata(snapshot_name(snap.snapshot_id))
-                return PinnedSnapshot(self, snap)
+                data = self.store.read_metadata(snapshot_name(snap.snapshot_id))
+                if data != TOMBSTONE:
+                    return PinnedSnapshot(self, snap)
             except FileNotFoundError:
                 pass
             self._unpin(snap.snapshot_id)
@@ -694,13 +752,19 @@ class CatalogTable:
         as_of: int | None = None,
         **scan_kwargs,
     ):
-        """Lazy batch stream over a pinned snapshot (pin held while
-        iterating, released when the generator closes)."""
+        """Lazy batch stream over a pinned snapshot. Its arguments are
+        checked before this returns, as :meth:`PinnedSnapshot.scan`
+        checks them; the pin is held while iterating, and released when
+        the stream ends, is closed, or is collected unread."""
         pinned = self.pin(snapshot_id=snapshot_id, as_of=as_of)
         try:
-            yield from pinned.scan(columns, **scan_kwargs)
-        finally:
+            tables = pinned.scan(columns, **scan_kwargs)
+        except BaseException:
             pinned.release()
+            raise
+        stream = _released_after(tables, pinned)
+        weakref.finalize(stream, pinned.release)
+        return stream
 
     def read(
         self,

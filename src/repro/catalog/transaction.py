@@ -3,24 +3,25 @@
 Every mutation follows the same two-phase shape:
 
 1. **stage** — write new *immutable* data files through the existing
-   streaming writer (``append``), copy-on-write + in-place scrub
-   (``delete``, for files only partly matched: a file every row of
-   which matches is just left out of the next snapshot), or rewrite
-   (``rewrite``: a compaction is a bin of one file, a roll-up a bin of
-   small files). Nothing is visible yet: a
-   data file only becomes part of the table when a committed snapshot
-   names it, so no committed snapshot can ever reference a
-   half-written file.
+   streaming writer (``append``), restage an entry with more rows in
+   its deletion vector (``delete``, for files only partly matched: a
+   file every row of which matches is just left out of the next
+   snapshot), or rewrite (``rewrite``: a compaction is a bin of one
+   file, a roll-up a bin of small files; ``erase``: the §2.1 scrub of
+   a file's vector, on a copy). Nothing is visible yet: a data file
+   only becomes part of the table when a committed snapshot names it,
+   so no committed snapshot can ever reference a half-written file.
 2. **commit** — serialize ``base snapshot − removed files + added
    files`` as snapshot ``HEAD+1`` and publish it with the store's
    put-if-absent CAS. Losing the race means another committer moved
-   HEAD first: the transaction re-reads HEAD, re-validates (every file
-   it removes must still be live — if a conflicting committer already
-   replaced one, the transaction aborts), and replays its edit on top.
-   Pure appends always replay; delete/compact/rollup abort iff their
-   input files were concurrently compacted away, and a delete also
-   aborts when files were appended concurrently (its predicate never
-   scanned their rows, so replaying could leave matches live).
+   HEAD first: the transaction re-reads HEAD, re-validates (every entry
+   it removes or restages must be at HEAD as at its base — if a
+   conflicting committer replaced or re-vectored one, the transaction
+   aborts), and replays its edit on top. Pure appends always replay;
+   delete/rewrite/erase abort iff their input entries changed
+   concurrently, and a delete also aborts when files were appended
+   concurrently (its predicate never scanned their rows, so replaying
+   could leave matches live).
 
 ``abort()`` deletes the staged data files so nothing leaks. It is
 the one exit of a transaction that does not commit: the commit calls it
@@ -32,6 +33,7 @@ transaction that raises, or is left uncommitted, aborts.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace as _replace
 
@@ -47,6 +49,7 @@ from repro.catalog.schema_evolution import (
 )
 from repro.catalog.store import CommitOutcomeUnknown
 from repro.catalog.snapshot import (
+    DELETION_VECTORS,
     ColumnStats,
     DataFile,
     ManifestIndex,
@@ -171,7 +174,19 @@ class Transaction:
     def __init__(self, table) -> None:
         self._table = table
         self._store = table.store
-        self._base = table.current_snapshot()
+        # hold every id while the base is read, then the base's: an
+        # expiry meanwhile must not free the id the commit will claim.
+        # Released on commit or abort, or when a transaction left open
+        # is collected
+        self._store.hold_base(-1)
+        try:
+            self._base = table.current_snapshot()
+            self._store.hold_base(self._base.snapshot_id)
+        finally:
+            self._store.release_base(-1)
+        self._release_base = weakref.finalize(
+            self, self._store.release_base, self._base.snapshot_id
+        )
         self._added: list[DataFile] = []
         self._removed: set[str] = set()
         self._staged_ids: list[str] = []
@@ -338,7 +353,8 @@ class Transaction:
         self, entries: list[DataFile], replacement: DataFile | None
     ) -> None:
         """Take ``entries`` out of the staged file list, putting
-        ``replacement`` (their rewrite; None drops them) in their stead."""
+        ``replacement`` (their rewrite, or one of them restaged; None
+        drops them) at its end."""
         ids = {f.file_id for f in entries}
         self._removed |= ids - {f.file_id for f in self._added}
         self._added = [f for f in self._added if f.file_id not in ids]
@@ -393,9 +409,13 @@ class Transaction:
                     their live rows undecoded, ``NEVER`` groups are
                     skipped, ``MAYBE`` groups decode their filter
                     columns for the exact mask. A file with victims is
-                    then copied byte-for-byte and the §2.1
-                    page-granular scrub (:func:`delete_rows`) runs on
-                    the copy — the original stays immutable.
+                    restaged as the same file with the victims added
+                    to its entry's deletion vector — no data file is
+                    written — at the end of the file list, where a
+                    rewrite goes. Every read masks the vector; the
+                    maintenance ``erase`` job scrubs it from the bytes
+                    (§2.1, on a copy, see :meth:`erase`) at its next
+                    cycle.
 
         Both evaluators compare a stored value with a literal as real
         numbers (:mod:`repro.expr.literals`), so an ``ALWAYS`` file
@@ -426,36 +446,27 @@ class Transaction:
             # dropping every file of a table with no schema log would
             # leave nothing to take the schema from (evolve() reads a
             # live footer, append checks the fingerprint against one):
-            # the last file goes the copy + scrub way and stays, fully
-            # deleted, exactly as before
+            # the last file takes the vector way and stays, fully
+            # deleted
             verdicts[-1] = TriState.MAYBE
         total = dropped = 0
-        sources: dict = {}
-        try:
-            victims = self._victims([
-                (entry, res)
-                for entry, res, verdict in zip(files, resolutions, verdicts)
-                if verdict is TriState.MAYBE and entry.live_rows
-            ], where, sources)
-            for entry, verdict in zip(files, verdicts):
-                if verdict is TriState.NEVER or entry.live_rows == 0:
-                    continue  # file never opened
-                if verdict is TriState.ALWAYS:
-                    scrubbed, n_rows = None, entry.live_rows
-                    dropped += 1
-                else:
-                    rows = victims[entry.file_id]
-                    if not len(rows):
-                        continue  # stats said maybe, the rows said no
-                    scrubbed = self._scrubbed_copy(
-                        entry, sources[entry.file_id], rows
-                    )
-                    n_rows = len(rows)
-                self._supersede([entry], scrubbed)
-                total += n_rows
-        finally:
-            for source in sources.values():
-                source.close()
+        victims = self._victims([
+            (entry, res)
+            for entry, res, verdict in zip(files, resolutions, verdicts)
+            if verdict is TriState.MAYBE and entry.live_rows
+        ], where)
+        for entry, verdict in zip(files, verdicts):
+            if verdict is TriState.NEVER or entry.live_rows == 0:
+                continue  # file never opened
+            if verdict is TriState.ALWAYS:
+                self._supersede([entry], None)
+                total += entry.live_rows
+                dropped += 1
+                continue
+            rows = victims[entry.file_id]
+            if len(rows):  # else: stats said maybe, the rows said no
+                self._supersede([entry], entry.with_deleted(rows))
+                total += len(rows)
         if total:  # zero matches stage nothing: no no-op snapshot
             self._ops.append("delete")
             self._bump("rows_deleted", total)
@@ -463,59 +474,92 @@ class Transaction:
                 self._bump("files_dropped", dropped)
         return total
 
-    def _victims(self, files, where: Expr, sources: dict) -> dict:
+    def _victims(self, files, where: Expr) -> dict:
         """Each ``(entry, resolution)``'s live rows that ``where``
-        matches, by file id. The files are opened (into ``sources``,
-        which the caller closes) and read as one index: their row
-        groups' zone-map verdicts in one pass, then the filter columns
-        of the undecided groups decoded in batches across files, in the
-        current schema's coordinates (renames resolve, narrow values
-        widen, absent columns fill, so e.g. a predicate on an added
-        column simply matches its typed-null fill). ``ALWAYS`` groups
-        give up their live rows undecoded. A missing filter column
-        raises, exactly like ``scan(where=...)``: a typo'd name must
-        not silently delete nothing."""
+        matches, by file id — the entry's deletion vector and its
+        file's footer say which are live. The files are read as one
+        index: their row groups' zone-map verdicts in one pass, then the
+        filter columns of the undecided groups decoded in batches across
+        files, in the current schema's coordinates (renames resolve,
+        narrow values widen, absent columns fill, so e.g. a predicate on
+        an added column simply matches its typed-null fill). ``ALWAYS``
+        groups give up their live rows undecoded. A missing filter
+        column raises, exactly like ``scan(where=...)``: a typo'd name
+        must not silently delete nothing."""
         if not files:
             return {}
-        readers = []
-        for entry, _res in files:
-            source = sources[entry.file_id] = self._store.open_data(entry.file_id)
-            readers.append(BullionReader(source))
-        state = ReadIndex([
-            (reader.file_index, Layout(reader.footer, res))
-            for reader, (_entry, res) in zip(readers, files)
-        ]).state()
-        never, always = state.verdicts(where)
-        undecided = np.flatnonzero(~never & ~always)
-        filters = sorted(where.columns())
-        plan = state.plan(
-            undecided, filters, None, Counter(), readers.__getitem__,
-            files=len(files), drop_deleted=False,
-        )
-        masks = {
-            g: evaluate_expr(where, table.columns)
-            for g, table in zip(undecided.tolist(), scan_batches(
-                plan, filters, None, ScanStats(), Counter(),
-                widen_quantized=True,
-            ))
-        }
-        victims = {}
-        for i, (entry, _res) in enumerate(files):
-            index, first = readers[i].file_index, int(state.file_start[i])
-            parts = []
-            for rg in range(len(index.rows)):
-                mask = masks.get(first + rg)  # None: ALWAYS or NEVER
-                if never[first + rg] or mask is not None and not mask.any():
-                    continue
-                start = int(index.row_start[rg])
-                live = ~index.deleted()[start : start + int(index.rows[rg])]
-                parts.append(
-                    start + np.flatnonzero(live if mask is None else mask & live)
-                )
-            victims[entry.file_id] = (
-                np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        sources = []
+        try:
+            for entry, _res in files:
+                sources.append(self._store.open_data(entry.file_id))
+            readers = [BullionReader(source) for source in sources]
+            indexes = [
+                reader.file_index.with_deleted(entry.vector_rows())
+                for reader, (entry, _res) in zip(readers, files)
+            ]
+            state = ReadIndex([
+                (index, Layout(reader.footer, res))
+                for index, reader, (_entry, res) in zip(indexes, readers, files)
+            ]).state()
+            never, always = state.verdicts(where)
+            undecided = np.flatnonzero(~never & ~always)
+            filters = sorted(where.columns())
+            plan = state.plan(
+                undecided, filters, None, Counter(), readers.__getitem__,
+                files=len(files), drop_deleted=False,
             )
-        return victims
+            masks = {
+                g: evaluate_expr(where, table.columns)
+                for g, table in zip(undecided.tolist(), scan_batches(
+                    plan, filters, None, ScanStats(), Counter(),
+                    widen_quantized=True,
+                ))
+            }
+            victims = {}
+            for i, (entry, _res) in enumerate(files):
+                index, first = indexes[i], int(state.file_start[i])
+                parts = []
+                for rg in range(len(index.rows)):
+                    mask = masks.get(first + rg)  # None: ALWAYS or NEVER
+                    if never[first + rg] or mask is not None and not mask.any():
+                        continue
+                    start = int(index.row_start[rg])
+                    live = ~index.deleted()[start : start + int(index.rows[rg])]
+                    parts.append(
+                        start + np.flatnonzero(live if mask is None else mask & live)
+                    )
+                victims[entry.file_id] = (
+                    np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+                )
+            return victims
+        finally:
+            for source in sources:
+                source.close()
+
+    def erase(self, file_ids) -> int:
+        """Scrub each staged file of ``file_ids`` that carries a
+        deletion vector: one copy with the whole vector scrubbed (§2.1)
+        staged in its place, so the deleted rows' bytes leave every
+        file the next snapshot names. The original leaves the disk when
+        the last snapshot naming it expires. Returns files erased."""
+        self._require_open()
+        staged = {f.file_id: f for f in self.staged_files()}
+        erased = 0
+        for file_id in file_ids:
+            entry = staged.get(file_id)
+            if entry is None or not entry.deletion_vector:
+                continue  # rewritten or erased since it was picked
+            source = self._store.open_data(file_id)
+            try:
+                copy = self._scrubbed_copy(entry, source, entry.vector_rows())
+            finally:
+                source.close()
+            self._supersede([entry], copy)
+            erased += 1
+        if erased:
+            self._ops.append("erase")
+            self._bump("files_erased", erased)
+        return erased
 
     def _scrubbed_copy(self, entry: DataFile, source, rows) -> DataFile:
         """Stage a copy of ``entry``'s file (open as ``source``) with
@@ -602,8 +646,9 @@ class Transaction:
         roll-up (a bin of small files): the live rows of ``file_ids``,
         in order, go through :func:`repro.core.compact.rewrite` into a
         new file staged under the inputs' schema version in their
-        place. When no row is live the inputs are just dropped. A bin of
-        one file is a ``compact``, a larger one a ``rollup``.
+        place, each input's deletion vector left out with its footer's
+        deleted rows. When no row is live the inputs are just dropped. A
+        bin of one file is a ``compact``, a larger one a ``rollup``.
         """
         self._require_open()
         staged = {f.file_id: f for f in self.staged_files()}
@@ -621,7 +666,10 @@ class Transaction:
             new_id, target = self.new_data_file()
             sources = [self._store.open_data(fid) for fid in file_ids]
             try:
-                report = rewrite_files(sources, target, options)
+                report = rewrite_files(
+                    sources, target, options,
+                    drops=[f.vector_rows() for f in entries],
+                )
             finally:
                 for source in sources:
                     source.close()
@@ -670,6 +718,7 @@ class Transaction:
     def _published(self, snap: Snapshot) -> None:
         """Bookkeeping once ``snap`` is visible."""
         self._state = "committed"
+        self._release_base()
         self._table._note_commit(snap, self._added)
         self._table._unregister_inflight(self._staged_ids)
         self._close_staged()  # readers re-open via open_data
@@ -695,19 +744,27 @@ class Transaction:
             self._store.sync_data()
         table = self._table
         head = self._base
+        base_entries = {
+            f.file_id: f for f in self._base.files if f.file_id in self._removed
+        }
         for _attempt in range(max_retries + 1):
             if obs_on:
                 COMMIT_ATTEMPTS.inc()
                 if _attempt:  # turn N>0 replays the edit on a new HEAD
                     COMMIT_REPLAYS.inc()
-            # re-validate against (possibly moved) HEAD: every file we
-            # replace must still be live
-            head_ids = head.file_ids()
-            gone = self._removed - head_ids
-            if gone:
+            # re-validate against (possibly moved) HEAD: every entry we
+            # replace or restage must be there as our base had it (what
+            # we made of it would otherwise lose the rows a concurrent
+            # delete added to its vector)
+            head_entries = {f.file_id: f for f in head.files}
+            changed = [
+                fid for fid, entry in base_entries.items()
+                if head_entries.get(fid) != entry
+            ]
+            if changed:
                 self.abort()
                 raise CommitConflict(
-                    f"files {sorted(gone)} were replaced by a concurrent "
+                    f"files {sorted(changed)} were replaced by a concurrent "
                     f"commit; transaction aborted"
                 )
             if (self._evolved or self._added) and (
@@ -729,7 +786,7 @@ class Transaction:
                 # replaying over them would silently leave matching
                 # rows live, so abort instead
                 unseen = (
-                    head_ids
+                    head_entries.keys()
                     - self._base.file_ids()
                     - {f.file_id for f in self._added}
                 )
@@ -761,6 +818,13 @@ class Transaction:
                 )
             else:
                 kept_schemas = ()
+            # readers that cannot apply a deletion vector must refuse
+            # the snapshot while any entry carries one
+            features = tuple(
+                f for f in head.required_features if f != DELETION_VECTORS
+            )
+            if any(f.deletion_vector for f in files):
+                features += (DELETION_VECTORS,)
             snap = Snapshot(
                 snapshot_id=head.snapshot_id + 1,
                 parent_id=head.snapshot_id,
@@ -772,7 +836,7 @@ class Transaction:
                 schemas=kept_schemas,
                 current_schema_id=current_id,
                 format_version=head.format_version,
-                required_features=head.required_features,
+                required_features=features,
                 extra=head.extra,
             )
             try:
@@ -800,6 +864,7 @@ class Transaction:
         if self._state != "open":
             return
         self._state = "aborted"
+        self._release_base()
         self._close_staged()
         for file_id in self._staged_ids:
             self._store.delete_data(file_id)

@@ -83,13 +83,13 @@ def rewrite(
     sources: list[Storage],
     target: Storage,
     options: WriterOptions | None = None,
-    drop: np.ndarray | None = None,
+    drops: list | None = None,
 ) -> CompactionReport:
     """Write the live rows of ``sources`` (files with identical physical
     columns), in order, into ``target`` under the first file's physical
-    layout; ``drop`` (sorted unique row ids) leaves those rows of each
-    source out as well — the level-0 deletion baseline rewrites one
-    file this way."""
+    layout; ``drops[k]`` (sorted unique row ids, or None) leaves those
+    rows of source ``k`` out as well — a catalog entry's deletion
+    vector, or the rows the level-0 deletion baseline deletes."""
     if not sources:
         raise ValueError("nothing to rewrite")
     tables, rows_in = [], 0
@@ -100,7 +100,8 @@ def rewrite(
         elif reader.column_names() != names:
             raise ValueError("cannot merge files with different columns")
         table = reader.project(names, drop_deleted=True)
-        if drop is not None:
+        drop = None if drops is None else drops[k]
+        if drop is not None and len(drop):
             check_row_ids(drop, reader.num_rows)
             live_ids = np.flatnonzero(~reader.footer.deletion_bitmap())
             table = table.take_mask(~np.isin(live_ids, drop))

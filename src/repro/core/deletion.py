@@ -455,7 +455,7 @@ def rewrite_without_rows(
     rows = np.unique(np.asarray(list(rows), dtype=np.int64))
     read0 = storage.stats.bytes_read
     options = WriterOptions(compliance_level=LEVEL_PLAIN)
-    rewrite([storage], target, options, drop=rows)
+    rewrite([storage], target, options, drops=[rows])
     return DeletionReport(
         rows_deleted=len(rows),
         bytes_read=storage.stats.bytes_read - read0,

@@ -899,6 +899,20 @@ class FileIndex:
             self._deleted = self.footer.deletion_bitmap()
         return self._deleted
 
+    def with_deleted(self, rows) -> "FileIndex":
+        """This index with rows ``rows`` deleted as well (a catalog
+        entry's deletion vector): a copy sharing everything else, or
+        this one when ``rows`` is empty."""
+        if not len(rows):
+            return self
+        out = object.__new__(FileIndex)
+        for name in FileIndex.__slots__:
+            setattr(out, name, getattr(self, name))
+        out._deleted = self.deleted().copy()
+        out._deleted[rows] = True
+        out.deleted_count = int(out._deleted.sum())
+        return out
+
 
 class ReadIndex:
     """Files as one struct-of-arrays index, one row per row group and,

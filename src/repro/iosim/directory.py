@@ -3,8 +3,9 @@
 A :class:`Directory` creates files (exclusively: ``FileExistsError``
 if the name exists), opens them read-only, links (``False`` if the
 target exists — the put-if-absent a catalog commit is built on),
-unlinks (a missing name is fine; a ``Storage`` opened before keeps
-reading), lists one directory's names and fsyncs a directory. File
+replaces a name atomically (a snapshot's tombstone), unlinks (a
+missing name is fine; a ``Storage`` opened before keeps reading),
+lists one directory's names and fsyncs a directory. File
 bytes are written and fsynced through the :class:`~repro.iosim.Storage`
 ``create`` returns. Paths are ``/``-separated, relative to the root.
 Catalog commits, data files and the disk-tier spill all cross this
@@ -28,6 +29,7 @@ class Directory(Protocol):
     def create(self, path: str) -> Storage: ...
     def open(self, path: str) -> Storage: ...
     def link(self, src: str, dst: str) -> bool: ...
+    def replace(self, src: str, dst: str) -> None: ...
     def unlink(self, path: str) -> None: ...
     def list(self, dirname: str) -> list[str]: ...
     def sync_dir(self, dirname: str) -> None: ...
@@ -78,6 +80,9 @@ class OSDirectory:
         except FileExistsError:
             return False
         return True
+
+    def replace(self, src: str, dst: str) -> None:
+        os.replace(self._path(src), self._path(dst))
 
     def unlink(self, path: str) -> None:
         try:
@@ -147,6 +152,14 @@ class MemoryDirectory:
                 return False
             entries[name] = entry
             return True
+
+    def replace(self, src: str, dst: str) -> None:
+        with self._lock:
+            entry = self._entry(src)
+            entries, name = self._slot(dst)
+            entries[name] = entry
+            src_entries, src_name = self._slot(src)
+            del src_entries[src_name]
 
     def unlink(self, path: str) -> None:
         with self._lock:

@@ -11,6 +11,7 @@ from repro.catalog import (
     CatalogTable,
     CommitConflict,
     DirectoryCatalogStore,
+    MaintenanceService,
     MemoryCatalogStore,
     Snapshot,
 )
@@ -81,6 +82,10 @@ def test_open_empty_store_rejected():
 def test_manifest_carries_footer_stats(table):
     table.append(_table(0, 300), options=_opts())
     table.delete(col("id") <= 49)
+    # the delete is a deletion vector in the entry until maintenance
+    # scrubs it into a copy's footer
+    assert table.current_snapshot().files[0].deletion_vector == (0, 50)
+    MaintenanceService(table).run_once()
     entry = table.current_snapshot().files[0]
     storage = table.store.open_data(entry.file_id)
     reader = BullionReader(storage)
@@ -228,7 +233,7 @@ def test_abort_deletes_staged_files(table):
 def test_compacting_fully_deleted_file_drops_it(table):
     table.append(_table(0, 200), options=_opts())
     table.append(_table(200, 200), options=_opts())
-    # first file 100% dead by the copy + scrub route: float statistics
+    # first file 100% dead by its deletion vector: float statistics
     # cannot rule out NaN, so the score arm keeps the verdict at MAYBE
     # (an ALWAYS delete would drop the file before compact() sees it)
     table.delete((col("id") <= 199) & (col("score") >= 0.0))
@@ -556,3 +561,33 @@ def test_transaction_block_aborts_unless_committed(table):
     assert snap.snapshot_id == head + 1
     assert table.current_snapshot().live_rows == 20
     assert table.stats.aborts == 1
+
+
+# -- CatalogTable.scan checks its arguments at the call ---------------------
+
+def test_table_scan_checks_its_arguments_at_the_call(table):
+    from repro.expr import ParseError
+
+    table.append(_table(0, 100), options=_opts())
+    with pytest.raises(ParseError):
+        table.scan(["nope"], where="x >")
+    with pytest.raises(KeyError, match="nope"):
+        table.scan(["nope"])
+    assert table.pinned_snapshot_ids() == set()  # a refused scan holds no pin
+
+
+def test_table_scan_holds_its_pin_until_the_stream_goes(table):
+    import gc
+
+    table.append(_table(0, 100), options=_opts())
+    stream = table.scan(["id"])
+    assert table.pinned_snapshot_ids() == {1}
+    assert np.array_equal(
+        np.concatenate([b.column("id") for b in stream]), np.arange(100)
+    )
+    assert table.pinned_snapshot_ids() == set()  # exhausted: released
+    unread = table.scan(["id"])
+    assert table.pinned_snapshot_ids() == {1}
+    del unread
+    gc.collect()
+    assert table.pinned_snapshot_ids() == set()  # collected unread: released

@@ -277,3 +277,95 @@ def test_threads_on_two_handles_lose_no_commit():
         head = handle.current_snapshot()
         assert head.snapshot_id == total and head.live_rows == 10 * total
     assert [s.parent_id for s in handles[0].history()] == [None, *range(total)]
+
+
+# -- an id once published is never free again -------------------------------
+
+def _tombstones(fs) -> list[int]:
+    from repro.catalog.snapshot import parse_snapshot_name
+    from repro.catalog.store import TOMBSTONE
+    from repro.iosim.directory import read_file
+
+    return sorted(
+        parse_snapshot_name(name) for name in fs.list("snapshots")
+        if read_file(fs, f"snapshots/{name}") == TOMBSTONE
+    )
+
+
+def test_a_commit_that_returns_is_never_lost():
+    """Handle ``a`` opens a transaction on snapshot 1; handle ``b``
+    commits four more and expires all but HEAD 5. The id ``a`` would
+    claim first, 2, stays taken, so its commit lands on HEAD, not in
+    the gap below it where no reader would ever see its rows."""
+    fs = FaultyDirectory()
+    a = CatalogTable.create(CatalogStore(fs))
+    a.append(_batch(0))
+    b = CatalogTable(CatalogStore(fs))
+    policy = MaintenancePolicy(keep_snapshots=1, rollup_min_files=10**9)
+    with a.transaction() as txn:
+        txn.append(_batch(10))
+        for k in range(2, 6):
+            b.append(_batch(10 * k))
+        MaintenanceService(b, policy).run_once()
+        assert [s.snapshot_id for s in b.history()] == [5]
+        snap = txn.commit()
+    assert (snap.snapshot_id, snap.parent_id) == (6, 5)
+    assert _tombstones(fs) == [2, 3, 4]  # 1 was no one's next id
+    for handle in (a, b, CatalogTable(CatalogStore(fs))):
+        head = handle.current_snapshot()
+        assert head.snapshot_id == 6 and head.live_rows == 60
+    # the transaction is over: the next expiry collects the tombstones
+    MaintenanceService(b, policy).run_once()
+    assert _tombstones(fs) == []
+    assert [s.snapshot_id for s in b.history()] == [6]
+
+
+def test_a_tombstone_reads_as_expired():
+    fs = FaultyDirectory()
+    table = CatalogTable.create(CatalogStore(fs))
+    for k in range(3):
+        table.append(_batch(10 * k))
+    txn = table.transaction()  # holds base 3: ids above it stay taken
+    table.append(_batch(30))
+    table.append(_batch(40))
+    assert table.expire_snapshot(4) and table.expire_snapshot(2)
+    assert _tombstones(fs) == [4]  # 2 is at or below the floor: gone
+    fresh = CatalogTable(CatalogStore(fs))
+    assert [s.snapshot_id for s in fresh.history()] == [0, 1, 3, 5]
+    with pytest.raises(FileNotFoundError):
+        fresh.snapshot(4)
+    with pytest.raises(FileNotFoundError):
+        fresh.pin(snapshot_id=4)
+    assert fresh.as_of(fresh.snapshot(5).timestamp_ms - 1).snapshot_id == 3
+    txn.abort()
+    assert fresh.collect_tombstones() == 1 and _tombstones(fs) == []
+
+
+def test_a_grace_period_keeps_every_expired_id_for_its_length():
+    """Other processes' transactions are invisible: with
+    ``gc_grace_ms`` every expired id becomes a tombstone, collected once
+    older than the grace period."""
+    fs = FaultyDirectory()
+    table = CatalogTable.create(CatalogStore(fs))
+    for k in range(4):
+        table.append(_batch(10 * k))
+    MaintenanceService(table, MaintenancePolicy(
+        keep_snapshots=1, rollup_min_files=10**9, gc_grace_ms=60_000,
+    )).run_once()
+    assert _tombstones(fs) == [0, 1, 2, 3]
+    assert table.current_snapshot().snapshot_id == 4
+    assert table.collect_tombstones(grace_ms=60_000) == 0
+    assert table.collect_tombstones() == 4 and _tombstones(fs) == []
+
+
+def test_a_transaction_left_open_releases_its_base_when_collected():
+    import gc
+
+    fs = FaultyDirectory()
+    table = CatalogTable.create(CatalogStore(fs))
+    table.append(_batch(0))
+    txn = table.transaction()
+    assert table.store.base_floor() == 1
+    del txn
+    gc.collect()
+    assert table.store.base_floor() is None

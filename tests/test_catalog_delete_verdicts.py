@@ -99,18 +99,37 @@ def test_always_delete_is_one_manifest_put(table, store):
     np.testing.assert_array_equal(_ts(table), np.arange(200, 400))
 
 
+def _erase(table):
+    """One maintenance cycle that only erases deletion vectors."""
+    return MaintenanceService(table, MaintenancePolicy(
+        compact_deleted_fraction=2.0, rollup_small_file_rows=0,
+    )).run_once()
+
+
 def test_maybe_delete_copies_exactly_its_victims(table, store):
     before = table.current_snapshot()
     # file 0 whole (ALWAYS), file 1 cut at 150 (MAYBE), files 2-3 NEVER
     snap = table.delete(col("ts") < 150)
     victim = before.files[1].file_id
     assert store.opened == [victim]
-    assert len(store.created) == 1
+    assert store.created == []  # the victims are the entry's vector
     assert snap.summary == {"rows_deleted": 150, "files_dropped": 1}
     kept = {f.file_id for f in snap.files}
-    assert before.files[0].file_id not in kept and victim not in kept
-    (copy,) = [f for f in snap.files if f.file_id == store.created[0]]
+    assert before.files[0].file_id not in kept and victim in kept
+    (entry,) = [f for f in snap.files if f.file_id == victim]
+    assert (entry.row_count, entry.deleted_count) == (100, 50)
+    assert entry.deletion_vector == (0, 50)
+    np.testing.assert_array_equal(_ts(table), np.arange(150, 400))
+    # the erase job copies exactly the victims' file, scrubbed
+    store.reset()
+    assert _erase(table).files_erased == 1
+    assert store.opened[0] == victim and len(store.created) == 1
+    (copy,) = [
+        f for f in table.current_snapshot().files
+        if f.file_id == store.created[0]
+    ]
     assert (copy.row_count, copy.deleted_count) == (100, 50)
+    assert copy.deletion_vector == ()
     np.testing.assert_array_equal(_ts(table), np.arange(150, 400))
 
 
@@ -125,9 +144,15 @@ def test_maybe_file_row_groups_follow_the_footer_verdict(table, store):
     snap = table.delete((col("ts") >= 100) & (col("ts") < 140))
     assert store.opened == [victim]
     assert snap.summary == {"rows_deleted": 40}  # nothing dropped
-    # the footer, group 1's ts chunk, the whole-file copy — and no
-    # read for group 0
-    assert storage.stats.reads == 3
+    # the footer and group 1's ts chunk — and no read for group 0
+    assert storage.stats.reads == 2
+    np.testing.assert_array_equal(
+        _ts(table), np.r_[np.arange(0, 100), np.arange(140, 400)]
+    )
+    # the whole-file copy is the erase job's: one read
+    storage.stats.reset()
+    _erase(table)
+    assert storage.stats.reads == 1
     np.testing.assert_array_equal(
         _ts(table), np.r_[np.arange(0, 100), np.arange(140, 400)]
     )
@@ -389,20 +414,27 @@ def test_compaction_racing_an_always_delete_aborts_it(table):
 # -- tentpole (3): a drop must not orphan the schema of a legacy table ----
 
 def test_emptying_a_table_without_schema_log_keeps_its_last_file(store):
-    # the choice: the last file of a never-evolved table is copied and
-    # scrubbed as before instead of dropped, so the table keeps a
-    # footer to bootstrap evolve() from and to check appends against.
-    # Recording version 0 at the drop would turn a delete into a
-    # schema-log migration of the table (every later manifest and
-    # append changes shape); one file copy in a rare case does not.
+    # the choice: the last file of a never-evolved table takes a
+    # deletion vector of every row instead of being dropped, so the
+    # table keeps a footer to bootstrap evolve() from and to check
+    # appends against. Recording version 0 at the drop would turn a
+    # delete into a schema-log migration of the table (every later
+    # manifest and append changes shape); one kept file in a rare case
+    # does not.
     t = CatalogTable.create(store)
     for k in range(3):
         t.append(_batch(100 * k), options=_opts())
     store.reset()
     snap = t.delete(col("ts") >= 0)
     assert snap.summary == {"rows_deleted": 300, "files_dropped": 2}
-    assert len(store.opened) == 1 and len(store.created) == 1
+    assert len(store.opened) == 1 and len(store.created) == 0
     assert [(f.row_count, f.live_rows) for f in snap.files] == [(100, 0)]
+    assert len(_ts(t)) == 0
+    _erase(t)  # the scrubbed copy is the erase job's, and it stays
+    assert len(store.created) == 1
+    assert [
+        (f.row_count, f.live_rows) for f in t.current_snapshot().files
+    ] == [(100, 0)]
     assert len(_ts(t)) == 0
     # append still checks the layout against the table's ...
     with pytest.raises(ValueError, match="fingerprint"):

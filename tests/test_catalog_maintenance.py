@@ -222,6 +222,11 @@ def test_every_compaction_path_writes_the_same_bytes(table):
     for t in (table, other):
         t.append(_table(0, 2000), options=_opts())
         t.delete(col("id") <= 999)
+    # the erase job's scrub: table's deletions move into the file's
+    # footer, other's stay in its entry's deletion vector
+    with table.transaction() as txn:
+        assert txn.erase([table.current_snapshot().files[0].file_id]) == 1
+        txn.commit()
     source = table.store.open_data(table.current_snapshot().files[0].file_id)
 
     assert _service(table).run_once().files_compacted == 1
@@ -356,7 +361,7 @@ def test_rewrite_refuses_mixed_versions_and_unknown_files(table):
 def test_rewrite_drops_a_bin_with_no_live_row_unwritten(table):
     table.append(_table(0, 200), options=_opts())
     table.append(_table(200, 200), options=_opts())
-    # the copy + scrub route (a float arm keeps the verdict at MAYBE)
+    # the deletion-vector route (a float arm keeps the verdict at MAYBE)
     table.delete((col("id") <= 199) & (col("score") >= 0.0))
     dead = next(f for f in table.current_snapshot().files if not f.live_rows)
     written = len(table.store.list_data())

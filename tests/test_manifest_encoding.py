@@ -2,8 +2,9 @@
 
 ``Snapshot.to_json`` splices each entry's record, encoded once, into
 the manifest. The oracle below is the encoder it replaced, kept
-verbatim: one ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
-over the whole document, every entry re-encoded. Seeded random
+verbatim but for the ``deletion_vector`` key records gained since: one
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` over the
+whole document, every entry re-encoded. Seeded random
 histories — appends, deletes, upserts, compactions and evolutions by
 two handles, and a newer writer that adds unknown keys at the
 snapshot, file and stats level, raises ``format_version``, lists a
@@ -56,6 +57,8 @@ def _oracle_file_to_dict(self) -> dict:
         }
     if self.schema_id is not None:
         doc["schema_id"] = self.schema_id
+    if self.deletion_vector:
+        doc["deletion_vector"] = list(self.deletion_vector)
     return doc
 
 
@@ -187,7 +190,10 @@ def _assert_round_trip(snap: Snapshot) -> None:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_every_published_manifest_is_the_oracles_bytes(seed, monkeypatch):
-    monkeypatch.setattr(snapshot_module, "KNOWN_FEATURES", frozenset({"x-newer"}))
+    monkeypatch.setattr(
+        snapshot_module, "KNOWN_FEATURES",
+        snapshot_module.KNOWN_FEATURES | {"x-newer"},
+    )
     history = History(seed)
     seen = set()
     for i in range(40):
@@ -208,7 +214,7 @@ def test_every_published_manifest_is_the_oracles_bytes(seed, monkeypatch):
         history.store.read_metadata(n) for n in history.store.list_metadata()
     )
     for needle in (b"Infinity", b"\\u00fc", b'"format_version":2',
-                   b"x-newer", b'"schemas"', b"stats_"):
+                   b"x-newer", b'"schemas"', b"stats_", b'"deletion_vector"'):
         assert needle in manifests, needle
 
 

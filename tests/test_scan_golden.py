@@ -413,20 +413,27 @@ def _verdicts(store=None):
     )
 
 
-def _deleted():
+def _deleted(erase=True):
     """Six files; files 1, 3 and 4 carry deletion vectors, and group 2
-    of file 3 and group 0 of file 4 lose every row."""
+    of file 3 and group 0 of file 4 lose every row. The delete puts the
+    vectors in the files' manifest entries; ``erase`` scrubs them into
+    copies' footers, as the maintenance job does, so rows read with
+    ``drop_deleted=False`` show scrubbed pages."""
     rng = np.random.default_rng(43)
     cat = _table([
         _events(600 * k, 600, rng.integers(0, 20, 600), rng)
         for k in range(6)
     ])
-    cat.delete(
-        col("ts").isin([610, 611, 650, 1000])
-        | col("ts").between(1800 + 500, 1800 + 599)
-        | col("ts").between(2400, 2400 + 249)
-        | col("ts").isin([2900, 2950])
-    )
+    with cat.transaction() as txn:
+        txn.delete(
+            col("ts").isin([610, 611, 650, 1000])
+            | col("ts").between(1800 + 500, 1800 + 599)
+            | col("ts").between(2400, 2400 + 249)
+            | col("ts").isin([2900, 2950])
+        )
+        if erase:  # in the same snapshot: frames name its id
+            assert txn.erase([f.file_id for f in txn.staged_files()]) == 3
+        txn.commit()
     return cat
 
 
@@ -637,6 +644,23 @@ def test_snapshot_scan_matches_golden(snap_tables, monkeypatch, case, budget):
     table, name, columns, kwargs, how = case
     got = _snap_run(snap_tables[table], columns, kwargs, how)
     assert got == SNAP_GOLDEN[f"{table}/{name}"]
+
+
+@pytest.mark.parametrize("case", [
+    c for c in SNAP_CASES
+    if c[0] == "deleted" and c[3].get("drop_deleted", True)
+], ids=lambda c: c[1])
+def test_manifest_deletion_vectors_read_as_scrubbed_files(case):
+    """Before the erase job runs, the deleted table's vectors live in
+    its manifest entries; every read that drops deleted rows already
+    matches the golden of the scrubbed files, frames and counts."""
+    _table, name, columns, kwargs, how = case
+    cat = _deleted(erase=False)
+    assert all(
+        bool(f.deletion_vector) == bool(f.deleted_count)
+        for f in cat.current_snapshot().files
+    )
+    assert _snap_run(cat, columns, kwargs, how) == SNAP_GOLDEN[f"deleted/{name}"]
 
 
 def test_many_file_batches_cut_mid_file(snap_tables):
