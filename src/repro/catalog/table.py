@@ -9,7 +9,7 @@ manifest entry once (see :meth:`CatalogTable.snapshot`).
 Reads never touch HEAD directly — they **pin** a snapshot:
 ``pin()``/``scan()``/``as_of()`` resolve to one immutable file set and
 hold a refcount the garbage collector respects, which is what makes
-the existing :class:`~repro.core.reader.Scan` and chunk cache safe
+the reader's batch loop and chunk cache safe
 by construction (a pinned file is never mutated, and never deleted
 while pinned). A pin's scans, queries and
 :class:`~repro.core.dataset.TrainingDataLoader` epochs all read
@@ -23,7 +23,6 @@ import threading
 import time
 import weakref
 from collections import Counter, OrderedDict
-from itertools import chain
 from dataclasses import dataclass
 
 from repro.catalog.readers import ReaderPool
@@ -42,9 +41,7 @@ from repro.core.compact import CompactionReport
 from repro.core.dataset import LoaderOptions, TrainingDataLoader
 import numpy as np
 
-from repro.core.reader import (
-    BullionReader, ReadIndex, Scan, ScanStats, scan_batches,
-)
+from repro.core.reader import BullionReader, ScanStats, scan_batches
 from repro.expr import Expr, coerce_where
 from repro.core.schema import Schema
 from repro.core.table import (
@@ -193,12 +190,11 @@ class PinnedSnapshot:
         shared :class:`~repro.core.reader.ScanStats` to collect
         per-layer skip counts across the whole read.
 
-        On a memory-speed device the surviving files' footers are read
-        up front and their row groups read in batches across files; on
-        a device that waits per request (see
-        :func:`~repro.iosim.waits_per_request`) file by file, each
-        footer read as the scan reaches it, with the next groups'
-        chunks in flight.
+        The surviving files' footers are read up front, in file order,
+        and their row groups read in batches across files by
+        :func:`~repro.core.reader.read_batches`; on a device that waits
+        per request (see :func:`~repro.iosim.waits_per_request`) the
+        next batch's filter chunks are in flight while one decodes.
         """
         if batch_size is not None:
             check_int(batch_size, "batch_size", positive=True)
@@ -230,9 +226,10 @@ class PinnedSnapshot:
         loader's epochs: one table per kept row group of files ``files``
         (ordinals, in read order; by default those ``where`` leaves),
         each file's groups in order — or in the order ``shuffle``
-        leaves an array of them in. ``where`` is parsed and the first
-        file planned before this returns, so a bad filter or name
-        raises here; rows are read as the result is iterated."""
+        leaves an array of them in. ``where`` is parsed, the files'
+        footers read and the read planned before this returns, so a bad
+        filter or name raises here; rows are read as the result is
+        iterated."""
         where = coerce_where(where)
         stats = stats if stats is not None else ScanStats()
         if files is None:
@@ -243,44 +240,16 @@ class PinnedSnapshot:
             return iter(())
         index = self.index()
         counts = Counter()
-
-        def reader_of(i: int) -> BullionReader:
-            return self._reader_for(index.files[i].file_id)
-
-        def plan(state, groups, n, reader_of):
-            return state.plan(
-                groups, columns, where, counts, reader_of, files=n,
-                drop_deleted=drop_deleted,
-            )
-
-        if not reader_of(int(files[0])).waits_per_request:
-            self._fill(files, "scan.file")
-            state = index.read.state()
-            return scan_batches(
-                plan(state, _file_groups(state, files, shuffle), len(files),
-                     reader_of),
-                columns, where, stats, counts, widen_quantized=widen_quantized,
-            )
-
-        def file_scan(i: int) -> Scan:
-            # one file planned over a one-file index: a file costs the
-            # same however many the snapshot holds; its footer is read
-            # as the scan reaches it
-            self._fill(np.array([i]), "scan.file")
-            reader = reader_of(i)
-            state = ReadIndex([index.read.blocks[i]]).state()
-            file_plan = plan(
-                state, _file_groups(state, [0], shuffle), 1, lambda _f: reader
-            )
-            stats.bump(**counts)
-            counts.clear()
-            return Scan(
-                file_plan, columns, where=where, stats=stats,
-                widen_quantized=widen_quantized,
-            )
-
-        rest = (file_scan(i) for i in files[1:].tolist())
-        return chain(file_scan(int(files[0])), chain.from_iterable(rest))
+        self._fill(files, "scan.file")
+        state = index.read.state()
+        return scan_batches(
+            state.plan(
+                _file_groups(state, files, shuffle), columns, where, counts,
+                lambda i: self._reader_for(index.files[i].file_id),
+                files=len(files), drop_deleted=drop_deleted,
+            ),
+            columns, where, stats, counts, widen_quantized=widen_quantized,
+        )
 
     def _empty(self, columns, filters=(), widen=False) -> Table:
         """The typed empty result, with each name (and each filter on a
@@ -329,7 +298,7 @@ class PinnedSnapshot:
         clean snapshot fetch **zero** data chunks, and files the
         manifest fully proves are never even opened. The rest decode in
         batches of row groups across files, merged in file order, so
-        results are bit-identical however the fetches fan out.
+        results are bit-identical however many threads fetch.
         Returns a :class:`repro.query.QueryResult`; its ``stats``
         reports which answer path handled what.
         """

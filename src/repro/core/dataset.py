@@ -15,8 +15,8 @@ A loader is bound to one pinned catalog snapshot
 (:meth:`repro.catalog.PinnedSnapshot.loader`), so epochs stay
 reproducible while ingest continues. Each epoch is one read of the
 pin's snapshot index, the same read a snapshot scan makes: batched
-across files on a memory-speed device, file by file with the next
-groups' chunks in flight on a device that waits per request.
+across files, with the next batch's chunks in flight on a device that
+waits per request.
 """
 
 from __future__ import annotations

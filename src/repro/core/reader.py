@@ -49,20 +49,14 @@ arrays):
    column's pages with their headers checked in one pass at the
    offsets the index knows (:func:`_decode_known`).
 
-``read_segments`` runs on one of two schedules. **Batches**: the
-groups of many files, in order, cut at ``_BATCH_BYTES`` decoded bytes
-(:func:`_batches`), so a column decodes once per batch of small
-files, not once per file. The query engine reads this way, and so
-does a snapshot scan on a memory-speed device (:func:`scan_batches`).
-**File by file**: :class:`Scan` reads a file's groups one at a time
-and, on a device that waits per request
-(:func:`repro.iosim.waits_per_request`), keeps the next groups' filter
-chunks in flight on a :func:`fetch_pool` (the query's fan-out uses
-one too). A snapshot scan or loader epoch over such a device keeps
-this schedule, reading each footer as it reaches it: batching would
-overlap fetches across files, a faster cold read that holds more in
-memory at once (on the object-store scenario, more than its
-peak-memory bound allows).
+Every read runs on one schedule, :func:`read_batches`: the plan's
+groups — of one file or of many — in order, cut at ``_BATCH_BYTES``
+decoded bytes (:func:`_batches`), so a column decodes once per batch
+of small files, not once per file. On a device that waits per request
+(:func:`repro.iosim.waits_per_request`) the next batch's filter chunks
+are in flight on a :func:`fetch_pool` thread while one batch decodes:
+one batch ahead, never more. A memory-speed device fetches inline and
+starts no thread.
 
 Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
 — the shared one a caller passes, else a small private one; a batch
@@ -76,11 +70,10 @@ import struct
 import threading
 import time
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -137,13 +130,9 @@ _TAIL_SPECULATION = 4096
 #: storage's own ``max_request_bytes`` when it advertises one).
 _MAX_RUN_BYTES = 8 << 20
 
-#: groups whose first chunks a scan keeps in flight beyond the one it
-#: decodes, on a device that waits per request
-_PREFETCH_GROUPS = 2
-
 #: threads that overlap fetches from a device that waits per request
-#: (a scan's look-ahead, a query's fan-out); a memory-speed device
-#: fetches inline and never starts one
+#: (the batch loop's look-ahead); a memory-speed device fetches inline
+#: and never starts one
 _FETCH_THREADS = 4
 
 #: quantized primitives stored as codes, which INT codecs decode to int64
@@ -202,19 +191,14 @@ class ScanStats(Counters):
 class Scan:
     """Lazy batch iterator over one file, through either reader kind.
 
-    Created via :meth:`ScanSource.scan` (or, per file, by a snapshot
-    read on a device that waits per request) over a :class:`Plan` of
-    the file's kept row groups (zone-map-pruned groups cost no data
-    I/O). Iterating yields :class:`Table` batches; ``to_table()``
-    materializes the whole result. Every kept group is read by
-    :func:`read_segments` on its own: filter chunks first, the residual
-    projection only if rows survive.
-
-    On a device that waits per request the first chunks of the next
-    ``_PREFETCH_GROUPS`` groups are in flight on a :func:`fetch_pool`
-    while one group decodes (positional reads are independent);
-    decode and assembly stay on the consuming thread. On a memory-speed
-    device every fetch is inline and no thread is started.
+    Created via :meth:`ScanSource.scan` over a :class:`Plan` of the
+    file's kept row groups (zone-map-pruned groups cost no data I/O).
+    Iterating yields one :class:`Table` per kept group (or, with
+    ``batch_size``, exact-size batches); ``to_table()`` materializes
+    the whole result. The groups are read by :func:`scan_batches`, the
+    one batch loop every read of row data shares: filter chunks first,
+    the residual projection only if rows survive, and on a device that
+    waits per request the next batch's filter chunks in flight.
     """
 
     def __init__(
@@ -260,47 +244,14 @@ class Scan:
             for name in self._columns
         })
 
-    # -- internals ------------------------------------------------------
     def _group_tables(self):
-        """The scan loop: one table per kept group, in group order.
-
-        An unfiltered scan yields every group (an all-deleted one as
-        an empty table); a filtered scan skips groups without
-        survivors. The group being consumed first is fetched inline,
-        so a one-group scan never needs the pool.
-        """
-        plan = self._plan
-        n = len(plan.groups)
-
-        def fetch(j: int) -> dict:
-            reader, keys = plan.requests([j], plan.first_of)[0]
-            return reader._fetch_chunks(keys)
-
-        with fetch_pool(
-            n > 1 and plan.reader_of(int(plan.files[0])).waits_per_request
-        ) as pool:
-            threaded = pool is not None
-            # groups not yet handed to the pool (none without one) ...
-            waiting = iter(range(1, n) if threaded else ())
-            # ... and the first-phase fetches in flight, in group order
-            ahead: deque = deque()
-
-            def fetch_ahead(depth: int) -> None:
-                for j in islice(waiting, depth - len(ahead)):
-                    ahead.append(pool.submit(fetch, j))
-
-            fetch_ahead(_PREFETCH_GROUPS)
-            for j in range(n):
-                got = ahead.popleft().result() if threaded and j else fetch(j)
-                fetch_ahead(_PREFETCH_GROUPS + 1)
-                counts = Counter()
-                columns, _kept, _matched = read_segments(
-                    plan, j, j + 1, self._where, self._columns, _fetch,
-                    counts, widen=self._widen, fetched=[got],
-                )
-                self.stats.bump(**counts)
-                if columns is not None:
-                    yield Table(columns)
+        """One table per kept group, in group order: an unfiltered
+        scan yields every group (an all-deleted one as an empty
+        table); a filtered scan skips groups without survivors."""
+        return scan_batches(
+            self._plan, self._columns, self._where, self.stats, Counter(),
+            widen_quantized=self._widen,
+        )
 
 
 class ScanSource:
@@ -1200,12 +1151,10 @@ def fetch_pool(waits: bool):
     return nullcontext()
 
 
-def _fetch(requests, pool=None):
-    """Each ``(reader, keys)`` request's chunks, in order — on
-    ``pool``'s threads, if one is given, when there are several; inline,
-    the chunk caches' counters publish once for all of them."""
-    if pool is not None and len(requests) > 1:
-        return list(pool.map(lambda r: r[0]._fetch_chunks(r[1]), requests))
+def _fetch(requests):
+    """Each ``(reader, keys)`` request's chunks, in order, fetched on
+    this thread; the chunk caches' counters publish once for all of
+    them."""
     tally: dict = {}
     out = [reader._fetch_chunks(keys, tally) for reader, keys in requests]
     if tally:
@@ -1225,14 +1174,42 @@ def _batches(plan: Plan, budget: int):
         lo = hi
 
 
+def read_batches(plan, where, names, counts, *, widen=True):
+    """The one batch loop: :func:`read_segments` over the plan's groups
+    in order, in batches of ``_BATCH_BYTES`` decoded bytes, yielding
+    ``(lo, hi, (columns, kept, matched))`` per batch.
+
+    When a reader of the plan waits per request, the next batch's
+    first-phase chunks are fetched on a :func:`fetch_pool` thread while
+    this batch decodes: one batch ahead, never more, so the consumer
+    holding batch ``k`` has requested nothing of batch ``k + 2``. The
+    first batch and every residual fetch run on the consuming thread,
+    and the look-ahead fetches inline, never waiting on its own pool.
+    A one-batch plan, and a memory-speed device, start no thread.
+    """
+    spans = list(_batches(plan, _BATCH_BYTES))
+    waits = len(spans) > 1 and any(
+        plan.reader_of(f).waits_per_request for f in dict.fromkeys(plan._files)
+    )
+    with fetch_pool(waits) as pool:
+        ahead = None
+        for k, (lo, hi) in enumerate(spans):
+            fetched = None if ahead is None else ahead.result()
+            ahead = None if pool is None or k + 1 == len(spans) else pool.submit(
+                _fetch_phase, plan, range(*spans[k + 1]), plan.first_of
+            )
+            yield lo, hi, read_segments(
+                plan, lo, hi, where, names, counts, widen=widen, fetched=fetched
+            )
+
+
 def scan_batches(plan, columns, where, stats, counts, *, widen_quantized=False):
-    """A multi-file scan on one schedule: the plan's groups in batches
-    of ``_BATCH_BYTES`` decoded bytes, one table per kept group sliced
-    back out. ``counts`` publishes to ``stats`` once per batch."""
-    for lo, hi in _batches(plan, _BATCH_BYTES):
-        out, _kept, matched = read_segments(
-            plan, lo, hi, where, columns, _fetch, counts, widen=widen_quantized
-        )
+    """The plan's rows as :func:`read_batches` reads them, one table per
+    kept group sliced back out of its batch. ``counts`` publishes to
+    ``stats`` once per batch."""
+    for _lo, _hi, (out, _kept, matched) in read_batches(
+        plan, where, columns, counts, widen=widen_quantized
+    ):
         stats.bump(**counts)
         counts.clear()
         if out is None:
@@ -1323,23 +1300,20 @@ def _take(values, pick):
     return [values[i] for i in pick.tolist()]  # bytes and nested lists
 
 
-def read_segments(
-    plan, lo, hi, where, names, fetch, counts, *, widen=True, fetched=None,
-):
+def read_segments(plan, lo, hi, where, names, counts, *, widen=True, fetched=None):
     """Read ``names`` over the plan's groups ``[lo, hi)``: the one
     two-phase read.
 
     The groups' first chunks (:attr:`Plan.first_of`) come in one
-    ``fetch([(reader, keys), ...])`` call, which returns each request's
-    chunks in order, unless the caller fetched them ahead (``fetched``,
-    one dict per group). The filter columns decode once across the
+    :func:`_fetch`, unless the caller fetched them ahead (``fetched``,
+    one dict per group, as :func:`_fetch_phase` returns them). The filter columns decode once across the
     batch, and ``where`` is evaluated once over their widened values
     (quantized columns compare as floats, like their zone maps);
     ``always`` groups take every row and hold only their projection, so
     a filter column outside it decodes over the other groups alone. The
     deletion vectors apply once. A group the filter leaves empty never
     fetches its residual chunks (late materialization); the others
-    fetch theirs in one more ``fetch``, and every other column of
+    fetch theirs in one more :func:`_fetch`, and every other column of
     ``names`` decodes once over them. Stored columns widen to the
     current type, absent ones fill with typed nulls, and ``widen``
     dequantizes quantized columns.
@@ -1355,7 +1329,7 @@ def read_segments(
     rows = plan.rows[lo:hi]
     always, deleted = plan.always[lo:hi], plan.deleted[lo:hi]
     if fetched is None:
-        fetched = _fetch_phase(plan, at, plan.first_of, fetch)
+        fetched = _fetch_phase(plan, at, plan.first_of)
     held = fetched
     n_fetched = sum(len(d) for d in {id(d): d for d in held}.values())
     stored, evals, mask = {}, {}, None
@@ -1407,7 +1381,7 @@ def read_segments(
         k for k in range(m) if keep[k] and not always[k] and rest[lo + k]
     ]
     if residual:
-        got = fetch(plan.requests([lo + k for k in residual], rest))
+        got = _fetch(plan.requests([lo + k for k in residual], rest))
         fresh = iter(got)
         last = None
         for k in residual:
@@ -1448,11 +1422,11 @@ def read_segments(
     return out, [lo + k for k in kept], [matched[k] for k in kept]
 
 
-def _fetch_phase(plan, positions, phase, fetch) -> list:
+def _fetch_phase(plan, positions, phase) -> list:
     """One dict of raw chunks per group of ``positions`` (the groups of
-    one file share theirs), fetched in one ``fetch`` call."""
+    one file share theirs), fetched in one :func:`_fetch`."""
     positions = list(positions)
-    results = iter(fetch(plan.requests(positions, phase)))
+    results = iter(_fetch(plan.requests(positions, phase)))
     held, last, chunks = [], None, None
     files = plan._files
     for j in positions:

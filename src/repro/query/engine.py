@@ -13,7 +13,7 @@ minima, maxima and exact integer sums (int64 sums of each value's
 so they reduce over as many rows at once as the engine holds. Float
 sums are not: every row group sums its own rows, a file folds its row
 groups in order, and the query folds the file totals in file order —
-the same order for any batching and any fetch fan-out, so the answer
+the same order for any batching and any fetch threads, so the answer
 is bit-identical.
 
 Each file is answered by the cheapest path that can prove the right
@@ -24,7 +24,9 @@ in one pass over the snapshot's index
 * **manifest-only** — an ungrouped query over a clean (no deletion
   vector) file whose ``where`` the interval evaluator proves
   ``ALWAYS`` (or trivially, no ``where``) answers ``count`` from the
-  manifest row count and ``min``/``max`` from manifest column stats,
+  manifest row count (a ``count(*)``-only query, over a file with
+  deleted rows too, from its live rows) and ``min``/``max`` from
+  manifest column stats,
   when those stats are exact for the purpose (float stats exclude NaN
   — exactly the NaN-skipping aggregate semantics; int stats beyond
   2**53 may be float64-rounded, so they refuse the shortcut). The
@@ -37,11 +39,11 @@ in one pass over the snapshot's index
 * **decode** — the remaining row groups of every file (*segments*)
   run in batches of at most ``_BATCH_BYTES`` decoded bytes: tens of
   small files at a time, or a slice of a large file's groups. Each
-  batch is read by the scan path's one pipeline,
-  :func:`~repro.core.reader.read_segments` (filter columns first, the
+  batch is read by the one batch loop every read shares,
+  :func:`~repro.core.reader.read_batches` (filter columns first, the
   rest only for segments with survivors, each column decoded once per
-  batch, old-schema files widened and filled on the way); segment
-  fetches run on a thread pool when the device waits per request. The
+  batch, old-schema files widened and filled on the way; the next
+  batch's filter chunks in flight when the device waits per request). The
   engine's own work is the reduction: the matched rows are factorized
   once — a small-range int/bool key (at most a few slots per row) is
   offset-indexed straight into ``bincount``, anything wider takes one
@@ -54,12 +56,12 @@ in one pass over the snapshot's index
 ``sum``/``mean`` and grouped queries can never be metadata-answered
 (statistics carry no sums and no group structure); a live deletion
 vector also forces decode, because footer statistics summarize deleted
-rows too.
+rows too — except for a query whose every aggregate is ``count(*)``,
+which the manifest answers as ``row_count - deleted_count``.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import Counter
 from itertools import groupby
@@ -67,14 +69,7 @@ from itertools import groupby
 import numpy as np
 
 from repro.catalog.snapshot import KIND_BYTES, KIND_FLOAT, KIND_INT, KIND_NONE
-from repro.core.reader import (
-    _BATCH_BYTES,
-    Plan,
-    _batches,
-    _fetch,
-    fetch_pool,
-    read_segments,
-)
+from repro.core.reader import Plan, read_batches
 from repro.core.schema import Primitive, stats_kind
 from repro.expr.literals import EXACT_INT_BOUND
 from repro.obs import metrics as obs_metrics, trace as obs_trace
@@ -664,8 +659,8 @@ def _open_files(
 
 def _decode_files(read, plan, needs, tally, partial):
     """Fold every group of the plan ``read`` into ``partial``, batch by
-    batch, in file and row-group order; a batch's fetches from a device
-    that waits per request fan out on a :func:`fetch_pool`."""
+    batch, in file and row-group order, as
+    :func:`~repro.core.reader.read_batches` reads them."""
     if not len(read.groups):
         return partial
     used = list(plan.group_by) + [
@@ -674,32 +669,22 @@ def _decode_files(read, plan, needs, tally, partial):
     fold = _SumFold()
     # files with one group each fold their sums straight into the query's
     single = (np.bincount(read.files) == 1)[read.files]
-    with fetch_pool(any(
-        read.reader_of(f).waits_per_request for f in dict.fromkeys(read._files)
-    )) as pool:
-        fetch = functools.partial(_fetch, pool=pool)
-        # the budget is read here, so a test can shrink the batches
-        for lo, hi in _batches(read, _BATCH_BYTES):
-            with obs_trace.span("query.batch", segments=hi - lo):
-                columns, kept, matched = read_segments(
-                    read, lo, hi, plan.where, used, fetch, tally.scan
-                )
-                tally.query["groups_decoded"] += hi - lo
-                if not any(matched):
-                    continue
-                matched = np.array(matched, dtype=np.int64)
-                part, sums = _batch_partial(
-                    columns, matched, plan.group_by, needs
-                )
-            if partial is None:
-                partial, mine, at = part, None, slice(None)
-            else:
-                mine, at = partial.merge(part)
-            for name in sums:
-                partial.states.setdefault(
-                    (name, "sum"), np.zeros(len(partial.rows))
-                )
-            fold.add(partial, mine, at, read.files[kept], single[kept], sums)
+    for lo, hi, (columns, kept, matched) in read_batches(
+        read, plan.where, used, tally.scan
+    ):
+        with obs_trace.span("query.batch", segments=hi - lo):
+            tally.query["groups_decoded"] += hi - lo
+            if not any(matched):
+                continue
+            matched = np.array(matched, dtype=np.int64)
+            part, sums = _batch_partial(columns, matched, plan.group_by, needs)
+        if partial is None:
+            partial, mine, at = part, None, slice(None)
+        else:
+            mine, at = partial.merge(part)
+        for name in sums:
+            partial.states.setdefault((name, "sum"), np.zeros(len(partial.rows)))
+        fold.add(partial, mine, at, read.files[kept], single[kept], sums)
     if partial is not None:
         fold.flush(partial)
     return partial
@@ -822,7 +807,7 @@ def aggregate_snapshot(
     the manifest alone, and the rest are opened (on the calling
     thread), classified by their zone maps and decoded in batches
     across files. The result — including float sums — is
-    bit-identical however the fetches fan out.
+    bit-identical however many threads fetch.
     """
     plan = _build_plan(aggregates, where, group_by)
     stats = QueryStats()
@@ -867,13 +852,17 @@ def _aggregate_snapshot_impl(
     answered = np.zeros(n, dtype=bool)
     if use_metadata and not plan.group_by:
         ordinals = np.arange(n)
+        # a count(*)-only query needs no statistics, so deleted rows
+        # (footer or manifest vector) only come off the row count
+        stars = all(spec.column is None for spec in plan.aggregates)
+        live = manifest.row_count - manifest.deleted_count
         answered, bounds = _meta_answers(
-            plan, always & ~never & (manifest.deleted_count == 0),
+            plan, always & ~never & (stars | (manifest.deleted_count == 0)),
             manifest.meta_stats,
         )
-        meta.add(ordinals, np.full(n, -1), manifest.row_count, answered, bounds)
+        meta.add(ordinals, np.full(n, -1), live, answered, bounds)
         tally.query["files_meta_answered"] += int(answered.sum())
-        tally.query["rows_from_metadata"] += int(manifest.row_count[answered].sum())
+        tally.query["rows_from_metadata"] += int(live[answered].sum())
     opened = np.flatnonzero(~never & ~answered)
     read = None
     if len(opened):

@@ -25,7 +25,7 @@ from repro.catalog import (
     MemoryCatalogStore,
     WidenColumn,
 )
-from repro.core import Table, WriterOptions
+from repro.core import Table, WriterOptions, reader
 from repro.expr import col
 from repro.query import QueryPlan, engine
 
@@ -388,7 +388,7 @@ def _file_bytes(cat, case) -> int:
 def test_batches_answer_as_files_did(tables, monkeypatch, case, budget):
     cat = tables[CASES[case][0]]
     if budget != "default":
-        monkeypatch.setattr(engine, "_BATCH_BYTES", {
+        monkeypatch.setattr(reader, "_BATCH_BYTES", {
             "below_one_group": 1,
             "file_boundary": 2 * _file_bytes(cat, case),
             "whole_table": 1 << 40,

@@ -153,6 +153,27 @@ class TestFallbacks:
         assert res.stats.files_decoded == 1
         assert res.stats.data_chunks_fetched > 0
 
+    def test_star_count_over_a_deletion_vector_stays_metadata(self):
+        """``count(*)`` alone needs no statistics: a file whose
+        manifest entry carries a deletion vector answers its live rows
+        (``row_count - deleted_count``) unopened, under an ``ALWAYS``
+        predicate too."""
+        store, cat = _build_catalog()
+        after = cat.delete(col("ts") == 123)  # a MAYBE cut: a vector
+        assert sum(bool(f.deletion_vector) for f in after.files) == 1
+        store.begin_run()
+        with cat.pin() as snap:
+            res = snap.query(["count"])
+            under = snap.query(["count"], where=col("ts") < 400)
+        assert store.opened == [], "a count(*) opened a file"
+        assert res.rows[0]["count(*)"] == 799
+        assert res.stats.files_meta_answered == 4
+        assert res.stats.rows_from_metadata == 799
+        assert res.stats.data_chunks_fetched == 0
+        assert under.rows[0]["count(*)"] == 399
+        assert under.stats.files_meta_answered == 2
+        assert under.stats.files_pruned == 2
+
     def test_single_file_deletion_vector(self):
         store, cat = _build_catalog(n_files=1)
         cat.delete(col("ts") == 7)  # the file rewritten with a delvec

@@ -3,8 +3,9 @@
 *Rule*: a read overlaps I/O on threads only when the device under the
 reader really waits per request (a sleeping wrapper anywhere in the
 storage stack); memory-speed devices fetch inline, and one fetch thread
-(``repro.core.reader._FETCH_THREADS``) forces serial everywhere. The scan's look-ahead, the query
-engine's per-file fan-out and the training loader all follow it.
+(``repro.core.reader._FETCH_THREADS``) forces serial everywhere. Every
+read — a file's scan, a query, a training loader epoch — is one batch
+loop that keeps one batch's fetches in flight, so all follow it.
 
 *Loop*: filtered and unfiltered, serial and threaded scans are one
 pipeline, so every cell of where x deletions x projection x workers x
@@ -96,6 +97,13 @@ def _catalog(store, n_files=4):
 
 
 @pytest.fixture
+def one_group_batches(monkeypatch):
+    """Every batch of the read loop holds one row group, so a read of
+    several groups has several batches and fetches one ahead."""
+    monkeypatch.setattr("repro.core.reader._BATCH_BYTES", 1)
+
+
+@pytest.fixture
 def no_pools(monkeypatch):
     """Any attempt to build a thread pool on the read path fails (scans
     and queries take theirs from ``repro.core.reader.fetch_pool``)."""
@@ -155,14 +163,16 @@ class TestSleepingDevicesOverlap:
         return ObjectStorage(sim, model=_SLOW, jitter_fn=log, sleep=True)
 
     @pytest.mark.parametrize("where", [None, col("b") > 0.0])
-    def test_multi_group_scan_fetches_from_pool_threads(self, where):
+    def test_multi_group_scan_fetches_from_pool_threads(
+        self, where, one_group_batches
+    ):
         log = _ThreadLog()
         reader = BullionReader(self._object(log), chunk_cache_size=0)
         assert reader.waits_per_request
         log.idents.clear()  # drop the footer open
         out = reader.scan(["a", "b"], where=where).to_table()
         assert out.num_rows > 0
-        # group 0 inline on this thread, the rest from the look-ahead
+        # batch 0 inline on this thread, the rest from the look-ahead
         assert threading.get_ident() in log.idents
         assert len(log.idents) > 1
 
@@ -175,17 +185,19 @@ class TestSleepingDevicesOverlap:
         assert out.num_rows > 0
         assert log.idents == {threading.get_ident()}
 
-    def test_multi_file_query_fans_out(self):
+    def test_multi_file_query_fetches_ahead(self, one_group_batches):
         store = SleepingStore()
         table = _catalog(store)
         with table.pin() as snap:
             store.log.idents.clear()
             result = snap.query(["sum(a)"])
         assert result.rows[0]["sum(a)"] == sum(range(4 * N_ROWS))
-        # footers open on the coordinator; files decode on the pool
-        assert len(store.log.idents - {threading.get_ident()}) > 1
+        # footers and batch 0 on the coordinator; later batches' filter
+        # chunks from the look-ahead
+        assert threading.get_ident() in store.log.idents
+        assert len(store.log.idents) > 1
 
-    def test_training_loader_epoch_overlaps(self):
+    def test_training_loader_epoch_overlaps(self, one_group_batches):
         store = SleepingStore()
         table = _catalog(store, n_files=2)
         with table.pin() as snap:
@@ -193,6 +205,52 @@ class TestSleepingDevicesOverlap:
             loader = snap.loader(["a"], LoaderOptions(batch_size=256))
             assert sum(b.num_rows for b in loader) == 2 * N_ROWS
         assert len(store.log.idents) > 1
+
+    def test_a_read_fetches_one_batch_ahead_never_two(self, one_group_batches):
+        """With one group per batch, a consumer holding batch ``k``'s
+        table has requested no chunk of batch ``k + 2`` or later."""
+        requests = []
+
+        class LoggingStore(MemoryCatalogStore):
+            def open_data(self, file_id):
+                def note(op, offset, nbytes):
+                    requests.append((file_id, offset))
+                    return 0.0
+
+                return ObjectStorage(
+                    super().open_data(file_id), model=_SLOW,
+                    jitter_fn=note, sleep=True,
+                )
+
+        table = _catalog(LoggingStore(), n_files=2)
+        with table.pin() as snap:
+            files = [f.file_id for f in snap.snapshot.files]
+            # batch of each chunk's first byte: files in order, each
+            # file's groups in order (the chunk index is column-major)
+            batch_at = {}
+            for k, file_id in enumerate(files):
+                index = snap._reader_for(file_id).file_index
+                n = len(index.rows)
+                for i, offset in enumerate(index.chunks["offset"].tolist()):
+                    batch_at[(file_id, offset)] = k * n + i % n
+            requests.clear()
+            held = []
+            for k, _table in enumerate(snap.scan(["a", "b"])):
+                held.append(max(
+                    (batch_at[r] for r in list(requests) if r in batch_at),
+                    default=-1,
+                ))
+                assert held[-1] <= k + 1, (k, held)
+        assert len(held) == len(batch_at) // 3 == 2 * N_ROWS // ROWS_PER_GROUP
+
+    def test_a_one_batch_pinned_read_starts_no_pool(self, no_pools):
+        store = SleepingStore()
+        table = _catalog(store, n_files=2)
+        with table.pin() as snap:
+            store.log.idents.clear()
+            got = snap.read(["a", "b"], where=col("b") > 0.0)
+        assert got.num_rows > 0
+        assert store.log.idents == {threading.get_ident()}
 
     def test_one_fetch_thread_starts_none(self, no_pools, serial_fetch):
         store = SleepingStore()

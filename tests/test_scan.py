@@ -118,7 +118,11 @@ class TestBatching:
         with pytest.raises(ValueError, match="positive"):
             list(BullionReader(dev).scan(["x"], batch_size=0))
 
-    def test_scan_is_lazy(self, serial_fetch):
+    def test_scan_is_lazy(self, serial_fetch, monkeypatch):
+        from repro.core import reader as reader_module
+
+        # laziness is per batch: one group per batch
+        monkeypatch.setattr(reader_module, "_BATCH_BYTES", 1)
         table = Table({"x": np.arange(1000, dtype=np.int64)})
         dev = _write(table, rows_per_page=100, rows_per_group=100)
         dev.stats.reset()

@@ -686,12 +686,11 @@ def test_many_file_batches_cut_mid_file(snap_tables):
     assert any(g > 0 for _file, g in cuts)
 
 
-def _sleeping_requests():
+def _sleeping_logs():
     """Every storage request of four snapshot scans of the ``verdicts``
     table, its data files behind an object store that sleeps out each
-    request: ``{case: (count, digest)}``. With one fetch thread the
-    digest covers the requests in issue order; with the default four,
-    the look-ahead's threads race, so it covers them sorted."""
+    request: ``{case: [(file, op, offset, nbytes), ...]}`` in issue
+    order (files by manifest position)."""
     from repro.catalog import MemoryCatalogStore
     from repro.core import reader
     from repro.iosim import ObjectStorage, SeekModel
@@ -725,28 +724,49 @@ def _sleeping_requests():
             patch.setattr(reader, "_FETCH_THREADS", threads)
             for _batch in pin.scan(["ts", "v", "tag"], **kwargs):
                 pass
-        seen = [(order[fid], *rest) for fid, *rest in log]
-        if threads > 1:
-            seen.sort()
-        out[name] = (len(seen), hashlib.sha256(repr(seen).encode())
-                     .hexdigest()[:16])
+        out[name] = [(order[fid], *rest) for fid, *rest in log]
     return out
 
 
-#: recorded when a snapshot scan still read one file at a time
+def _requests_digest(seen) -> str:
+    return hashlib.sha256(repr(seen).encode()).hexdigest()[:16]
+
+
+def _sleeping_requests(logs=None):
+    """``{case: (count, digest)}`` of :func:`_sleeping_logs`. With one
+    fetch thread the digest covers the requests in issue order; with
+    the default four, the look-ahead's thread races the consumer, so it
+    covers them sorted."""
+    logs = _sleeping_logs() if logs is None else logs
+    return {
+        name: (len(seen), _requests_digest(
+            seen if name.endswith("_serial") else sorted(seen)
+        ))
+        for name, seen in logs.items()
+    }
+
+
+#: the counts and the threaded (sorted) digests were recorded when a
+#: snapshot scan still read one file at a time; the serial digests
+#: changed only because every footer is now read before any chunk
 SLEEPING_GOLDEN = {
-    'filtered_serial': (47, '297b53bcebc72de0'),
+    'filtered_serial': (47, 'a9f24996a5cef70b'),
     'filtered': (47, '75dedbc54fd852da'),
-    'unfiltered_serial': (56, '65d00a8681781fb0'),
+    'unfiltered_serial': (56, 'e4f0c5660a0f3d40'),
     'unfiltered': (56, 'd4803f9ca63f8f3c'),
 }
 
 
-def test_sleeping_device_keeps_the_per_file_schedule():
+def test_sleeping_device_sends_the_per_file_requests():
     """A device that waits per request gets the requests it got when
     every file was read through its own look-ahead loop: the same
-    count, in the same order."""
-    assert _sleeping_requests() == SLEEPING_GOLDEN
+    count and the same requests, issued footers first."""
+    logs = _sleeping_logs()
+    assert _sleeping_requests(logs) == SLEEPING_GOLDEN
+    for name in ("filtered", "unfiltered"):
+        serial = logs[f"{name}_serial"]
+        assert _requests_digest(sorted(serial)) == SLEEPING_GOLDEN[name][1]
+        assert sorted(serial) == sorted(logs[name])
 
 
 if __name__ == "__main__":
