@@ -23,9 +23,9 @@ def size_only_objective(monkeypatch):
 
 @pytest.fixture
 def serial_fetch(monkeypatch):
-    """Fetch on the consuming thread only: a scan's look-ahead and a
-    query's fan-out start no thread, so requests go out in issue order
-    even from a device that waits per request."""
+    """Fetch on the consuming thread only: the batch loop's look-ahead
+    starts no thread, so requests go out in issue order even from a
+    device that waits per request."""
     from repro.core import reader
 
     monkeypatch.setattr(reader, "_FETCH_THREADS", 1)
