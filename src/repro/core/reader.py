@@ -53,10 +53,10 @@ Every read runs on one schedule, :func:`read_batches`: the plan's
 groups — of one file or of many — in order, cut at ``_BATCH_BYTES``
 decoded bytes (:func:`_batches`), so a column decodes once per batch
 of small files, not once per file. On a device that waits per request
-(:func:`repro.iosim.waits_per_request`) the next batch's filter chunks
-are in flight on a :func:`fetch_pool` thread while one batch decodes:
-one batch ahead, never more. A memory-speed device fetches inline and
-starts no thread.
+(:func:`repro.iosim.waits_per_request`) a :func:`fetch_pool` keeps the
+next batch's filter chunks in flight while one batch decodes (one
+ahead, never more) and fans a batch's own fetches out per file. A
+memory-speed device fetches inline and starts no thread.
 
 Chunks are cached in a :class:`~repro.core.chunk_cache.TieredChunkCache`
 — the shared one a caller passes, else a small private one; a batch
@@ -74,6 +74,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -504,7 +505,7 @@ class BullionReader(ScanSource):
         return raw
 
     def _fetch_chunks(
-        self, keys: list[tuple[int, int]], tally: dict | None = None
+        self, keys: list[tuple[int, int]], tally: dict | None = None, pool=None
     ) -> dict[tuple[int, int], bytes]:
         """Batch fetch with single-flight claims and ranged coalescing.
 
@@ -515,7 +516,8 @@ class BullionReader(ScanSource):
         bytes back out per chunk, and finally waits on any keys other
         threads had in flight. Exactly one backend fetch happens per
         chunk process-wide, however many scans want it concurrently.
-        ``tally``: as :meth:`TieredChunkCache.claim_many`'s.
+        ``tally``: as :meth:`TieredChunkCache.claim_many`'s; ``pool``:
+        as :meth:`_fetch_claimed`'s.
         """
         cache = self.chunk_cache
         prefix = self._cache_prefix
@@ -531,7 +533,7 @@ class BullionReader(ScanSource):
             if mine:
                 mine = [todo[i] for i in mine]
                 try:
-                    self._fetch_claimed(mine, results)
+                    self._fetch_claimed(mine, results, pool)
                 except BaseException as exc:
                     for key in mine:
                         if results[key] is None:
@@ -552,8 +554,10 @@ class BullionReader(ScanSource):
         self,
         mine: list[tuple[int, int]],
         results: dict[tuple[int, int], bytes],
+        pool=None,
     ) -> None:
-        """Plan and issue coalesced reads for claimed (miss) keys."""
+        """Plan and issue coalesced reads for claimed (miss) keys, one
+        ``pread`` per run (the runs spread over ``pool``, if given)."""
         footer = self.footer
         cache = self.chunk_cache
         extents = sorted(
@@ -580,13 +584,10 @@ class BullionReader(ScanSource):
             else:
                 runs.append([ext])
                 run_start, run_end = off, off + size
-        for run in runs:
+
+        def read(run):
             if len(run) == 1:
-                _off, _size, key = run[0]
-                raw = self._pread_chunk(*key)
-                results[key] = raw
-                cache.fulfill(self._cache_key(*key), raw)
-                continue
+                return [self._pread_chunk(*run[0][2])]
             start = run[0][0]
             end = max(off + size for off, size, _key in run)
             if obs_metrics.enabled():
@@ -603,8 +604,12 @@ class BullionReader(ScanSource):
                 )
             else:
                 blob = self._storage.pread(start, end - start)
-            for off, size, key in run:
-                raw = blob[off - start : off - start + size]
+            return [blob[off - start : off - start + size] for off, size, _k in run]
+
+        fan_out = pool and len(runs) > 1
+        got = _start(pool, [(read, r) for r in runs])() if fan_out else map(read, runs)
+        for run, raws in zip(runs, got):
+            for (_off, _size, key), raw in zip(run, raws):
                 results[key] = raw
                 cache.fulfill(self._cache_key(*key), raw)
 
@@ -1151,12 +1156,23 @@ def fetch_pool(waits: bool):
     return nullcontext()
 
 
-def _fetch(requests):
-    """Each ``(reader, keys)`` request's chunks, in order, fetched on
-    this thread; the chunk caches' counters publish once for all of
-    them."""
+def _start(pool, calls):
+    """Each ``(fn, *args)`` of ``calls`` started on ``pool``, and a
+    function giving their results in order that runs any call no thread
+    has started on its caller: it never waits behind blocked tasks."""
+    tasks = [(pool.submit(*call), call) for call in calls]
+    return lambda: [c[0](*c[1:]) if t.cancel() else t.result() for t, c in tasks]
+
+
+def _fetch(requests, pool=None, *, spread=False):
+    """Each ``(reader, keys)`` request's chunks, in order. A ``pool``
+    (only the consuming thread passes one) fans several files out one
+    per thread, and with ``spread`` one file's ranged reads too. Inline,
+    the chunk caches' counters publish once for all of them."""
+    if pool is not None and len(requests) > 1:
+        return _start(pool, [(r._fetch_chunks, keys) for r, keys in requests])()
     tally: dict = {}
-    out = [reader._fetch_chunks(keys, tally) for reader, keys in requests]
+    out = [r._fetch_chunks(keys, tally, spread and pool) for r, keys in requests]
     if tally:
         requests[0][0].chunk_cache.stats.publish(tally)
     return out
@@ -1179,27 +1195,31 @@ def read_batches(plan, where, names, counts, *, widen=True):
     in order, in batches of ``_BATCH_BYTES`` decoded bytes, yielding
     ``(lo, hi, (columns, kept, matched))`` per batch.
 
-    When a reader of the plan waits per request, the next batch's
-    first-phase chunks are fetched on a :func:`fetch_pool` thread while
-    this batch decodes: one batch ahead, never more, so the consumer
-    holding batch ``k`` has requested nothing of batch ``k + 2``. The
-    first batch and every residual fetch run on the consuming thread,
-    and the look-ahead fetches inline, never waiting on its own pool.
-    A one-batch plan, and a memory-speed device, start no thread.
+    When a reader of a plan of several groups waits per request, a
+    :func:`fetch_pool` fetches the next batch's first-phase chunks, one
+    task per file, while this batch decodes: one batch ahead, never
+    more. The consumer's own fetches fan out over it per file
+    (:func:`_fetch`); a batch with nothing fetched ahead (the first)
+    spreads one file's ranged reads too, in both phases, while a later
+    batch, overlapped by the look-ahead, reads a file's residual runs in
+    order. A one-group plan, or a memory-speed device, starts no thread.
     """
     spans = list(_batches(plan, _BATCH_BYTES))
-    waits = len(spans) > 1 and any(
+    waits = len(plan._groups) > 1 and any(
         plan.reader_of(f).waits_per_request for f in dict.fromkeys(plan._files)
     )
     with fetch_pool(waits) as pool:
         ahead = None
         for k, (lo, hi) in enumerate(spans):
-            fetched = None if ahead is None else ahead.result()
-            ahead = None if pool is None or k + 1 == len(spans) else pool.submit(
-                _fetch_phase, plan, range(*spans[k + 1]), plan.first_of
+            fetched = ahead and _per_group(plan, range(lo, hi), ahead())
+            ahead = None if pool is None or k + 1 == len(spans) else _start(
+                pool, [(r._fetch_chunks, keys) for r, keys in plan.requests(
+                    range(*spans[k + 1]), plan.first_of
+                )],
             )
             yield lo, hi, read_segments(
-                plan, lo, hi, where, names, counts, widen=widen, fetched=fetched
+                plan, lo, hi, where, names, counts,
+                widen=widen, fetched=fetched, pool=pool,
             )
 
 
@@ -1300,15 +1320,19 @@ def _take(values, pick):
     return [values[i] for i in pick.tolist()]  # bytes and nested lists
 
 
-def read_segments(plan, lo, hi, where, names, counts, *, widen=True, fetched=None):
+def read_segments(
+    plan, lo, hi, where, names, counts, *, widen=True, fetched=None, pool=None,
+):
     """Read ``names`` over the plan's groups ``[lo, hi)``: the one
     two-phase read.
 
     The groups' first chunks (:attr:`Plan.first_of`) come in one
     :func:`_fetch`, unless the caller fetched them ahead (``fetched``,
-    one dict per group, as :func:`_fetch_phase` returns them). The filter columns decode once across the
-    batch, and ``where`` is evaluated once over their widened values
-    (quantized columns compare as floats, like their zone maps);
+    one dict per group, as :func:`_per_group` lays them out); a batch
+    that fetches its own spreads them, and its residual chunks, over
+    ``pool``. The filter columns decode once across the batch, and
+    ``where`` is evaluated once over their widened values (quantized
+    columns compare as floats, like their zone maps);
     ``always`` groups take every row and hold only their projection, so
     a filter column outside it decodes over the other groups alone. The
     deletion vectors apply once. A group the filter leaves empty never
@@ -1328,8 +1352,10 @@ def read_segments(plan, lo, hi, where, names, counts, *, widen=True, fetched=Non
     at = range(lo, hi)
     rows = plan.rows[lo:hi]
     always, deleted = plan.always[lo:hi], plan.deleted[lo:hi]
-    if fetched is None:
-        fetched = _fetch_phase(plan, at, plan.first_of)
+    spread = fetched is None  # nothing fetched ahead: spread its own reads
+    if spread:
+        requests = plan.requests(at, plan.first_of)
+        fetched = _per_group(plan, at, _fetch(requests, pool, spread=True))
     held = fetched
     n_fetched = sum(len(d) for d in {id(d): d for d in held}.values())
     stored, evals, mask = {}, {}, None
@@ -1381,16 +1407,11 @@ def read_segments(plan, lo, hi, where, names, counts, *, widen=True, fetched=Non
         k for k in range(m) if keep[k] and not always[k] and rest[lo + k]
     ]
     if residual:
-        got = _fetch(plan.requests([lo + k for k in residual], rest))
-        fresh = iter(got)
-        last = None
-        for k in residual:
-            f = plan._files[lo + k]
-            if f != last:
-                chunks = next(fresh)
-                held[k].update(chunks)
-                n_fetched += len(chunks)
-                last = f
+        requests = plan.requests([lo + k for k in residual], rest)
+        runs = groupby(residual, lambda k: plan._files[lo + k])
+        for (_f, ks), chunks in zip(runs, _fetch(requests, pool, spread=spread)):
+            held[next(ks)].update(chunks)  # the file's groups share one dict
+            n_fetched += len(chunks)
     counts.update(
         chunks_fetched=n_fetched, groups_scanned=m,
         rows_scanned=sum(plan._rows[lo:hi]), rows_matched=sum(matched),
@@ -1422,19 +1443,12 @@ def read_segments(plan, lo, hi, where, names, counts, *, widen=True, fetched=Non
     return out, [lo + k for k in kept], [matched[k] for k in kept]
 
 
-def _fetch_phase(plan, positions, phase) -> list:
+def _per_group(plan, positions, results) -> list:
     """One dict of raw chunks per group of ``positions`` (the groups of
-    one file share theirs), fetched in one :func:`_fetch`."""
-    positions = list(positions)
-    results = iter(_fetch(plan.requests(positions, phase)))
-    held, last, chunks = [], None, None
-    files = plan._files
-    for j in positions:
-        f = files[j]
-        if f != last:
-            chunks, last = next(results), f
-        held.append(chunks)
-    return held
+    one file share theirs) from ``results``, one per run of a file's
+    groups, in order (as :meth:`Plan.requests` asks for them)."""
+    runs = groupby(positions, plan._files.__getitem__)
+    return [chunks for (_f, run), chunks in zip(runs, results) for _j in run]
 
 
 def _cast_to_storage(values, ptype):

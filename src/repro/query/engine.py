@@ -669,10 +669,14 @@ def _decode_files(read, plan, needs, tally, partial):
     fold = _SumFold()
     # files with one group each fold their sums straight into the query's
     single = (np.bincount(read.files) == 1)[read.files]
-    for lo, hi, (columns, kept, matched) in read_batches(
-        read, plan.where, used, tally.scan
-    ):
-        with obs_trace.span("query.batch", segments=hi - lo):
+    batches = read_batches(read, plan.where, used, tally.scan)
+    hi, n = 0, len(read.groups)
+    while hi < n:
+        # the span covers the batch's read (the loop's step) and its
+        # reduction; the batch ending at the plan's last group is last
+        with obs_trace.span("query.batch") as batch:
+            lo, hi, (columns, kept, matched) = next(batches)
+            batch.set(segments=hi - lo)
             tally.query["groups_decoded"] += hi - lo
             if not any(matched):
                 continue

@@ -299,6 +299,27 @@ class TestQueryStatsPruningRegression:
         )
 
 
+class TestQueryBatchSpan:
+    def test_each_batch_span_covers_its_read(self, monkeypatch):
+        """A ``query.batch`` span is open while its batch's chunks are
+        fetched, not only while the batch is reduced."""
+        monkeypatch.setattr("repro.core.reader._BATCH_BYTES", 1)
+        pin = TestQueryStatsPruningRegression()._pin()
+        obs_trace.reset()
+        obs_trace.enable()
+        try:
+            res = pin.query(["sum(y)"])
+        finally:
+            obs_trace.disable()
+        assert res.scalar("sum(y)") == pytest.approx(sum(0.5 * x for x in range(400)))
+        records = obs_trace.default_tracer().records()
+        batches = {r.sid: r for r in records if r.name == "query.batch"}
+        assert [r.attrs["segments"] for r in batches.values()] == [1, 1, 1, 1]
+        fetches = [r for r in records if r.name.startswith("scan.fetch_")]
+        assert len(fetches) == 4
+        assert {r.parent for r in fetches} == set(batches)
+
+
 # ---------------------------------------------------------------------------
 # catalog layers: commits + maintenance
 # ---------------------------------------------------------------------------

@@ -176,6 +176,16 @@ class TestSleepingDevicesOverlap:
         assert threading.get_ident() in log.idents
         assert len(log.idents) > 1
 
+    def test_one_batch_scan_spreads_its_reads_over_the_pool(self):
+        log = _ThreadLog()
+        reader = BullionReader(self._object(log), chunk_cache_size=0)
+        log.idents.clear()  # drop the footer open
+        scan = reader.scan(["a", "b"], where=col("b") > 0.0)
+        assert scan.to_table().num_rows > 0
+        # one batch, so nothing is fetched ahead: the other threads
+        # carry the batch's own ranged reads (one per group's chunk)
+        assert len(log.idents - {threading.get_ident()}) > 1
+
     def test_one_group_scan_needs_no_pool(self, no_pools):
         log = _ThreadLog()
         reader = BullionReader(self._object(log))
@@ -185,6 +195,16 @@ class TestSleepingDevicesOverlap:
         assert out.num_rows > 0
         assert log.idents == {threading.get_ident()}
 
+    def test_multi_file_query_fans_out(self):
+        store = SleepingStore()
+        table = _catalog(store)
+        with table.pin() as snap:
+            store.log.idents.clear()
+            result = snap.query(["sum(a)"])
+        assert result.rows[0]["sum(a)"] == sum(range(4 * N_ROWS))
+        # footers open on the coordinator; files decode on the pool
+        assert len(store.log.idents - {threading.get_ident()}) > 1
+
     def test_multi_file_query_fetches_ahead(self, one_group_batches):
         store = SleepingStore()
         table = _catalog(store)
@@ -192,8 +212,8 @@ class TestSleepingDevicesOverlap:
             store.log.idents.clear()
             result = snap.query(["sum(a)"])
         assert result.rows[0]["sum(a)"] == sum(range(4 * N_ROWS))
-        # footers and batch 0 on the coordinator; later batches' filter
-        # chunks from the look-ahead
+        # footers and batch 0 on the coordinator (one file, one run);
+        # later batches' filter chunks from the look-ahead
         assert threading.get_ident() in store.log.idents
         assert len(store.log.idents) > 1
 
@@ -243,14 +263,30 @@ class TestSleepingDevicesOverlap:
                 assert held[-1] <= k + 1, (k, held)
         assert len(held) == len(batch_at) // 3 == 2 * N_ROWS // ROWS_PER_GROUP
 
-    def test_a_one_batch_pinned_read_starts_no_pool(self, no_pools):
+    def test_a_one_group_pinned_read_starts_no_pool(self, no_pools):
         store = SleepingStore()
         table = _catalog(store, n_files=2)
         with table.pin() as snap:
             store.log.idents.clear()
-            got = snap.read(["a", "b"], where=col("b") > 0.0)
-        assert got.num_rows > 0
+            # the zone maps leave one group of one file to read
+            got = snap.read(["a", "b"], where=col("a") < ROWS_PER_GROUP // 2)
+        assert got.num_rows == ROWS_PER_GROUP // 2
         assert store.log.idents == {threading.get_ident()}
+
+    def test_the_consumer_never_waits_behind_a_blocked_pool(self):
+        """A fetch the consumer hands to the pool and no thread has
+        started runs on the consumer: a task blocked on a flight the
+        consumer leads cannot hold up the consumer's own reads."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.core.reader import _start
+
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            blocked = pool.submit(release.wait, 5.0)
+            got = _start(pool, [(release.set,), (len, "ab")])()
+            assert blocked.result() is True  # released, not timed out
+        assert got == [None, 2]
 
     def test_one_fetch_thread_starts_none(self, no_pools, serial_fetch):
         store = SleepingStore()
