@@ -48,8 +48,8 @@ def test_bench_selector_on_int_column(benchmark):
 def test_bench_cascade_vs_static(benchmark):
     columns = _columns()
     lines = [
-        "sizes, not winners, are the evidence: the objective is timed, so "
-        "near-tied winners differ from run to run",
+        "winners priced by the committed cost table "
+        "(src/repro/cascading/costs.py): every line is deterministic",
         "column            raw_B      cascade_B  winner                    static_best_B  gain",
     ]
     total_cascade, total_static, total_raw = 0, 0, 0

@@ -3,9 +3,9 @@
 The paper benches, the codec scoreboard and the fixed-work probe each
 record their series here: printed to stdout (visible with ``-s``) and
 persisted under ``benchmarks/results/<experiment>.txt``. Apart from the
-codec scoreboard and the cascade's timed winners, a tracked results
-file holds deterministic lines only (counts, bytes), so CI can check
-that a run leaves it unchanged; timings go to the JSON artifact.
+codec scoreboard, a tracked results file holds deterministic lines
+only (counts, bytes, winners), so CI can check that a run leaves it
+unchanged; timings go to the JSON artifact.
 
 Each ``report()`` call additionally writes a machine-readable
 ``BENCH_<experiment>.json`` at the repo root (schema

@@ -1,7 +1,8 @@
 """Cascading encoding selection (paper §2.6).
 
 Sampling-based stats + heuristic candidate pruning + a Nimble-style
-linear objective over measured (size, read time, write time), with
+linear objective over (size, read time, write time) — the size from a
+trial encode, the times from a committed per-scheme cost table — with
 bounded recursion over sub-column encodings. The writer selects once
 per column per file (see :mod:`repro.cascading.selector`).
 

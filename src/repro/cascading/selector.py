@@ -5,20 +5,29 @@ Combines the ingredients the paper names:
 * **sampling-based distribution analysis** (:mod:`repro.cascading.stats`)
   prunes the catalog to heuristically-plausible candidates, like
   Procella/BtrBlocks;
-* **measured selection** under a Nimble-style linear objective
-  (:mod:`repro.cascading.objective`);
+* **selection** under a Nimble-style linear objective
+  (:mod:`repro.cascading.objective`): a trial encode gives the size,
+  and a committed per-scheme cost table gives the read and write time;
 * **bounded recursion**: candidates at depth *d* may pick cascaded
   children chosen at depth *d-1* — "current implementations, such as
   BtrBlocks, pragmatically limit recursion to one or two levels".
   ``max_depth=0`` disables composition entirely (the static
   single-encoding baseline the depth-ablation benchmark compares).
 
-A selection trial-encodes and trial-decodes every candidate, so the
-writer makes it once per column per file, on a sample of the first row
-group, and reuses the winner. :func:`candidate_fingerprint` is its
-guard: while a later row group's statistics admit the same candidates,
-no threshold the heuristics branch on was crossed and the decision
-stands; when they differ, the writer selects again.
+:func:`select_encoding` scores candidates in ascending order of their
+time terms and stops at the first whose time terms alone reach the
+best objective so far: the size term is never negative, so neither it
+nor any later candidate can win, and the winner is the one scoring
+every candidate would pick. Slow schemes (Gorilla, Chimp, Huffman)
+are never trial-encoded where they cannot win, and nothing is
+trial-decoded.
+
+A selection still trial-encodes its candidates, so the writer makes
+it once per column per file, on a sample of the first row group, and
+reuses the winner. :func:`candidate_fingerprint` is its guard: while a
+later row group's statistics admit the same candidates, no threshold
+the heuristics branch on was crossed and the decision stands; when
+they differ, the writer selects again.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from repro.cascading.objective import (
     CandidateScore,
     CostWeights,
     TRAINING_READS,
+    scheme_cost,
     score_candidate,
 )
 from repro.cascading.stats import ColumnStats, collect_stats, take_sample
@@ -245,17 +255,30 @@ def select_encoding(
     weights: CostWeights | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SelectionResult:
-    """Pick the best scheme for this column under the linear objective."""
+    """Pick the best scheme for this column under the linear objective.
+
+    ``scores`` holds the candidates that were trial-encoded, best
+    first; the rest could not win and were skipped unencoded.
+    """
     weights = weights or TRAINING_READS
     stats = collect_stats(values)
     sample = take_sample(values)
+
+    candidates = candidate_encodings(values, stats, max_depth, weights)
+    time_terms = []
+    for _, description in candidates:
+        write, read = scheme_cost(stats.kind, description)
+        time_terms.append(weights.combine(0.0, read, write))
     scores: list[CandidateScore] = []
-    for encoding, description in candidate_encodings(
-        values, stats, max_depth, weights
-    ):
+    best = float("inf")
+    for i in sorted(range(len(candidates)), key=time_terms.__getitem__):
+        if time_terms[i] >= best:
+            break
+        encoding, description = candidates[i]
         score = score_candidate(sample, encoding, weights, description)
         if score is not None:
             scores.append(score)
+            best = min(best, score.objective)
     if not scores:
         raise ValueError("no applicable encoding for column")
     scores.sort(key=lambda s: s.objective)

@@ -231,13 +231,30 @@ class DataFile:
         return decode_runs(self.deletion_vector, self.row_count)
 
     def with_deleted(self, rows) -> "DataFile":
-        """This entry with live rows ``rows`` (ascending) deleted too."""
-        before = self.vector_rows()
-        merged = np.union1d(before, rows)
+        """This entry with live rows ``rows`` (ascending) deleted too.
+
+        Merges runs, not rows: a retention cut's vector is one run of
+        many rows, and expanding it on every later delete would cost
+        its length each time."""
+        old = np.asarray(self.deletion_vector, dtype=np.int64).reshape(-1, 2)
+        new = np.asarray(encode_runs(rows), dtype=np.int64).reshape(-1, 2)
+        runs = np.concatenate((old, new))
+        if not len(runs):
+            return self
+        runs = runs[np.argsort(runs[:, 0], kind="stable")]
+        starts, ends = runs[:, 0], runs.sum(axis=1)
+        # a run starting at or before the furthest end so far (touching
+        # or overlapping it) extends the merged run
+        reach = np.maximum.accumulate(ends)
+        heads = np.flatnonzero(np.r_[True, starts[1:] > reach[:-1]])
+        starts, ends = starts[heads], np.maximum.reduceat(ends, heads)
         return _replace(
             self,
-            deleted_count=self.deleted_count + len(merged) - len(before),
-            deletion_vector=encode_runs(merged),
+            deleted_count=self.deleted_count + int((ends - starts).sum())
+            - int(old[:, 1].sum()),
+            deletion_vector=tuple(
+                np.column_stack((starts, ends - starts)).ravel().tolist()
+            ),
         )
 
     @property

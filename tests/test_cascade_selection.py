@@ -369,10 +369,10 @@ def test_single_short_page_selects_on_the_page(selections):
     assert_roundtrip(dev, table)
 
 
-def test_per_file_bytes_within_3_percent_of_per_page(size_only_objective):
+def test_per_file_bytes_within_3_percent_of_per_page():
     """The benchmark's roll-up shape: 33 micro-batches of 2,000 rows in
-    one file. With the objective's clock stopped, selection is a pure
-    function of the values, so the price of deciding once on a sample —
+    one file. Selection is a pure function of the values (the objective
+    reads no clock), so the price of deciding once on a sample —
     against deciding on every page, as the writer used to — is exact."""
     rng = np.random.default_rng(9)
     parts = [narrow(rng, 2000, ts0=2000 * k) for k in range(33)]

@@ -7,6 +7,7 @@ from repro.cascading import (
     BALANCED,
     COLD_STORAGE,
     CostWeights,
+    candidate_encodings,
     choose_encoding,
     collect_stats,
     score_candidate,
@@ -101,7 +102,7 @@ class TestSelector:
             else:
                 assert list(out) == list(data)
 
-    def test_sliding_windows_pick_sparse_delta(self, size_only_objective):
+    def test_sliding_windows_pick_sparse_delta(self):
         from repro.workloads.sparse import (
             SlidingWindowConfig,
             generate_click_sequences,
@@ -127,9 +128,12 @@ class TestSelector:
 
     def test_depth_increases_candidate_pool(self):
         data = np.repeat(RNG.integers(0, 4, 100), 50).astype(np.int64)
-        n0 = len(select_encoding(data, max_depth=0).scores)
-        n2 = len(select_encoding(data, max_depth=2).scores)
-        assert n2 > n0
+        stats = collect_stats(data)
+
+        def pool(depth):
+            return candidate_encodings(data, stats, depth, BALANCED)
+
+        assert len(pool(2)) > len(pool(0))
 
     def test_scores_sorted_by_objective(self):
         r = select_encoding(RNG.integers(0, 100, 2000).astype(np.int64))

@@ -10,6 +10,8 @@ writes exactly the bytes one copy + §2.1 scrub of the vector writes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import (
     CatalogStore,
@@ -21,7 +23,7 @@ from repro.catalog import (
 )
 from repro.catalog import snapshot as snapshot_module
 from repro.catalog.schema_evolution import CatalogMetadataError
-from repro.catalog.snapshot import decode_runs, encode_runs
+from repro.catalog.snapshot import DataFile, decode_runs, encode_runs
 from repro.core import LoaderOptions, Table, WriterOptions, delete_rows
 from repro.expr import col
 from repro.iosim import SimulatedStorage
@@ -62,6 +64,46 @@ def test_runs_round_trip():
     for bad in ((0, 0), (5, 3, 6, 1), (-1, 2), (99, 2), (1, 2, 3)):
         with pytest.raises(ValueError):
             decode_runs(bad, 100)
+
+
+@st.composite
+def _vector_and_victims(draw):
+    """A file's vector and the rows a delete adds to it: a retention
+    prefix, runs, scattered rows, and runs starting where a vector run
+    ends (adjacent), each possibly empty."""
+    n = draw(st.integers(1, 400))
+
+    def rows():
+        out = set(draw(st.sets(st.integers(0, n - 1), max_size=20)))
+        for start, length in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, 60)), max_size=4
+        )):
+            out.update(range(start, min(n, start + length)))
+        return out
+
+    old = set(range(draw(st.integers(0, n)))) if draw(st.booleans()) else set()
+    old |= rows()
+    new = rows()
+    runs = encode_runs(sorted(old))
+    for start, length in zip(runs[::2], runs[1::2]):
+        if start + length < n and draw(st.booleans()):
+            new.update(range(start + length, min(n, start + length + 3)))
+    return n, sorted(old), sorted(new)
+
+
+@given(_vector_and_victims())
+@settings(max_examples=300, deadline=None)
+def test_with_deleted_merges_runs_as_union1d_merges_rows(case):
+    n, old, new = case
+    entry = DataFile(
+        file_id="f", row_count=n, deleted_count=len(old) + 2, byte_size=1,
+        schema_fingerprint=0, deletion_vector=encode_runs(old),
+    )
+    got = entry.with_deleted(np.asarray(new, dtype=np.int64))
+    want = np.union1d(np.asarray(old, dtype=np.int64), new)
+    assert got.deletion_vector == encode_runs(want)
+    assert decode_runs(got.deletion_vector, n).tolist() == want.tolist()
+    assert got.deleted_count == entry.deleted_count + len(want) - len(old)
 
 
 def test_a_maybe_delete_writes_only_the_manifest():

@@ -185,7 +185,7 @@ def test_long_deleted_prefix_is_linear():
     assert np.array_equal(out[60_000:], values[60_000:])
 
 
-def test_contiguous_delete_on_cascade_file_scrubs_values(size_only_objective):
+def test_contiguous_delete_on_cascade_file_scrubs_values():
     """Retention's shape — a contiguous row range — on a cascade-written
     three-group file: checksums hold and no deleted value is stored."""
     rng = np.random.default_rng(8)
