@@ -4,8 +4,12 @@
   things that must be *closed*: shared by every concurrent holder,
   LRU-evicted only while idle, and closed exactly once.
 * :class:`ReaderPool` — one open :class:`BullionReader` per data
-  *file*, shared by every pin that reads it. A committed catalog file
-  is immutable, so the pool keys on ``file_id`` alone.
+  *file*, shared by every pin that reads it.
+
+A committed catalog file is immutable, and a new snapshot means new
+keys (see :mod:`repro.core.chunk_cache`): the pool keys on ``file_id``
+alone, and no entry ever goes stale, so neither cache has an
+``invalidate``. An entry leaves by capacity eviction or :meth:`close`.
 
 Every :class:`~repro.catalog.CatalogTable` reads through a pool of
 capacity 0: the live pins of one table handle share each file's reader
@@ -20,29 +24,23 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.core.chunk_cache import storage_identity
 from repro.core.reader import BullionReader
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["LeaseCache", "ReaderPool"]
 
 
-def _inc(family, n: float = 1.0, **labels) -> None:
-    if family is None or not obs_metrics.enabled():
-        return
-    if labels:
-        family.labels(**labels).inc(n)
-    else:
-        family.inc(n)
+def _inc(family) -> None:
+    if family is not None and obs_metrics.enabled():
+        family.inc()
 
 
 class _Entry:
-    __slots__ = ("resource", "close", "tags", "refs")
+    __slots__ = ("resource", "close", "refs")
 
-    def __init__(self, resource, close, tags) -> None:
+    def __init__(self, resource, close) -> None:
         self.resource = resource
         self.close = close
-        self.tags = tags
         self.refs = 0
 
 
@@ -52,15 +50,14 @@ class LeaseCache:
     ``acquire(key)`` returns the shared resource — opened through
     :meth:`_open` on a miss — and must be paired with one
     ``release(key, resource)``.  A resource is never closed under a
-    holder: an entry that is invalidated, evicted or outlived by
-    :meth:`close` while held *drains*, and closes on its last release.
-    Idle entries past ``capacity`` are closed least recently used
-    first; when every entry is busy the cache overflows instead.
+    holder: idle entries past ``capacity`` are closed least recently
+    used first, and when every entry is busy the cache overflows
+    instead; an entry outlived by :meth:`close` while held *drains*,
+    and closes on its last release.
     Every opened resource is closed exactly once.
 
-    ``hits``/``misses``/``invalidations`` (labelled ``cache=label``)
-    are counter families and ``gauge`` a gauge family to publish to;
-    None publishes nothing.
+    ``hits``/``misses`` are counter families and ``gauge`` a gauge
+    family to publish to; None publishes nothing.
     """
 
     def __init__(
@@ -70,14 +67,12 @@ class LeaseCache:
         *,
         hits=None,
         misses=None,
-        invalidations=None,
         gauge=None,
     ) -> None:
         self._capacity = capacity
         self.label = label
         self._hits = hits
         self._misses = misses
-        self._invalidations = invalidations
         self._gauge = gauge
         self._lock = threading.Lock()
         #: key → entry, least recently acquired first
@@ -87,8 +82,8 @@ class LeaseCache:
         self._closed = False
 
     def _open(self, key):
-        """``(resource, close, tags)`` for a missed key: the resource,
-        the zero-argument callable that closes it, its file-id tags."""
+        """``(resource, close)`` for a missed key: the resource and the
+        zero-argument callable that closes it."""
         raise NotImplementedError
 
     def acquire(self, key):
@@ -125,19 +120,6 @@ class LeaseCache:
                 entry.refs = max(0, entry.refs - 1)
             closable = self._settle_locked()
         _close_all(closable)
-
-    def invalidate(self, file_ids) -> int:
-        """Drop the entries tagged with any of ``file_ids`` (closed
-        now if idle, else on their last release); the count dropped."""
-        file_ids = set(file_ids)
-        with self._lock:
-            stale = [k for k, e in self._live.items() if e.tags & file_ids]
-            self._draining.extend(self._live.pop(k) for k in stale)
-            closable = self._settle_locked()
-        _close_all(closable)
-        if stale:
-            _inc(self._invalidations, len(stale), cache=self.label)
-        return len(stale)
 
     def close(self) -> None:
         with self._lock:
@@ -201,9 +183,6 @@ class ReaderPool(LeaseCache):
         self._store = store
         self._chunk_cache = chunk_cache
         self._reader_options = dict(reader_options or {})
-        #: every device identity this pool ever opened → file id; kept
-        #: past eviction so mutation notifications stay resolvable
-        self._identity_to_file: dict[str, str] = {}
 
     def _open(self, file_id: str):
         storage = self._store.open_data(file_id)
@@ -216,8 +195,4 @@ class ReaderPool(LeaseCache):
         except BaseException:
             storage.close()
             raise
-        self._identity_to_file[storage_identity(storage)] = file_id
-        return reader, storage.close, frozenset((file_id,))
-
-    def file_for_identity(self, identity: str) -> str | None:
-        return self._identity_to_file.get(identity)
+        return reader, storage.close

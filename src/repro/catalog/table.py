@@ -479,17 +479,6 @@ class CatalogTable:
                 self._indexes.popitem(last=False)
         return index
 
-    def invalidate_files(self, file_ids) -> None:
-        """Forget the snapshot indexes that hold any of ``file_ids`` (a
-        file scrubbed in place): the next pin re-reads their footers."""
-        ids = set(file_ids)
-        with self._lock:
-            for sid in [
-                sid for sid, index in self._indexes.items()
-                if any(f.file_id in ids for f in index.files)
-            ]:
-                del self._indexes[sid]
-
     def _cache_snapshot(self, snap: Snapshot) -> None:
         """Insert under the held lock, evicting the oldest past the cap."""
         self._snap_cache[snap.snapshot_id] = snap

@@ -9,9 +9,6 @@ from repro.core.checksum import MerkleTree, full_file_checksum
 from repro.core.chunk_cache import (
     TieredChunkCache,
     TierStats,
-    add_mutation_listener,
-    notify_mutation,
-    remove_mutation_listener,
     storage_identity,
 )
 from repro.core.compact import CompactionReport, compact, rewrite
@@ -61,9 +58,6 @@ __all__ = [
     "full_file_checksum",
     "TieredChunkCache",
     "TierStats",
-    "notify_mutation",
-    "add_mutation_listener",
-    "remove_mutation_listener",
     "storage_identity",
     "CompactionReport",
     "compact",

@@ -22,12 +22,19 @@ refetches from the backend and never sees bad bytes.
 ``(storage identity, file fingerprint, column, row group)``.  The
 identity pins the backing device (path for files, object identity for
 in-memory devices); the fingerprint is a hash of the file's footer
-bytes, which covers the Merkle root, stats and deletion state — any
-in-place scrub or rewrite produces a new fingerprint, so one shared
-cache is safe across readers, snapshots and epochs without explicit
-invalidation; orphaned entries age out of the LRU.  Writers call
-:func:`notify_mutation` so the caches *above* this one (the serving
-layer's readers, pins and results) drop what a mutated device backs.
+bytes, which cover the Merkle root, stats and deletion state.
+
+**No invalidation.**  A committed data file is immutable, and a new
+snapshot means new cache keys: the catalog scrubs and rewrites only
+staged copies and opens committed files read-only, so nothing a
+snapshot names ever changes under a reader, and no cache in the
+system — this one, the catalog's reader pools and snapshot indexes,
+the server's pins and results — has an ``invalidate`` path.  Entries
+of files that left every snapshot age out of their LRU.  The
+fingerprint in these keys covers the one case outside the catalog: a
+raw file scrubbed in place (:func:`repro.core.deletion.delete_rows`)
+gets a new footer, so a reader opened after the scrub never meets the
+old chunks in a shared cache.
 
 **Single-flight.**  Concurrent requests for one in-flight chunk
 coalesce onto a shared flight: exactly one caller fetches from the
@@ -54,9 +61,6 @@ __all__ = [
     "TieredChunkCache",
     "TierStats",
     "storage_identity",
-    "notify_mutation",
-    "add_mutation_listener",
-    "remove_mutation_listener",
 ]
 
 #: Spill-file layout: magic, payload checksum, key length, key, payload.
@@ -344,26 +348,6 @@ class TieredChunkCache:
             flight.error = error or RuntimeError("fetch abandoned")
             flight.event.set()
 
-    # -- invalidation ----------------------------------------------------
-    def invalidate_prefix(self, prefix: tuple) -> int:
-        """Drop every entry whose key starts with ``prefix``.
-
-        Fingerprinted keys make stale entries unreachable anyway; this
-        reclaims their budget promptly after a known mutation.
-        """
-        n = len(prefix)
-        dropped = 0
-        with self._lock:
-            for key in [k for k in self._mem if k[:n] == prefix]:
-                self._mem_bytes -= len(self._mem.pop(key))
-                dropped += 1
-            for key in [k for k in self._disk if k[:n] == prefix]:
-                self._disk_bytes -= self._disk.pop(key)
-                self._unlink_quiet(key)
-                dropped += 1
-            self._publish_gauges()
-        return dropped
-
     def clear(self) -> None:
         with self._lock:
             self._mem.clear()
@@ -395,49 +379,3 @@ def storage_identity(storage) -> str:
     if path is not None:
         return f"file:{os.path.abspath(path)}"
     return f"mem:{id(base):x}"
-
-
-# ---------------------------------------------------------------------------
-# in-place mutation notifications
-# ---------------------------------------------------------------------------
-
-#: Caches above this one (the serving layer's reader pool, pin and
-#: result caches) that want to hear about in-place mutations.
-#: Listeners receive the mutated storage object.
-_mutation_listeners: list = []
-_listeners_lock = threading.Lock()
-
-
-def add_mutation_listener(fn) -> None:
-    """Register ``fn(storage)`` to run on every :func:`notify_mutation`.
-
-    Listeners must be fast and must not raise; they run inline on the
-    mutating thread (writer finish, deletion scrub).
-    """
-    with _listeners_lock:
-        if fn not in _mutation_listeners:
-            _mutation_listeners.append(fn)
-
-
-def remove_mutation_listener(fn) -> None:
-    with _listeners_lock:
-        try:
-            _mutation_listeners.remove(fn)
-        except ValueError:
-            pass
-
-
-def notify_mutation(storage) -> None:
-    """Tell the registered listeners that a device just changed.
-
-    Called by the writer and the deletion path.  Fingerprinted keys
-    already guarantee a stale chunk can never be *served* from any
-    :class:`TieredChunkCache`; the listeners (see
-    :func:`add_mutation_listener`) are higher-level caches — pooled
-    readers, pins and results in the serving layer — that drop exactly
-    the entries the mutated device backs.
-    """
-    with _listeners_lock:
-        listeners = list(_mutation_listeners)
-    for fn in listeners:
-        fn(storage)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.chunk_cache import notify_mutation
 from repro.core.compact import check_row_ids, rewrite
 from repro.core.page import FLAG_COMPACTED, PAGE_HEADER_SIZE, PageHeader
 from repro.core.reader import BullionReader
@@ -320,7 +319,6 @@ def delete_rows(
     if level == LEVEL_DELETION_VECTOR:
         report.bytes_read = storage.stats.bytes_read - read0
         report.bytes_written = storage.stats.bytes_written - written0
-        notify_mutation(storage)
         return report
 
     # 2. in-place scrub of every affected page (all columns of the rows)
@@ -435,9 +433,6 @@ def delete_rows(
 
     report.bytes_read = storage.stats.bytes_read - read0
     report.bytes_written = storage.stats.bytes_written - written0
-    # the file's bytes (and footer fingerprint) just changed under any
-    # process-wide chunk cache: reclaim the orphaned entries promptly
-    notify_mutation(storage)
     return report
 
 

@@ -413,11 +413,6 @@ class BullionReader(ScanSource):
         else:
             footer_bytes = storage.pread(footer_offset, footer_len)
         self.footer = FooterView(footer_bytes, file_offset=footer_offset)
-        #: content fingerprint for shared-cache keys: a hash of the
-        #: footer bytes, which cover the Merkle root, stats and the
-        #: deletion vector — any in-place scrub or rewrite yields a new
-        #: fingerprint, so shared-cache entries can never serve stale
-        self.fingerprint = hash_bytes(footer_bytes)
         #: how many gap bytes the fetch planner may over-read to merge
         #: two near-adjacent extents into one ranged request (0: only
         #: truly adjacent extents merge, so bytes moved never grow;
@@ -426,18 +421,20 @@ class BullionReader(ScanSource):
         self.coalesce_gap = coalesce_gap
         if chunk_cache is not None:
             #: a shared tiered cache: keys are prefixed with (storage
-            #: identity, file fingerprint) so entries are correct
-            #: across readers, snapshots and epochs
+            #: identity, a hash of the footer bytes) so entries are
+            #: correct across readers, snapshots and epochs, and a file
+            #: scrubbed in place outside the catalog gets new keys
             self.chunk_cache = chunk_cache
             self._cache_prefix: tuple = (
                 storage_identity(storage),
-                self.fingerprint,
+                hash_bytes(footer_bytes),
             )
         else:
             #: private raw chunk LRU shared by every scan from this
-            #: reader (``chunk_cache_size=0``: uncached); assumes the
-            #: file is immutable for the reader's lifetime — reopen (or
-            #: ``invalidate_cache()``) after in-place deletions
+            #: reader (``chunk_cache_size=0``: uncached); the file is
+            #: immutable for the reader's lifetime (see
+            #: :mod:`repro.core.chunk_cache`) — a file scrubbed in
+            #: place outside the catalog is read by a new reader
             self.chunk_cache = TieredChunkCache(
                 max_entries=chunk_cache_size, name="reader"
             )
@@ -483,11 +480,6 @@ class BullionReader(ScanSource):
         if index is None:
             index = self._file_index = FileIndex(self.footer)
         return index
-
-    def invalidate_cache(self) -> None:
-        # shared cache: every entry for this device (any fingerprint),
-        # not other readers' files; private cache: everything
-        self.chunk_cache.invalidate_prefix(self._cache_prefix[:1])
 
     def _cache_key(self, col_idx: int, rg: int) -> tuple:
         return self._cache_prefix + (col_idx, rg)

@@ -40,7 +40,6 @@ from repro.cascading import (
     collect_stats,
     take_sample,
 )
-from repro.core.chunk_cache import notify_mutation
 from repro.core.footer import (
     MAGIC,
     ChunkMeta,
@@ -260,9 +259,6 @@ class BullionWriter:
         footer_offset = self._storage.append(footer_bytes)
         self._storage.append(struct.pack("<I", len(footer_bytes)) + MAGIC)
         self._state = "finished"
-        # the device's contents changed: drop any process-cache entries
-        # keyed to its previous life (e.g. a recycled storage object)
-        notify_mutation(self._storage)
         return FooterView(footer_bytes, file_offset=footer_offset)
 
     # -- one-shot wrapper ----------------------------------------------

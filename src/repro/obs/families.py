@@ -356,11 +356,6 @@ SERVER_FOOTER_CACHE_MISSES = _REG.counter(
     "server_footer_cache_misses_total",
     "Reader-pool lookups that opened a file (footer read)",
 )
-SERVER_CACHE_INVALIDATIONS = _REG.counter(
-    "server_cache_invalidations_total",
-    "Entries dropped from server caches by mutation/commit invalidation",
-    labels=("cache",),
-)
 SERVER_POOLED_READERS = _REG.gauge(
     "server_pooled_readers_current",
     "Open BullionReaders held by server reader pools",

@@ -9,10 +9,10 @@ committing (§1, §2.4).  This package is that tier for the repro:
   single-threaded replay oracle the differential tests diff against;
 * :mod:`repro.server.cache` — one lease cache behind the pooled
   readers (one footer parse per file) and the pinned snapshots, and
-  a keyed result cache, all with exact per-file invalidation;
+  a keyed result cache; committed files are immutable, so none of
+  them invalidates;
 * :mod:`repro.server.service` — request execution: admission control,
-  cooperative deadlines, cache orchestration, mutation-driven
-  invalidation;
+  cooperative deadlines, cache orchestration;
 * :mod:`repro.server.net` — the TCP transport plus an HTTP ``/health``
   + ``/metrics`` probe surface;
 * :mod:`repro.server.client` — the synchronous Python client;

@@ -16,16 +16,15 @@ never again until it actually changes":
 * :class:`KeyedCache` — a locked LRU of plain values, used for the
   query *result* cache (``(snapshot_id, plan) → wire rows``).
 
-Every entry of either mechanism is tagged with file ids (a reader with
-its own, a pin or a result with its snapshot's), so ``invalidate`` by
-mutated file is exact: only entries that touch the file are dropped.
-In-place mutations (compliance scrubs) arrive through the
-:func:`repro.core.chunk_cache.notify_mutation` listener in
-:mod:`repro.server.service`, which maps the mutated device back to its
-pooled file.  Sizes are constants: one value each was ever in use.
+No entry ever goes stale, so no cache here has an ``invalidate``: a
+committed file is immutable and a new snapshot means new keys (see
+:mod:`repro.core.chunk_cache`) — a file id, a snapshot id and a
+``(snapshot_id, plan)`` pair each name one fixed answer forever.
+Entries leave by LRU eviction or on close.  Sizes are constants: one
+value each was ever in use.
 
-Every structure is thread-safe and publishes hit/miss/invalidation
-counters to the ``server_*`` families in :mod:`repro.obs.families`.
+Every structure is thread-safe and publishes hit/miss counters to the
+``server_*`` families in :mod:`repro.obs.families`.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class ServerReaderPool(ReaderPool):
             reader_options=reader_options,
             hits=fam.SERVER_FOOTER_CACHE_HITS,
             misses=fam.SERVER_FOOTER_CACHE_MISSES,
-            invalidations=fam.SERVER_CACHE_INVALIDATIONS,
             gauge=fam.SERVER_POOLED_READERS,
         )
 
@@ -72,13 +70,12 @@ class PinCache(LeaseCache):
             "pins",
             hits=fam.SERVER_PIN_CACHE_HITS,
             misses=fam.SERVER_PIN_CACHE_MISSES,
-            invalidations=fam.SERVER_CACHE_INVALIDATIONS,
         )
         self._table = table
 
     def _open(self, snapshot_id: int):
         pin = self._table.pin(snapshot_id=snapshot_id)
-        return pin, pin.release, frozenset(pin.snapshot.file_ids())
+        return pin, pin.release
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +83,17 @@ class PinCache(LeaseCache):
 # ---------------------------------------------------------------------------
 
 class KeyedCache:
-    """Locked LRU of ``key → value`` with per-entry file-id tags.
+    """Locked LRU of ``key → value``.
 
-    ``hits``/``misses`` name the ``server_*`` counter families to feed;
-    ``invalidate`` drops exactly the entries tagged with an affected
-    file (the snapshot's file set at insert time).
+    ``hits``/``misses`` name the ``server_*`` counter families to feed.
     """
 
-    def __init__(self, capacity: int, hits, misses, label: str):
+    def __init__(self, capacity: int, hits, misses):
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, tuple[object, frozenset]] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[bytes, object] = OrderedDict()
         self._hits = hits
         self._misses = misses
-        self.label = label
 
     def get(self, key: bytes):
         with self._lock:
@@ -111,30 +103,14 @@ class KeyedCache:
                 return None
             self._entries.move_to_end(key)
         _inc(self._hits)
-        return hit[0]
+        return hit
 
-    def put(self, key: bytes, value, file_ids=()) -> None:
+    def put(self, key: bytes, value) -> None:
         with self._lock:
-            self._entries[key] = (value, frozenset(file_ids))
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
-
-    def invalidate(self, file_ids) -> int:
-        file_ids = set(file_ids)
-        with self._lock:
-            stale = [
-                key
-                for key, (_v, tags) in self._entries.items()
-                if tags & file_ids
-            ]
-            for key in stale:
-                del self._entries[key]
-        if stale:
-            _inc(
-                fam.SERVER_CACHE_INVALIDATIONS, len(stale), cache=self.label
-            )
-        return len(stale)
 
     def clear(self) -> None:
         with self._lock:

@@ -21,13 +21,9 @@ Concurrency model
 * Deadlines are cooperative: :class:`Deadline` is checked at batch
   boundaries and before/after cache and I/O steps.  A deadline that
   expires inside a chunk fetch surfaces as soon as that fetch returns.
-
-Cache invalidation is event-driven, not polled: the service registers
-a :func:`repro.core.chunk_cache.add_mutation_listener` hook, so the
-writer-finish and deletion-scrub call sites that announce an in-place
-mutation also invalidate exactly the affected pooled readers, cached
-pins and results — fingerprint keys make a stale read structurally
-impossible, this layer makes it *cheap*.
+* Nothing is invalidated: a committed file is immutable and a commit
+  makes a new snapshot id, so every cached reader, pin and result stays
+  correct for as long as it is cached (see :mod:`repro.server.cache`).
 """
 
 from __future__ import annotations
@@ -35,8 +31,6 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.core import chunk_cache as core_chunk_cache
-from repro.core.chunk_cache import storage_identity
 from repro.obs import metrics as obs_metrics
 from repro.obs import families as fam
 from repro.expr import VectorEvalError
@@ -180,7 +174,6 @@ class _TableState:
             RESULT_CACHE_ENTRIES,
             fam.SERVER_RESULT_CACHE_HITS,
             fam.SERVER_RESULT_CACHE_MISSES,
-            "results",
         )
 
     def close(self) -> None:
@@ -219,14 +212,12 @@ class TableService:
         }
         self._started_at = time.monotonic()
         self._closed = False
-        core_chunk_cache.add_mutation_listener(self._on_mutation)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        core_chunk_cache.remove_mutation_listener(self._on_mutation)
         for state in self._tables.values():
             state.close()
 
@@ -235,18 +226,6 @@ class TableService:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- invalidation ---------------------------------------------------
-    def _on_mutation(self, storage) -> None:
-        """An in-place mutation (scrub) hit ``storage``: evict exactly
-        the pooled reader, pins and results that touch it."""
-        identity = storage_identity(storage)
-        for state in self._tables.values():
-            file_id = state.pool.file_for_identity(identity)
-            if file_id is not None:
-                for cache in (state.pool, state.pins, state.results):
-                    cache.invalidate([file_id])
-                state.table.invalidate_files([file_id])
 
     # -- request plumbing ----------------------------------------------
     def deadline_for(self, doc: dict) -> Deadline:
@@ -370,7 +349,7 @@ class TableService:
                 )
                 deadline.check()
                 wire_rows = protocol.encode_query_rows(result.rows)
-                state.results.put(key, wire_rows, pin.snapshot.file_ids())
+                state.results.put(key, wire_rows)
             except (PlanError, VectorEvalError) as exc:
                 raise BadPlan(str(exc)) from None
             finally:

@@ -10,13 +10,11 @@ costs one footer parse).  The serving layer's contract:
 * a committed snapshot invalidates nothing retroactively: the next
   HEAD request reads exactly the new snapshot's manifest and opens
   exactly the new file, while requests pinned to old snapshots keep
-  hitting their caches;
-* an in-place compliance scrub (:func:`repro.core.deletion.delete_rows`
-  fires :func:`repro.core.chunk_cache.notify_mutation`) invalidates
-  exactly the entries whose snapshot references the mutated file —
-  entries for snapshots that never saw the file survive untouched —
-  and the recomputed response is byte-identical to a fresh library
-  replay.
+  hitting their caches.
+
+Nothing is ever invalidated: a committed file is immutable (a
+directory store refuses an in-place scrub of one), and a commit is a
+new snapshot id, so every cache key names one fixed answer.
 """
 
 from __future__ import annotations
@@ -27,8 +25,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.catalog import CatalogTable, MemoryCatalogStore
-from repro.core.chunk_cache import storage_identity
+from repro.catalog import (
+    CatalogTable,
+    DirectoryCatalogStore,
+    MemoryCatalogStore,
+)
 from repro.core.deletion import delete_rows
 from repro.obs import families as fam
 from repro.core.table import Table
@@ -36,7 +37,6 @@ from repro.iosim import StorageWrapper
 from repro.obs.metrics import default_registry
 from repro.server import BullionServer, ServerClient, TableService
 from repro.server import cache as cache_mod
-from repro.server import protocol
 from repro.server.cache import KeyedCache, PinCache, ServerReaderPool
 
 
@@ -134,92 +134,39 @@ def test_commit_costs_exactly_the_new_metadata():
         server.close()
 
 
-def test_scrub_invalidates_exactly_the_affected_entries():
-    store = CountingCatalogStore()
+def test_committed_file_refuses_an_in_place_scrub(tmp_path):
+    """The contract that lets no cache invalidate: a directory store
+    opens a committed file read-only, so an in-place scrub of it is
+    refused, and its bytes and a pinned read stay as they were."""
+    store = DirectoryCatalogStore(str(tmp_path / "table"))
     table = CatalogTable.create(store)
-    s1 = table.append(_batch(0, 100, seed=0))
-    s2 = table.append(_batch(100, 100, seed=1))
-    (file_b,) = sorted(s2.file_ids() - s1.file_ids())
-    server, client = _serve(store, table)
-    try:
-        reg = default_registry()
-        old = client.query(
-            "events", ["sum(ts)"], snapshot_id=s1.snapshot_id
-        )
-        head = client.query("events", ["sum(ts)"])
-        assert head.snapshot_id == s2.snapshot_id
+    snap = table.append(_batch(0, 100, seed=0))
+    (fid,) = snap.file_ids()
 
-        # compliance scrub, outside the catalog: rows 0-2 of file B
-        storage = store.open_data(file_b)
-        base = reg.snapshot()
-        store.begin_phase()
-        delete_rows(storage, [0, 1, 2])
-        delta = reg.delta(base)
-        assert (
-            delta.value(
-                "server_cache_invalidations_total", cache="readers"
-            )
-            == 1
-        )
-        assert (
-            delta.value(
-                "server_cache_invalidations_total", cache="results"
-            )
-            == 1  # only the head entry references file B
-        )
-
-        # the S1 entry survived: cache hit, zero storage traffic,
-        # byte-identical to the pre-scrub response
-        store.begin_phase()
-        past = client.query(
-            "events", ["sum(ts)"], snapshot_id=s1.snapshot_id
-        )
-        assert past.raw == old.raw
-        assert store.meta_reads == 0 and store.data_opens == 0
-
-        # the head entry was dropped: recomputed with exactly one
-        # file re-opened (the scrubbed one), and byte-identical to a
-        # fresh library replay through an independent table handle
-        store.begin_phase()
-        fresh = client.query("events", ["sum(ts)"])
-        assert store.data_opens == 1
-        assert fresh.raw != head.raw, "scrub must change the answer"
-        replica = CatalogTable(store)
-        pin = replica.pin(snapshot_id=s2.snapshot_id)
+    def file_bytes() -> bytes:
+        storage = store.open_data(fid)
         try:
-            plan = protocol.canonical_query_plan(
-                {"aggregates": ["sum(ts)"]}
-            )
-            assert fresh.raw == protocol.replay_query_frame(
-                pin, s2.snapshot_id, plan
-            )
+            return storage.pread(0, storage.size)
         finally:
-            pin.release()
-    finally:
-        client.close()
-        server.close()
+            storage.close()
 
-
-def test_mutation_of_unknown_storage_is_a_noop():
-    store = CountingCatalogStore()
-    table = CatalogTable.create(store)
-    table.append(_batch(0, 50, seed=0))
-    server, client = _serve(store, table)
+    raw = file_bytes()
+    pin = table.pin()
     try:
-        warm = client.query("events", ["sum(ts)"])
-        # scrub a file the server never opened (a different store)
-        other = MemoryCatalogStore("other")
-        other_table = CatalogTable.create(other)
-        snap = other_table.append(_batch(0, 50, seed=9))
-        (fid,) = snap.file_ids()
-        delete_rows(other.open_data(fid), [0])
-        store.begin_phase()
-        again = client.query("events", ["sum(ts)"])
-        assert again.raw == warm.raw
-        assert store.meta_reads == 0 and store.data_opens == 0
+        before = pin.read(["ts", "v"])
+        storage = store.open_data(fid)
+        try:
+            with pytest.raises(ValueError, match="read-only"):
+                delete_rows(storage, [0, 1, 2])
+        finally:
+            storage.close()
+        assert file_bytes() == raw
+        after = pin.read(["ts", "v"])
+        assert after.num_rows == 100
+        for name in ("ts", "v"):
+            assert np.array_equal(after.column(name), before.column(name))
     finally:
-        client.close()
-        server.close()
+        pin.release()
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +174,24 @@ def test_mutation_of_unknown_storage_is_a_noop():
 # ---------------------------------------------------------------------------
 
 def test_reader_pool_shares_footers_and_drains_busy_entries():
-    store = CountingCatalogStore()
+    store = _LedgerStore("pool")
     table = CatalogTable.create(store)
     snap = table.append(_batch(0, 50, seed=0))
     (fid,) = snap.file_ids()
-    store.begin_phase()
+    store.ledger = ledger = _Ledger()
     pool = ServerReaderPool(store)
     r1 = pool.acquire(fid)
     r2 = pool.acquire(fid)
-    assert r1 is r2 and store.data_opens == 1
-    # invalidate while busy: the entry drains instead of vanishing
-    # under its holders, and the next acquire opens afresh
-    assert pool.invalidate([fid]) == 1
-    r3 = pool.acquire(fid)
-    assert r3 is not r1 and store.data_opens == 2
-    pool.release(fid, r3)
-    pool.release(fid, r1)
-    pool.release(fid, r2)
-    assert len(pool) == 1
-    identity = storage_identity(store.open_data(fid))
-    assert pool.file_for_identity(identity) == fid
+    assert r1 is r2 and ledger.opened == 1
+    # close while busy: the entry drains instead of closing under its
+    # holders, and closes on the last release
     pool.close()
+    assert ledger.closed == 0 and len(pool) == 0
+    assert r1.project(["ts"]).num_rows == 50
+    pool.release(fid, r1)
+    assert ledger.closed == 0
+    pool.release(fid, r2)
+    assert (ledger.opened, ledger.closed) == (1, 1)
 
 
 class _Ledger:
@@ -328,7 +272,7 @@ class _LedgerTable:
 
 class _Harness:
     """One LeaseCache instance of capacity 2 over four keys, oldest
-    first; ``newest_file`` tags the last key and no other."""
+    first."""
 
     def __init__(self, kind: str, monkeypatch) -> None:
         monkeypatch.setattr(cache_mod, "READER_POOL_CAPACITY", 2)
@@ -343,7 +287,6 @@ class _Harness:
             (new,) = snap.file_ids() - seen
             files.append(new)
             seen.add(new)
-        self.newest_file = files[-1]
         if kind == "readers":
             store.ledger = self.ledger
             # uncached readers: every use reaches the storage
@@ -412,20 +355,22 @@ def test_lease_racing_misses_leave_one_survivor(lease):
 
 
 def test_lease_invalidate_while_held_drains(lease):
-    cache, ledger, key = lease.cache, lease.ledger, lease.keys[-1]
-    held = cache.acquire(key)
-    assert cache.invalidate([lease.newest_file]) == 1
-    assert ledger.closed == 0 and lease.usable(held)
-    fresh = cache.acquire(key)  # the next acquire opens afresh
-    assert fresh is not held and ledger.opened == 2
-    cache.release(key, held)  # last release of the drained entry
-    assert ledger.closed == 1 and not lease.usable(held)
-    cache.release(key, fresh)
-    assert ledger.closed == 1 and lease.usable(fresh)
-    # an idle entry is closed by the invalidation itself
-    assert cache.invalidate([lease.newest_file]) == 1
-    assert ledger.closed == 2 and len(cache) == 0
-    assert cache.invalidate([lease.newest_file]) == 0
+    """Nothing invalidates an entry: the least recently used one, held,
+    outlives capacity eviction, and is evicted once idle."""
+    cache, ledger = lease.cache, lease.ledger
+    k0, k1, k2, k3 = lease.keys
+    held = cache.acquire(k3)  # the least recently used entry
+    for key in (k0, k1, k2):
+        cache.release(key, cache.acquire(key))
+    # eviction passed the held entry by and closed idle k0 and k1
+    assert len(cache) == 2 and ledger.closed == 2 and lease.usable(held)
+    assert cache.acquire(k3) is held and ledger.opened == 4
+    cache.release(k3, held)
+    cache.release(k3, held)  # idle, within capacity: still open
+    assert ledger.closed == 2 and lease.usable(held)
+    cache.release(k0, cache.acquire(k0))  # k2 is the idle LRU entry
+    cache.release(k1, cache.acquire(k1))  # now k3 is
+    assert ledger.closed == 4 and not lease.usable(held)
 
 
 def test_lease_lru_evicts_idle_entries_only(lease):
@@ -463,20 +408,27 @@ def test_lease_close_with_holders_closes_on_last_release(lease):
 
 
 def test_lease_stress_never_closes_under_a_holder(lease):
-    """More threads than cores, a short switch interval: a resource is
-    usable for as long as it is held, whatever the others invalidate."""
+    """More threads than cores, a short switch interval, four keys over
+    a capacity of two: a resource is usable for as long as it is held,
+    whatever the others evict — and after one thread closes the cache
+    under them, every held entry drains and closes on its last
+    release (the fixture counts each close)."""
     cache, keys = lease.cache, lease.keys
     errors = []
 
     def worker(seed: int) -> None:
         rng = np.random.default_rng(seed)
         try:
-            for _ in range(150):
+            for step in range(150):
                 key = keys[int(rng.integers(len(keys)))]
-                resource = cache.acquire(key)
                 try:
-                    if rng.integers(8) == 0:
-                        cache.invalidate([lease.newest_file])
+                    resource = cache.acquire(key)
+                except RuntimeError as exc:
+                    assert "closed" in str(exc)
+                    return  # closed by worker 0
+                try:
+                    if seed == 0 and step == 100:
+                        cache.close()
                     assert lease.usable(resource)
                 finally:
                     cache.release(key, resource)
@@ -497,32 +449,13 @@ def test_lease_stress_never_closes_under_a_holder(lease):
     finally:
         sys.setswitchinterval(interval)
     assert not errors, errors
-    assert len(cache) <= 2  # everything is idle, so capacity holds
-
-
-def test_keyed_cache_invalidates_by_file_tag():
-    cache = KeyedCache(
-        8,
-        fam.SERVER_RESULT_CACHE_HITS,
-        fam.SERVER_RESULT_CACHE_MISSES,
-        "results",
-    )
-    cache.put(b"a", 1, file_ids={"f1"})
-    cache.put(b"b", 2, file_ids={"f1", "f2"})
-    cache.put(b"c", 3, file_ids={"f3"})
-    assert cache.invalidate({"f1"}) == 2
-    assert cache.get(b"a") is None and cache.get(b"b") is None
-    assert cache.get(b"c") == 3
-    cache.clear()
     assert len(cache) == 0
+    assert lease.ledger.opened == lease.ledger.closed
 
 
 def test_keyed_cache_lru_eviction():
     cache = KeyedCache(
-        2,
-        fam.SERVER_RESULT_CACHE_HITS,
-        fam.SERVER_RESULT_CACHE_MISSES,
-        "results",
+        2, fam.SERVER_RESULT_CACHE_HITS, fam.SERVER_RESULT_CACHE_MISSES
     )
     cache.put(b"a", 1)
     cache.put(b"b", 2)
